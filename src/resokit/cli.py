@@ -133,13 +133,12 @@ def _cmd_fem(args) -> int:
     else:
         target = args.target_edge or geometry.radius / 16.0
         mesh = fem.mesh_disk(geometry, target)
-        results = fem.disk_modal_fem(geometry, material, mesh, n_modes=args.modes)
+        sys_, modes, results = fem.solve_disk(geometry, material, mesh,
+                                              n_modes=args.modes)
         rows = [{"mode": i + 1, "frequency_hz": m.frequency,
                  "angular_order": m.mode_order} for i, m in enumerate(results)]
         if args.modes_csv:
-            sys_ = fem.assemble_disk(geometry, material, mesh)
-            vecs = fem.solve_modes(sys_, args.modes + 3)[3:]
-            fem.export_modes_csv(sys_, vecs, args.modes_csv)
+            fem.export_modes_csv(sys_, modes, args.modes_csv)
     if args.mesh_out:
         fem.export_mesh(mesh, args.mesh_out)
 

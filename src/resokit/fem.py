@@ -2,9 +2,18 @@
 
 Beam eigenmodes use 2-node Euler-Bernoulli elements (cubic Hermite shape
 functions, consistent mass). Disk in-plane eigenmodes use linear-triangle
-plane-stress elements on a structured polar mesh. Generalized symmetric
-eigenproblems are solved densely (scipy.linalg.eigh); problem sizes here
-stay well below 10^4 dofs, so no sparse machinery is needed.
+plane-stress elements on a structured polar mesh. Element matrices are
+built for all elements at once and scattered in one step.
+
+Systems with at most _SPARSE_MIN_DOF (300) free dofs are solved densely:
+Cholesky proves the mass matrix SPD and scipy.linalg.eigh returns the
+modes. Larger systems keep their free-dof blocks in CSC form, prove the
+mass matrix SPD with a sparse LDL^T, and take the lowest modes from
+shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished by
+one inverse-iteration step and a Rayleigh-Ritz projection. LAPACK is
+faster on small systems, and ARPACK needs k well below n: a sparse system
+asked for k >= n/4 modes is solved densely too. Both paths share the
+residual gate, normalization and sign convention.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .core import BeamGeometry, DiskGeometry, Material, ModeResult, VibrationAxis
 from .errors import (AmbiguousAngularOrderError, EigenSolveError, InvariantError,
@@ -22,6 +33,8 @@ from .errors import (AmbiguousAngularOrderError, EigenSolveError, InvariantError
 _SYM_RTOL = 1e-12          # symmetry tolerance for assembled matrices
 _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
 _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
+_SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and solve
+_TRANSLATIONAL = ("w", "ux", "uy")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -83,6 +96,15 @@ class AssembledSystem:
     dof_map: tuple
     constraints: tuple
     mesh: Mesh | None = field(default=None, compare=False)
+    # Built once by __post_init__. _kf/_mf are the free-dof blocks of K and
+    # M: dense at or below _SPARSE_MIN_DOF free dofs, CSC above.
+    # _tdofs lists the translational dofs; row j of _tnode_dofs holds the
+    # translational dofs of the j-th node that has any, padded with ndof.
+    _free: np.ndarray = field(init=False, repr=False, compare=False)
+    _kf: object = field(init=False, repr=False, compare=False)
+    _mf: object = field(init=False, repr=False, compare=False)
+    _tdofs: np.ndarray = field(init=False, repr=False, compare=False)
+    _tnode_dofs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = _readonly(np.asarray(self.stiffness, dtype=float))
@@ -94,19 +116,82 @@ class AssembledSystem:
         n = k.shape[0]
         if k.shape != (n, n) or m.shape != (n, n) or len(self.dof_map) != n:
             raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
+        free = _readonly(np.setdiff1d(np.arange(n), self.constraints))
+        sparse = len(free) > _SPARSE_MIN_DOF
+        blocks = []
         for name, a in (("stiffness", k), ("mass", m)):
-            scale = np.max(np.abs(a))
-            if np.max(np.abs(a - a.T)) > _SYM_RTOL * scale:
+            if sparse:
+                a = _csc(a)
+            if abs(a - a.T).max() > _SYM_RTOL * abs(a).max():
                 raise InvariantError(f"{name} matrix not symmetric")
-        free = self.free_dofs()
-        try:
-            np.linalg.cholesky(m[np.ix_(free, free)])
-        except np.linalg.LinAlgError:
-            raise InvariantError("mass matrix not positive-definite on free dofs") from None
+            blocks.append(a[:, free][free])
+        if not _positive_definite(blocks[1]):
+            raise InvariantError("mass matrix not positive-definite on free dofs")
+        tdofs, tnode_dofs = _translational_layout(self.dof_map)
+        for name, value in (("_free", free), ("_kf", blocks[0]), ("_mf", blocks[1]),
+                            ("_tdofs", tdofs), ("_tnode_dofs", tnode_dofs)):
+            object.__setattr__(self, name, value)
 
     def free_dofs(self) -> np.ndarray:
-        fixed = set(self.constraints)
-        return np.array([i for i in range(len(self.dof_map)) if i not in fixed], dtype=int)
+        return self._free
+
+
+def _csc(a: np.ndarray):
+    """CSC copy of a dense matrix. Scanning a != 0 row by row is about four
+    times faster than scipy's own dense conversion."""
+    flat = np.flatnonzero(a != 0)
+    rows, cols = np.divmod(flat, a.shape[1])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=a.shape[0]))))
+    return csr_array((a.ravel()[flat], cols, indptr), shape=a.shape).tocsc()
+
+
+def _symmetric_lu(a):
+    """Sparse LU of a CSC matrix with symmetric structure: a fill-reducing
+    ordering of A + A^T, and the diagonal pivot whenever it is nonzero."""
+    return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+def _positive_definite(a) -> bool:
+    """Dense: Cholesky succeeds. CSC: the symmetric LU pivots only on the
+    diagonal (perm_r == perm_c, so it is an LDL^T) and every pivot is
+    positive."""
+    if isinstance(a, np.ndarray):
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    try:
+        lu = _symmetric_lu(a)
+    except RuntimeError:   # exactly singular
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0))
+
+
+def _translational_layout(dof_map):
+    """(translational dofs ascending, per-node translational dof table).
+
+    Table rows follow node number; each row lists the node's translational
+    dofs in dof order, padded with len(dof_map).
+    """
+    nodes, comps = (np.asarray(v) for v in zip(*dof_map))
+    tdofs = np.flatnonzero(np.isin(comps, _TRANSLATIONAL))
+    order = np.argsort(nodes[tdofs], kind="stable")
+    _, start, count = np.unique(nodes[tdofs][order], return_index=True,
+                                return_counts=True)
+    table = np.full((len(count), int(count.max(initial=1))), len(dof_map))
+    table[np.repeat(np.arange(len(count)), count),
+          np.arange(len(order)) - np.repeat(start, count)] = tdofs[order]
+    return _readonly(tdofs), _readonly(table)
+
+
+def _scatter(dofs: np.ndarray, blocks: np.ndarray, ndof: int) -> np.ndarray:
+    """Sum element matrices blocks[e] into an ndof x ndof matrix at rows and
+    columns dofs[e], in element order."""
+    flat = dofs[:, :, None] * ndof + dofs[:, None, :]
+    return np.bincount(flat.ravel(), weights=blocks.ravel(),
+                       minlength=ndof * ndof).reshape(ndof, ndof)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +229,9 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
 
     n_nodes = n_elements + 1
     ndof = 2 * n_nodes
-    k = np.zeros((ndof, ndof))
-    m = np.zeros((ndof, ndof))
-    for e in range(n_elements):
-        i = 2 * e
-        k[i:i + 4, i:i + 4] += ke
-        m[i:i + 4, i:i + 4] += me
+    dofs = 2 * np.arange(n_elements)[:, None] + np.arange(4)
+    k = _scatter(dofs, np.broadcast_to(ke, (n_elements, 4, 4)), ndof)
+    m = _scatter(dofs, np.broadcast_to(me, (n_elements, 4, 4)), ndof)
 
     dof_map = tuple((node, comp) for node in range(n_nodes) for comp in ("w", "theta"))
     constraints = (0, 1, ndof - 2, ndof - 1) if clamped else ()
@@ -222,23 +304,24 @@ def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSys
         [0, 1, 0, 2, 0, 1], [1, 0, 1, 0, 2, 0], [0, 1, 0, 1, 0, 2]]) / 12.0
 
     n = len(mesh.nodes)
-    k = np.zeros((2 * n, 2 * n))
-    m = np.zeros((2 * n, 2 * n))
-    for (i, j, l) in mesh.elements:
-        (xi, yi), (xj, yj), (xl, yl) = mesh.nodes[i], mesh.nodes[j], mesh.nodes[l]
-        det = (xj - xi) * (yl - yi) - (xl - xi) * (yj - yi)
-        area = 0.5 * det
-        bi, bj, bl = yj - yl, yl - yi, yi - yj
-        ci, cj, cl = xl - xj, xi - xl, xj - xi
-        b_mat = (1.0 / det) * np.array([
-            [bi, 0, bj, 0, bl, 0],
-            [0, ci, 0, cj, 0, cl],
-            [ci, bi, cj, bj, cl, bl]])
-        ke = t * area * (b_mat.T @ d_mat @ b_mat)
-        me = rho * t * area * me_template
-        dofs = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1, 2 * l, 2 * l + 1]
-        k[np.ix_(dofs, dofs)] += ke
-        m[np.ix_(dofs, dofs)] += me
+    x, y = mesh.nodes[mesh.elements, 0], mesh.nodes[mesh.elements, 1]  # (E, 3)
+    det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+           - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    area = 0.5 * det
+    b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)   # b_i = y_j - y_l
+    c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)   # c_i = x_l - x_j
+    b_mat = np.zeros((len(det), 3, 6))
+    b_mat[:, 0, 0::2] = b
+    b_mat[:, 1, 1::2] = c
+    b_mat[:, 2, 0::2] = c
+    b_mat[:, 2, 1::2] = b
+    b_mat *= (1.0 / det)[:, None, None]
+    # batched matmul, not einsum: it rounds exactly as the per-element B^T D B
+    ke = (t * area)[:, None, None] * (b_mat.transpose(0, 2, 1) @ d_mat @ b_mat)
+    me = (rho * t * area)[:, None, None] * me_template
+    dofs = (2 * mesh.elements[:, :, None] + np.arange(2)).reshape(-1, 6)
+    k = _scatter(dofs, ke, 2 * n)
+    m = _scatter(dofs, me, 2 * n)
 
     dof_map = tuple((node, comp) for node in range(n) for comp in ("ux", "uy"))
     return AssembledSystem(k, m, dof_map, (), mesh)
@@ -249,12 +332,31 @@ def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSys
 
 def _translational_amplitude(sys: AssembledSystem, vec: np.ndarray) -> np.ndarray:
     """Per-node displacement magnitude from translational dof components."""
-    comp = {}
-    for i, (node, c) in enumerate(sys.dof_map):
-        if c in ("w", "ux", "uy"):
-            comp.setdefault(node, []).append(vec[i])
-    return np.array([math.hypot(*vals) if len(vals) > 1 else abs(vals[0])
-                     for _, vals in sorted(comp.items())])
+    comps = np.append(vec, 0.0)[sys._tnode_dofs]
+    return np.hypot.reduce(comps, axis=1, initial=0.0)
+
+
+def _shift_invert_modes(kk, mm, k: int):
+    """k lowest eigenpairs of the CSC pencil (kk, mm), ascending; needs 4k < n.
+
+    The shift sits just below zero, at 1e-12 of the median diagonal ratio,
+    so K - sigma*M is positive definite even with rigid-body modes (a shift
+    of 1e-6 of that ratio returned wrong eigenpairs on 1024-element and
+    free-free beams). ARPACK starts from a fixed vector, so the result is
+    deterministic, and finds 2k pairs: asked for k alone it split
+    degenerate disk pairs at the window edge, missed an eigenvalue at k = 12
+    on disks R/8 to R/20 and left residuals up to 1e-7. One
+    inverse-iteration step with the same factorization and a 2k x 2k
+    Rayleigh-Ritz projection then bring the disk residuals below 1e-9.
+    """
+    n = kk.shape[0]
+    sigma = -1e-12 * float(np.median(kk.diagonal() / mm.diagonal()))
+    lu = _symmetric_lu(kk - sigma * mm)
+    op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    _, vecs = eigsh(kk, 2 * k, M=mm, sigma=sigma, OPinv=op, v0=np.ones(n))
+    x = lu.solve(mm @ vecs)
+    vals, q = eigh(x.T @ (kk @ x), x.T @ (mm @ x), subset_by_index=(0, k - 1))
+    return vals, x @ q
 
 
 def solve_modes(sys: AssembledSystem, k: int):
@@ -267,40 +369,39 @@ def solve_modes(sys: AssembledSystem, k: int):
     free = sys.free_dofs()
     if not 1 <= k <= len(free):
         raise EigenSolveError(f"k must be in [1, {len(free)}], got {k}")
-    kk = sys.stiffness[np.ix_(free, free)]
-    mm = sys.mass[np.ix_(free, free)]
+    kk, mm = sys._kf, sys._mf
     try:
-        vals, vecs = eigh(kk, mm, subset_by_index=(0, k - 1))
-    except np.linalg.LinAlgError as exc:
+        if isinstance(kk, np.ndarray):
+            vals, vecs = eigh(kk, mm, subset_by_index=(0, k - 1))
+        elif 4 * k >= len(free):
+            vals, vecs = eigh(kk.toarray(), mm.toarray(), subset_by_index=(0, k - 1))
+        else:
+            vals, vecs = _shift_invert_modes(kk, mm, k)
+    except (np.linalg.LinAlgError, ArpackError, RuntimeError) as exc:
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from None
 
-    k_scale = float(np.max(np.abs(kk)))
+    # residual bound is meaningful only away from the rigid-body null space
+    kv = kk @ vecs
+    norm_kv = np.linalg.norm(kv, axis=0)
+    elastic = norm_kv > 1e-9 * float(abs(kk).max()) * np.linalg.norm(vecs, axis=0)
+    resid = np.linalg.norm(kv - vals * (mm @ vecs), axis=0) / np.where(elastic, norm_kv, 1.0)
+    bad = np.flatnonzero(elastic & (resid > _RESIDUAL_BOUND))
+    if bad.size:
+        raise EigenSolveError(
+            f"eigen-residual {resid[bad[0]]:.2e} exceeds {_RESIDUAL_BOUND:.0e} "
+            f"for mode {bad[0]}")
+
+    full = np.zeros((k, len(sys.dof_map)))
+    full[:, free] = vecs.T
     out = []
-    for idx in range(k):
-        lam = float(vals[idx])
-        v = vecs[:, idx]
-        kv = kk @ v
-        # residual bound is meaningful only away from the rigid-body null space
-        norm_kv = float(np.linalg.norm(kv))
-        if norm_kv > 1e-9 * k_scale * float(np.linalg.norm(v)):
-            resid = float(np.linalg.norm(kv - lam * (mm @ v))) / norm_kv
-            if resid > _RESIDUAL_BOUND:
-                raise EigenSolveError(
-                    f"eigen-residual {resid:.2e} exceeds {_RESIDUAL_BOUND:.0e} "
-                    f"for mode {idx}")
-        full = np.zeros(len(sys.dof_map))
-        full[free] = v
-        amp = _translational_amplitude(sys, full)
-        peak = float(np.max(amp))
+    for lam, vec in zip(vals, full):
+        peak = float(np.max(_translational_amplitude(sys, vec)))
         if peak > 0:
-            full = full / peak
+            vec = vec / peak
         # sign convention: largest-magnitude translational dof positive
-        tdofs = [i for i, (_, c) in enumerate(sys.dof_map) if c in ("w", "ux", "uy")]
-        lead = max(tdofs, key=lambda i: abs(full[i]))
-        if full[lead] < 0:
-            full = -full
-        freq = math.sqrt(max(lam, 0.0)) / (2 * math.pi)
-        out.append((freq, full))
+        if vec[sys._tdofs[np.argmax(np.abs(vec[sys._tdofs]))]] < 0:
+            vec = -vec
+        out.append((math.sqrt(max(float(lam), 0.0)) / (2 * math.pi), vec))
     return out
 
 
@@ -357,6 +458,13 @@ def disk_modal_fem(geom: DiskGeometry, mat: Material, mesh: Mesh,
     rim radial antinode (m_eff = phi^T M phi with max |u_r| on the boundary
     scaled to 1).
     """
+    return solve_disk(geom, mat, mesh, n_modes)[2]
+
+
+def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
+    """Assemble and solve a free disk once: (system, elastic modes as
+    [(frequency_hz, mode_vector)], their ModeResults as disk_modal_fem
+    returns them)."""
     sys = assemble_disk(geom, mat, mesh)
     modes = solve_modes(sys, n_modes + 3)
     lam = np.array([(2 * math.pi * f)**2 for f, _ in modes])
@@ -371,7 +479,7 @@ def disk_modal_fem(geom: DiskGeometry, mat: Material, mesh: Mesh,
     r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
     r_out = float(r.max())
     bnd = np.where(r >= r_out * (1 - 1e-9))[0]
-    mass = sys.mass
+    free = sys.free_dofs()
 
     results = []
     for freq, vec in modes[3:]:
@@ -384,8 +492,8 @@ def disk_modal_fem(geom: DiskGeometry, mat: Material, mesh: Mesh,
         rim = float(np.max(np.abs(u_rad)))
         if rim <= 0:
             continue
-        scaled = vec / rim
-        m_eff = float(scaled @ mass @ scaled)
+        scaled = vec[free] / rim
+        m_eff = float(scaled @ sys._mf @ scaled)
         w0 = 2 * math.pi * freq
         amp = _translational_amplitude(sys, vec)
         shape = amp / np.max(amp)
@@ -393,7 +501,7 @@ def disk_modal_fem(geom: DiskGeometry, mat: Material, mesh: Mesh,
                                   effective_mass=m_eff,
                                   effective_stiffness=w0 * w0 * m_eff,
                                   mode_shape=tuple(shape)))
-    return results
+    return sys, modes[3:], results
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +521,18 @@ def export_mesh(mesh: Mesh, path):
 def export_modes_csv(sys: AssembledSystem, modes, path):
     """CSV of nodal displacement components for each (freq, vector) pair."""
     mesh = sys.mesh
-    comps = sorted({c for _, c in sys.dof_map})
+    nodes, comp_of = (np.asarray(v) for v in zip(*sys.dof_map))
+    comps, col = np.unique(comp_of, return_inverse=True)
+    # dof_of[node, c] is the dof of component comps[c] at node, -1 if none
+    dof_of = np.full((len(mesh.nodes), len(comps)), -1)
+    dof_of[nodes, col] = np.arange(len(sys.dof_map))
     with open(path, "w") as f:
         header = ["node"] + [f"coord{ax}" for ax in range(mesh.nodes.shape[1])]
         for k, (freq, _) in enumerate(modes):
             header += [f"mode{k}_f{freq:.6g}_{c}" for c in comps]
         f.write(",".join(header) + "\n")
-        dof_of = {}
-        for i, (node, c) in enumerate(sys.dof_map):
-            dof_of[(node, c)] = i
         for node in range(len(mesh.nodes)):
             row = [str(node)] + [repr(float(v)) for v in mesh.nodes[node]]
             for _, vec in modes:
-                for c in comps:
-                    i = dof_of.get((node, c))
-                    row.append(repr(float(vec[i])) if i is not None else "")
+                row += [repr(float(vec[i])) if i >= 0 else "" for i in dof_of[node]]
             f.write(",".join(row) + "\n")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from resokit import fem
 from resokit.cli import main
 
 
@@ -77,6 +78,29 @@ class TestAnalyze:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "pyramid"}))
         assert main(["analyze", "--config", str(path)]) == 2
+
+
+class TestFem:
+    def test_disk_modes_csv_solves_once(self, disk_config, tmp_path, monkeypatch):
+        calls = []
+        solve = fem.solve_modes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_modes", counting)
+        csv, out = tmp_path / "modes.csv", tmp_path / "fem.json"
+        rc = main(["fem", "--config", disk_config, "--modes", "3",
+                   "--modes-csv", str(csv), "--json", str(out)])
+        assert rc == 0
+        assert len(calls) == 1
+        rows = json.loads(out.read_text())["modes"]
+        header = csv.read_text().splitlines()[0].split(",")
+        # columns mode<k>_f<frequency>_<component>
+        csv_freqs = [col.split("_")[1] for col in header if col.endswith("_ux")]
+        assert csv_freqs == [f"f{row['frequency_hz']:.6g}" for row in rows]
+        assert len(rows) == 3
 
 
 class TestRespond:

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+from resokit import fem
 from resokit.analytic import beam_mode_frequency, disk_wineglass_frequency
 from resokit.core import BeamGeometry, VibrationAxis
 from resokit.errors import (AmbiguousAngularOrderError, EigenSolveError,
                             InvariantError, MeshError)
-from resokit.fem import (AssembledSystem, Mesh, assemble_beam, disk_modal_fem,
-                         export_mesh, export_modes_csv, identify_angular_order,
-                         mesh_disk, solve_modes)
+from resokit.fem import (AssembledSystem, Mesh, assemble_beam, assemble_disk,
+                         disk_modal_fem, export_mesh, export_modes_csv,
+                         identify_angular_order, mesh_disk, solve_modes)
 
 
 class TestBeamAssembly:
@@ -144,6 +146,98 @@ class TestSolver:
         k = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(InvariantError):
             AssembledSystem(k, np.eye(2), dof_map=((0, "w"), (1, "w")), constraints=())
+
+
+def _elastic_residuals(sys_, modes):
+    free = sys_.free_dofs()
+    kk = sys_.stiffness[np.ix_(free, free)]
+    mm = sys_.mass[np.ix_(free, free)]
+    out = []
+    for f, v in modes:
+        lam, v = (2 * math.pi * f) ** 2, v[free]
+        out.append(np.linalg.norm(kk @ v - lam * (mm @ v)) / np.linalg.norm(kk @ v))
+    return out
+
+
+@pytest.fixture(scope="module")
+def disk_r12(ref_disk, silicon):
+    sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 12))
+    assert len(sys_.free_dofs()) > fem._SPARSE_MIN_DOF
+    return sys_
+
+
+class TestSparseSolver:
+    """Systems above the dense/sparse threshold: shift-invert Lanczos."""
+
+    def test_disk_matches_dense_oracle(self, disk_r12):
+        lams = [(2 * math.pi * f) ** 2 for f, _ in solve_modes(disk_r12, 9)]
+        oracle = eigh(disk_r12.stiffness, disk_r12.mass, subset_by_index=(0, 8),
+                      eigvals_only=True)
+        assert lams[3:] == pytest.approx(oracle[3:], rel=1e-10)
+        assert max(lams[:3]) < 1e-6 * lams[3]
+        assert np.max(np.abs(oracle[:3])) < 1e-6 * oracle[3]
+
+    def test_disk_residuals(self, disk_r12):
+        assert max(_elastic_residuals(disk_r12, solve_modes(disk_r12, 9)[3:])) < 1e-8
+
+    def test_determinism(self, disk_r12):
+        a = solve_modes(disk_r12, 7)
+        b = solve_modes(disk_r12, 7)
+        for (fa, va), (fb, vb) in zip(a, b):
+            assert fa == fb
+            assert np.array_equal(va, vb)
+
+    def test_free_free_beam_rigid_modes(self, ref_beam, silicon):
+        sys_ = assemble_beam(ref_beam, silicon, 256, clamped=False)
+        assert len(sys_.free_dofs()) > fem._SPARSE_MIN_DOF
+        lams = [(2 * math.pi * f) ** 2 for f, _ in solve_modes(sys_, 4)]
+        assert sum(1 for lam in lams if lam < 1e-6 * lams[2]) == 2
+
+    def test_many_modes_match_dense_oracle(self, ref_beam, silicon):
+        # k >= n/4 is beyond what the Lanczos window holds; still every mode
+        sys_ = assemble_beam(ref_beam, silicon, 160)
+        n = len(sys_.free_dofs())
+        assert n > fem._SPARSE_MIN_DOF
+        free = sys_.free_dofs()
+        oracle = eigh(sys_.stiffness[np.ix_(free, free)], sys_.mass[np.ix_(free, free)],
+                      subset_by_index=(0, n - 1), eigvals_only=True)
+        lams = [(2 * math.pi * f) ** 2 for f, _ in solve_modes(sys_, n)]
+        assert lams == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_mass_not_pd_rejected(self, bad):
+        n = 2 * fem._SPARSE_MIN_DOF
+        diag = np.ones(n)
+        diag[n // 2] = bad
+        with pytest.raises(InvariantError):
+            AssembledSystem(np.eye(n), np.diag(diag),
+                            dof_map=tuple((i, "w") for i in range(n)), constraints=())
+
+
+def _loop_translational_amplitude(sys_, vec):
+    """Per-dof loop reference for fem._translational_amplitude."""
+    comp = {}
+    for i, (node, c) in enumerate(sys_.dof_map):
+        if c in ("w", "ux", "uy"):
+            comp.setdefault(node, []).append(vec[i])
+    return np.array([math.hypot(*vals) if len(vals) > 1 else abs(vals[0])
+                     for _, vals in sorted(comp.items())])
+
+
+class TestTranslationalAmplitude:
+    def test_beam_equals_loop(self, ref_beam, silicon):
+        sys_ = assemble_beam(ref_beam, silicon, 16)
+        for _, v in solve_modes(sys_, 3):
+            assert np.array_equal(fem._translational_amplitude(sys_, v),
+                                  _loop_translational_amplitude(sys_, v))
+
+    def test_disk_within_one_ulp_of_loop(self, ref_disk, silicon):
+        # np.hypot and math.hypot may round differently in the last place
+        sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 6))
+        for _, v in solve_modes(sys_, 6):
+            got = fem._translational_amplitude(sys_, v)
+            ref = _loop_translational_amplitude(sys_, v)
+            assert np.all(np.abs(got - ref) <= np.spacing(ref))
 
 
 class TestDiskMesh:
@@ -285,3 +379,17 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + len(sys_.mesh.nodes)
         assert lines[0].startswith("node,coord0,")
+
+    def test_modes_csv_missing_component_is_blank(self, tmp_path):
+        mesh = Mesh(nodes=np.array([[0.0], [1.0]]), elements=np.array([[0, 1]]),
+                    kind="beam_1d")
+        sys_ = AssembledSystem(np.diag([2.0, 3.0, 4.0]), np.eye(3),
+                               dof_map=((0, "w"), (0, "theta"), (1, "w")),
+                               constraints=(), mesh=mesh)
+        path = tmp_path / "modes.csv"
+        export_modes_csv(sys_, [(1.5, np.array([0.25, -0.5, 1.0]))], path)
+        assert path.read_text().splitlines() == [
+            "node,coord0,mode0_f1.5_theta,mode0_f1.5_w",
+            "0,0.0,-0.5,0.25",
+            "1,1.0,,1.0",
+        ]
