@@ -129,14 +129,16 @@ def beam_effective_params(geom: BeamGeometry, mat: Material, n: int = 1,
 
 def beam_mode_result(geom: BeamGeometry, mat: Material, n: int = 1,
                      drive_point: float = 0.5, samples: int = 201) -> ModeResult:
-    """Bundle frequency, effective parameters and a sampled shape."""
+    """Bundle frequency, effective parameters and a shape sampled at
+    `samples` points (none when samples = 0)."""
     f = beam_mode_frequency(geom, mat, n)
     m_eff, k_eff = beam_effective_params(geom, mat, n, drive_point)
-    xi = np.linspace(0.0, 1.0, samples)
-    phi = beam_mode_shape(n, xi)
-    phi = phi / np.max(np.abs(phi))
+    shape = ()
+    if samples:
+        phi = beam_mode_shape(n, np.linspace(0.0, 1.0, samples))
+        shape = tuple(phi / np.max(np.abs(phi)))
     return ModeResult(frequency=f, mode_order=n, effective_mass=m_eff,
-                      effective_stiffness=k_eff, mode_shape=tuple(phi))
+                      effective_stiffness=k_eff, mode_shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +151,11 @@ def plane_stress_wave_speeds(mat: Material):
     return c_l, c_t
 
 
-def disk_boundary_matrix(n: int, nu: float, x: float, y: float) -> np.ndarray:
-    """Traction-free boundary matrix for angular order n (see module docs)."""
+def disk_boundary_matrix(n: int, nu: float, x, y) -> np.ndarray:
+    """Traction-free boundary matrix for angular order n (see module docs).
+
+    x and y may be arrays of one shape S; the result then has shape (2, 2, *S).
+    """
     m11 = (1 - nu) * (n * n * jv(n, x) - x * jvp(n, x)) - x * x * jv(n, x)
     m12 = n * (1 - nu) * (y * jvp(n, y) - jv(n, y))
     m21 = 2 * n * (jv(n, x) - x * jvp(n, x))
@@ -170,9 +175,9 @@ def _disk_dimensionless_root(n: int, nu: float) -> float:
     # wave-speed ratio depends only on nu: c_T/c_L = sqrt((1-nu)/2)
     ct_over_cl = math.sqrt((1 - nu) / 2.0)
 
-    def det(y: float) -> float:
-        x = y * ct_over_cl
-        m = disk_boundary_matrix(n, nu, x, y)
+    def det(y):
+        """Boundary-matrix determinant at y (a float or an array)."""
+        m = disk_boundary_matrix(n, nu, y * ct_over_cl, y)
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
     # Rayleigh-quotient upper bound from the polynomial trial field
@@ -181,12 +186,14 @@ def _disk_dimensionless_root(n: int, nu: float) -> float:
     y_rq = 2.0 * math.sqrt(n * (n - 1))
     lo, hi = 0.1 * y_rq, 10.0 * y_rq
     ys = np.linspace(lo, hi, 4001)
-    vals = np.array([det(v) for v in ys])
-    for i in range(len(ys) - 1):
+    vals = det(ys)
+    # first sample that is a root or opens a sign change
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    if hits.size:
+        i = hits[0]
         if vals[i] == 0.0:
             return float(ys[i])
-        if vals[i] * vals[i + 1] < 0:
-            return brentq(det, ys[i], ys[i + 1], rtol=1e-12)
+        return brentq(det, ys[i], ys[i + 1], rtol=1e-12)
     raise RootSearchError(
         f"no characteristic root for angular order {n} in window "
         f"[{lo:.3g}, {hi:.3g}] around the Rayleigh-quotient guess {y_rq:.3g}")
@@ -252,13 +259,15 @@ def disk_mode_result(geom: DiskGeometry, mat: Material, n: int = 2,
     """ModeResult for the order-n disk mode.
 
     mode_shape samples the radial displacement profile u_r(r) at the
-    angular antinode, normalized to unit maximum.
+    angular antinode at `samples` radii (none when samples = 0), normalized
+    to unit maximum.
     """
     f = disk_wineglass_frequency(geom, mat, n)
     m_eff, k_eff = disk_effective_params(geom, mat, n)
-    u_r, _ = _disk_unit_fields(n, mat.poisson_ratio)
-    rho = np.linspace(1.0 / samples, 1.0, samples)
-    prof = u_r(rho)
-    prof = prof / np.max(np.abs(prof))
+    shape = ()
+    if samples:
+        u_r, _ = _disk_unit_fields(n, mat.poisson_ratio)
+        prof = u_r(np.linspace(1.0 / samples, 1.0, samples))
+        shape = tuple(prof / np.max(np.abs(prof)))
     return ModeResult(frequency=f, mode_order=n, effective_mass=m_eff,
-                      effective_stiffness=k_eff, mode_shape=tuple(prof))
+                      effective_stiffness=k_eff, mode_shape=shape)

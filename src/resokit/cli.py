@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 
 from . import analytic, design, fab, fem, transduction
 from .core import (BeamGeometry, beam_geometry_from_dict,
@@ -29,28 +27,13 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: input files must exist at parse time."""
-
-    command: str
-    inputs: tuple = ()
-    json_out: str | None = None
-    csv_out: str | None = None
-    overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for p in self.inputs:
-            if not os.path.exists(p):
-                raise SchemaError(f"input file not found: {p}")
-
-
 def _load_design_config(path: str) -> dict:
     try:
         with open(path) as f:
             cfg = json.load(f)
-    except FileNotFoundError:
-        raise SchemaError(f"config file not found: {path}") from None
+    except OSError as exc:   # missing, a directory, unreadable
+        raise SchemaError(f"cannot read config file {path}: "
+                          f"{exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
@@ -87,7 +70,6 @@ def _emit(report: dict, json_path: str | None):
 # subcommands
 
 def _cmd_analyze(args) -> int:
-    run = RunConfig("analyze", inputs=(args.config,), json_out=args.json)
     cfg = _load_design_config(args.config)
     geometry, material, _, _ = _design_from_config(cfg)
 
@@ -114,12 +96,11 @@ def _cmd_analyze(args) -> int:
     print(f"  analytic_hz: {f_analytic!r}")
     print(f"  fem_hz: {f_fem!r}")
     print(f"  delta_pct: {delta_pct!r}")
-    _emit(report, run.json_out)
+    _emit(report, args.json)
     return EXIT_OK
 
 
 def _cmd_fem(args) -> int:
-    run = RunConfig("fem", inputs=(args.config,), json_out=args.json)
     cfg = _load_design_config(args.config)
     geometry, material, _, _ = _design_from_config(cfg)
 
@@ -145,26 +126,24 @@ def _cmd_fem(args) -> int:
     for row in rows:
         extra = f"  n={row['angular_order']}" if "angular_order" in row else ""
         print(f"mode {row['mode']}: {row['frequency_hz']!r} Hz{extra}")
-    _emit({"modes": rows}, run.json_out)
+    _emit({"modes": rows}, args.json)
     return EXIT_OK
 
 
 def _cmd_respond(args) -> int:
-    run = RunConfig("respond", inputs=(args.config,),
-                    json_out=args.json, csv_out=args.csv)
     cfg = _load_design_config(args.config)
     geometry, material, transducer, q = _design_from_config(cfg)
     if transducer is None:
         raise SchemaError("respond needs a transducer section in the config")
-    mode = (analytic.beam_mode_result(geometry, material)
+    mode = (analytic.beam_mode_result(geometry, material, samples=0)
             if isinstance(geometry, BeamGeometry)
-            else analytic.disk_mode_result(geometry, material))
+            else analytic.disk_mode_result(geometry, material, samples=0))
     circuit = transduction.equivalent_circuit(mode, transducer, q)
     spectrum = transduction.transmission_spectrum(
         circuit, termination=args.termination, points=args.points)
     q_extracted = transduction.extract_q(spectrum)
-    if run.csv_out:
-        spectrum.to_csv(run.csv_out)
+    if args.csv:
+        spectrum.to_csv(args.csv)
     if args.circuit_json:
         transduction.circuit_to_json(circuit, args.circuit_json)
     report = {"f0_hz": circuit.f0, "r_x_ohm": circuit.r_x, "q_configured": q,
@@ -173,27 +152,25 @@ def _cmd_respond(args) -> int:
     print(f"f0: {circuit.f0!r} Hz")
     print(f"R_x: {circuit.r_x!r} ohm")
     print(f"Q extracted: {q_extracted!r} (configured {q!r})")
-    _emit(report, run.json_out)
+    _emit(report, args.json)
     return EXIT_OK
 
 
 def _cmd_compare_detection(args) -> int:
-    run = RunConfig("compare-detection", inputs=(args.config,),
-                    json_out=args.json, csv_out=args.csv)
     cfg = _load_design_config(args.config)
     geometry, material, transducer, q = _design_from_config(cfg)
     if not isinstance(geometry, BeamGeometry):
         raise SchemaError("compare-detection supports beam designs")
     scales = [float(s) for s in args.scales.split(",")]
     curve = transduction.detection_comparison(geometry, material, transducer, q, scales)
-    if run.csv_out:
-        with open(run.csv_out, "w") as f:
+    if args.csv:
+        with open(args.csv, "w") as f:
             f.write("scale,i_mos_over_i_cap\n")
             for s, r in curve:
                 f.write(f"{s!r},{r!r}\n")
     for s, r in curve:
         print(f"scale {s:g}: i_mos/i_cap = {r!r}")
-    _emit({"curve": [{"scale": s, "ratio": r} for s, r in curve]}, run.json_out)
+    _emit({"curve": [{"scale": s, "ratio": r} for s, r in curve]}, args.json)
     return EXIT_OK
 
 
@@ -204,25 +181,23 @@ def _load_process(path: str | None) -> fab.ProcessModel:
 
 
 def _cmd_check(args) -> int:
-    run = RunConfig("check", inputs=(args.config,), json_out=args.json)
     cfg = _load_design_config(args.config)
     geometry, material, transducer, q = _design_from_config(cfg)
     if transducer is None:
         raise SchemaError("check needs a transducer section in the config")
     profile = design.profile_by_name(args.profile)
     process = _load_process(args.process)
-    v_range = profile.dc_voltage_range or (0.0, transducer.bias_voltage)
-    candidate = design.DesignCandidate.analyze(geometry, transducer, material, q,
-                                               process, tuning_v_range=v_range)
+    candidate = design.DesignCandidate.analyze(
+        geometry, transducer, material, q, process,
+        tuning_v_range=profile.dc_voltage_range)
     tol = design.CheckTolerances(frequency_rel_tol=args.freq_tol)
     report = design.check_spec(candidate, profile, tol)
     print(report.to_text())
-    _emit(report.to_dict(), run.json_out)
+    _emit(report.to_dict(), args.json)
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
 def _cmd_optimize(args) -> int:
-    run = RunConfig("optimize", inputs=(args.bounds,), json_out=args.json)
     bcfg = _load_design_config(args.bounds)
     family = bcfg.get("family")
     if family not in ("beam", "disk"):
@@ -238,19 +213,17 @@ def _cmd_optimize(args) -> int:
     candidates = design.optimize(
         profile, family, bcfg["bounds"], process=process, material=material,
         assumed_q=None if assumed_q is None else parse_quantity(assumed_q),
-        grid_points=int(bcfg.get("grid_points", 7)),
-        max_results=int(bcfg.get("max_results", 10)))
+        grid_points=bcfg.get("grid_points", 7),
+        max_results=bcfg.get("max_results", 10))
     ranked = [c.to_dict() for c in candidates]
     for i, c in enumerate(candidates):
         print(f"#{i + 1}: R_x = {c.analysis.r_x!r} ohm, "
               f"f = {c.analysis.frequency!r} Hz")
-    _emit({"profile": profile.name, "candidates": ranked}, run.json_out)
+    _emit({"profile": profile.name, "candidates": ranked}, args.json)
     return EXIT_OK
 
 
 def _cmd_gap(args) -> int:
-    inputs = (args.process,) if args.process else ()
-    run = RunConfig("gap", inputs=inputs, json_out=args.json)
     process = _load_process(args.process)
     drawn = parse_quantity(args.drawn)
     tunnel = parse_quantity(args.tunnel)
@@ -261,7 +234,7 @@ def _cmd_gap(args) -> int:
     print(f"drawn gap:    {drawn * 1e9:.3f} nm")
     print(f"tunnel depth: {tunnel * 1e6:.4f} um")
     print(f"released gap: {released * 1e9:.3f} nm (single-point calibration)")
-    _emit(report, run.json_out)
+    _emit(report, args.json)
     return EXIT_OK
 
 

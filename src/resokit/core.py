@@ -187,15 +187,16 @@ class Transducer:
 class ModeResult:
     """One vibration mode reduced to lumped parameters.
 
-    mode_shape is a sampled displacement field normalized to unit maximum;
-    effective_stiffness must equal (2*pi*frequency)^2 * effective_mass.
+    mode_shape is a sampled displacement field normalized to unit maximum,
+    or empty when no shape was sampled; effective_stiffness must equal
+    (2*pi*frequency)^2 * effective_mass.
     """
 
     frequency: float
     mode_order: int
     effective_mass: float
     effective_stiffness: float
-    mode_shape: tuple = field(repr=False)
+    mode_shape: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         _require(self.frequency > 0, "frequency must be > 0")
@@ -203,13 +204,14 @@ class ModeResult:
         _require(self.effective_mass > 0, "effective_mass must be > 0")
         _require(self.effective_stiffness > 0, "effective_stiffness must be > 0")
         object.__setattr__(self, "mode_shape", tuple(float(v) for v in self.mode_shape))
-        _require(len(self.mode_shape) > 0, "mode_shape must not be empty")
         w0 = 2 * math.pi * self.frequency
         k_expected = w0 * w0 * self.effective_mass
         _require(abs(self.effective_stiffness - k_expected) <= _DERIVED_RTOL * k_expected,
                  "effective_stiffness must equal (2*pi*f)^2 * effective_mass")
-        peak = max(abs(v) for v in self.mode_shape)
-        _require(abs(peak - 1.0) <= _DERIVED_RTOL, "mode_shape must be normalized to unit maximum")
+        if self.mode_shape:
+            peak = max(abs(v) for v in self.mode_shape)
+            _require(abs(peak - 1.0) <= _DERIVED_RTOL,
+                     "mode_shape must be normalized to unit maximum")
 
     @property
     def angular_frequency(self) -> float:

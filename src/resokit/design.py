@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -19,10 +20,12 @@ from .core import (BeamGeometry, DiskGeometry, Material, Transducer,
                    VibrationAxis)
 from .errors import (InfeasibleDesignError, InstabilityError, InvariantError,
                      SchemaError, UnknownPresetError)
-from .fab import ProcessModel, check_fab_constraints, release_tunnel_depth
+from .fab import ProcessModel, check_fab_constraints
 from .units import parse_quantity
 
 _REVERIFY_RTOL = 1e-9
+# a bias above this fraction of the pull-in voltage is unsafe (tuning and search)
+_PULL_IN_MARGIN = 0.8
 
 
 def _as_interval(value, what: str):
@@ -299,10 +302,11 @@ class DesignCandidate:
 
 
 def _mode_for(geometry, material: Material):
+    """Lumped fundamental mode, without a sampled shape."""
     if isinstance(geometry, BeamGeometry):
-        return analytic.beam_mode_result(geometry, material, n=1)
+        return analytic.beam_mode_result(geometry, material, n=1, samples=0)
     if isinstance(geometry, DiskGeometry):
-        return analytic.disk_mode_result(geometry, material, n=2)
+        return analytic.disk_mode_result(geometry, material, n=2, samples=0)
     raise InvariantError(f"unsupported geometry {type(geometry).__name__}")
 
 
@@ -421,7 +425,7 @@ def check_spec(candidate: DesignCandidate, profile: SpecProfile,
 # bias tuning
 
 def tuning_span(mode, transducer: Transducer, v_min: float, v_max: float,
-                pull_in_margin: float = 0.8) -> float:
+                pull_in_margin: float = _PULL_IN_MARGIN) -> float:
     """f(v_min) - f(v_max) with stability and pull-in margin enforced.
 
     Raises InstabilityError naming the largest safe bias if any voltage in
@@ -448,7 +452,7 @@ def tuning_span(mode, transducer: Transducer, v_min: float, v_max: float,
 
 def tuning_range(candidate: DesignCandidate, v_min: float, v_max: float,
                  process: ProcessModel = ProcessModel(),
-                 pull_in_margin: float = 0.8) -> float:
+                 pull_in_margin: float = _PULL_IN_MARGIN) -> float:
     """Bias-tuning span of an analyzed design over [v_min, v_max]."""
     mode = _mode_for(candidate.geometry, candidate.material)
     t_fab = replace(candidate.transducer, gap=candidate.analysis.released_gap)
@@ -491,27 +495,18 @@ def _disk_radius_for_frequency(f_target: float, mat: Material) -> float:
     return y * c_t / (2 * math.pi * f_target)
 
 
-@dataclass
-class _EvalResult:
-    feasible: bool
-    fail_reason: str | None
-    r_x: float | None
-    params: tuple
-
-
 class _Evaluator:
-    """Fast feasibility + R_x evaluation of one grid point."""
+    """Snaps one grid point to the target frequency and analyzes it."""
 
     def __init__(self, profile, family, bounds, process, material, assumed_q,
-                 tol, pull_in_margin, vibration_axis):
+                 tolerances, vibration_axis):
         self.profile = profile
         self.family = family
         self.bounds = bounds
         self.process = process
         self.material = material
         self.assumed_q = assumed_q
-        self.tol = tol
-        self.pull_in_margin = pull_in_margin
+        self.tolerances = tolerances
         self.vibration_axis = vibration_axis
         # representative target for dimension snapping: band midpoints allowed
         cf = profile.center_frequency
@@ -551,60 +546,27 @@ class _Evaluator:
                                 vibration_axis=self.vibration_axis)
         return DiskGeometry(radius=params["radius"], thickness=params["thickness"])
 
-    def evaluate(self, params: dict) -> _EvalResult:
-        key = tuple(params[k] for k in sorted(params))
-        p = self.process
+    def evaluate(self, params: dict):
+        """(None, candidate) if the design is feasible, else (the first
+        binding constraint, None)."""
         try:
             geom = self.geometry(params)
         except InvariantError:
-            return _EvalResult(False, "geometry", None, key)
-
-        if params["gap"] < p.min_drawn_gap:
-            return _EvalResult(False, "min_drawn_gap", None, key)
-        tunnel = release_tunnel_depth(geom)
-        if tunnel > p.max_tunnel_depth:
-            return _EvalResult(False, "max_tunnel_depth", None, key)
-
-        mode = _mode_for(geom, self.material)
-        f = mode.frequency
-        tol = self.tol
-        if not any(lo * (1 - tol) <= f <= hi * (1 + tol)
-                   for lo, hi in self.profile.frequency_bands):
-            return _EvalResult(False, "frequency", None, key)
-
-        gap_fab = params["gap"] + p.etch_bias + p.release_enlargement_rate * tunnel
-        area = electrode_area(geom)
-        v = params["bias_voltage"]
-        t_fab = Transducer(gap=gap_fab, bias_voltage=v, drive_voltage=0.0,
-                           electrode_area=area)
-
-        v_pi = transduction.pull_in_voltage(mode, t_fab)
-        if v > self.pull_in_margin * v_pi:
-            return _EvalResult(False, "pull_in_margin", None, key)
-
-        dc = self.profile.dc_voltage_range
-        if dc is not None and not dc[0] <= v <= dc[1]:
-            return _EvalResult(False, "dc_voltage", None, key)
-
-        if (self.profile.q_required is not None
-                and self.assumed_q < self.profile.q_required):
-            return _EvalResult(False, "q", None, key)
-
-        r_x = transduction.motional_resistance(mode, t_fab, self.assumed_q)
-        imp = self.profile.impedance_range
-        if imp is not None and not imp[0] <= r_x <= imp[1]:
-            return _EvalResult(False, "impedance", None, key)
-
-        if self.profile.tuning_required is not None:
-            try:
-                span = tuning_span(mode, t_fab, dc[0] if dc else 0.0,
-                                   dc[1] if dc else v, self.pull_in_margin)
-            except InstabilityError:
-                return _EvalResult(False, "tuning_stability", None, key)
-            if span < self.profile.tuning_required:
-                return _EvalResult(False, "tuning", None, key)
-
-        return _EvalResult(True, None, r_x, key)
+            return "geometry", None
+        t = Transducer(gap=params["gap"], bias_voltage=params["bias_voltage"],
+                       drive_voltage=0.0, electrode_area=electrode_area(geom))
+        for rule in check_fab_constraints(geom, t, self.process).rules:
+            if not rule.passed:
+                return rule.name, None
+        c = DesignCandidate.analyze(geom, t, self.material, self.assumed_q,
+                                    self.process,
+                                    tuning_v_range=self.profile.dc_voltage_range)
+        if t.bias_voltage > _PULL_IN_MARGIN * c.analysis.v_pi:
+            return "pull_in_margin", None
+        for crit in check_spec(c, self.profile, self.tolerances).criteria:
+            if crit.applicable and not crit.passed:
+                return crit.name, None
+        return None, c
 
 
 def optimize(profile: SpecProfile, family: str, bounds: dict,
@@ -613,21 +575,30 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
              assumed_q: float | None = None,
              tolerances: CheckTolerances = CheckTolerances(),
              grid_points: int = 7, refine_rounds: int = 3,
-             max_results: int = 10, pull_in_margin: float = 0.8,
+             max_results: int = 10,
              vibration_axis: VibrationAxis = VibrationAxis.IN_PLANE) -> list:
     """Deterministic grid search + coordinate refinement, minimizing R_x.
 
-    Every returned candidate passes the fab rules, keeps the bias below
-    pull_in_margin x pull-in voltage, and satisfies all applicable profile
-    criteria (frequency within tolerance, impedance window, DC range, Q,
-    tuning when required). Candidates are ranked by ascending as-fabricated
-    R_x. Raises InfeasibleDesignError with a binding-constraint summary
-    when the feasible set is empty.
+    A design is feasible when it passes the fab rules, keeps the bias at or
+    below 0.8 x its pull-in voltage, and passes `check_spec` against the
+    profile; every returned candidate is feasible in that sense and carries
+    the analysis `DesignCandidate.analyze` gave it during the search (the
+    tuning sweep spans the profile's DC range, else 0 V to the bias).
+    Candidates are ranked by ascending as-fabricated R_x. Raises
+    InfeasibleDesignError when no grid point is feasible; its histogram
+    counts every grid point once under the first constraint it fails:
+    "geometry", a fab rule name ("min_drawn_gap", "max_tunnel_depth"),
+    "pull_in_margin", or a check_spec criterion name ("frequency", "q",
+    "impedance", "dc_voltage", "tuning"; an unstable tuning sweep counts
+    as "tuning").
     """
     if family not in ("beam", "disk"):
         raise InvariantError(f"family must be 'beam' or 'disk', got {family!r}")
     if material is None:
         raise InvariantError("optimize requires a material")
+    for name, value in (("grid_points", grid_points), ("max_results", max_results)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise SchemaError(f"{name} must be an integer >= 1, got {value!r}")
     param_names = _BEAM_PARAMS if family == "beam" else _DISK_PARAMS
     missing = set(param_names) - set(bounds)
     if missing:
@@ -641,21 +612,25 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
         assumed_q = profile.q_required if profile.q_required is not None else 1e4
 
     ev = _Evaluator(profile, family, bnd, process, material, assumed_q,
-                    tolerances.frequency_rel_tol, pull_in_margin, vibration_axis)
+                    tolerances, vibration_axis)
 
     grid_names = [k for k in param_names if k not in ("length", "radius")]
     axes = [np.linspace(bnd[k][0], bnd[k][1], grid_points) for k in grid_names]
+
+    def rank(item):
+        candidate, params = item
+        return (candidate.analysis.r_x,) + tuple(params[k] for k in param_names)
 
     binding = {}
     feasible = []
     for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)):
         params = dict(zip(grid_names, (float(v) for v in combo)))
         params = ev.snap_main_dimension(params)
-        res = ev.evaluate(params)
-        if res.feasible:
-            feasible.append((res.r_x, params))
+        reason, candidate = ev.evaluate(params)
+        if candidate is None:
+            binding[reason] = binding.get(reason, 0) + 1
         else:
-            binding[res.fail_reason] = binding.get(res.fail_reason, 0) + 1
+            feasible.append((candidate, params))
 
     if not feasible:
         summary = ", ".join(f"{k}: {v}" for k, v in
@@ -664,12 +639,9 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
             f"no feasible design in bounds (binding constraints: {summary})",
             binding_constraints=binding)
 
-    feasible.sort(key=lambda it: (it[0],) + tuple(it[1][k] for k in param_names))
-    seeds = feasible[:5]
-
+    feasible.sort(key=rank)
     refined = []
-    for r_best, p_best in seeds:
-        cur_r, cur_p = r_best, dict(p_best)
+    for cur, cur_p in feasible[:5]:
         for rnd in range(refine_rounds):
             for k in grid_names:
                 lo, hi = bnd[k]
@@ -680,25 +652,19 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
                     trial = dict(cur_p)
                     trial[k] = float(val)
                     trial = ev.snap_main_dimension(trial)
-                    res = ev.evaluate(trial)
-                    if res.feasible and res.r_x < cur_r:
-                        cur_r, cur_p = res.r_x, trial
-        refined.append((cur_r, cur_p))
+                    _, candidate = ev.evaluate(trial)
+                    if candidate is not None and candidate.analysis.r_x < cur.analysis.r_x:
+                        cur, cur_p = candidate, trial
+        refined.append((cur, cur_p))
 
-    refined.sort(key=lambda it: (it[0],) + tuple(it[1][k] for k in param_names))
+    refined.sort(key=rank)
     out, seen = [], set()
-    for r_x, params in refined:
+    for candidate, params in refined:
         sig = tuple(round(params[k], 15) for k in param_names)
         if sig in seen:
             continue
         seen.add(sig)
-        geom = ev.geometry(params)
-        t = Transducer(gap=params["gap"], bias_voltage=params["bias_voltage"],
-                       drive_voltage=0.0, electrode_area=electrode_area(geom))
-        dc = profile.dc_voltage_range
-        v_range = dc if dc is not None else (0.0, params["bias_voltage"])
-        out.append(DesignCandidate.analyze(geom, t, material, assumed_q,
-                                           process, tuning_v_range=v_range))
+        out.append(candidate)
         if len(out) >= max_results:
             break
     return out

@@ -122,6 +122,8 @@ class AssembledSystem:
         for name, a in (("stiffness", k), ("mass", m)):
             if sparse:
                 a = _csc(a)
+            if not np.isfinite(a.data if sparse else a).all():
+                raise InvariantError(f"{name} matrix has non-finite entries")
             if abs(a - a.T).max() > _SYM_RTOL * abs(a).max():
                 raise InvariantError(f"{name} matrix not symmetric")
             blocks.append(a[:, free][free])

@@ -245,7 +245,7 @@ def detection_comparison(geom: BeamGeometry, mat: Material, t: Transducer,
                          electrode_area=t.electrode_area * s * s,
                          gap_rel_permittivity=t.gap_rel_permittivity,
                          detection=DetectionKind.MOS, mos=mos_s)
-        mode_s = beam_mode_result(geom_s, mat, n=1)
+        mode_s = beam_mode_result(geom_s, mat, n=1, samples=0)
         ratio = mos_output_current(mode_s, t_s, q) / capacitive_output_current(mode_s, t_s, q)
         out.append((s, ratio))
     return out

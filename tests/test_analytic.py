@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from resokit import analytic
 from resokit.analytic import (BeamModeCoefficient, beam_effective_params,
                               beam_mode_coefficient, beam_mode_frequency,
                               beam_mode_result, beam_mode_shape,
@@ -223,3 +225,47 @@ class TestDiskEffectiveParams:
         mr = disk_mode_result(ref_disk, silicon, 2)
         assert mr.mode_order == 2
         assert max(abs(v) for v in mr.mode_shape) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestUnsampledModes:
+    """samples=0 gives the same lumped mode with no sampled shape."""
+
+    @pytest.mark.parametrize("which", ["beam", "disk"])
+    def test_lumped_values_unchanged(self, which, ref_beam, ref_disk, silicon):
+        make, geom = ((beam_mode_result, ref_beam) if which == "beam"
+                      else (disk_mode_result, ref_disk))
+        sampled, bare = make(geom, silicon), make(geom, silicon, samples=0)
+        assert len(sampled.mode_shape) == 201
+        assert bare.mode_shape == ()
+        assert (bare.frequency, bare.effective_mass, bare.effective_stiffness) == (
+            sampled.frequency, sampled.effective_mass, sampled.effective_stiffness)
+
+
+def _loop_disk_root(n, nu):
+    """Reference: the characteristic-root bracket scanned one sample at a time."""
+    ratio = math.sqrt((1 - nu) / 2.0)
+
+    def det(y):
+        m = disk_boundary_matrix(n, nu, y * ratio, y)
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+    y_rq = 2.0 * math.sqrt(n * (n - 1))
+    ys = np.linspace(0.1 * y_rq, 10.0 * y_rq, 4001)
+    vals = np.array([det(v) for v in ys])
+    for i in range(len(ys) - 1):
+        if vals[i] == 0.0:
+            return ys, vals, float(ys[i])
+        if vals[i] * vals[i + 1] < 0:
+            return ys, vals, brentq(det, ys[i], ys[i + 1], rtol=1e-12)
+    raise AssertionError("no root")
+
+
+class TestVectorizedDiskRoot:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("nu", [0.15, 0.22, 0.28, 0.35])
+    def test_bitwise_equal_to_loop(self, n, nu):
+        ys, vals, root = _loop_disk_root(n, nu)
+        m = disk_boundary_matrix(n, nu, ys * math.sqrt((1 - nu) / 2.0), ys)
+        assert m.shape == (2, 2, 4001)
+        assert np.array_equal(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], vals)
+        assert analytic._disk_dimensionless_root(n, nu) == root

@@ -71,8 +71,16 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert abs(report["delta_pct"]) < 5.0
 
-    def test_missing_file_is_usage_error(self):
-        assert main(["analyze", "--config", "/nonexistent.json"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--config", "{missing}"],
+        ["analyze", "--config", "{dir}"],
+        ["optimize", "--profile", "vco", "--bounds", "{missing}"],
+        ["gap", "--drawn", "90 nm", "--tunnel", "1 um", "--process", "{missing}"],
+    ], ids=["config-missing", "config-directory", "bounds-missing", "process-missing"])
+    def test_missing_file_is_usage_error(self, tmp_path, capsys, argv):
+        paths = {"missing": str(tmp_path / "nonexistent.json"), "dir": str(tmp_path)}
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_bad_schema_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -237,6 +245,16 @@ class TestOptimizeCommand:
         main(["optimize", "--profile", "oscillator-n2", "--bounds", bounds,
               "--json", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("grid_points", [0, "seven"])
+    def test_bad_grid_points_is_usage_error(self, tmp_path, capsys, grid_points):
+        path = self._bounds_file(tmp_path)
+        cfg = json.loads(open(path).read())
+        cfg["grid_points"] = grid_points
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        assert main(["optimize", "--profile", "oscillator-n2", "--bounds", path]) == 2
+        assert "grid_points must be an integer >= 1" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         bounds = self._bounds_file(tmp_path, gap_lo="20 nm", gap_hi="60 nm")

@@ -196,6 +196,13 @@ class TestModeResult:
             ModeResult(frequency=1e6, mode_order=1, effective_mass=1e-15,
                        effective_stiffness=1.0, mode_shape=(1.0,))
 
+    def test_empty_shape_allowed(self):
+        k = (2 * math.pi * 1e6) ** 2 * 1e-15
+        mr = ModeResult(frequency=1e6, mode_order=1, effective_mass=1e-15,
+                        effective_stiffness=k)
+        assert mr.mode_shape == ()
+        assert mode_result_from_dict(mr.to_dict()) == mr
+
     def test_shape_normalization_enforced(self):
         k = (2 * math.pi * 1e6) ** 2 * 1e-15
         with pytest.raises(InvariantError):

@@ -273,6 +273,25 @@ class TestOptimize:
                      grid_points=4)
         assert "min_drawn_gap" in exc.value.binding_constraints
 
+    def test_binding_histogram_counts_each_grid_point_once(self, silicon):
+        grid = 4
+        with pytest.raises(InfeasibleDesignError) as exc:
+            optimize(vco_profile(), "beam", BOUNDS, material=silicon,
+                     grid_points=grid)
+        binding = exc.value.binding_constraints
+        assert sum(binding.values()) == grid ** 4
+        documented = {"geometry", "min_drawn_gap", "max_tunnel_depth",
+                      "pull_in_margin", "frequency", "q", "impedance",
+                      "dc_voltage", "tuning"}
+        assert binding and set(binding) <= documented
+
+    @pytest.mark.parametrize("key", ["grid_points", "max_results"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "seven", True, None])
+    def test_bad_search_size(self, silicon, key, value):
+        with pytest.raises(SchemaError, match=key):
+            optimize(oscillator_profile(2), "beam", BOUNDS, material=silicon,
+                     **{key: value})
+
     def test_missing_bounds_key(self, silicon):
         with pytest.raises(SchemaError):
             optimize(oscillator_profile(2), "beam", {"length": (1e-6, 2e-6)},

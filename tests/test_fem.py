@@ -147,6 +147,14 @@ class TestSolver:
         with pytest.raises(InvariantError):
             AssembledSystem(k, np.eye(2), dof_map=((0, "w"), (1, "w")), constraints=())
 
+    @pytest.mark.parametrize("which", ["stiffness", "mass"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, which, bad):
+        a = np.array([[2.0, bad], [bad, 2.0]])
+        k, m = (a, np.eye(2)) if which == "stiffness" else (np.eye(2), a)
+        with pytest.raises(InvariantError, match="non-finite"):
+            AssembledSystem(k, m, dof_map=((0, "w"), (1, "w")), constraints=())
+
 
 def _elastic_residuals(sys_, modes):
     free = sys_.free_dofs()
@@ -211,6 +219,15 @@ class TestSparseSolver:
         diag[n // 2] = bad
         with pytest.raises(InvariantError):
             AssembledSystem(np.eye(n), np.diag(diag),
+                            dof_map=tuple((i, "w") for i in range(n)), constraints=())
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_stiffness_rejected(self, bad):
+        n = 2 * fem._SPARSE_MIN_DOF
+        k = np.eye(n)
+        k[1, 2] = k[2, 1] = bad
+        with pytest.raises(InvariantError, match="non-finite"):
+            AssembledSystem(k, np.eye(n),
                             dof_map=tuple((i, "w") for i in range(n)), constraints=())
 
 
