@@ -83,6 +83,14 @@ def beam_mode_frequency(geom: BeamGeometry, mat: Material, n: int = 1) -> float:
         * geom.flexural_dimension / geom.length**2
 
 
+def beam_length_for_frequency(f: float, flexural_dim: float, mat: Material) -> float:
+    """Length (m) whose fundamental flexural mode resonates at f (Hz),
+    beam_mode_frequency solved for L."""
+    c = beam_mode_coefficient(1)
+    return math.sqrt(c.a_n * math.sqrt(mat.youngs_modulus / mat.density)
+                     * flexural_dim / f)
+
+
 def beam_mode_shape(n: int, xi):
     """Clamped-clamped mode shape at normalized coordinate(s) xi in [0, 1].
 
@@ -204,6 +212,14 @@ def disk_wineglass_frequency(geom: DiskGeometry, mat: Material, n: int = 2) -> f
     _, c_t = plane_stress_wave_speeds(mat)
     y = _disk_dimensionless_root(n, mat.poisson_ratio)
     return y * c_t / (2 * math.pi * geom.radius)
+
+
+def disk_radius_for_frequency(f: float, mat: Material) -> float:
+    """Radius (m) whose wine-glass (n = 2) mode resonates at f (Hz),
+    disk_wineglass_frequency solved for R."""
+    _, c_t = plane_stress_wave_speeds(mat)
+    y = _disk_dimensionless_root(2, mat.poisson_ratio)
+    return y * c_t / (2 * math.pi * f)
 
 
 def _disk_unit_fields(n: int, nu: float):

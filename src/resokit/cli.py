@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analytic, design, fab, fem, transduction
@@ -17,7 +18,7 @@ from .core import (BeamGeometry, beam_geometry_from_dict,
                    disk_geometry_from_dict, load_material, material_from_dict,
                    transducer_from_dict)
 from .errors import (InfeasibleDesignError, ResokitError, SchemaError,
-                     UnknownPresetError)
+                     UnitError, UnknownPresetError)
 from .units import parse_quantity
 
 SCHEMA_VERSION = 1
@@ -161,8 +162,8 @@ def _cmd_compare_detection(args) -> int:
     geometry, material, transducer, q = _design_from_config(cfg)
     if not isinstance(geometry, BeamGeometry):
         raise SchemaError("compare-detection supports beam designs")
-    scales = [float(s) for s in args.scales.split(",")]
-    curve = transduction.detection_comparison(geometry, material, transducer, q, scales)
+    curve = transduction.detection_comparison(geometry, material, transducer, q,
+                                              args.scales)
     if args.csv:
         with open(args.csv, "w") as f:
             f.write("scale,i_mos_over_i_cap\n")
@@ -190,8 +191,7 @@ def _cmd_check(args) -> int:
     candidate = design.DesignCandidate.analyze(
         geometry, transducer, material, q, process,
         tuning_v_range=profile.dc_voltage_range)
-    tol = design.CheckTolerances(frequency_rel_tol=args.freq_tol)
-    report = design.check_spec(candidate, profile, tol)
+    report = design.check_spec(candidate, profile, freq_tol=args.freq_tol)
     print(report.to_text())
     _emit(report.to_dict(), args.json)
     return EXIT_OK if report.passed else EXIT_DOMAIN
@@ -238,6 +238,23 @@ def _cmd_gap(args) -> int:
     return EXIT_OK
 
 
+def _arg(convert, valid, expected: str):
+    """argparse type: convert(text), rejected unless valid (exit 2, one line)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+def _int_at_least(lo: int):
+    return _arg(int, lambda n: n >= lo, f"an integer >= {lo}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="resokit",
@@ -246,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="analytic vs FEM modal frequencies")
     a.add_argument("--config", required=True, help="design config JSON")
-    a.add_argument("--elements", type=int, default=64, help="beam FEM elements")
+    a.add_argument("--elements", type=_int_at_least(2), default=64,
+                   help="beam FEM elements")
     a.add_argument("--target-edge", type=parse_quantity, default=None,
                    help="disk mesh target edge (default radius/16)")
     a.add_argument("--json", default=None, help="write JSON report here")
@@ -254,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fem", help="FEM modal analysis with optional exports")
     f.add_argument("--config", required=True)
-    f.add_argument("--elements", type=int, default=64)
+    f.add_argument("--elements", type=_int_at_least(2), default=64)
     f.add_argument("--target-edge", type=parse_quantity, default=None)
-    f.add_argument("--modes", type=int, default=4)
+    f.add_argument("--modes", type=_int_at_least(1), default=4)
     f.add_argument("--mesh-out", default=None, help="write mesh text file")
     f.add_argument("--modes-csv", default=None, help="write mode shapes CSV")
     f.add_argument("--json", default=None)
@@ -265,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("respond", help="transmission spectrum and extracted Q")
     r.add_argument("--config", required=True)
     r.add_argument("--termination", type=parse_quantity, default=50.0)
-    r.add_argument("--points", type=int, default=2001)
+    r.add_argument("--points", type=_int_at_least(3), default=2001)
     r.add_argument("--csv", default=None, help="write spectrum CSV here")
     r.add_argument("--circuit-json", default=None,
                    help="write the equivalent circuit as a JSON record")
@@ -274,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cd = sub.add_parser("compare-detection", help="MOS vs capacitive current ratio")
     cd.add_argument("--config", required=True)
-    cd.add_argument("--scales", default="1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2")
+    cd.add_argument("--scales", type=_arg(lambda s: [float(v) for v in s.split(",")],
+                                          lambda v: True, "comma-separated numbers"),
+                    default="1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2")
     cd.add_argument("--csv", default=None)
     cd.add_argument("--json", default=None)
     cd.set_defaults(func=_cmd_compare_detection)
@@ -283,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--config", required=True)
     c.add_argument("--profile", required=True)
     c.add_argument("--process", default=None, help="process model JSON")
-    c.add_argument("--freq-tol", type=float, default=0.005)
+    c.add_argument("--freq-tol", default=0.005,
+                   type=_arg(float, lambda x: 0 <= x < math.inf, "a finite number >= 0"))
     c.add_argument("--json", default=None)
     c.set_defaults(func=_cmd_check)
 
@@ -309,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, UnknownPresetError) as exc:
+    except (SchemaError, UnitError, UnknownPresetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleDesignError as exc:

@@ -26,6 +26,8 @@ from .units import parse_quantity
 _REVERIFY_RTOL = 1e-9
 # a bias above this fraction of the pull-in voltage is unsafe (tuning and search)
 _PULL_IN_MARGIN = 0.8
+# coordinate-refinement rounds after the grid search, each halving the step
+_REFINE_ROUNDS = 3
 
 
 def _as_interval(value, what: str):
@@ -314,16 +316,6 @@ def _mode_for(geometry, material: Material):
 # spec checking
 
 @dataclass(frozen=True)
-class CheckTolerances:
-    """Matching tolerances; the default allows 0.5% frequency mismatch.
-
-    Zero tolerance means exact-match semantics.
-    """
-
-    frequency_rel_tol: float = 0.005
-
-
-@dataclass(frozen=True)
 class CriterionResult:
     name: str
     applicable: bool
@@ -365,18 +357,20 @@ class SpecReport:
 
 
 def check_spec(candidate: DesignCandidate, profile: SpecProfile,
-               tolerances: CheckTolerances = CheckTolerances()) -> SpecReport:
-    """Per-criterion pass/fail of an analyzed design against a profile."""
-    tol = tolerances.frequency_rel_tol
+               freq_tol: float = 0.005) -> SpecReport:
+    """Per-criterion pass/fail of an analyzed design against a profile; the
+    frequency may miss a band edge by freq_tol, relative (0: exact match)."""
+    if not (math.isfinite(freq_tol) and freq_tol >= 0):
+        raise InvariantError(f"freq_tol must be finite and >= 0, got {freq_tol!r}")
     f = candidate.analysis.frequency
     criteria = []
 
-    in_band = any(lo * (1 - tol) <= f <= hi * (1 + tol)
+    in_band = any(lo * (1 - freq_tol) <= f <= hi * (1 + freq_tol)
                   for lo, hi in profile.frequency_bands)
     bands_txt = ", ".join(f"{lo:.6g}..{hi:.6g}" for lo, hi in profile.frequency_bands)
     criteria.append(CriterionResult(
         "frequency", True, in_band,
-        f"f = {f:.6g} Hz vs target [{bands_txt}] Hz (rel tol {tol:g})"))
+        f"f = {f:.6g} Hz vs target [{bands_txt}] Hz (rel tol {freq_tol:g})"))
 
     if profile.q_required is None:
         criteria.append(CriterionResult("q", False, True, "no Q requirement"))
@@ -424,8 +418,7 @@ def check_spec(candidate: DesignCandidate, profile: SpecProfile,
 # ---------------------------------------------------------------------------
 # bias tuning
 
-def tuning_span(mode, transducer: Transducer, v_min: float, v_max: float,
-                pull_in_margin: float = _PULL_IN_MARGIN) -> float:
+def tuning_span(mode, transducer: Transducer, v_min: float, v_max: float) -> float:
     """f(v_min) - f(v_max) with stability and pull-in margin enforced.
 
     Raises InstabilityError naming the largest safe bias if any voltage in
@@ -434,11 +427,11 @@ def tuning_span(mode, transducer: Transducer, v_min: float, v_max: float,
     if not 0 <= v_min <= v_max:
         raise InvariantError(f"need 0 <= v_min <= v_max, got ({v_min}, {v_max})")
     v_pi = transduction.pull_in_voltage(mode, transducer)
-    v_limit = pull_in_margin * v_pi
+    v_limit = _PULL_IN_MARGIN * v_pi
     if v_max > v_limit:
         raise InstabilityError(
             f"bias sweep up to {v_max:.3g} V exceeds the safe limit "
-            f"{v_limit:.3g} V ({pull_in_margin:g} x pull-in {v_pi:.3g} V)",
+            f"{v_limit:.3g} V ({_PULL_IN_MARGIN:g} x pull-in {v_pi:.3g} V)",
             critical_voltage=v_limit)
 
     def f_at(v):
@@ -450,13 +443,11 @@ def tuning_span(mode, transducer: Transducer, v_min: float, v_max: float,
     return f_at(v_min) - f_at(v_max)
 
 
-def tuning_range(candidate: DesignCandidate, v_min: float, v_max: float,
-                 process: ProcessModel = ProcessModel(),
-                 pull_in_margin: float = _PULL_IN_MARGIN) -> float:
+def tuning_range(candidate: DesignCandidate, v_min: float, v_max: float) -> float:
     """Bias-tuning span of an analyzed design over [v_min, v_max]."""
     mode = _mode_for(candidate.geometry, candidate.material)
     t_fab = replace(candidate.transducer, gap=candidate.analysis.released_gap)
-    return tuning_span(mode, t_fab, v_min, v_max, pull_in_margin)
+    return tuning_span(mode, t_fab, v_min, v_max)
 
 
 # ---------------------------------------------------------------------------
@@ -482,100 +473,11 @@ def electrode_area(geometry) -> float:
     raise InvariantError(f"unsupported geometry {type(geometry).__name__}")
 
 
-def _beam_length_for_frequency(f_target: float, flexural_dim: float,
-                               mat: Material) -> float:
-    c = analytic.beam_mode_coefficient(1)
-    return math.sqrt(c.a_n * math.sqrt(mat.youngs_modulus / mat.density)
-                     * flexural_dim / f_target)
-
-
-def _disk_radius_for_frequency(f_target: float, mat: Material) -> float:
-    _, c_t = analytic.plane_stress_wave_speeds(mat)
-    y = analytic._disk_dimensionless_root(2, mat.poisson_ratio)
-    return y * c_t / (2 * math.pi * f_target)
-
-
-class _Evaluator:
-    """Snaps one grid point to the target frequency and analyzes it."""
-
-    def __init__(self, profile, family, bounds, process, material, assumed_q,
-                 tolerances, vibration_axis):
-        self.profile = profile
-        self.family = family
-        self.bounds = bounds
-        self.process = process
-        self.material = material
-        self.assumed_q = assumed_q
-        self.tolerances = tolerances
-        self.vibration_axis = vibration_axis
-        # representative target for dimension snapping: band midpoints allowed
-        cf = profile.center_frequency
-        self.targets = ([cf] if isinstance(cf, float)
-                        else [0.5 * (lo + hi) for lo, hi in cf])
-
-    def snap_main_dimension(self, params: dict) -> dict:
-        """Replace length/radius so the frequency hits a target band.
-
-        Multi-band profiles: prefer the first target whose snapped value
-        fits the bounds unclipped.
-        """
-        mat = self.material
-        key = "length" if self.family == "beam" else "radius"
-        lo, hi = self.bounds[key]
-        best = None
-        for f_target in self.targets:
-            if self.family == "beam":
-                dim = (params["width"] if self.vibration_axis is VibrationAxis.IN_PLANE
-                       else params["thickness"])
-                val = _beam_length_for_frequency(f_target, dim, mat)
-            else:
-                val = _disk_radius_for_frequency(f_target, mat)
-            if best is None:
-                best = val
-            if lo <= val <= hi:
-                best = val
-                break
-        out = dict(params)
-        out[key] = min(max(best, lo), hi)
-        return out
-
-    def geometry(self, params: dict):
-        if self.family == "beam":
-            return BeamGeometry(length=params["length"], width=params["width"],
-                                thickness=params["thickness"],
-                                vibration_axis=self.vibration_axis)
-        return DiskGeometry(radius=params["radius"], thickness=params["thickness"])
-
-    def evaluate(self, params: dict):
-        """(None, candidate) if the design is feasible, else (the first
-        binding constraint, None)."""
-        try:
-            geom = self.geometry(params)
-        except InvariantError:
-            return "geometry", None
-        t = Transducer(gap=params["gap"], bias_voltage=params["bias_voltage"],
-                       drive_voltage=0.0, electrode_area=electrode_area(geom))
-        for rule in check_fab_constraints(geom, t, self.process).rules:
-            if not rule.passed:
-                return rule.name, None
-        c = DesignCandidate.analyze(geom, t, self.material, self.assumed_q,
-                                    self.process,
-                                    tuning_v_range=self.profile.dc_voltage_range)
-        if t.bias_voltage > _PULL_IN_MARGIN * c.analysis.v_pi:
-            return "pull_in_margin", None
-        for crit in check_spec(c, self.profile, self.tolerances).criteria:
-            if crit.applicable and not crit.passed:
-                return crit.name, None
-        return None, c
-
-
 def optimize(profile: SpecProfile, family: str, bounds: dict,
              process: ProcessModel = ProcessModel(),
              material: Material | None = None,
              assumed_q: float | None = None,
-             tolerances: CheckTolerances = CheckTolerances(),
-             grid_points: int = 7, refine_rounds: int = 3,
-             max_results: int = 10,
+             grid_points: int = 7, max_results: int = 10,
              vibration_axis: VibrationAxis = VibrationAxis.IN_PLANE) -> list:
     """Deterministic grid search + coordinate refinement, minimizing R_x.
 
@@ -611,10 +513,50 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     if assumed_q is None:
         assumed_q = profile.q_required if profile.q_required is not None else 1e4
 
-    ev = _Evaluator(profile, family, bnd, process, material, assumed_q,
-                    tolerances, vibration_axis)
+    main = "length" if family == "beam" else "radius"
+    # beam frequency scales with the cross-section dimension along the motion
+    flex = "width" if vibration_axis is VibrationAxis.IN_PLANE else "thickness"
+    # representative targets for dimension snapping: band midpoints allowed
+    cf = profile.center_frequency
+    targets = [cf] if isinstance(cf, float) else [0.5 * (lo + hi) for lo, hi in cf]
 
-    grid_names = [k for k in param_names if k not in ("length", "radius")]
+    def snap(params: dict) -> dict:
+        """Set length/radius to hit the first target whose value fits the
+        bounds unclipped, else the first target, clipped to the bounds."""
+        lo, hi = bnd[main]
+        vals = []
+        for f_target in targets:
+            vals.append(analytic.beam_length_for_frequency(f_target, params[flex], material)
+                        if family == "beam"
+                        else analytic.disk_radius_for_frequency(f_target, material))
+            if lo <= vals[-1] <= hi:
+                return {**params, main: vals[-1]}
+        return {**params, main: min(max(vals[0], lo), hi)}
+
+    def evaluate(params: dict):
+        """(None, candidate) if the design is feasible, else (the first
+        binding constraint, None)."""
+        try:
+            geom = (BeamGeometry(params["length"], params["width"], params["thickness"],
+                                 vibration_axis) if family == "beam"
+                    else DiskGeometry(params["radius"], params["thickness"]))
+        except InvariantError:
+            return "geometry", None
+        t = Transducer(gap=params["gap"], bias_voltage=params["bias_voltage"],
+                       drive_voltage=0.0, electrode_area=electrode_area(geom))
+        for rule in check_fab_constraints(geom, t, process).rules:
+            if not rule.passed:
+                return rule.name, None
+        c = DesignCandidate.analyze(geom, t, material, assumed_q, process,
+                                    tuning_v_range=profile.dc_voltage_range)
+        if t.bias_voltage > _PULL_IN_MARGIN * c.analysis.v_pi:
+            return "pull_in_margin", None
+        for crit in check_spec(c, profile).criteria:
+            if crit.applicable and not crit.passed:
+                return crit.name, None
+        return None, c
+
+    grid_names = [k for k in param_names if k != main]
     axes = [np.linspace(bnd[k][0], bnd[k][1], grid_points) for k in grid_names]
 
     def rank(item):
@@ -624,9 +566,8 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     binding = {}
     feasible = []
     for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)):
-        params = dict(zip(grid_names, (float(v) for v in combo)))
-        params = ev.snap_main_dimension(params)
-        reason, candidate = ev.evaluate(params)
+        params = snap(dict(zip(grid_names, (float(v) for v in combo))))
+        reason, candidate = evaluate(params)
         if candidate is None:
             binding[reason] = binding.get(reason, 0) + 1
         else:
@@ -642,17 +583,15 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     feasible.sort(key=rank)
     refined = []
     for cur, cur_p in feasible[:5]:
-        for rnd in range(refine_rounds):
+        for rnd in range(_REFINE_ROUNDS):
             for k in grid_names:
                 lo, hi = bnd[k]
                 half = (hi - lo) / grid_points * 0.5**rnd
                 local = np.linspace(max(lo, cur_p[k] - half),
                                     min(hi, cur_p[k] + half), 11)
                 for val in local:
-                    trial = dict(cur_p)
-                    trial[k] = float(val)
-                    trial = ev.snap_main_dimension(trial)
-                    _, candidate = ev.evaluate(trial)
+                    trial = snap({**cur_p, k: float(val)})
+                    _, candidate = evaluate(trial)
                     if candidate is not None and candidate.analysis.r_x < cur.analysis.r_x:
                         cur, cur_p = candidate, trial
         refined.append((cur, cur_p))

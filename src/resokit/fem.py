@@ -34,6 +34,7 @@ _SYM_RTOL = 1e-12          # symmetry tolerance for assembled matrices
 _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
 _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
 _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and solve
+_AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _TRANSLATIONAL = ("w", "ux", "uy")
 
 
@@ -407,35 +408,28 @@ def solve_modes(sys: AssembledSystem, k: int):
     return out
 
 
-def identify_angular_order(mode_vector: np.ndarray, mesh: Mesh,
-                           ambiguity_ratio: float = 0.1) -> int:
-    """Dominant harmonic of the boundary radial displacement.
-
-    Projects u_r(theta) on the outer ring onto cos/sin harmonics and returns
-    the index with the largest energy. Raises AmbiguousAngularOrderError
-    when the two largest harmonic energies are within ambiguity_ratio of
-    each other.
-    """
-    if mesh.kind != "plane_stress_2d":
-        raise MeshError("angular order identification needs a disk mesh")
+def _rim_radial(mesh: Mesh, vectors: np.ndarray):
+    """Angles of the outer-rim nodes, ascending, and the radial displacement
+    u_r there of each mode vector (the last axis of `vectors` runs over
+    dofs, so one vector gives one row and a stack gives one row each)."""
     r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    r_out = float(r.max())
-    bnd = np.where(r >= r_out * (1 - 1e-9))[0]
+    bnd = np.flatnonzero(r >= float(r.max()) * (1 - 1e-9))
     theta = np.arctan2(mesh.nodes[bnd, 1], mesh.nodes[bnd, 0])
     order = np.argsort(theta)
     bnd, theta = bnd[order], theta[order]
-    ux, uy = mode_vector[2 * bnd], mode_vector[2 * bnd + 1]
-    u_rad = (ux * mesh.nodes[bnd, 0] + uy * mesh.nodes[bnd, 1]) / r[bnd]
+    x, y = mesh.nodes[bnd, 0], mesh.nodes[bnd, 1]
+    return theta, (vectors[..., 2 * bnd] * x + vectors[..., 2 * bnd + 1] * y) / r[bnd]
 
-    nb = len(bnd)
-    n_max = max(1, (nb - 1) // 2)
-    energies = []
-    for n in range(0, n_max + 1):
-        scale = 1.0 / nb if n == 0 else 2.0 / nb  # DC component has no pair
-        a = np.sum(u_rad * np.cos(n * theta)) * scale
-        b = np.sum(u_rad * np.sin(n * theta)) * scale
-        energies.append(a * a + b * b)
-    energies = np.array(energies)
+
+def _dominant_harmonic(theta: np.ndarray, u_rad: np.ndarray) -> int:
+    """Index of the cos/sin harmonic of u_rad(theta) with the largest
+    energy; see identify_angular_order."""
+    nb = len(theta)
+    n = np.arange(max(1, (nb - 1) // 2) + 1)
+    scale = np.where(n == 0, 1.0 / nb, 2.0 / nb)  # DC component has no pair
+    a = np.sum(u_rad * np.cos(n[:, None] * theta), axis=1) * scale
+    b = np.sum(u_rad * np.sin(n[:, None] * theta), axis=1) * scale
+    energies = a * a + b * b
     top = int(np.argmax(energies))
     rest = energies.copy()
     rest[top] = -1.0
@@ -444,11 +438,24 @@ def identify_angular_order(mode_vector: np.ndarray, mesh: Mesh,
     if e1 <= 0:
         raise AmbiguousAngularOrderError("boundary radial displacement is zero",
                                          (top, second))
-    if (e1 - e2) / e1 < ambiguity_ratio:
+    if (e1 - e2) / e1 < _AMBIGUITY_RATIO:
         raise AmbiguousAngularOrderError(
-            f"harmonics {top} and {second} within {ambiguity_ratio:.0%} energy",
+            f"harmonics {top} and {second} within {_AMBIGUITY_RATIO:.0%} energy",
             (top, second))
     return top
+
+
+def identify_angular_order(mode_vector: np.ndarray, mesh: Mesh) -> int:
+    """Dominant harmonic of the boundary radial displacement.
+
+    Projects u_r(theta) on the outer ring onto cos/sin harmonics and returns
+    the index with the largest energy. Raises AmbiguousAngularOrderError
+    when the two largest harmonic energies are within 10% of each other.
+    """
+    if mesh.kind != "plane_stress_2d":
+        raise MeshError("angular order identification needs a disk mesh")
+    theta, u_rad = _rim_radial(mesh, mode_vector)
+    return _dominant_harmonic(theta, u_rad)
 
 
 def disk_modal_fem(geom: DiskGeometry, mat: Material, mesh: Mesh,
@@ -478,19 +485,15 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
         raise RigidBodyModeError(
             f"expected 3 rigid-body modes for a free disk, found {n_rigid}")
 
-    r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    r_out = float(r.max())
-    bnd = np.where(r >= r_out * (1 - 1e-9))[0]
+    theta, u_rads = _rim_radial(mesh, np.array([vec for _, vec in modes[3:]]))
     free = sys.free_dofs()
 
     results = []
-    for freq, vec in modes[3:]:
+    for (freq, vec), u_rad in zip(modes[3:], u_rads):
         try:
-            order = identify_angular_order(vec, mesh)
+            order = _dominant_harmonic(theta, u_rad)
         except AmbiguousAngularOrderError:
             order = 0
-        ux, uy = vec[2 * bnd], vec[2 * bnd + 1]
-        u_rad = (ux * mesh.nodes[bnd, 0] + uy * mesh.nodes[bnd, 1]) / r[bnd]
         rim = float(np.max(np.abs(u_rad)))
         if rim <= 0:
             continue

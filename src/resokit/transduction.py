@@ -34,16 +34,17 @@ class Spectrum:
     phase: tuple
 
     def __post_init__(self):
-        f = tuple(float(v) for v in self.frequencies)
-        m = tuple(float(v) for v in self.magnitude)
-        p = tuple(float(v) for v in self.phase)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "magnitude", m)
-        object.__setattr__(self, "phase", p)
-        if not (len(f) == len(m) == len(p)):
-            raise InvariantError("spectrum arrays must have equal length")
-        if any(b <= a for a, b in zip(f, f[1:])):
+        f, m, p = (np.asarray(v, float) for v in (self.frequencies, self.magnitude,
+                                                  self.phase))
+        if not (f.ndim == m.ndim == p.ndim == 1 and len(f) == len(m) == len(p)):
+            raise InvariantError("spectrum arrays must be 1-D of equal length")
+        if not (np.isfinite(f).all() and np.isfinite(m).all() and np.isfinite(p).all()):
+            raise InvariantError("spectrum values must be finite")
+        if np.any(f[1:] <= f[:-1]):
             raise InvariantError("frequencies must be strictly increasing")
+        object.__setattr__(self, "frequencies", tuple(f.tolist()))
+        object.__setattr__(self, "magnitude", tuple(m.tolist()))
+        object.__setattr__(self, "phase", tuple(p.tolist()))
 
     def to_csv(self, path):
         """CSV rows: frequency_hz, magnitude_db, phase_rad."""
@@ -136,8 +137,7 @@ def transmission_spectrum(c: EquivalentCircuit, termination: float = 50.0,
     cc = y0 * (2 + z_m * y0)
     d = a
     s21 = 2.0 / (a + b / termination + cc * termination + d)
-    return Spectrum(frequencies=tuple(f), magnitude=tuple(np.abs(s21)),
-                    phase=tuple(np.angle(s21)))
+    return Spectrum(frequencies=f, magnitude=np.abs(s21), phase=np.angle(s21))
 
 
 def extract_q(s: Spectrum) -> float:

@@ -5,6 +5,7 @@ either as plain numbers (already SI) or as strings ``"<number> <suffix>"``
 (space optional), e.g. ``"10 um"``, ``"90nm"``, ``"38.8 MHz"``, ``"5 V"``.
 """
 
+import math
 import re
 
 from .errors import UnitError
@@ -33,23 +34,28 @@ _QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ0-9]*)\s*$")
 
 
 def parse_quantity(value) -> float:
-    """Return the SI value of a number or a '<number> <suffix>' string."""
+    """The finite SI value of a number or a '<number> <suffix>' string."""
     if isinstance(value, bool):
         raise UnitError(f"expected a quantity, got bool {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
+    if isinstance(value, str):
+        m = _QUANTITY_RE.match(value)
+        if not m:
+            raise UnitError(f"cannot parse quantity {value!r}")
+        num, suffix = m.groups()
+        try:
+            x = float(num)
+        except ValueError:
+            raise UnitError(f"cannot parse number in quantity {value!r}") from None
+        if suffix and suffix not in _SUFFIXES:
+            raise UnitError(f"unknown unit suffix {suffix!r} in {value!r}")
+        x *= _SUFFIXES.get(suffix, 1.0)
+    elif isinstance(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:   # an integer beyond the float range
+            x = math.inf
+    else:
         raise UnitError(f"expected number or quantity string, got {type(value).__name__}")
-    m = _QUANTITY_RE.match(value)
-    if not m:
-        raise UnitError(f"cannot parse quantity {value!r}")
-    num, suffix = m.groups()
-    try:
-        x = float(num)
-    except ValueError:
-        raise UnitError(f"cannot parse number in quantity {value!r}") from None
-    if not suffix:
-        return x
-    if suffix not in _SUFFIXES:
-        raise UnitError(f"unknown unit suffix {suffix!r} in {value!r}")
-    return x * _SUFFIXES[suffix]
+    if not math.isfinite(x):
+        raise UnitError(f"quantity {value!r} is not finite")
+    return x

@@ -8,10 +8,12 @@ from scipy.optimize import brentq
 
 from resokit import analytic
 from resokit.analytic import (BeamModeCoefficient, beam_effective_params,
-                              beam_mode_coefficient, beam_mode_frequency,
-                              beam_mode_result, beam_mode_shape,
-                              disk_boundary_matrix, disk_effective_params,
-                              disk_mode_result, disk_wineglass_frequency,
+                              beam_length_for_frequency, beam_mode_coefficient,
+                              beam_mode_frequency, beam_mode_result,
+                              beam_mode_shape, disk_boundary_matrix,
+                              disk_effective_params, disk_mode_result,
+                              disk_radius_for_frequency,
+                              disk_wineglass_frequency,
                               plane_stress_wave_speeds)
 from resokit.core import BeamGeometry, DiskGeometry, Material, VibrationAxis
 from resokit.errors import InvariantError, SingularDrivePointError
@@ -87,6 +89,26 @@ class TestBeamFrequency:
                               ref_beam.thickness * s, ref_beam.vibration_axis)
         assert beam_mode_frequency(scaled, silicon) == \
             pytest.approx(beam_mode_frequency(ref_beam, silicon) / s, rel=1e-12)
+
+
+class TestInverseLaws:
+    @pytest.mark.parametrize("f", [10e6, 38.4e6, 153.6e6, 2e9])
+    @pytest.mark.parametrize("axis", list(VibrationAxis))
+    def test_beam_length_round_trip(self, silicon, f, axis):
+        d = 0.46e-6
+        length = beam_length_for_frequency(f, d, silicon)
+        geom = (BeamGeometry(length, d, 0.2e-6, axis) if axis is VibrationAxis.IN_PLANE
+                else BeamGeometry(length, 0.2e-6, d, axis))
+        assert beam_mode_frequency(geom, silicon) == pytest.approx(f, rel=1e-12)
+
+    @pytest.mark.parametrize("f", [38.4e6, 153.6e6, 644e6, 2e9])
+    @pytest.mark.parametrize("material", ["silicon", "polysilicon"])
+    def test_disk_radius_round_trip(self, f, material):
+        from resokit.core import load_material
+        mat = load_material(material)
+        radius = disk_radius_for_frequency(f, mat)
+        geom = DiskGeometry(radius, radius / 10)
+        assert disk_wineglass_frequency(geom, mat) == pytest.approx(f, rel=1e-12)
 
 
 class TestBeamEffectiveParams:

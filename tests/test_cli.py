@@ -87,6 +87,33 @@ class TestAnalyze:
         path.write_text(json.dumps({"kind": "pyramid"}))
         assert main(["analyze", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("length", ["10 parsecs", float("inf"), float("nan")])
+    def test_bad_quantity_is_usage_error(self, beam_config, capsys, length):
+        cfg = json.loads(open(beam_config).read())
+        cfg["geometry"]["length"] = length   # inf/nan are written as Infinity/NaN
+        with open(beam_config, "w") as f:
+            json.dump(cfg, f)
+        assert main(["analyze", "--config", beam_config]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fem", "--config", "{beam}", "--modes", "0"],
+    ["respond", "--config", "{beam}", "--points", "2"],
+    ["analyze", "--config", "{beam}", "--elements", "1"],
+    ["compare-detection", "--config", "{mos}", "--scales", "1,abc"],
+    ["check", "--config", "{beam}", "--profile", "vco", "--freq-tol", "nan"],
+    ["check", "--config", "{beam}", "--profile", "vco", "--freq-tol", "-1"],
+], ids=["modes-0", "points-2", "elements-1", "scales-abc", "freq-tol-nan",
+        "freq-tol-negative"])
+def test_bad_argument_is_usage_error(beam_config, mos_beam_config, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(beam=beam_config, mos=mos_beam_config) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
 
 class TestFem:
     def test_disk_modes_csv_solves_once(self, disk_config, tmp_path, monkeypatch):
@@ -274,6 +301,10 @@ class TestGap:
         rc = main(["gap", "--drawn", "50 nm", "--tunnel", "0.5 um"])
         assert rc == 1
         assert "min_drawn_gap" in capsys.readouterr().err
+
+    def test_non_finite_gap_is_usage_error(self, capsys):
+        assert main(["gap", "--drawn", "1e999nm", "--tunnel", "1 um"]) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_json_report(self, tmp_path):
         out = tmp_path / "gap.json"

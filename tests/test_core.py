@@ -48,6 +48,14 @@ class TestUnits:
         with pytest.raises(UnitError):
             parse_quantity(True)
 
+    @pytest.mark.parametrize("value", [
+        "1e999 nm", "1e999", "-1e999 V", math.inf, -math.inf, math.nan,
+        json.loads("Infinity"), json.loads("NaN"), 10**400,
+    ])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(UnitError):
+            parse_quantity(value)
+
 
 class TestMaterial:
     def test_silicon_preset(self, silicon):

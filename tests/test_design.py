@@ -6,7 +6,7 @@ import pytest
 
 from resokit.analytic import beam_mode_result
 from resokit.core import BeamGeometry, Transducer, VibrationAxis
-from resokit.design import (CandidateAnalysis, CheckTolerances, DesignCandidate,
+from resokit.design import (CandidateAnalysis, DesignCandidate,
                             SpecProfile, builtin_profiles, check_spec,
                             electrode_area, optimize, oscillator_profile,
                             profile_by_name, profile_from_dict, tuning_range,
@@ -104,13 +104,16 @@ class TestCheckSpec:
     def test_exact_match_semantics(self):
         c = _hand_candidate(freq=76.8e6 * 1.001)
         assert check_spec(c, oscillator_profile(2)).passed  # default 0.5% tol
-        strict = check_spec(c, oscillator_profile(2),
-                            CheckTolerances(frequency_rel_tol=0.0))
+        strict = check_spec(c, oscillator_profile(2), freq_tol=0.0)
         assert not strict.passed
         assert not strict.criterion("frequency").passed
         exact = _hand_candidate(freq=76.8e6)
-        assert check_spec(exact, oscillator_profile(2),
-                          CheckTolerances(frequency_rel_tol=0.0)).passed
+        assert check_spec(exact, oscillator_profile(2), freq_tol=0.0).passed
+
+    @pytest.mark.parametrize("freq_tol", [math.nan, math.inf, -1.0, -1e-12])
+    def test_bad_freq_tol_rejected(self, freq_tol):
+        with pytest.raises(InvariantError):
+            check_spec(_hand_candidate(freq=76.8e6), oscillator_profile(2), freq_tol)
 
     def test_band_profile_check(self):
         c = _hand_candidate(freq=1850e6, r_x=50.0)
@@ -237,14 +240,14 @@ class TestOptimize:
 
     def test_beats_exhaustive_grid_oracle(self, osc2_result, silicon):
         # independent verification grid with the same length-snapping rule
-        from resokit.design import _beam_length_for_frequency
+        from resokit.analytic import beam_length_for_frequency
         profile = oscillator_profile(2)
         p = ProcessModel()
         best = math.inf
         f_target = profile.center_frequency
         for w in np.linspace(*BOUNDS["width"], 12):
             for t in np.linspace(*BOUNDS["thickness"], 12):
-                length = _beam_length_for_frequency(f_target, w, silicon)
+                length = beam_length_for_frequency(f_target, w, silicon)
                 if not BOUNDS["length"][0] <= length <= BOUNDS["length"][1]:
                     continue
                 geom = BeamGeometry(length, float(w), float(t), VibrationAxis.IN_PLANE)

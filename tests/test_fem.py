@@ -342,6 +342,54 @@ class TestAngularOrder:
         assert set(exc.value.candidates) == {2, 3}
 
 
+def _loop_angular_order(mode_vector, mesh):
+    """identify_angular_order with a per-harmonic loop (reference):
+    (top, second, their relative energy gap)."""
+    r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    bnd = np.where(r >= r.max() * (1 - 1e-9))[0]
+    theta = np.arctan2(mesh.nodes[bnd, 1], mesh.nodes[bnd, 0])
+    order = np.argsort(theta)
+    bnd, theta = bnd[order], theta[order]
+    u_rad = (mode_vector[2 * bnd] * mesh.nodes[bnd, 0]
+             + mode_vector[2 * bnd + 1] * mesh.nodes[bnd, 1]) / r[bnd]
+    nb = len(bnd)
+    energies = []
+    for n in range(0, max(1, (nb - 1) // 2) + 1):
+        scale = 1.0 / nb if n == 0 else 2.0 / nb
+        a = np.sum(u_rad * np.cos(n * theta)) * scale
+        b = np.sum(u_rad * np.sin(n * theta)) * scale
+        energies.append(a * a + b * b)
+    top, second = np.argsort(energies)[::-1][:2]
+    return top, second, (energies[top] - energies[second]) / energies[top]
+
+
+class TestHarmonicEnergies:
+    @staticmethod
+    def _order_as_loop_reference(vec, mesh):
+        """identify_angular_order's answer, checked against the loop; 0 when
+        ambiguous, as disk_modal_fem labels it."""
+        top, second, gap = _loop_angular_order(vec, mesh)
+        if gap < 0.1:
+            with pytest.raises(AmbiguousAngularOrderError) as exc:
+                identify_angular_order(vec, mesh)
+            assert set(exc.value.candidates) == {top, second}
+            return 0
+        assert identify_angular_order(vec, mesh) == top
+        return top
+
+    @pytest.mark.parametrize("divisor", [8, 12])
+    def test_matches_loop_reference(self, ref_disk, silicon, divisor):
+        mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
+        _, modes, results = fem.solve_disk(ref_disk, silicon, mesh, n_modes=9)
+        for (_, vec), result in zip(modes, results):
+            assert self._order_as_loop_reference(vec, mesh) == result.mode_order
+        # mixtures of an order-2 and an order-3 mode; c = 1 is ambiguous
+        wg, tri = modes[0][1], modes[5][1]
+        orders = [self._order_as_loop_reference(wg + c * tri, mesh)
+                  for c in (0.5, 1.0, 2.0)]
+        assert orders == [2, 0, 3]
+
+
 class TestDiskModal:
     def test_wineglass_within_5pct_of_analytic(self, modal, ref_disk, silicon):
         f_ref = disk_wineglass_frequency(ref_disk, silicon, 2)

@@ -208,6 +208,24 @@ class TestExtractQ:
         with pytest.raises(InvariantError):
             Spectrum(frequencies=(1.0, 2.0), magnitude=(1.0,), phase=(0.0, 0.0))
 
+    @pytest.mark.parametrize("field,bad", [
+        ("frequencies", (1.0, math.nan, 3.0)), ("frequencies", (math.nan,) * 3),
+        ("frequencies", (1.0, 2.0, math.inf)), ("magnitude", (1.0, math.inf, 1.0)),
+        ("phase", (0.0, math.nan, 0.0)),
+    ])
+    def test_non_finite_rejected(self, field, bad):
+        fields = {"frequencies": (1.0, 2.0, 3.0), "magnitude": (1.0, 1.0, 1.0),
+                  "phase": (0.0, 0.0, 0.0), field: bad}
+        with pytest.raises(InvariantError):
+            Spectrum(**fields)
+
+    def test_fields_are_float_tuples(self, ref_mode, ref_transducer):
+        s = transmission_spectrum(equivalent_circuit(ref_mode, ref_transducer, Q_REF),
+                                  points=101)
+        for field in (s.frequencies, s.magnitude, s.phase):
+            assert isinstance(field, tuple) and len(field) == 101
+            assert all(type(v) is float for v in field)
+
 
 class TestAmplitude:
     def test_linear_in_drive_and_q(self, ref_mode, ref_transducer):
