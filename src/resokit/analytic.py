@@ -36,7 +36,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import jv, jvp
 
-from .core import BeamGeometry, DiskGeometry, Material, ModeResult
+from .core import (BeamGeometry, DiskGeometry, Material, ModeResult,
+                   VibrationAxis)
 from .errors import InvariantError, RootSearchError, SingularDrivePointError
 
 # quadrature order for mode-shape integrals (smooth integrands, machine accurate)
@@ -89,6 +90,21 @@ def beam_length_for_frequency(f: float, flexural_dim: float, mat: Material) -> f
     c = beam_mode_coefficient(1)
     return math.sqrt(c.a_n * math.sqrt(mat.youngs_modulus / mat.density)
                      * flexural_dim / f)
+
+
+def beam_lumped_arrays(length, width, thickness, vibration_axis: VibrationAxis,
+                       mat: Material):
+    """Arrays (f, m_eff, k_eff) of the fundamental mode driven at mid-span,
+    over arrays of beam dimensions: beam_mode_result's lumped fields
+    elementwise. The operation order and the `**` (libm pow, as
+    np.float_power) are the scalar functions', so every element is bitwise
+    equal to theirs."""
+    flex = width if vibration_axis is VibrationAxis.IN_PLANE else thickness
+    f = beam_mode_coefficient(1).a_n * math.sqrt(mat.youngs_modulus / mat.density) \
+        * flex / np.float_power(length, 2)
+    m_eff = mat.density * (width * thickness) * length * _beam_shape_integral(1, 0.5)
+    w0 = 2 * math.pi * f
+    return f, m_eff, w0 * w0 * m_eff
 
 
 def beam_mode_shape(n: int, xi):
@@ -268,6 +284,18 @@ def disk_effective_params(geom: DiskGeometry, mat: Material, n: int = 2):
         * mat.density * geom.thickness * geom.radius**2
     w0 = 2 * math.pi * disk_wineglass_frequency(geom, mat, n)
     return m_eff, w0 * w0 * m_eff
+
+
+def disk_lumped_arrays(radius, thickness, mat: Material):
+    """Arrays (f, m_eff, k_eff) of the wine-glass (n = 2) mode over arrays of
+    disk dimensions: disk_mode_result's lumped fields elementwise, bitwise
+    equal to them (same operation order, `**` as np.float_power)."""
+    _, c_t = plane_stress_wave_speeds(mat)
+    f = _disk_dimensionless_root(2, mat.poisson_ratio) * c_t / (2 * math.pi * radius)
+    m_eff = _disk_meff_coefficient(2, mat.poisson_ratio) \
+        * mat.density * thickness * np.float_power(radius, 2)
+    w0 = 2 * math.pi * f
+    return f, m_eff, w0 * w0 * m_eff
 
 
 def disk_mode_result(geom: DiskGeometry, mat: Material, n: int = 2,

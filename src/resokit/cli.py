@@ -292,9 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     cd = sub.add_parser("compare-detection", help="MOS vs capacitive current ratio")
     cd.add_argument("--config", required=True)
-    cd.add_argument("--scales", type=_arg(lambda s: [float(v) for v in s.split(",")],
-                                          lambda v: True, "comma-separated numbers"),
-                    default="1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2")
+    cd.add_argument("--scales", type=_arg(
+        lambda s: [float(v) for v in s.split(",")],
+        lambda v: (v[0] == 1 and all(0 < s <= 1 for s in v)
+                   and all(b < a for a, b in zip(v, v[1:]))),
+        "comma-separated scales from 1, strictly descending within (0, 1]"),
+        default="1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2")
     cd.add_argument("--csv", default=None)
     cd.add_argument("--json", default=None)
     cd.set_defaults(func=_cmd_compare_detection)
@@ -327,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # a bad argument (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except (SchemaError, UnitError, UnknownPresetError) as exc:

@@ -55,10 +55,12 @@ class Material:
     rel_permittivity: float = 1.0
 
     def __post_init__(self):
-        _require(self.youngs_modulus > 0, "youngs_modulus must be > 0")
-        _require(self.density > 0, "density must be > 0")
+        _require(0 < self.youngs_modulus < math.inf,
+                 "youngs_modulus must be finite and > 0")
+        _require(0 < self.density < math.inf, "density must be finite and > 0")
         _require(0 <= self.poisson_ratio < 0.5, "poisson_ratio must be in [0, 0.5)")
-        _require(self.rel_permittivity >= 1, "rel_permittivity must be >= 1")
+        _require(1 <= self.rel_permittivity < math.inf,
+                 "rel_permittivity must be finite and >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -79,8 +81,8 @@ class BeamGeometry:
     vibration_axis: VibrationAxis = VibrationAxis.OUT_OF_PLANE
 
     def __post_init__(self):
-        _require(self.length > 0 and self.width > 0 and self.thickness > 0,
-                 "beam dimensions must be > 0")
+        _require(all(0 < v < math.inf for v in (self.length, self.width, self.thickness)),
+                 "beam dimensions must be finite and > 0")
         _require(self.length > max(self.width, self.thickness),
                  "beam length must exceed both cross-section dimensions")
         _require(isinstance(self.vibration_axis, VibrationAxis),
@@ -114,8 +116,8 @@ class DiskGeometry:
     thickness: float
 
     def __post_init__(self):
-        _require(self.radius > 0, "radius must be > 0")
-        _require(self.thickness > 0, "thickness must be > 0")
+        _require(0 < self.radius < math.inf, "radius must be finite and > 0")
+        _require(0 < self.thickness < math.inf, "thickness must be finite and > 0")
         _require(self.thickness < self.radius, "thin-disk regime requires thickness < radius")
 
     def to_dict(self) -> dict:
@@ -134,7 +136,10 @@ class MosParams:
     channel_modulation_order: float = 1.0
 
     def __post_init__(self):
-        _require(self.bias_drain_current > 0, "bias_drain_current must be > 0")
+        _require(0 < self.bias_drain_current < math.inf,
+                 "bias_drain_current must be finite and > 0")
+        _require(math.isfinite(self.channel_modulation_order),
+                 "channel_modulation_order must be finite")
 
     def to_dict(self) -> dict:
         return {
@@ -160,11 +165,12 @@ class Transducer:
     mos: MosParams | None = None
 
     def __post_init__(self):
-        _require(self.gap > 0, "gap must be > 0")
-        _require(self.bias_voltage >= 0, "bias_voltage must be >= 0")
-        _require(self.drive_voltage >= 0, "drive_voltage must be >= 0")
-        _require(self.electrode_area > 0, "electrode_area must be > 0")
-        _require(self.gap_rel_permittivity >= 1, "gap_rel_permittivity must be >= 1")
+        _require(0 < self.gap < math.inf, "gap must be finite and > 0")
+        _require(0 <= self.bias_voltage < math.inf, "bias_voltage must be finite and >= 0")
+        _require(0 <= self.drive_voltage < math.inf, "drive_voltage must be finite and >= 0")
+        _require(0 < self.electrode_area < math.inf, "electrode_area must be finite and > 0")
+        _require(1 <= self.gap_rel_permittivity < math.inf,
+                 "gap_rel_permittivity must be finite and >= 1")
         _require(isinstance(self.detection, DetectionKind), "detection must be a DetectionKind")
         if self.detection is DetectionKind.MOS:
             _require(self.mos is not None, "MOS detection requires MosParams")

@@ -16,8 +16,8 @@ from numbers import Integral
 import numpy as np
 
 from . import analytic, transduction
-from .core import (BeamGeometry, DiskGeometry, Material, Transducer,
-                   VibrationAxis)
+from .core import (EPSILON_0, BeamGeometry, DiskGeometry, Material,
+                   Transducer, VibrationAxis)
 from .errors import (InfeasibleDesignError, InstabilityError, InvariantError,
                      SchemaError, UnknownPresetError)
 from .fab import ProcessModel, check_fab_constraints
@@ -28,10 +28,16 @@ _REVERIFY_RTOL = 1e-9
 _PULL_IN_MARGIN = 0.8
 # coordinate-refinement rounds after the grid search, each halving the step
 _REFINE_ROUNDS = 3
+# grid points the search refines, so the most candidates it returns
+_REFINE_STARTS = 5
+# default relative tolerance of check_spec's frequency criterion
+_FREQ_TOL = 0.005
 
 
 def _as_interval(value, what: str):
     lo, hi = float(value[0]), float(value[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvariantError(f"{what}: interval ({lo}, {hi}) must be finite")
     if not lo <= hi:
         raise InvariantError(f"{what}: empty interval ({lo}, {hi})")
     return (lo, hi)
@@ -57,8 +63,8 @@ class SpecProfile:
 
     def __post_init__(self):
         if isinstance(self.center_frequency, (int, float)):
-            if self.center_frequency <= 0:
-                raise InvariantError("center_frequency must be > 0")
+            if not 0 < self.center_frequency < math.inf:
+                raise InvariantError("center_frequency must be finite and > 0")
             object.__setattr__(self, "center_frequency", float(self.center_frequency))
         else:
             bands = tuple(_as_interval(b, f"{self.name} band") for b in self.center_frequency)
@@ -69,10 +75,10 @@ class SpecProfile:
             v = getattr(self, field_name)
             if v is not None:
                 object.__setattr__(self, field_name, _as_interval(v, field_name))
-        if self.q_required is not None and self.q_required <= 0:
-            raise InvariantError("q_required must be > 0")
-        if self.tuning_required is not None and self.tuning_required <= 0:
-            raise InvariantError("tuning_required must be > 0")
+        if self.q_required is not None and not 0 < self.q_required < math.inf:
+            raise InvariantError("q_required must be finite and > 0")
+        if self.tuning_required is not None and not 0 < self.tuning_required < math.inf:
+            raise InvariantError("tuning_required must be finite and > 0")
         if isinstance(self.informational, dict):
             object.__setattr__(self, "informational",
                                tuple(sorted(self.informational.items())))
@@ -357,7 +363,7 @@ class SpecReport:
 
 
 def check_spec(candidate: DesignCandidate, profile: SpecProfile,
-               freq_tol: float = 0.005) -> SpecReport:
+               freq_tol: float = _FREQ_TOL) -> SpecReport:
     """Per-criterion pass/fail of an analyzed design against a profile; the
     frequency may miss a band edge by freq_tol, relative (0: exact match)."""
     if not (math.isfinite(freq_tol) and freq_tol >= 0):
@@ -455,6 +461,9 @@ def tuning_range(candidate: DesignCandidate, v_min: float, v_max: float) -> floa
 
 _BEAM_PARAMS = ("length", "width", "thickness", "gap", "bias_voltage")
 _DISK_PARAMS = ("radius", "thickness", "gap", "bias_voltage")
+# optimize's binding constraints, in the order a grid point is tested
+_FAILURES = ("geometry", "min_drawn_gap", "max_tunnel_depth", "pull_in_margin",
+             "frequency", "q", "impedance", "dc_voltage", "tuning")
 
 
 def electrode_area(geometry) -> float:
@@ -473,6 +482,103 @@ def electrode_area(geometry) -> float:
     raise InvariantError(f"unsupported geometry {type(geometry).__name__}")
 
 
+def _evaluate_points(p: dict, profile: SpecProfile, family: str, material: Material,
+                     process: ProcessModel, assumed_q: float,
+                     vibration_axis: VibrationAxis, main_bounds: tuple):
+    """optimize's evaluator: (p with the main dimension snapped, failure
+    code per point, R_x per point) for arrays p of the other parameters.
+
+    The main dimension (length or radius) hits the first target frequency
+    whose value fits main_bounds unclipped, else the first target, clipped.
+    A code indexes _FAILURES, the first constraint the point fails; -1
+    marks a feasible point. Each formula keeps the operation order of the
+    scalar path (analytic, fab, transduction, tuning_span, check_spec) and
+    its libm `**` (np.float_power), so every code and R_x equals what
+    DesignCandidate.analyze and check_spec give for the point. Raises the
+    InvariantError analyze raises for a point that gets that far.
+    """
+    v_range = profile.dc_voltage_range
+    cf = profile.center_frequency
+    # band midpoints stand for multi-band targets
+    targets = [cf] if isinstance(cf, float) else [0.5 * (lo + hi) for lo, hi in cf]
+    if family == "beam":
+        # beam frequency scales with the cross-section dimension along the motion
+        flex = p["width"] if vibration_axis is VibrationAxis.IN_PLANE else p["thickness"]
+        k_len = analytic.beam_mode_coefficient(1).a_n \
+            * math.sqrt(material.youngs_modulus / material.density)
+        vals = [np.sqrt(k_len * flex / f) for f in targets]
+    else:
+        vals = [np.full(len(p["gap"]), analytic.disk_radius_for_frequency(f, material))
+                for f in targets]
+    lo, hi = main_bounds
+    dim = np.clip(vals[0], lo, hi)
+    for v in reversed(vals):
+        dim = np.where((lo <= v) & (v <= hi), v, dim)
+
+    gap, bias, t = p["gap"], p["bias_voltage"], p["thickness"]
+    if family == "beam":
+        p = {**p, "length": dim}
+        width = p["width"]
+        geometry_ok = dim > np.maximum(width, t)
+        area = dim * (t if vibration_axis is VibrationAxis.IN_PLANE else width)
+        tunnel = width / 2.0
+    else:
+        p = {**p, "radius": dim}
+        geometry_ok = t < dim
+        area = math.pi * dim / 2.0 * t
+        tunnel = dim
+    # the checks a point meets in Transducer (valid geometry), then in
+    # ModeResult, Transducer, motional_resistance and tuning_span (analyzed)
+    if np.any(geometry_ok & ~((0 < area) & (area < math.inf))):
+        raise InvariantError("electrode_area must be finite and > 0")
+    f, m_eff, k_eff = (
+        analytic.beam_lumped_arrays(dim, p["width"], t, vibration_axis, material)
+        if family == "beam" else analytic.disk_lumped_arrays(dim, t, material))
+    gap_ok = gap >= process.min_drawn_gap
+    tunnel_ok = tunnel <= process.max_tunnel_depth
+    g = gap + process.etch_bias + process.release_enlargement_rate * tunnel   # released
+    analyzed = geometry_ok & gap_ok & tunnel_ok
+    if np.any(analyzed):
+        lumped = np.stack([f, m_eff, k_eff, g])[:, analyzed]
+        if not np.all((0 < lumped) & (lumped < math.inf)):
+            raise InvariantError("frequency, m_eff, k_eff and released gap must be "
+                                 "finite and > 0")
+        if assumed_q <= 0:
+            raise InvariantError(f"quality factor must be > 0, got {assumed_q}")
+        if v_range is not None and not 0 <= v_range[0]:
+            raise InvariantError(f"need 0 <= v_min <= v_max, got {v_range}")
+
+    # as-fabricated R_x, pull-in and tuning
+    g3 = np.float_power(g, 3)
+    r_x = (k_eff / (2 * math.pi * f * np.float_power(bias, 2))) \
+        * (np.float_power(g, 4) / (EPSILON_0**2 * np.float_power(area, 2))) / assumed_q
+    v_limit = _PULL_IN_MARGIN * np.sqrt(8.0 * k_eff * g3 / (27.0 * EPSILON_0 * area))
+
+    def tuned(v):
+        """(unstable, f) at bias v, as spring_softening_frequency."""
+        k_e = np.float_power(v, 2) * EPSILON_0 * area / g3
+        with np.errstate(invalid="ignore"):   # sqrt < 0 where k_e > k_eff
+            return k_e >= k_eff, np.where(v == 0, f, f * np.sqrt(1.0 - k_e / k_eff))
+
+    v_lo, v_hi = (0.0, bias) if v_range is None else v_range
+    unstable_lo, f_lo = tuned(v_lo)
+    unstable_hi, f_hi = tuned(v_hi)
+    unstable = (v_hi > v_limit) | unstable_lo | unstable_hi
+
+    def outside(value, interval):
+        return interval is not None and ~((interval[0] <= value) & (value <= interval[1]))
+
+    in_band = np.any([(lo * (1 - _FREQ_TOL) <= f) & (f <= hi * (1 + _FREQ_TOL))
+                      for lo, hi in profile.frequency_bands], axis=0)
+    fails = [~geometry_ok, ~gap_ok, ~tunnel_ok, bias > v_limit, ~in_band,
+             profile.q_required is not None and not assumed_q >= profile.q_required,
+             outside(r_x, profile.impedance_range),
+             outside(bias, profile.dc_voltage_range),
+             profile.tuning_required is not None
+             and (unstable | ~(f_lo - f_hi >= profile.tuning_required))]
+    return p, np.select(fails, range(len(_FAILURES)), -1), r_x
+
+
 def optimize(profile: SpecProfile, family: str, bounds: dict,
              process: ProcessModel = ProcessModel(),
              material: Material | None = None,
@@ -482,17 +588,20 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     """Deterministic grid search + coordinate refinement, minimizing R_x.
 
     A design is feasible when it passes the fab rules, keeps the bias at or
-    below 0.8 x its pull-in voltage, and passes `check_spec` against the
-    profile; every returned candidate is feasible in that sense and carries
-    the analysis `DesignCandidate.analyze` gave it during the search (the
-    tuning sweep spans the profile's DC range, else 0 V to the bias).
-    Candidates are ranked by ascending as-fabricated R_x. Raises
-    InfeasibleDesignError when no grid point is feasible; its histogram
-    counts every grid point once under the first constraint it fails:
-    "geometry", a fab rule name ("min_drawn_gap", "max_tunnel_depth"),
-    "pull_in_margin", or a check_spec criterion name ("frequency", "q",
-    "impedance", "dc_voltage", "tuning"; an unstable tuning sweep counts
-    as "tuning").
+    below 0.8 x its pull-in voltage, and passes `check_spec` (default
+    freq_tol) against the profile. The search evaluates arrays of points at
+    once, with the formulas and operation order of `DesignCandidate.analyze`
+    and `check_spec` (the tuning sweep spans the profile's DC range, else
+    0 V to the bias), so it decides exactly as they would. The best
+    `_REFINE_STARTS` (5) grid points are refined, so at most that many
+    candidates are returned, whatever max_results; each is the `analyze`
+    result of a feasible point, ranked by ascending as-fabricated R_x.
+    Raises InfeasibleDesignError when no grid point is feasible; its
+    histogram counts every grid point once under the first constraint it
+    fails: "geometry", a fab rule name ("min_drawn_gap",
+    "max_tunnel_depth"), "pull_in_margin", or a check_spec criterion name
+    ("frequency", "q", "impedance", "dc_voltage", "tuning"; an unstable
+    tuning sweep counts as "tuning").
     """
     if family not in ("beam", "disk"):
         raise InvariantError(f"family must be 'beam' or 'disk', got {family!r}")
@@ -514,96 +623,66 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
         assumed_q = profile.q_required if profile.q_required is not None else 1e4
 
     main = "length" if family == "beam" else "radius"
-    # beam frequency scales with the cross-section dimension along the motion
-    flex = "width" if vibration_axis is VibrationAxis.IN_PLANE else "thickness"
-    # representative targets for dimension snapping: band midpoints allowed
-    cf = profile.center_frequency
-    targets = [cf] if isinstance(cf, float) else [0.5 * (lo + hi) for lo, hi in cf]
 
-    def snap(params: dict) -> dict:
-        """Set length/radius to hit the first target whose value fits the
-        bounds unclipped, else the first target, clipped to the bounds."""
-        lo, hi = bnd[main]
-        vals = []
-        for f_target in targets:
-            vals.append(analytic.beam_length_for_frequency(f_target, params[flex], material)
-                        if family == "beam"
-                        else analytic.disk_radius_for_frequency(f_target, material))
-            if lo <= vals[-1] <= hi:
-                return {**params, main: vals[-1]}
-        return {**params, main: min(max(vals[0], lo), hi)}
-
-    def evaluate(params: dict):
-        """(None, candidate) if the design is feasible, else (the first
-        binding constraint, None)."""
-        try:
-            geom = (BeamGeometry(params["length"], params["width"], params["thickness"],
-                                 vibration_axis) if family == "beam"
-                    else DiskGeometry(params["radius"], params["thickness"]))
-        except InvariantError:
-            return "geometry", None
-        t = Transducer(gap=params["gap"], bias_voltage=params["bias_voltage"],
-                       drive_voltage=0.0, electrode_area=electrode_area(geom))
-        for rule in check_fab_constraints(geom, t, process).rules:
-            if not rule.passed:
-                return rule.name, None
-        c = DesignCandidate.analyze(geom, t, material, assumed_q, process,
-                                    tuning_v_range=profile.dc_voltage_range)
-        if t.bias_voltage > _PULL_IN_MARGIN * c.analysis.v_pi:
-            return "pull_in_margin", None
-        for crit in check_spec(c, profile).criteria:
-            if crit.applicable and not crit.passed:
-                return crit.name, None
-        return None, c
+    def evaluate(p: dict):
+        return _evaluate_points(p, profile, family, material, process, assumed_q,
+                                vibration_axis, bnd[main])
 
     grid_names = [k for k in param_names if k != main]
     axes = [np.linspace(bnd[k][0], bnd[k][1], grid_points) for k in grid_names]
+    grid = np.meshgrid(*axes, indexing="ij")
+    p, codes, r_x = evaluate({k: a.ravel() for k, a in zip(grid_names, grid)})
 
-    def rank(item):
-        candidate, params = item
-        return (candidate.analysis.r_x,) + tuple(params[k] for k in param_names)
-
-    binding = {}
-    feasible = []
-    for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)):
-        params = snap(dict(zip(grid_names, (float(v) for v in combo))))
-        reason, candidate = evaluate(params)
-        if candidate is None:
-            binding[reason] = binding.get(reason, 0) + 1
-        else:
-            feasible.append((candidate, params))
-
-    if not feasible:
+    feasible = np.flatnonzero(codes < 0)
+    if not feasible.size:
+        failed, first, counts = np.unique(codes, return_index=True, return_counts=True)
+        binding = {_FAILURES[failed[i]]: int(counts[i]) for i in np.argsort(first)}
         summary = ", ".join(f"{k}: {v}" for k, v in
                             sorted(binding.items(), key=lambda kv: -kv[1]))
         raise InfeasibleDesignError(
             f"no feasible design in bounds (binding constraints: {summary})",
             binding_constraints=binding)
 
-    feasible.sort(key=rank)
-    refined = []
-    for cur, cur_p in feasible[:5]:
-        for rnd in range(_REFINE_ROUNDS):
-            for k in grid_names:
-                lo, hi = bnd[k]
-                half = (hi - lo) / grid_points * 0.5**rnd
-                local = np.linspace(max(lo, cur_p[k] - half),
-                                    min(hi, cur_p[k] + half), 11)
-                for val in local:
-                    trial = snap({**cur_p, k: float(val)})
-                    _, candidate = evaluate(trial)
-                    if candidate is not None and candidate.analysis.r_x < cur.analysis.r_x:
-                        cur, cur_p = candidate, trial
-        refined.append((cur, cur_p))
+    # rank by (R_x, parameters), ties in grid order
+    order = np.lexsort([p[k][feasible] for k in reversed(param_names)] + [r_x[feasible]])
+    starts = feasible[order[:_REFINE_STARTS]]
+    cur = {k: p[k][starts] for k in param_names}
+    cur_r = r_x[starts].tolist()
+    n_trials = 11
+    for rnd in range(_REFINE_ROUNDS):
+        for k in grid_names:
+            # one call evaluates the axis sweep of every start
+            lo, hi = bnd[k]
+            half = (hi - lo) / grid_points * 0.5**rnd
+            trials = {name: np.repeat(cur[name], n_trials) for name in grid_names}
+            trials[k] = np.linspace(np.maximum(lo, cur[k] - half),
+                                    np.minimum(hi, cur[k] + half), n_trials, axis=-1).ravel()
+            tp, t_codes, t_r = evaluate(trials)
+            # each start takes, in turn, every feasible trial that lowers its R_x
+            t_codes, t_r = t_codes.tolist(), t_r.tolist()
+            for s in range(len(cur_r)):
+                for j in range(s * n_trials, (s + 1) * n_trials):
+                    if t_codes[j] < 0 and t_r[j] < cur_r[s]:
+                        cur_r[s] = t_r[j]
+                        for name in param_names:
+                            cur[name][s] = tp[name][j]
 
-    refined.sort(key=rank)
+    refined = [(r, {k: float(cur[k][s]) for k in param_names})
+               for s, r in enumerate(cur_r)]
+    refined.sort(key=lambda item: (item[0],) + tuple(item[1][k] for k in param_names))
     out, seen = [], set()
-    for candidate, params in refined:
+    for _, params in refined:
         sig = tuple(round(params[k], 15) for k in param_names)
         if sig in seen:
             continue
         seen.add(sig)
-        out.append(candidate)
+        geom = (BeamGeometry(params["length"], params["width"], params["thickness"],
+                             vibration_axis) if family == "beam"
+                else DiskGeometry(params["radius"], params["thickness"]))
+        t = Transducer(gap=params["gap"], bias_voltage=params["bias_voltage"],
+                       drive_voltage=0.0, electrode_area=electrode_area(geom))
+        out.append(DesignCandidate.analyze(geom, t, material, assumed_q, process,
+                                           tuning_v_range=profile.dc_voltage_range))
         if len(out) >= max_results:
             break
     return out

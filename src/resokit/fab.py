@@ -13,6 +13,7 @@ computation): channel doping ~5e15 at/cm3, source/drain/gate doping floor
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import BeamGeometry, DiskGeometry, Transducer
@@ -37,8 +38,8 @@ class ProcessModel:
     def __post_init__(self):
         for name in ("etch_bias", "release_enlargement_rate",
                      "min_drawn_gap", "max_tunnel_depth"):
-            if getattr(self, name) < 0:
-                raise InvariantError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvariantError(f"{name} must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return {"etch_bias": self.etch_bias,

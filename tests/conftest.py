@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from resokit.core import (BeamGeometry, DiskGeometry, Transducer,
@@ -27,3 +28,11 @@ def ref_transducer(ref_beam):
     # 90 nm airgap, 5 V bias, electrode on the in-plane face (L x thickness)
     return Transducer(gap=90e-9, bias_voltage=5.0, drive_voltage=0.1,
                       electrode_area=ref_beam.length * ref_beam.thickness)
+
+
+def with_pow_ties(values, count=20, keep=200):
+    """The first `keep` values plus `count` more for which x*x and Python's
+    x**2 (libm pow) round differently."""
+    ties = [v for v in values.tolist() if v**2 != v * v][:count]
+    assert len(ties) == count
+    return np.concatenate([values[:keep], ties])

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from conftest import with_pow_ties
 from resokit import analytic
 from resokit.analytic import (BeamModeCoefficient, beam_effective_params,
                               beam_length_for_frequency, beam_mode_coefficient,
@@ -291,3 +292,33 @@ class TestVectorizedDiskRoot:
         assert m.shape == (2, 2, 4001)
         assert np.array_equal(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], vals)
         assert analytic._disk_dimensionless_root(n, nu) == root
+
+
+class TestLumpedArrays:
+    """The array lumped modes equal the scalar ModeResults bitwise, also
+    where numpy's x**2 (x*x) and libm pow round differently."""
+
+    @pytest.mark.parametrize("axis", list(VibrationAxis))
+    def test_beam_equals_scalar(self, axis):
+        rng = np.random.default_rng(1)
+        length = with_pow_ties(rng.uniform(2e-6, 30e-6, 40000))
+        width = rng.uniform(0.2e-6, 1e-6, len(length))
+        thickness = rng.uniform(0.2e-6, 1.5e-6, len(length))
+        mat = Material(160e9, 2330.0, 0.28)
+        arrays = analytic.beam_lumped_arrays(length, width, thickness, axis, mat)
+        for i in range(len(length)):
+            m = beam_mode_result(BeamGeometry(length[i], width[i], thickness[i], axis),
+                                 mat, samples=0)
+            assert (m.frequency, m.effective_mass, m.effective_stiffness) \
+                == tuple(a[i] for a in arrays)
+
+    def test_disk_equals_scalar(self):
+        rng = np.random.default_rng(2)
+        radius = with_pow_ties(rng.uniform(0.5e-6, 40e-6, 40000))
+        thickness = rng.uniform(0.1e-6, 0.4e-6, len(radius))
+        mat = Material(160e9, 2330.0, 0.22)
+        arrays = analytic.disk_lumped_arrays(radius, thickness, mat)
+        for i in range(len(radius)):
+            m = disk_mode_result(DiskGeometry(radius[i], thickness[i]), mat, samples=0)
+            assert (m.frequency, m.effective_mass, m.effective_stiffness) \
+                == tuple(a[i] for a in arrays)

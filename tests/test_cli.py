@@ -104,15 +104,23 @@ class TestAnalyze:
     ["compare-detection", "--config", "{mos}", "--scales", "1,abc"],
     ["check", "--config", "{beam}", "--profile", "vco", "--freq-tol", "nan"],
     ["check", "--config", "{beam}", "--profile", "vco", "--freq-tol", "-1"],
+    ["compare-detection", "--config", "{mos}", "--scales", "0.5,0.2"],
+    ["compare-detection", "--config", "{mos}", "--scales", "2,1"],
+    ["compare-detection", "--config", "{mos}", "--scales", "1,0.5,0.5"],
+    ["compare-detection", "--config", "{mos}", "--scales", "1,0.5,-0.1"],
 ], ids=["modes-0", "points-2", "elements-1", "scales-abc", "freq-tol-nan",
-        "freq-tol-negative"])
+        "freq-tol-negative", "scales-not-from-1", "scales-above-1",
+        "scales-not-descending", "scales-negative"])
 def test_bad_argument_is_usage_error(beam_config, mos_beam_config, capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([a.format(beam=beam_config, mos=mos_beam_config) for a in argv])
-    assert exc.value.code == 2
+    assert main([a.format(beam=beam_config, mos=mos_beam_config) for a in argv]) == 2
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: resokit" in capsys.readouterr().out
 
 
 class TestFem:

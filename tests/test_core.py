@@ -10,13 +10,60 @@ from resokit.core import (EPSILON_0, BeamGeometry, DetectionKind, DiskGeometry,
                           disk_geometry_from_dict, equivalent_circuit_from_dict,
                           load_material, material_from_dict, material_presets,
                           mode_result_from_dict, save_json, transducer_from_dict)
+from resokit.design import SpecProfile
 from resokit.errors import (InvariantError, SchemaError, UnknownPresetError,
                             UnitError)
+from resokit.fab import ProcessModel
 from resokit.units import parse_quantity
 
 
 def test_epsilon_0_value():
     assert EPSILON_0 == 8.8541878128e-12
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Material(_INF, 2330, 0.28),
+    lambda: Material(160e9, _NAN, 0.28),
+    lambda: Material(160e9, 2330, _NAN),
+    lambda: Material(160e9, 2330, 0.28, rel_permittivity=_INF),
+    lambda: BeamGeometry(length=_INF, width=1e-6, thickness=1e-6),
+    lambda: BeamGeometry(length=10e-6, width=_NAN, thickness=1e-6),
+    lambda: DiskGeometry(radius=_INF, thickness=1e-6),
+    lambda: DiskGeometry(radius=3e-6, thickness=_NAN),
+    lambda: MosParams(_INF),
+    lambda: MosParams(1e-6, channel_modulation_order=_NAN),
+    lambda: Transducer(gap=90e-9, bias_voltage=_INF, drive_voltage=0.1, electrode_area=4e-12),
+    lambda: Transducer(gap=90e-9, bias_voltage=5.0, drive_voltage=_INF, electrode_area=4e-12),
+    lambda: Transducer(gap=90e-9, bias_voltage=5.0, drive_voltage=0.1, electrode_area=_INF),
+    lambda: Transducer(gap=_INF, bias_voltage=5.0, drive_voltage=0.1, electrode_area=4e-12),
+    lambda: Transducer(gap=90e-9, bias_voltage=5.0, drive_voltage=0.1, electrode_area=4e-12,
+                       gap_rel_permittivity=_INF),
+    lambda: ProcessModel(etch_bias=_NAN),
+    lambda: ProcessModel(release_enlargement_rate=_INF),
+    lambda: ProcessModel(min_drawn_gap=_INF),
+    lambda: ProcessModel(max_tunnel_depth=_INF),
+    lambda: SpecProfile("x", _INF),
+    lambda: SpecProfile("x", ((1e6, _INF),)),
+    lambda: SpecProfile("x", ((_NAN, 2e6),)),
+    lambda: SpecProfile("x", 1e6, q_required=_INF),
+    lambda: SpecProfile("x", 1e6, q_required=_NAN),
+    lambda: SpecProfile("x", 1e6, tuning_required=_INF),
+    lambda: SpecProfile("x", 1e6, bandpass=(1e6, _INF)),
+    lambda: SpecProfile("x", 1e6, impedance_range=(50.0, _INF)),
+    lambda: SpecProfile("x", 1e6, dc_voltage_range=(_NAN, 5.0)),
+], ids=["material-E", "material-density", "material-poisson", "material-permittivity",
+        "beam-length", "beam-width", "disk-radius", "disk-thickness", "mos-current",
+        "mos-order", "transducer-bias", "transducer-drive", "transducer-area",
+        "transducer-gap", "transducer-permittivity", "process-etch-bias",
+        "process-rate", "process-min-gap", "process-max-tunnel", "profile-center",
+        "profile-band-hi", "profile-band-lo", "profile-q-inf", "profile-q-nan",
+        "profile-tuning", "profile-bandpass", "profile-impedance", "profile-dc"])
+def test_non_finite_field_rejected(build):
+    with pytest.raises(InvariantError):
+        build()
 
 
 class TestUnits:

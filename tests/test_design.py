@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import with_pow_ties
+from resokit import analytic, design
 from resokit.analytic import beam_mode_result
-from resokit.core import BeamGeometry, Transducer, VibrationAxis
+from resokit.core import (BeamGeometry, DiskGeometry, Transducer, VibrationAxis,
+                          load_material)
 from resokit.design import (CandidateAnalysis, DesignCandidate,
                             SpecProfile, builtin_profiles, check_spec,
                             electrode_area, optimize, oscillator_profile,
@@ -13,8 +16,10 @@ from resokit.design import (CandidateAnalysis, DesignCandidate,
                             tuning_span, vco_profile)
 from resokit.errors import (InfeasibleDesignError, InstabilityError,
                             InvariantError, SchemaError, UnknownPresetError)
-from resokit.fab import ProcessModel, release_tunnel_depth, released_gap
+from resokit.fab import (ProcessModel, check_fab_constraints,
+                         release_tunnel_depth, released_gap)
 from resokit.transduction import spring_softening_frequency
+from resokit.units import parse_quantity
 
 
 class TestProfiles:
@@ -321,3 +326,217 @@ class TestOptimize:
     def test_bad_family(self, silicon):
         with pytest.raises(InvariantError):
             optimize(oscillator_profile(2), "plate", BOUNDS, material=silicon)
+
+
+def _reference_point_search(profile, family, bounds, process, material,
+                            assumed_q, vibration_axis):
+    """The per-point search's pieces: (parameter names, main dimension,
+    parsed bounds, assumed Q, snap, evaluate). evaluate(params) returns (the
+    first binding constraint or None, the analyzed candidate or None)."""
+    param_names = (("length", "width", "thickness", "gap", "bias_voltage")
+                   if family == "beam" else ("radius", "thickness", "gap", "bias_voltage"))
+    bnd = {k: (parse_quantity(bounds[k][0]), parse_quantity(bounds[k][1]))
+           for k in param_names}
+    if assumed_q is None:
+        assumed_q = profile.q_required if profile.q_required is not None else 1e4
+    main = "length" if family == "beam" else "radius"
+    flex = "width" if vibration_axis is VibrationAxis.IN_PLANE else "thickness"
+    cf = profile.center_frequency
+    targets = [cf] if isinstance(cf, float) else [0.5 * (lo + hi) for lo, hi in cf]
+
+    def snap(params):
+        lo, hi = bnd[main]
+        vals = []
+        for f_target in targets:
+            vals.append(analytic.beam_length_for_frequency(f_target, params[flex], material)
+                        if family == "beam"
+                        else analytic.disk_radius_for_frequency(f_target, material))
+            if lo <= vals[-1] <= hi:
+                return {**params, main: vals[-1]}
+        return {**params, main: min(max(vals[0], lo), hi)}
+
+    def evaluate(params):
+        try:
+            geom = (BeamGeometry(params["length"], params["width"], params["thickness"],
+                                 vibration_axis) if family == "beam"
+                    else DiskGeometry(params["radius"], params["thickness"]))
+        except InvariantError:
+            return "geometry", None
+        t = Transducer(gap=params["gap"], bias_voltage=params["bias_voltage"],
+                       drive_voltage=0.0, electrode_area=electrode_area(geom))
+        for rule in check_fab_constraints(geom, t, process).rules:
+            if not rule.passed:
+                return rule.name, None
+        c = DesignCandidate.analyze(geom, t, material, assumed_q, process,
+                                    tuning_v_range=profile.dc_voltage_range)
+        if t.bias_voltage > 0.8 * c.analysis.v_pi:
+            return "pull_in_margin", c
+        for crit in check_spec(c, profile).criteria:
+            if crit.applicable and not crit.passed:
+                return crit.name, c
+        return None, c
+
+    return param_names, main, bnd, assumed_q, snap, evaluate
+
+
+def _reference_optimize(profile, family, bounds, process=ProcessModel(),
+                        material=None, assumed_q=None, grid_points=7,
+                        max_results=10, vibration_axis=VibrationAxis.IN_PLANE):
+    """The per-point search: snap and evaluate one grid point at a time
+    through DesignCandidate.analyze and check_spec (optimize's reference)."""
+    param_names, main, bnd, assumed_q, snap, evaluate = _reference_point_search(
+        profile, family, bounds, process, material, assumed_q, vibration_axis)
+    grid_names = [k for k in param_names if k != main]
+    axes = [np.linspace(bnd[k][0], bnd[k][1], grid_points) for k in grid_names]
+
+    def rank(item):
+        candidate, params = item
+        return (candidate.analysis.r_x,) + tuple(params[k] for k in param_names)
+
+    binding = {}
+    feasible = []
+    for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)):
+        params = snap(dict(zip(grid_names, (float(v) for v in combo))))
+        reason, candidate = evaluate(params)
+        if reason is not None:
+            binding[reason] = binding.get(reason, 0) + 1
+        else:
+            feasible.append((candidate, params))
+    if not feasible:
+        summary = ", ".join(f"{k}: {v}" for k, v in
+                            sorted(binding.items(), key=lambda kv: -kv[1]))
+        raise InfeasibleDesignError(
+            f"no feasible design in bounds (binding constraints: {summary})",
+            binding_constraints=binding)
+
+    feasible.sort(key=rank)
+    refined = []
+    for cur, cur_p in feasible[:5]:
+        for rnd in range(3):
+            for k in grid_names:
+                lo, hi = bnd[k]
+                half = (hi - lo) / grid_points * 0.5**rnd
+                local = np.linspace(max(lo, cur_p[k] - half),
+                                    min(hi, cur_p[k] + half), 11)
+                for val in local:
+                    trial = snap({**cur_p, k: float(val)})
+                    reason, candidate = evaluate(trial)
+                    if reason is None and candidate.analysis.r_x < cur.analysis.r_x:
+                        cur, cur_p = candidate, trial
+        refined.append((cur, cur_p))
+    refined.sort(key=rank)
+    out, seen = [], set()
+    for candidate, params in refined:
+        sig = tuple(round(params[k], 15) for k in param_names)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        out.append(candidate)
+        if len(out) >= max_results:
+            break
+    return out
+
+
+def _outcome(search, **kwargs):
+    """Candidates as dicts, or the error's type (and histogram and message
+    when nothing is feasible)."""
+    try:
+        return [c.to_dict() for c in search(**kwargs)]
+    except InfeasibleDesignError as exc:
+        return type(exc), exc.binding_constraints, str(exc)
+    except InvariantError as exc:
+        return (type(exc),)
+
+
+def _assert_matches_reference(**kwargs):
+    outcome = _outcome(optimize, **kwargs)
+    assert outcome == _outcome(_reference_optimize, **kwargs)
+    return outcome
+
+
+_DISK_BOUNDS = {"radius": (0.5e-6, 40e-6), "thickness": (0.2e-6, 2e-6),
+                "gap": (80e-9, 200e-9), "bias_voltage": (1.2, 20.0)}
+
+
+class TestArraySearchMatchesReference:
+    """optimize evaluates arrays of points; every outcome equals the
+    per-point search's: candidates, histograms, messages and errors."""
+
+    @pytest.mark.parametrize("shape", ["beam-in_plane", "beam-out_of_plane", "disk"])
+    @pytest.mark.parametrize("profile", builtin_profiles()
+                             + (SpecProfile("no-dc", 76.8e6, q_required=5e4,
+                                            impedance_range=(50.0, 10e3)),),
+                             ids=lambda p: p.name)
+    def test_each_point(self, profile, shape):
+        # random points: codes, snapped main dimension and R_x (wherever
+        # analyze ran) equal the scalar path's, bitwise
+        family, _, axis = shape.partition("-")
+        axis = VibrationAxis(axis or "in_plane")
+        bounds = dict(BOUNDS if family == "beam" else _DISK_BOUNDS, bias_voltage=(1.2, 30.0))
+        process = ProcessModel(max_tunnel_depth=5e-6)
+        material = load_material("polysilicon" if family == "disk" else "silicon")
+        param_names, main, bnd, assumed_q, snap, evaluate = _reference_point_search(
+            profile, family, bounds, process, material, None, axis)
+        rng = np.random.default_rng(0)
+        grid_names = [k for k in param_names if k != main]
+        points = {k: with_pow_ties(rng.uniform(*bnd[k], 40000), count=30, keep=270)
+                  for k in grid_names}
+        p, codes, r_x = design._evaluate_points(points, profile, family, material, process,
+                                                assumed_q, axis, bnd[main])
+        for i in range(300):
+            params = snap({k: float(points[k][i]) for k in grid_names})
+            reason, candidate = evaluate(params)
+            assert p[main][i] == params[main]
+            assert codes[i] == (-1 if reason is None else design._FAILURES.index(reason))
+            if candidate is not None:
+                assert r_x[i] == candidate.analysis.r_x
+
+    @pytest.mark.parametrize("shape", ["beam-in_plane", "beam-out_of_plane", "disk"])
+    @pytest.mark.parametrize("profile", builtin_profiles(), ids=lambda p: p.name)
+    def test_builtin_profiles(self, profile, shape):
+        family, _, axis = shape.partition("-")
+        for material in ("silicon", "polysilicon"):
+            for process in (ProcessModel(), ProcessModel(max_tunnel_depth=5e-6)):
+                for grid in (3, 5):
+                    _assert_matches_reference(
+                        profile=profile, family=family,
+                        bounds=BOUNDS if family == "beam" else _DISK_BOUNDS,
+                        process=process, material=load_material(material),
+                        grid_points=grid,
+                        vibration_axis=VibrationAxis(axis or "in_plane"))
+
+    @pytest.mark.parametrize("family", ["beam", "disk"])
+    def test_profile_without_dc_range(self, silicon, family):
+        profile = SpecProfile("no-dc", 76.8e6, q_required=5e4,
+                              impedance_range=(50.0, 10e3))
+        outcomes = [_assert_matches_reference(
+            profile=profile, family=family,
+            bounds=dict(BOUNDS if family == "beam" else _DISK_BOUNDS,
+                        bias_voltage=(1.2, 30.0)),
+            process=ProcessModel(max_tunnel_depth=5e-6), material=silicon,
+            grid_points=grid) for grid in (3, 5)]
+        if family == "beam":
+            assert all(isinstance(o, list) and o for o in outcomes)
+
+    def test_max_results_below_feasible_count(self, silicon):
+        kwargs = dict(profile=oscillator_profile(2), family="beam", bounds=BOUNDS,
+                      material=silicon, grid_points=5)
+        assert len(optimize(**kwargs)) > 1
+        assert len(_assert_matches_reference(max_results=1, **kwargs)) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"assumed_q": -1.0},
+        {"profile": SpecProfile("negative-dc", 76.8e6, dc_voltage_range=(-1.0, 5.0))},
+        # electrode area underflows to 0
+        {"bounds": dict(BOUNDS, length=(1e-170, 2e-170), width=(1e-171, 2e-171),
+                        thickness=(1e-171, 2e-171)),
+         "process": ProcessModel(min_drawn_gap=1e-9)},
+        # effective mass underflows to 0
+        {"bounds": dict(BOUNDS, length=(2e-110, 4e-110), width=(1e-110, 1.5e-110),
+                        thickness=(1e-110, 1.5e-110))},
+    ], ids=["assumed-q", "dc-range", "area-underflow", "mass-underflow"])
+    def test_invariant_errors(self, silicon, change):
+        kwargs = dict(profile=oscillator_profile(2), family="beam", bounds=BOUNDS,
+                      material=silicon, grid_points=3)
+        outcome = _assert_matches_reference(**{**kwargs, **change})
+        assert outcome[0] is InvariantError
