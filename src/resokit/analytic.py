@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import jv, jvp
 
 from .core import (BeamGeometry, DiskGeometry, Material, ModeResult,
                    VibrationAxis)
@@ -65,6 +63,74 @@ class BeamModeCoefficient:
             raise InvariantError("a_n must equal lambda_n^2/(2*pi*sqrt(12))")
 
 
+def _brentq(f, a: float, b: float, rtol: float) -> float:
+    """Root of f in [a, b] by Brent's method (Brent, "Algorithms for
+    Minimization without Derivatives", 1973, ch. 4).
+
+    A statement-for-statement port of scipy.optimize.brentq (its
+    Zeros/brentq.c) with xtol = 2e-12 and at most 100 iterations, so the
+    root is bitwise the one brentq returns. Raises RootSearchError when
+    f(a) and f(b) have the same sign, f is NaN, or the iteration does not
+    converge.
+    """
+    xtol = 2e-12
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise RootSearchError(f"function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise RootSearchError(
+            f"no sign change over [{a!r}, {b!r}]: f = {fpre!r}, {fcur!r}")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RootSearchError(f"Brent iteration did not converge on [{a!r}, {b!r}]")
+
+
 @lru_cache(maxsize=None)
 def beam_mode_coefficient(n: int) -> BeamModeCoefficient:
     """Clamped-clamped eigenvalue lambda_n and frequency coefficient A_n."""
@@ -73,7 +139,7 @@ def beam_mode_coefficient(n: int) -> BeamModeCoefficient:
     # roots of cos(l) = sech(l); the k-th root lies near (k + 1/2)*pi
     lo, hi = (n + 0.3) * math.pi, (n + 0.7) * math.pi
     f = lambda l: math.cos(l) - 1.0 / math.cosh(l)
-    lam = brentq(f, lo, hi, rtol=8 * np.finfo(float).eps)
+    lam = _brentq(f, lo, hi, rtol=8 * np.finfo(float).eps)
     return BeamModeCoefficient(n, lam, lam**2 / (2 * math.pi * math.sqrt(12.0)))
 
 
@@ -180,10 +246,16 @@ def disk_boundary_matrix(n: int, nu: float, x, y) -> np.ndarray:
 
     x and y may be arrays of one shape S; the result then has shape (2, 2, *S).
     """
-    m11 = (1 - nu) * (n * n * jv(n, x) - x * jvp(n, x)) - x * x * jv(n, x)
-    m12 = n * (1 - nu) * (y * jvp(n, y) - jv(n, y))
-    m21 = 2 * n * (jv(n, x) - x * jvp(n, x))
-    m22 = (y * y - 2 * n * n) * jv(n, y) + 2 * y * jvp(n, y)
+    from scipy.special import jv
+    # Jn'(z) = (J(n-1, z) - J(n+1, z)) / 2, formed as scipy's jvp forms it,
+    # so each order is evaluated once per argument
+    jx, jy = jv(n, x), jv(n, y)
+    dx = (jv(n - 1, x) - jv(n + 1, x)) / 2.0
+    dy = (jv(n - 1, y) - jv(n + 1, y)) / 2.0
+    m11 = (1 - nu) * (n * n * jx - x * dx) - x * x * jx
+    m12 = n * (1 - nu) * (y * dy - jy)
+    m21 = 2 * n * (jx - x * dx)
+    m22 = (y * y - 2 * n * n) * jy + 2 * y * dy
     return np.array([[m11, m12], [m21, m22]])
 
 
@@ -210,14 +282,19 @@ def _disk_dimensionless_root(n: int, nu: float) -> float:
     y_rq = 2.0 * math.sqrt(n * (n - 1))
     lo, hi = 0.1 * y_rq, 10.0 * y_rq
     ys = np.linspace(lo, hi, 4001)
-    vals = det(ys)
-    # first sample that is a root or opens a sign change
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
-    if hits.size:
-        i = hits[0]
-        if vals[i] == 0.0:
-            return float(ys[i])
-        return brentq(det, ys[i], ys[i + 1], rtol=1e-12)
+    # first sample that is a root or opens a sign change, scanned in ten
+    # segments of 400 intervals: the lowest root lies in the first one for
+    # n = 2..8 and nu = 0..0.49, and the determinant is elementwise, so the
+    # samples equal those of one whole-window scan
+    for start in range(0, 4000, 400):
+        seg = ys[start:start + 401]
+        vals = det(seg)
+        hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+        if hits.size:
+            i = hits[0]
+            if vals[i] == 0.0:
+                return float(seg[i])
+            return _brentq(det, seg[i], seg[i + 1], rtol=1e-12)
     raise RootSearchError(
         f"no characteristic root for angular order {n} in window "
         f"[{lo:.3g}, {hi:.3g}] around the Rayleigh-quotient guess {y_rq:.3g}")
@@ -244,6 +321,7 @@ def _disk_unit_fields(n: int, nu: float):
     Angular dependence is cos(n t) for u_r and sin(n t) for u_t; radial
     coordinate rho = r/R in (0, 1].
     """
+    from scipy.special import jv, jvp
     y = _disk_dimensionless_root(n, nu)
     x = y * math.sqrt((1 - nu) / 2.0)
     m = disk_boundary_matrix(n, nu, x, y)

@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import analytic, design, fab, fem, transduction
 from .core import (BeamGeometry, beam_geometry_from_dict,
                    disk_geometry_from_dict, load_material, material_from_dict,
                    transducer_from_dict)
-from .errors import (InfeasibleDesignError, ResokitError, SchemaError,
-                     UnitError, UnknownPresetError)
+from .errors import (InfeasibleDesignError, InvariantError, ResokitError,
+                     SchemaError, UnitError, UnknownPresetError)
 from .units import parse_quantity
 
 SCHEMA_VERSION = 1
@@ -58,6 +59,20 @@ def _design_from_config(cfg: dict):
     transducer = transducer_from_dict(cfg["transducer"]) if "transducer" in cfg else None
     q = parse_quantity(cfg.get("q", 1e4))
     return geometry, material, transducer, q
+
+
+def _load_profile(spec: str) -> design.SpecProfile:
+    """--profile: a built-in profile name, else a profile JSON file. A file
+    whose values break a profile invariant is a config error (exit 2)."""
+    try:
+        return design.profile_by_name(spec)
+    except UnknownPresetError:
+        if not os.path.isfile(spec):
+            raise
+    try:
+        return design.profile_from_dict(_load_design_config(spec))
+    except InvariantError as exc:
+        raise SchemaError(f"{spec}: {exc}") from None
 
 
 def _emit(report: dict, json_path: str | None):
@@ -186,7 +201,7 @@ def _cmd_check(args) -> int:
     geometry, material, transducer, q = _design_from_config(cfg)
     if transducer is None:
         raise SchemaError("check needs a transducer section in the config")
-    profile = design.profile_by_name(args.profile)
+    profile = _load_profile(args.profile)
     process = _load_process(args.process)
     candidate = design.DesignCandidate.analyze(
         geometry, transducer, material, q, process,
@@ -207,7 +222,7 @@ def _cmd_optimize(args) -> int:
     mat_spec = bcfg.get("material", "silicon")
     material = (material_from_dict(mat_spec) if isinstance(mat_spec, dict)
                 else load_material(mat_spec))
-    profile = design.profile_by_name(args.profile)
+    profile = _load_profile(args.profile)
     process = _load_process(args.process)
     assumed_q = bcfg.get("assumed_q")
     candidates = design.optimize(
@@ -304,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="check a design against a spec profile")
     c.add_argument("--config", required=True)
-    c.add_argument("--profile", required=True)
+    c.add_argument("--profile", required=True,
+                   help="built-in profile name or profile JSON file")
     c.add_argument("--process", default=None, help="process model JSON")
     c.add_argument("--freq-tol", default=0.005,
                    type=_arg(float, lambda x: 0 <= x < math.inf, "a finite number >= 0"))
@@ -312,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_check)
 
     o = sub.add_parser("optimize", help="search the design space for a profile")
-    o.add_argument("--profile", required=True)
+    o.add_argument("--profile", required=True,
+                   help="built-in profile name or profile JSON file")
     o.add_argument("--bounds", required=True, help="bounds config JSON")
     o.add_argument("--process", default=None)
     o.add_argument("--json", default=None)

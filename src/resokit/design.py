@@ -75,6 +75,9 @@ class SpecProfile:
             v = getattr(self, field_name)
             if v is not None:
                 object.__setattr__(self, field_name, _as_interval(v, field_name))
+        if self.dc_voltage_range is not None and self.dc_voltage_range[0] < 0:
+            raise InvariantError(
+                f"dc_voltage_range: lower bound {self.dc_voltage_range[0]} must be >= 0")
         if self.q_required is not None and not 0 < self.q_required < math.inf:
             raise InvariantError("q_required must be finite and > 0")
         if self.tuning_required is not None and not 0 < self.tuning_required < math.inf:
@@ -116,26 +119,38 @@ def profile_from_dict(d: dict) -> SpecProfile:
         raise SchemaError(f"profile: unknown fields {sorted(unknown)}")
     if "name" not in d or "center_frequency" not in d:
         raise SchemaError("profile: name and center_frequency are required")
+    if not isinstance(d["name"], str):
+        raise SchemaError("profile: name must be a string")
+
+    def pair(v, what):
+        if not (isinstance(v, (list, tuple)) and len(v) == 2):
+            raise SchemaError(f"profile: {what} must be a [low, high] list")
+        return parse_quantity(v[0]), parse_quantity(v[1])
+
     cf = d["center_frequency"]
     if isinstance(cf, list):
-        cf = tuple((parse_quantity(b[0]), parse_quantity(b[1])) for b in cf)
+        cf = tuple(pair(b, "each center_frequency band") for b in cf)
     else:
         cf = parse_quantity(cf)
 
     def interval(key):
         v = d.get(key)
-        return None if v is None else (parse_quantity(v[0]), parse_quantity(v[1]))
+        return None if v is None else pair(v, key)
 
     def scalar(key):
         v = d.get(key)
         return None if v is None else parse_quantity(v)
 
-    return SpecProfile(name=str(d["name"]), center_frequency=cf,
+    info = d.get("informational", {})
+    if not (isinstance(info, dict)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in info.items())):
+        raise SchemaError("profile: informational must map names to strings")
+    return SpecProfile(name=d["name"], center_frequency=cf,
                        q_required=scalar("q_required"), bandpass=interval("bandpass"),
                        impedance_range=interval("impedance_range"),
                        dc_voltage_range=interval("dc_voltage_range"),
                        tuning_required=scalar("tuning_required"),
-                       informational=d.get("informational", {}))
+                       informational=info)
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +616,17 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     fails: "geometry", a fab rule name ("min_drawn_gap",
     "max_tunnel_depth"), "pull_in_margin", or a check_spec criterion name
     ("frequency", "q", "impedance", "dc_voltage", "tuning"; an unstable
-    tuning sweep counts as "tuning").
+    tuning sweep counts as "tuning"). Raises InvariantError unless assumed_q
+    (default: the profile's q_required, else 1e4) is finite and > 0.
     """
     if family not in ("beam", "disk"):
         raise InvariantError(f"family must be 'beam' or 'disk', got {family!r}")
     if material is None:
         raise InvariantError("optimize requires a material")
+    if assumed_q is None:
+        assumed_q = profile.q_required if profile.q_required is not None else 1e4
+    if not 0 < assumed_q < math.inf:
+        raise InvariantError(f"assumed_q must be finite and > 0, got {assumed_q!r}")
     for name, value in (("grid_points", grid_points), ("max_results", max_results)):
         if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
             raise SchemaError(f"{name} must be an integer >= 1, got {value!r}")
@@ -619,8 +639,6 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     for k, (lo, hi) in bnd.items():
         if not 0 < lo <= hi:
             raise SchemaError(f"bounds[{k!r}] must be a positive interval")
-    if assumed_q is None:
-        assumed_q = profile.q_required if profile.q_required is not None else 1e4
 
     main = "length" if family == "beam" else "radius"
 

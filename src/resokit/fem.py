@@ -14,6 +14,9 @@ one inverse-iteration step and a Rayleigh-Ritz projection. LAPACK is
 faster on small systems, and ARPACK needs k well below n: a sparse system
 asked for k >= n/4 modes is solved densely too. Both paths share the
 residual gate, normalization and sign convention.
+
+scipy.linalg and scipy.sparse are imported inside the functions that call
+them: importing this module, or building a mesh, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse import csr_array
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .core import BeamGeometry, DiskGeometry, Material, ModeResult, VibrationAxis
 from .errors import (AmbiguousAngularOrderError, EigenSolveError, InvariantError,
@@ -142,6 +142,7 @@ class AssembledSystem:
 def _csc(a: np.ndarray):
     """CSC copy of a dense matrix. Scanning a != 0 row by row is about four
     times faster than scipy's own dense conversion."""
+    from scipy.sparse import csr_array
     flat = np.flatnonzero(a != 0)
     rows, cols = np.divmod(flat, a.shape[1])
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=a.shape[0]))))
@@ -151,6 +152,7 @@ def _csc(a: np.ndarray):
 def _symmetric_lu(a):
     """Sparse LU of a CSC matrix with symmetric structure: a fill-reducing
     ordering of A + A^T, and the diagonal pivot whenever it is nonzero."""
+    from scipy.sparse.linalg import splu
     return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
@@ -352,6 +354,8 @@ def _shift_invert_modes(kk, mm, k: int):
     inverse-iteration step with the same factorization and a 2k x 2k
     Rayleigh-Ritz projection then bring the disk residuals below 1e-9.
     """
+    from scipy.linalg import eigh
+    from scipy.sparse.linalg import LinearOperator, eigsh
     n = kk.shape[0]
     sigma = -1e-12 * float(np.median(kk.diagonal() / mm.diagonal()))
     lu = _symmetric_lu(kk - sigma * mm)
@@ -369,6 +373,7 @@ def solve_modes(sys: AssembledSystem, k: int):
     full length (zeros at constrained dofs) and normalized to unit maximum
     translational displacement. Deterministic for fixed input.
     """
+    from scipy.linalg import eigh
     free = sys.free_dofs()
     if not 1 <= k <= len(free):
         raise EigenSolveError(f"k must be in [1, {len(free)}], got {k}")
@@ -380,7 +385,7 @@ def solve_modes(sys: AssembledSystem, k: int):
             vals, vecs = eigh(kk.toarray(), mm.toarray(), subset_by_index=(0, k - 1))
         else:
             vals, vecs = _shift_invert_modes(kk, mm, k)
-    except (np.linalg.LinAlgError, ArpackError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:   # ArpackError is a RuntimeError
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from None
 
     # residual bound is meaningful only away from the rigid-body null space

@@ -17,7 +17,7 @@ from resokit.analytic import (BeamModeCoefficient, beam_effective_params,
                               disk_wineglass_frequency,
                               plane_stress_wave_speeds)
 from resokit.core import BeamGeometry, DiskGeometry, Material, VibrationAxis
-from resokit.errors import InvariantError, SingularDrivePointError
+from resokit.errors import InvariantError, RootSearchError, SingularDrivePointError
 
 # frozen from the reference data table for clamped-clamped flexure
 LAMBDA_TABLE = {1: 4.730041, 2: 7.853205, 3: 10.995608}
@@ -292,6 +292,84 @@ class TestVectorizedDiskRoot:
         assert m.shape == (2, 2, 4001)
         assert np.array_equal(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], vals)
         assert analytic._disk_dimensionless_root(n, nu) == root
+
+
+def _jvp_boundary_matrix(n, nu, x, y):
+    """Reference: the boundary matrix written with jv and jvp as in the
+    module docs, 13 Bessel evaluations per point."""
+    from scipy.special import jv, jvp
+    m11 = (1 - nu) * (n * n * jv(n, x) - x * jvp(n, x)) - x * x * jv(n, x)
+    m12 = n * (1 - nu) * (y * jvp(n, y) - jv(n, y))
+    m21 = 2 * n * (jv(n, x) - x * jvp(n, x))
+    m22 = (y * y - 2 * n * n) * jv(n, y) + 2 * y * jvp(n, y)
+    return np.array([[m11, m12], [m21, m22]])
+
+
+class TestBoundaryMatrix:
+    @pytest.mark.parametrize("n", range(7))
+    def test_equals_jvp_formula(self, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.uniform(0.01, 60.0, (2, 3000))
+        nu = float(rng.uniform(0.05, 0.45))
+        assert np.array_equal(disk_boundary_matrix(n, nu, x, y),
+                              _jvp_boundary_matrix(n, nu, x, y))
+        for xi, yi in zip(x[:20].tolist(), y[:20].tolist()):
+            assert np.array_equal(disk_boundary_matrix(n, nu, xi, yi),
+                                  _jvp_boundary_matrix(n, nu, xi, yi))
+
+
+class TestBrent:
+    """analytic._brentq returns bitwise the root scipy.optimize.brentq does."""
+
+    def test_beam_roots_equal_scipy(self):
+        f = lambda l: math.cos(l) - 1.0 / math.cosh(l)
+        rtol = 8 * np.finfo(float).eps
+        for n in range(1, 31):
+            lo, hi = (n + 0.3) * math.pi, (n + 0.7) * math.pi
+            lam = analytic._brentq(f, lo, hi, rtol=rtol)
+            assert lam == brentq(f, lo, hi, rtol=rtol)
+            assert lam == beam_mode_coefficient(n).lambda_n
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_disk_roots_equal_scipy(self, n):
+        for nu in np.linspace(0.05, 0.45, 17).tolist():
+            ratio = math.sqrt((1 - nu) / 2.0)
+
+            def det(y):
+                m = disk_boundary_matrix(n, nu, y * ratio, y)
+                return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+            y_rq = 2.0 * math.sqrt(n * (n - 1))
+            ys = np.linspace(0.1 * y_rq, 10.0 * y_rq, 4001)
+            vals = det(ys)
+            i = np.flatnonzero(vals[:-1] * vals[1:] < 0)[0]
+            root = analytic._brentq(det, ys[i], ys[i + 1], rtol=1e-12)
+            assert root == brentq(det, ys[i], ys[i + 1], rtol=1e-12)
+            assert root == analytic._disk_dimensionless_root(n, nu)
+
+    def test_random_functions_equal_scipy(self):
+        # steps the two smooth characteristic functions above rarely take
+        rng = np.random.default_rng(0)
+        checked = 0
+        for c in rng.normal(size=(400, 5)):
+            g = lambda x, c=c: (c[0] + c[1] * x + c[2] * math.sin(3 * x)
+                                + c[3] * x**3 + c[4] * math.exp(-x * x))
+            a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+            if g(a) * g(b) >= 0:
+                continue
+            checked += 1
+            for rtol in (4 * np.finfo(float).eps, 1e-12, 1e-6):
+                assert analytic._brentq(g, a, b, rtol) == brentq(g, a, b, rtol=rtol)
+        assert checked > 100
+
+    def test_no_sign_change(self):
+        with pytest.raises(RootSearchError):
+            analytic._brentq(lambda x: x * x + 1.0, -1.0, 1.0, rtol=1e-12)
+
+    def test_nan_value(self):
+        with pytest.raises(RootSearchError):
+            analytic._brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0,
+                             rtol=1e-12)
 
 
 class TestLumpedArrays:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resokit
 from resokit import fem
 from resokit.cli import main
+from resokit.design import profile_by_name
 
 
 @pytest.fixture()
@@ -208,6 +214,23 @@ class TestCheck:
         assert main(["check", "--config", beam_config,
                      "--profile", "warp-core"]) == 2
 
+    def test_profile_file_matches_builtin(self, beam_config, tmp_path):
+        path = tmp_path / "vco.json"
+        path.write_text(json.dumps(profile_by_name("vco").to_dict()))
+        out_file, out_name = tmp_path / "file.json", tmp_path / "name.json"
+        assert main(["check", "--config", beam_config, "--profile", str(path),
+                     "--json", str(out_file)]) == 1
+        assert main(["check", "--config", beam_config, "--profile", "vco",
+                     "--json", str(out_name)]) == 1
+        assert out_file.read_bytes() == out_name.read_bytes()
+
+    def test_negative_dc_profile_file_is_usage_error(self, beam_config, tmp_path, capsys):
+        d = dict(profile_by_name("vco").to_dict(), dc_voltage_range=[-1.0, 2.4])
+        path = tmp_path / "negative-dc.json"
+        path.write_text(json.dumps(d))
+        assert main(["check", "--config", beam_config, "--profile", str(path)]) == 2
+        assert "dc_voltage_range" in capsys.readouterr().err
+
     def test_matching_design_passes(self, tmp_path, silicon):
         # build a design that meets oscillator-n2 via the optimizer
         from resokit.design import optimize, oscillator_profile
@@ -321,3 +344,34 @@ class TestGap:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["released_gap_m"] == pytest.approx(110e-9, rel=1e-12)
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from resokit.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_beam_commands_load_no_scipy():
+    """Beam and process commands run without importing any scipy module."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    argvs = [
+        ["gap", "--drawn", "80 nm", "--tunnel", "1.19 um"],
+        ["check", "--config", str(configs / "beam.json"), "--profile", "vco"],
+        ["check", "--config", str(configs / "beam.json"), "--profile", "oscillator-n2"],
+        ["optimize", "--profile", "oscillator-n2",
+         "--bounds", str(configs / "oscillator_bounds.json")],
+        ["respond", "--config", str(configs / "beam.json")],
+    ]
+    src = str(Path(resokit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 1, 1, 0, 0]
+    assert result["scipy"] == []

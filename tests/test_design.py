@@ -72,6 +72,11 @@ class TestProfiles:
         with pytest.raises(InvariantError):
             SpecProfile(name="bad", center_frequency=1e6, impedance_range=(10, 5))
 
+    def test_negative_dc_bound_rejected(self):
+        with pytest.raises(InvariantError, match="dc_voltage_range"):
+            SpecProfile("negative-dc", 76.8e6, dc_voltage_range=(-1.0, 5.0))
+        assert SpecProfile("zero-dc", 76.8e6, dc_voltage_range=(0.0, 5.0))
+
     def test_round_trip(self):
         for p in builtin_profiles():
             assert profile_from_dict(p.to_dict()) == p
@@ -526,7 +531,6 @@ class TestArraySearchMatchesReference:
 
     @pytest.mark.parametrize("change", [
         {"assumed_q": -1.0},
-        {"profile": SpecProfile("negative-dc", 76.8e6, dc_voltage_range=(-1.0, 5.0))},
         # electrode area underflows to 0
         {"bounds": dict(BOUNDS, length=(1e-170, 2e-170), width=(1e-171, 2e-171),
                         thickness=(1e-171, 2e-171)),
@@ -534,9 +538,18 @@ class TestArraySearchMatchesReference:
         # effective mass underflows to 0
         {"bounds": dict(BOUNDS, length=(2e-110, 4e-110), width=(1e-110, 1.5e-110),
                         thickness=(1e-110, 1.5e-110))},
-    ], ids=["assumed-q", "dc-range", "area-underflow", "mass-underflow"])
+    ], ids=["assumed-q", "area-underflow", "mass-underflow"])
     def test_invariant_errors(self, silicon, change):
         kwargs = dict(profile=oscillator_profile(2), family="beam", bounds=BOUNDS,
                       material=silicon, grid_points=3)
         outcome = _assert_matches_reference(**{**kwargs, **change})
         assert outcome[0] is InvariantError
+
+    @pytest.mark.parametrize("assumed_q", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("gap", [(80e-9, 200e-9), (20e-9, 60e-9)],
+                             ids=["fab-passes", "fab-fails"])
+    def test_bad_assumed_q(self, silicon, assumed_q, gap):
+        # refused up front, whether or not any grid point gets past the fab rules
+        with pytest.raises(InvariantError, match="assumed_q"):
+            optimize(oscillator_profile(2), "beam", dict(BOUNDS, gap=gap),
+                     material=silicon, assumed_q=assumed_q, grid_points=3)
