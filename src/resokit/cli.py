@@ -51,6 +51,8 @@ def _design_from_config(cfg: dict):
     kind = cfg.get("kind")
     if kind not in ("beam", "disk"):
         raise SchemaError(f"design config: kind must be 'beam' or 'disk', got {kind!r}")
+    if "geometry" not in cfg:
+        raise SchemaError("design config: missing 'geometry' object")
     geometry = (beam_geometry_from_dict(cfg["geometry"]) if kind == "beam"
                 else disk_geometry_from_dict(cfg["geometry"]))
     mat_spec = cfg.get("material", "silicon")
@@ -98,7 +100,7 @@ def _cmd_analyze(args) -> int:
         f_analytic = analytic.disk_wineglass_frequency(geometry, material, 2)
         target = args.target_edge or geometry.radius / 16.0
         mesh = fem.mesh_disk(geometry, target)
-        modes = fem.disk_modal_fem(geometry, material, mesh)
+        modes = fem.disk_modal_fem(geometry, material, mesh, n_modes=2)
         pair = [m for m in modes if m.mode_order == 2]
         if not pair:
             raise ResokitError("no angular-order-2 mode found in FEM results")
@@ -177,6 +179,8 @@ def _cmd_compare_detection(args) -> int:
     geometry, material, transducer, q = _design_from_config(cfg)
     if not isinstance(geometry, BeamGeometry):
         raise SchemaError("compare-detection supports beam designs")
+    if transducer is None:
+        raise SchemaError("compare-detection needs a transducer section in the config")
     curve = transduction.detection_comparison(geometry, material, transducer, q,
                                               args.scales)
     if args.csv:

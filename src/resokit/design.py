@@ -631,9 +631,14 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
         if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
             raise SchemaError(f"{name} must be an integer >= 1, got {value!r}")
     param_names = _BEAM_PARAMS if family == "beam" else _DISK_PARAMS
+    if not isinstance(bounds, dict):
+        raise SchemaError("bounds must map parameter names to [low, high] lists")
     missing = set(param_names) - set(bounds)
     if missing:
         raise SchemaError(f"bounds missing parameters {sorted(missing)}")
+    for k in param_names:
+        if not (isinstance(bounds[k], (list, tuple)) and len(bounds[k]) == 2):
+            raise SchemaError(f"bounds[{k!r}] must be a [low, high] list")
     bnd = {k: (parse_quantity(bounds[k][0]), parse_quantity(bounds[k][1]))
            for k in param_names}
     for k, (lo, hi) in bnd.items():

@@ -5,15 +5,17 @@ functions, consistent mass). Disk in-plane eigenmodes use linear-triangle
 plane-stress elements on a structured polar mesh. Element matrices are
 built for all elements at once and scattered in one step.
 
-Systems with at most _SPARSE_MIN_DOF (300) free dofs are solved densely:
-Cholesky proves the mass matrix SPD and scipy.linalg.eigh returns the
-modes. Larger systems keep their free-dof blocks in CSC form, prove the
-mass matrix SPD with a sparse LDL^T, and take the lowest modes from
-shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished by
-one inverse-iteration step and a Rayleigh-Ritz projection. LAPACK is
-faster on small systems, and ARPACK needs k well below n: a sparse system
-asked for k >= n/4 modes is solved densely too. Both paths share the
-residual gate, normalization and sign convention.
+One threshold, _SPARSE_MIN_DOF (300 free dofs), picks both how K and M are
+stored and how they are solved. At or below it, assembly scatters into
+dense ndof x ndof arrays, Cholesky proves the mass matrix SPD and
+scipy.linalg.eigh returns the modes. Above it, assembly scatters straight
+into CSC (no dense matrix is ever built), the mass matrix is proved SPD
+with a sparse LDL^T, and the lowest modes come from shift-invert Lanczos
+(ARPACK) on a sparse LU of K - sigma*M, polished by one inverse-iteration
+step and a Rayleigh-Ritz projection. LAPACK is faster on small systems,
+and ARPACK needs k well below n: a sparse system asked for k >= n/4 modes
+is solved densely too. Both paths share the residual gate, normalization
+and sign convention.
 
 scipy.linalg and scipy.sparse are imported inside the functions that call
 them: importing this module, or building a mesh, loads no scipy module.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -90,17 +93,25 @@ class AssembledSystem:
     dof_map[i] = (node index, component), component in {'w','theta','ux','uy'}.
     constraints is the sorted tuple of fixed dof indices. mesh is kept for
     mode identification and export.
+
+    K and M are stored read-only, in the form the solver uses: with at most
+    _SPARSE_MIN_DOF free dofs as C-ordered dense arrays, above it as CSC
+    (sorted row indices, no duplicate or explicit zero entries, index
+    arrays of their own, `nbytes` = bytes of data + indices + indptr).
+    Either form is accepted and converted: a dense matrix above the
+    threshold with scipy's csc_array, a sparse one at or below it with
+    toarray.
     """
 
-    stiffness: np.ndarray
-    mass: np.ndarray
+    stiffness: object
+    mass: object
     dof_map: tuple
     constraints: tuple
     mesh: Mesh | None = field(default=None, compare=False)
     # Built once by __post_init__. _kf/_mf are the free-dof blocks of K and
-    # M: dense at or below _SPARSE_MIN_DOF free dofs, CSC above.
-    # _tdofs lists the translational dofs; row j of _tnode_dofs holds the
-    # translational dofs of the j-th node that has any, padded with ndof.
+    # M, stored as K and M are. _tdofs lists the translational dofs; row j
+    # of _tnode_dofs holds the translational dofs of the j-th node that has
+    # any, padded with ndof.
     _free: np.ndarray = field(init=False, repr=False, compare=False)
     _kf: object = field(init=False, repr=False, compare=False)
     _mf: object = field(init=False, repr=False, compare=False)
@@ -108,21 +119,18 @@ class AssembledSystem:
     _tnode_dofs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = _readonly(np.asarray(self.stiffness, dtype=float))
-        m = _readonly(np.asarray(self.mass, dtype=float))
-        object.__setattr__(self, "stiffness", k)
-        object.__setattr__(self, "mass", m)
         object.__setattr__(self, "dof_map", tuple(self.dof_map))
         object.__setattr__(self, "constraints", tuple(sorted(self.constraints)))
-        n = k.shape[0]
-        if k.shape != (n, n) or m.shape != (n, n) or len(self.dof_map) != n:
-            raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
+        n = len(self.dof_map)
         free = _readonly(np.setdiff1d(np.arange(n), self.constraints))
         sparse = len(free) > _SPARSE_MIN_DOF
+        k, m = _stored(self.stiffness, sparse), _stored(self.mass, sparse)
+        object.__setattr__(self, "stiffness", k)
+        object.__setattr__(self, "mass", m)
+        if k.shape != (n, n) or m.shape != (n, n):
+            raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
         blocks = []
         for name, a in (("stiffness", k), ("mass", m)):
-            if sparse:
-                a = _csc(a)
             if not np.isfinite(a.data if sparse else a).all():
                 raise InvariantError(f"{name} matrix has non-finite entries")
             if abs(a - a.T).max() > _SYM_RTOL * abs(a).max():
@@ -139,14 +147,34 @@ class AssembledSystem:
         return self._free
 
 
-def _csc(a: np.ndarray):
-    """CSC copy of a dense matrix. Scanning a != 0 row by row is about four
-    times faster than scipy's own dense conversion."""
-    from scipy.sparse import csr_array
-    flat = np.flatnonzero(a != 0)
-    rows, cols = np.divmod(flat, a.shape[1])
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=a.shape[0]))))
-    return csr_array((a.ravel()[flat], cols, indptr), shape=a.shape).tocsc()
+@cache
+def _csc_type():
+    """The CSC class K and M are stored as: scipy's csc_array, plus the
+    `nbytes` that dense arrays have. Built on first use, so that importing
+    this module loads no scipy module."""
+    from scipy.sparse import csc_array
+
+    class CSC(csc_array):
+        @property
+        def nbytes(self) -> int:
+            return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    return CSC
+
+
+def _stored(a, sparse: bool):
+    """K or M in the form AssembledSystem stores it (see its docstring)."""
+    if not sparse:
+        return _readonly(np.asarray(a.toarray(order="C") if hasattr(a, "tocsc") else a,
+                                    dtype=float))
+    csc = _csc_type()
+    if type(a) is not csc:   # a caller's matrix; assembly builds canonical CSC
+        a = csc(a, dtype=float, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+    for part in (a.data, a.indices, a.indptr):
+        part.flags.writeable = False
+    return a
 
 
 def _symmetric_lu(a):
@@ -191,12 +219,33 @@ def _translational_layout(dof_map):
     return _readonly(tdofs), _readonly(table)
 
 
-def _scatter(dofs: np.ndarray, blocks: np.ndarray, ndof: int) -> np.ndarray:
-    """Sum element matrices blocks[e] into an ndof x ndof matrix at rows and
-    columns dofs[e], in element order."""
-    flat = dofs[:, :, None] * ndof + dofs[:, None, :]
-    return np.bincount(flat.ravel(), weights=blocks.ravel(),
-                       minlength=ndof * ndof).reshape(ndof, ndof)
+def _scatter(dofs: np.ndarray, ke: np.ndarray, me: np.ndarray, ndof: int,
+             n_free: int):
+    """(K, M): element matrices ke[e], me[e] summed, in element order, at
+    rows and columns dofs[e] of ndof x ndof matrices.
+
+    Dense with at most _SPARSE_MIN_DOF free dofs. Above it, CSC built from
+    the triplets (Davis, Direct Methods for Sparse Linear Systems, ch. 2):
+    one sort of the keys col*ndof + row, shared by K and M, and one
+    bincount per matrix, so each entry is the sum the dense scatter forms.
+    Exact zeros (cancelled couplings) are dropped, as a dense-to-CSC
+    conversion drops them.
+    """
+    if n_free <= _SPARSE_MIN_DOF:
+        flat = (dofs[:, :, None] * ndof + dofs[:, None, :]).ravel()
+        return tuple(np.bincount(flat, weights=e.ravel(), minlength=ndof * ndof)
+                     .reshape(ndof, ndof) for e in (ke, me))
+    keys, slot = np.unique((dofs[:, None, :] * ndof + dofs[:, :, None]).ravel(),
+                           return_inverse=True)
+    csc = _csc_type()
+    out = []
+    for e in (ke, me):
+        data = np.bincount(slot, weights=e.ravel(), minlength=len(keys))
+        nonzero = data != 0
+        cols, rows = np.divmod(keys[nonzero], ndof)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ndof))))
+        out.append(csc((data[nonzero], rows, indptr), shape=(ndof, ndof)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +284,12 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     n_nodes = n_elements + 1
     ndof = 2 * n_nodes
     dofs = 2 * np.arange(n_elements)[:, None] + np.arange(4)
-    k = _scatter(dofs, np.broadcast_to(ke, (n_elements, 4, 4)), ndof)
-    m = _scatter(dofs, np.broadcast_to(me, (n_elements, 4, 4)), ndof)
+    constraints = (0, 1, ndof - 2, ndof - 1) if clamped else ()
+    k, m = _scatter(dofs, np.broadcast_to(ke, (n_elements, 4, 4)),
+                    np.broadcast_to(me, (n_elements, 4, 4)), ndof,
+                    ndof - len(constraints))
 
     dof_map = tuple((node, comp) for node in range(n_nodes) for comp in ("w", "theta"))
-    constraints = (0, 1, ndof - 2, ndof - 1) if clamped else ()
     mesh = Mesh(nodes=np.linspace(0.0, geom.length, n_nodes)[:, None],
                 elements=np.column_stack([np.arange(n_elements),
                                           np.arange(1, n_elements + 1)]),
@@ -325,8 +375,7 @@ def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSys
     ke = (t * area)[:, None, None] * (b_mat.transpose(0, 2, 1) @ d_mat @ b_mat)
     me = (rho * t * area)[:, None, None] * me_template
     dofs = (2 * mesh.elements[:, :, None] + np.arange(2)).reshape(-1, 6)
-    k = _scatter(dofs, ke, 2 * n)
-    m = _scatter(dofs, me, 2 * n)
+    k, m = _scatter(dofs, ke, me, 2 * n, 2 * n)
 
     dof_map = tuple((node, comp) for node in range(n) for comp in ("ux", "uy"))
     return AssembledSystem(k, m, dof_map, (), mesh)

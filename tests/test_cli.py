@@ -10,7 +10,10 @@ import pytest
 import resokit
 from resokit import fem
 from resokit.cli import main
+from resokit.core import DiskGeometry
 from resokit.design import profile_by_name
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture()
@@ -92,6 +95,24 @@ class TestAnalyze:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "pyramid"}))
         assert main(["analyze", "--config", str(path)]) == 2
+
+    def test_missing_geometry_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema_version": 1, "kind": "beam"}))
+        assert main(["analyze", "--config", str(path)]) == 2
+        assert "missing 'geometry'" in capsys.readouterr().err
+
+    def test_disk_reads_wineglass_pair_only(self, tmp_path, silicon):
+        """analyze asks the FEM for the n=2 pair alone; its frequency stays
+        within 1e-9 of the one a 6-mode solve gives."""
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(CONFIGS / "disk.json"),
+                     "--json", str(out)]) == 0
+        geom = DiskGeometry(radius=3e-6, thickness=0.4e-6)
+        mesh = fem.mesh_disk(geom, geom.radius / 16.0)
+        six = [m for m in fem.disk_modal_fem(geom, silicon, mesh, n_modes=6)
+               if m.mode_order == 2][0].frequency
+        assert json.loads(out.read_text())["fem_hz"] == pytest.approx(six, rel=1e-9)
 
     @pytest.mark.parametrize("length", ["10 parsecs", float("inf"), float("nan")])
     def test_bad_quantity_is_usage_error(self, beam_config, capsys, length):
@@ -313,6 +334,25 @@ class TestOptimizeCommand:
             json.dump(cfg, f)
         assert main(["optimize", "--profile", "oscillator-n2", "--bounds", path]) == 2
         assert "grid_points must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", [["2 um"], [], "2 um"])
+    def test_malformed_interval_is_usage_error(self, tmp_path, capsys, interval):
+        path = self._bounds_file(tmp_path)
+        cfg = json.loads(open(path).read())
+        cfg["bounds"]["length"] = interval
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        assert main(["optimize", "--profile", "oscillator-n2", "--bounds", path]) == 2
+        assert "bounds['length'] must be a [low, high] list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", [[["length", "2 um", "30 um"]], 5])
+    def test_bounds_not_an_object_is_usage_error(self, tmp_path, bounds):
+        path = self._bounds_file(tmp_path)
+        cfg = json.loads(open(path).read())
+        cfg["bounds"] = bounds
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        assert main(["optimize", "--profile", "oscillator-n2", "--bounds", path]) == 2
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         bounds = self._bounds_file(tmp_path, gap_lo="20 nm", gap_hi="60 nm")

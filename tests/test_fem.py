@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse import csc_array
+from scipy.sparse import eye_array as sparse_eye
 
 from resokit import fem
 from resokit.analytic import beam_mode_frequency, disk_wineglass_frequency
@@ -179,8 +181,8 @@ class TestSparseSolver:
 
     def test_disk_matches_dense_oracle(self, disk_r12):
         lams = [(2 * math.pi * f) ** 2 for f, _ in solve_modes(disk_r12, 9)]
-        oracle = eigh(disk_r12.stiffness, disk_r12.mass, subset_by_index=(0, 8),
-                      eigvals_only=True)
+        oracle = eigh(disk_r12.stiffness.toarray(), disk_r12.mass.toarray(),
+                      subset_by_index=(0, 8), eigvals_only=True)
         assert lams[3:] == pytest.approx(oracle[3:], rel=1e-10)
         assert max(lams[:3]) < 1e-6 * lams[3]
         assert np.max(np.abs(oracle[:3])) < 1e-6 * oracle[3]
@@ -207,7 +209,8 @@ class TestSparseSolver:
         n = len(sys_.free_dofs())
         assert n > fem._SPARSE_MIN_DOF
         free = sys_.free_dofs()
-        oracle = eigh(sys_.stiffness[np.ix_(free, free)], sys_.mass[np.ix_(free, free)],
+        oracle = eigh(sys_.stiffness[np.ix_(free, free)].toarray(),
+                      sys_.mass[np.ix_(free, free)].toarray(),
                       subset_by_index=(0, n - 1), eigvals_only=True)
         lams = [(2 * math.pi * f) ** 2 for f, _ in solve_modes(sys_, n)]
         assert lams == pytest.approx(oracle, rel=1e-10)
@@ -229,6 +232,127 @@ class TestSparseSolver:
         with pytest.raises(InvariantError, match="non-finite"):
             AssembledSystem(k, np.eye(n),
                             dof_map=tuple((i, "w") for i in range(n)), constraints=())
+
+
+def _dense_scatter(dofs, blocks, ndof):
+    """Dense scatter assembly as it was before K and M were stored sparse
+    (reference): element matrices summed in element order by bincount."""
+    flat = dofs[:, :, None] * ndof + dofs[:, None, :]
+    return np.bincount(flat.ravel(), weights=blocks.ravel(),
+                       minlength=ndof * ndof).reshape(ndof, ndof)
+
+
+def _assert_canonical_csc(a):
+    """Sorted, duplicate-free row indices in every column; no stored zero."""
+    assert isinstance(a, csc_array)
+    later = np.setdiff1d(np.arange(1, len(a.indices)), a.indptr)
+    assert np.all(a.indices[later] > a.indices[later - 1])
+    assert np.all(a.data != 0)
+    assert a.nbytes == a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
+class TestSparseStorage:
+    """K and M are dense at or below _SPARSE_MIN_DOF free dofs and CSC
+    above, and bitwise the matrices the dense scatter builds."""
+
+    @staticmethod
+    def _assemble_recording(monkeypatch, assemble, *args):
+        calls = []
+        scatter = fem._scatter
+
+        def recording(dofs, ke, me, ndof, n_free):
+            calls.append((dofs, ke, me, ndof))
+            return scatter(dofs, ke, me, ndof, n_free)
+
+        monkeypatch.setattr(fem, "_scatter", recording)
+        sys_ = assemble(*args)
+        (dofs, ke, me, ndof), = calls
+        return sys_, _dense_scatter(dofs, ke, ndof), _dense_scatter(dofs, me, ndof)
+
+    def _check(self, sys_, k_ref, m_ref):
+        free = sys_.free_dofs()
+        sparse = len(free) > fem._SPARSE_MIN_DOF
+
+        def bits(a):
+            return a.view(np.uint64)
+
+        for stored, block, ref in ((sys_.stiffness, sys_._kf, k_ref),
+                                   (sys_.mass, sys_._mf, m_ref)):
+            if sparse:
+                _assert_canonical_csc(stored)
+                _assert_canonical_csc(block)
+                stored, block = stored.toarray(), block.toarray()
+            else:
+                assert isinstance(stored, np.ndarray) and stored.flags.c_contiguous
+                assert not stored.flags.writeable
+            assert np.array_equal(bits(stored), bits(ref))
+            if len(free) < len(ref):
+                ref = ref[np.ix_(free, free)]
+            assert np.array_equal(bits(block), bits(ref))
+        if sparse:
+            k, m = sys_.stiffness, sys_.mass
+            for a in (k.data, k.indices, k.indptr):
+                for b in (m.data, m.indices, m.indptr):
+                    assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("axis", list(VibrationAxis))
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [16, 149, 150, 151, 152, 256, 1024])
+    def test_beam_bitwise_dense_scatter(self, monkeypatch, silicon, axis, clamped, n):
+        geom = BeamGeometry(10e-6, 0.46e-6, 0.4e-6, axis)
+        sys_, k_ref, m_ref = self._assemble_recording(
+            monkeypatch, assemble_beam, geom, silicon, n, clamped)
+        self._check(sys_, k_ref, m_ref)
+
+    @pytest.mark.parametrize("divisor", [6, 8, 12, 16, 20, 24])
+    def test_disk_bitwise_dense_scatter(self, monkeypatch, ref_disk, silicon, divisor):
+        mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
+        sys_, k_ref, m_ref = self._assemble_recording(
+            monkeypatch, assemble_disk, ref_disk, silicon, mesh)
+        self._check(sys_, k_ref, m_ref)
+
+    def test_storage_switches_at_threshold(self, ref_beam, silicon):
+        # 151 clamped elements: 304 dofs, 300 free; 152: 302 free
+        assert isinstance(assemble_beam(ref_beam, silicon, 151).stiffness, np.ndarray)
+        assert isinstance(assemble_beam(ref_beam, silicon, 152).stiffness, csc_array)
+
+    def test_fine_disk_storage_is_small(self, ref_disk, silicon):
+        sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 48))
+        assert len(sys_.dof_map) == 14114   # dense: 14114**2 * 8 B = 1.6 GB per matrix
+        assert sys_.stiffness.nbytes < 5e6
+
+    def test_caller_dense_matrix_stored_sparse(self):
+        n = 2 * fem._SPARSE_MIN_DOF
+        k = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        sys_ = AssembledSystem(k, np.eye(n), dof_map=tuple((i, "w") for i in range(n)),
+                               constraints=())
+        _assert_canonical_csc(sys_.stiffness)
+        assert np.array_equal(sys_.stiffness.toarray(), k)
+
+    def test_caller_sparse_matrix_canonicalized_not_mutated(self):
+        n = 2 * fem._SPARSE_MIN_DOF
+        rows = [[j] for j in range(n)]
+        rows[0], rows[2] = [0, 0], [2, 1]   # a duplicate; unsorted with a zero
+        vals = [[1.0]] * n
+        vals[0], vals[2] = [1.0, 1.0], [1.0, 0.0]
+        m = csc_array((np.concatenate(vals), np.concatenate(rows),
+                       np.cumsum([0] + [len(r) for r in rows])), shape=(n, n))
+        before = (m.data.copy(), m.indices.copy(), m.indptr.copy())
+        sys_ = AssembledSystem(sparse_eye(n, format="csc"), m,
+                               dof_map=tuple((i, "w") for i in range(n)), constraints=())
+        _assert_canonical_csc(sys_.mass)
+        expected = np.eye(n)
+        expected[0, 0] = 2.0
+        assert np.array_equal(sys_.mass.toarray(), expected)
+        assert all(np.array_equal(a, b) for a, b in zip(before, (m.data, m.indices, m.indptr)))
+
+    def test_caller_sparse_matrix_stored_dense_when_small(self):
+        k = csc_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        sys_ = AssembledSystem(k, sparse_eye(2, format="csc"),
+                               dof_map=((0, "w"), (1, "w")), constraints=())
+        for a in (sys_.stiffness, sys_.mass, sys_._kf, sys_._mf):
+            assert isinstance(a, np.ndarray) and a.flags.c_contiguous
+        assert np.array_equal(sys_.stiffness, k.toarray())
 
 
 def _loop_translational_amplitude(sys_, vec):

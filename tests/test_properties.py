@@ -1,12 +1,18 @@
 """Property tests over the config loaders (hypothesis)."""
 
 import json
+import os
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resokit.cli import main
 from resokit.design import profile_from_dict
 from resokit.errors import ResokitError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _mostly(good, bad):
@@ -59,3 +65,45 @@ def test_profile_from_dict_refuses_or_round_trips(d):
     again = profile_from_dict(json.loads(json.dumps(out)))
     assert again == profile
     assert again.to_dict() == out
+
+
+# every design-config subcommand, on meshes small enough to keep examples fast
+_DESIGN_COMMANDS = (
+    ["analyze", "--elements", "8", "--target-edge", "0.6 um"],
+    ["fem", "--elements", "8", "--target-edge", "0.6 um", "--modes", "2"],
+    ["respond", "--points", "101"],
+    ["check", "--profile", "oscillator-n2"],
+    ["compare-detection"],
+)
+
+
+@st.composite
+def _damaged_configs(draw):
+    """(argv without the config path, config dict): a shipped config with
+    one top-level key dropped, or the bounds config with one interval
+    truncated to 0 or 1 elements."""
+    name = draw(st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))))
+    cfg = json.loads((CONFIGS / name).read_text())
+    if "bounds" in cfg and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(cfg["bounds"])))
+        cfg["bounds"][key] = cfg["bounds"][key][:draw(st.integers(0, 1))]
+    else:
+        del cfg[draw(st.sampled_from(sorted(cfg)))]
+    if "bounds" in json.loads((CONFIGS / name).read_text()):
+        argv = ["optimize", "--profile", "oscillator-n2", "--bounds"]
+    else:
+        argv = [*draw(st.sampled_from(_DESIGN_COMMANDS)), "--config"]
+    return argv, cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_damaged_configs())
+def test_cli_exits_with_a_code_on_damaged_configs(case):
+    """A shipped config missing a key or a bound ends in exit 0, 1 or 2,
+    never in a traceback."""
+    argv, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        assert main([*argv, path]) in (0, 1, 2)
