@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -185,8 +185,17 @@ def beam_mode_shape(n: int, xi):
             - s * (np.sinh(lam * xi) - np.sin(lam * xi)))
 
 
-def _gauss_nodes(a: float, b: float):
+@cache
+def _gauss_legendre():
+    """Read-only Gauss-Legendre nodes and weights of order _GAUSS_ORDER on
+    [-1, 1], computed once per process (leggauss(200) takes milliseconds)."""
     x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(a: float, b: float):
+    x, w = _gauss_legendre()
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
 
 
@@ -226,7 +235,7 @@ def beam_mode_result(geom: BeamGeometry, mat: Material, n: int = 1,
     shape = ()
     if samples:
         phi = beam_mode_shape(n, np.linspace(0.0, 1.0, samples))
-        shape = tuple(phi / np.max(np.abs(phi)))
+        shape = phi / np.max(np.abs(phi))
     return ModeResult(frequency=f, mode_order=n, effective_mass=m_eff,
                       effective_stiffness=k_eff, mode_shape=shape)
 
@@ -390,6 +399,6 @@ def disk_mode_result(geom: DiskGeometry, mat: Material, n: int = 2,
     if samples:
         u_r, _ = _disk_unit_fields(n, mat.poisson_ratio)
         prof = u_r(np.linspace(1.0 / samples, 1.0, samples))
-        shape = tuple(prof / np.max(np.abs(prof)))
+        shape = prof / np.max(np.abs(prof))
     return ModeResult(frequency=f, mode_order=n, effective_mass=m_eff,
                       effective_stiffness=k_eff, mode_shape=shape)

@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
 from .errors import InvariantError, SchemaError, UnknownPresetError
 from .units import parse_quantity
 
@@ -209,15 +211,17 @@ class ModeResult:
         _require(self.mode_order >= 0, "mode_order must be >= 0")
         _require(self.effective_mass > 0, "effective_mass must be > 0")
         _require(self.effective_stiffness > 0, "effective_stiffness must be > 0")
-        object.__setattr__(self, "mode_shape", tuple(float(v) for v in self.mode_shape))
+        shape = np.asarray(self.mode_shape, dtype=float)
+        _require(shape.ndim == 1, "mode_shape must be a 1-D sequence")
         w0 = 2 * math.pi * self.frequency
         k_expected = w0 * w0 * self.effective_mass
         _require(abs(self.effective_stiffness - k_expected) <= _DERIVED_RTOL * k_expected,
                  "effective_stiffness must equal (2*pi*f)^2 * effective_mass")
-        if self.mode_shape:
-            peak = max(abs(v) for v in self.mode_shape)
-            _require(abs(peak - 1.0) <= _DERIVED_RTOL,
+        if shape.size:
+            _require(bool(np.isfinite(shape).all()), "mode_shape entries must be finite")
+            _require(abs(float(np.max(np.abs(shape))) - 1.0) <= _DERIVED_RTOL,
                      "mode_shape must be normalized to unit maximum")
+        object.__setattr__(self, "mode_shape", tuple(shape.tolist()))
 
     @property
     def angular_frequency(self) -> float:
@@ -246,7 +250,7 @@ class EquivalentCircuit:
 
     def __post_init__(self):
         for name in ("r_x", "l_x", "c_x", "c0", "q", "f0"):
-            _require(getattr(self, name) > 0, f"{name} must be > 0")
+            _require(0 < getattr(self, name) < math.inf, f"{name} must be finite and > 0")
         f_lc = 1.0 / (2 * math.pi * math.sqrt(self.l_x * self.c_x))
         _require(abs(f_lc - self.f0) <= _DERIVED_RTOL * self.f0,
                  "f0 must equal 1/(2*pi*sqrt(l_x*c_x))")

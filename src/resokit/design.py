@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from numbers import Integral
 
 import numpy as np
@@ -205,8 +206,9 @@ def _filter_profile(name, bands, bandpass) -> SpecProfile:
         })
 
 
+@cache
 def builtin_profiles() -> tuple:
-    """All built-in application profiles."""
+    """All built-in application profiles (built once; they are frozen)."""
     return (
         oscillator_profile(1), oscillator_profile(2),
         oscillator_profile(3), oscillator_profile(4),
@@ -221,12 +223,17 @@ def builtin_profiles() -> tuple:
     )
 
 
+@cache
+def _profiles_by_name() -> dict:
+    return {p.name: p for p in builtin_profiles()}
+
+
 def profile_by_name(name: str) -> SpecProfile:
-    for p in builtin_profiles():
-        if p.name == name:
-            return p
-    raise UnknownPresetError(
-        f"unknown profile {name!r}; built-ins: {[p.name for p in builtin_profiles()]}")
+    try:
+        return _profiles_by_name()[name]
+    except KeyError:
+        raise UnknownPresetError(
+            f"unknown profile {name!r}; built-ins: {list(_profiles_by_name())}") from None
 
 
 # ---------------------------------------------------------------------------

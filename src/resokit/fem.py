@@ -7,12 +7,13 @@ built for all elements at once and scattered in one step.
 
 One threshold, _SPARSE_MIN_DOF (300 free dofs), picks both how K and M are
 stored and how they are solved. At or below it, assembly scatters into
-dense ndof x ndof arrays, Cholesky proves the mass matrix SPD and
-scipy.linalg.eigh returns the modes. Above it, assembly scatters straight
-into CSC (no dense matrix is ever built), the mass matrix is proved SPD
-with a sparse LDL^T, and the lowest modes come from shift-invert Lanczos
-(ARPACK) on a sparse LU of K - sigma*M, polished by one inverse-iteration
-step and a Rayleigh-Ritz projection. LAPACK is faster on small systems,
+dense ndof x ndof arrays, Cholesky proves the mass matrix SPD and LAPACK
+dsygvx, called directly as scipy.linalg.eigh would call it, returns the
+modes. Above it, assembly scatters straight into CSC (no dense matrix is
+ever built), the mass matrix is proved SPD with a sparse LDL^T, and the
+lowest modes come from shift-invert Lanczos (ARPACK) on a sparse LU of
+K - sigma*M, polished by one inverse-iteration step and a Rayleigh-Ritz
+projection (dsygvx again). LAPACK is faster on small systems,
 and ARPACK needs k well below n: a sparse system asked for k >= n/4 modes
 is solved densely too. Both paths share the residual gate, normalization
 and sign convention.
@@ -38,7 +39,7 @@ _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
 _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
 _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and solve
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
-_TRANSLATIONAL = ("w", "ux", "uy")
+_TRANSLATIONAL = frozenset(("w", "ux", "uy"))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -122,7 +123,12 @@ class AssembledSystem:
         object.__setattr__(self, "dof_map", tuple(self.dof_map))
         object.__setattr__(self, "constraints", tuple(sorted(self.constraints)))
         n = len(self.dof_map)
-        free = _readonly(np.setdiff1d(np.arange(n), self.constraints))
+        fixed = np.zeros(n, dtype=bool)
+        for i in self.constraints:
+            if not 0 <= i < n:
+                raise InvariantError(f"constraint {i!r} is not a dof index in [0, {n})")
+            fixed[i] = True
+        free = _readonly(np.flatnonzero(~fixed))
         sparse = len(free) > _SPARSE_MIN_DOF
         k, m = _stored(self.stiffness, sparse), _stored(self.mass, sparse)
         object.__setattr__(self, "stiffness", k)
@@ -135,7 +141,7 @@ class AssembledSystem:
                 raise InvariantError(f"{name} matrix has non-finite entries")
             if abs(a - a.T).max() > _SYM_RTOL * abs(a).max():
                 raise InvariantError(f"{name} matrix not symmetric")
-            blocks.append(a[:, free][free])
+            blocks.append(a[:, free][free] if len(free) < n else a)
         if not _positive_definite(blocks[1]):
             raise InvariantError("mass matrix not positive-definite on free dofs")
         tdofs, tnode_dofs = _translational_layout(self.dof_map)
@@ -208,14 +214,20 @@ def _translational_layout(dof_map):
     Table rows follow node number; each row lists the node's translational
     dofs in dof order, padded with len(dof_map).
     """
-    nodes, comps = (np.asarray(v) for v in zip(*dof_map))
-    tdofs = np.flatnonzero(np.isin(comps, _TRANSLATIONAL))
-    order = np.argsort(nodes[tdofs], kind="stable")
-    _, start, count = np.unique(nodes[tdofs][order], return_index=True,
-                                return_counts=True)
-    table = np.full((len(count), int(count.max(initial=1))), len(dof_map))
-    table[np.repeat(np.arange(len(count)), count),
-          np.arange(len(order)) - np.repeat(start, count)] = tdofs[order]
+    nodes, comps = zip(*dof_map)
+    tdofs = np.flatnonzero(np.fromiter(map(_TRANSLATIONAL.__contains__, comps),
+                                       dtype=bool, count=len(comps)))
+    tnodes = np.array(nodes)[tdofs]
+    order = np.argsort(tnodes, kind="stable")
+    tnodes = tnodes[order]
+    # new[j]: the j-th dof in node order is its node's first
+    new = np.empty(len(tnodes), dtype=bool)
+    new[:1] = True
+    np.not_equal(tnodes[1:], tnodes[:-1], out=new[1:])
+    row = np.cumsum(new) - 1
+    col = np.arange(len(tnodes)) - np.flatnonzero(new)[row]
+    table = np.full((int(new.sum()), int(col.max(initial=0)) + 1), len(dof_map))
+    table[row, col] = tdofs[order]
     return _readonly(tdofs), _readonly(table)
 
 
@@ -384,10 +396,37 @@ def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSys
 # ---------------------------------------------------------------------------
 # eigensolver
 
-def _translational_amplitude(sys: AssembledSystem, vec: np.ndarray) -> np.ndarray:
-    """Per-node displacement magnitude from translational dof components."""
-    comps = np.append(vec, 0.0)[sys._tnode_dofs]
-    return np.hypot.reduce(comps, axis=1, initial=0.0)
+def _translational_amplitude(sys: AssembledSystem, vecs: np.ndarray) -> np.ndarray:
+    """Per-node displacement magnitude from translational dof components
+    (the last axis of `vecs` runs over dofs, as in _rim_radial)."""
+    padded = np.concatenate((vecs, np.zeros(vecs.shape[:-1] + (1,))), axis=-1)
+    return np.hypot.reduce(padded[..., sys._tnode_dofs], axis=-1, initial=0.0)
+
+
+@cache
+def _dsygvx_lwork(n: int) -> int:
+    """Workspace length dsygvx asks for on an n x n lower-triangle pencil."""
+    from scipy.linalg.lapack import dsygvx_lwork
+    work, info = dsygvx_lwork(n, uplo="L")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsygvx_lwork returned info {info}")
+    return int(work)
+
+
+def _dense_modes(a: np.ndarray, b: np.ndarray, k: int):
+    """k lowest eigenpairs of the dense symmetric-definite pencil (a, b),
+    ascending, from LAPACK dsygvx on the lower triangles.
+
+    The call, workspace and slicing are those of scipy.linalg.eigh(a, b,
+    subset_by_index=(0, k - 1)), so the pairs are bitwise eigh's; eigh's
+    argument checks are left out (AssembledSystem validated K and M).
+    """
+    from scipy.linalg.lapack import dsygvx
+    vals, vecs, found, _, info = dsygvx(a, b, range="I", il=1, iu=k, uplo="L",
+                                        lwork=_dsygvx_lwork(a.shape[0]))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsygvx returned info {info}")
+    return vals[:found], vecs[:, :found]
 
 
 def _shift_invert_modes(kk, mm, k: int):
@@ -403,7 +442,6 @@ def _shift_invert_modes(kk, mm, k: int):
     inverse-iteration step with the same factorization and a 2k x 2k
     Rayleigh-Ritz projection then bring the disk residuals below 1e-9.
     """
-    from scipy.linalg import eigh
     from scipy.sparse.linalg import LinearOperator, eigsh
     n = kk.shape[0]
     sigma = -1e-12 * float(np.median(kk.diagonal() / mm.diagonal()))
@@ -411,7 +449,7 @@ def _shift_invert_modes(kk, mm, k: int):
     op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     _, vecs = eigsh(kk, 2 * k, M=mm, sigma=sigma, OPinv=op, v0=np.ones(n))
     x = lu.solve(mm @ vecs)
-    vals, q = eigh(x.T @ (kk @ x), x.T @ (mm @ x), subset_by_index=(0, k - 1))
+    vals, q = _dense_modes(x.T @ (kk @ x), x.T @ (mm @ x), k)
     return vals, x @ q
 
 
@@ -422,16 +460,15 @@ def solve_modes(sys: AssembledSystem, k: int):
     full length (zeros at constrained dofs) and normalized to unit maximum
     translational displacement. Deterministic for fixed input.
     """
-    from scipy.linalg import eigh
     free = sys.free_dofs()
     if not 1 <= k <= len(free):
         raise EigenSolveError(f"k must be in [1, {len(free)}], got {k}")
     kk, mm = sys._kf, sys._mf
     try:
         if isinstance(kk, np.ndarray):
-            vals, vecs = eigh(kk, mm, subset_by_index=(0, k - 1))
+            vals, vecs = _dense_modes(kk, mm, k)
         elif 4 * k >= len(free):
-            vals, vecs = eigh(kk.toarray(), mm.toarray(), subset_by_index=(0, k - 1))
+            vals, vecs = _dense_modes(kk.toarray(), mm.toarray(), k)
         else:
             vals, vecs = _shift_invert_modes(kk, mm, k)
     except (np.linalg.LinAlgError, RuntimeError) as exc:   # ArpackError is a RuntimeError
@@ -448,18 +485,16 @@ def solve_modes(sys: AssembledSystem, k: int):
             f"eigen-residual {resid[bad[0]]:.2e} exceeds {_RESIDUAL_BOUND:.0e} "
             f"for mode {bad[0]}")
 
-    full = np.zeros((k, len(sys.dof_map)))
+    full = np.zeros((len(vals), len(sys.dof_map)))
     full[:, free] = vecs.T
-    out = []
-    for lam, vec in zip(vals, full):
-        peak = float(np.max(_translational_amplitude(sys, vec)))
-        if peak > 0:
-            vec = vec / peak
-        # sign convention: largest-magnitude translational dof positive
-        if vec[sys._tdofs[np.argmax(np.abs(vec[sys._tdofs]))]] < 0:
-            vec = -vec
-        out.append((math.sqrt(max(float(lam), 0.0)) / (2 * math.pi), vec))
-    return out
+    peak = np.max(_translational_amplitude(sys, full), axis=1)
+    full /= np.where(peak > 0, peak, 1.0)[:, None]
+    # sign convention: largest-magnitude translational dof positive
+    tvals = full[:, sys._tdofs]
+    lead = tvals[np.arange(len(full)), np.argmax(np.abs(tvals), axis=1)]
+    full[lead < 0] *= -1.0
+    return [(math.sqrt(max(lam, 0.0)) / (2 * math.pi), vec)
+            for lam, vec in zip(vals.tolist(), full)]
 
 
 def _rim_radial(mesh: Mesh, vectors: np.ndarray):
@@ -559,7 +594,7 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
         results.append(ModeResult(frequency=freq, mode_order=order,
                                   effective_mass=m_eff,
                                   effective_stiffness=w0 * w0 * m_eff,
-                                  mode_shape=tuple(shape)))
+                                  mode_shape=shape))
     return sys, modes[3:], results
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,24 +27,32 @@ from .errors import (DetectionMismatchError, InstabilityError, InvariantError,
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sampled two-port transmission |H(f)| and phase."""
+    """Sampled two-port transmission |H(f)| and phase.
+
+    The validated values are also kept as read-only float64 arrays, which
+    extract_q reads.
+    """
 
     frequencies: tuple
     magnitude: tuple
     phase: tuple
+    _f: np.ndarray = field(init=False, repr=False, compare=False)
+    _mag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f, m, p = (np.asarray(v, float) for v in (self.frequencies, self.magnitude,
-                                                  self.phase))
+        f, m, p = (np.array(v, float) for v in (self.frequencies, self.magnitude,
+                                                self.phase))
         if not (f.ndim == m.ndim == p.ndim == 1 and len(f) == len(m) == len(p)):
             raise InvariantError("spectrum arrays must be 1-D of equal length")
         if not (np.isfinite(f).all() and np.isfinite(m).all() and np.isfinite(p).all()):
             raise InvariantError("spectrum values must be finite")
         if np.any(f[1:] <= f[:-1]):
             raise InvariantError("frequencies must be strictly increasing")
-        object.__setattr__(self, "frequencies", tuple(f.tolist()))
-        object.__setattr__(self, "magnitude", tuple(m.tolist()))
-        object.__setattr__(self, "phase", tuple(p.tolist()))
+        f.flags.writeable = m.flags.writeable = False
+        for name, value in (("frequencies", tuple(f.tolist())),
+                            ("magnitude", tuple(m.tolist())),
+                            ("phase", tuple(p.tolist())), ("_f", f), ("_mag", m)):
+            object.__setattr__(self, name, value)
 
     def to_csv(self, path):
         """CSV rows: frequency_hz, magnitude_db, phase_rad."""
@@ -142,27 +150,27 @@ def transmission_spectrum(c: EquivalentCircuit, termination: float = 50.0,
 
 def extract_q(s: Spectrum) -> float:
     """Q = f_peak / (3 dB bandwidth), crossings linearly interpolated."""
-    mag = np.asarray(s.magnitude)
-    f = np.asarray(s.frequencies)
+    mag, f = s._mag, s._f
     i_pk = int(np.argmax(mag))
     if i_pk == 0 or i_pk == len(mag) - 1:
         raise PeakAtBoundaryError("spectrum maximum at grid boundary")
     level = mag[i_pk] / math.sqrt(2.0)
-
-    def cross(direction: int) -> float:
-        i = i_pk
-        while 0 <= i + direction < len(mag):
-            j = i + direction
-            if mag[j] < level:
-                # linear interpolation in frequency between i and j
-                frac = (mag[i] - level) / (mag[i] - mag[j])
-                return float(f[i] + frac * (f[j] - f[i]))
-            i = j
+    below = mag < level
+    left = np.flatnonzero(below[:i_pk])
+    right = np.flatnonzero(below[i_pk + 1:])
+    if not (left.size and right.size):
         raise MissingBandwidthError(
             "3 dB crossing outside the sampled grid (grid too narrow)")
 
-    f_left = cross(-1)
-    f_right = cross(+1)
+    def cross(i: int, j: int) -> float:
+        """Linear interpolation in frequency between sample i, at or above
+        the level, and its neighbour j, below it."""
+        frac = (mag[i] - level) / (mag[i] - mag[j])
+        return float(f[i] + frac * (f[j] - f[i]))
+
+    # the crossings nearest the peak on either side
+    f_left = cross(left[-1] + 1, left[-1])
+    f_right = cross(i_pk + right[0], i_pk + 1 + right[0])
     return float(f[i_pk]) / (f_right - f_left)
 
 

@@ -112,6 +112,42 @@ class TestInverseLaws:
         assert disk_wineglass_frequency(geom, mat) == pytest.approx(f, rel=1e-12)
 
 
+class TestGaussNodes:
+    def test_leggauss_runs_once_per_process(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        analytic._gauss_legendre.cache_clear()
+        try:
+            # cold shape integrals: arguments no other test caches
+            analytic._beam_shape_integral(2, 0.3125)
+            analytic._beam_shape_integral(3, 0.3125)
+            analytic._disk_meff_coefficient(3, 0.3125)
+            analytic._gauss_nodes(-1.0, 2.0)
+        finally:
+            analytic._gauss_legendre.cache_clear()
+        assert calls == [analytic._GAUSS_ORDER]
+
+    def test_cached_nodes_read_only(self):
+        for a in analytic._gauss_legendre():
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (0.25, 0.5)])
+    def test_nodes_bitwise_equal_to_fresh_leggauss(self, a, b):
+        x, w = np.polynomial.legendre.leggauss(analytic._GAUSS_ORDER)
+        got_x, got_w = analytic._gauss_nodes(a, b)
+        assert np.array_equal(got_x, 0.5 * (b - a) * x + 0.5 * (b + a))
+        assert np.array_equal(got_w, 0.5 * (b - a) * w)
+        assert got_x.flags.writeable and got_w.flags.writeable
+
+
 class TestBeamEffectiveParams:
     def test_against_quadrature_oracle(self, ref_beam, silicon):
         # independent adaptive-quadrature oracle for the shape integral
@@ -153,6 +189,13 @@ class TestBeamEffectiveParams:
         assert mr.frequency == beam_mode_frequency(ref_beam, silicon, 1)
         assert max(abs(v) for v in mr.mode_shape) == pytest.approx(1.0, abs=1e-12)
         assert mr.mode_order == 1
+
+    @pytest.mark.parametrize("n,drive_point", [(1, 0.5), (2, 0.3), (3, 0.5)])
+    def test_mode_shape_is_sampled_profile(self, ref_beam, silicon, n, drive_point):
+        phi = beam_mode_shape(n, np.linspace(0.0, 1.0, 201))
+        mr = beam_mode_result(ref_beam, silicon, n, drive_point)
+        assert mr.mode_shape == tuple(float(v) for v in phi / np.max(np.abs(phi)))
+        assert beam_mode_result(ref_beam, silicon, n, drive_point, samples=0).mode_shape == ()
 
     def test_mode_shape_clamped_ends(self):
         phi = beam_mode_shape(1, np.array([0.0, 1.0]))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from resokit.core import (EPSILON_0, BeamGeometry, DetectionKind, DiskGeometry,
@@ -268,6 +269,33 @@ class TestModeResult:
         mr = _mode()
         assert mode_result_from_dict(mr.to_dict()) == mr
 
+    @pytest.mark.parametrize("shape", [
+        (1.0, _NAN), (_NAN, 1.0), (0.5, _NAN, 1.0), (1.0, _INF), (_INF, 1.0),
+        (1.0, -_INF), (_NAN,), (_INF,),
+    ], ids=["nan-last", "nan-first", "nan-middle", "inf-last", "inf-first",
+            "minus-inf", "nan-only", "inf-only"])
+    def test_non_finite_shape_rejected(self, shape):
+        k = (2 * math.pi * 1e6) ** 2 * 1e-15
+        with pytest.raises(InvariantError, match="finite"):
+            ModeResult(frequency=1e6, mode_order=1, effective_mass=1e-15,
+                       effective_stiffness=k, mode_shape=shape)
+
+    @pytest.mark.parametrize("shape", [1.0, ((1.0, 0.5), (0.5, 1.0))], ids=["scalar", "2-d"])
+    def test_shape_must_be_one_dimensional(self, shape):
+        k = (2 * math.pi * 1e6) ** 2 * 1e-15
+        with pytest.raises(InvariantError, match="1-D"):
+            ModeResult(frequency=1e6, mode_order=1, effective_mass=1e-15,
+                       effective_stiffness=k, mode_shape=shape)
+
+    def test_shape_stored_as_float_tuple(self):
+        k = (2 * math.pi * 1e6) ** 2 * 1e-15
+        values = np.array([0.0, -0.25, 1.0, np.nextafter(0.5, 1.0)])
+        for given in (values, tuple(values), list(values), [0, -0.25, 1, values[3]]):
+            mr = ModeResult(frequency=1e6, mode_order=1, effective_mass=1e-15,
+                            effective_stiffness=k, mode_shape=given)
+            assert mr.mode_shape == tuple(float(v) for v in values)
+            assert all(type(v) is float for v in mr.mode_shape)
+
 
 class TestEquivalentCircuit:
     def test_consistent(self):
@@ -286,6 +314,17 @@ class TestEquivalentCircuit:
         with pytest.raises(InvariantError):
             EquivalentCircuit(r_x=-1, l_x=1.0, c_x=1e-18, c0=1e-15,
                               q=1e4, f0=1 / (2 * math.pi * 1e-9))
+
+    @pytest.mark.parametrize("bad", [_INF, _NAN])
+    @pytest.mark.parametrize("name", ["r_x", "l_x", "c_x", "c0", "q", "f0"])
+    def test_non_finite_field_rejected(self, name, bad):
+        l_x, c_x, r_x = 1.0, 1e-18, 1e4
+        fields = {"r_x": r_x, "l_x": l_x, "c_x": c_x, "c0": 1e-15,
+                  "q": math.sqrt(l_x / c_x) / r_x,
+                  "f0": 1 / (2 * math.pi * math.sqrt(l_x * c_x))}
+        EquivalentCircuit(**fields)
+        with pytest.raises(InvariantError):
+            EquivalentCircuit(**dict(fields, **{name: bad}))
 
 
 class TestImmutability:

@@ -63,8 +63,16 @@ class TestProfiles:
             assert p.frequency_bands  # constructor enforced invariants
 
     def test_unknown_profile(self):
-        with pytest.raises(UnknownPresetError):
+        with pytest.raises(UnknownPresetError, match="oscillator-n1.*filter-gsm-dsc-rx"):
             profile_by_name("teleporter")
+
+    def test_built_once_and_looked_up(self):
+        profiles = builtin_profiles()
+        assert builtin_profiles() is profiles
+        for p in profiles:
+            assert profile_by_name(p.name) is p
+        assert profiles[:5] == (oscillator_profile(1), oscillator_profile(2),
+                                oscillator_profile(3), oscillator_profile(4), vco_profile())
 
     def test_invariants(self):
         with pytest.raises(InvariantError):

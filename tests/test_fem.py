@@ -381,6 +381,191 @@ class TestTranslationalAmplitude:
             assert np.all(np.abs(got - ref) <= np.spacing(ref))
 
 
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestDenseModes:
+    """fem._dense_modes is scipy.linalg.eigh(a, b, subset_by_index=(0, k - 1)),
+    bit for bit."""
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64, 151])
+    def test_beam_bitwise_equal_to_eigh(self, ref_beam, silicon, n, clamped):
+        sys_ = assemble_beam(ref_beam, silicon, n, clamped)
+        kk, mm = sys_._kf, sys_._mf
+        if not isinstance(kk, np.ndarray):   # 151 free: the k >= n/4 fallback
+            kk, mm = kk.toarray(), mm.toarray()
+        n_free = len(sys_.free_dofs())
+        ks = (range(1, n_free + 1) if n_free <= 40 else
+              sorted({*range(1, n_free, 23), n_free - 1, n_free}))
+        for k in ks:
+            vals, vecs = fem._dense_modes(kk, mm, k)
+            ref_vals, ref_vecs = eigh(kk, mm, subset_by_index=(0, k - 1))
+            assert _bits_equal(vals, ref_vals) and _bits_equal(vecs, ref_vecs)
+
+    def test_rayleigh_ritz_step_bitwise_equal_to_eigh(self, monkeypatch, disk_r12):
+        # the projected pencil is symmetric only to rounding
+        calls = []
+        dense_modes = fem._dense_modes
+
+        def recording(a, b, k):
+            out = dense_modes(a, b, k)
+            calls.append((a, b, k, out))
+            return out
+
+        monkeypatch.setattr(fem, "_dense_modes", recording)
+        solve_modes(disk_r12, 9)
+        (a, b, k, (vals, vecs)), = calls
+        assert a.shape == (18, 18) and not np.array_equal(a, a.T)
+        ref_vals, ref_vecs = eigh(a, b, subset_by_index=(0, k - 1))
+        assert _bits_equal(vals, ref_vals) and _bits_equal(vecs, ref_vecs)
+
+    def test_lapack_failure_is_eigen_solve_error(self):
+        sys_ = AssembledSystem(np.eye(2), np.eye(2), dof_map=((0, "w"), (1, "w")),
+                               constraints=())
+        with pytest.raises(np.linalg.LinAlgError, match="dsygvx"):
+            fem._dense_modes(np.eye(2), np.diag([1.0, -1.0]), 1)
+        object.__setattr__(sys_, "_mf", np.diag([1.0, -1.0]))   # bypasses validation
+        with pytest.raises(EigenSolveError, match="dsygvx"):
+            solve_modes(sys_, 1)
+
+
+def _loop_normalized(sys_, vals, vecs):
+    """solve_modes' normalization and sign convention as a per-mode loop
+    (reference)."""
+    full = np.zeros((len(vals), len(sys_.dof_map)))
+    full[:, sys_.free_dofs()] = vecs.T
+    out = []
+    for lam, vec in zip(vals, full):
+        amp = np.hypot.reduce(np.append(vec, 0.0)[sys_._tnode_dofs], axis=1, initial=0.0)
+        peak = float(np.max(amp))
+        if peak > 0:
+            vec = vec / peak
+        if vec[sys_._tdofs[np.argmax(np.abs(vec[sys_._tdofs]))]] < 0:
+            vec = -vec
+        out.append((math.sqrt(max(float(lam), 0.0)) / (2 * math.pi), vec))
+    return out
+
+
+class TestNormalization:
+    @staticmethod
+    def _check(modes, ref):
+        assert len(modes) == len(ref)
+        for (f, v), (f_ref, v_ref) in zip(modes, ref):
+            assert type(f) is float and repr(f) == repr(f_ref)
+            assert _bits_equal(v, v_ref)
+
+    @pytest.mark.parametrize("n,clamped,k", [(16, True, 3), (64, True, 8), (16, False, 6),
+                                             (151, True, 300)])
+    def test_dense_beam_equals_loop(self, ref_beam, silicon, n, clamped, k):
+        sys_ = assemble_beam(ref_beam, silicon, n, clamped)
+        vals, vecs = eigh(sys_._kf, sys_._mf, subset_by_index=(0, k - 1))
+        self._check(solve_modes(sys_, k), _loop_normalized(sys_, vals, vecs))
+
+    def test_dense_disk_equals_loop(self, ref_disk, silicon):
+        sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 6))
+        vals, vecs = eigh(sys_._kf, sys_._mf, subset_by_index=(0, 8))
+        self._check(solve_modes(sys_, 9), _loop_normalized(sys_, vals, vecs))
+
+    def test_sparse_disk_equals_loop(self, monkeypatch, disk_r12):
+        calls = []
+        shift_invert = fem._shift_invert_modes
+
+        def recording(kk, mm, k):
+            calls.append(shift_invert(kk, mm, k))
+            return calls[-1]
+
+        monkeypatch.setattr(fem, "_shift_invert_modes", recording)
+        modes = solve_modes(disk_r12, 9)
+        (vals, vecs), = calls
+        self._check(modes, _loop_normalized(disk_r12, vals, vecs))
+
+
+def _setdiff_free(n, constraints):
+    """Free dofs as they were built before the boolean mask (reference)."""
+    return np.setdiff1d(np.arange(n), constraints)
+
+
+def _isin_layout(dof_map):
+    """fem._translational_layout as it was built from string arrays with
+    np.isin (reference)."""
+    nodes, comps = (np.asarray(v) for v in zip(*dof_map))
+    tdofs = np.flatnonzero(np.isin(comps, ("w", "ux", "uy")))
+    order = np.argsort(nodes[tdofs], kind="stable")
+    _, start, count = np.unique(nodes[tdofs][order], return_index=True,
+                                return_counts=True)
+    table = np.full((len(count), int(count.max(initial=1))), len(dof_map))
+    table[np.repeat(np.arange(len(count)), count),
+          np.arange(len(order)) - np.repeat(start, count)] = tdofs[order]
+    return tdofs, table
+
+
+class TestDofBookkeeping:
+    """Free dofs from a boolean mask and the translational layout without
+    string arrays equal the setdiff1d / np.isin references."""
+
+    @staticmethod
+    def _check(sys_, constraints):
+        got = (sys_.free_dofs(), sys_._tdofs, sys_._tnode_dofs)
+        ref = (_setdiff_free(len(sys_.dof_map), constraints),) + _isin_layout(sys_.dof_map)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            assert not a.flags.writeable
+        free = ref[0]
+        for block, full in ((sys_._kf, sys_.stiffness), (sys_._mf, sys_.mass)):
+            if not isinstance(full, np.ndarray):
+                block, full = block.toarray(), full.toarray()
+            assert _bits_equal(block, full[np.ix_(free, free)])
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 16, 151, 152])
+    def test_beam(self, ref_beam, silicon, n, clamped):
+        sys_ = assemble_beam(ref_beam, silicon, n, clamped)
+        self._check(sys_, sys_.constraints)
+
+    @pytest.mark.parametrize("divisor", [5, 12, 20])
+    def test_disk(self, ref_disk, silicon, divisor):
+        sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / divisor))
+        self._check(sys_, ())
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_caller_systems(self, seed):
+        # shuffled nodes, mixed and missing components, unsorted and
+        # duplicate constraints
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        nodes = rng.integers(0, max(1, n // 2), n)
+        comps = rng.choice(["w", "theta", "ux", "uy"], n)
+        dof_map = tuple((int(a), str(c)) for a, c in zip(nodes, comps))
+        constraints = [int(i) for i in rng.integers(1, n, int(rng.integers(0, n)))]
+        sys_ = AssembledSystem(np.eye(n), np.eye(n), dof_map, constraints)
+        assert sys_.constraints == tuple(sorted(constraints))
+        self._check(sys_, constraints)
+
+    @pytest.mark.parametrize("dof_map", [
+        ((0, "theta"), (1, "theta")),
+        ((np.int64(1), np.str_("uy")), (np.int64(0), np.str_("ux")), (1, "ux")),
+    ], ids=["no-translational-dof", "numpy-scalars"])
+    def test_edge_dof_maps(self, dof_map):
+        self._check(AssembledSystem(np.eye(len(dof_map)), np.eye(len(dof_map)),
+                                    dof_map, (1, 1)), (1, 1))
+
+    @pytest.mark.parametrize("bad", [2, 7, -1])
+    def test_constraint_out_of_range_rejected(self, bad):
+        with pytest.raises(InvariantError, match="dof index"):
+            AssembledSystem(np.eye(2), np.eye(2), ((0, "w"), (1, "w")), (0, bad))
+
+    def test_unconstrained_blocks_are_the_stored_matrices(self, ref_beam, ref_disk,
+                                                          silicon, disk_r12):
+        small_disk = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 5))
+        free_beam = assemble_beam(ref_beam, silicon, 16, clamped=False)
+        for sys_ in (small_disk, free_beam, disk_r12):
+            assert sys_._kf is sys_.stiffness and sys_._mf is sys_.mass
+        clamped = assemble_beam(ref_beam, silicon, 16)
+        assert clamped._kf.shape == (30, 30) and clamped._kf.base is not clamped.stiffness
+
+
 class TestDiskMesh:
     def test_area_convergence(self, ref_disk):
         mesh = mesh_disk(ref_disk, ref_disk.radius / 16)

@@ -226,6 +226,101 @@ class TestExtractQ:
             assert isinstance(field, tuple) and len(field) == 101
             assert all(type(v) is float for v in field)
 
+    def test_kept_arrays_read_only_and_private(self):
+        f, mag = np.array([1.0, 2.0, 3.0]), np.array([0.1, 1.0, 0.1])
+        s = Spectrum(frequencies=f, magnitude=mag, phase=[0, 0, 0])
+        for kept, field in ((s._f, s.frequencies), (s._mag, s.magnitude)):
+            assert kept.dtype == np.float64 and not kept.flags.writeable
+            assert kept.tolist() == list(field)
+        assert f.flags.writeable and mag.flags.writeable   # the caller's arrays
+        f[0] = 0.5
+        assert s.frequencies[0] == 1.0 and s._f[0] == 1.0
+        assert "_f" not in repr(s) and "_mag" not in repr(s)
+        same = Spectrum(frequencies=(1.0, 2.0, 3.0), magnitude=(0.1, 1.0, 0.1),
+                        phase=(0.0, 0.0, 0.0))
+        assert same == s and hash(same) == hash(s)
+
+
+def _walk_extract_q(s: Spectrum) -> float:
+    """extract_q as it was before the kept arrays (reference): the spectrum
+    rebuilt from its tuples, each crossing found by a walk from the peak."""
+    mag = np.asarray(s.magnitude)
+    f = np.asarray(s.frequencies)
+    i_pk = int(np.argmax(mag))
+    if i_pk == 0 or i_pk == len(mag) - 1:
+        raise PeakAtBoundaryError("spectrum maximum at grid boundary")
+    level = mag[i_pk] / math.sqrt(2.0)
+
+    def cross(direction: int) -> float:
+        i = i_pk
+        while 0 <= i + direction < len(mag):
+            j = i + direction
+            if mag[j] < level:
+                frac = (mag[i] - level) / (mag[i] - mag[j])
+                return float(f[i] + frac * (f[j] - f[i]))
+            i = j
+        raise MissingBandwidthError(
+            "3 dB crossing outside the sampled grid (grid too narrow)")
+
+    f_left = cross(-1)
+    f_right = cross(+1)
+    return float(f[i_pk]) / (f_right - f_left)
+
+
+def _outcome(fn, s):
+    try:
+        return repr(fn(s))
+    except (PeakAtBoundaryError, MissingBandwidthError) as exc:
+        return type(exc).__name__
+
+
+def _random_spectra(seed, count):
+    """Random spectra: noise, resonances narrow and wide against the grid,
+    peaks at either edge, plateaus with no crossing, repeated maxima and
+    samples exactly at the 3 dB level."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 400))
+        f = np.cumsum(rng.uniform(0.1, 2.0, n)) + rng.uniform(1.0, 1e9)
+        kind = rng.integers(6)
+        if kind == 0:
+            mag = rng.uniform(0.0, 1.0, n)
+        else:
+            center = rng.uniform(f[0] - 0.1 * (f[-1] - f[0]), f[-1] + 0.1 * (f[-1] - f[0]))
+            width = (f[-1] - f[0]) * 10.0 ** rng.uniform(-3, 1)
+            mag = 1.0 / np.hypot(1.0, (f - center) / width)
+            mag += rng.uniform(0.0, 0.05) * rng.uniform(0.0, 1.0, n)
+        if kind == 2:
+            mag[rng.integers(n, size=2)] = mag.max()
+        if kind == 3:
+            i = int(np.argmax(mag))
+            mag[rng.integers(n, size=3)] = mag[i] / math.sqrt(2.0)
+            mag[i] = mag.max()
+        if kind == 4:
+            mag = np.maximum(mag, 0.9 * mag.max())
+        yield Spectrum(frequencies=f, magnitude=mag, phase=np.zeros(n))
+
+
+class TestExtractQReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_spectra_bitwise_equal_to_walk(self, seed):
+        outcomes = set()
+        for s in _random_spectra(seed, 500):
+            got = _outcome(extract_q, s)
+            assert got == _outcome(_walk_extract_q, s)
+            outcomes.add(got if got.endswith("Error") else "q")
+        assert outcomes == {"q", "PeakAtBoundaryError", "MissingBandwidthError"}
+
+    @pytest.mark.parametrize("q", [50.0, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("points", [3, 64, 2001])
+    def test_transmission_spectra_bitwise_equal_to_walk(self, ref_mode, ref_transducer,
+                                                        q, points):
+        c = equivalent_circuit(ref_mode, ref_transducer, q)
+        for span in (0.05, 1.0, 20.0):
+            s = transmission_spectrum(c, f_lo=c.f0 * (1 - span / c.q),
+                                      f_hi=c.f0 * (1 + span / c.q), points=points)
+            assert _outcome(extract_q, s) == _outcome(_walk_extract_q, s)
+
 
 class TestAmplitude:
     def test_linear_in_drive_and_q(self, ref_mode, ref_transducer):
