@@ -29,38 +29,24 @@ x*J0(x)/J1(x) = 1 - nu, which was used as a correctness anchor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (BeamGeometry, DiskGeometry, Material, ModeResult,
-                   VibrationAxis)
+from .core import BeamGeometry, DiskGeometry, Material, ModeResult
 from .errors import InvariantError, RootSearchError, SingularDrivePointError
 
 # quadrature order for mode-shape integrals (smooth integrands, machine accurate)
 _GAUSS_ORDER = 200
 
 
-@dataclass(frozen=True)
-class BeamModeCoefficient:
+class BeamModeCoefficient(NamedTuple):
     """Eigenvalue data for one clamped-clamped flexural harmonic."""
 
     mode_order: int
     lambda_n: float
     a_n: float
-
-    def __post_init__(self):
-        if self.mode_order < 1:
-            raise InvariantError("mode_order must be >= 1")
-        # residual of cos(l)*cosh(l) = 1, evaluated in the well-scaled form
-        resid = math.cos(self.lambda_n) - 1.0 / math.cosh(self.lambda_n)
-        if abs(resid) > 1e-9:
-            raise InvariantError(
-                f"lambda_n={self.lambda_n!r} does not solve cos(l)*cosh(l)=1")
-        a_expected = self.lambda_n**2 / (2 * math.pi * math.sqrt(12.0))
-        if abs(self.a_n - a_expected) > 1e-9 * a_expected:
-            raise InvariantError("a_n must equal lambda_n^2/(2*pi*sqrt(12))")
 
 
 def _brentq(f, a: float, b: float, rtol: float) -> float:
@@ -133,44 +119,57 @@ def _brentq(f, a: float, b: float, rtol: float) -> float:
 
 @lru_cache(maxsize=None)
 def beam_mode_coefficient(n: int) -> BeamModeCoefficient:
-    """Clamped-clamped eigenvalue lambda_n and frequency coefficient A_n."""
+    """Clamped-clamped eigenvalue lambda_n and frequency coefficient A_n.
+
+    Raises RootSearchError if the root found does not solve cos(l)*cosh(l) = 1.
+    """
     if n < 1:
         raise InvariantError(f"mode order must be >= 1, got {n}")
     # roots of cos(l) = sech(l); the k-th root lies near (k + 1/2)*pi
     lo, hi = (n + 0.3) * math.pi, (n + 0.7) * math.pi
     f = lambda l: math.cos(l) - 1.0 / math.cosh(l)
     lam = _brentq(f, lo, hi, rtol=8 * np.finfo(float).eps)
+    if not abs(f(lam)) <= 1e-9:
+        raise RootSearchError(f"lambda_n={lam!r} does not solve cos(l)*cosh(l)=1")
     return BeamModeCoefficient(n, lam, lam**2 / (2 * math.pi * math.sqrt(12.0)))
+
+
+# The kernels below (and those of fab, transduction and design) take floats
+# or arrays and write `**` as np.float_power (libm pow, as Python's float
+# `**`; numpy's array x**2 is x*x): the public functions call them on floats
+# and convert back to float, optimize's search calls them on arrays.
+
+def _beam_frequency(n: int, length, flex, mat: Material):
+    """f_n = A_n * sqrt(E/rho) * d / L^2, d the flexural dimension flex."""
+    return beam_mode_coefficient(n).a_n * math.sqrt(mat.youngs_modulus / mat.density) \
+        * flex / np.float_power(length, 2)
+
+
+def _beam_length(f, flex, mat: Material):
+    """_beam_frequency of the fundamental solved for L."""
+    return np.sqrt(beam_mode_coefficient(1).a_n
+                   * math.sqrt(mat.youngs_modulus / mat.density) * flex / f)
+
+
+def _beam_lumped(n: int, drive_point: float, length, width, thickness, flex,
+                 mat: Material):
+    """(f, m_eff, k_eff) of beam mode n referred to drive_point:
+    m_eff = rho*A*L * int(phi^2) / phi(drive_point)^2, k_eff = w_n^2 * m_eff."""
+    f = _beam_frequency(n, length, flex, mat)
+    m_eff = mat.density * (width * thickness) * length * _beam_shape_integral(n, drive_point)
+    w0 = 2 * math.pi * f
+    return f, m_eff, w0 * w0 * m_eff
 
 
 def beam_mode_frequency(geom: BeamGeometry, mat: Material, n: int = 1) -> float:
     """Flexural resonance frequency (Hz) of mode n."""
-    c = beam_mode_coefficient(n)
-    return c.a_n * math.sqrt(mat.youngs_modulus / mat.density) \
-        * geom.flexural_dimension / geom.length**2
+    return float(_beam_frequency(n, geom.length, geom.flexural_dimension, mat))
 
 
 def beam_length_for_frequency(f: float, flexural_dim: float, mat: Material) -> float:
     """Length (m) whose fundamental flexural mode resonates at f (Hz),
     beam_mode_frequency solved for L."""
-    c = beam_mode_coefficient(1)
-    return math.sqrt(c.a_n * math.sqrt(mat.youngs_modulus / mat.density)
-                     * flexural_dim / f)
-
-
-def beam_lumped_arrays(length, width, thickness, vibration_axis: VibrationAxis,
-                       mat: Material):
-    """Arrays (f, m_eff, k_eff) of the fundamental mode driven at mid-span,
-    over arrays of beam dimensions: beam_mode_result's lumped fields
-    elementwise. The operation order and the `**` (libm pow, as
-    np.float_power) are the scalar functions', so every element is bitwise
-    equal to theirs."""
-    flex = width if vibration_axis is VibrationAxis.IN_PLANE else thickness
-    f = beam_mode_coefficient(1).a_n * math.sqrt(mat.youngs_modulus / mat.density) \
-        * flex / np.float_power(length, 2)
-    m_eff = mat.density * (width * thickness) * length * _beam_shape_integral(1, 0.5)
-    w0 = 2 * math.pi * f
-    return f, m_eff, w0 * w0 * m_eff
+    return float(_beam_length(f, flexural_dim, mat))
 
 
 def beam_mode_shape(n: int, xi):
@@ -220,18 +219,16 @@ def beam_effective_params(geom: BeamGeometry, mat: Material, n: int = 1,
 
     m_eff = rho*A*L * int(phi^2) / phi(drive_point)^2, k_eff = w_n^2 * m_eff.
     """
-    m_total = mat.density * geom.cross_section_area * geom.length
-    m_eff = m_total * _beam_shape_integral(n, drive_point)
-    w0 = 2 * math.pi * beam_mode_frequency(geom, mat, n)
-    return m_eff, w0 * w0 * m_eff
+    m = beam_mode_result(geom, mat, n, drive_point, samples=0)
+    return m.effective_mass, m.effective_stiffness
 
 
 def beam_mode_result(geom: BeamGeometry, mat: Material, n: int = 1,
                      drive_point: float = 0.5, samples: int = 201) -> ModeResult:
     """Bundle frequency, effective parameters and a shape sampled at
     `samples` points (none when samples = 0)."""
-    f = beam_mode_frequency(geom, mat, n)
-    m_eff, k_eff = beam_effective_params(geom, mat, n, drive_point)
+    f, m_eff, k_eff = (float(v) for v in _beam_lumped(
+        n, drive_point, geom.length, geom.width, geom.thickness, geom.flexural_dimension, mat))
     shape = ()
     if samples:
         phi = beam_mode_shape(n, np.linspace(0.0, 1.0, samples))
@@ -309,19 +306,31 @@ def _disk_dimensionless_root(n: int, nu: float) -> float:
         f"[{lo:.3g}, {hi:.3g}] around the Rayleigh-quotient guess {y_rq:.3g}")
 
 
+def _disk_frequency(n: int, radius, mat: Material):
+    """f = y_n * c_T / (2*pi*R), y_n the dimensionless characteristic root."""
+    _, c_t = plane_stress_wave_speeds(mat)
+    return _disk_dimensionless_root(n, mat.poisson_ratio) * c_t / (2 * math.pi * radius)
+
+
+def _disk_lumped(n: int, radius, thickness, mat: Material):
+    """(f, m_eff, k_eff) of the order-n mode referred to the rim radial
+    antinode: m_eff = coefficient * rho*t*R^2, k_eff = w^2 * m_eff."""
+    f = _disk_frequency(n, radius, mat)
+    m_eff = _disk_meff_coefficient(n, mat.poisson_ratio) \
+        * mat.density * thickness * np.float_power(radius, 2)
+    w0 = 2 * math.pi * f
+    return f, m_eff, w0 * w0 * m_eff
+
+
 def disk_wineglass_frequency(geom: DiskGeometry, mat: Material, n: int = 2) -> float:
     """Lowest in-plane resonance (Hz) of angular order n (n=2: wine-glass)."""
-    _, c_t = plane_stress_wave_speeds(mat)
-    y = _disk_dimensionless_root(n, mat.poisson_ratio)
-    return y * c_t / (2 * math.pi * geom.radius)
+    return _disk_frequency(n, geom.radius, mat)
 
 
 def disk_radius_for_frequency(f: float, mat: Material) -> float:
-    """Radius (m) whose wine-glass (n = 2) mode resonates at f (Hz),
-    disk_wineglass_frequency solved for R."""
-    _, c_t = plane_stress_wave_speeds(mat)
-    y = _disk_dimensionless_root(2, mat.poisson_ratio)
-    return y * c_t / (2 * math.pi * f)
+    """Radius (m) whose wine-glass (n = 2) mode resonates at f (Hz): the law
+    f = y*c_T/(2*pi*R) is its own inverse in f and R."""
+    return _disk_frequency(2, f, mat)
 
 
 def _disk_unit_fields(n: int, nu: float):
@@ -367,22 +376,8 @@ def disk_effective_params(geom: DiskGeometry, mat: Material, n: int = 2):
     m_eff = rho*t*pi * int((u_r^2 + u_t^2) r dr) / u_r(R)^2 by Gauss-Legendre
     quadrature of the analytic mode fields; k_eff = w^2 * m_eff.
     """
-    m_eff = _disk_meff_coefficient(n, mat.poisson_ratio) \
-        * mat.density * geom.thickness * geom.radius**2
-    w0 = 2 * math.pi * disk_wineglass_frequency(geom, mat, n)
-    return m_eff, w0 * w0 * m_eff
-
-
-def disk_lumped_arrays(radius, thickness, mat: Material):
-    """Arrays (f, m_eff, k_eff) of the wine-glass (n = 2) mode over arrays of
-    disk dimensions: disk_mode_result's lumped fields elementwise, bitwise
-    equal to them (same operation order, `**` as np.float_power)."""
-    _, c_t = plane_stress_wave_speeds(mat)
-    f = _disk_dimensionless_root(2, mat.poisson_ratio) * c_t / (2 * math.pi * radius)
-    m_eff = _disk_meff_coefficient(2, mat.poisson_ratio) \
-        * mat.density * thickness * np.float_power(radius, 2)
-    w0 = 2 * math.pi * f
-    return f, m_eff, w0 * w0 * m_eff
+    m = disk_mode_result(geom, mat, n, samples=0)
+    return m.effective_mass, m.effective_stiffness
 
 
 def disk_mode_result(geom: DiskGeometry, mat: Material, n: int = 2,
@@ -393,8 +388,7 @@ def disk_mode_result(geom: DiskGeometry, mat: Material, n: int = 2,
     angular antinode at `samples` radii (none when samples = 0), normalized
     to unit maximum.
     """
-    f = disk_wineglass_frequency(geom, mat, n)
-    m_eff, k_eff = disk_effective_params(geom, mat, n)
+    f, m_eff, k_eff = (float(v) for v in _disk_lumped(n, geom.radius, geom.thickness, mat))
     shape = ()
     if samples:
         u_r, _ = _disk_unit_fields(n, mat.poisson_ratio)

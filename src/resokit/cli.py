@@ -153,9 +153,7 @@ def _cmd_respond(args) -> int:
     geometry, material, transducer, q = _design_from_config(cfg)
     if transducer is None:
         raise SchemaError("respond needs a transducer section in the config")
-    mode = (analytic.beam_mode_result(geometry, material, samples=0)
-            if isinstance(geometry, BeamGeometry)
-            else analytic.disk_mode_result(geometry, material, samples=0))
+    mode = design._mode_for(geometry, material)
     circuit = transduction.equivalent_circuit(mode, transducer, q)
     spectrum = transduction.transmission_spectrum(
         circuit, termination=args.termination, points=args.points)

@@ -73,6 +73,14 @@ class Material:
         }
 
 
+def _shape_ok(family: str, dims):
+    """Shape rule for floats or arrays of the dimensions in dims: a beam is
+    longer than its cross-section dimensions, a disk thinner than its radius."""
+    if family == "beam":
+        return (dims["length"] > dims["width"]) & (dims["length"] > dims["thickness"])
+    return dims["thickness"] < dims["radius"]
+
+
 @dataclass(frozen=True)
 class BeamGeometry:
     """Clamped-clamped rectangular beam. Dimensions in m."""
@@ -85,7 +93,7 @@ class BeamGeometry:
     def __post_init__(self):
         _require(all(0 < v < math.inf for v in (self.length, self.width, self.thickness)),
                  "beam dimensions must be finite and > 0")
-        _require(self.length > max(self.width, self.thickness),
+        _require(_shape_ok("beam", vars(self)),
                  "beam length must exceed both cross-section dimensions")
         _require(isinstance(self.vibration_axis, VibrationAxis),
                  "vibration_axis must be a VibrationAxis")
@@ -120,10 +128,19 @@ class DiskGeometry:
     def __post_init__(self):
         _require(0 < self.radius < math.inf, "radius must be finite and > 0")
         _require(0 < self.thickness < math.inf, "thickness must be finite and > 0")
-        _require(self.thickness < self.radius, "thin-disk regime requires thickness < radius")
+        _require(_shape_ok("disk", vars(self)), "thin-disk regime requires thickness < radius")
 
     def to_dict(self) -> dict:
         return {"radius": self.radius, "thickness": self.thickness}
+
+
+def _geometry_family(geometry) -> str:
+    """"beam" or "disk"; InvariantError for any other geometry type."""
+    if isinstance(geometry, BeamGeometry):
+        return "beam"
+    if isinstance(geometry, DiskGeometry):
+        return "disk"
+    raise InvariantError(f"unsupported geometry {type(geometry).__name__}")
 
 
 @dataclass(frozen=True)
@@ -341,12 +358,16 @@ def transducer_from_dict(d: dict) -> Transducer:
 def mode_result_from_dict(d: dict) -> ModeResult:
     _check_keys(d, {"frequency", "mode_order", "effective_mass",
                     "effective_stiffness", "mode_shape"}, set(), "mode result")
+    order, shape = d["mode_order"], d["mode_shape"]
+    if (isinstance(order, bool) or not isinstance(order, int)
+            or not isinstance(shape, (list, tuple)) or any(isinstance(v, str) for v in shape)):
+        raise SchemaError("mode result: mode_order must be an integer, mode_shape a list of numbers")
     return ModeResult(
         frequency=parse_quantity(d["frequency"]),
-        mode_order=int(d["mode_order"]),
+        mode_order=order,
         effective_mass=parse_quantity(d["effective_mass"]),
         effective_stiffness=parse_quantity(d["effective_stiffness"]),
-        mode_shape=tuple(d["mode_shape"]),
+        mode_shape=tuple(parse_quantity(v) for v in shape),
     )
 
 

@@ -16,12 +16,13 @@ from numbers import Integral
 
 import numpy as np
 
-from . import analytic, transduction
+from . import analytic, fab, transduction
 from .core import (EPSILON_0, BeamGeometry, DiskGeometry, Material,
-                   Transducer, VibrationAxis)
+                   Transducer, VibrationAxis, _check_keys, _geometry_family,
+                   _shape_ok)
 from .errors import (InfeasibleDesignError, InstabilityError, InvariantError,
                      SchemaError, UnknownPresetError)
-from .fab import ProcessModel, check_fab_constraints
+from .fab import ProcessModel
 from .units import parse_quantity
 
 _REVERIFY_RTOL = 1e-9
@@ -112,14 +113,9 @@ class SpecProfile:
 
 
 def profile_from_dict(d: dict) -> SpecProfile:
-    known = {"name", "center_frequency", "q_required", "bandpass",
-             "impedance_range", "dc_voltage_range", "tuning_required",
-             "informational", "schema_version"}
-    unknown = set(d) - known
-    if unknown:
-        raise SchemaError(f"profile: unknown fields {sorted(unknown)}")
-    if "name" not in d or "center_frequency" not in d:
-        raise SchemaError("profile: name and center_frequency are required")
+    _check_keys(d, {"name", "center_frequency"},
+                {"q_required", "bandpass", "impedance_range", "dc_voltage_range",
+                 "tuning_required", "informational", "schema_version"}, "profile")
     if not isinstance(d["name"], str):
         raise SchemaError("profile: name must be a string")
 
@@ -270,12 +266,11 @@ class DesignCandidate:
     def __post_init__(self):
         if self.assumed_q <= 0:
             raise InvariantError("assumed_q must be > 0")
-        if not isinstance(self.geometry, (BeamGeometry, DiskGeometry)):
-            raise InvariantError("geometry must be a BeamGeometry or DiskGeometry")
+        _geometry_family(self.geometry)   # InvariantError unless a beam or disk
 
     @property
     def family(self) -> str:
-        return "beam" if isinstance(self.geometry, BeamGeometry) else "disk"
+        return _geometry_family(self.geometry)
 
     @classmethod
     def analyze(cls, geometry, transducer: Transducer, material: Material,
@@ -287,8 +282,8 @@ class DesignCandidate:
         tuning use the released gap from the process model.
         """
         mode = _mode_for(geometry, material)
-        fab = check_fab_constraints(geometry, transducer, process)
-        t_fab = replace(transducer, gap=fab.released_gap)
+        gap = fab._released_gap(transducer.gap, fab.release_tunnel_depth(geometry), process)
+        t_fab = replace(transducer, gap=gap)
         r_x = transduction.motional_resistance(mode, t_fab, assumed_q)
         v_pi = transduction.pull_in_voltage(mode, t_fab)
         if tuning_v_range is None:
@@ -300,7 +295,7 @@ class DesignCandidate:
         return cls(geometry=geometry, transducer=transducer, material=material,
                    assumed_q=assumed_q,
                    analysis=CandidateAnalysis(frequency=mode.frequency, r_x=r_x,
-                                              released_gap=fab.released_gap,
+                                              released_gap=gap,
                                               v_pi=v_pi, tuning_range=tuning,
                                               tuning_v_range=tuple(tuning_v_range)))
 
@@ -333,11 +328,9 @@ class DesignCandidate:
 
 def _mode_for(geometry, material: Material):
     """Lumped fundamental mode, without a sampled shape."""
-    if isinstance(geometry, BeamGeometry):
+    if _geometry_family(geometry) == "beam":
         return analytic.beam_mode_result(geometry, material, n=1, samples=0)
-    if isinstance(geometry, DiskGeometry):
-        return analytic.disk_mode_result(geometry, material, n=2, samples=0)
-    raise InvariantError(f"unsupported geometry {type(geometry).__name__}")
+    return analytic.disk_mode_result(geometry, material, n=2, samples=0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,63 +377,61 @@ class SpecReport:
         return "\n".join(lines)
 
 
+def _within(x, lo, hi):
+    """lo <= x <= hi, for floats or arrays; NaN is outside."""
+    return (lo <= x) & (x <= hi)
+
+
+def _spec_passed(profile: SpecProfile, f, q, r_x, bias, tuning, freq_tol: float):
+    """check_spec's verdicts (frequency, q, impedance, dc_voltage, tuning) for
+    floats or arrays; an unset criterion passes, and a NaN tuning span fails."""
+    in_band = False
+    for lo, hi in profile.frequency_bands:
+        in_band = in_band | _within(f, lo * (1 - freq_tol), hi * (1 + freq_tol))
+    return (in_band,
+            profile.q_required is None or q >= profile.q_required,
+            profile.impedance_range is None or _within(r_x, *profile.impedance_range),
+            profile.dc_voltage_range is None or _within(bias, *profile.dc_voltage_range),
+            profile.tuning_required is None or tuning >= profile.tuning_required)
+
+
+def _criterion(name: str, requirement, passed, detail, absent: str) -> CriterionResult:
+    """A check_spec row, not applicable (and passed) without a requirement."""
+    if requirement is None:
+        return CriterionResult(name, False, True, absent)
+    return CriterionResult(name, True, passed, detail(requirement))
+
+
 def check_spec(candidate: DesignCandidate, profile: SpecProfile,
                freq_tol: float = _FREQ_TOL) -> SpecReport:
     """Per-criterion pass/fail of an analyzed design against a profile; the
     frequency may miss a band edge by freq_tol, relative (0: exact match)."""
     if not (math.isfinite(freq_tol) and freq_tol >= 0):
         raise InvariantError(f"freq_tol must be finite and >= 0, got {freq_tol!r}")
-    f = candidate.analysis.frequency
-    criteria = []
-
-    in_band = any(lo * (1 - freq_tol) <= f <= hi * (1 + freq_tol)
-                  for lo, hi in profile.frequency_bands)
+    a, q = candidate.analysis, candidate.assumed_q
+    f, r, v, tr = a.frequency, a.r_x, candidate.transducer.bias_voltage, a.tuning_range
+    f_ok, q_ok, r_ok, v_ok, tuning_ok = _spec_passed(
+        profile, f, q, r, v, math.nan if tr is None else tr, freq_tol)
     bands_txt = ", ".join(f"{lo:.6g}..{hi:.6g}" for lo, hi in profile.frequency_bands)
-    criteria.append(CriterionResult(
-        "frequency", True, in_band,
-        f"f = {f:.6g} Hz vs target [{bands_txt}] Hz (rel tol {freq_tol:g})"))
-
-    if profile.q_required is None:
-        criteria.append(CriterionResult("q", False, True, "no Q requirement"))
-    else:
-        ok = candidate.assumed_q >= profile.q_required
-        criteria.append(CriterionResult(
-            "q", True, ok,
-            f"assumed Q = {candidate.assumed_q:.6g} vs required >= {profile.q_required:.6g}"))
-
-    if profile.impedance_range is None:
-        criteria.append(CriterionResult("impedance", False, True, "no impedance requirement"))
-    else:
-        lo, hi = profile.impedance_range
-        r = candidate.analysis.r_x
-        criteria.append(CriterionResult(
-            "impedance", True, lo <= r <= hi,
-            f"R_x = {r:.6g} ohm vs [{lo:.6g}, {hi:.6g}] ohm (as-fabricated)"))
-
-    if profile.dc_voltage_range is None:
-        criteria.append(CriterionResult("dc_voltage", False, True, "no DC requirement"))
-    else:
-        lo, hi = profile.dc_voltage_range
-        v = candidate.transducer.bias_voltage
-        criteria.append(CriterionResult(
-            "dc_voltage", True, lo <= v <= hi,
-            f"Vp = {v:.6g} V vs [{lo:.6g}, {hi:.6g}] V"))
-
-    if profile.tuning_required is None:
-        criteria.append(CriterionResult("tuning", False, True, "tuning optional"))
-    else:
-        tr = candidate.analysis.tuning_range
-        if tr is None:
-            criteria.append(CriterionResult(
-                "tuning", True, False,
-                f"tuning range not evaluable (unstable) vs required >= "
-                f"{profile.tuning_required:.6g} Hz"))
-        else:
-            criteria.append(CriterionResult(
-                "tuning", True, tr >= profile.tuning_required,
-                f"tuning range {tr:.6g} Hz vs required >= {profile.tuning_required:.6g} Hz"))
-
-    return SpecReport(profile_name=profile.name, criteria=tuple(criteria))
+    tuning_txt = ("tuning range not evaluable (unstable)" if tr is None
+                  else f"tuning range {tr:.6g} Hz")
+    criteria = (
+        CriterionResult("frequency", True, f_ok,
+                        f"f = {f:.6g} Hz vs target [{bands_txt}] Hz (rel tol {freq_tol:g})"),
+        _criterion("q", profile.q_required, q_ok,
+                   lambda req: f"assumed Q = {q:.6g} vs required >= {req:.6g}",
+                   "no Q requirement"),
+        _criterion("impedance", profile.impedance_range, r_ok,
+                   lambda rng: f"R_x = {r:.6g} ohm vs [{rng[0]:.6g}, {rng[1]:.6g}] ohm "
+                               "(as-fabricated)",
+                   "no impedance requirement"),
+        _criterion("dc_voltage", profile.dc_voltage_range, v_ok,
+                   lambda rng: f"Vp = {v:.6g} V vs [{rng[0]:.6g}, {rng[1]:.6g}] V",
+                   "no DC requirement"),
+        _criterion("tuning", profile.tuning_required, tuning_ok,
+                   lambda req: f"{tuning_txt} vs required >= {req:.6g} Hz",
+                   "tuning optional"))
+    return SpecReport(profile_name=profile.name, criteria=criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +453,9 @@ def tuning_span(mode, transducer: Transducer, v_min: float, v_max: float) -> flo
             f"{v_limit:.3g} V ({_PULL_IN_MARGIN:g} x pull-in {v_pi:.3g} V)",
             critical_voltage=v_limit)
 
-    def f_at(v):
-        if v == 0:
-            return mode.frequency
-        return transduction.spring_softening_frequency(
-            mode, replace(transducer, bias_voltage=v))
-
-    return f_at(v_min) - f_at(v_max)
+    f_min, f_max = (transduction.spring_softening_frequency(
+        mode, replace(transducer, bias_voltage=v)) for v in (v_min, v_max))
+    return f_min - f_max
 
 
 def tuning_range(candidate: DesignCandidate, v_min: float, v_max: float) -> float:
@@ -488,6 +475,15 @@ _FAILURES = ("geometry", "min_drawn_gap", "max_tunnel_depth", "pull_in_margin",
              "frequency", "q", "impedance", "dc_voltage", "tuning")
 
 
+def _electrode_area(family: str, dims, vibration_axis):
+    """electrode_area for floats or arrays of the dimensions in dims."""
+    if family == "disk":
+        return math.pi * dims["radius"] / 2.0 * dims["thickness"]
+    if vibration_axis is VibrationAxis.IN_PLANE:
+        return dims["length"] * dims["thickness"]
+    return dims["length"] * dims["width"]
+
+
 def electrode_area(geometry) -> float:
     """Electrode area convention used by the optimizer.
 
@@ -495,13 +491,8 @@ def electrode_area(geometry) -> float:
     thickness for in-plane motion, length x width for out-of-plane).
     Disk: electrode wraps a quarter of the rim (pi*R/2 x thickness).
     """
-    if isinstance(geometry, BeamGeometry):
-        if geometry.vibration_axis is VibrationAxis.IN_PLANE:
-            return geometry.length * geometry.thickness
-        return geometry.length * geometry.width
-    if isinstance(geometry, DiskGeometry):
-        return math.pi * geometry.radius / 2.0 * geometry.thickness
-    raise InvariantError(f"unsupported geometry {type(geometry).__name__}")
+    return _electrode_area(_geometry_family(geometry), vars(geometry),
+                           getattr(geometry, "vibration_axis", None))
 
 
 def _evaluate_points(p: dict, profile: SpecProfile, family: str, material: Material,
@@ -513,91 +504,54 @@ def _evaluate_points(p: dict, profile: SpecProfile, family: str, material: Mater
     The main dimension (length or radius) hits the first target frequency
     whose value fits main_bounds unclipped, else the first target, clipped.
     A code indexes _FAILURES, the first constraint the point fails; -1
-    marks a feasible point. Each formula keeps the operation order of the
-    scalar path (analytic, fab, transduction, tuning_span, check_spec) and
-    its libm `**` (np.float_power), so every code and R_x equals what
-    DesignCandidate.analyze and check_spec give for the point. Raises the
+    marks a feasible point. Every figure comes from the kernels that
+    DesignCandidate.analyze, tuning_span and check_spec call on floats, so
+    each code and R_x is what they give for the point. Raises the
     InvariantError analyze raises for a point that gets that far.
     """
-    v_range = profile.dc_voltage_range
     cf = profile.center_frequency
     # band midpoints stand for multi-band targets
     targets = [cf] if isinstance(cf, float) else [0.5 * (lo + hi) for lo, hi in cf]
+    gap, bias, t = p["gap"], p["bias_voltage"], p["thickness"]
     if family == "beam":
         # beam frequency scales with the cross-section dimension along the motion
-        flex = p["width"] if vibration_axis is VibrationAxis.IN_PLANE else p["thickness"]
-        k_len = analytic.beam_mode_coefficient(1).a_n \
-            * math.sqrt(material.youngs_modulus / material.density)
-        vals = [np.sqrt(k_len * flex / f) for f in targets]
+        flex = p["width"] if vibration_axis is VibrationAxis.IN_PLANE else t
+        vals = [analytic._beam_length(f, flex, material) for f in targets]
     else:
-        vals = [np.full(len(p["gap"]), analytic.disk_radius_for_frequency(f, material))
+        vals = [np.full(len(gap), analytic.disk_radius_for_frequency(f, material))
                 for f in targets]
     lo, hi = main_bounds
     dim = np.clip(vals[0], lo, hi)
     for v in reversed(vals):
-        dim = np.where((lo <= v) & (v <= hi), v, dim)
+        dim = np.where(_within(v, lo, hi), v, dim)
+    p = {**p, "length" if family == "beam" else "radius": dim}
 
-    gap, bias, t = p["gap"], p["bias_voltage"], p["thickness"]
-    if family == "beam":
-        p = {**p, "length": dim}
-        width = p["width"]
-        geometry_ok = dim > np.maximum(width, t)
-        area = dim * (t if vibration_axis is VibrationAxis.IN_PLANE else width)
-        tunnel = width / 2.0
-    else:
-        p = {**p, "radius": dim}
-        geometry_ok = t < dim
-        area = math.pi * dim / 2.0 * t
-        tunnel = dim
     # the checks a point meets in Transducer (valid geometry), then in
-    # ModeResult, Transducer, motional_resistance and tuning_span (analyzed)
+    # ModeResult and the released gap (analyzed)
+    geometry_ok = _shape_ok(family, p)
+    area = _electrode_area(family, p, vibration_axis)
     if np.any(geometry_ok & ~((0 < area) & (area < math.inf))):
         raise InvariantError("electrode_area must be finite and > 0")
-    f, m_eff, k_eff = (
-        analytic.beam_lumped_arrays(dim, p["width"], t, vibration_axis, material)
-        if family == "beam" else analytic.disk_lumped_arrays(dim, t, material))
-    gap_ok = gap >= process.min_drawn_gap
-    tunnel_ok = tunnel <= process.max_tunnel_depth
-    g = gap + process.etch_bias + process.release_enlargement_rate * tunnel   # released
-    analyzed = geometry_ok & gap_ok & tunnel_ok
-    if np.any(analyzed):
-        lumped = np.stack([f, m_eff, k_eff, g])[:, analyzed]
-        if not np.all((0 < lumped) & (lumped < math.inf)):
-            raise InvariantError("frequency, m_eff, k_eff and released gap must be "
-                                 "finite and > 0")
-        if assumed_q <= 0:
-            raise InvariantError(f"quality factor must be > 0, got {assumed_q}")
-        if v_range is not None and not 0 <= v_range[0]:
-            raise InvariantError(f"need 0 <= v_min <= v_max, got {v_range}")
+    f, m_eff, k_eff = (analytic._beam_lumped(1, 0.5, dim, p["width"], t, flex, material)
+                       if family == "beam" else analytic._disk_lumped(2, dim, t, material))
+    tunnel = fab._tunnel_depth(family, p)
+    gap_ok, tunnel_ok = fab._rules_passed(gap, tunnel, process)
+    g = fab._released_gap(gap, tunnel, process)
+    lumped = np.stack([f, m_eff, k_eff, g])[:, geometry_ok & gap_ok & tunnel_ok]
+    if not np.all((0 < lumped) & (lumped < math.inf)):
+        raise InvariantError("frequency, m_eff, k_eff and released gap must be "
+                             "finite and > 0")
 
-    # as-fabricated R_x, pull-in and tuning
-    g3 = np.float_power(g, 3)
-    r_x = (k_eff / (2 * math.pi * f * np.float_power(bias, 2))) \
-        * (np.float_power(g, 4) / (EPSILON_0**2 * np.float_power(area, 2))) / assumed_q
-    v_limit = _PULL_IN_MARGIN * np.sqrt(8.0 * k_eff * g3 / (27.0 * EPSILON_0 * area))
-
-    def tuned(v):
-        """(unstable, f) at bias v, as spring_softening_frequency."""
-        k_e = np.float_power(v, 2) * EPSILON_0 * area / g3
-        with np.errstate(invalid="ignore"):   # sqrt < 0 where k_e > k_eff
-            return k_e >= k_eff, np.where(v == 0, f, f * np.sqrt(1.0 - k_e / k_eff))
-
-    v_lo, v_hi = (0.0, bias) if v_range is None else v_range
-    unstable_lo, f_lo = tuned(v_lo)
-    unstable_hi, f_hi = tuned(v_hi)
-    unstable = (v_hi > v_limit) | unstable_lo | unstable_hi
-
-    def outside(value, interval):
-        return interval is not None and ~((interval[0] <= value) & (value <= interval[1]))
-
-    in_band = np.any([(lo * (1 - _FREQ_TOL) <= f) & (f <= hi * (1 + _FREQ_TOL))
-                      for lo, hi in profile.frequency_bands], axis=0)
-    fails = [~geometry_ok, ~gap_ok, ~tunnel_ok, bias > v_limit, ~in_band,
-             profile.q_required is not None and not assumed_q >= profile.q_required,
-             outside(r_x, profile.impedance_range),
-             outside(bias, profile.dc_voltage_range),
-             profile.tuning_required is not None
-             and (unstable | ~(f_lo - f_hi >= profile.tuning_required))]
+    # as-fabricated R_x, pull-in and tuning (air gap)
+    r_x = transduction._motional_resistance(k_eff, f, bias, g, area, assumed_q, EPSILON_0)
+    v_limit = _PULL_IN_MARGIN * transduction._pull_in_voltage(k_eff, g, area, EPSILON_0)
+    v_lo, v_hi = profile.dc_voltage_range or (0.0, bias)
+    unstable_lo, f_lo = transduction._spring_softening(f, k_eff, v_lo, g, area, EPSILON_0)
+    unstable_hi, f_hi = transduction._spring_softening(f, k_eff, v_hi, g, area, EPSILON_0)
+    tuning = np.where((v_hi > v_limit) | unstable_lo | unstable_hi, np.nan, f_lo - f_hi)
+    fails = [~geometry_ok, ~gap_ok, ~tunnel_ok, bias > v_limit,
+             *map(np.logical_not, _spec_passed(profile, f, assumed_q, r_x, bias,
+                                               tuning, _FREQ_TOL))]
     return p, np.select(fails, range(len(_FAILURES)), -1), r_x
 
 
@@ -612,9 +566,9 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     A design is feasible when it passes the fab rules, keeps the bias at or
     below 0.8 x its pull-in voltage, and passes `check_spec` (default
     freq_tol) against the profile. The search evaluates arrays of points at
-    once, with the formulas and operation order of `DesignCandidate.analyze`
-    and `check_spec` (the tuning sweep spans the profile's DC range, else
-    0 V to the bias), so it decides exactly as they would. The best
+    once through the same array-capable kernels that `DesignCandidate.analyze`
+    and `check_spec` call on floats (the tuning sweep spans the profile's DC
+    range, else 0 V to the bias), so it decides exactly as they would. The best
     `_REFINE_STARTS` (5) grid points are refined, so at most that many
     candidates are returned, whatever max_results; each is the `analyze`
     result of a feasible point, ranked by ascending as-fabricated R_x.

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BeamGeometry, DiskGeometry, Transducer
-from .errors import FabConstraintError, InvariantError, SchemaError
+from .core import Transducer, _check_keys, _geometry_family
+from .errors import FabConstraintError, InvariantError
 from .units import parse_quantity
 
 # single-point calibration: 90 nm post-etch gap measured 130 nm after a
@@ -51,44 +51,52 @@ class ProcessModel:
 def process_model_from_dict(d: dict) -> ProcessModel:
     known = {"etch_bias", "release_enlargement_rate", "min_drawn_gap",
              "max_tunnel_depth"}
-    unknown = set(d) - known - {"schema_version"}
-    if unknown:
-        raise SchemaError(f"process model: unknown fields {sorted(unknown)}")
+    _check_keys(d, set(), known | {"schema_version"}, "process model")
     kwargs = {k: parse_quantity(d[k]) for k in known if k in d}
     return ProcessModel(**kwargs)
 
 
-def _released_gap_value(drawn_gap: float, tunnel_depth: float, p: ProcessModel) -> float:
+# kernels for floats or arrays (see analytic)
+
+def _tunnel_depth(family: str, dims):
+    """Lateral distance the release etch travels under the structure: half
+    the width of a beam (etched from both sides), the radius of a disk.
+    dims maps the geometry's field names to values."""
+    return dims["width"] / 2.0 if family == "beam" else dims["radius"]
+
+
+def _released_gap(drawn_gap, tunnel_depth, p: ProcessModel):
     return drawn_gap + p.etch_bias + p.release_enlargement_rate * tunnel_depth
+
+
+def _rules_passed(drawn_gap, tunnel_depth, p: ProcessModel):
+    """(min_drawn_gap, max_tunnel_depth) passed; a NaN fails both."""
+    return drawn_gap >= p.min_drawn_gap, tunnel_depth <= p.max_tunnel_depth
 
 
 def released_gap(drawn_gap: float, tunnel_depth: float,
                  p: ProcessModel = ProcessModel()) -> float:
     """As-fabricated gap: drawn + etch_bias + rate * tunnel_depth."""
-    if drawn_gap < p.min_drawn_gap:
+    if not (math.isfinite(drawn_gap) and math.isfinite(tunnel_depth)):
+        raise InvariantError(
+            f"drawn gap {drawn_gap!r} and tunnel depth {tunnel_depth!r} must be finite")
+    gap_ok, tunnel_ok = _rules_passed(drawn_gap, tunnel_depth, p)
+    if not gap_ok:
         raise FabConstraintError(
             f"min_drawn_gap: drawn gap {drawn_gap:.3g} m below floor "
             f"{p.min_drawn_gap:.3g} m")
-    if tunnel_depth > p.max_tunnel_depth:
+    if not tunnel_ok:
         raise FabConstraintError(
             f"max_tunnel_depth: tunnel {tunnel_depth:.3g} m exceeds ceiling "
             f"{p.max_tunnel_depth:.3g} m")
     if tunnel_depth < 0:
         raise FabConstraintError("tunnel depth must be >= 0")
-    return _released_gap_value(drawn_gap, tunnel_depth, p)
+    return _released_gap(drawn_gap, tunnel_depth, p)
 
 
 def release_tunnel_depth(geometry) -> float:
-    """Lateral distance the release etch must travel under the structure.
-
-    Convention: half the width for a beam (etch proceeds from both sides),
-    the radius for a disk.
-    """
-    if isinstance(geometry, BeamGeometry):
-        return geometry.width / 2.0
-    if isinstance(geometry, DiskGeometry):
-        return geometry.radius
-    raise InvariantError(f"unsupported geometry {type(geometry).__name__}")
+    """Lateral distance the release etch must travel under the structure."""
+    return _tunnel_depth(_geometry_family(geometry), vars(geometry))
 
 
 @dataclass(frozen=True)
@@ -139,14 +147,15 @@ def check_fab_constraints(geometry, transducer: Transducer,
     gap is reported for use in as-fabricated analysis.
     """
     tunnel = release_tunnel_depth(geometry)
+    gap_ok, tunnel_ok = _rules_passed(transducer.gap, tunnel, p)
     rules = (
-        FabRule("min_drawn_gap", transducer.gap >= p.min_drawn_gap,
+        FabRule("min_drawn_gap", gap_ok,
                 f"drawn {transducer.gap * 1e9:.2f} nm vs floor "
                 f"{p.min_drawn_gap * 1e9:.2f} nm"),
-        FabRule("max_tunnel_depth", tunnel <= p.max_tunnel_depth,
+        FabRule("max_tunnel_depth", tunnel_ok,
                 f"tunnel {tunnel * 1e6:.3f} um vs ceiling "
                 f"{p.max_tunnel_depth * 1e6:.3f} um"),
     )
     return FabReport(rules=rules, drawn_gap=transducer.gap,
-                     released_gap=_released_gap_value(transducer.gap, tunnel, p),
+                     released_gap=_released_gap(transducer.gap, tunnel, p),
                      tunnel_depth=tunnel)

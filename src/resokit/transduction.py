@@ -77,6 +77,28 @@ def static_capacitance(t: Transducer) -> float:
     return _gap_permittivity(t) * t.electrode_area / t.gap
 
 
+# kernels for floats or arrays (see analytic); eps is the gap permittivity
+
+def _motional_resistance(k_eff, f, v, g, area, q, eps):
+    return (k_eff / (2 * math.pi * f * np.float_power(v, 2))) \
+        * (np.float_power(g, 4) / (np.float_power(eps, 2) * np.float_power(area, 2))) / q
+
+
+def _pull_in_voltage(k_eff, g, area, eps):
+    return np.sqrt(8.0 * k_eff * np.float_power(g, 3) / (27.0 * eps * area))
+
+
+def _electrostatic_spring(v, g, area, eps):
+    return np.float_power(v, 2) * eps * area / np.float_power(g, 3)
+
+
+def _spring_softening(f, k_eff, v, g, area, eps):
+    """(unstable, f*sqrt(1 - k_e/k_eff)): unstable where k_e >= k_eff, and
+    the frequency there means nothing (abs keeps its sqrt real)."""
+    k_e = _electrostatic_spring(v, g, area, eps)
+    return k_e >= k_eff, f * np.sqrt(abs(1.0 - k_e / k_eff))
+
+
 def motional_resistance(mode: ModeResult, t: Transducer, q: float) -> float:
     """Series motional resistance (ohm) of the transduced mode."""
     if q <= 0:
@@ -84,11 +106,9 @@ def motional_resistance(mode: ModeResult, t: Transducer, q: float) -> float:
     if t.bias_voltage == 0:
         raise UnboundedResistanceError(
             "zero bias voltage: motional resistance is unbounded")
-    k_r = mode.effective_stiffness
-    w0 = mode.angular_frequency
-    eps = _gap_permittivity(t)
-    return (k_r / (w0 * t.bias_voltage**2)) \
-        * (t.gap**4 / (eps**2 * t.electrode_area**2)) / q
+    return float(_motional_resistance(mode.effective_stiffness, mode.frequency,
+                                      t.bias_voltage, t.gap, t.electrode_area, q,
+                                      _gap_permittivity(t)))
 
 
 def equivalent_circuit(mode: ModeResult, t: Transducer, q: float) -> EquivalentCircuit:
@@ -185,25 +205,28 @@ def resonant_amplitude(mode: ModeResult, t: Transducer, q: float) -> float:
 
 def electrostatic_spring(mode: ModeResult, t: Transducer) -> float:
     """Gap force gradient k_e = Vp^2 * eps0 * er * S / d0^3."""
-    return t.bias_voltage**2 * _gap_permittivity(t) * t.electrode_area / t.gap**3
+    return float(_electrostatic_spring(t.bias_voltage, t.gap, t.electrode_area,
+                                       _gap_permittivity(t)))
 
 
 def spring_softening_frequency(mode: ModeResult, t: Transducer) -> float:
     """Bias-tuned frequency f0*sqrt(1 - k_e/k_r); raises past instability."""
-    k_e = electrostatic_spring(mode, t)
     k_r = mode.effective_stiffness
-    if k_e >= k_r:
+    unstable, f = _spring_softening(mode.frequency, k_r, t.bias_voltage, t.gap,
+                                    t.electrode_area, _gap_permittivity(t))
+    if unstable:
+        k_e = electrostatic_spring(mode, t)
         v_crit = math.sqrt(k_r * t.gap**3 / (_gap_permittivity(t) * t.electrode_area))
         raise InstabilityError(
             f"electrostatic spring {k_e:.3g} N/m >= stiffness {k_r:.3g} N/m "
             f"(critical bias {v_crit:.3g} V)", critical_voltage=v_crit)
-    return mode.frequency * math.sqrt(1.0 - k_e / k_r)
+    return float(f)
 
 
 def pull_in_voltage(mode: ModeResult, t: Transducer) -> float:
     """Parallel-plate pull-in limit sqrt(8*k_r*d0^3/(27*eps0*er*S))."""
-    return math.sqrt(8.0 * mode.effective_stiffness * t.gap**3
-                     / (27.0 * _gap_permittivity(t) * t.electrode_area))
+    return float(_pull_in_voltage(mode.effective_stiffness, t.gap, t.electrode_area,
+                                  _gap_permittivity(t)))
 
 
 def capacitive_output_current(mode: ModeResult, t: Transducer, q: float) -> float:

@@ -30,9 +30,10 @@ def ref_transducer(ref_beam):
                       electrode_area=ref_beam.length * ref_beam.thickness)
 
 
-def with_pow_ties(values, count=20, keep=200):
-    """The first `keep` values plus `count` more for which x*x and Python's
-    x**2 (libm pow) round differently."""
-    ties = [v for v in values.tolist() if v**2 != v * v][:count]
+def with_pow_ties(values, count=20, keep=200, exponent=2):
+    """The first `keep` values plus `count` more for which libm pow (Python's
+    x**exponent, np.float_power) and numpy's array x**exponent (x*x for a
+    square) round differently."""
+    ties = values[np.float_power(values, exponent) != values**exponent][:count]
     assert len(ties) == count
     return np.concatenate([values[:keep], ties])

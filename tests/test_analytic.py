@@ -39,9 +39,16 @@ class TestBeamCoefficients:
         assert c.a_n == pytest.approx(c.lambda_n**2 / (2 * math.pi * math.sqrt(12)),
                                       rel=1e-15)
 
-    def test_bad_lambda_rejected(self):
-        with pytest.raises(InvariantError):
-            BeamModeCoefficient(1, 4.5, 4.5**2 / (2 * math.pi * math.sqrt(12)))
+    def test_bad_root_rejected(self, monkeypatch):
+        # a root search that returns a non-root fails the postcondition
+        monkeypatch.setattr(analytic, "_brentq", lambda *args, **kwargs: 4.5)
+        with pytest.raises(RootSearchError, match="does not solve"):
+            beam_mode_coefficient.__wrapped__(1)   # past the cache
+
+    def test_plain_record(self):
+        c = beam_mode_coefficient(2)
+        assert c == BeamModeCoefficient(2, c.lambda_n, c.a_n)
+        assert tuple(c) == (2, c.lambda_n, c.a_n)
 
     def test_bad_order(self):
         with pytest.raises(InvariantError):
@@ -416,8 +423,9 @@ class TestBrent:
 
 
 class TestLumpedArrays:
-    """The array lumped modes equal the scalar ModeResults bitwise, also
-    where numpy's x**2 (x*x) and libm pow round differently."""
+    """The lumped-mode kernels on arrays equal the scalar ModeResults and
+    independently written math.pow expressions bitwise, also where numpy's
+    x**2 (x*x) and libm pow round differently."""
 
     @pytest.mark.parametrize("axis", list(VibrationAxis))
     def test_beam_equals_scalar(self, axis):
@@ -426,20 +434,31 @@ class TestLumpedArrays:
         width = rng.uniform(0.2e-6, 1e-6, len(length))
         thickness = rng.uniform(0.2e-6, 1.5e-6, len(length))
         mat = Material(160e9, 2330.0, 0.28)
-        arrays = analytic.beam_lumped_arrays(length, width, thickness, axis, mat)
+        flex = width if axis is VibrationAxis.IN_PLANE else thickness
+        arrays = analytic._beam_lumped(1, 0.5, length, width, thickness, flex, mat)
+        coef = beam_mode_coefficient(1).a_n * math.sqrt(160e9 / 2330.0)
+        shape = analytic._beam_shape_integral(1, 0.5)
         for i in range(len(length)):
             m = beam_mode_result(BeamGeometry(length[i], width[i], thickness[i], axis),
                                  mat, samples=0)
+            f = coef * float(flex[i]) / math.pow(length[i], 2)
+            m_eff = 2330.0 * float(width[i] * thickness[i]) * float(length[i]) * shape
+            w0 = 2 * math.pi * f
             assert (m.frequency, m.effective_mass, m.effective_stiffness) \
-                == tuple(a[i] for a in arrays)
+                == tuple(a[i] for a in arrays) == (f, m_eff, w0 * w0 * m_eff)
 
     def test_disk_equals_scalar(self):
         rng = np.random.default_rng(2)
         radius = with_pow_ties(rng.uniform(0.5e-6, 40e-6, 40000))
         thickness = rng.uniform(0.1e-6, 0.4e-6, len(radius))
         mat = Material(160e9, 2330.0, 0.22)
-        arrays = analytic.disk_lumped_arrays(radius, thickness, mat)
+        arrays = analytic._disk_lumped(2, radius, thickness, mat)
+        coef = analytic._disk_meff_coefficient(2, 0.22) * 2330.0
+        c_f = analytic._disk_dimensionless_root(2, 0.22) * plane_stress_wave_speeds(mat)[1]
         for i in range(len(radius)):
             m = disk_mode_result(DiskGeometry(radius[i], thickness[i]), mat, samples=0)
+            f = c_f / (2 * math.pi * float(radius[i]))
+            m_eff = coef * float(thickness[i]) * math.pow(radius[i], 2)
+            w0 = 2 * math.pi * f
             assert (m.frequency, m.effective_mass, m.effective_stiffness) \
-                == tuple(a[i] for a in arrays)
+                == tuple(a[i] for a in arrays) == (f, m_eff, w0 * w0 * m_eff)

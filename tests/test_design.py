@@ -128,6 +128,35 @@ class TestCheckSpec:
         exact = _hand_candidate(freq=76.8e6)
         assert check_spec(exact, oscillator_profile(2), freq_tol=0.0).passed
 
+    @pytest.mark.parametrize("freq_tol", [0.005, 0.0])
+    def test_band_edges_pass(self, freq_tol):
+        # f exactly at lo*(1-tol) and hi*(1+tol) passes, one ulp outside fails
+        profile = profile_by_name("filter-wimax")
+        for lo, hi in profile.frequency_bands:
+            for edge, outward in ((lo * (1 - freq_tol), 0.0), (hi * (1 + freq_tol), math.inf)):
+                assert check_spec(_hand_candidate(freq=edge, r_x=50.0), profile,
+                                  freq_tol).criterion("frequency").passed
+                outside = _hand_candidate(freq=math.nextafter(edge, outward), r_x=50.0)
+                assert not check_spec(outside, profile, freq_tol).criterion("frequency").passed
+
+    @pytest.mark.parametrize("name, field, value, outward", [
+        ("impedance", "r_x", 50.0, 0.0), ("impedance", "r_x", 10e3, math.inf),
+        ("dc_voltage", "v_p", 1.2, 0.0), ("dc_voltage", "v_p", 5.0, math.inf),
+        ("q", "q", 50000.0, 0.0)])
+    def test_requirement_edges_pass(self, name, field, value, outward):
+        # a figure exactly at an edge of oscillator-n2's requirement passes
+        profile = oscillator_profile(2)
+        assert check_spec(_hand_candidate(**{field: value}), profile).criterion(name).passed
+        beyond = _hand_candidate(**{field: math.nextafter(value, outward)})
+        assert not check_spec(beyond, profile).criterion(name).passed
+
+    def test_tuning_requirement_edge_passes(self):
+        profile = vco_profile()
+        c = _hand_candidate(freq=2e9, v_p=2.4, q=1000.0, tuning=200e6)
+        assert check_spec(c, profile).passed
+        c = _hand_candidate(freq=2e9, v_p=2.4, q=1000.0, tuning=math.nextafter(200e6, 0.0))
+        assert not check_spec(c, profile).criterion("tuning").passed
+
     @pytest.mark.parametrize("freq_tol", [math.nan, math.inf, -1.0, -1e-12])
     def test_bad_freq_tol_rejected(self, freq_tol):
         with pytest.raises(InvariantError):
@@ -199,6 +228,13 @@ class TestTuning:
         with pytest.raises(InstabilityError) as exc:
             tuning_range(candidate, 0.0, v_pi * 0.9)  # above the 0.8 margin
         assert exc.value.critical_voltage == pytest.approx(0.8 * v_pi, rel=1e-12)
+
+    def test_pull_in_margin_edge(self, candidate):
+        # a sweep up to exactly 0.8 x v_pi is safe, one ulp more is not
+        v_limit = 0.8 * candidate.analysis.v_pi
+        assert tuning_range(candidate, 0.0, v_limit) > 0
+        with pytest.raises(InstabilityError):
+            tuning_range(candidate, 0.0, math.nextafter(v_limit, math.inf))
 
     def test_bad_range(self, candidate):
         with pytest.raises(InvariantError):
@@ -530,6 +566,31 @@ class TestArraySearchMatchesReference:
             grid_points=grid) for grid in (3, 5)]
         if family == "beam":
             assert all(isinstance(o, list) and o for o in outcomes)
+
+    @pytest.mark.parametrize("family, center", [("beam", 76.8e6), ("disk", 600e6)])
+    def test_pull_in_margin_edge(self, silicon, family, center):
+        # a point biased exactly at 0.8 x v_pi passes the pull-in margin and
+        # its tuning sweep (0 V to the bias) is stable; one ulp more fails
+        # the margin, in both searches
+        profile = SpecProfile("edge", center, tuning_required=1.0)
+        bounds = dict(BOUNDS if family == "beam" else _DISK_BOUNDS, bias_voltage=(1.2, 30.0))
+        axis = VibrationAxis.IN_PLANE
+        process = ProcessModel(max_tunnel_depth=5e-6)
+        param_names, main, bnd, assumed_q, snap, evaluate = _reference_point_search(
+            profile, family, bounds, process, silicon, None, axis)
+        params = snap({"width": 0.5e-6, "thickness": 1e-6, "gap": 100e-9,
+                       "bias_voltage": 1.2})
+        reason, candidate = evaluate(params)
+        assert reason is None
+        v_limit = 0.8 * candidate.analysis.v_pi
+        biases = [v_limit, math.nextafter(v_limit, math.inf)]
+        points = {k: np.array([params[k]] * 2) for k in param_names if k != main}
+        points["bias_voltage"] = np.array(biases)
+        _, codes, _ = design._evaluate_points(points, profile, family, silicon, process,
+                                              assumed_q, axis, bnd[main])
+        reasons = [evaluate({**params, "bias_voltage": v})[0] for v in biases]
+        assert reasons == [None, "pull_in_margin"]
+        assert [design._FAILURES[c] if c >= 0 else None for c in codes] == reasons
 
     def test_max_results_below_feasible_count(self, silicon):
         kwargs = dict(profile=oscillator_profile(2), family="beam", bounds=BOUNDS,

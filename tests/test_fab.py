@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from resokit.analytic import beam_mode_result
-from resokit.core import Transducer
+from resokit import fab
+from resokit.core import BeamGeometry, DiskGeometry, Transducer
 from resokit.errors import FabConstraintError, InvariantError, SchemaError
 from resokit.fab import (ProcessModel, check_fab_constraints,
                          process_model_from_dict, release_tunnel_depth,
@@ -49,6 +51,23 @@ class TestReleasedGap:
     def test_tunnel_ceiling(self):
         with pytest.raises(FabConstraintError, match="max_tunnel_depth"):
             released_gap(100e-9, 2e-6)
+
+    @pytest.mark.parametrize("drawn, tunnel", [
+        (math.nan, 0.0), (1e-7, math.nan), (math.inf, 0.0), (1e-7, math.inf),
+        (-math.inf, 0.0), (1e-7, -math.inf), (math.nan, math.nan)])
+    def test_non_finite_rejected(self, drawn, tunnel):
+        with pytest.raises(InvariantError, match="finite"):
+            released_gap(drawn, tunnel)
+
+    def test_exact_limits_pass(self):
+        # a drawn gap at the floor and a tunnel at the ceiling are allowed
+        p = ProcessModel(min_drawn_gap=80e-9, max_tunnel_depth=1.19e-6)
+        assert released_gap(80e-9, 1.19e-6, p) == \
+            80e-9 + p.etch_bias + p.release_enlargement_rate * 1.19e-6
+        with pytest.raises(FabConstraintError, match="min_drawn_gap"):
+            released_gap(math.nextafter(80e-9, 0.0), 1.19e-6, p)
+        with pytest.raises(FabConstraintError, match="max_tunnel_depth"):
+            released_gap(80e-9, math.nextafter(1.19e-6, 1.0), p)
 
 
 class TestProcessModel:
@@ -96,6 +115,28 @@ class TestFabConstraints:
     def test_tunnel_depth_conventions(self, ref_beam, ref_disk):
         assert release_tunnel_depth(ref_beam) == ref_beam.width / 2
         assert release_tunnel_depth(ref_disk) == ref_disk.radius
+
+    @pytest.mark.parametrize("geometry", [
+        BeamGeometry(10e-6, 2 * 1.19e-6, 0.4e-6), DiskGeometry(1.19e-6, 0.4e-6)],
+        ids=["beam", "disk"])
+    def test_exact_limits_pass(self, geometry):
+        # drawn gap exactly at the floor, tunnel exactly at the ceiling
+        t = Transducer(gap=80e-9, bias_voltage=5, drive_voltage=0.1,
+                       electrode_area=4e-12)
+        p = ProcessModel(min_drawn_gap=80e-9, max_tunnel_depth=1.19e-6)
+        assert release_tunnel_depth(geometry) == p.max_tunnel_depth
+        assert check_fab_constraints(geometry, t, p).passed
+        just_below = dataclasses.replace(t, gap=math.nextafter(80e-9, 0.0))
+        failing = [r.name for r in check_fab_constraints(geometry, just_below, p).rules
+                   if not r.passed]
+        assert failing == ["min_drawn_gap"]
+        tighter = dataclasses.replace(p, max_tunnel_depth=math.nextafter(1.19e-6, 0.0))
+        failing = [r.name for r in check_fab_constraints(geometry, t, tighter).rules
+                   if not r.passed]
+        assert failing == ["max_tunnel_depth"]
+
+    def test_nan_fails_both_rules(self):
+        assert fab._rules_passed(math.nan, math.nan, ProcessModel()) == (False, False)
 
     def test_disk_tunnel_violation(self, ref_disk):
         t = Transducer(gap=100e-9, bias_voltage=5, drive_voltage=0.1,

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import with_pow_ties
+from resokit import transduction
 from resokit.analytic import beam_effective_params, beam_mode_result
 from resokit.core import (EPSILON_0, DetectionKind, ModeResult, MosParams,
                           Transducer)
@@ -381,6 +383,21 @@ class TestSpringSoftening:
         assert 0 < exc.value.critical_voltage < 1000.0
 
 
+    def test_instability_edge(self, ref_mode, ref_transducer):
+        # k_e exactly equal to the stiffness is unstable, one ulp below is not
+        k_e = transduction.electrostatic_spring(ref_mode, ref_transducer)
+        w0 = 2 * math.pi * ref_mode.frequency
+        for k, unstable in ((k_e, True), (math.nextafter(k_e, 0.0), True),
+                            (math.nextafter(k_e, math.inf), False)):
+            mode = ModeResult(frequency=ref_mode.frequency, mode_order=1,
+                              effective_mass=k / (w0 * w0), effective_stiffness=k)
+            if unstable:
+                with pytest.raises(InstabilityError):
+                    spring_softening_frequency(mode, ref_transducer)
+            else:
+                assert spring_softening_frequency(mode, ref_transducer) >= 0
+
+
 class TestPullIn:
     def test_gap_scaling(self, ref_mode, ref_transducer):
         t2 = dataclasses.replace(ref_transducer, gap=2 * ref_transducer.gap)
@@ -404,6 +421,52 @@ class TestPullIn:
         assert got == pytest.approx(expected, rel=1e-12)
         # recorded once for the 90 nm reference design
         assert got == pytest.approx(25.7620995599, rel=1e-9)
+
+
+class TestKernels:
+    """The R_x, pull-in and spring-softening kernels on arrays equal the
+    scalar functions and independently written math.pow expressions
+    bitwise, at values where numpy's array x**n (x*x for a square) and
+    libm pow round differently."""
+
+    def test_arrays_equal_math_pow(self):
+        rng = np.random.default_rng(4)
+
+        def ties(lo, hi, exponent):
+            return with_pow_ties(rng.uniform(lo, hi, 200000), count=30, keep=270,
+                                 exponent=exponent)
+
+        v = ties(0.5, 30.0, 2)
+        g = np.concatenate([ties(50e-9, 500e-9, 3)[:285], ties(50e-9, 500e-9, 4)[270:285]])
+        area = ties(1e-13, 1e-10, 2)
+        eps, q = EPSILON_0 * 1.7, 5e3
+        f = rng.uniform(1e6, 2e9, len(v))
+        # stiffness around the electrostatic spring: some points are unstable
+        k = v * v * eps * area / (g * g * g) * rng.uniform(0.5, 5.0, len(v))
+        m = k / (2 * math.pi * f) ** 2
+        r_x = transduction._motional_resistance(k, f, v, g, area, q, eps)
+        v_pi = transduction._pull_in_voltage(k, g, area, eps)
+        unstable, f_soft = transduction._spring_softening(f, k, v, g, area, eps)
+        for i in range(len(v)):
+            vi, gi, ai, fi, ki = (float(x[i]) for x in (v, g, area, f, k))
+            mode = ModeResult(frequency=fi, mode_order=1, effective_mass=float(m[i]),
+                              effective_stiffness=ki)
+            t = Transducer(gap=gi, bias_voltage=vi, drive_voltage=0.0,
+                           electrode_area=ai, gap_rel_permittivity=1.7)
+            expected = (ki / (2 * math.pi * fi * math.pow(vi, 2))) \
+                * (math.pow(gi, 4) / (math.pow(eps, 2) * math.pow(ai, 2))) / q
+            assert r_x[i] == motional_resistance(mode, t, q) == expected
+            expected = math.sqrt(8.0 * ki * math.pow(gi, 3) / (27.0 * eps * ai))
+            assert v_pi[i] == pull_in_voltage(mode, t) == expected
+            k_e = math.pow(vi, 2) * eps * ai / math.pow(gi, 3)
+            assert unstable[i] == (k_e >= ki)
+            if k_e < ki:
+                expected = fi * math.sqrt(1.0 - k_e / ki)
+                assert f_soft[i] == spring_softening_frequency(mode, t) == expected
+            else:
+                with pytest.raises(InstabilityError):
+                    spring_softening_frequency(mode, t)
+        assert 0 < unstable.sum() < len(v)
 
 
 class TestDetectionCurrents:
