@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BeamGeometry, DiskGeometry, Material, ModeResult
+from .core import BeamGeometry, DiskGeometry, Material, ModeResult, _derived
 from .errors import InvariantError, RootSearchError, SingularDrivePointError
 
 # quadrature order for mode-shape integrals (smooth integrands, machine accurate)
@@ -163,13 +163,14 @@ def _beam_lumped(n: int, drive_point: float, length, width, thickness, flex,
 
 def beam_mode_frequency(geom: BeamGeometry, mat: Material, n: int = 1) -> float:
     """Flexural resonance frequency (Hz) of mode n."""
-    return float(_beam_frequency(n, geom.length, geom.flexural_dimension, mat))
+    return _derived("beam frequency", _beam_frequency, n, geom.length,
+                    geom.flexural_dimension, mat)
 
 
 def beam_length_for_frequency(f: float, flexural_dim: float, mat: Material) -> float:
     """Length (m) whose fundamental flexural mode resonates at f (Hz),
     beam_mode_frequency solved for L."""
-    return float(_beam_length(f, flexural_dim, mat))
+    return _derived("beam length", _beam_length, f, flexural_dim, mat)
 
 
 def beam_mode_shape(n: int, xi):
@@ -227,8 +228,8 @@ def beam_mode_result(geom: BeamGeometry, mat: Material, n: int = 1,
                      drive_point: float = 0.5, samples: int = 201) -> ModeResult:
     """Bundle frequency, effective parameters and a shape sampled at
     `samples` points (none when samples = 0)."""
-    f, m_eff, k_eff = (float(v) for v in _beam_lumped(
-        n, drive_point, geom.length, geom.width, geom.thickness, geom.flexural_dimension, mat))
+    f, m_eff, k_eff = _derived("beam f, m_eff, k_eff", _beam_lumped, n, drive_point, geom.length,
+                               geom.width, geom.thickness, geom.flexural_dimension, mat)
     shape = ()
     if samples:
         phi = beam_mode_shape(n, np.linspace(0.0, 1.0, samples))
@@ -324,13 +325,13 @@ def _disk_lumped(n: int, radius, thickness, mat: Material):
 
 def disk_wineglass_frequency(geom: DiskGeometry, mat: Material, n: int = 2) -> float:
     """Lowest in-plane resonance (Hz) of angular order n (n=2: wine-glass)."""
-    return _disk_frequency(n, geom.radius, mat)
+    return _derived("disk frequency", _disk_frequency, n, geom.radius, mat)
 
 
 def disk_radius_for_frequency(f: float, mat: Material) -> float:
     """Radius (m) whose wine-glass (n = 2) mode resonates at f (Hz): the law
     f = y*c_T/(2*pi*R) is its own inverse in f and R."""
-    return _disk_frequency(2, f, mat)
+    return _derived("disk radius", _disk_frequency, 2, f, mat)
 
 
 def _disk_unit_fields(n: int, nu: float):
@@ -388,7 +389,8 @@ def disk_mode_result(geom: DiskGeometry, mat: Material, n: int = 2,
     angular antinode at `samples` radii (none when samples = 0), normalized
     to unit maximum.
     """
-    f, m_eff, k_eff = (float(v) for v in _disk_lumped(n, geom.radius, geom.thickness, mat))
+    f, m_eff, k_eff = _derived("disk f, m_eff, k_eff", _disk_lumped, n, geom.radius,
+                               geom.thickness, mat)
     shape = ()
     if samples:
         u_r, _ = _disk_unit_fields(n, mat.poisson_ratio)

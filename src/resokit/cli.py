@@ -15,39 +15,28 @@ import os
 import sys
 
 from . import analytic, design, fab, fem, transduction
-from .core import (BeamGeometry, beam_geometry_from_dict,
-                   disk_geometry_from_dict, load_material, material_from_dict,
-                   transducer_from_dict)
+from .core import (BeamGeometry, Material, _load_json_file,
+                   beam_geometry_from_dict, disk_geometry_from_dict,
+                   load_material, material_from_dict, transducer_from_dict)
 from .errors import (InfeasibleDesignError, InvariantError, ResokitError,
                      SchemaError, UnitError, UnknownPresetError)
 from .units import parse_quantity
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _load_design_config(path: str) -> dict:
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except OSError as exc:   # missing, a directory, unreadable
-        raise SchemaError(f"cannot read config file {path}: "
-                          f"{exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    version = cfg.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: unsupported schema_version {version}")
-    return cfg
+def _material(cfg: dict) -> Material:
+    """A design or bounds config's material: preset, file, inline object or silicon."""
+    spec = cfg.get("material", "silicon")
+    return material_from_dict(spec) if isinstance(spec, dict) else load_material(spec)
 
 
-def _design_from_config(cfg: dict):
-    """(geometry, material, transducer, q) from a design config dict."""
+def _design(args, needs_transducer: bool = False):
+    """(geometry, material, transducer or None, q) of the design config
+    args.config; SchemaError if the command needs a transducer it lacks."""
+    cfg = _load_json_file(args.config)
     kind = cfg.get("kind")
     if kind not in ("beam", "disk"):
         raise SchemaError(f"design config: kind must be 'beam' or 'disk', got {kind!r}")
@@ -55,11 +44,11 @@ def _design_from_config(cfg: dict):
         raise SchemaError("design config: missing 'geometry' object")
     geometry = (beam_geometry_from_dict(cfg["geometry"]) if kind == "beam"
                 else disk_geometry_from_dict(cfg["geometry"]))
-    mat_spec = cfg.get("material", "silicon")
-    material = (material_from_dict(mat_spec) if isinstance(mat_spec, dict)
-                else load_material(mat_spec))
+    material = _material(cfg)
     transducer = transducer_from_dict(cfg["transducer"]) if "transducer" in cfg else None
     q = parse_quantity(cfg.get("q", 1e4))
+    if needs_transducer and transducer is None:
+        raise SchemaError(f"{args.command} needs a transducer section in the config")
     return geometry, material, transducer, q
 
 
@@ -72,7 +61,7 @@ def _load_profile(spec: str) -> design.SpecProfile:
         if not os.path.isfile(spec):
             raise
     try:
-        return design.profile_from_dict(_load_design_config(spec))
+        return design.profile_from_dict(_load_json_file(spec))
     except InvariantError as exc:
         raise SchemaError(f"{spec}: {exc}") from None
 
@@ -88,8 +77,7 @@ def _emit(report: dict, json_path: str | None):
 # subcommands
 
 def _cmd_analyze(args) -> int:
-    cfg = _load_design_config(args.config)
-    geometry, material, _, _ = _design_from_config(cfg)
+    geometry, material, _, _ = _design(args)
 
     if isinstance(geometry, BeamGeometry):
         f_analytic = analytic.beam_mode_frequency(geometry, material, 1)
@@ -119,8 +107,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_fem(args) -> int:
-    cfg = _load_design_config(args.config)
-    geometry, material, _, _ = _design_from_config(cfg)
+    geometry, material, _, _ = _design(args)
 
     if isinstance(geometry, BeamGeometry):
         sys_ = fem.assemble_beam(geometry, material, args.elements)
@@ -149,10 +136,7 @@ def _cmd_fem(args) -> int:
 
 
 def _cmd_respond(args) -> int:
-    cfg = _load_design_config(args.config)
-    geometry, material, transducer, q = _design_from_config(cfg)
-    if transducer is None:
-        raise SchemaError("respond needs a transducer section in the config")
+    geometry, material, transducer, q = _design(args, needs_transducer=True)
     mode = design._mode_for(geometry, material)
     circuit = transduction.equivalent_circuit(mode, transducer, q)
     spectrum = transduction.transmission_spectrum(
@@ -173,12 +157,9 @@ def _cmd_respond(args) -> int:
 
 
 def _cmd_compare_detection(args) -> int:
-    cfg = _load_design_config(args.config)
-    geometry, material, transducer, q = _design_from_config(cfg)
+    geometry, material, transducer, q = _design(args, needs_transducer=True)
     if not isinstance(geometry, BeamGeometry):
         raise SchemaError("compare-detection supports beam designs")
-    if transducer is None:
-        raise SchemaError("compare-detection needs a transducer section in the config")
     curve = transduction.detection_comparison(geometry, material, transducer, q,
                                               args.scales)
     if args.csv:
@@ -195,14 +176,11 @@ def _cmd_compare_detection(args) -> int:
 def _load_process(path: str | None) -> fab.ProcessModel:
     if path is None:
         return fab.ProcessModel()
-    return fab.process_model_from_dict(_load_design_config(path))
+    return fab.process_model_from_dict(_load_json_file(path))
 
 
 def _cmd_check(args) -> int:
-    cfg = _load_design_config(args.config)
-    geometry, material, transducer, q = _design_from_config(cfg)
-    if transducer is None:
-        raise SchemaError("check needs a transducer section in the config")
+    geometry, material, transducer, q = _design(args, needs_transducer=True)
     profile = _load_profile(args.profile)
     process = _load_process(args.process)
     candidate = design.DesignCandidate.analyze(
@@ -215,15 +193,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    bcfg = _load_design_config(args.bounds)
+    bcfg = _load_json_file(args.bounds)
     family = bcfg.get("family")
     if family not in ("beam", "disk"):
         raise SchemaError("bounds config: family must be 'beam' or 'disk'")
     if "bounds" not in bcfg:
         raise SchemaError("bounds config: missing 'bounds' object")
-    mat_spec = bcfg.get("material", "silicon")
-    material = (material_from_dict(mat_spec) if isinstance(mat_spec, dict)
-                else load_material(mat_spec))
+    material = _material(bcfg)
     profile = _load_profile(args.profile)
     process = _load_process(args.process)
     assumed_q = bcfg.get("assumed_q")

@@ -43,6 +43,22 @@ def _require(cond: bool, message: str):
         raise InvariantError(message)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _derived(what: str, kernel, *args):
+    """kernel(*args) on floats as a float (a tuple of floats for a tuple),
+    each finite and > 0: a figure of absurd but finite inputs that overflows
+    or underflows (numpy: inf, nan or 0, silently; Python floats: also
+    OverflowError or ZeroDivisionError) is an InvariantError naming what."""
+    try:
+        out = kernel(*args)
+    except ArithmeticError:
+        out = math.nan
+    values = tuple(map(float, out)) if isinstance(out, tuple) else (float(out),)
+    if not all(0 < v < math.inf for v in values):
+        raise InvariantError(f"{what} must be finite and > 0, got {', '.join(map(repr, values))}")
+    return values if isinstance(out, tuple) else values[0]
+
+
 @dataclass(frozen=True)
 class Material:
     """Isotropic structural material.
@@ -224,10 +240,11 @@ class ModeResult:
     mode_shape: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        _require(self.frequency > 0, "frequency must be > 0")
+        _require(0 < self.frequency < math.inf, "frequency must be finite and > 0")
         _require(self.mode_order >= 0, "mode_order must be >= 0")
-        _require(self.effective_mass > 0, "effective_mass must be > 0")
-        _require(self.effective_stiffness > 0, "effective_stiffness must be > 0")
+        _require(0 < self.effective_mass < math.inf, "effective_mass must be finite and > 0")
+        _require(0 < self.effective_stiffness < math.inf,
+                 "effective_stiffness must be finite and > 0")
         shape = np.asarray(self.mode_shape, dtype=float)
         _require(shape.ndim == 1, "mode_shape must be a 1-D sequence")
         w0 = 2 * math.pi * self.frequency
@@ -295,64 +312,54 @@ def _check_keys(d: dict, required: set, optional: set, what: str):
         raise SchemaError(f"{what}: unknown fields {sorted(unknown)}")
 
 
+def _quantities(d: dict, names) -> dict:
+    """SI values of d's quantity fields among names, in order (absent: type default)."""
+    return {k: parse_quantity(d[k]) for k in names if k in d}
+
+
+def _enum_field(d: dict, key: str, kind, default, what: str):
+    """The kind member named by d[key] (default when absent)."""
+    value = d.get(key, default.value)
+    try:
+        return kind(value)
+    except ValueError:
+        raise SchemaError(f"unknown {what} {value!r}") from None
+
+
 def material_from_dict(d: dict) -> Material:
     _check_keys(d, {"youngs_modulus", "density", "poisson_ratio"},
                 {"rel_permittivity", "name"}, "material")
-    return Material(
-        youngs_modulus=parse_quantity(d["youngs_modulus"]),
-        density=parse_quantity(d["density"]),
-        poisson_ratio=parse_quantity(d["poisson_ratio"]),
-        rel_permittivity=parse_quantity(d.get("rel_permittivity", 1.0)),
-    )
+    return Material(**_quantities(d, ("youngs_modulus", "density", "poisson_ratio",
+                                      "rel_permittivity")))
 
 
 def beam_geometry_from_dict(d: dict) -> BeamGeometry:
     _check_keys(d, {"length", "width", "thickness"}, {"vibration_axis"}, "beam geometry")
-    axis = d.get("vibration_axis", VibrationAxis.OUT_OF_PLANE.value)
-    try:
-        axis = VibrationAxis(axis)
-    except ValueError:
-        raise SchemaError(f"unknown vibration_axis {axis!r}") from None
-    return BeamGeometry(
-        length=parse_quantity(d["length"]),
-        width=parse_quantity(d["width"]),
-        thickness=parse_quantity(d["thickness"]),
-        vibration_axis=axis,
-    )
+    axis = _enum_field(d, "vibration_axis", VibrationAxis, VibrationAxis.OUT_OF_PLANE,
+                       "vibration_axis")
+    return BeamGeometry(**_quantities(d, ("length", "width", "thickness")),
+                        vibration_axis=axis)
 
 
 def disk_geometry_from_dict(d: dict) -> DiskGeometry:
     _check_keys(d, {"radius", "thickness"}, set(), "disk geometry")
-    return DiskGeometry(radius=parse_quantity(d["radius"]),
-                        thickness=parse_quantity(d["thickness"]))
+    return DiskGeometry(**_quantities(d, ("radius", "thickness")))
 
 
 def mos_params_from_dict(d: dict) -> MosParams:
     _check_keys(d, {"bias_drain_current"}, {"channel_modulation_order"}, "mos params")
-    return MosParams(
-        bias_drain_current=parse_quantity(d["bias_drain_current"]),
-        channel_modulation_order=parse_quantity(d.get("channel_modulation_order", 1.0)),
-    )
+    return MosParams(**_quantities(d, ("bias_drain_current", "channel_modulation_order")))
 
 
 def transducer_from_dict(d: dict) -> Transducer:
     _check_keys(d, {"gap", "bias_voltage", "drive_voltage", "electrode_area"},
                 {"gap_rel_permittivity", "detection", "mos"}, "transducer")
-    detection = d.get("detection", DetectionKind.CAPACITIVE.value)
-    try:
-        detection = DetectionKind(detection)
-    except ValueError:
-        raise SchemaError(f"unknown detection kind {detection!r}") from None
+    detection = _enum_field(d, "detection", DetectionKind, DetectionKind.CAPACITIVE,
+                            "detection kind")
     mos = mos_params_from_dict(d["mos"]) if "mos" in d else None
-    return Transducer(
-        gap=parse_quantity(d["gap"]),
-        bias_voltage=parse_quantity(d["bias_voltage"]),
-        drive_voltage=parse_quantity(d["drive_voltage"]),
-        electrode_area=parse_quantity(d["electrode_area"]),
-        gap_rel_permittivity=parse_quantity(d.get("gap_rel_permittivity", 1.0)),
-        detection=detection,
-        mos=mos,
-    )
+    return Transducer(**_quantities(d, ("gap", "bias_voltage", "drive_voltage",
+                                        "electrode_area", "gap_rel_permittivity")),
+                      detection=detection, mos=mos)
 
 
 def mode_result_from_dict(d: dict) -> ModeResult:
@@ -362,19 +369,13 @@ def mode_result_from_dict(d: dict) -> ModeResult:
     if (isinstance(order, bool) or not isinstance(order, int)
             or not isinstance(shape, (list, tuple)) or any(isinstance(v, str) for v in shape)):
         raise SchemaError("mode result: mode_order must be an integer, mode_shape a list of numbers")
-    return ModeResult(
-        frequency=parse_quantity(d["frequency"]),
-        mode_order=order,
-        effective_mass=parse_quantity(d["effective_mass"]),
-        effective_stiffness=parse_quantity(d["effective_stiffness"]),
-        mode_shape=tuple(parse_quantity(v) for v in shape),
-    )
+    return ModeResult(**_quantities(d, ("frequency", "effective_mass", "effective_stiffness")),
+                      mode_order=order, mode_shape=tuple(parse_quantity(v) for v in shape))
 
 
 def equivalent_circuit_from_dict(d: dict) -> EquivalentCircuit:
     _check_keys(d, {"r_x", "l_x", "c_x", "c0", "q", "f0"}, set(), "equivalent circuit")
-    return EquivalentCircuit(**{k: parse_quantity(d[k]) for k in
-                                ("r_x", "l_x", "c_x", "c0", "q", "f0")})
+    return EquivalentCircuit(**_quantities(d, ("r_x", "l_x", "c_x", "c0", "q", "f0")))
 
 
 def save_json(obj, path):
@@ -385,15 +386,21 @@ def save_json(obj, path):
 
 
 def _load_json_file(path) -> dict:
+    """The JSON object in a config file of any kind, the one reader; SchemaError
+    if it cannot be read, is no JSON object, or has a schema_version other than 1."""
     try:
         with open(path) as f:
-            return json.load(f)
-    except json.JSONDecodeError as exc:
+            cfg = json.load(f)
+    except OSError as exc:   # missing, a directory, unreadable
+        raise SchemaError(f"cannot read config file {path}: "
+                          f"{exc.strerror or exc}") from None
+    except ValueError as exc:   # invalid JSON, or text that is not UTF-8
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-
-
-def load_material_file(path) -> Material:
-    return material_from_dict(_load_json_file(path))
+    if not isinstance(cfg, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    if cfg.get("schema_version", 1) != 1:
+        raise SchemaError(f"{path}: unsupported schema_version {cfg['schema_version']}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +427,6 @@ def load_material(name_or_file) -> Material:
     if key in table:
         return material_from_dict(table[key])
     if os.path.exists(key):
-        return load_material_file(key)
+        return material_from_dict(_load_json_file(key))
     raise UnknownPresetError(
         f"{key!r} is neither a built-in material preset {sorted(table)} nor an existing file")

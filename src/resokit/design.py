@@ -112,27 +112,29 @@ class SpecProfile:
         }
 
 
+def _pair(v, what: str) -> tuple:
+    """(low, high) of a [low, high] list v, unparsed; SchemaError naming what."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise SchemaError(f"{what} must be a [low, high] list")
+    return v[0], v[1]
+
+
 def profile_from_dict(d: dict) -> SpecProfile:
     _check_keys(d, {"name", "center_frequency"},
                 {"q_required", "bandpass", "impedance_range", "dc_voltage_range",
                  "tuning_required", "informational", "schema_version"}, "profile")
     if not isinstance(d["name"], str):
         raise SchemaError("profile: name must be a string")
-
-    def pair(v, what):
-        if not (isinstance(v, (list, tuple)) and len(v) == 2):
-            raise SchemaError(f"profile: {what} must be a [low, high] list")
-        return parse_quantity(v[0]), parse_quantity(v[1])
-
     cf = d["center_frequency"]
     if isinstance(cf, list):
-        cf = tuple(pair(b, "each center_frequency band") for b in cf)
+        cf = tuple(tuple(map(parse_quantity, _pair(b, "profile: each center_frequency band")))
+                   for b in cf)
     else:
         cf = parse_quantity(cf)
 
     def interval(key):
         v = d.get(key)
-        return None if v is None else pair(v, key)
+        return None if v is None else tuple(map(parse_quantity, _pair(v, f"profile: {key}")))
 
     def scalar(key):
         v = d.get(key)
@@ -495,6 +497,9 @@ def electrode_area(geometry) -> float:
                            getattr(geometry, "vibration_axis", None))
 
 
+# a point's figures may overflow or divide by zero (dimensions of 1e-170 m,
+# say); the masks and the finite check below decide such points, silently
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _evaluate_points(p: dict, profile: SpecProfile, family: str, material: Material,
                      process: ProcessModel, assumed_q: float,
                      vibration_axis: VibrationAxis, main_bounds: tuple):
@@ -518,8 +523,7 @@ def _evaluate_points(p: dict, profile: SpecProfile, family: str, material: Mater
         flex = p["width"] if vibration_axis is VibrationAxis.IN_PLANE else t
         vals = [analytic._beam_length(f, flex, material) for f in targets]
     else:
-        vals = [np.full(len(gap), analytic.disk_radius_for_frequency(f, material))
-                for f in targets]
+        vals = [np.full(len(gap), analytic._disk_frequency(2, f, material)) for f in targets]
     lo, hi = main_bounds
     dim = np.clip(vals[0], lo, hi)
     for v in reversed(vals):
@@ -597,11 +601,9 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     missing = set(param_names) - set(bounds)
     if missing:
         raise SchemaError(f"bounds missing parameters {sorted(missing)}")
-    for k in param_names:
-        if not (isinstance(bounds[k], (list, tuple)) and len(bounds[k]) == 2):
-            raise SchemaError(f"bounds[{k!r}] must be a [low, high] list")
-    bnd = {k: (parse_quantity(bounds[k][0]), parse_quantity(bounds[k][1]))
-           for k in param_names}
+    # every bound's shape is checked before any value is parsed
+    pairs = {k: _pair(bounds[k], f"bounds[{k!r}]") for k in param_names}
+    bnd = {k: tuple(map(parse_quantity, v)) for k, v in pairs.items()}
     for k, (lo, hi) in bnd.items():
         if not 0 < lo <= hi:
             raise SchemaError(f"bounds[{k!r}] must be a positive interval")
@@ -631,7 +633,7 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     order = np.lexsort([p[k][feasible] for k in reversed(param_names)] + [r_x[feasible]])
     starts = feasible[order[:_REFINE_STARTS]]
     cur = {k: p[k][starts] for k in param_names}
-    cur_r = r_x[starts].tolist()
+    cur_r = r_x[starts]
     n_trials = 11
     for rnd in range(_REFINE_ROUNDS):
         for k in grid_names:
@@ -642,17 +644,19 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
             trials[k] = np.linspace(np.maximum(lo, cur[k] - half),
                                     np.minimum(hi, cur[k] + half), n_trials, axis=-1).ravel()
             tp, t_codes, t_r = evaluate(trials)
-            # each start takes, in turn, every feasible trial that lowers its R_x
-            t_codes, t_r = t_codes.tolist(), t_r.tolist()
-            for s in range(len(cur_r)):
-                for j in range(s * n_trials, (s + 1) * n_trials):
-                    if t_codes[j] < 0 and t_r[j] < cur_r[s]:
-                        cur_r[s] = t_r[j]
-                        for name in param_names:
-                            cur[name][s] = tp[name][j]
+            # each start moves to its first trial of least R_x among the
+            # feasible ones below its own R_x, as taking every feasible trial
+            # that lowers it, in turn, would (NaN never lowers it)
+            t_r = np.where((t_codes < 0) & (t_r < np.repeat(cur_r, n_trials)), t_r, np.inf)
+            j = t_r.reshape(-1, n_trials).argmin(axis=1) + np.arange(0, t_r.size, n_trials)
+            moved = t_r[j] < np.inf
+            j = j[moved]
+            cur_r[moved] = t_r[j]
+            for name in param_names:
+                cur[name][moved] = tp[name][j]
 
     refined = [(r, {k: float(cur[k][s]) for k in param_names})
-               for s, r in enumerate(cur_r)]
+               for s, r in enumerate(cur_r.tolist())]
     refined.sort(key=lambda item: (item[0],) + tuple(item[1][k] for k in param_names))
     out, seen = [], set()
     for _, params in refined:

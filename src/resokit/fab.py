@@ -14,11 +14,10 @@ computation): channel doping ~5e15 at/cm3, source/drain/gate doping floor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .core import Transducer, _check_keys, _geometry_family
+from .core import Transducer, _check_keys, _geometry_family, _quantities
 from .errors import FabConstraintError, InvariantError
-from .units import parse_quantity
 
 # single-point calibration: 90 nm post-etch gap measured 130 nm after a
 # 1.19 um deep release
@@ -49,11 +48,9 @@ class ProcessModel:
 
 
 def process_model_from_dict(d: dict) -> ProcessModel:
-    known = {"etch_bias", "release_enlargement_rate", "min_drawn_gap",
-             "max_tunnel_depth"}
-    _check_keys(d, set(), known | {"schema_version"}, "process model")
-    kwargs = {k: parse_quantity(d[k]) for k in known if k in d}
-    return ProcessModel(**kwargs)
+    known = [f.name for f in fields(ProcessModel)]
+    _check_keys(d, set(), {*known, "schema_version"}, "process model")
+    return ProcessModel(**_quantities(d, known))
 
 
 # kernels for floats or arrays (see analytic)

@@ -40,6 +40,8 @@ _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
 _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and solve
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _TRANSLATIONAL = frozenset(("w", "ux", "uy"))
+# most rings mesh_disk builds: radius/1000 is already 3 million nodes
+_MAX_RINGS = 1000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -267,9 +269,9 @@ def _beam_section(geom: BeamGeometry):
     """(area, bending inertia) about the axis selected by vibration_axis."""
     w, t = geom.width, geom.thickness
     if geom.vibration_axis is VibrationAxis.IN_PLANE:
-        inertia = t * w**3 / 12.0    # deflection along width
+        inertia = t * np.float_power(w, 3) / 12.0    # deflection along width
     else:
-        inertia = w * t**3 / 12.0    # deflection along thickness
+        inertia = w * np.float_power(t, 3) / 12.0    # deflection along thickness
     return w * t, inertia
 
 
@@ -278,20 +280,26 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     """Euler-Bernoulli beam with consistent mass; both ends clamped by default."""
     if n_elements < 2:
         raise InvariantError(f"n_elements must be >= 2, got {n_elements}")
-    area, inertia = _beam_section(geom)
     le = geom.length / n_elements
-    ei, ral = mat.youngs_modulus * inertia, mat.density * area * le
-
-    ke = (ei / le**3) * np.array([
-        [12, 6 * le, -12, 6 * le],
-        [6 * le, 4 * le**2, -6 * le, 2 * le**2],
-        [-12, -6 * le, 12, -6 * le],
-        [6 * le, 2 * le**2, -6 * le, 4 * le**2]])
-    me = (ral / 420.0) * np.array([
-        [156, 22 * le, 54, -13 * le],
-        [22 * le, 4 * le**2, 13 * le, -3 * le**2],
-        [54, 13 * le, 156, -22 * le],
-        [-13 * le, -3 * le**2, -22 * le, 4 * le**2]])
+    # powers by libm pow, as Python's **, but an overflow (or a division by
+    # an le^3 that underflows) is a non-finite entry AssembledSystem refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        area, inertia = _beam_section(geom)
+        ei, ral = mat.youngs_modulus * inertia, mat.density * area * le
+        le2, le3 = np.float_power(le, 2), np.float_power(le, 3)
+        k_scale = ei / le3
+        ke = k_scale * np.array([
+            [12, 6 * le, -12, 6 * le],
+            [6 * le, 4 * le2, -6 * le, 2 * le2],
+            [-12, -6 * le, 12, -6 * le],
+            [6 * le, 2 * le2, -6 * le, 4 * le2]])
+        me = (ral / 420.0) * np.array([
+            [156, 22 * le, 54, -13 * le],
+            [22 * le, 4 * le2, 13 * le, -3 * le2],
+            [54, 13 * le, 156, -22 * le],
+            [-13 * le, -3 * le2, -22 * le, 4 * le2]])
+    if not k_scale > 0:   # an underflow: a zero K would give 0 Hz modes
+        raise InvariantError(f"beam element stiffness EI/le^3 must be > 0, got {float(k_scale)!r}")
 
     n_nodes = n_elements + 1
     ndof = 2 * n_nodes
@@ -322,6 +330,8 @@ def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
     r_out = geom.radius
     if not 0 < target_edge < r_out / 4:
         raise MeshError(f"target_edge must be in (0, radius/4), got {target_edge}")
+    if not r_out / target_edge <= _MAX_RINGS:
+        raise MeshError(f"target_edge {target_edge} needs more than {_MAX_RINGS} rings")
     m = max(4, round(r_out / target_edge))
     nodes = [(0.0, 0.0)]
     rings = [[0]]
@@ -476,8 +486,12 @@ def solve_modes(sys: AssembledSystem, k: int):
 
     # residual bound is meaningful only away from the rigid-body null space
     kv = kk @ vecs
-    norm_kv = np.linalg.norm(kv, axis=0)
-    elastic = norm_kv > 1e-9 * float(abs(kk).max()) * np.linalg.norm(vecs, axis=0)
+    with np.errstate(over="ignore"):
+        norm_kv, norm_v = np.linalg.norm(kv, axis=0), np.linalg.norm(vecs, axis=0)
+    if not (np.isfinite(norm_kv).all() and np.isfinite(norm_v).all()):
+        # M-normalized vectors of a mass matrix near the float floor
+        raise EigenSolveError("mode vector norms overflow; the residual cannot be gated")
+    elastic = norm_kv > 1e-9 * float(abs(kk).max()) * norm_v
     resid = np.linalg.norm(kv - vals * (mm @ vecs), axis=0) / np.where(elastic, norm_kv, 1.0)
     bad = np.flatnonzero(elastic & (resid > _RESIDUAL_BOUND))
     if bad.size:

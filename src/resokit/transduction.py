@@ -19,7 +19,7 @@ import numpy as np
 
 from .analytic import beam_mode_result
 from .core import (EPSILON_0, BeamGeometry, DetectionKind, EquivalentCircuit,
-                   Material, ModeResult, Transducer)
+                   Material, ModeResult, Transducer, _derived)
 from .errors import (DetectionMismatchError, InstabilityError, InvariantError,
                      MissingBandwidthError, PeakAtBoundaryError, SpectrumError,
                      UnboundedResistanceError)
@@ -106,9 +106,8 @@ def motional_resistance(mode: ModeResult, t: Transducer, q: float) -> float:
     if t.bias_voltage == 0:
         raise UnboundedResistanceError(
             "zero bias voltage: motional resistance is unbounded")
-    return float(_motional_resistance(mode.effective_stiffness, mode.frequency,
-                                      t.bias_voltage, t.gap, t.electrode_area, q,
-                                      _gap_permittivity(t)))
+    return _derived("R_x", _motional_resistance, mode.effective_stiffness, mode.frequency,
+                    t.bias_voltage, t.gap, t.electrode_area, q, _gap_permittivity(t))
 
 
 def equivalent_circuit(mode: ModeResult, t: Transducer, q: float) -> EquivalentCircuit:
@@ -118,9 +117,9 @@ def equivalent_circuit(mode: ModeResult, t: Transducer, q: float) -> EquivalentC
     q are stored as the exact RLC-derived values.
     """
     r_x = motional_resistance(mode, t, q)
-    eta = transduction_factor(t)
-    l_x = mode.effective_mass / eta**2
-    c_x = eta**2 / mode.effective_stiffness
+    eta2 = _derived("eta^2", lambda: transduction_factor(t)**2)
+    l_x = mode.effective_mass / eta2
+    c_x = eta2 / mode.effective_stiffness
     f0 = 1.0 / (2 * math.pi * math.sqrt(l_x * c_x))
     q_rlc = math.sqrt(l_x / c_x) / r_x
     return EquivalentCircuit(r_x=r_x, l_x=l_x, c_x=c_x,
@@ -225,8 +224,8 @@ def spring_softening_frequency(mode: ModeResult, t: Transducer) -> float:
 
 def pull_in_voltage(mode: ModeResult, t: Transducer) -> float:
     """Parallel-plate pull-in limit sqrt(8*k_r*d0^3/(27*eps0*er*S))."""
-    return float(_pull_in_voltage(mode.effective_stiffness, t.gap, t.electrode_area,
-                                  _gap_permittivity(t)))
+    return _derived("pull-in voltage", _pull_in_voltage, mode.effective_stiffness, t.gap,
+                    t.electrode_area, _gap_permittivity(t))
 
 
 def capacitive_output_current(mode: ModeResult, t: Transducer, q: float) -> float:
@@ -277,6 +276,6 @@ def detection_comparison(geom: BeamGeometry, mat: Material, t: Transducer,
                          gap_rel_permittivity=t.gap_rel_permittivity,
                          detection=DetectionKind.MOS, mos=mos_s)
         mode_s = beam_mode_result(geom_s, mat, n=1, samples=0)
-        ratio = mos_output_current(mode_s, t_s, q) / capacitive_output_current(mode_s, t_s, q)
-        out.append((s, ratio))
+        out.append((s, _derived("i_mos/i_cap", lambda: mos_output_current(mode_s, t_s, q)
+                                / capacitive_output_current(mode_s, t_s, q))))
     return out

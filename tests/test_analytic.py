@@ -55,6 +55,31 @@ class TestBeamCoefficients:
             beam_mode_coefficient(0)
 
 
+class TestFiguresOutOfRange:
+    """A figure of absurd but finite dimensions that overflows or underflows
+    is an InvariantError, not a numpy warning and an inf or 0."""
+
+    def test_beam(self, silicon):
+        huge = BeamGeometry(1e300, 0.46e-6, 0.4e-6, VibrationAxis.IN_PLANE)  # L^2 = inf
+        with pytest.raises(InvariantError, match="beam frequency must be finite"):
+            beam_mode_frequency(huge, silicon)
+        with pytest.raises(InvariantError, match="beam f, m_eff, k_eff"):
+            beam_mode_result(huge, silicon, samples=0)
+
+    def test_disk(self, silicon):
+        tiny = DiskGeometry(1e-320, 1e-321)   # f = y*c_T/(2*pi*R) = inf
+        with pytest.raises(InvariantError, match="disk frequency must be finite"):
+            disk_wineglass_frequency(tiny, silicon)
+        with pytest.raises(InvariantError, match="disk f, m_eff, k_eff"):
+            disk_mode_result(tiny, silicon, samples=0)
+
+    def test_inverse_laws(self, silicon):
+        with pytest.raises(InvariantError, match="disk radius"):
+            disk_radius_for_frequency(1e-320, silicon)
+        with pytest.raises(InvariantError, match="beam length"):
+            beam_length_for_frequency(1e-320, 1e300, silicon)
+
+
 class TestBeamFrequency:
     def test_reference_beam_within_10pct_of_38p8mhz(self, ref_beam, silicon):
         # 10 x 0.46 x 0.4 um silicon beam, in-plane fundamental

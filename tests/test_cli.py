@@ -124,6 +124,75 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestConfigReader:
+    """Design, bounds and material files go through one reader and get the
+    same errors."""
+
+    @staticmethod
+    def _with_material(tmp_path, name, material):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["material"] = material
+        path = tmp_path / name
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("name,argv", [
+        ("beam.json", ["check", "--profile", "oscillator-n2", "--config"]),
+        ("beam.json", ["respond", "--config"]),
+        ("oscillator_bounds.json", ["optimize", "--profile", "oscillator-n2", "--bounds"]),
+    ], ids=["check", "respond", "optimize"])
+    def test_material_directory_is_usage_error(self, tmp_path, capsys, name, argv):
+        assert main([*argv, self._with_material(tmp_path, name, str(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {tmp_path}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "expected a JSON object"),
+        ("{", "invalid JSON"),
+        (b"\xff\xfe{}", "invalid JSON"),
+        ('{"schema_version": 2}', "unsupported schema_version 2"),
+    ], ids=["list", "truncated", "not-utf8", "schema-2"])
+    def test_bad_material_file_is_usage_error(self, tmp_path, capsys, text, message):
+        material = tmp_path / "material.json"
+        if isinstance(text, bytes):
+            material.write_bytes(text)
+        else:
+            material.write_text(text)
+        config = self._with_material(tmp_path, "beam.json", str(material))
+        assert main(["check", "--profile", "oscillator-n2", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {material}: {message}")
+        assert len(err.splitlines()) == 1
+
+
+class TestAbsurdValues:
+    # check analyzes the released gap, which a drawn gap of 1e-100 m
+    # leaves at about 20 nm
+    @pytest.mark.parametrize("argv,gap", [
+        (["respond"], 1e100), (["respond"], 1e-100),
+        (["check", "--profile", "oscillator-n2"], 1e100),
+    ], ids=["respond-huge", "respond-tiny", "check-huge"])
+    def test_absurd_gap_is_domain_error(self, beam_config, capsys, argv, gap):
+        # R_x overflows or underflows: one error line and exit 1, no
+        # traceback and no numpy warning
+        cfg = json.loads(open(beam_config).read())
+        cfg["transducer"]["gap"] = gap
+        with open(beam_config, "w") as f:
+            json.dump(cfg, f)
+        assert main([argv[0], "--config", beam_config, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: R_x must be finite and > 0, got " \
+            f"{'inf' if gap > 1 else '0.0'}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["fem"]])
+    def test_disk_mesh_past_the_ring_limit(self, disk_config, capsys, argv):
+        # a target edge of 1e-300 m would need 3e294 rings
+        assert main([*argv, "--config", disk_config, "--target-edge", "1e-300"]) == 1
+        assert "rings" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["fem", "--config", "{beam}", "--modes", "0"],
     ["respond", "--config", "{beam}", "--points", "2"],

@@ -280,6 +280,14 @@ class TestModeResult:
             ModeResult(frequency=1e6, mode_order=1, effective_mass=1e-15,
                        effective_stiffness=k, mode_shape=shape)
 
+    @pytest.mark.parametrize("name", ["frequency", "effective_mass", "effective_stiffness"])
+    def test_non_finite_figure_rejected(self, name):
+        fields = {"frequency": 1e6, "effective_mass": 1e-15,
+                  "effective_stiffness": (2 * math.pi * 1e6) ** 2 * 1e-15}
+        ModeResult(mode_order=1, **fields)
+        with pytest.raises(InvariantError, match=f"{name} must be finite and > 0"):
+            ModeResult(mode_order=1, **dict(fields, **{name: _INF}))
+
     @pytest.mark.parametrize("shape", [1.0, ((1.0, 0.5), (0.5, 1.0))], ids=["scalar", "2-d"])
     def test_shape_must_be_one_dimensional(self, shape):
         k = (2 * math.pi * 1e6) ** 2 * 1e-15

@@ -376,6 +376,16 @@ class TestOptimize:
         with pytest.raises(InvariantError):
             optimize(oscillator_profile(2), "plate", BOUNDS, material=silicon)
 
+    def test_rejected_geometry_is_silent(self, silicon):
+        # every point fails the shape rule (thickness > length), and the
+        # physics of those points divides by zero and overflows: no numpy
+        # warning (an error under this suite's filterwarnings)
+        bounds = dict(BOUNDS, length=(1e-170, 1e-170), thickness=(1e-160, 1e-160))
+        with pytest.raises(InfeasibleDesignError) as exc:
+            optimize(oscillator_profile(2), "beam", bounds, material=silicon,
+                     grid_points=3)
+        assert exc.value.binding_constraints == {"geometry": 81}
+
 
 def _reference_point_search(profile, family, bounds, process, material,
                             assumed_q, vibration_axis):

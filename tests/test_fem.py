@@ -8,7 +8,7 @@ from scipy.sparse import eye_array as sparse_eye
 
 from resokit import fem
 from resokit.analytic import beam_mode_frequency, disk_wineglass_frequency
-from resokit.core import BeamGeometry, VibrationAxis
+from resokit.core import BeamGeometry, DiskGeometry, VibrationAxis
 from resokit.errors import (AmbiguousAngularOrderError, EigenSolveError,
                             InvariantError, MeshError)
 from resokit.fem import (AssembledSystem, Mesh, assemble_beam, assemble_disk,
@@ -52,6 +52,30 @@ class TestBeamAssembly:
     def test_clamped_constraints(self, ref_beam, silicon):
         sys_ = assemble_beam(ref_beam, silicon, 4)
         assert sys_.constraints == (0, 1, 8, 9)
+
+    @pytest.mark.parametrize("dims,got", [
+        ((1e145, 0.46e-6, 0.4e-6), "0.0"),    # le^3 overflows, so EI/le^3 is 0
+        ((1e300, 0.46e-6, 0.4e-6), "0.0"),    # le^2 and le^3 overflow
+        ((10e-6, 4.6e-157, 0.4e-6), "0.0"),   # EI ~ t*w^3 underflows to 0
+        ((1e145, 1e144, 1e144), "nan"),       # w^3 and le^3 overflow
+    ])
+    def test_element_matrices_out_of_range(self, silicon, dims, got):
+        # refused without a numpy warning (Python's float ** would raise
+        # OverflowError), and never a zero K, whose modes would be 0 Hz
+        geom = BeamGeometry(*dims, VibrationAxis.IN_PLANE)
+        with pytest.raises(InvariantError, match=f"EI/le.3 must be > 0, got {got}"):
+            assemble_beam(geom, silicon, 8)
+
+    @pytest.mark.parametrize("n_elements", [2, 5, 64])
+    def test_element_powers_equal_float_pow(self, ref_beam, silicon, n_elements):
+        # le^2 and le^3 are libm pow, as Python's float ** is
+        # (node 1's rotation gets the same entry from both its elements)
+        sys_ = assemble_beam(ref_beam, silicon, n_elements)
+        area, inertia = fem._beam_section(ref_beam)
+        le = ref_beam.length / n_elements
+        ei, ral = silicon.youngs_modulus * inertia, silicon.density * area * le
+        assert sys_.stiffness[3, 3] == 2 * ((ei / le**3) * (4 * le**2))
+        assert sys_.mass[3, 3] == 2 * ((ral / 420.0) * (4 * le**2))
 
 
 class TestBeamConvergence:
@@ -595,6 +619,19 @@ class TestDiskMesh:
         with pytest.raises(MeshError):
             mesh_disk(ref_disk, ref_disk.radius * bad_factor)
 
+    @pytest.mark.parametrize("target_edge", [1e-300, 1e-320])
+    def test_ring_limit(self, ref_disk, target_edge):
+        # radius/target_edge is 1e295 rings, or inf: refused before any node
+        # is built
+        with pytest.raises(MeshError, match="rings"):
+            mesh_disk(ref_disk, target_edge)
+
+    def test_ring_limit_edge(self, ref_disk, monkeypatch):
+        monkeypatch.setattr(fem, "_MAX_RINGS", 8)
+        assert len(mesh_disk(ref_disk, ref_disk.radius / 8).nodes) == 1 + 3 * 8 * 9
+        with pytest.raises(MeshError, match="more than 8 rings"):
+            mesh_disk(ref_disk, ref_disk.radius / 8.5)
+
     def test_degenerate_elements_rejected(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         tris = np.array([[0, 1, 2]])
@@ -700,6 +737,14 @@ class TestHarmonicEnergies:
 
 
 class TestDiskModal:
+    def test_vectors_too_large_to_gate(self, silicon):
+        # a 4e-307 m thick disk has mass entries near the float floor, so the
+        # M-normalized vectors' norms overflow: the residual gate cannot be
+        # evaluated, and the solve fails rather than skip it
+        geom = DiskGeometry(3e-6, 0.4e-306)
+        with pytest.raises(EigenSolveError, match="overflow"):
+            disk_modal_fem(geom, silicon, mesh_disk(geom, 0.6e-6), n_modes=2)
+
     def test_wineglass_within_5pct_of_analytic(self, modal, ref_disk, silicon):
         f_ref = disk_wineglass_frequency(ref_disk, silicon, 2)
         wg = [m for m in modal if m.mode_order == 2]

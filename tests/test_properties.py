@@ -18,6 +18,7 @@ from resokit.core import (beam_geometry_from_dict, disk_geometry_from_dict,
 from resokit.design import profile_from_dict
 from resokit.errors import ResokitError
 from resokit.fab import process_model_from_dict
+from resokit.units import parse_quantity
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -195,14 +196,39 @@ _DESIGN_COMMANDS = (
 )
 
 
+# the keys whose values are dimensioned quantities (q counts: R_x scales with it)
+_DIMENSIONED = {"length", "width", "thickness", "radius", "gap", "bias_voltage",
+                "drive_voltage", "electrode_area", "bias_drain_current", "q"}
+
+
+def _dimensioned_paths(node, path=()):
+    """Key paths to the dimensioned values of a config (each end of a bound)."""
+    if isinstance(node, dict):
+        return [p for k, v in sorted(node.items()) for p in _dimensioned_paths(v, (*path, k))]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in _dimensioned_paths(v, (*path, i))]
+    return [path] if _DIMENSIONED & set(path) else []
+
+
 @st.composite
 def _damaged_configs(draw):
     """(argv without the config path, config dict): a shipped config with
-    one top-level key dropped, or the bounds config with one interval
-    truncated to 0 or 1 elements."""
+    one top-level key dropped, the bounds config with one interval
+    truncated to 0 or 1 elements, one dimensioned value scaled to an
+    extreme but finite magnitude, or a material that names a directory."""
     name = draw(st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))))
     cfg = json.loads((CONFIGS / name).read_text())
-    if "bounds" in cfg and draw(st.booleans()):
+    damage = draw(st.sampled_from(["drop", "extreme", "directory"]))
+    if damage == "extreme":
+        *parents, key = draw(st.sampled_from(_dimensioned_paths(cfg)))
+        node = cfg
+        for k in parents:
+            node = node[k]
+        exponent = draw(st.sampled_from([-300, -150, 150, 300]))
+        node[key] = parse_quantity(node[key]) * 10.0 ** exponent
+    elif damage == "directory":
+        cfg["material"] = str(CONFIGS)
+    elif "bounds" in cfg and draw(st.booleans()):
         key = draw(st.sampled_from(sorted(cfg["bounds"])))
         cfg["bounds"][key] = cfg["bounds"][key][:draw(st.integers(0, 1))]
     else:
@@ -214,11 +240,12 @@ def _damaged_configs(draw):
     return argv, cfg
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_damaged_configs())
 def test_cli_exits_with_a_code_on_damaged_configs(case):
-    """A shipped config missing a key or a bound ends in exit 0, 1 or 2,
-    never in a traceback."""
+    """A shipped config missing a key or a bound, with an extreme value, or
+    with a directory for its material ends in exit 0, 1 or 2, never in a
+    traceback or a numpy warning."""
     argv, cfg = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

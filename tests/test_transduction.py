@@ -103,6 +103,16 @@ class TestMotionalResistance:
         with pytest.raises(InvariantError):
             motional_resistance(ref_mode, ref_transducer, 0.0)
 
+    @pytest.mark.parametrize("gap", [1e100, 1e-100])
+    def test_absurd_gap_rejected(self, ref_mode, ref_transducer, gap):
+        # d0^4 overflows to inf or underflows to 0: an InvariantError, and
+        # no numpy warning (an error under this suite's filterwarnings)
+        t = dataclasses.replace(ref_transducer, gap=gap)
+        with pytest.raises(InvariantError, match="R_x must be finite and > 0"):
+            motional_resistance(ref_mode, t, Q_REF)
+        with pytest.raises(InvariantError, match="R_x"):
+            equivalent_circuit(ref_mode, t, Q_REF)
+
 
 class TestEquivalentCircuit:
     def test_rx_equivalence_both_paths(self):
@@ -129,6 +139,13 @@ class TestEquivalentCircuit:
         t = Transducer(gap=100e-9, bias_voltage=1, drive_voltage=0,
                        electrode_area=1e-12)
         assert static_capacitance(t) == pytest.approx(88.541878128e-18, rel=1e-9)
+
+    def test_eta_squared_out_of_range(self, ref_mode, ref_transducer):
+        # R_x is finite and > 0 here, but eta^2 overflows
+        t = dataclasses.replace(ref_transducer, gap=1e-40, bias_voltage=1e100)
+        assert 0 < motional_resistance(ref_mode, t, 1e-10) < math.inf
+        with pytest.raises(InvariantError, match="eta"):
+            equivalent_circuit(ref_mode, t, 1e-10)
 
     def test_dielectric_gap_reduces_rx(self, ref_mode, ref_transducer):
         er = 7.8
@@ -422,6 +439,12 @@ class TestPullIn:
         # recorded once for the 90 nm reference design
         assert got == pytest.approx(25.7620995599, rel=1e-9)
 
+    @pytest.mark.parametrize("gap", [1e110, 1e-170])
+    def test_absurd_gap_rejected(self, ref_mode, ref_transducer, gap):
+        t = dataclasses.replace(ref_transducer, gap=gap)   # d0^3 = inf or 0
+        with pytest.raises(InvariantError, match="pull-in voltage must be finite"):
+            pull_in_voltage(ref_mode, t)
+
 
 class TestKernels:
     """The R_x, pull-in and spring-softening kernels on arrays equal the
@@ -537,6 +560,16 @@ class TestDetectionComparison:
             detection_comparison(ref_beam, silicon, mos_transducer, Q_REF, [1.0, 1.0])
         with pytest.raises(InvariantError):
             detection_comparison(ref_beam, silicon, mos_transducer, Q_REF, [1.0, -0.5])
+
+    @pytest.mark.parametrize("change", [
+        {"drive_voltage": 0.0},   # both currents are 0
+        {"gap": 1e160},           # d0^2 overflows
+        {"gap": 1e-300},          # d0^2 underflows to 0
+    ], ids=["no-drive", "huge-gap", "tiny-gap"])
+    def test_ratio_out_of_range(self, ref_beam, silicon, mos_transducer, change):
+        t = dataclasses.replace(mos_transducer, **change)
+        with pytest.raises(InvariantError, match="i_mos/i_cap must be finite and > 0"):
+            detection_comparison(ref_beam, silicon, t, Q_REF, [1.0, 0.5])
 
     def test_needs_mos(self, ref_beam, silicon, ref_transducer):
         with pytest.raises(DetectionMismatchError):
