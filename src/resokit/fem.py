@@ -18,6 +18,18 @@ and ARPACK needs k well below n: a sparse system asked for k >= n/4 modes
 is solved densely too. Both paths share the residual gate, normalization
 and sign convention.
 
+A beam is solved once per mesh. With le = L/n and D = diag(1, le, 1, le,
+...), assemble_beam's K is (EI/le^3) D K0 D and its M is (rho*A*le/420)
+D M0 D, where K0 and M0 scatter the integer element matrices of a unit
+beam and depend only on (n_elements, clamped). The pencils are congruent
+(Golub & Van Loan, Matrix Computations, sec. 8.7), so K0 psi = mu M0 psi
+gives the beam's pairs exactly: lambda = mu (EI/le^3) / (rho*A*le/420)
+and phi = psi / d on the free dofs. solve_modes takes (mu, psi) from a
+small LRU cache keyed by (n_elements, clamped, k), filled through the
+dense/sparse dispatch above; the residual gate, normalization and sign
+convention then run on the beam's own K and M. Disks, and systems built
+with AssembledSystem(...) directly, are solved as they are.
+
 scipy.linalg and scipy.sparse are imported inside the functions that call
 them: importing this module, or building a mesh, loads no scipy module.
 """
@@ -26,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -39,6 +51,8 @@ _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
 _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
 _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and solve
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
+_SIGN_RTOL = 1e-6          # translational entries this close to the largest tie for the sign
+_UNIT_BEAM_CACHE = 8       # unit-beam eigenpair sets kept, keyed (n_elements, clamped, k)
 _TRANSLATIONAL = frozenset(("w", "ux", "uy"))
 # most rings mesh_disk builds: radius/1000 is already 3 million nodes
 _MAX_RINGS = 1000
@@ -111,6 +125,10 @@ class AssembledSystem:
     dof_map: tuple
     constraints: tuple
     mesh: Mesh | None = field(default=None, compare=False)
+    # Set by assemble_beam only: (n_elements, clamped, d on the free dofs,
+    # (EI/le^3) / (rho*A*le/420)), the congruence that maps the unit-beam
+    # pairs to this system's (see the module docstring).
+    _unit_beam: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # Built once by __post_init__. _kf/_mf are the free-dof blocks of K and
     # M, stored as K and M are. _tdofs lists the translational dofs; row j
     # of _tnode_dofs holds the translational dofs of the j-th node that has
@@ -275,6 +293,20 @@ def _beam_section(geom: BeamGeometry):
     return w * t, inertia
 
 
+# Element matrices of a unit beam: an element of length le is
+# (EI/le^3) D _KE0 D and (rho*A*le/420) D _ME0 D with D = diag(1, le, 1, le)
+_KE0 = np.array([[12, 6, -12, 6], [6, 4, -6, 2], [-12, -6, 12, -6], [6, 2, -6, 4]])
+_ME0 = np.array([[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22],
+                 [-13, -3, -22, 4]])
+
+
+def _beam_topology(n_elements: int, clamped: bool):
+    """(element dofs (E, 4), ndof, constrained dofs) of an n-element beam."""
+    ndof = 2 * (n_elements + 1)
+    dofs = 2 * np.arange(n_elements)[:, None] + np.arange(4)
+    return dofs, ndof, ((0, 1, ndof - 2, ndof - 1) if clamped else ())
+
+
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
                   clamped: bool = True) -> AssembledSystem:
     """Euler-Bernoulli beam with consistent mass; both ends clamped by default."""
@@ -287,13 +319,14 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
         area, inertia = _beam_section(geom)
         ei, ral = mat.youngs_modulus * inertia, mat.density * area * le
         le2, le3 = np.float_power(le, 2), np.float_power(le, 3)
-        k_scale = ei / le3
+        k_scale, m_scale = ei / le3, ral / 420.0
+        ratio = k_scale / m_scale
         ke = k_scale * np.array([
             [12, 6 * le, -12, 6 * le],
             [6 * le, 4 * le2, -6 * le, 2 * le2],
             [-12, -6 * le, 12, -6 * le],
             [6 * le, 2 * le2, -6 * le, 4 * le2]])
-        me = (ral / 420.0) * np.array([
+        me = m_scale * np.array([
             [156, 22 * le, 54, -13 * le],
             [22 * le, 4 * le2, 13 * le, -3 * le2],
             [54, 13 * le, 156, -22 * le],
@@ -302,9 +335,7 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
         raise InvariantError(f"beam element stiffness EI/le^3 must be > 0, got {float(k_scale)!r}")
 
     n_nodes = n_elements + 1
-    ndof = 2 * n_nodes
-    dofs = 2 * np.arange(n_elements)[:, None] + np.arange(4)
-    constraints = (0, 1, ndof - 2, ndof - 1) if clamped else ()
+    dofs, ndof, constraints = _beam_topology(n_elements, clamped)
     k, m = _scatter(dofs, np.broadcast_to(ke, (n_elements, 4, 4)),
                     np.broadcast_to(me, (n_elements, 4, 4)), ndof,
                     ndof - len(constraints))
@@ -314,7 +345,11 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
                 elements=np.column_stack([np.arange(n_elements),
                                           np.arange(1, n_elements + 1)]),
                 kind="beam_1d")
-    return AssembledSystem(k, m, dof_map, constraints, mesh)
+    sys = AssembledSystem(k, m, dof_map, constraints, mesh)
+    if 0 < ratio < math.inf:   # else the pairs could not be scaled back
+        d_free = _readonly(np.tile((1.0, le), n_nodes)[sys.free_dofs()])
+        object.__setattr__(sys, "_unit_beam", (n_elements, clamped, d_free, float(ratio)))
+    return sys
 
 
 # ---------------------------------------------------------------------------
@@ -463,24 +498,58 @@ def _shift_invert_modes(kk, mm, k: int):
     return vals, x @ q
 
 
+def _pencil_modes(kk, mm, k: int):
+    """k lowest eigenpairs of the free-dof pencil (kk, mm), stored as
+    AssembledSystem stores it: LAPACK for a dense pencil or for k >= n/4,
+    shift-invert Lanczos otherwise."""
+    if isinstance(kk, np.ndarray):
+        return _dense_modes(kk, mm, k)
+    if 4 * k >= kk.shape[0]:
+        return _dense_modes(kk.toarray(), mm.toarray(), k)
+    return _shift_invert_modes(kk, mm, k)
+
+
+@lru_cache(maxsize=_UNIT_BEAM_CACHE)
+def _unit_beam_modes(n_elements: int, clamped: bool, k: int):
+    """k lowest eigenpairs (mu, psi) of the unit-beam pencil (K0, M0) on its
+    free dofs, as read-only arrays, solved as the beam's own pencil would be
+    (dense at or below _SPARSE_MIN_DOF free dofs)."""
+    dofs, ndof, constraints = _beam_topology(n_elements, clamped)
+    k0, m0 = _scatter(dofs, np.broadcast_to(_KE0, (n_elements, 4, 4)),
+                      np.broadcast_to(_ME0, (n_elements, 4, 4)), ndof,
+                      ndof - len(constraints))
+    if clamped:   # the free dofs are 2 .. ndof - 3
+        k0, m0 = k0[2:-2, 2:-2], m0[2:-2, 2:-2]
+    vals, vecs = _pencil_modes(k0, m0, k)
+    return _readonly(vals), _readonly(vecs)
+
+
+def _eigenpairs(sys: AssembledSystem, k: int):
+    """k lowest eigenpairs of the system's free-dof pencil: eigenvalues
+    ascending, eigenvectors as columns. A beam from assemble_beam maps the
+    cached unit-beam pairs (see the module docstring)."""
+    if sys._unit_beam is None:
+        return _pencil_modes(sys._kf, sys._mf, k)
+    n_elements, clamped, d_free, ratio = sys._unit_beam
+    mu, psi = _unit_beam_modes(n_elements, clamped, k)
+    return mu * ratio, psi / d_free[:, None]
+
+
 def solve_modes(sys: AssembledSystem, k: int):
     """k lowest modes of K*phi = lambda*M*phi on the constrained system.
 
     Returns [(frequency_hz, mode_vector)] sorted ascending. Mode vectors are
     full length (zeros at constrained dofs) and normalized to unit maximum
-    translational displacement. Deterministic for fixed input.
+    translational displacement; the lowest-index translational dof within
+    _SIGN_RTOL of the largest magnitude is positive. Deterministic for fixed
+    input.
     """
     free = sys.free_dofs()
     if not 1 <= k <= len(free):
         raise EigenSolveError(f"k must be in [1, {len(free)}], got {k}")
     kk, mm = sys._kf, sys._mf
     try:
-        if isinstance(kk, np.ndarray):
-            vals, vecs = _dense_modes(kk, mm, k)
-        elif 4 * k >= len(free):
-            vals, vecs = _dense_modes(kk.toarray(), mm.toarray(), k)
-        else:
-            vals, vecs = _shift_invert_modes(kk, mm, k)
+        vals, vecs = _eigenpairs(sys, k)
     except (np.linalg.LinAlgError, RuntimeError) as exc:   # ArpackError is a RuntimeError
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from None
 
@@ -503,9 +572,12 @@ def solve_modes(sys: AssembledSystem, k: int):
     full[:, free] = vecs.T
     peak = np.max(_translational_amplitude(sys, full), axis=1)
     full /= np.where(peak > 0, peak, 1.0)[:, None]
-    # sign convention: largest-magnitude translational dof positive
+    # sign convention: the two peaks of an antisymmetric mode differ only by
+    # rounding, so the first entry near the largest magnitude decides
     tvals = full[:, sys._tdofs]
-    lead = tvals[np.arange(len(full)), np.argmax(np.abs(tvals), axis=1)]
+    mag = np.abs(tvals)
+    first = np.argmax(mag >= (1 - _SIGN_RTOL) * mag.max(axis=1, keepdims=True), axis=1)
+    lead = tvals[np.arange(len(full)), first]
     full[lead < 0] *= -1.0
     return [(math.sqrt(max(lam, 0.0)) / (2 * math.pi), vec)
             for lam, vec in zip(vals.tolist(), full)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +25,17 @@ from .errors import (DetectionMismatchError, InstabilityError, InvariantError,
                      UnboundedResistanceError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Sampled two-port transmission |H(f)| and phase.
 
-    The validated values are also kept as read-only float64 arrays, which
-    extract_q reads.
+    Each field is stored as a read-only float64 array (the caller's values
+    are copied), and two spectra are equal when their arrays are.
     """
 
-    frequencies: tuple
-    magnitude: tuple
-    phase: tuple
-    _f: np.ndarray = field(init=False, repr=False, compare=False)
-    _mag: np.ndarray = field(init=False, repr=False, compare=False)
+    frequencies: np.ndarray
+    magnitude: np.ndarray
+    phase: np.ndarray
 
     def __post_init__(self):
         f, m, p = (np.array(v, float) for v in (self.frequencies, self.magnitude,
@@ -48,17 +46,26 @@ class Spectrum:
             raise InvariantError("spectrum values must be finite")
         if np.any(f[1:] <= f[:-1]):
             raise InvariantError("frequencies must be strictly increasing")
-        f.flags.writeable = m.flags.writeable = False
-        for name, value in (("frequencies", tuple(f.tolist())),
-                            ("magnitude", tuple(m.tolist())),
-                            ("phase", tuple(p.tolist())), ("_f", f), ("_mag", m)):
+        for name, value in (("frequencies", f), ("magnitude", m), ("phase", p)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("frequencies", "magnitude", "phase"))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal
+        return hash((self.frequencies + 0.0).tobytes())
 
     def to_csv(self, path):
         """CSV rows: frequency_hz, magnitude_db, phase_rad."""
         with open(path, "w") as fh:
             fh.write("frequency_hz,magnitude_db,phase_rad\n")
-            for f, m, p in zip(self.frequencies, self.magnitude, self.phase):
+            for f, m, p in zip(self.frequencies.tolist(), self.magnitude.tolist(),
+                               self.phase.tolist()):
                 db = 20 * math.log10(m) if m > 0 else float("-inf")
                 fh.write(f"{f!r},{db!r},{p!r}\n")
 
@@ -68,8 +75,11 @@ def _gap_permittivity(t: Transducer) -> float:
 
 
 def transduction_factor(t: Transducer) -> float:
-    """eta = Vp * eps0 * er * S / d0^2 (N/V, equivalently A.s/m)."""
-    return t.bias_voltage * _gap_permittivity(t) * t.electrode_area / t.gap**2
+    """eta = Vp * eps0 * er * S / d0^2 (N/V, equivalently A.s/m); 0 at zero bias."""
+    if t.bias_voltage == 0:
+        return 0.0
+    return _derived("eta", lambda: t.bias_voltage * _gap_permittivity(t)
+                    * t.electrode_area / t.gap**2)
 
 
 def static_capacitance(t: Transducer) -> float:
@@ -169,7 +179,7 @@ def transmission_spectrum(c: EquivalentCircuit, termination: float = 50.0,
 
 def extract_q(s: Spectrum) -> float:
     """Q = f_peak / (3 dB bandwidth), crossings linearly interpolated."""
-    mag, f = s._mag, s._f
+    mag, f = s.magnitude, s.frequencies
     i_pk = int(np.argmax(mag))
     if i_pk == 0 or i_pk == len(mag) - 1:
         raise PeakAtBoundaryError("spectrum maximum at grid boundary")
@@ -193,8 +203,9 @@ def extract_q(s: Spectrum) -> float:
     return float(f[i_pk]) / (f_right - f_left)
 
 
-def resonant_amplitude(mode: ModeResult, t: Transducer, q: float) -> float:
-    """Peak displacement x = Q*F/k_r with F = Vp*vac*eps0*er*S/d0^2."""
+def _amplitude(mode: ModeResult, t: Transducer, q: float) -> float:
+    """resonant_amplitude unchecked, on Python floats: a gap out of range
+    raises ArithmeticError."""
     if q <= 0:
         raise InvariantError(f"quality factor must be > 0, got {q}")
     force = t.bias_voltage * t.drive_voltage * _gap_permittivity(t) \
@@ -202,10 +213,21 @@ def resonant_amplitude(mode: ModeResult, t: Transducer, q: float) -> float:
     return q * force / mode.effective_stiffness
 
 
+def resonant_amplitude(mode: ModeResult, t: Transducer, q: float) -> float:
+    """Peak displacement x = Q*F/k_r with F = Vp*vac*eps0*er*S/d0^2; 0 with
+    no bias or no drive."""
+    # no force, so no displacement; _amplitude refuses q <= 0
+    if q > 0 and (t.bias_voltage == 0 or t.drive_voltage == 0):
+        return 0.0
+    return _derived("resonant amplitude", _amplitude, mode, t, q)
+
+
 def electrostatic_spring(mode: ModeResult, t: Transducer) -> float:
-    """Gap force gradient k_e = Vp^2 * eps0 * er * S / d0^3."""
-    return float(_electrostatic_spring(t.bias_voltage, t.gap, t.electrode_area,
-                                       _gap_permittivity(t)))
+    """Gap force gradient k_e = Vp^2 * eps0 * er * S / d0^3; 0 at zero bias."""
+    if t.bias_voltage == 0:
+        return 0.0
+    return _derived("electrostatic spring", _electrostatic_spring, t.bias_voltage, t.gap,
+                    t.electrode_area, _gap_permittivity(t))
 
 
 def spring_softening_frequency(mode: ModeResult, t: Transducer) -> float:
@@ -230,7 +252,7 @@ def pull_in_voltage(mode: ModeResult, t: Transducer) -> float:
 
 def capacitive_output_current(mode: ModeResult, t: Transducer, q: float) -> float:
     """Motional output current i = w0 * Vp * (dC/dx) * x_amp."""
-    x_amp = resonant_amplitude(mode, t, q)
+    x_amp = _amplitude(mode, t, q)
     dc_dx = _gap_permittivity(t) * t.electrode_area / t.gap**2
     return mode.angular_frequency * t.bias_voltage * dc_dx * x_amp
 
@@ -239,7 +261,7 @@ def mos_output_current(mode: ModeResult, t: Transducer, q: float) -> float:
     """First-order gate-capacitance modulation: i = I_D * alpha * x_amp/d0."""
     if t.detection is not DetectionKind.MOS or t.mos is None:
         raise DetectionMismatchError("transducer detection kind is not MOS")
-    x_amp = resonant_amplitude(mode, t, q)
+    x_amp = _amplitude(mode, t, q)
     return t.mos.bias_drain_current * t.mos.channel_modulation_order * x_amp / t.gap
 
 

@@ -229,7 +229,9 @@ class TestSparseSolver:
 
     def test_many_modes_match_dense_oracle(self, ref_beam, silicon):
         # k >= n/4 is beyond what the Lanczos window holds; still every mode
-        sys_ = assemble_beam(ref_beam, silicon, 160)
+        # (built directly, so the beam's own sparse pencil is solved)
+        beam = assemble_beam(ref_beam, silicon, 160)
+        sys_ = AssembledSystem(beam.stiffness, beam.mass, beam.dof_map, beam.constraints)
         n = len(sys_.free_dofs())
         assert n > fem._SPARSE_MIN_DOF
         free = sys_.free_dofs()
@@ -466,7 +468,9 @@ def _loop_normalized(sys_, vals, vecs):
         peak = float(np.max(amp))
         if peak > 0:
             vec = vec / peak
-        if vec[sys_._tdofs[np.argmax(np.abs(vec[sys_._tdofs]))]] < 0:
+        tvals = [float(vec[i]) for i in sys_._tdofs]
+        top = max(abs(v) for v in tvals)
+        if next(v for v in tvals if abs(v) >= (1 - fem._SIGN_RTOL) * top) < 0:
             vec = -vec
         out.append((math.sqrt(max(float(lam), 0.0)) / (2 * math.pi), vec))
     return out
@@ -482,10 +486,19 @@ class TestNormalization:
 
     @pytest.mark.parametrize("n,clamped,k", [(16, True, 3), (64, True, 8), (16, False, 6),
                                              (151, True, 300)])
-    def test_dense_beam_equals_loop(self, ref_beam, silicon, n, clamped, k):
+    def test_dense_beam_equals_loop(self, monkeypatch, ref_beam, silicon, n, clamped, k):
         sys_ = assemble_beam(ref_beam, silicon, n, clamped)
-        vals, vecs = eigh(sys_._kf, sys_._mf, subset_by_index=(0, k - 1))
-        self._check(solve_modes(sys_, k), _loop_normalized(sys_, vals, vecs))
+        calls = []
+        eigenpairs = fem._eigenpairs
+
+        def recording(system, k):
+            calls.append(eigenpairs(system, k))
+            return calls[-1]
+
+        monkeypatch.setattr(fem, "_eigenpairs", recording)
+        modes = solve_modes(sys_, k)
+        (vals, vecs), = calls
+        self._check(modes, _loop_normalized(sys_, vals, vecs))
 
     def test_dense_disk_equals_loop(self, ref_disk, silicon):
         sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 6))
@@ -504,6 +517,130 @@ class TestNormalization:
         modes = solve_modes(disk_r12, 9)
         (vals, vecs), = calls
         self._check(modes, _loop_normalized(disk_r12, vals, vecs))
+
+
+def _unit_pencil(n, clamped):
+    """Free-dof blocks of the unit-beam pencil (K0, M0), summed element by
+    element (reference)."""
+    ke = np.array([[12, 6, -12, 6], [6, 4, -6, 2], [-12, -6, 12, -6], [6, 2, -6, 4]])
+    me = np.array([[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22], [-13, -3, -22, 4]])
+    ndof = 2 * (n + 1)
+    k0, m0 = np.zeros((ndof, ndof)), np.zeros((ndof, ndof))
+    for e in range(n):
+        for a in range(4):
+            for b in range(4):
+                k0[2 * e + a, 2 * e + b] += ke[a, b]
+                m0[2 * e + a, 2 * e + b] += me[a, b]
+    free = np.arange(2, ndof - 2) if clamped else np.arange(ndof)
+    return k0[np.ix_(free, free)], m0[np.ix_(free, free)]
+
+
+def _jacobi_backward_errors(sys_, modes):
+    """Jacobi-scaled normwise backward error of each (frequency, vector):
+    ||D(K v - lam M v)|| / ((||DKD||_F + lam ||DMD||_F) ||D^-1 v||) with
+    D = diag(K)^-1/2 on the free dofs."""
+    free = sys_.free_dofs()
+    kk, mm = sys_._kf, sys_._mf
+    if not isinstance(kk, np.ndarray):
+        kk, mm = kk.toarray(), mm.toarray()
+    d = 1.0 / np.sqrt(np.diag(kk))
+    ks, ms = d[:, None] * kk * d, d[:, None] * mm * d
+    nk, nm = np.linalg.norm(ks), np.linalg.norm(ms)
+    out = []
+    for f, v in modes:
+        lam, v = (2 * math.pi * f) ** 2, v[free]
+        out.append(np.linalg.norm(d * (kk @ v - lam * (mm @ v)))
+                   / ((nk + lam * nm) * np.linalg.norm(v / d)))
+    return np.array(out)
+
+
+class TestUnitBeamCache:
+    """A beam from assemble_beam is solved through the cached eigenpairs of
+    its unit-beam pencil, scaled back exactly."""
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 16, 64, 151])
+    def test_unit_pairs_bitwise_equal_to_eigh(self, n, clamped):
+        # every k the dense LAPACK path solves (151 free-free: 304 free dofs,
+        # so only the k >= n/4 fallback)
+        k0, m0 = _unit_pencil(n, clamped)
+        dense = len(k0) <= fem._SPARSE_MIN_DOF
+        for k in sorted(k for k in {1, 4, len(k0) // 2, len(k0)}
+                        if 1 <= k <= len(k0) and (dense or 4 * k >= len(k0))):
+            fem._unit_beam_modes.cache_clear()
+            vals, vecs = fem._unit_beam_modes(n, clamped, k)
+            ref_vals, ref_vecs = eigh(k0, m0, subset_by_index=(0, k - 1))
+            assert _bits_equal(vals, ref_vals) and _bits_equal(vecs, ref_vecs)
+            assert not vals.flags.writeable and not vecs.flags.writeable
+
+    def test_cache_is_bounded(self):
+        assert fem._unit_beam_modes.cache_info().maxsize == fem._UNIT_BEAM_CACHE == 8
+
+    @pytest.mark.parametrize("n,clamped,k", [(64, True, 1), (64, True, 4), (16, False, 6),
+                                             (200, True, 4), (200, False, 4)])
+    def test_cold_and_warm_cache_bitwise(self, silicon, n, clamped, k):
+        target = BeamGeometry(12e-6, 0.5e-6, 0.3e-6, VibrationAxis.OUT_OF_PLANE)
+        fillers = [BeamGeometry(10e-6, 0.46e-6, 0.4e-6, VibrationAxis.IN_PLANE),
+                   BeamGeometry(37e-6, 2e-6, 1e-6, VibrationAxis.OUT_OF_PLANE), target]
+        fem._unit_beam_modes.cache_clear()
+        cold = solve_modes(assemble_beam(target, silicon, n, clamped), k)
+        for filler in fillers:
+            fem._unit_beam_modes.cache_clear()
+            solve_modes(assemble_beam(filler, silicon, n, clamped), k)
+            warm = solve_modes(assemble_beam(target, silicon, n, clamped), k)
+            for (f, v), (f_ref, v_ref) in zip(warm, cold):
+                assert repr(f) == repr(f_ref) and _bits_equal(v, v_ref)
+
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_second_beam_makes_no_lapack_call(self, monkeypatch, ref_beam, silicon, n):
+        solve_modes(assemble_beam(ref_beam, silicon, n), 4)
+
+        def refuse(*args):
+            raise AssertionError("the unit-beam pairs were solved again")
+
+        monkeypatch.setattr(fem, "_dense_modes", refuse)
+        monkeypatch.setattr(fem, "_shift_invert_modes", refuse)
+        other = BeamGeometry(25e-6, 1e-6, 0.8e-6, VibrationAxis.OUT_OF_PLANE)
+        assert len(solve_modes(assemble_beam(other, silicon, n), 4)) == 4
+        with pytest.raises(AssertionError, match="solved again"):
+            solve_modes(assemble_beam(other, silicon, n + 1), 4)
+
+    def test_direct_system_is_solved_as_given(self, monkeypatch, ref_beam, silicon):
+        beam = assemble_beam(ref_beam, silicon, 16)
+        direct = AssembledSystem(beam.stiffness, beam.mass, beam.dof_map, beam.constraints)
+        assert direct._unit_beam is None and beam._unit_beam is not None
+
+        def refuse(*args):
+            raise AssertionError("a direct system went through the unit-beam cache")
+
+        monkeypatch.setattr(fem, "_unit_beam_modes", refuse)
+        vals, vecs = eigh(direct._kf, direct._mf, subset_by_index=(0, 2))
+        TestNormalization._check(solve_modes(direct, 3), _loop_normalized(direct, vals, vecs))
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [16, 64, 151, 152, 256, 1024])
+    def test_backward_error(self, ref_beam, silicon, n, clamped):
+        sys_ = assemble_beam(ref_beam, silicon, n, clamped)
+        assert np.max(_jacobi_backward_errors(sys_, solve_modes(sys_, 8))) <= 1e-12
+
+
+class TestSignConvention:
+    @pytest.mark.parametrize("direct", [False, True], ids=["assembled", "direct"])
+    def test_antisymmetric_mode_sign_is_stable(self, silicon, direct):
+        # the two peaks of mode 2 tie to rounding; the first one is positive
+        # at every length, also when the beam's own pencil is solved
+        shapes = []
+        for length in np.linspace(8e-6, 40e-6, 9):
+            sys_ = assemble_beam(BeamGeometry(float(length), 0.46e-6, 0.4e-6,
+                                              VibrationAxis.IN_PLANE), silicon, 64)
+            if direct:
+                sys_ = AssembledSystem(sys_.stiffness, sys_.mass, sys_.dof_map,
+                                       sys_.constraints)
+            shapes.append(solve_modes(sys_, 2)[1][1][0::2])
+        for w in shapes:
+            assert np.allclose(w, shapes[0], rtol=0, atol=1e-6)
+        peaks = np.flatnonzero(np.abs(shapes[0]) > 1 - 1e-6)
+        assert len(peaks) == 2 and shapes[0][peaks[0]] > 0 > shapes[0][peaks[1]]
 
 
 def _setdiff_free(n, constraints):

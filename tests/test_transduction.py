@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,42 @@ class TestMotionalResistance:
             motional_resistance(ref_mode, t, Q_REF)
         with pytest.raises(InvariantError, match="R_x"):
             equivalent_circuit(ref_mode, t, Q_REF)
+
+
+class TestAbsurdGap:
+    """The helpers that scale with a power of the gap refuse a figure that
+    overflows or underflows, with no numpy warning."""
+
+    @pytest.mark.parametrize("gap", [1e200, 1e-200])
+    @pytest.mark.parametrize("what,call", [
+        ("eta", lambda mode, t: transduction.transduction_factor(t)),
+        ("resonant amplitude", lambda mode, t: resonant_amplitude(mode, t, Q_REF)),
+        ("electrostatic spring", lambda mode, t: transduction.electrostatic_spring(mode, t)),
+    ])
+    def test_rejected(self, ref_mode, ref_transducer, gap, what, call):
+        t = dataclasses.replace(ref_transducer, gap=gap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError, match=f"{what} must be finite and > 0"):
+                call(ref_mode, t)
+
+    def test_zero_bias_is_zero(self, ref_mode, ref_transducer):
+        t0 = dataclasses.replace(ref_transducer, bias_voltage=0.0)
+        assert transduction.transduction_factor(t0) == 0.0
+        assert transduction.electrostatic_spring(ref_mode, t0) == 0.0
+        assert resonant_amplitude(ref_mode, t0, Q_REF) == 0.0
+
+    def test_in_range_values_unchanged(self, ref_mode, ref_transducer):
+        t = ref_transducer
+        eps = EPSILON_0 * t.gap_rel_permittivity
+        assert transduction.transduction_factor(t) == \
+            t.bias_voltage * eps * t.electrode_area / t.gap**2
+        assert resonant_amplitude(ref_mode, t, Q_REF) == Q_REF * (
+            t.bias_voltage * t.drive_voltage * eps * t.electrode_area / t.gap**2) \
+            / ref_mode.effective_stiffness
+        assert transduction.electrostatic_spring(ref_mode, t) == float(
+            np.float_power(t.bias_voltage, 2) * eps * t.electrode_area
+            / np.float_power(t.gap, 3))
 
 
 class TestEquivalentCircuit:
@@ -238,26 +275,44 @@ class TestExtractQ:
         with pytest.raises(InvariantError):
             Spectrum(**fields)
 
-    def test_fields_are_float_tuples(self, ref_mode, ref_transducer):
+    def test_fields_are_read_only_float_arrays(self, ref_mode, ref_transducer):
         s = transmission_spectrum(equivalent_circuit(ref_mode, ref_transducer, Q_REF),
                                   points=101)
         for field in (s.frequencies, s.magnitude, s.phase):
-            assert isinstance(field, tuple) and len(field) == 101
-            assert all(type(v) is float for v in field)
+            assert isinstance(field, np.ndarray) and field.shape == (101,)
+            assert field.dtype == np.float64 and not field.flags.writeable
+        with pytest.raises(ValueError):
+            s.magnitude[0] = 0.0
 
-    def test_kept_arrays_read_only_and_private(self):
+    def test_fields_copied_and_compared_by_value(self):
         f, mag = np.array([1.0, 2.0, 3.0]), np.array([0.1, 1.0, 0.1])
         s = Spectrum(frequencies=f, magnitude=mag, phase=[0, 0, 0])
-        for kept, field in ((s._f, s.frequencies), (s._mag, s.magnitude)):
-            assert kept.dtype == np.float64 and not kept.flags.writeable
-            assert kept.tolist() == list(field)
         assert f.flags.writeable and mag.flags.writeable   # the caller's arrays
         f[0] = 0.5
-        assert s.frequencies[0] == 1.0 and s._f[0] == 1.0
-        assert "_f" not in repr(s) and "_mag" not in repr(s)
-        same = Spectrum(frequencies=(1.0, 2.0, 3.0), magnitude=(0.1, 1.0, 0.1),
-                        phase=(0.0, 0.0, 0.0))
-        assert same == s and hash(same) == hash(s)
+        assert s.frequencies[0] == 1.0
+        base = {"frequencies": (1.0, 2.0, 3.0), "magnitude": (0.1, 1.0, 0.1),
+                "phase": (0.0, -0.0, 0.0)}
+        assert Spectrum(**base) == s and hash(Spectrum(**base)) == hash(s)
+        zero = Spectrum(**{**base, "frequencies": (0.0, 2.0, 3.0)})
+        minus_zero = Spectrum(**{**base, "frequencies": (-0.0, 2.0, 3.0)})
+        assert zero == minus_zero and hash(zero) == hash(minus_zero)
+        for name, other in (("frequencies", (1.0, 2.0, 4.0)), ("magnitude", (0.1, 1.0, 0.2)),
+                            ("phase", (0.0, 0.0, 1e-300))):
+            assert Spectrum(**{**base, name: other}) != s
+        assert s != (s.frequencies, s.magnitude, s.phase)
+
+    def test_csv_bytes_as_from_float_tuples(self, ref_mode, ref_transducer, tmp_path):
+        # the writer as it was when the fields were tuples of floats (reference)
+        s = transmission_spectrum(equivalent_circuit(ref_mode, ref_transducer, Q_REF),
+                                  points=501)
+        s = Spectrum(s.frequencies, np.append(s.magnitude[:-1], 0.0), s.phase)
+        rows = ["frequency_hz,magnitude_db,phase_rad"]
+        for f, m, p in zip(*(tuple(a.tolist()) for a in (s.frequencies, s.magnitude,
+                                                          s.phase))):
+            db = 20 * math.log10(m) if m > 0 else float("-inf")
+            rows.append(f"{f!r},{db!r},{p!r}")
+        s.to_csv(tmp_path / "spec.csv")
+        assert (tmp_path / "spec.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def _walk_extract_q(s: Spectrum) -> float:
