@@ -248,17 +248,25 @@ def plane_stress_wave_speeds(mat: Material):
     return c_l, c_t
 
 
+def _jv_prime(n: int, z):
+    """Jn'(z) = (J(n-1, z) - J(n+1, z)) / 2, bit for bit scipy's jvp."""
+    from scipy.special import jv
+    return (jv(n - 1, z) - jv(n + 1, z)) / 2.0
+
+
+def _wave_speed_ratio(nu: float) -> float:
+    """c_T/c_L of plane stress, a function of nu only."""
+    return math.sqrt((1 - nu) / 2.0)
+
+
 def disk_boundary_matrix(n: int, nu: float, x, y) -> np.ndarray:
     """Traction-free boundary matrix for angular order n (see module docs).
 
     x and y may be arrays of one shape S; the result then has shape (2, 2, *S).
     """
     from scipy.special import jv
-    # Jn'(z) = (J(n-1, z) - J(n+1, z)) / 2, formed as scipy's jvp forms it,
-    # so each order is evaluated once per argument
     jx, jy = jv(n, x), jv(n, y)
-    dx = (jv(n - 1, x) - jv(n + 1, x)) / 2.0
-    dy = (jv(n - 1, y) - jv(n + 1, y)) / 2.0
+    dx, dy = _jv_prime(n, x), _jv_prime(n, y)
     m11 = (1 - nu) * (n * n * jx - x * dx) - x * x * jx
     m12 = n * (1 - nu) * (y * dy - jy)
     m21 = 2 * n * (jx - x * dx)
@@ -275,12 +283,9 @@ def _disk_dimensionless_root(n: int, nu: float) -> float:
     """
     if n < 2:
         raise InvariantError(f"angular order must be >= 2, got {n}")
-    # wave-speed ratio depends only on nu: c_T/c_L = sqrt((1-nu)/2)
-    ct_over_cl = math.sqrt((1 - nu) / 2.0)
-
     def det(y):
         """Boundary-matrix determinant at y (a float or an array)."""
-        m = disk_boundary_matrix(n, nu, y * ct_over_cl, y)
+        m = disk_boundary_matrix(n, nu, y * _wave_speed_ratio(nu), y)
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
     # Rayleigh-quotient upper bound from the polynomial trial field
@@ -340,9 +345,9 @@ def _disk_unit_fields(n: int, nu: float):
     Angular dependence is cos(n t) for u_r and sin(n t) for u_t; radial
     coordinate rho = r/R in (0, 1].
     """
-    from scipy.special import jv, jvp
+    from scipy.special import jv
     y = _disk_dimensionless_root(n, nu)
-    x = y * math.sqrt((1 - nu) / 2.0)
+    x = y * _wave_speed_ratio(nu)
     m = disk_boundary_matrix(n, nu, x, y)
     # null vector of the (numerically) singular boundary matrix
     if abs(m[0, 0]) + abs(m[0, 1]) >= abs(m[1, 0]) + abs(m[1, 1]):
@@ -352,11 +357,11 @@ def _disk_unit_fields(n: int, nu: float):
 
     def u_r(rho):
         rho = np.asarray(rho, dtype=float)
-        return a * x * jvp(n, x * rho) + b * n * jv(n, y * rho) / rho
+        return a * x * _jv_prime(n, x * rho) + b * n * jv(n, y * rho) / rho
 
     def u_t(rho):
         rho = np.asarray(rho, dtype=float)
-        return -a * n * jv(n, x * rho) / rho - b * y * jvp(n, y * rho)
+        return -a * n * jv(n, x * rho) / rho - b * y * _jv_prime(n, y * rho)
 
     return u_r, u_t
 

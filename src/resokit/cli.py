@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import analytic, design, fab, fem, transduction
-from .core import (BeamGeometry, Material, _load_json_file,
+from .core import (BeamGeometry, Material, _check_keys, _load_json_file,
                    beam_geometry_from_dict, disk_geometry_from_dict,
                    load_material, material_from_dict, transducer_from_dict)
 from .errors import (InfeasibleDesignError, InvariantError, ResokitError,
@@ -42,6 +42,8 @@ def _design(args, needs_transducer: bool = False):
         raise SchemaError(f"design config: kind must be 'beam' or 'disk', got {kind!r}")
     if "geometry" not in cfg:
         raise SchemaError("design config: missing 'geometry' object")
+    _check_keys(cfg, {"kind", "geometry"}, {"schema_version", "material", "transducer", "q"},
+                "design config")
     geometry = (beam_geometry_from_dict(cfg["geometry"]) if kind == "beam"
                 else disk_geometry_from_dict(cfg["geometry"]))
     material = _material(cfg)
@@ -199,6 +201,9 @@ def _cmd_optimize(args) -> int:
         raise SchemaError("bounds config: family must be 'beam' or 'disk'")
     if "bounds" not in bcfg:
         raise SchemaError("bounds config: missing 'bounds' object")
+    _check_keys(bcfg, {"family", "bounds"},
+                {"schema_version", "material", "assumed_q", "grid_points", "max_results"},
+                "bounds config")
     material = _material(bcfg)
     profile = _load_profile(args.profile)
     process = _load_process(args.process)

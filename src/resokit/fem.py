@@ -3,7 +3,8 @@
 Beam eigenmodes use 2-node Euler-Bernoulli elements (cubic Hermite shape
 functions, consistent mass). Disk in-plane eigenmodes use linear-triangle
 plane-stress elements on a structured polar mesh. Element matrices are
-built for all elements at once and scattered in one step.
+built for all elements at once, and one function, _system, numbers the
+dofs, scatters and validates every system: beams, the unit beam, disks.
 
 One threshold, _SPARSE_MIN_DOF (300 free dofs), picks both how K and M are
 stored and how they are solved. At or below it, assembly scatters into
@@ -20,15 +21,17 @@ and sign convention.
 
 A beam is solved once per mesh. With le = L/n and D = diag(1, le, 1, le,
 ...), assemble_beam's K is (EI/le^3) D K0 D and its M is (rho*A*le/420)
-D M0 D, where K0 and M0 scatter the integer element matrices of a unit
-beam and depend only on (n_elements, clamped). The pencils are congruent
-(Golub & Van Loan, Matrix Computations, sec. 8.7), so K0 psi = mu M0 psi
-gives the beam's pairs exactly: lambda = mu (EI/le^3) / (rho*A*le/420)
-and phi = psi / d on the free dofs. solve_modes takes (mu, psi) from a
-small LRU cache keyed by (n_elements, clamped, k), filled through the
-dense/sparse dispatch above; the residual gate, normalization and sign
+D M0 D, where K0 and M0 scatter _KE0 and _ME0, the only beam element
+matrices, and depend only on (n_elements, clamped). The pencils are
+congruent (Golub & Van Loan, Matrix Computations, sec. 8.7), so
+K0 psi = mu M0 psi gives the beam's pairs exactly: lambda = mu * ratio
+with ratio = (EI/le^3) / (rho*A*le/420), and phi = psi / d on the free
+dofs. assemble_beam refuses a ratio that is not finite and > 0, so every
+beam it returns maps through the unit pencil. solve_modes takes (mu, psi)
+from a small LRU cache keyed by (n_elements, clamped, k), filled through
+the dense/sparse dispatch above; the residual gate, normalization and sign
 convention then run on the beam's own K and M. Disks, and systems built
-with AssembledSystem(...) directly, are solved as they are.
+with AssembledSystem(...) directly, are solved directly.
 
 scipy.linalg and scipy.sparse are imported inside the functions that call
 them: importing this module, or building a mesh, loads no scipy module.
@@ -293,18 +296,27 @@ def _beam_section(geom: BeamGeometry):
     return w * t, inertia
 
 
-# Element matrices of a unit beam: an element of length le is
-# (EI/le^3) D _KE0 D and (rho*A*le/420) D _ME0 D with D = diag(1, le, 1, le)
+# The only beam element matrices, those of a unit beam: an element of length
+# le is (EI/le^3) D _KE0 D and (rho*A*le/420) D _ME0 D, D = diag(1, le, 1, le)
 _KE0 = np.array([[12, 6, -12, 6], [6, 4, -6, 2], [-12, -6, 12, -6], [6, 2, -6, 4]])
 _ME0 = np.array([[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22],
                  [-13, -3, -22, 4]])
 
 
-def _beam_topology(n_elements: int, clamped: bool):
-    """(element dofs (E, 4), ndof, constrained dofs) of an n-element beam."""
-    ndof = 2 * (n_elements + 1)
-    dofs = 2 * np.arange(n_elements)[:, None] + np.arange(4)
-    return dofs, ndof, ((0, 1, ndof - 2, ndof - 1) if clamped else ())
+def _system(elements: np.ndarray, comps: tuple, ke, me, n_nodes: int,
+            fixed_nodes: tuple = (), mesh: Mesh | None = None) -> AssembledSystem:
+    """The AssembledSystem of element matrices ke[e], me[e] (or one pair for
+    every element) on the nodes elements[e]. Each node carries the dofs
+    comps, numbered node-major; every dof of fixed_nodes is constrained."""
+    nc = len(comps)
+    ndof = nc * n_nodes
+    dofs = (nc * elements[:, :, None] + np.arange(nc)).reshape(len(elements), -1)
+    constraints = tuple(nc * node + i for node in fixed_nodes for i in range(nc))
+    shape = dofs.shape + dofs.shape[1:]
+    k, m = _scatter(dofs, np.broadcast_to(ke, shape), np.broadcast_to(me, shape), ndof,
+                    ndof - len(constraints))
+    dof_map = tuple((node, comp) for node in range(n_nodes) for comp in comps)
+    return AssembledSystem(k, m, dof_map, constraints, mesh)
 
 
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
@@ -318,37 +330,25 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         area, inertia = _beam_section(geom)
         ei, ral = mat.youngs_modulus * inertia, mat.density * area * le
-        le2, le3 = np.float_power(le, 2), np.float_power(le, 3)
-        k_scale, m_scale = ei / le3, ral / 420.0
+        k_scale, m_scale = ei / np.float_power(le, 3), ral / 420.0
         ratio = k_scale / m_scale
-        ke = k_scale * np.array([
-            [12, 6 * le, -12, 6 * le],
-            [6 * le, 4 * le2, -6 * le, 2 * le2],
-            [-12, -6 * le, 12, -6 * le],
-            [6 * le, 2 * le2, -6 * le, 4 * le2]])
-        me = m_scale * np.array([
-            [156, 22 * le, 54, -13 * le],
-            [22 * le, 4 * le2, 13 * le, -3 * le2],
-            [54, 13 * le, 156, -22 * le],
-            [-13 * le, -3 * le2, -22 * le, 4 * le2]])
+        # D.D as a pattern of (1, le, le^2): entry (i, j) is le^(i%2 + j%2)
+        odd = np.arange(4) % 2
+        s = np.array([1.0, le, np.float_power(le, 2)])[odd[:, None] + odd]
+        ke, me = k_scale * (_KE0 * s), m_scale * (_ME0 * s)
     if not k_scale > 0:   # an underflow: a zero K would give 0 Hz modes
         raise InvariantError(f"beam element stiffness EI/le^3 must be > 0, got {float(k_scale)!r}")
 
     n_nodes = n_elements + 1
-    dofs, ndof, constraints = _beam_topology(n_elements, clamped)
-    k, m = _scatter(dofs, np.broadcast_to(ke, (n_elements, 4, 4)),
-                    np.broadcast_to(me, (n_elements, 4, 4)), ndof,
-                    ndof - len(constraints))
-
-    dof_map = tuple((node, comp) for node in range(n_nodes) for comp in ("w", "theta"))
     mesh = Mesh(nodes=np.linspace(0.0, geom.length, n_nodes)[:, None],
-                elements=np.column_stack([np.arange(n_elements),
-                                          np.arange(1, n_elements + 1)]),
-                kind="beam_1d")
-    sys = AssembledSystem(k, m, dof_map, constraints, mesh)
-    if 0 < ratio < math.inf:   # else the pairs could not be scaled back
-        d_free = _readonly(np.tile((1.0, le), n_nodes)[sys.free_dofs()])
-        object.__setattr__(sys, "_unit_beam", (n_elements, clamped, d_free, float(ratio)))
+                elements=np.arange(n_elements)[:, None] + np.arange(2), kind="beam_1d")
+    sys = _system(mesh.elements, ("w", "theta"), ke, me, n_nodes,
+                  (0, n_elements) if clamped else (), mesh)
+    if not 0 < ratio < math.inf:   # the unit-beam pairs could not be scaled back
+        raise InvariantError("beam eigenvalue scale (EI/le^3)/(rho*A*le/420) must be "
+                             f"finite and > 0, got {float(ratio)!r}")
+    d_free = _readonly(np.tile((1.0, le), n_nodes)[sys.free_dofs()])
+    object.__setattr__(sys, "_unit_beam", (n_elements, clamped, d_free, float(ratio)))
     return sys
 
 
@@ -415,27 +415,20 @@ def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSys
         [2, 0, 1, 0, 1, 0], [0, 2, 0, 1, 0, 1], [1, 0, 2, 0, 1, 0],
         [0, 1, 0, 2, 0, 1], [1, 0, 1, 0, 2, 0], [0, 1, 0, 1, 0, 2]]) / 12.0
 
-    n = len(mesh.nodes)
     x, y = mesh.nodes[mesh.elements, 0], mesh.nodes[mesh.elements, 1]  # (E, 3)
-    det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-           - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-    area = 0.5 * det
+    area = mesh.triangle_areas()
     b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)   # b_i = y_j - y_l
     c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)   # c_i = x_l - x_j
-    b_mat = np.zeros((len(det), 3, 6))
+    b_mat = np.zeros((len(area), 3, 6))
     b_mat[:, 0, 0::2] = b
     b_mat[:, 1, 1::2] = c
     b_mat[:, 2, 0::2] = c
     b_mat[:, 2, 1::2] = b
-    b_mat *= (1.0 / det)[:, None, None]
+    b_mat *= (0.5 / area)[:, None, None]   # 1/det, det = 2*area exactly
     # batched matmul, not einsum: it rounds exactly as the per-element B^T D B
     ke = (t * area)[:, None, None] * (b_mat.transpose(0, 2, 1) @ d_mat @ b_mat)
     me = (rho * t * area)[:, None, None] * me_template
-    dofs = (2 * mesh.elements[:, :, None] + np.arange(2)).reshape(-1, 6)
-    k, m = _scatter(dofs, ke, me, 2 * n, 2 * n)
-
-    dof_map = tuple((node, comp) for node in range(n) for comp in ("ux", "uy"))
-    return AssembledSystem(k, m, dof_map, (), mesh)
+    return _system(mesh.elements, ("ux", "uy"), ke, me, len(mesh.nodes), mesh=mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +505,11 @@ def _pencil_modes(kk, mm, k: int):
 @lru_cache(maxsize=_UNIT_BEAM_CACHE)
 def _unit_beam_modes(n_elements: int, clamped: bool, k: int):
     """k lowest eigenpairs (mu, psi) of the unit-beam pencil (K0, M0) on its
-    free dofs, as read-only arrays, solved as the beam's own pencil would be
-    (dense at or below _SPARSE_MIN_DOF free dofs)."""
-    dofs, ndof, constraints = _beam_topology(n_elements, clamped)
-    k0, m0 = _scatter(dofs, np.broadcast_to(_KE0, (n_elements, 4, 4)),
-                      np.broadcast_to(_ME0, (n_elements, 4, 4)), ndof,
-                      ndof - len(constraints))
-    if clamped:   # the free dofs are 2 .. ndof - 3
-        k0, m0 = k0[2:-2, 2:-2], m0[2:-2, 2:-2]
-    vals, vecs = _pencil_modes(k0, m0, k)
+    free dofs, as read-only arrays; (K0, M0) pass every system's gate and
+    are solved as the beam's own pencil would be."""
+    unit = _system(np.arange(n_elements)[:, None] + np.arange(2), ("w", "theta"),
+                   _KE0, _ME0, n_elements + 1, (0, n_elements) if clamped else ())
+    vals, vecs = _pencil_modes(unit._kf, unit._mf, k)
     return _readonly(vals), _readonly(vecs)
 
 

@@ -84,7 +84,7 @@ def transduction_factor(t: Transducer) -> float:
 
 def static_capacitance(t: Transducer) -> float:
     """Parallel-plate electrode capacitance (no fringing)."""
-    return _gap_permittivity(t) * t.electrode_area / t.gap
+    return _derived("static capacitance", lambda: _gap_permittivity(t) * t.electrode_area / t.gap)
 
 
 # kernels for floats or arrays (see analytic); eps is the gap permittivity
@@ -203,23 +203,16 @@ def extract_q(s: Spectrum) -> float:
     return float(f[i_pk]) / (f_right - f_left)
 
 
-def _amplitude(mode: ModeResult, t: Transducer, q: float) -> float:
-    """resonant_amplitude unchecked, on Python floats: a gap out of range
-    raises ArithmeticError."""
-    if q <= 0:
-        raise InvariantError(f"quality factor must be > 0, got {q}")
-    force = t.bias_voltage * t.drive_voltage * _gap_permittivity(t) \
-        * t.electrode_area / t.gap**2
-    return q * force / mode.effective_stiffness
-
-
 def resonant_amplitude(mode: ModeResult, t: Transducer, q: float) -> float:
     """Peak displacement x = Q*F/k_r with F = Vp*vac*eps0*er*S/d0^2; 0 with
     no bias or no drive."""
-    # no force, so no displacement; _amplitude refuses q <= 0
-    if q > 0 and (t.bias_voltage == 0 or t.drive_voltage == 0):
+    if not q > 0:
+        raise InvariantError(f"quality factor must be > 0, got {q}")
+    if t.bias_voltage == 0 or t.drive_voltage == 0:   # no force, no displacement
         return 0.0
-    return _derived("resonant amplitude", _amplitude, mode, t, q)
+    drive = t.bias_voltage * t.drive_voltage * _gap_permittivity(t) * t.electrode_area
+    return _derived("resonant amplitude",
+                    lambda: q * (drive / t.gap**2) / mode.effective_stiffness)
 
 
 def electrostatic_spring(mode: ModeResult, t: Transducer) -> float:
@@ -233,15 +226,19 @@ def electrostatic_spring(mode: ModeResult, t: Transducer) -> float:
 def spring_softening_frequency(mode: ModeResult, t: Transducer) -> float:
     """Bias-tuned frequency f0*sqrt(1 - k_e/k_r); raises past instability."""
     k_r = mode.effective_stiffness
-    unstable, f = _spring_softening(mode.frequency, k_r, t.bias_voltage, t.gap,
-                                    t.electrode_area, _gap_permittivity(t))
-    if unstable:
-        k_e = electrostatic_spring(mode, t)
-        v_crit = math.sqrt(k_r * t.gap**3 / (_gap_permittivity(t) * t.electrode_area))
-        raise InstabilityError(
-            f"electrostatic spring {k_e:.3g} N/m >= stiffness {k_r:.3g} N/m "
-            f"(critical bias {v_crit:.3g} V)", critical_voltage=v_crit)
-    return float(f)
+
+    def softened():
+        unstable, f = _spring_softening(mode.frequency, k_r, t.bias_voltage, t.gap,
+                                        t.electrode_area, _gap_permittivity(t))
+        if unstable:
+            k_e = electrostatic_spring(mode, t)
+            v_crit = math.sqrt(k_r * t.gap**3 / (_gap_permittivity(t) * t.electrode_area))
+            raise InstabilityError(
+                f"electrostatic spring {k_e:.3g} N/m >= stiffness {k_r:.3g} N/m "
+                f"(critical bias {v_crit:.3g} V)", critical_voltage=v_crit)
+        return f
+
+    return _derived("spring-softened frequency", softened)
 
 
 def pull_in_voltage(mode: ModeResult, t: Transducer) -> float:
@@ -251,18 +248,20 @@ def pull_in_voltage(mode: ModeResult, t: Transducer) -> float:
 
 
 def capacitive_output_current(mode: ModeResult, t: Transducer, q: float) -> float:
-    """Motional output current i = w0 * Vp * (dC/dx) * x_amp."""
-    x_amp = _amplitude(mode, t, q)
-    dc_dx = _gap_permittivity(t) * t.electrode_area / t.gap**2
-    return mode.angular_frequency * t.bias_voltage * dc_dx * x_amp
+    """Motional output current i = w0 * Vp * (dC/dx) * x_amp (0 when x_amp is)."""
+    x_amp = resonant_amplitude(mode, t, q)
+    return 0.0 if x_amp == 0 else _derived("capacitive output current", lambda: (
+        mode.angular_frequency * t.bias_voltage
+        * (_gap_permittivity(t) * t.electrode_area / t.gap**2) * x_amp))
 
 
 def mos_output_current(mode: ModeResult, t: Transducer, q: float) -> float:
-    """First-order gate-capacitance modulation: i = I_D * alpha * x_amp/d0."""
+    """First-order gate-capacitance modulation: i = I_D * alpha * x_amp/d0 (0 when x_amp is)."""
     if t.detection is not DetectionKind.MOS or t.mos is None:
         raise DetectionMismatchError("transducer detection kind is not MOS")
-    x_amp = _amplitude(mode, t, q)
-    return t.mos.bias_drain_current * t.mos.channel_modulation_order * x_amp / t.gap
+    x_amp = resonant_amplitude(mode, t, q)
+    return 0.0 if x_amp == 0 else _derived("MOS output current", lambda: (
+        t.mos.bias_drain_current * t.mos.channel_modulation_order * x_amp / t.gap))
 
 
 def detection_comparison(geom: BeamGeometry, mat: Material, t: Transducer,

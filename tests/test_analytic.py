@@ -393,6 +393,44 @@ class TestBoundaryMatrix:
                                   _jvp_boundary_matrix(n, nu, xi, yi))
 
 
+def _jvp_unit_fields(n, nu):
+    """Reference: the unit-disk fields written with scipy's jvp."""
+    from scipy.special import jv, jvp
+    y = analytic._disk_dimensionless_root(n, nu)
+    x = y * math.sqrt((1 - nu) / 2.0)
+    m = disk_boundary_matrix(n, nu, x, y)
+    if abs(m[0, 0]) + abs(m[0, 1]) >= abs(m[1, 0]) + abs(m[1, 1]):
+        a, b = -m[0, 1], m[0, 0]
+    else:
+        a, b = -m[1, 1], m[1, 0]
+    return (lambda rho: a * x * jvp(n, x * rho) + b * n * jv(n, y * rho) / rho,
+            lambda rho: -a * n * jv(n, x * rho) / rho - b * y * jvp(n, y * rho))
+
+
+class TestBesselDerivative:
+    """One Jn' helper serves the boundary matrix and the mode fields, bit
+    for bit scipy's jvp."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_jvp(self, n):
+        from scipy.special import jvp
+        z = np.random.default_rng(n).uniform(0.0, 60.0, 100_000)
+        assert np.array_equal(analytic._jv_prime(n, z), jvp(n, z))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("nu", [0.0, 0.17, 0.28, 0.45])
+    def test_fields_and_meff_coefficient_unchanged(self, n, nu):
+        rho, wts = analytic._gauss_nodes(0.0, 1.0)
+        u_r, u_t = analytic._disk_unit_fields(n, nu)
+        ref_r, ref_t = _jvp_unit_fields(n, nu)
+        grid = np.linspace(1e-3, 1.0, 2001)
+        assert np.array_equal(u_r(grid), ref_r(grid))
+        assert np.array_equal(u_t(grid), ref_t(grid))
+        integral = float(np.sum(wts * (ref_r(rho)**2 + ref_t(rho)**2) * rho))
+        assert analytic._disk_meff_coefficient(n, nu) == \
+            math.pi * integral / float(ref_r(1.0))**2
+
+
 class TestBrent:
     """analytic._brentq returns bitwise the root scipy.optimize.brentq does."""
 

@@ -166,6 +166,47 @@ class TestConfigReader:
         assert len(err.splitlines()) == 1
 
 
+class TestUnknownTopLevelKeys:
+    """A design or bounds config with a key no loader reads is a config
+    error, not a default silently used."""
+
+    @pytest.mark.parametrize("name,argv,key,what", [
+        ("beam.json", ["respond", "--config"], "Q", "design"),
+        ("disk.json", ["analyze", "--config"], "radius", "design"),
+        ("oscillator_bounds.json", ["optimize", "--profile", "oscillator-n2", "--bounds"],
+         "grid_point", "bounds"),
+    ], ids=["design-beam", "design-disk", "bounds"])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, name, argv, key, what):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg[key] = 3
+        path = tmp_path / name
+        path.write_text(json.dumps(cfg))
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {what} config: unknown fields ['{key}']\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"kind": "beam", "Q": 50}, "design config: missing 'geometry' object"),
+        ({"geometry": {}, "Q": 50}, "design config: kind must be 'beam' or 'disk'"),
+    ], ids=["no-geometry", "no-kind"])
+    def test_missing_design_key_reported_first(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["analyze", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"bounds": {}, "grid_point": 3}, "bounds config: family must be"),
+        ({"family": "beam", "grid_point": 3}, "bounds config: missing 'bounds' object"),
+    ], ids=["no-family", "no-bounds"])
+    def test_missing_bounds_key_reported_first(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["optimize", "--profile", "oscillator-n2", "--bounds", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 class TestAbsurdValues:
     # check analyzes the released gap, which a drawn gap of 1e-100 m
     # leaves at about 20 nm

@@ -78,6 +78,106 @@ class TestBeamAssembly:
         assert sys_.mass[3, 3] == 2 * ((ral / 420.0) * (4 * le**2))
 
 
+def _literal_beam_elements(geom, mat, n_elements):
+    """The beam element matrices written out with le literals, as
+    assemble_beam built them before _KE0/_ME0 became the only beam element
+    definition (reference)."""
+    le = geom.length / n_elements
+    area, inertia = fem._beam_section(geom)
+    ei, ral = mat.youngs_modulus * inertia, mat.density * area * le
+    le2, le3 = np.float_power(le, 2), np.float_power(le, 3)
+    k_scale, m_scale = ei / le3, ral / 420.0
+    ke = k_scale * np.array([
+        [12, 6 * le, -12, 6 * le],
+        [6 * le, 4 * le2, -6 * le, 2 * le2],
+        [-12, -6 * le, 12, -6 * le],
+        [6 * le, 2 * le2, -6 * le, 4 * le2]])
+    me = m_scale * np.array([
+        [156, 22 * le, 54, -13 * le],
+        [22 * le, 4 * le2, 13 * le, -3 * le2],
+        [54, 13 * le, 156, -22 * le],
+        [-13 * le, -3 * le2, -22 * le, 4 * le2]])
+    return ke, me
+
+
+class TestOneBeamElement:
+    """_KE0/_ME0 are the only beam element matrices: assemble_beam scales
+    them, and the unit pencil is built and gated as every system is."""
+
+    @pytest.mark.parametrize("axis", list(VibrationAxis))
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 64, 151, 152, 512])
+    def test_bitwise_equal_to_literal_elements(self, silicon, axis, clamped, n):
+        # a length whose le^2 rounds differently as le*le, so only
+        # np.float_power(le, 2) gives the literal entries
+        lengths = np.linspace(10e-6, 20e-6, 20001)
+        le = lengths / n
+        geom = BeamGeometry(float(lengths[np.float_power(le, 2) != le * le][0]),
+                            0.46e-6, 0.4e-6, axis)
+        sys_ = assemble_beam(geom, silicon, n, clamped)
+        assert isinstance(sys_.stiffness, np.ndarray) == (len(sys_.free_dofs()) <= 300)
+        ke, me = _literal_beam_elements(geom, silicon, n)
+        dofs = 2 * np.arange(n)[:, None] + np.arange(4)
+        for stored, e in ((sys_.stiffness, ke), (sys_.mass, me)):
+            ref = _dense_scatter(dofs, np.broadcast_to(e, (n, 4, 4)), 2 * (n + 1))
+            dense = stored if isinstance(stored, np.ndarray) else stored.toarray()
+            assert _bits_equal(dense, ref)
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 16, 149, 150, 151, 152, 512])
+    def test_unit_free_block_equals_old_slice(self, monkeypatch, n, clamped):
+        # the clamped unit pencil was the [2:-2, 2:-2] slice of the scattered
+        # integer matrices, the free-free one the matrices themselves
+        calls = []
+        pencil = fem._pencil_modes
+
+        def recording(kk, mm, k):
+            calls.append((kk, mm))
+            return pencil(kk, mm, k)
+
+        monkeypatch.setattr(fem, "_pencil_modes", recording)
+        fem._unit_beam_modes.cache_clear()
+        fem._unit_beam_modes(n, clamped, 1)
+        fem._unit_beam_modes.cache_clear()
+        (kk, mm), = calls
+        ndof = 2 * (n + 1)
+        n_free = ndof - 4 if clamped else ndof
+        dofs = 2 * np.arange(n)[:, None] + np.arange(4)
+        for block, e in ((kk, fem._KE0), (mm, fem._ME0)):
+            old = fem._scatter(dofs, np.broadcast_to(e, (n, 4, 4)),
+                               np.broadcast_to(e, (n, 4, 4)), ndof, n_free)[0]
+            if clamped:
+                old = old[2:-2, 2:-2]
+            assert type(block) is type(old)
+            if isinstance(old, np.ndarray):
+                assert _bits_equal(block, old)
+            else:
+                for a, b in ((block.data, old.data), (block.indices, old.indices),
+                             (block.indptr, old.indptr)):
+                    assert np.array_equal(a, b) and a.dtype == b.dtype
+
+    def test_unit_pencil_is_gated(self, monkeypatch):
+        asymmetric = fem._KE0.copy()
+        asymmetric[0, 1] += 1
+        monkeypatch.setattr(fem, "_KE0", asymmetric)
+        fem._unit_beam_modes.cache_clear()
+        with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
+            fem._unit_beam_modes(8, True, 2)
+        monkeypatch.setattr(fem, "_KE0", -fem._ME0)
+        monkeypatch.setattr(fem, "_ME0", -fem._ME0)
+        with pytest.raises(InvariantError, match="mass matrix not positive-definite"):
+            fem._unit_beam_modes(8, True, 2)
+        fem._unit_beam_modes.cache_clear()
+
+    def test_underflowing_eigenvalue_scale_rejected(self, silicon):
+        # EI/le^3 is a positive subnormal, but (EI/le^3)/(rho*A*le/420)
+        # underflows to 0: solve_modes would return four modes of 0.0 Hz
+        geom = BeamGeometry(1e100, 0.46e-6, 0.4e-6, VibrationAxis.IN_PLANE)
+        with pytest.raises(InvariantError, match=r"eigenvalue scale .* must be finite "
+                                                 r"and > 0, got 0\.0"):
+            assemble_beam(geom, silicon, 8)
+
+
 class TestBeamConvergence:
     def test_converges_to_analytic(self, ref_beam, silicon):
         f_ref = beam_mode_frequency(ref_beam, silicon, 1)

@@ -124,6 +124,14 @@ class TestAbsurdGap:
         ("eta", lambda mode, t: transduction.transduction_factor(t)),
         ("resonant amplitude", lambda mode, t: resonant_amplitude(mode, t, Q_REF)),
         ("electrostatic spring", lambda mode, t: transduction.electrostatic_spring(mode, t)),
+        # a current refuses the amplitude it scales first
+        pytest.param("resonant amplitude",
+                     lambda mode, t: capacitive_output_current(mode, t, Q_REF),
+                     id="capacitive current"),
+        pytest.param("resonant amplitude", lambda mode, t: mos_output_current(
+            mode, dataclasses.replace(t, detection=DetectionKind.MOS,
+                                      mos=MosParams(bias_drain_current=10e-6)), Q_REF),
+                     id="MOS current"),
     ])
     def test_rejected(self, ref_mode, ref_transducer, gap, what, call):
         t = dataclasses.replace(ref_transducer, gap=gap)
@@ -132,11 +140,58 @@ class TestAbsurdGap:
             with pytest.raises(InvariantError, match=f"{what} must be finite and > 0"):
                 call(ref_mode, t)
 
+    @pytest.mark.parametrize("call,what", [
+        (capacitive_output_current, "capacitive output current"),
+        (mos_output_current, "MOS output current"),
+    ], ids=["capacitive", "mos"])
+    def test_current_overflow_rejected(self, ref_mode, mos_transducer, call, what):
+        # the amplitude is finite at a 1e-115 m gap, the current is not
+        t = dataclasses.replace(mos_transducer, gap=1e-115)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0 < resonant_amplitude(ref_mode, t, Q_REF) < math.inf
+            with pytest.raises(InvariantError, match=f"{what} must be finite and > 0, got inf"):
+                call(ref_mode, t, Q_REF)
+
+    def test_spring_softening_total(self, ref_mode, ref_transducer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # k_e underflows to 0: no softening
+            huge = dataclasses.replace(ref_transducer, gap=1e200)
+            assert spring_softening_frequency(ref_mode, huge) == ref_mode.frequency
+            # k_e overflows: unstable, and the spring itself is refused
+            tiny = dataclasses.replace(ref_transducer, gap=1e-200)
+            with pytest.raises(InvariantError,
+                               match="electrostatic spring must be finite and > 0"):
+                spring_softening_frequency(ref_mode, tiny)
+            # no bias over a d0^3 that underflows: k_e = 0/0
+            unbiased = dataclasses.replace(tiny, bias_voltage=0.0)
+            with pytest.raises(InvariantError, match="spring-softened frequency must be "
+                                                     "finite and > 0, got nan"):
+                spring_softening_frequency(ref_mode, unbiased)
+
+    def test_static_capacitance_overflow_rejected(self, ref_transducer):
+        t = dataclasses.replace(ref_transducer, gap=1e-30, electrode_area=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError,
+                               match="static capacitance must be finite and > 0, got inf"):
+                static_capacitance(t)
+
     def test_zero_bias_is_zero(self, ref_mode, ref_transducer):
         t0 = dataclasses.replace(ref_transducer, bias_voltage=0.0)
         assert transduction.transduction_factor(t0) == 0.0
         assert transduction.electrostatic_spring(ref_mode, t0) == 0.0
         assert resonant_amplitude(ref_mode, t0, Q_REF) == 0.0
+
+    @pytest.mark.parametrize("change", [{"bias_voltage": 0.0}, {"drive_voltage": 0.0}],
+                             ids=["no-bias", "no-drive"])
+    def test_no_force_currents_are_zero(self, ref_mode, mos_transducer, change):
+        t = dataclasses.replace(mos_transducer, **change)
+        assert capacitive_output_current(ref_mode, t, Q_REF) == 0.0
+        assert mos_output_current(ref_mode, t, Q_REF) == 0.0
+        with pytest.raises(InvariantError, match="quality factor must be > 0"):
+            mos_output_current(ref_mode, t, 0.0)
 
     def test_in_range_values_unchanged(self, ref_mode, ref_transducer):
         t = ref_transducer
@@ -149,6 +204,17 @@ class TestAbsurdGap:
         assert transduction.electrostatic_spring(ref_mode, t) == float(
             np.float_power(t.bias_voltage, 2) * eps * t.electrode_area
             / np.float_power(t.gap, 3))
+        x = resonant_amplitude(ref_mode, t, Q_REF)
+        assert capacitive_output_current(ref_mode, t, Q_REF) == \
+            ref_mode.angular_frequency * t.bias_voltage * (eps * t.electrode_area / t.gap**2) * x
+        t_mos = dataclasses.replace(t, detection=DetectionKind.MOS,
+                                    mos=MosParams(bias_drain_current=10e-6,
+                                                  channel_modulation_order=1.5))
+        assert mos_output_current(ref_mode, t_mos, Q_REF) == 10e-6 * 1.5 * x / t.gap
+        assert static_capacitance(t) == eps * t.electrode_area / t.gap
+        k_e = transduction.electrostatic_spring(ref_mode, t)
+        assert spring_softening_frequency(ref_mode, t) == float(
+            ref_mode.frequency * np.sqrt(abs(1.0 - k_e / ref_mode.effective_stiffness)))
 
 
 class TestEquivalentCircuit:
@@ -616,14 +682,14 @@ class TestDetectionComparison:
         with pytest.raises(InvariantError):
             detection_comparison(ref_beam, silicon, mos_transducer, Q_REF, [1.0, -0.5])
 
-    @pytest.mark.parametrize("change", [
-        {"drive_voltage": 0.0},   # both currents are 0
-        {"gap": 1e160},           # d0^2 overflows
-        {"gap": 1e-300},          # d0^2 underflows to 0
+    @pytest.mark.parametrize("change,what", [
+        ({"drive_voltage": 0.0}, "i_mos/i_cap"),       # both currents are 0
+        ({"gap": 1e160}, "resonant amplitude"),        # d0^2 overflows
+        ({"gap": 1e-300}, "resonant amplitude"),       # d0^2 underflows to 0
     ], ids=["no-drive", "huge-gap", "tiny-gap"])
-    def test_ratio_out_of_range(self, ref_beam, silicon, mos_transducer, change):
+    def test_ratio_out_of_range(self, ref_beam, silicon, mos_transducer, change, what):
         t = dataclasses.replace(mos_transducer, **change)
-        with pytest.raises(InvariantError, match="i_mos/i_cap must be finite and > 0"):
+        with pytest.raises(InvariantError, match=f"{what} must be finite and > 0"):
             detection_comparison(ref_beam, silicon, t, Q_REF, [1.0, 0.5])
 
     def test_needs_mos(self, ref_beam, silicon, ref_transducer):
