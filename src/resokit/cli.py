@@ -35,7 +35,8 @@ def _material(cfg: dict) -> Material:
 
 def _design(args, needs_transducer: bool = False):
     """(geometry, material, transducer or None, q) of the design config
-    args.config; SchemaError if the command needs a transducer it lacks."""
+    args.config; SchemaError if the command needs a transducer it lacks or
+    a value breaks a domain invariant."""
     cfg = _load_json_file(args.config)
     kind = cfg.get("kind")
     if kind not in ("beam", "disk"):
@@ -44,10 +45,13 @@ def _design(args, needs_transducer: bool = False):
         raise SchemaError("design config: missing 'geometry' object")
     _check_keys(cfg, {"kind", "geometry"}, {"schema_version", "material", "transducer", "q"},
                 "design config")
-    geometry = (beam_geometry_from_dict(cfg["geometry"]) if kind == "beam"
-                else disk_geometry_from_dict(cfg["geometry"]))
-    material = _material(cfg)
-    transducer = transducer_from_dict(cfg["transducer"]) if "transducer" in cfg else None
+    try:
+        geometry = (beam_geometry_from_dict(cfg["geometry"]) if kind == "beam"
+                    else disk_geometry_from_dict(cfg["geometry"]))
+        material = _material(cfg)
+        transducer = transducer_from_dict(cfg["transducer"]) if "transducer" in cfg else None
+    except InvariantError as exc:   # a value no design can have is a config error
+        raise SchemaError(f"{args.config}: {exc}") from None
     q = parse_quantity(cfg.get("q", 1e4))
     if needs_transducer and transducer is None:
         raise SchemaError(f"{args.command} needs a transducer section in the config")

@@ -164,7 +164,7 @@ class MosParams:
     """Operating point of the sense transistor for MOS detection.
 
     channel_modulation_order is the exponent of the drain-current vs
-    gate-capacitance law (1 = linear modulation).
+    gate-capacitance law (1 = linear modulation), finite and > 0.
     """
 
     bias_drain_current: float
@@ -173,8 +173,8 @@ class MosParams:
     def __post_init__(self):
         _require(0 < self.bias_drain_current < math.inf,
                  "bias_drain_current must be finite and > 0")
-        _require(math.isfinite(self.channel_modulation_order),
-                 "channel_modulation_order must be finite")
+        _require(0 < self.channel_modulation_order < math.inf,
+                 "channel_modulation_order must be finite and > 0")
 
     def to_dict(self) -> dict:
         return {

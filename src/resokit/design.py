@@ -582,7 +582,8 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     "max_tunnel_depth"), "pull_in_margin", or a check_spec criterion name
     ("frequency", "q", "impedance", "dc_voltage", "tuning"; an unstable
     tuning sweep counts as "tuning"). Raises InvariantError unless assumed_q
-    (default: the profile's q_required, else 1e4) is finite and > 0.
+    (default: the profile's q_required, else 1e4) is finite and > 0, and
+    SchemaError unless bounds has exactly the family's parameters.
     """
     if family not in ("beam", "disk"):
         raise InvariantError(f"family must be 'beam' or 'disk', got {family!r}")
@@ -601,6 +602,10 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     missing = set(param_names) - set(bounds)
     if missing:
         raise SchemaError(f"bounds missing parameters {sorted(missing)}")
+    unknown = set(bounds) - set(param_names)
+    if unknown:
+        raise SchemaError(f"bounds has parameters a {family} does not have: "
+                          f"{sorted(unknown, key=str)}")
     # every bound's shape is checked before any value is parsed
     pairs = {k: _pair(bounds[k], f"bounds[{k!r}]") for k in param_names}
     bnd = {k: tuple(map(parse_quantity, v)) for k, v in pairs.items()}

@@ -4,7 +4,7 @@ Beam eigenmodes use 2-node Euler-Bernoulli elements (cubic Hermite shape
 functions, consistent mass). Disk in-plane eigenmodes use linear-triangle
 plane-stress elements on a structured polar mesh. Element matrices are
 built for all elements at once, and one function, _system, numbers the
-dofs, scatters and validates every system: beams, the unit beam, disks.
+dofs, scatters and validates the unit beam and every disk.
 
 One threshold, _SPARSE_MIN_DOF (300 free dofs), picks both how K and M are
 stored and how they are solved. At or below it, assembly scatters into
@@ -16,22 +16,33 @@ lowest modes come from shift-invert Lanczos (ARPACK) on a sparse LU of
 K - sigma*M, polished by one inverse-iteration step and a Rayleigh-Ritz
 projection (dsygvx again). LAPACK is faster on small systems,
 and ARPACK needs k well below n: a sparse system asked for k >= n/4 modes
-is solved densely too. Both paths share the residual gate, normalization
-and sign convention.
+is solved densely too. Both paths share the gates, normalization and
+sign convention. Every returned mode passes a Jacobi-scaled normwise
+backward-error gate (_BACKWARD_BOUND); modes away from the rigid-body
+null space also pass the relative residual gate (_RESIDUAL_BOUND).
 
-A beam is solved once per mesh. With le = L/n and D = diag(1, le, 1, le,
-...), assemble_beam's K is (EI/le^3) D K0 D and its M is (rho*A*le/420)
-D M0 D, where K0 and M0 scatter _KE0 and _ME0, the only beam element
-matrices, and depend only on (n_elements, clamped). The pencils are
-congruent (Golub & Van Loan, Matrix Computations, sec. 8.7), so
-K0 psi = mu M0 psi gives the beam's pairs exactly: lambda = mu * ratio
-with ratio = (EI/le^3) / (rho*A*le/420), and phi = psi / d on the free
-dofs. assemble_beam refuses a ratio that is not finite and > 0, so every
-beam it returns maps through the unit pencil. solve_modes takes (mu, psi)
-from a small LRU cache keyed by (n_elements, clamped, k), filled through
-the dense/sparse dispatch above; the residual gate, normalization and sign
-convention then run on the beam's own K and M. Disks, and systems built
-with AssembledSystem(...) directly, are solved directly.
+A beam is a scaled copy of its unit system. With le = L/n and D = diag(1,
+le, 1, le, ...), assemble_beam's K is (EI/le^3) D K0 D and its M is
+(rho*A*le/420) D M0 D, where K0 and M0 scatter _KE0 and _ME0, the only
+beam element matrices, and depend only on (n_elements, clamped). The unit
+system (K0, M0) is built and gated once per (n_elements, clamped) and kept
+in a small LRU cache; a beam scales its stored entries (and those of its
+free blocks) by the pattern (1, le, le^2) of D.D, which is bitwise the
+sum of the scaled element matrices, and shares its dof numbering, free
+dofs and CSC index arrays. Each beam still passes the value gate on its
+own entries (finite, symmetric, M positive-definite on the free dofs), the
+last by a banded Cholesky (LAPACK dpbtrf, half-bandwidth 3), O(n).
+
+A beam is solved once per mesh. The pencils are congruent (Golub & Van
+Loan, Matrix Computations, sec. 8.7), so K0 psi = mu M0 psi gives the
+beam's pairs exactly: lambda = mu * ratio with ratio = (EI/le^3) /
+(rho*A*le/420), and phi = psi / d on the free dofs. assemble_beam refuses a
+ratio that is not finite and > 0, so every beam it returns maps through
+the unit pencil. solve_modes takes (mu, psi) from a small LRU cache keyed
+by (n_elements, clamped, k), filled through the dense/sparse dispatch
+above; the gates, normalization and sign convention then run on the
+beam's own K and M. Disks, and systems built with AssembledSystem(...)
+directly, are assembled, gated and solved directly.
 
 scipy.linalg and scipy.sparse are imported inside the functions that call
 them: importing this module, or building a mesh, loads no scipy module.
@@ -39,9 +50,11 @@ them: importing this module, or building a mesh, loads no scipy module.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,11 +64,12 @@ from .errors import (AmbiguousAngularOrderError, EigenSolveError, InvariantError
 
 _SYM_RTOL = 1e-12          # symmetry tolerance for assembled matrices
 _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
+_BACKWARD_BOUND = 1e-12    # Jacobi-scaled backward-error bound per returned mode
 _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
 _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and solve
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _SIGN_RTOL = 1e-6          # translational entries this close to the largest tie for the sign
-_UNIT_BEAM_CACHE = 8       # unit-beam eigenpair sets kept, keyed (n_elements, clamped, k)
+_UNIT_BEAM_CACHE = 8       # unit-beam systems and eigenpair sets kept, each
 _TRANSLATIONAL = frozenset(("w", "ux", "uy"))
 # most rings mesh_disk builds: radius/1000 is already 3 million nodes
 _MAX_RINGS = 1000
@@ -116,8 +130,9 @@ class AssembledSystem:
 
     K and M are stored read-only, in the form the solver uses: with at most
     _SPARSE_MIN_DOF free dofs as C-ordered dense arrays, above it as CSC
-    (sorted row indices, no duplicate or explicit zero entries, index
-    arrays of their own, `nbytes` = bytes of data + indices + indptr).
+    (sorted row indices, no duplicate or explicit zero entries, K's and
+    M's index arrays apart, `nbytes` = bytes of data + indices + indptr; a
+    beam shares its read-only index arrays with its cached unit system).
     Either form is accepted and converted: a dense matrix above the
     threshold with scipy's csc_array, a sparse one at or below it with
     toarray.
@@ -132,7 +147,8 @@ class AssembledSystem:
     # (EI/le^3) / (rho*A*le/420)), the congruence that maps the unit-beam
     # pairs to this system's (see the module docstring).
     _unit_beam: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # Built once by __post_init__. _kf/_mf are the free-dof blocks of K and
+    # Built once by __post_init__ (a beam copies the unit system's and
+    # scales _kf and _mf). _kf/_mf are the free-dof blocks of K and
     # M, stored as K and M are. _tdofs lists the translational dofs; row j
     # of _tnode_dofs holds the translational dofs of the j-th node that has
     # any, padded with ndof.
@@ -158,17 +174,10 @@ class AssembledSystem:
         object.__setattr__(self, "mass", m)
         if k.shape != (n, n) or m.shape != (n, n):
             raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
-        blocks = []
-        for name, a in (("stiffness", k), ("mass", m)):
-            if not np.isfinite(a.data if sparse else a).all():
-                raise InvariantError(f"{name} matrix has non-finite entries")
-            if abs(a - a.T).max() > _SYM_RTOL * abs(a).max():
-                raise InvariantError(f"{name} matrix not symmetric")
-            blocks.append(a[:, free][free] if len(free) < n else a)
-        if not _positive_definite(blocks[1]):
-            raise InvariantError("mass matrix not positive-definite on free dofs")
+        kf, mf = (a[:, free][free] if len(free) < n else a for a in (k, m))
+        _gate(k, k.T, m, m.T, mf, _positive_definite)
         tdofs, tnode_dofs = _translational_layout(self.dof_map)
-        for name, value in (("_free", free), ("_kf", blocks[0]), ("_mf", blocks[1]),
+        for name, value in (("_free", free), ("_kf", kf), ("_mf", mf),
                             ("_tdofs", tdofs), ("_tnode_dofs", tnode_dofs)):
             object.__setattr__(self, name, value)
 
@@ -214,6 +223,38 @@ def _symmetric_lu(a):
                 options={"SymmetricMode": True})
 
 
+def _values(a) -> np.ndarray:
+    """The stored entries of K, M or a free block: the dense array itself,
+    or the CSC data."""
+    return a if isinstance(a, np.ndarray) else a.data
+
+
+def _nonzeros(a):
+    """(pos, rows, cols) of the nonzero stored entries of a dense or CSC a:
+    their positions in _values(a).ravel(), ascending, and their rows and
+    columns."""
+    if isinstance(a, np.ndarray):
+        rows, cols = np.nonzero(a)
+        return rows * a.shape[1] + cols, rows, cols
+    pos = np.flatnonzero(a.data)
+    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+    return pos, a.indices[pos], cols[pos]
+
+
+def _gate(k, kt, m, mt, mf, positive_definite):
+    """The value gate of every system: K and M finite and symmetric, and M
+    positive-definite on the free dofs (positive_definite(mf)). k and m are
+    K and M, or arrays of their nonzero entries; kt and mt hold the same
+    entries of the transposes."""
+    for name, a, at in (("stiffness", k, kt), ("mass", m, mt)):
+        if not np.isfinite(_values(a)).all():
+            raise InvariantError(f"{name} matrix has non-finite entries")
+        if abs(a - at).max() > _SYM_RTOL * abs(a).max():
+            raise InvariantError(f"{name} matrix not symmetric")
+    if not positive_definite(mf):
+        raise InvariantError("mass matrix not positive-definite on free dofs")
+
+
 def _positive_definite(a) -> bool:
     """Dense: Cholesky succeeds. CSC: the symmetric LU pivots only on the
     diagonal (perm_r == perm_c, so it is an LDL^T) and every pivot is
@@ -229,6 +270,32 @@ def _positive_definite(a) -> bool:
     except RuntimeError:   # exactly singular
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0))
+
+
+def _band_positive_definite(a, band) -> bool:
+    """Banded Cholesky (LAPACK dpbtrf, O(n kd^2)) succeeds on a, a dense or
+    CSC matrix whose nonzero entries lie within kd of the diagonal. band is
+    (src, dst, n, kd): the stored entries src of a's lower band go to the
+    flat positions dst of the (n, kd + 1) array whose row j is column j
+    from the diagonal down."""
+    from scipy.linalg.lapack import dpbtrf
+    src, dst, n, kd = band
+    ab = np.zeros(n * (kd + 1))
+    ab[dst] = _values(a).ravel()[src]
+    _, info = dpbtrf(ab.reshape(n, kd + 1).T, lower=1, overwrite_ab=1)
+    return info == 0
+
+
+def _lower_band(a):
+    """(src, dst, n, kd) of _band_positive_definite for the dense or CSC
+    symmetric matrix a: kd is the largest distance of a nonzero entry from
+    the diagonal, src the nonzero stored entries on or below it."""
+    pos, rows, cols = _nonzeros(a)
+    lower = rows >= cols
+    offset = rows[lower] - cols[lower]
+    kd = int(offset.max(initial=0))
+    return (_readonly(pos[lower]), _readonly(cols[lower] * (kd + 1) + offset),
+            a.shape[0], kd)
 
 
 def _translational_layout(dof_map):
@@ -319,36 +386,114 @@ def _system(elements: np.ndarray, comps: tuple, ke, me, n_nodes: int,
     return AssembledSystem(k, m, dof_map, constraints, mesh)
 
 
+class _Entries(NamedTuple):
+    """The nonzero stored entries of a unit-beam matrix: their flat positions
+    in _values, their values, their parity (how many of their row and
+    column dofs are rotations, int8) and, for K and M, the position in this
+    table of each entry's transpose."""
+    pos: np.ndarray
+    values: np.ndarray
+    parity: np.ndarray
+    transpose: np.ndarray | None
+
+
+@lru_cache(maxsize=_UNIT_BEAM_CACHE)
+def _unit_beam_system(n_elements: int, clamped: bool):
+    """(system, entries, band) of the unit beam on n_elements.
+
+    system is the AssembledSystem of _KE0 and _ME0, gated as every system
+    is; entries holds the _Entries of its stiffness, mass, _kf and _mf;
+    band is the lower band of _mf for _band_positive_definite, whose
+    half-bandwidth kd is 3 under node-major numbering.
+    """
+    unit = _system(np.arange(n_elements)[:, None] + np.arange(2), ("w", "theta"),
+                   _KE0, _ME0, n_elements + 1, (0, n_elements) if clamped else ())
+    odd = np.arange(len(unit.dof_map), dtype=np.int8) % 2
+
+    def entries(a, dof_odd, with_transpose):
+        values = _values(a).ravel()
+        pos, rows, cols = _nonzeros(a)
+        transpose = None
+        if with_transpose:
+            key = rows * a.shape[0] + cols
+            order = np.argsort(key)
+            transpose = _readonly(order[np.searchsorted(key, cols * a.shape[0] + rows,
+                                                        sorter=order)].astype(np.int32))
+        # CSC stores no zero, so its values are its data
+        return _Entries(_readonly(pos.astype(np.int32)),
+                        _readonly(values if len(pos) == len(values) else values[pos]),
+                        _readonly(dof_odd[rows] + dof_odd[cols]), transpose)
+
+    full = [entries(a, odd, True) for a in (unit.stiffness, unit.mass)]
+    free = (full if unit._kf is unit.stiffness else
+            [entries(a, odd[unit.free_dofs()], False) for a in (unit._kf, unit._mf)])
+    return unit, (*full, *free), _lower_band(unit._mf)
+
+
+def _scaled(a, values: np.ndarray, pos: np.ndarray):
+    """a's sparsity with values at its nonzero entries pos, stored as a is:
+    a CSC result shares a's read-only index arrays."""
+    if isinstance(a, np.ndarray):
+        dense = np.zeros(a.size)
+        dense[pos] = values
+        return _readonly(dense.reshape(a.shape))
+    return _csc_type()((_readonly(values), a.indices, a.indptr), shape=a.shape)
+
+
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
                   clamped: bool = True) -> AssembledSystem:
-    """Euler-Bernoulli beam with consistent mass; both ends clamped by default."""
+    """Euler-Bernoulli beam with consistent mass; both ends clamped by default.
+
+    K = (EI/le^3) D K0 D and M = (rho*A*le/420) D M0 D, formed entry by
+    entry from the cached unit system (K0, M0) with D.D as a pattern of
+    (1, le, le^2): bitwise the sum of the scaled element matrices, since
+    two elements feeding one entry give an exact doubling or an exact 0.
+    """
     if n_elements < 2:
         raise InvariantError(f"n_elements must be >= 2, got {n_elements}")
     le = geom.length / n_elements
     # powers by libm pow, as Python's **, but an overflow (or a division by
-    # an le^3 that underflows) is a non-finite entry AssembledSystem refuses
+    # an le^3 that underflows) is a non-finite entry the gate refuses
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         area, inertia = _beam_section(geom)
         ei, ral = mat.youngs_modulus * inertia, mat.density * area * le
         k_scale, m_scale = ei / np.float_power(le, 3), ral / 420.0
         ratio = k_scale / m_scale
-        # D.D as a pattern of (1, le, le^2): entry (i, j) is le^(i%2 + j%2)
-        odd = np.arange(4) % 2
-        s = np.array([1.0, le, np.float_power(le, 2)])[odd[:, None] + odd]
-        ke, me = k_scale * (_KE0 * s), m_scale * (_ME0 * s)
+        s = np.array([1.0, le, np.float_power(le, 2)])
     if not k_scale > 0:   # an underflow: a zero K would give 0 Hz modes
         raise InvariantError(f"beam element stiffness EI/le^3 must be > 0, got {float(k_scale)!r}")
 
     n_nodes = n_elements + 1
     mesh = Mesh(nodes=np.linspace(0.0, geom.length, n_nodes)[:, None],
                 elements=np.arange(n_elements)[:, None] + np.arange(2), kind="beam_1d")
-    sys = _system(mesh.elements, ("w", "theta"), ke, me, n_nodes,
-                  (0, n_elements) if clamped else (), mesh)
+    unit, (ek, em, ekf, emf), band = _unit_beam_system(n_elements, clamped)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        kv, mv = k_scale * (ek.values * s[ek.parity]), m_scale * (em.values * s[em.parity])
+        k, m = _scaled(unit.stiffness, kv, ek.pos), _scaled(unit.mass, mv, em.pos)
+        if unit._kf is unit.stiffness:
+            kf, mf = k, m
+        else:
+            kf = _scaled(unit._kf, k_scale * (ekf.values * s[ekf.parity]), ekf.pos)
+            mf = _scaled(unit._mf, m_scale * (emf.values * s[emf.parity]), emf.pos)
+    _gate(kv, kv[ek.transpose], mv, mv[em.transpose], mf,
+          lambda a: _band_positive_definite(a, band))
     if not 0 < ratio < math.inf:   # the unit-beam pairs could not be scaled back
         raise InvariantError("beam eigenvalue scale (EI/le^3)/(rho*A*le/420) must be "
                              f"finite and > 0, got {float(ratio)!r}")
+    # a subnormal entry is rounded on a fixed grid, so it is not the exact
+    # doubling that the sum of two element entries is
+    smallest = float(min(abs(kv).min(), abs(mv).min()))
+    if not smallest >= np.finfo(float).tiny:
+        raise InvariantError(f"beam matrix entries must be normal floats, got {smallest!r}")
+    # a copy of the unit system: dof_map, constraints, the free dofs and the
+    # translational layout are shared, K, M, their free blocks and the mesh
+    # are this beam's
+    sys = copy.copy(unit)
     d_free = _readonly(np.tile((1.0, le), n_nodes)[sys.free_dofs()])
-    object.__setattr__(sys, "_unit_beam", (n_elements, clamped, d_free, float(ratio)))
+    for name, value in (("stiffness", k), ("mass", m), ("_kf", kf), ("_mf", mf),
+                        ("mesh", mesh), ("_unit_beam", (n_elements, clamped, d_free,
+                                                        float(ratio)))):
+        object.__setattr__(sys, name, value)
     return sys
 
 
@@ -504,11 +649,10 @@ def _pencil_modes(kk, mm, k: int):
 
 @lru_cache(maxsize=_UNIT_BEAM_CACHE)
 def _unit_beam_modes(n_elements: int, clamped: bool, k: int):
-    """k lowest eigenpairs (mu, psi) of the unit-beam pencil (K0, M0) on its
-    free dofs, as read-only arrays; (K0, M0) pass every system's gate and
-    are solved as the beam's own pencil would be."""
-    unit = _system(np.arange(n_elements)[:, None] + np.arange(2), ("w", "theta"),
-                   _KE0, _ME0, n_elements + 1, (0, n_elements) if clamped else ())
+    """k lowest eigenpairs (mu, psi) of the cached unit-beam pencil (K0, M0)
+    on its free dofs, as read-only arrays, solved as the beam's own pencil
+    would be."""
+    unit = _unit_beam_system(n_elements, clamped)[0]
     vals, vecs = _pencil_modes(unit._kf, unit._mf, k)
     return _readonly(vals), _readonly(vecs)
 
@@ -522,6 +666,32 @@ def _eigenpairs(sys: AssembledSystem, k: int):
     n_elements, clamped, d_free, ratio = sys._unit_beam
     mu, psi = _unit_beam_modes(n_elements, clamped, k)
     return mu * ratio, psi / d_free[:, None]
+
+
+def _backward_errors(kk, mm, vals, vecs, r) -> np.ndarray:
+    """Jacobi-scaled normwise backward error of each pair (lambda, v) of the
+    free-dof pencil (kk, mm), r = kk v - lambda mm v (Tisseur, "Backward
+    error and condition of polynomial eigenvalue problems", Linear Algebra
+    Appl. 309, 2000): ||D r|| / ((||DKD||_F + |lambda| ||DMD||_F) ||v / d||),
+    D = diag(d), d = |diag(K)|^-1/2 (1 where K_ii is 0). O(nnz). NaN where
+    a norm overflows."""
+    diag = np.abs(kk.diagonal())
+    d = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    d2 = d * d
+
+    def scaled_norm(a):
+        if isinstance(a, np.ndarray):   # ||DAD||_F^2 = d^2 . (A o A) d^2
+            return np.sqrt(d2 @ ((a * a) @ d2))
+        cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+        return np.linalg.norm(d[a.indices] * a.data * d[cols])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.linalg.norm(d[:, None] * r, axis=0)
+        den = ((scaled_norm(kk) + np.abs(vals) * scaled_norm(mm))
+               * np.linalg.norm(vecs / d[:, None], axis=0))
+        # a zero denominator means K = 0 and lambda = 0, so r = 0 too
+        berr = num / np.where(den > 0, den, 1.0)
+    return np.where(np.isfinite(den), berr, np.nan)
 
 
 def solve_modes(sys: AssembledSystem, k: int):
@@ -550,11 +720,19 @@ def solve_modes(sys: AssembledSystem, k: int):
         # M-normalized vectors of a mass matrix near the float floor
         raise EigenSolveError("mode vector norms overflow; the residual cannot be gated")
     elastic = norm_kv > 1e-9 * float(abs(kk).max()) * norm_v
-    resid = np.linalg.norm(kv - vals * (mm @ vecs), axis=0) / np.where(elastic, norm_kv, 1.0)
+    r = kv - vals * (mm @ vecs)
+    resid = np.linalg.norm(r, axis=0) / np.where(elastic, norm_kv, 1.0)
     bad = np.flatnonzero(elastic & (resid > _RESIDUAL_BOUND))
     if bad.size:
         raise EigenSolveError(
             f"eigen-residual {resid[bad[0]]:.2e} exceeds {_RESIDUAL_BOUND:.0e} "
+            f"for mode {bad[0]}")
+    # every mode, rigid ones too, passes the backward-error gate
+    berr = _backward_errors(kk, mm, vals, vecs, r)
+    bad = np.flatnonzero(~(berr <= _BACKWARD_BOUND))
+    if bad.size:
+        raise EigenSolveError(
+            f"backward error {berr[bad[0]]:.2e} exceeds {_BACKWARD_BOUND:.0e} "
             f"for mode {bad[0]}")
 
     full = np.zeros((len(vals), len(sys.dof_map)))

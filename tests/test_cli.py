@@ -329,6 +329,20 @@ class TestCompareDetection:
     def test_capacitive_config_rejected(self, beam_config):
         assert main(["compare-detection", "--config", beam_config]) == 1
 
+    @pytest.mark.parametrize("order", [0, -1.5])
+    def test_non_positive_modulation_order_is_usage_error(self, mos_beam_config, capsys,
+                                                          order):
+        # refused when the config is loaded, before any figure is built
+        cfg = json.loads(open(mos_beam_config).read())
+        cfg["transducer"]["mos"]["channel_modulation_order"] = order
+        with open(mos_beam_config, "w") as f:
+            json.dump(cfg, f)
+        assert main(["compare-detection", "--config", mos_beam_config]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {mos_beam_config}: channel_modulation_order "
+                                "must be finite and > 0\n")
+        assert captured.out == ""
+
 
 class TestCheck:
     def test_vco_fails_tuning(self, beam_config, tmp_path, capsys):
@@ -403,6 +417,18 @@ class TestOptimizeCommand:
         path = tmp_path / "bounds.json"
         path.write_text(json.dumps(cfg))
         return str(path)
+
+    def test_unknown_bound_is_usage_error(self, tmp_path, capsys):
+        # a bound the family does not have is refused, not silently dropped
+        path = self._bounds_file(tmp_path)
+        cfg = json.loads(open(path).read())
+        cfg["bounds"]["radius"] = ["1 um", "2 um"]
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        assert main(["optimize", "--profile", "oscillator-n2", "--bounds", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: bounds has parameters a beam does not have: ['radius']\n"
+        assert captured.out == ""
 
     def test_candidates_all_pass_check(self, tmp_path):
         bounds = self._bounds_file(tmp_path)

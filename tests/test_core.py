@@ -235,6 +235,11 @@ class TestTransducer:
         with pytest.raises(InvariantError):
             MosParams(bias_drain_current=0.0)
 
+    @pytest.mark.parametrize("order", [0.0, -0.0, -1.0])
+    def test_non_positive_modulation_order_refused(self, order):
+        with pytest.raises(InvariantError, match="channel_modulation_order must be finite"):
+            MosParams(bias_drain_current=1e-5, channel_modulation_order=order)
+
 
 def _mode(f=1e6, m=1e-15, order=1):
     k = (2 * math.pi * f) ** 2 * m

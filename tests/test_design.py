@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -353,6 +354,25 @@ class TestOptimize:
         with pytest.raises(SchemaError):
             optimize(oscillator_profile(2), "beam", {"length": (1e-6, 2e-6)},
                      material=silicon)
+
+    @pytest.mark.parametrize("family,extra", [
+        ("beam", {"radius": (1e-6, 2e-6), "lenght": (1e-6, 2e-6)}),
+        ("disk", {"length": (1e-6, 2e-6), 3: (1e-6, 2e-6)}),
+    ])
+    def test_unknown_bounds_key(self, silicon, family, extra):
+        bounds = dict(BOUNDS) if family == "beam" else {
+            "radius": (0.5e-6, 4.0e-6), "thickness": (0.2e-6, 0.4e-6),
+            "gap": (80e-9, 200e-9), "bias_voltage": (1.2, 20.0)}
+        names = sorted(extra, key=str)
+        with pytest.raises(SchemaError, match=re.escape(
+                f"bounds has parameters a {family} does not have: {names}")):
+            optimize(oscillator_profile(2), family, {**bounds, **extra}, material=silicon)
+
+    def test_missing_reported_before_unknown(self, silicon):
+        with pytest.raises(SchemaError, match=r"bounds missing parameters \['width'\]"):
+            optimize(oscillator_profile(2), "beam",
+                     {**{k: v for k, v in BOUNDS.items() if k != "width"},
+                      "radius": (1e-6, 2e-6)}, material=silicon)
 
     def test_disk_family(self, silicon):
         # relaxed process: disks need a deeper release tunnel than beams

@@ -78,6 +78,17 @@ class TestBeamAssembly:
         assert sys_.mass[3, 3] == 2 * ((ral / 420.0) * (4 * le**2))
 
 
+@pytest.fixture
+def cold_unit_caches():
+    """Empty unit-beam caches before and after the test, so that it builds
+    (and leaves behind) no cached unit system or eigenpairs."""
+    for cached in (fem._unit_beam_system, fem._unit_beam_modes):
+        cached.cache_clear()
+    yield
+    for cached in (fem._unit_beam_system, fem._unit_beam_modes):
+        cached.cache_clear()
+
+
 def _literal_beam_elements(geom, mat, n_elements):
     """The beam element matrices written out with le literals, as
     assemble_beam built them before _KE0/_ME0 became the only beam element
@@ -156,18 +167,16 @@ class TestOneBeamElement:
                              (block.indptr, old.indptr)):
                     assert np.array_equal(a, b) and a.dtype == b.dtype
 
-    def test_unit_pencil_is_gated(self, monkeypatch):
+    def test_unit_pencil_is_gated(self, monkeypatch, cold_unit_caches):
         asymmetric = fem._KE0.copy()
         asymmetric[0, 1] += 1
         monkeypatch.setattr(fem, "_KE0", asymmetric)
-        fem._unit_beam_modes.cache_clear()
         with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
             fem._unit_beam_modes(8, True, 2)
         monkeypatch.setattr(fem, "_KE0", -fem._ME0)
         monkeypatch.setattr(fem, "_ME0", -fem._ME0)
         with pytest.raises(InvariantError, match="mass matrix not positive-definite"):
             fem._unit_beam_modes(8, True, 2)
-        fem._unit_beam_modes.cache_clear()
 
     def test_underflowing_eigenvalue_scale_rejected(self, silicon):
         # EI/le^3 is a positive subnormal, but (EI/le^3)/(rho*A*le/420)
@@ -424,11 +433,14 @@ class TestSparseStorage:
     @pytest.mark.parametrize("axis", list(VibrationAxis))
     @pytest.mark.parametrize("clamped", [True, False])
     @pytest.mark.parametrize("n", [16, 149, 150, 151, 152, 256, 1024])
-    def test_beam_bitwise_dense_scatter(self, monkeypatch, silicon, axis, clamped, n):
+    def test_beam_bitwise_dense_scatter(self, silicon, axis, clamped, n):
+        # a beam is a scaled copy of its unit system (no scatter of its own):
+        # the reference scatters the literal element matrices
         geom = BeamGeometry(10e-6, 0.46e-6, 0.4e-6, axis)
-        sys_, k_ref, m_ref = self._assemble_recording(
-            monkeypatch, assemble_beam, geom, silicon, n, clamped)
-        self._check(sys_, k_ref, m_ref)
+        dofs = 2 * np.arange(n)[:, None] + np.arange(4)
+        k_ref, m_ref = (_dense_scatter(dofs, np.broadcast_to(e, (n, 4, 4)), 2 * (n + 1))
+                        for e in _literal_beam_elements(geom, silicon, n))
+        self._check(assemble_beam(geom, silicon, n, clamped), k_ref, m_ref)
 
     @pytest.mark.parametrize("divisor", [6, 8, 12, 16, 20, 24])
     def test_disk_bitwise_dense_scatter(self, monkeypatch, ref_disk, silicon, divisor):
@@ -722,6 +734,132 @@ class TestUnitBeamCache:
     def test_backward_error(self, ref_beam, silicon, n, clamped):
         sys_ = assemble_beam(ref_beam, silicon, n, clamped)
         assert np.max(_jacobi_backward_errors(sys_, solve_modes(sys_, 8))) <= 1e-12
+
+
+class TestScaledBeam:
+    """assemble_beam forms K and M as scaled copies of the cached unit
+    system and gates each beam on its own values."""
+
+    @pytest.mark.parametrize("n,clamped", [(16, True), (64, False), (151, True),
+                                           (152, False), (1024, True)])
+    def test_cold_and_warm_beam_bitwise(self, silicon, cold_unit_caches, n, clamped):
+        target = BeamGeometry(12e-6, 0.5e-6, 0.3e-6, VibrationAxis.OUT_OF_PLANE)
+        filler = BeamGeometry(37e-6, 2e-6, 1e-6, VibrationAxis.IN_PLANE)
+        cold = assemble_beam(target, silicon, n, clamped)
+        cold_modes = solve_modes(cold, 4)
+        solve_modes(assemble_beam(filler, silicon, n, clamped), 4)
+        warm = assemble_beam(target, silicon, n, clamped)
+        for name in ("stiffness", "mass", "_kf", "_mf"):
+            a, b = getattr(cold, name), getattr(warm, name)
+            if not isinstance(a, np.ndarray):
+                a, b = a.toarray(), b.toarray()
+            assert _bits_equal(a, b)
+        for (f, v), (f_ref, v_ref) in zip(solve_modes(warm, 4), cold_modes):
+            assert repr(f) == repr(f_ref) and _bits_equal(v, v_ref)
+
+    @pytest.mark.parametrize("n", [16, 200])
+    @pytest.mark.parametrize("clamped", [True, False])
+    def test_beam_shares_unit_structure(self, ref_beam, silicon, n, clamped):
+        beam = assemble_beam(ref_beam, silicon, n, clamped)
+        unit, _, band = fem._unit_beam_system(n, clamped)
+        assert band[3] == 3   # half-bandwidth under node-major numbering
+        for name in ("dof_map", "constraints", "_free", "_tdofs", "_tnode_dofs"):
+            assert getattr(beam, name) is getattr(unit, name)
+        assert (beam._kf is beam.stiffness) == (not clamped)
+        for own, shared in ((beam.stiffness, unit.stiffness), (beam.mass, unit.mass),
+                            (beam._kf, unit._kf), (beam._mf, unit._mf)):
+            if isinstance(own, np.ndarray):
+                assert not own.flags.writeable and own.flags.c_contiguous
+                continue
+            _assert_canonical_csc(own)
+            assert not own.data.flags.writeable
+            assert np.shares_memory(own.indices, shared.indices)
+            assert np.shares_memory(own.indptr, shared.indptr)
+        for k, m in ((beam.stiffness, beam.mass), (beam._kf, beam._mf)):
+            if not isinstance(k, np.ndarray):
+                for a in (k.data, k.indices, k.indptr):
+                    for b in (m.data, m.indices, m.indptr):
+                        assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("n", [16, 200])
+    @pytest.mark.parametrize("unit_gate", [True, False], ids=["unit-gated", "beam-gated"])
+    def test_indefinite_element_mass_refused(self, monkeypatch, ref_beam, silicon,
+                                             cold_unit_caches, n, unit_gate):
+        # without the unit system's own test, the beam's banded gate refuses it
+        monkeypatch.setattr(fem, "_ME0", fem._ME0 - 200 * np.eye(4, dtype=int))
+        if not unit_gate:
+            monkeypatch.setattr(fem, "_positive_definite", lambda a: True)
+        with pytest.raises(InvariantError, match="mass matrix not positive-definite"):
+            assemble_beam(ref_beam, silicon, n)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_band_cholesky_agrees_with_dense(self, sparse):
+        rng = np.random.default_rng(5)
+        verdicts = []
+        for _ in range(200):
+            n, kd = int(rng.integers(1, 40)), int(rng.integers(0, 4))
+            a = np.diag(rng.uniform(0.5, 2.0, n))
+            for j in range(1, kd + 1):
+                off = rng.normal(0.0, 1.0, n - j)
+                a += np.diag(off, j) + np.diag(off, -j)
+            if rng.random() < 0.5:   # diagonally dominant: positive definite
+                a += np.diag(np.abs(a).sum(axis=1))
+            eig = np.linalg.eigvalsh(a)
+            if abs(eig).min() < 1e-6 * abs(eig).max():   # too near singular to compare
+                continue
+            try:
+                np.linalg.cholesky(a)
+                dense = True
+            except np.linalg.LinAlgError:
+                dense = False
+            stored = csc_array(a) if sparse else a
+            assert fem._band_positive_definite(stored, fem._lower_band(stored)) == dense
+            verdicts.append(dense)
+        assert 50 < sum(verdicts) < len(verdicts) - 50
+
+    def test_subnormal_entries_refused(self, silicon):
+        # entries below the normal range: the scaled copy would not be the
+        # exact assembled sum
+        geom = BeamGeometry(1e-62, 4e-63, 4e-63, VibrationAxis.IN_PLANE)
+        with pytest.raises(InvariantError, match="entries must be normal floats"):
+            assemble_beam(geom, silicon, 64)
+
+
+class TestBackwardErrorGate:
+    def test_perturbed_unit_vector_refused(self, monkeypatch, ref_beam, silicon):
+        # at 1024 elements the near-null test exempts every mode from the
+        # relative residual gate; the backward-error gate still sees it
+        unit_modes = fem._unit_beam_modes
+
+        def perturbed(n, clamped, k):
+            mu, psi = unit_modes(n, clamped, k)
+            psi = psi.copy()
+            psi[len(psi) // 2, 1] += 1e-6 * abs(psi[:, 1]).max()
+            return mu, psi
+
+        sys_ = assemble_beam(ref_beam, silicon, 1024)
+        solve_modes(sys_, 4)
+        monkeypatch.setattr(fem, "_unit_beam_modes", perturbed)
+        with pytest.raises(EigenSolveError, match=r"backward error .* exceeds 1e-12 for mode 1"):
+            solve_modes(sys_, 4)
+
+    def test_matches_reference(self, ref_beam, ref_disk, silicon, disk_r12):
+        # the gated value is the reference backward error (beam and disk)
+        recorded = []
+        backward_errors = fem._backward_errors
+
+        def recording(*args):
+            recorded.append(backward_errors(*args))
+            return recorded[-1]
+
+        for sys_ in (assemble_beam(ref_beam, silicon, 64),
+                     assemble_beam(ref_beam, silicon, 512, clamped=False), disk_r12):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fem, "_backward_errors", recording)
+                modes = solve_modes(sys_, 9)
+            assert recorded[-1] == pytest.approx(_jacobi_backward_errors(sys_, modes),
+                                                 rel=1e-6, abs=1e-17)
+            assert recorded[-1].max() <= fem._BACKWARD_BOUND == 1e-12
 
 
 class TestSignConvention:
