@@ -9,14 +9,13 @@ results are identical to direct calls.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 from . import analytic, design, fab, fem, transduction
 from .core import (BeamGeometry, Material, _check_keys, _load_json_file,
-                   beam_geometry_from_dict, disk_geometry_from_dict,
+                   _write_json, beam_geometry_from_dict, disk_geometry_from_dict,
                    load_material, material_from_dict, transducer_from_dict)
 from .errors import (InfeasibleDesignError, InvariantError, ResokitError,
                      SchemaError, UnitError, UnknownPresetError)
@@ -33,50 +32,58 @@ def _material(cfg: dict) -> Material:
     return material_from_dict(spec) if isinstance(spec, dict) else load_material(spec)
 
 
+def _config(path: str, parse):
+    """parse(the JSON object in the config file at path), for every kind of
+    config file: a value no input can have (InvariantError) is a config
+    error naming the file."""
+    cfg = _load_json_file(path)
+    try:
+        return parse(cfg)
+    except InvariantError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
 def _design(args, needs_transducer: bool = False):
     """(geometry, material, transducer or None, q) of the design config
-    args.config; SchemaError if the command needs a transducer it lacks or
-    a value breaks a domain invariant."""
-    cfg = _load_json_file(args.config)
-    kind = cfg.get("kind")
-    if kind not in ("beam", "disk"):
-        raise SchemaError(f"design config: kind must be 'beam' or 'disk', got {kind!r}")
-    if "geometry" not in cfg:
-        raise SchemaError("design config: missing 'geometry' object")
-    _check_keys(cfg, {"kind", "geometry"}, {"schema_version", "material", "transducer", "q"},
-                "design config")
-    try:
+    args.config; SchemaError if the command needs a transducer it lacks."""
+    def parse(cfg):
+        kind = cfg.get("kind")
+        if kind not in ("beam", "disk"):
+            raise SchemaError(f"design config: kind must be 'beam' or 'disk', got {kind!r}")
+        if "geometry" not in cfg:
+            raise SchemaError("design config: missing 'geometry' object")
+        _check_keys(cfg, {"kind", "geometry"},
+                    {"schema_version", "material", "transducer", "q"}, "design config")
         geometry = (beam_geometry_from_dict(cfg["geometry"]) if kind == "beam"
                     else disk_geometry_from_dict(cfg["geometry"]))
         material = _material(cfg)
         transducer = transducer_from_dict(cfg["transducer"]) if "transducer" in cfg else None
-    except InvariantError as exc:   # a value no design can have is a config error
-        raise SchemaError(f"{args.config}: {exc}") from None
-    q = parse_quantity(cfg.get("q", 1e4))
-    if needs_transducer and transducer is None:
-        raise SchemaError(f"{args.command} needs a transducer section in the config")
-    return geometry, material, transducer, q
+        q = parse_quantity(cfg.get("q", 1e4))
+        if needs_transducer and transducer is None:
+            raise SchemaError(f"{args.command} needs a transducer section in the config")
+        return geometry, material, transducer, q
+    return _config(args.config, parse)
 
 
 def _load_profile(spec: str) -> design.SpecProfile:
-    """--profile: a built-in profile name, else a profile JSON file. A file
-    whose values break a profile invariant is a config error (exit 2)."""
+    """--profile: a built-in profile name, else a profile JSON file."""
     try:
         return design.profile_by_name(spec)
     except UnknownPresetError:
         if not os.path.isfile(spec):
             raise
-    try:
-        return design.profile_from_dict(_load_json_file(spec))
-    except InvariantError as exc:
-        raise SchemaError(f"{spec}: {exc}") from None
+    return _config(spec, design.profile_from_dict)
 
 
 def _emit(report: dict, json_path: str | None):
     if json_path:
-        with open(json_path, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
+        _write_json(report, json_path)
+
+
+def _disk_mesh(args, geometry):
+    """The disk mesh at --target-edge, by default radius/16."""
+    target = geometry.radius / 16.0 if args.target_edge is None else args.target_edge
+    return fem.mesh_disk(geometry, target)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +99,7 @@ def _cmd_analyze(args) -> int:
         kind = "beam"
     else:
         f_analytic = analytic.disk_wineglass_frequency(geometry, material, 2)
-        target = args.target_edge or geometry.radius / 16.0
-        mesh = fem.mesh_disk(geometry, target)
+        mesh = _disk_mesh(args, geometry)
         modes = fem.disk_modal_fem(geometry, material, mesh, n_modes=2)
         pair = [m for m in modes if m.mode_order == 2]
         if not pair:
@@ -123,8 +129,7 @@ def _cmd_fem(args) -> int:
             fem.export_modes_csv(sys_, modes, args.modes_csv)
         mesh = sys_.mesh
     else:
-        target = args.target_edge or geometry.radius / 16.0
-        mesh = fem.mesh_disk(geometry, target)
+        mesh = _disk_mesh(args, geometry)
         sys_, modes, results = fem.solve_disk(geometry, material, mesh,
                                               n_modes=args.modes)
         rows = [{"mode": i + 1, "frequency_hz": m.frequency,
@@ -182,7 +187,7 @@ def _cmd_compare_detection(args) -> int:
 def _load_process(path: str | None) -> fab.ProcessModel:
     if path is None:
         return fab.ProcessModel()
-    return fab.process_model_from_dict(_load_json_file(path))
+    return _config(path, fab.process_model_from_dict)
 
 
 def _cmd_check(args) -> int:
@@ -199,21 +204,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    bcfg = _load_json_file(args.bounds)
-    family = bcfg.get("family")
-    if family not in ("beam", "disk"):
-        raise SchemaError("bounds config: family must be 'beam' or 'disk'")
-    if "bounds" not in bcfg:
-        raise SchemaError("bounds config: missing 'bounds' object")
-    _check_keys(bcfg, {"family", "bounds"},
-                {"schema_version", "material", "assumed_q", "grid_points", "max_results"},
-                "bounds config")
-    material = _material(bcfg)
+    def parse(bcfg):
+        if bcfg.get("family") not in ("beam", "disk"):
+            raise SchemaError("bounds config: family must be 'beam' or 'disk'")
+        if "bounds" not in bcfg:
+            raise SchemaError("bounds config: missing 'bounds' object")
+        _check_keys(bcfg, {"family", "bounds"},
+                    {"schema_version", "material", "assumed_q", "grid_points", "max_results"},
+                    "bounds config")
+        return bcfg, _material(bcfg)
+    bcfg, material = _config(args.bounds, parse)
     profile = _load_profile(args.profile)
     process = _load_process(args.process)
     assumed_q = bcfg.get("assumed_q")
     candidates = design.optimize(
-        profile, family, bcfg["bounds"], process=process, material=material,
+        profile, bcfg["family"], bcfg["bounds"], process=process, material=material,
         assumed_q=None if assumed_q is None else parse_quantity(assumed_q),
         grid_points=bcfg.get("grid_points", 7),
         max_results=bcfg.get("max_results", 10))
@@ -257,6 +262,10 @@ def _int_at_least(lo: int):
     return _arg(int, lambda n: n >= lo, f"an integer >= {lo}")
 
 
+# a length or resistance: a finite quantity > 0 (parse_quantity refuses inf)
+_positive_quantity = _arg(parse_quantity, lambda x: x > 0, "a positive quantity")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="resokit",
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--config", required=True, help="design config JSON")
     a.add_argument("--elements", type=_int_at_least(2), default=64,
                    help="beam FEM elements")
-    a.add_argument("--target-edge", type=parse_quantity, default=None,
+    a.add_argument("--target-edge", type=_positive_quantity, default=None,
                    help="disk mesh target edge (default radius/16)")
     a.add_argument("--json", default=None, help="write JSON report here")
     a.set_defaults(func=_cmd_analyze)
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fem", help="FEM modal analysis with optional exports")
     f.add_argument("--config", required=True)
     f.add_argument("--elements", type=_int_at_least(2), default=64)
-    f.add_argument("--target-edge", type=parse_quantity, default=None)
+    f.add_argument("--target-edge", type=_positive_quantity, default=None)
     f.add_argument("--modes", type=_int_at_least(1), default=4)
     f.add_argument("--mesh-out", default=None, help="write mesh text file")
     f.add_argument("--modes-csv", default=None, help="write mode shapes CSV")
@@ -284,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("respond", help="transmission spectrum and extracted Q")
     r.add_argument("--config", required=True)
-    r.add_argument("--termination", type=parse_quantity, default=50.0)
+    r.add_argument("--termination", type=_positive_quantity, default=50.0)
     r.add_argument("--points", type=_int_at_least(3), default=2001)
     r.add_argument("--csv", default=None, help="write spectrum CSV here")
     r.add_argument("--circuit-json", default=None,

@@ -3,6 +3,11 @@
 All types are frozen dataclasses validated on construction: an object that
 exists is valid. Dimensioned fields are SI; file loaders accept unit
 suffixes (see :mod:`resokit.units`) and normalize at parse time.
+
+Every record's JSON form is its fields in declaration order (`_Record`):
+a nested record as its own form, an enum by value, a tuple as a list. A
+record overrides it only where its form differs. Every JSON file is
+written by `_write_json`.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import enum
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -43,6 +48,26 @@ def _require(cond: bool, message: str):
         raise InvariantError(message)
 
 
+class _Record:
+    """Mixin of frozen dataclasses: to_dict is the fields in declaration
+    order, each through _plain."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """The JSON form of a field value: a record's to_dict, an enum's value,
+    a tuple as a list (recursively); anything else as it is."""
+    if isinstance(value, _Record):
+        return value.to_dict()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _derived(what: str, kernel, *args):
     """kernel(*args) on floats as a float (a tuple of floats for a tuple),
@@ -60,7 +85,7 @@ def _derived(what: str, kernel, *args):
 
 
 @dataclass(frozen=True)
-class Material:
+class Material(_Record):
     """Isotropic structural material.
 
     youngs_modulus in Pa, density in kg/m^3; rel_permittivity describes the
@@ -80,14 +105,6 @@ class Material:
         _require(1 <= self.rel_permittivity < math.inf,
                  "rel_permittivity must be finite and >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "youngs_modulus": self.youngs_modulus,
-            "density": self.density,
-            "poisson_ratio": self.poisson_ratio,
-            "rel_permittivity": self.rel_permittivity,
-        }
-
 
 def _shape_ok(family: str, dims):
     """Shape rule for floats or arrays of the dimensions in dims: a beam is
@@ -98,7 +115,7 @@ def _shape_ok(family: str, dims):
 
 
 @dataclass(frozen=True)
-class BeamGeometry:
+class BeamGeometry(_Record):
     """Clamped-clamped rectangular beam. Dimensions in m."""
 
     length: float
@@ -125,17 +142,9 @@ class BeamGeometry:
     def cross_section_area(self) -> float:
         return self.width * self.thickness
 
-    def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "width": self.width,
-            "thickness": self.thickness,
-            "vibration_axis": self.vibration_axis.value,
-        }
-
 
 @dataclass(frozen=True)
-class DiskGeometry:
+class DiskGeometry(_Record):
     """Thin circular disk vibrating in its plane. Dimensions in m."""
 
     radius: float
@@ -145,9 +154,6 @@ class DiskGeometry:
         _require(0 < self.radius < math.inf, "radius must be finite and > 0")
         _require(0 < self.thickness < math.inf, "thickness must be finite and > 0")
         _require(_shape_ok("disk", vars(self)), "thin-disk regime requires thickness < radius")
-
-    def to_dict(self) -> dict:
-        return {"radius": self.radius, "thickness": self.thickness}
 
 
 def _geometry_family(geometry) -> str:
@@ -160,7 +166,7 @@ def _geometry_family(geometry) -> str:
 
 
 @dataclass(frozen=True)
-class MosParams:
+class MosParams(_Record):
     """Operating point of the sense transistor for MOS detection.
 
     channel_modulation_order is the exponent of the drain-current vs
@@ -176,15 +182,9 @@ class MosParams:
         _require(0 < self.channel_modulation_order < math.inf,
                  "channel_modulation_order must be finite and > 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "bias_drain_current": self.bias_drain_current,
-            "channel_modulation_order": self.channel_modulation_order,
-        }
-
 
 @dataclass(frozen=True)
-class Transducer:
+class Transducer(_Record):
     """Electrostatic gap transducer: geometry, bias and detection scheme.
 
     gap in m, voltages in V, electrode_area in m^2. gap_rel_permittivity is
@@ -211,21 +211,14 @@ class Transducer:
             _require(self.mos is not None, "MOS detection requires MosParams")
 
     def to_dict(self) -> dict:
-        d = {
-            "gap": self.gap,
-            "bias_voltage": self.bias_voltage,
-            "drive_voltage": self.drive_voltage,
-            "electrode_area": self.electrode_area,
-            "gap_rel_permittivity": self.gap_rel_permittivity,
-            "detection": self.detection.value,
-        }
-        if self.mos is not None:
-            d["mos"] = self.mos.to_dict()
+        d = super().to_dict()
+        if self.mos is None:
+            del d["mos"]
         return d
 
 
 @dataclass(frozen=True)
-class ModeResult:
+class ModeResult(_Record):
     """One vibration mode reduced to lumped parameters.
 
     mode_shape is a sampled displacement field normalized to unit maximum,
@@ -261,18 +254,9 @@ class ModeResult:
     def angular_frequency(self) -> float:
         return 2 * math.pi * self.frequency
 
-    def to_dict(self) -> dict:
-        return {
-            "frequency": self.frequency,
-            "mode_order": self.mode_order,
-            "effective_mass": self.effective_mass,
-            "effective_stiffness": self.effective_stiffness,
-            "mode_shape": list(self.mode_shape),
-        }
-
 
 @dataclass(frozen=True)
-class EquivalentCircuit:
+class EquivalentCircuit(_Record):
     """Series RLC image of one mode plus the static electrode capacitance."""
 
     r_x: float
@@ -291,10 +275,6 @@ class EquivalentCircuit:
         q_rlc = math.sqrt(self.l_x / self.c_x) / self.r_x
         _require(abs(q_rlc - self.q) <= _DERIVED_RTOL * self.q,
                  "q must equal sqrt(l_x/c_x)/r_x")
-
-    def to_dict(self) -> dict:
-        return {"r_x": self.r_x, "l_x": self.l_x, "c_x": self.c_x,
-                "c0": self.c0, "q": self.q, "f0": self.f0}
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +358,17 @@ def equivalent_circuit_from_dict(d: dict) -> EquivalentCircuit:
     return EquivalentCircuit(**_quantities(d, ("r_x", "l_x", "c_x", "c0", "q", "f0")))
 
 
+def _write_json(data, path):
+    """Write data to path as JSON, indented by 2, with a final newline: the
+    one writer of every JSON file."""
+    with open(path, "w") as f:
+        json.dump(data, f, indent=2)
+        f.write("\n")
+
+
 def save_json(obj, path):
     """Write any to_dict-capable object as JSON."""
-    with open(path, "w") as f:
-        json.dump(obj.to_dict(), f, indent=2)
-        f.write("\n")
+    _write_json(obj.to_dict(), path)
 
 
 def _load_json_file(path) -> dict:

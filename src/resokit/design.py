@@ -19,7 +19,7 @@ import numpy as np
 from . import analytic, fab, transduction
 from .core import (EPSILON_0, BeamGeometry, DiskGeometry, Material,
                    Transducer, VibrationAxis, _check_keys, _geometry_family,
-                   _shape_ok)
+                   _Record, _shape_ok)
 from .errors import (InfeasibleDesignError, InstabilityError, InvariantError,
                      SchemaError, UnknownPresetError)
 from .fab import ProcessModel
@@ -46,7 +46,7 @@ def _as_interval(value, what: str):
 
 
 @dataclass(frozen=True)
-class SpecProfile:
+class SpecProfile(_Record):
     """Application requirement set.
 
     center_frequency is either a single Hz value or a tuple of (lo, hi)
@@ -98,18 +98,7 @@ class SpecProfile:
         return self.center_frequency
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "center_frequency": (self.center_frequency
-                                 if isinstance(self.center_frequency, float)
-                                 else [list(b) for b in self.center_frequency]),
-            "q_required": self.q_required,
-            "bandpass": list(self.bandpass) if self.bandpass else None,
-            "impedance_range": list(self.impedance_range) if self.impedance_range else None,
-            "dc_voltage_range": list(self.dc_voltage_range) if self.dc_voltage_range else None,
-            "tuning_required": self.tuning_required,
-            "informational": dict(self.informational),
-        }
+        return {**super().to_dict(), "informational": dict(self.informational)}
 
 
 def _pair(v, what: str) -> tuple:
@@ -238,7 +227,7 @@ def profile_by_name(name: str) -> SpecProfile:
 # candidates
 
 @dataclass(frozen=True)
-class CandidateAnalysis:
+class CandidateAnalysis(_Record):
     """Derived figures of one analyzed design (as-fabricated gap)."""
 
     frequency: float
@@ -248,15 +237,9 @@ class CandidateAnalysis:
     tuning_range: float | None
     tuning_v_range: tuple | None
 
-    def to_dict(self) -> dict:
-        return {"frequency": self.frequency, "r_x": self.r_x,
-                "released_gap": self.released_gap, "v_pi": self.v_pi,
-                "tuning_range": self.tuning_range,
-                "tuning_v_range": list(self.tuning_v_range) if self.tuning_v_range else None}
-
 
 @dataclass(frozen=True)
-class DesignCandidate:
+class DesignCandidate(_Record):
     """A geometry + transducer + assumed Q with its analysis results."""
 
     geometry: object
@@ -318,14 +301,7 @@ class DesignCandidate:
                 and close(a.v_pi, b.v_pi) and close(a.tuning_range, b.tuning_range))
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "geometry": self.geometry.to_dict(),
-            "transducer": self.transducer.to_dict(),
-            "material": self.material.to_dict(),
-            "assumed_q": self.assumed_q,
-            "analysis": self.analysis.to_dict(),
-        }
+        return {"family": self.family, **super().to_dict()}
 
 
 def _mode_for(geometry, material: Material):
@@ -339,7 +315,7 @@ def _mode_for(geometry, material: Material):
 # spec checking
 
 @dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(_Record):
     name: str
     applicable: bool
     passed: bool
@@ -362,13 +338,8 @@ class SpecReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "profile": self.profile_name,
-            "passed": self.passed,
-            "criteria": [{"name": c.name, "applicable": c.applicable,
-                          "passed": c.passed, "detail": c.detail}
-                         for c in self.criteria],
-        }
+        return {"profile": self.profile_name, "passed": self.passed,
+                "criteria": [c.to_dict() for c in self.criteria]}
 
     def to_text(self) -> str:
         lines = [f"spec check vs '{self.profile_name}': "
@@ -581,9 +552,10 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     fails: "geometry", a fab rule name ("min_drawn_gap",
     "max_tunnel_depth"), "pull_in_margin", or a check_spec criterion name
     ("frequency", "q", "impedance", "dc_voltage", "tuning"; an unstable
-    tuning sweep counts as "tuning"). Raises InvariantError unless assumed_q
-    (default: the profile's q_required, else 1e4) is finite and > 0, and
-    SchemaError unless bounds has exactly the family's parameters.
+    tuning sweep counts as "tuning"). Raises SchemaError unless assumed_q
+    (default: the profile's q_required, else 1e4) is finite and > 0,
+    grid_points and max_results are integers >= 1, and bounds has exactly
+    the family's parameters, each a positive [low, high] interval.
     """
     if family not in ("beam", "disk"):
         raise InvariantError(f"family must be 'beam' or 'disk', got {family!r}")
@@ -592,7 +564,7 @@ def optimize(profile: SpecProfile, family: str, bounds: dict,
     if assumed_q is None:
         assumed_q = profile.q_required if profile.q_required is not None else 1e4
     if not 0 < assumed_q < math.inf:
-        raise InvariantError(f"assumed_q must be finite and > 0, got {assumed_q!r}")
+        raise SchemaError(f"assumed_q must be finite and > 0, got {assumed_q!r}")
     for name, value in (("grid_points", grid_points), ("max_results", max_results)):
         if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
             raise SchemaError(f"{name} must be an integer >= 1, got {value!r}")

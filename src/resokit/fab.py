@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .core import Transducer, _check_keys, _geometry_family, _quantities
+from .core import Transducer, _check_keys, _geometry_family, _quantities, _Record
 from .errors import FabConstraintError, InvariantError
 
 # single-point calibration: 90 nm post-etch gap measured 130 nm after a
@@ -26,7 +26,7 @@ _CAL_TUNNEL_DEPTH = 1.19e-6   # m
 
 
 @dataclass(frozen=True)
-class ProcessModel:
+class ProcessModel(_Record):
     """Gap-correction parameters. Lengths in m; rate is m per m of tunnel."""
 
     etch_bias: float = 10e-9
@@ -39,12 +39,6 @@ class ProcessModel:
                      "min_drawn_gap", "max_tunnel_depth"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvariantError(f"{name} must be finite and >= 0")
-
-    def to_dict(self) -> dict:
-        return {"etch_bias": self.etch_bias,
-                "release_enlargement_rate": self.release_enlargement_rate,
-                "min_drawn_gap": self.min_drawn_gap,
-                "max_tunnel_depth": self.max_tunnel_depth}
 
 
 def process_model_from_dict(d: dict) -> ProcessModel:
@@ -97,14 +91,14 @@ def release_tunnel_depth(geometry) -> float:
 
 
 @dataclass(frozen=True)
-class FabRule:
+class FabRule(_Record):
     name: str
     passed: bool
     detail: str
 
 
 @dataclass(frozen=True)
-class FabReport:
+class FabReport(_Record):
     rules: tuple
     drawn_gap: float
     released_gap: float
@@ -116,15 +110,7 @@ class FabReport:
         return all(r.passed for r in self.rules)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "rules": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                      for r in self.rules],
-            "drawn_gap": self.drawn_gap,
-            "released_gap": self.released_gap,
-            "tunnel_depth": self.tunnel_depth,
-            "single_point_calibration": self.single_point_calibration,
-        }
+        return {"passed": self.passed, **super().to_dict()}
 
     def to_text(self) -> str:
         lines = [f"fab check: {'PASS' if self.passed else 'FAIL'}"]

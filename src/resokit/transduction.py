@@ -11,7 +11,6 @@ factor eta = Vp * eps0 * er * S / d0^2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .analytic import beam_mode_result
 from .core import (EPSILON_0, BeamGeometry, DetectionKind, EquivalentCircuit,
-                   Material, ModeResult, Transducer, _derived)
+                   Material, ModeResult, Transducer, _derived, _write_json)
 from .errors import (DetectionMismatchError, InstabilityError, InvariantError,
                      MissingBandwidthError, PeakAtBoundaryError, SpectrumError,
                      UnboundedResistanceError)
@@ -138,10 +137,7 @@ def equivalent_circuit(mode: ModeResult, t: Transducer, q: float) -> EquivalentC
 
 def circuit_to_json(c: EquivalentCircuit, path):
     """Netlist-like JSON record of the equivalent circuit."""
-    record = {"topology": "series-RLC with shunt C0 at each port", **c.to_dict()}
-    with open(path, "w") as f:
-        json.dump(record, f, indent=2)
-        f.write("\n")
+    _write_json({"topology": "series-RLC with shunt C0 at each port", **c.to_dict()}, path)
 
 
 def transmission_spectrum(c: EquivalentCircuit, termination: float = 50.0,

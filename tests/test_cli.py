@@ -233,8 +233,60 @@ class TestAbsurdValues:
         assert main([*argv, "--config", disk_config, "--target-edge", "1e-300"]) == 1
         assert "rings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["analyze"], ["fem"]])
+    def test_disk_mesh_edge_of_a_quarter_radius(self, disk_config, capsys, argv):
+        # radius/4 is a positive quantity but no mesh: a domain failure
+        assert main([*argv, "--config", disk_config, "--target-edge", "0.75 um"]) == 1
+        assert capsys.readouterr().err.startswith("error: target_edge must be in (0, radius/4)")
+
+
+def _breaking(tmp_path, kind):
+    """(argv, the file holding the value) for a config of the given kind
+    with one value that breaks a domain invariant."""
+    beam = str(CONFIGS / "beam.json")
+    bounds = json.loads((CONFIGS / "oscillator_bounds.json").read_text())
+    design = json.loads((CONFIGS / "beam.json").read_text())
+    design["geometry"]["width"] = "20 um"   # wider than long
+    negative = {"youngs_modulus": -1.0, "density": 2330, "poisson_ratio": 0.28}
+    cases = {
+        "design": (design, ["analyze", "--config"]),
+        "bounds-material": (dict(bounds, material=negative),
+                            ["optimize", "--profile", "oscillator-n2", "--bounds"]),
+        "bounds-assumed-q": (dict(bounds, assumed_q=-5),
+                             ["optimize", "--profile", "oscillator-n2", "--bounds"]),
+        "profile": (dict(profile_by_name("vco").to_dict(), q_required=-1.0),
+                    ["check", "--config", beam, "--profile"]),
+        "process-gap": ({"etch_bias": -1e-9},
+                        ["gap", "--drawn", "80 nm", "--tunnel", "1 um", "--process"]),
+        "process-check": ({"etch_bias": -1e-9},
+                          ["check", "--config", beam, "--profile", "vco", "--process"]),
+    }
+    cfg, argv = cases[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(cfg))
+    return [*argv, str(path)], str(path)
+
+
+@pytest.mark.parametrize("kind", ["design", "bounds-material", "bounds-assumed-q", "profile",
+                                  "process-gap", "process-check"])
+def test_value_breaking_an_invariant_is_usage_error(tmp_path, capsys, kind):
+    """A value no input can have is a config error in every kind of config
+    file: exit 2 and one error line naming the file (or, for assumed_q,
+    which design.optimize refuses like a bad bound, the key)."""
+    argv, path = _breaking(tmp_path, kind)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    named = "assumed_q must be finite and > 0" if kind == "bounds-assumed-q" else path
+    assert captured.err.startswith(f"error: {named}")
+
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "--config", "{disk}", "--target-edge", "0"],
+    ["fem", "--config", "{disk}", "--target-edge", "-0.3 um"],
+    ["respond", "--config", "{beam}", "--termination", "0"],
+    ["respond", "--config", "{beam}", "--termination", "-5"],
     ["fem", "--config", "{beam}", "--modes", "0"],
     ["respond", "--config", "{beam}", "--points", "2"],
     ["analyze", "--config", "{beam}", "--elements", "1"],
@@ -245,11 +297,14 @@ class TestAbsurdValues:
     ["compare-detection", "--config", "{mos}", "--scales", "2,1"],
     ["compare-detection", "--config", "{mos}", "--scales", "1,0.5,0.5"],
     ["compare-detection", "--config", "{mos}", "--scales", "1,0.5,-0.1"],
-], ids=["modes-0", "points-2", "elements-1", "scales-abc", "freq-tol-nan",
+], ids=["target-edge-0", "target-edge-negative", "termination-0",
+        "termination-negative", "modes-0", "points-2", "elements-1", "scales-abc", "freq-tol-nan",
         "freq-tol-negative", "scales-not-from-1", "scales-above-1",
         "scales-not-descending", "scales-negative"])
-def test_bad_argument_is_usage_error(beam_config, mos_beam_config, capsys, argv):
-    assert main([a.format(beam=beam_config, mos=mos_beam_config) for a in argv]) == 2
+def test_bad_argument_is_usage_error(beam_config, mos_beam_config, disk_config, capsys,
+                                    argv):
+    assert main([a.format(beam=beam_config, mos=mos_beam_config, disk=disk_config)
+                 for a in argv]) == 2
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err

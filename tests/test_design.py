@@ -629,7 +629,6 @@ class TestArraySearchMatchesReference:
         assert len(_assert_matches_reference(max_results=1, **kwargs)) == 1
 
     @pytest.mark.parametrize("change", [
-        {"assumed_q": -1.0},
         # electrode area underflows to 0
         {"bounds": dict(BOUNDS, length=(1e-170, 2e-170), width=(1e-171, 2e-171),
                         thickness=(1e-171, 2e-171)),
@@ -637,7 +636,7 @@ class TestArraySearchMatchesReference:
         # effective mass underflows to 0
         {"bounds": dict(BOUNDS, length=(2e-110, 4e-110), width=(1e-110, 1.5e-110),
                         thickness=(1e-110, 1.5e-110))},
-    ], ids=["assumed-q", "area-underflow", "mass-underflow"])
+    ], ids=["area-underflow", "mass-underflow"])
     def test_invariant_errors(self, silicon, change):
         kwargs = dict(profile=oscillator_profile(2), family="beam", bounds=BOUNDS,
                       material=silicon, grid_points=3)
@@ -648,7 +647,8 @@ class TestArraySearchMatchesReference:
     @pytest.mark.parametrize("gap", [(80e-9, 200e-9), (20e-9, 60e-9)],
                              ids=["fab-passes", "fab-fails"])
     def test_bad_assumed_q(self, silicon, assumed_q, gap):
-        # refused up front, whether or not any grid point gets past the fab rules
-        with pytest.raises(InvariantError, match="assumed_q"):
+        # refused up front, like bad bounds, whether or not any grid point
+        # gets past the fab rules
+        with pytest.raises(SchemaError, match="assumed_q"):
             optimize(oscillator_profile(2), "beam", dict(BOUNDS, gap=gap),
                      material=silicon, assumed_q=assumed_q, grid_points=3)

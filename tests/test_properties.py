@@ -1,5 +1,7 @@
-"""Property tests over the config loaders (hypothesis)."""
+"""Property tests over the config loaders and the records' JSON form
+(hypothesis)."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resokit.cli import main
-from resokit.core import (beam_geometry_from_dict, disk_geometry_from_dict,
-                          equivalent_circuit_from_dict, material_from_dict,
-                          mode_result_from_dict, mos_params_from_dict,
-                          transducer_from_dict)
-from resokit.design import profile_from_dict
+from resokit.core import (BeamGeometry, DetectionKind, DiskGeometry,
+                          EquivalentCircuit, Material, ModeResult, MosParams,
+                          Transducer, VibrationAxis, beam_geometry_from_dict,
+                          disk_geometry_from_dict, equivalent_circuit_from_dict,
+                          material_from_dict, mode_result_from_dict,
+                          mos_params_from_dict, transducer_from_dict)
+from resokit.design import (CandidateAnalysis, CriterionResult, DesignCandidate,
+                            SpecProfile, SpecReport, profile_from_dict)
 from resokit.errors import ResokitError
-from resokit.fab import process_model_from_dict
+from resokit.fab import FabReport, FabRule, ProcessModel, process_model_from_dict
 from resokit.units import parse_quantity
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -252,3 +257,211 @@ def test_cli_exits_with_a_code_on_damaged_configs(case):
         with open(path, "w") as f:
             json.dump(cfg, f)
         assert main([*argv, path]) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the JSON form of every record
+
+# the hand-written to_dict bodies that the shared field serializer
+# (core._Record) replaced, written out field by field (reference)
+def _ref_material(m):
+    return {"youngs_modulus": m.youngs_modulus, "density": m.density,
+            "poisson_ratio": m.poisson_ratio, "rel_permittivity": m.rel_permittivity}
+
+
+def _ref_beam(g):
+    return {"length": g.length, "width": g.width, "thickness": g.thickness,
+            "vibration_axis": g.vibration_axis.value}
+
+
+def _ref_disk(g):
+    return {"radius": g.radius, "thickness": g.thickness}
+
+
+def _ref_geometry(g):
+    return _ref_beam(g) if isinstance(g, BeamGeometry) else _ref_disk(g)
+
+
+def _ref_mos(p):
+    return {"bias_drain_current": p.bias_drain_current,
+            "channel_modulation_order": p.channel_modulation_order}
+
+
+def _ref_transducer(t):
+    d = {"gap": t.gap, "bias_voltage": t.bias_voltage, "drive_voltage": t.drive_voltage,
+         "electrode_area": t.electrode_area, "gap_rel_permittivity": t.gap_rel_permittivity,
+         "detection": t.detection.value}
+    if t.mos is not None:
+        d["mos"] = _ref_mos(t.mos)
+    return d
+
+
+def _ref_mode(m):
+    return {"frequency": m.frequency, "mode_order": m.mode_order,
+            "effective_mass": m.effective_mass, "effective_stiffness": m.effective_stiffness,
+            "mode_shape": list(m.mode_shape)}
+
+
+def _ref_circuit(c):
+    return {"r_x": c.r_x, "l_x": c.l_x, "c_x": c.c_x, "c0": c.c0, "q": c.q, "f0": c.f0}
+
+
+def _ref_profile(p):
+    return {
+        "name": p.name,
+        "center_frequency": (p.center_frequency if isinstance(p.center_frequency, float)
+                             else [list(b) for b in p.center_frequency]),
+        "q_required": p.q_required,
+        "bandpass": list(p.bandpass) if p.bandpass else None,
+        "impedance_range": list(p.impedance_range) if p.impedance_range else None,
+        "dc_voltage_range": list(p.dc_voltage_range) if p.dc_voltage_range else None,
+        "tuning_required": p.tuning_required,
+        "informational": dict(p.informational),
+    }
+
+
+def _ref_analysis(a):
+    return {"frequency": a.frequency, "r_x": a.r_x, "released_gap": a.released_gap,
+            "v_pi": a.v_pi, "tuning_range": a.tuning_range,
+            "tuning_v_range": list(a.tuning_v_range) if a.tuning_v_range else None}
+
+
+def _ref_candidate(c):
+    return {"family": c.family, "geometry": _ref_geometry(c.geometry),
+            "transducer": _ref_transducer(c.transducer),
+            "material": _ref_material(c.material), "assumed_q": c.assumed_q,
+            "analysis": _ref_analysis(c.analysis)}
+
+
+def _ref_criterion(c):
+    return {"name": c.name, "applicable": c.applicable, "passed": c.passed,
+            "detail": c.detail}
+
+
+def _ref_spec_report(r):
+    return {"profile": r.profile_name, "passed": r.passed,
+            "criteria": [_ref_criterion(c) for c in r.criteria]}
+
+
+def _ref_process(p):
+    return {"etch_bias": p.etch_bias, "release_enlargement_rate": p.release_enlargement_rate,
+            "min_drawn_gap": p.min_drawn_gap, "max_tunnel_depth": p.max_tunnel_depth}
+
+
+def _ref_fab_rule(r):
+    return {"name": r.name, "passed": r.passed, "detail": r.detail}
+
+
+def _ref_fab_report(r):
+    return {"passed": r.passed, "rules": [_ref_fab_rule(x) for x in r.rules],
+            "drawn_gap": r.drawn_gap, "released_gap": r.released_gap,
+            "tunnel_depth": r.tunnel_depth,
+            "single_point_calibration": r.single_point_calibration}
+
+
+# valid instances of every record
+_pos = st.floats(min_value=1e-12, max_value=1e12)
+_text = st.text(max_size=8)
+
+
+@st.composite
+def _beams(draw):
+    length = draw(st.floats(1e-7, 1e-3))
+    below = st.floats(1e-9, length, exclude_max=True)
+    return BeamGeometry(length, draw(below), draw(below), draw(st.sampled_from(VibrationAxis)))
+
+
+@st.composite
+def _disks(draw):
+    radius = draw(st.floats(1e-7, 1e-3))
+    return DiskGeometry(radius, draw(st.floats(1e-9, radius, exclude_max=True)))
+
+
+_materials = st.builds(Material, _pos, _pos, st.floats(0.0, 0.5, exclude_max=True),
+                       st.floats(1.0, 20.0))
+_mos_params = st.builds(MosParams, _pos, _pos)
+
+
+@st.composite
+def _transducers(draw):
+    detection = draw(st.sampled_from(DetectionKind))
+    mos = draw(_mos_params if detection is DetectionKind.MOS
+               else st.one_of(st.none(), _mos_params))
+    return Transducer(draw(_pos), draw(st.floats(0.0, 100.0)), draw(st.floats(0.0, 10.0)),
+                      draw(_pos), draw(st.floats(1.0, 20.0)), detection, mos)
+
+
+_intervals = st.lists(st.floats(1e-3, 1e10), min_size=2, max_size=2).map(sorted)
+
+
+@st.composite
+def _profiles(draw):
+    optional = st.one_of(st.none(), _intervals)
+    return SpecProfile(
+        draw(_text),
+        draw(st.one_of(_pos, st.lists(_intervals, min_size=1, max_size=3))),
+        q_required=draw(st.one_of(st.none(), _pos)), bandpass=draw(optional),
+        impedance_range=draw(optional), dc_voltage_range=draw(optional),
+        tuning_required=draw(st.one_of(st.none(), _pos)),
+        informational=draw(st.dictionaries(_text, _text, max_size=3)))
+
+
+_analyses = st.builds(CandidateAnalysis, _pos, _pos, _pos, _pos,
+                      st.one_of(st.none(), _pos), st.one_of(st.none(), _intervals.map(tuple)))
+_criteria = st.builds(CriterionResult, _text, st.booleans(), st.booleans(), _text)
+_fab_rules = st.builds(FabRule, _text, st.booleans(), _text)
+
+_RECORDS = {
+    "Material": (_materials, _ref_material),
+    "BeamGeometry": (_beams(), _ref_beam),
+    "DiskGeometry": (_disks(), _ref_disk),
+    "MosParams": (_mos_params, _ref_mos),
+    "Transducer": (_transducers(), _ref_transducer),
+    "ModeResult": (_consistent_mode().map(lambda d: ModeResult(**d)), _ref_mode),
+    "EquivalentCircuit": (_consistent_circuit().map(lambda d: EquivalentCircuit(**d)),
+                          _ref_circuit),
+    "SpecProfile": (_profiles(), _ref_profile),
+    "CandidateAnalysis": (_analyses, _ref_analysis),
+    "DesignCandidate": (st.builds(DesignCandidate, st.one_of(_beams(), _disks()),
+                                  _transducers(), _materials, _pos, _analyses),
+                        _ref_candidate),
+    "CriterionResult": (_criteria, _ref_criterion),
+    "SpecReport": (st.builds(SpecReport, _text, st.lists(_criteria, max_size=5).map(tuple)),
+                   _ref_spec_report),
+    "ProcessModel": (st.builds(ProcessModel, *[st.floats(0.0, 1e-3)] * 4), _ref_process),
+    "FabRule": (_fab_rules, _ref_fab_rule),
+    "FabReport": (st.builds(FabReport, st.lists(_fab_rules, max_size=3).map(tuple),
+                            _pos, _pos, _pos, st.booleans()),
+                  _ref_fab_report),
+}
+
+
+def _keys(record) -> list:
+    """The keys of a record's JSON form: its fields in declaration order,
+    but for the records whose form differs."""
+    names = [f.name for f in dataclasses.fields(record)]
+    if isinstance(record, Transducer) and record.mos is None:
+        return names[:-1]   # mos is left out
+    if isinstance(record, (DesignCandidate, FabReport)):
+        return ["family" if isinstance(record, DesignCandidate) else "passed", *names]
+    if isinstance(record, SpecReport):
+        return ["profile", "passed", "criteria"]
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_record_json_is_the_hand_written_form(name):
+    """Each record's JSON text equals the hand-written to_dict's, and its
+    keys are its fields in declaration order but for the overrides."""
+    records, reference = _RECORDS[name]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(records)
+    def check(record):
+        assert type(record).__name__ == name
+        out = record.to_dict()
+        assert out == reference(record)   # lists, not tuples
+        assert json.dumps(out) == json.dumps(reference(record))
+        assert list(out) == _keys(record)
+
+    check()
