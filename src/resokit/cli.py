@@ -75,9 +75,18 @@ def _load_profile(spec: str) -> design.SpecProfile:
     return _config(spec, design.profile_from_dict)
 
 
+def _write(write, *args):
+    """write(*args), whose last argument is an output path from the command
+    line; a path that cannot be written is a usage error naming it."""
+    try:
+        write(*args)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {args[-1]}: {exc.strerror or exc}") from None
+
+
 def _emit(report: dict, json_path: str | None):
     if json_path:
-        _write_json(report, json_path)
+        _write(_write_json, report, json_path)
 
 
 def _disk_mesh(args, geometry):
@@ -126,7 +135,7 @@ def _cmd_fem(args) -> int:
         modes = fem.solve_modes(sys_, args.modes)
         rows = [{"mode": i + 1, "frequency_hz": f} for i, (f, _) in enumerate(modes)]
         if args.modes_csv:
-            fem.export_modes_csv(sys_, modes, args.modes_csv)
+            _write(fem.export_modes_csv, sys_, modes, args.modes_csv)
         mesh = sys_.mesh
     else:
         mesh = _disk_mesh(args, geometry)
@@ -135,9 +144,9 @@ def _cmd_fem(args) -> int:
         rows = [{"mode": i + 1, "frequency_hz": m.frequency,
                  "angular_order": m.mode_order} for i, m in enumerate(results)]
         if args.modes_csv:
-            fem.export_modes_csv(sys_, modes, args.modes_csv)
+            _write(fem.export_modes_csv, sys_, modes, args.modes_csv)
     if args.mesh_out:
-        fem.export_mesh(mesh, args.mesh_out)
+        _write(fem.export_mesh, mesh, args.mesh_out)
 
     for row in rows:
         extra = f"  n={row['angular_order']}" if "angular_order" in row else ""
@@ -154,9 +163,9 @@ def _cmd_respond(args) -> int:
         circuit, termination=args.termination, points=args.points)
     q_extracted = transduction.extract_q(spectrum)
     if args.csv:
-        spectrum.to_csv(args.csv)
+        _write(spectrum.to_csv, args.csv)
     if args.circuit_json:
-        transduction.circuit_to_json(circuit, args.circuit_json)
+        _write(transduction.circuit_to_json, circuit, args.circuit_json)
     report = {"f0_hz": circuit.f0, "r_x_ohm": circuit.r_x, "q_configured": q,
               "q_extracted": q_extracted, "points": args.points,
               "termination_ohm": args.termination}
@@ -167,6 +176,13 @@ def _cmd_respond(args) -> int:
     return EXIT_OK
 
 
+def _curve_to_csv(curve, path):
+    with open(path, "w") as f:
+        f.write("scale,i_mos_over_i_cap\n")
+        for s, r in curve:
+            f.write(f"{s!r},{r!r}\n")
+
+
 def _cmd_compare_detection(args) -> int:
     geometry, material, transducer, q = _design(args, needs_transducer=True)
     if not isinstance(geometry, BeamGeometry):
@@ -174,10 +190,7 @@ def _cmd_compare_detection(args) -> int:
     curve = transduction.detection_comparison(geometry, material, transducer, q,
                                               args.scales)
     if args.csv:
-        with open(args.csv, "w") as f:
-            f.write("scale,i_mos_over_i_cap\n")
-            for s, r in curve:
-                f.write(f"{s!r},{r!r}\n")
+        _write(_curve_to_csv, curve, args.csv)
     for s, r in curve:
         print(f"scale {s:g}: i_mos/i_cap = {r!r}")
     _emit({"curve": [{"scale": s, "ratio": r} for s, r in curve]}, args.json)

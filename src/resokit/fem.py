@@ -3,14 +3,16 @@
 Beam eigenmodes use 2-node Euler-Bernoulli elements (cubic Hermite shape
 functions, consistent mass). Disk in-plane eigenmodes use linear-triangle
 plane-stress elements on a structured polar mesh. Element matrices are
-built for all elements at once, and one function, _system, numbers the
-dofs, scatters and validates the unit beam and every disk.
+built for all elements at once. One function, _plan, numbers the dofs of
+a mesh topology and works out where each element entry is summed; one
+function, _system, sums the element matrices by that plan and gates the
+result, for the unit beam and every disk.
 
 One threshold, _SPARSE_MIN_DOF (300 free dofs), picks both how K and M are
 stored and how they are solved. At or below it, assembly scatters into
 dense ndof x ndof arrays, Cholesky proves the mass matrix SPD and LAPACK
 dsygvx, called directly as scipy.linalg.eigh would call it, returns the
-modes. Above it, assembly scatters straight into CSC (no dense matrix is
+modes. Above it, assembly sums straight into CSC (no dense matrix is
 ever built), the mass matrix is proved SPD with a sparse LDL^T, and the
 lowest modes come from shift-invert Lanczos (ARPACK) on a sparse LU of
 K - sigma*M, polished by one inverse-iteration step and a Rayleigh-Ritz
@@ -32,6 +34,21 @@ sum of the scaled element matrices, and shares its dof numbering, free
 dofs and CSC index arrays. Each beam still passes the value gate on its
 own entries (finite, symmetric, M positive-definite on the free dofs), the
 last by a banded Cholesky (LAPACK dpbtrf, half-bandwidth 3), O(n).
+Jacobi scaling undoes the congruence, so the norms ||DKD||_F and
+||DMD||_F of the backward-error gate are computed once per unit system.
+
+A disk is built from its cached topology. Everything about mesh_disk's
+mesh with m rings but the radius (connectivity, each node's ring index
+and cos/sin, the dof tables, the plan and the rim nodes in angle order)
+is built once per m and kept in a small LRU cache (_disk_topology). A
+call scales the per-node terms by the radius, bitwise the nodes built one
+by one, forms the element matrices and sums them with one bincount per
+matrix into the plan's slots. The value gate reads each slot and its
+transpose slot, the same symmetry number as on the stored matrices. The
+CST mass is Ms (x) I2 up to the dof order (ux and uy uncoupled, with
+equal blocks), so _positive_definite factors only the n/2 x n/2 block Ms
+whenever the stored entries show that structure: an exact reduction. A
+mesh built by a caller gets its plan from the same function, uncached.
 
 A beam is solved once per mesh. The pencils are congruent (Golub & Van
 Loan, Matrix Computations, sec. 8.7), so K0 psi = mu M0 psi gives the
@@ -50,7 +67,6 @@ them: importing this module, or building a mesh, loads no scipy module.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
@@ -70,6 +86,7 @@ _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and sol
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _SIGN_RTOL = 1e-6          # translational entries this close to the largest tie for the sign
 _UNIT_BEAM_CACHE = 8       # unit-beam systems and eigenpair sets kept, each
+_DISK_TOPOLOGY_CACHE = 8   # disk ring counts whose topology is kept
 _TRANSLATIONAL = frozenset(("w", "ux", "uy"))
 # most rings mesh_disk builds: radius/1000 is already 3 million nodes
 _MAX_RINGS = 1000
@@ -92,6 +109,9 @@ class Mesh:
     nodes: np.ndarray
     elements: np.ndarray
     kind: str
+    # Set by mesh_disk only: the cached _DiskTopology of its ring count,
+    # whose scatter plan and rim order assembly and mode identification reuse
+    _topology: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = _readonly(np.asarray(self.nodes, dtype=float))
@@ -120,6 +140,30 @@ class Mesh:
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
+class _Layout(NamedTuple):
+    """The dof tables of a system (see AssembledSystem): dof_map and the
+    sorted constraints as tuples, the free dofs, the translational dofs and
+    the per-node translational dof table."""
+    dof_map: tuple
+    constraints: tuple
+    free: np.ndarray
+    tdofs: np.ndarray
+    tnode_dofs: np.ndarray
+
+
+def _layout(dof_map, constraints) -> _Layout:
+    dof_map = tuple(dof_map)
+    constraints = tuple(sorted(constraints))
+    n = len(dof_map)
+    fixed = np.zeros(n, dtype=bool)
+    for i in constraints:
+        if not 0 <= i < n:
+            raise InvariantError(f"constraint {i!r} is not a dof index in [0, {n})")
+        fixed[i] = True
+    return _Layout(dof_map, constraints, _readonly(np.flatnonzero(~fixed)),
+                   *_translational_layout(dof_map))
+
+
 @dataclass(frozen=True)
 class AssembledSystem:
     """Assembled K, M with dof bookkeeping.
@@ -144,14 +188,15 @@ class AssembledSystem:
     constraints: tuple
     mesh: Mesh | None = field(default=None, compare=False)
     # Set by assemble_beam only: (n_elements, clamped, d on the free dofs,
-    # (EI/le^3) / (rho*A*le/420)), the congruence that maps the unit-beam
-    # pairs to this system's (see the module docstring).
+    # (EI/le^3) / (rho*A*le/420), (||DKD||_F, ||DMD||_F) of the backward
+    # error), the congruence that maps the unit-beam pairs to this
+    # system's (see the module docstring).
     _unit_beam: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # Built once by __post_init__ (a beam copies the unit system's and
-    # scales _kf and _mf). _kf/_mf are the free-dof blocks of K and
-    # M, stored as K and M are. _tdofs lists the translational dofs; row j
-    # of _tnode_dofs holds the translational dofs of the j-th node that has
-    # any, padded with ndof.
+    # The _Layout tables and the free-dof blocks _kf/_mf of K and M, stored
+    # as K and M are. _tdofs lists the translational dofs; row j of
+    # _tnode_dofs holds the translational dofs of the j-th node that has
+    # any, padded with ndof. Systems built by _system and assemble_beam
+    # share the tables of their plan or unit system.
     _free: np.ndarray = field(init=False, repr=False, compare=False)
     _kf: object = field(init=False, repr=False, compare=False)
     _mf: object = field(init=False, repr=False, compare=False)
@@ -159,26 +204,31 @@ class AssembledSystem:
     _tnode_dofs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dof_map", tuple(self.dof_map))
-        object.__setattr__(self, "constraints", tuple(sorted(self.constraints)))
-        n = len(self.dof_map)
-        fixed = np.zeros(n, dtype=bool)
-        for i in self.constraints:
-            if not 0 <= i < n:
-                raise InvariantError(f"constraint {i!r} is not a dof index in [0, {n})")
-            fixed[i] = True
-        free = _readonly(np.flatnonzero(~fixed))
-        sparse = len(free) > _SPARSE_MIN_DOF
+        layout = _layout(self.dof_map, self.constraints)
+        n = len(layout.dof_map)
+        sparse = len(layout.free) > _SPARSE_MIN_DOF
         k, m = _stored(self.stiffness, sparse), _stored(self.mass, sparse)
-        object.__setattr__(self, "stiffness", k)
-        object.__setattr__(self, "mass", m)
         if k.shape != (n, n) or m.shape != (n, n):
             raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
-        kf, mf = (a[:, free][free] if len(free) < n else a for a in (k, m))
+        kf, mf = _free_blocks(layout.free, k, m)
         _gate(k, k.T, m, m.T, mf, _positive_definite)
-        tdofs, tnode_dofs = _translational_layout(self.dof_map)
-        for name, value in (("_free", free), ("_kf", kf), ("_mf", mf),
-                            ("_tdofs", tdofs), ("_tnode_dofs", tnode_dofs)):
+        self._set(layout, k, m, kf, mf, self.mesh)
+
+    @classmethod
+    def _of(cls, layout: _Layout, k, m, kf, mf, mesh: Mesh | None = None,
+            unit_beam: tuple | None = None) -> "AssembledSystem":
+        """The system of K, M and their free blocks, already stored and gated
+        by the caller (no __post_init__)."""
+        sys = object.__new__(cls)
+        sys._set(layout, k, m, kf, mf, mesh, unit_beam)
+        return sys
+
+    def _set(self, layout, k, m, kf, mf, mesh, unit_beam=None):
+        for name, value in (("stiffness", k), ("mass", m), ("dof_map", layout.dof_map),
+                            ("constraints", layout.constraints), ("mesh", mesh),
+                            ("_unit_beam", unit_beam), ("_free", layout.free),
+                            ("_kf", kf), ("_mf", mf), ("_tdofs", layout.tdofs),
+                            ("_tnode_dofs", layout.tnode_dofs)):
             object.__setattr__(self, name, value)
 
     def free_dofs(self) -> np.ndarray:
@@ -215,6 +265,14 @@ def _stored(a, sparse: bool):
     return a
 
 
+def _free_blocks(free: np.ndarray, k, m):
+    """The free-dof blocks of K and M: K and M themselves when no dof is
+    fixed."""
+    if len(free) == k.shape[0]:
+        return k, m
+    return tuple(a[:, free][free] for a in (k, m))
+
+
 def _symmetric_lu(a):
     """Sparse LU of a CSC matrix with symmetric structure: a fill-reducing
     ordering of A + A^T, and the diagonal pivot whenever it is nonzero."""
@@ -244,7 +302,7 @@ def _nonzeros(a):
 def _gate(k, kt, m, mt, mf, positive_definite):
     """The value gate of every system: K and M finite and symmetric, and M
     positive-definite on the free dofs (positive_definite(mf)). k and m are
-    K and M, or arrays of their nonzero entries; kt and mt hold the same
+    K and M, or arrays of their stored entries; kt and mt hold the same
     entries of the transposes."""
     for name, a, at in (("stiffness", k, kt), ("mass", m, mt)):
         if not np.isfinite(_values(a)).all():
@@ -255,10 +313,38 @@ def _gate(k, kt, m, mt, mf, positive_definite):
         raise InvariantError("mass matrix not positive-definite on free dofs")
 
 
+def _component_block(a):
+    """The block of a on its even dofs, stored as a is, when the even and
+    odd dofs are uncoupled and their two blocks are equal (a = Ms (x) I2 up
+    to the dof order, as the CST mass of a disk is); None otherwise."""
+    n = a.shape[0]
+    if n % 2 or n == 0:
+        return None
+    if isinstance(a, np.ndarray):
+        even = a[0::2, 0::2]
+        if a[0::2, 1::2].any() or a[1::2, 0::2].any() or not np.array_equal(even, a[1::2, 1::2]):
+            return None
+        return even
+    counts = np.diff(a.indptr)
+    if not np.array_equal(counts[0::2], counts[1::2]):
+        return None
+    even = np.repeat(np.arange(n) % 2 == 0, counts)   # entries of the even columns
+    rows = a.indices
+    if not (np.array_equal(rows % 2 == 0, even) and np.array_equal(rows[even], rows[~even] - 1)
+            and np.array_equal(a.data[even], a.data[~even])):
+        return None
+    indptr = np.concatenate(([0], np.cumsum(counts[0::2])))
+    return _csc_type()((a.data[even], rows[even] // 2, indptr), shape=(n // 2, n // 2))
+
+
 def _positive_definite(a) -> bool:
     """Dense: Cholesky succeeds. CSC: the symmetric LU pivots only on the
     diagonal (perm_r == perm_c, so it is an LDL^T) and every pivot is
-    positive."""
+    positive. Where _component_block finds a = Ms (x) I2, the test runs on
+    Ms alone, an exact reduction: a is positive-definite iff Ms is."""
+    block = _component_block(a)
+    if block is not None:
+        a = block
     if isinstance(a, np.ndarray):
         try:
             np.linalg.cholesky(a)
@@ -321,33 +407,87 @@ def _translational_layout(dof_map):
     return _readonly(tdofs), _readonly(table)
 
 
-def _scatter(dofs: np.ndarray, ke: np.ndarray, me: np.ndarray, ndof: int,
-             n_free: int):
-    """(K, M): element matrices ke[e], me[e] summed, in element order, at
-    rows and columns dofs[e] of ndof x ndof matrices.
+class _Plan(NamedTuple):
+    """How the element matrices of one mesh topology are summed into K and M.
 
-    Dense with at most _SPARSE_MIN_DOF free dofs. Above it, CSC built from
-    the triplets (Davis, Direct Methods for Sparse Linear Systems, ch. 2):
-    one sort of the keys col*ndof + row, shared by K and M, and one
-    bincount per matrix, so each entry is the sum the dense scatter forms.
-    Exact zeros (cancelled couplings) are dropped, as a dense-to-CSC
-    conversion drops them.
+    slot[e, p, q] (int32) is the stored entry that entry (p, q) of element
+    e's matrix is summed into. With at most _SPARSE_MIN_DOF free dofs it is
+    a row-major position in the dense ndof x ndof matrix (n_slots = ndof^2)
+    and rows, indptr and transpose are None. Above it, the slots are the
+    n_slots distinct (row, column) pairs in CSC order (column, then row):
+    rows (int32) and indptr place them, and transpose[s] (int32) is the
+    slot of the transpose of slot s.
     """
-    if n_free <= _SPARSE_MIN_DOF:
-        flat = (dofs[:, :, None] * ndof + dofs[:, None, :]).ravel()
-        return tuple(np.bincount(flat, weights=e.ravel(), minlength=ndof * ndof)
-                     .reshape(ndof, ndof) for e in (ke, me))
+    layout: _Layout
+    slot: np.ndarray
+    n_slots: int
+    rows: np.ndarray | None
+    indptr: np.ndarray | None
+    transpose: np.ndarray | None
+
+
+def _plan(elements: np.ndarray, comps: tuple, n_nodes: int,
+          fixed_nodes: tuple = ()) -> _Plan:
+    """The _Plan of elements[e] on n_nodes nodes, each carrying the dofs
+    comps, numbered node-major; every dof of fixed_nodes is constrained."""
+    nc = len(comps)
+    ndof = nc * n_nodes
+    dofs = (nc * elements[:, :, None] + np.arange(nc)).reshape(len(elements), -1)
+    layout = _layout(((node, comp) for node in range(n_nodes) for comp in comps),
+                     (nc * node + i for node in fixed_nodes for i in range(nc)))
+    shape = dofs.shape + dofs.shape[1:]
+    if len(layout.free) <= _SPARSE_MIN_DOF:
+        slot = dofs[:, :, None] * ndof + dofs[:, None, :]
+        return _Plan(layout, _readonly(slot.astype(np.int32)), ndof * ndof, None, None, None)
     keys, slot = np.unique((dofs[:, None, :] * ndof + dofs[:, :, None]).ravel(),
                            return_inverse=True)
-    csc = _csc_type()
-    out = []
-    for e in (ke, me):
-        data = np.bincount(slot, weights=e.ravel(), minlength=len(keys))
-        nonzero = data != 0
-        cols, rows = np.divmod(keys[nonzero], ndof)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ndof))))
-        out.append(csc((data[nonzero], rows, indptr), shape=(ndof, ndof)))
-    return tuple(out)
+    cols, rows = np.divmod(keys, ndof)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ndof))))
+    transpose = np.searchsorted(keys, rows * ndof + cols)
+    return _Plan(layout, _readonly(slot.reshape(shape).astype(np.int32)), len(keys),
+                 *(_readonly(a.astype(np.int32)) for a in (rows, indptr, transpose)))
+
+
+def _system(plan: _Plan, ke, me, mesh: Mesh | None = None) -> AssembledSystem:
+    """The gated AssembledSystem of element matrices ke[e], me[e] (or one
+    pair for every element) summed by plan.
+
+    One bincount per matrix over the plan's slots (Davis, Direct Methods
+    for Sparse Linear Systems, ch. 2) sums each entry in element order, as
+    a dense scatter does. In CSC, exact zeros (cancelled couplings, the
+    uncoupled ux-uy entries of a disk's mass) are dropped, as a
+    dense-to-CSC conversion drops them; the symmetry gate reads every slot
+    and its transpose slot, the union of the patterns of K and K^T, so it
+    computes max|K - K^T| as on the stored matrices.
+    """
+    layout, shape = plan.layout, plan.slot.shape
+    ndof = len(layout.dof_map)
+    slot = plan.slot.ravel()
+    k_sum, m_sum = (np.bincount(slot, weights=np.broadcast_to(e, shape).ravel(),
+                                minlength=plan.n_slots) for e in (ke, me))
+    if plan.rows is None:
+        k, m = (_readonly(s.reshape(ndof, ndof)) for s in (k_sum, m_sum))
+        k_sum, k_t, m_sum, m_t = k, k.T, m, m.T
+    else:
+        k_t, m_t = k_sum[plan.transpose], m_sum[plan.transpose]
+        k, m = (_compressed(plan, s) for s in (k_sum, m_sum))
+    kf, mf = _free_blocks(layout.free, k, m)
+    _gate(k_sum, k_t, m_sum, m_t, mf, _positive_definite)
+    return AssembledSystem._of(layout, k, m, kf, mf, mesh)
+
+
+def _compressed(plan: _Plan, data: np.ndarray):
+    """The read-only CSC matrix of the slot sums data, less its exact zeros,
+    with index arrays of its own (int64, as scipy builds them from int64
+    triplets)."""
+    keep = data != 0
+    indptr = np.concatenate(([0], np.cumsum(keep)))[plan.indptr]
+    ndof = len(plan.indptr) - 1
+    a = _csc_type()((data[keep], plan.rows[keep].astype(np.int64), indptr),
+                    shape=(ndof, ndof))
+    for part in (a.data, a.indices, a.indptr):
+        part.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -370,44 +510,42 @@ _ME0 = np.array([[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22],
                  [-13, -3, -22, 4]])
 
 
-def _system(elements: np.ndarray, comps: tuple, ke, me, n_nodes: int,
-            fixed_nodes: tuple = (), mesh: Mesh | None = None) -> AssembledSystem:
-    """The AssembledSystem of element matrices ke[e], me[e] (or one pair for
-    every element) on the nodes elements[e]. Each node carries the dofs
-    comps, numbered node-major; every dof of fixed_nodes is constrained."""
-    nc = len(comps)
-    ndof = nc * n_nodes
-    dofs = (nc * elements[:, :, None] + np.arange(nc)).reshape(len(elements), -1)
-    constraints = tuple(nc * node + i for node in fixed_nodes for i in range(nc))
-    shape = dofs.shape + dofs.shape[1:]
-    k, m = _scatter(dofs, np.broadcast_to(ke, shape), np.broadcast_to(me, shape), ndof,
-                    ndof - len(constraints))
-    dof_map = tuple((node, comp) for node in range(n_nodes) for comp in comps)
-    return AssembledSystem(k, m, dof_map, constraints, mesh)
-
-
 class _Entries(NamedTuple):
     """The nonzero stored entries of a unit-beam matrix: their flat positions
     in _values, their values, their parity (how many of their row and
-    column dofs are rotations, int8) and, for K and M, the position in this
-    table of each entry's transpose."""
+    column dofs are rotations, int8), for K and M the position in this
+    table of each entry's transpose, and the matrix's form: the unit CSC
+    matrix itself (whose index arrays a beam shares), or the shape of the
+    dense array, which is not kept."""
     pos: np.ndarray
     values: np.ndarray
     parity: np.ndarray
     transpose: np.ndarray | None
+    form: object
+
+
+class _UnitBeam(NamedTuple):
+    """A cached unit beam: its dof tables, the _Entries of K0, M0 and their
+    free blocks (kf is k when no dof is fixed), the lower band of the free
+    mass block for _band_positive_definite, and (||DK0D||_F, ||DM0D||_F) on
+    the free dofs, D = |diag K0|^-1/2, for the backward-error gate."""
+    layout: _Layout
+    k: _Entries
+    m: _Entries
+    kf: _Entries
+    mf: _Entries
+    band: tuple
+    norms: tuple
 
 
 @lru_cache(maxsize=_UNIT_BEAM_CACHE)
-def _unit_beam_system(n_elements: int, clamped: bool):
-    """(system, entries, band) of the unit beam on n_elements.
-
-    system is the AssembledSystem of _KE0 and _ME0, gated as every system
-    is; entries holds the _Entries of its stiffness, mass, _kf and _mf;
-    band is the lower band of _mf for _band_positive_definite, whose
-    half-bandwidth kd is 3 under node-major numbering.
-    """
-    unit = _system(np.arange(n_elements)[:, None] + np.arange(2), ("w", "theta"),
-                   _KE0, _ME0, n_elements + 1, (0, n_elements) if clamped else ())
+def _unit_beam_system(n_elements: int, clamped: bool) -> _UnitBeam:
+    """The _UnitBeam on n_elements, built from _KE0 and _ME0 by _system and
+    gated as every system is. The band's half-bandwidth kd is 3 under
+    node-major numbering."""
+    plan = _plan(np.arange(n_elements)[:, None] + np.arange(2), ("w", "theta"),
+                 n_elements + 1, (0, n_elements) if clamped else ())
+    unit = _system(plan, _KE0, _ME0)
     odd = np.arange(len(unit.dof_map), dtype=np.int8) % 2
 
     def entries(a, dof_odd, with_transpose):
@@ -422,22 +560,25 @@ def _unit_beam_system(n_elements: int, clamped: bool):
         # CSC stores no zero, so its values are its data
         return _Entries(_readonly(pos.astype(np.int32)),
                         _readonly(values if len(pos) == len(values) else values[pos]),
-                        _readonly(dof_odd[rows] + dof_odd[cols]), transpose)
+                        _readonly(dof_odd[rows] + dof_odd[cols]), transpose,
+                        a.shape if isinstance(a, np.ndarray) else a)
 
-    full = [entries(a, odd, True) for a in (unit.stiffness, unit.mass)]
-    free = (full if unit._kf is unit.stiffness else
-            [entries(a, odd[unit.free_dofs()], False) for a in (unit._kf, unit._mf)])
-    return unit, (*full, *free), _lower_band(unit._mf)
+    k, m = (entries(a, odd, True) for a in (unit.stiffness, unit.mass))
+    kf, mf = ((k, m) if unit._kf is unit.stiffness else
+              (entries(a, odd[unit.free_dofs()], False) for a in (unit._kf, unit._mf)))
+    return _UnitBeam(plan.layout, k, m, kf, mf, _lower_band(unit._mf), _scaled_norms(unit._kf, unit._mf))
 
 
-def _scaled(a, values: np.ndarray, pos: np.ndarray):
-    """a's sparsity with values at its nonzero entries pos, stored as a is:
-    a CSC result shares a's read-only index arrays."""
-    if isinstance(a, np.ndarray):
-        dense = np.zeros(a.size)
-        dense[pos] = values
-        return _readonly(dense.reshape(a.shape))
-    return _csc_type()((_readonly(values), a.indices, a.indptr), shape=a.shape)
+def _scaled(entries: _Entries, values: np.ndarray):
+    """The matrix of entries' form with values at its nonzero entries,
+    stored as the unit matrix was: a CSC result shares its read-only index
+    arrays."""
+    form = entries.form
+    if isinstance(form, tuple):
+        dense = np.zeros(form[0] * form[1])
+        dense[entries.pos] = values
+        return _readonly(dense.reshape(form))
+    return _csc_type()((_readonly(values), form.indices, form.indptr), shape=form.shape)
 
 
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
@@ -466,17 +607,18 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     n_nodes = n_elements + 1
     mesh = Mesh(nodes=np.linspace(0.0, geom.length, n_nodes)[:, None],
                 elements=np.arange(n_elements)[:, None] + np.arange(2), kind="beam_1d")
-    unit, (ek, em, ekf, emf), band = _unit_beam_system(n_elements, clamped)
+    unit = _unit_beam_system(n_elements, clamped)
+    ek, em, ekf, emf = unit.k, unit.m, unit.kf, unit.mf
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         kv, mv = k_scale * (ek.values * s[ek.parity]), m_scale * (em.values * s[em.parity])
-        k, m = _scaled(unit.stiffness, kv, ek.pos), _scaled(unit.mass, mv, em.pos)
-        if unit._kf is unit.stiffness:
+        k, m = _scaled(ek, kv), _scaled(em, mv)
+        if ekf is ek:
             kf, mf = k, m
         else:
-            kf = _scaled(unit._kf, k_scale * (ekf.values * s[ekf.parity]), ekf.pos)
-            mf = _scaled(unit._mf, m_scale * (emf.values * s[emf.parity]), emf.pos)
+            kf = _scaled(ekf, k_scale * (ekf.values * s[ekf.parity]))
+            mf = _scaled(emf, m_scale * (emf.values * s[emf.parity]))
     _gate(kv, kv[ek.transpose], mv, mv[em.transpose], mf,
-          lambda a: _band_positive_definite(a, band))
+          lambda a: _band_positive_definite(a, unit.band))
     if not 0 < ratio < math.inf:   # the unit-beam pairs could not be scaled back
         raise InvariantError("beam eigenvalue scale (EI/le^3)/(rho*A*le/420) must be "
                              f"finite and > 0, got {float(ratio)!r}")
@@ -485,45 +627,53 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     smallest = float(min(abs(kv).min(), abs(mv).min()))
     if not smallest >= np.finfo(float).tiny:
         raise InvariantError(f"beam matrix entries must be normal floats, got {smallest!r}")
-    # a copy of the unit system: dof_map, constraints, the free dofs and the
-    # translational layout are shared, K, M, their free blocks and the mesh
-    # are this beam's
-    sys = copy.copy(unit)
-    d_free = _readonly(np.tile((1.0, le), n_nodes)[sys.free_dofs()])
-    for name, value in (("stiffness", k), ("mass", m), ("_kf", kf), ("_mf", mf),
-                        ("mesh", mesh), ("_unit_beam", (n_elements, clamped, d_free,
-                                                        float(ratio)))):
-        object.__setattr__(sys, name, value)
-    return sys
+    # the dof tables are the unit system's; K, M, their free blocks and the
+    # mesh are this beam's. Jacobi scaling undoes the congruence, so the
+    # scaled norms of the backward error are the unit's, ||DMD|| over ratio.
+    d_free = _readonly(np.tile((1.0, le), n_nodes)[unit.layout.free])
+    norm_k, norm_m = unit.norms
+    return AssembledSystem._of(unit.layout, k, m, kf, mf, mesh,
+                               (n_elements, clamped, d_free, float(ratio),
+                                (norm_k, norm_m / float(ratio))))
 
 
 # ---------------------------------------------------------------------------
 # disk mesh + plane-stress assembly
 
-def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
-    """Structured polar mesh: ring i at radius R*i/m carries 6*i nodes.
+# The consistent mass of a linear triangle per unit rho*t*area, dofs
+# (ux, uy) per node: the even and odd dofs are uncoupled and equal
+_ME_TRI = np.array([
+    [2, 0, 1, 0, 1, 0], [0, 2, 0, 1, 0, 1], [1, 0, 2, 0, 1, 0],
+    [0, 1, 0, 2, 0, 1], [1, 0, 1, 0, 2, 0], [0, 1, 0, 1, 0, 2]]) / 12.0
 
-    Near-equilateral triangles, deterministic construction, boundary nodes
-    exactly on the circle. m is chosen so the radial step matches
-    target_edge.
-    """
-    r_out = geom.radius
-    if not 0 < target_edge < r_out / 4:
-        raise MeshError(f"target_edge must be in (0, radius/4), got {target_edge}")
-    if not r_out / target_edge <= _MAX_RINGS:
-        raise MeshError(f"target_edge {target_edge} needs more than {_MAX_RINGS} rings")
-    m = max(4, round(r_out / target_edge))
-    nodes = [(0.0, 0.0)]
+
+class _DiskTopology(NamedTuple):
+    """What mesh_disk's mesh with m rings is for every radius: the ring
+    index (float) and (cos, sin) of each node's angle, the elements, their
+    _Plan, and the outer-rim nodes in ascending angle (_rim_nodes of the
+    unit-radius mesh: the order of the angles does not change with the
+    radius)."""
+    ring: np.ndarray
+    unit: np.ndarray
+    elements: np.ndarray
+    plan: _Plan
+    rim: np.ndarray
+
+
+@lru_cache(maxsize=_DISK_TOPOLOGY_CACHE)
+def _disk_topology(m: int) -> _DiskTopology:
+    """The _DiskTopology of m rings: ring i carries 6*i nodes at angles
+    2*pi*j/(6*i) (math.cos and math.sin), and each ring strip is cut into
+    triangles by advancing whichever ring pointer trails in angle."""
+    ring, unit = [0], [(1.0, 0.0)]
     rings = [[0]]
     for i in range(1, m + 1):
-        r = r_out * i / m
         cnt = 6 * i
-        ring = []
+        rings.append(list(range(len(ring), len(ring) + cnt)))
         for j in range(cnt):
             th = 2 * math.pi * j / cnt
-            ring.append(len(nodes))
-            nodes.append((r * math.cos(th), r * math.sin(th)))
-        rings.append(ring)
+            ring.append(i)
+            unit.append((math.cos(th), math.sin(th)))
 
     tris = []
     for i in range(m):
@@ -544,21 +694,45 @@ def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
             else:
                 tris.append((inner[a % ni], outer[b % no], outer[(b + 1) % no]))
                 b += 1
-    return Mesh(nodes=np.array(nodes), elements=np.array(tris, dtype=int),
-                kind="plane_stress_2d")
+    ring, unit = _readonly(np.array(ring, dtype=float)), _readonly(np.array(unit))
+    elements = _readonly(np.array(tris, dtype=int))
+    return _DiskTopology(ring, unit, elements, _plan(elements, ("ux", "uy"), len(ring)),
+                         _readonly(_rim_nodes((ring / m)[:, None] * unit)))
+
+
+def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
+    """Structured polar mesh: ring i at radius R*i/m carries 6*i nodes.
+
+    Near-equilateral triangles, deterministic construction, boundary nodes
+    exactly on the circle. m is chosen so the radial step matches
+    target_edge. The topology of each m is built once and cached
+    (_disk_topology); a node is (R*i/m) * (cos, sin) of its angle.
+    """
+    r_out = geom.radius
+    if not 0 < target_edge < r_out / 4:
+        raise MeshError(f"target_edge must be in (0, radius/4), got {target_edge}")
+    if not r_out / target_edge <= _MAX_RINGS:
+        raise MeshError(f"target_edge {target_edge} needs more than {_MAX_RINGS} rings")
+    m = max(4, round(r_out / target_edge))
+    topology = _disk_topology(m)
+    mesh = Mesh(nodes=(r_out * topology.ring / m)[:, None] * topology.unit,
+                elements=topology.elements, kind="plane_stress_2d")
+    object.__setattr__(mesh, "_topology", topology)
+    return mesh
 
 
 def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSystem:
-    """Plane-stress CST stiffness + consistent mass, free boundary."""
+    """Plane-stress CST stiffness + consistent mass, free boundary.
+
+    A mesh from mesh_disk is summed by its cached topology's plan; any
+    other mesh builds its plan here.
+    """
     if mesh.kind != "plane_stress_2d":
         raise MeshError("disk assembly needs a plane_stress_2d mesh")
     e_mod, nu, rho, t = (mat.youngs_modulus, mat.poisson_ratio,
                          mat.density, geom.thickness)
     d_mat = e_mod / (1 - nu**2) * np.array([
         [1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]])
-    me_template = np.array([
-        [2, 0, 1, 0, 1, 0], [0, 2, 0, 1, 0, 1], [1, 0, 2, 0, 1, 0],
-        [0, 1, 0, 2, 0, 1], [1, 0, 1, 0, 2, 0], [0, 1, 0, 1, 0, 2]]) / 12.0
 
     x, y = mesh.nodes[mesh.elements, 0], mesh.nodes[mesh.elements, 1]  # (E, 3)
     area = mesh.triangle_areas()
@@ -572,8 +746,10 @@ def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSys
     b_mat *= (0.5 / area)[:, None, None]   # 1/det, det = 2*area exactly
     # batched matmul, not einsum: it rounds exactly as the per-element B^T D B
     ke = (t * area)[:, None, None] * (b_mat.transpose(0, 2, 1) @ d_mat @ b_mat)
-    me = (rho * t * area)[:, None, None] * me_template
-    return _system(mesh.elements, ("ux", "uy"), ke, me, len(mesh.nodes), mesh=mesh)
+    me = (rho * t * area)[:, None, None] * _ME_TRI
+    plan = (_plan(mesh.elements, ("ux", "uy"), len(mesh.nodes)) if mesh._topology is None
+            else mesh._topology.plan)
+    return _system(plan, ke, me, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +827,10 @@ def _pencil_modes(kk, mm, k: int):
 def _unit_beam_modes(n_elements: int, clamped: bool, k: int):
     """k lowest eigenpairs (mu, psi) of the cached unit-beam pencil (K0, M0)
     on its free dofs, as read-only arrays, solved as the beam's own pencil
-    would be."""
-    unit = _unit_beam_system(n_elements, clamped)[0]
-    vals, vecs = _pencil_modes(unit._kf, unit._mf, k)
+    would be. A dense pencil is rebuilt from its entries."""
+    unit = _unit_beam_system(n_elements, clamped)
+    vals, vecs = _pencil_modes(_scaled(unit.kf, unit.kf.values),
+                               _scaled(unit.mf, unit.mf.values), k)
     return _readonly(vals), _readonly(vecs)
 
 
@@ -663,31 +840,45 @@ def _eigenpairs(sys: AssembledSystem, k: int):
     cached unit-beam pairs (see the module docstring)."""
     if sys._unit_beam is None:
         return _pencil_modes(sys._kf, sys._mf, k)
-    n_elements, clamped, d_free, ratio = sys._unit_beam
+    n_elements, clamped, d_free, ratio, _ = sys._unit_beam
     mu, psi = _unit_beam_modes(n_elements, clamped, k)
     return mu * ratio, psi / d_free[:, None]
 
 
-def _backward_errors(kk, mm, vals, vecs, r) -> np.ndarray:
-    """Jacobi-scaled normwise backward error of each pair (lambda, v) of the
-    free-dof pencil (kk, mm), r = kk v - lambda mm v (Tisseur, "Backward
-    error and condition of polynomial eigenvalue problems", Linear Algebra
-    Appl. 309, 2000): ||D r|| / ((||DKD||_F + |lambda| ||DMD||_F) ||v / d||),
-    D = diag(d), d = |diag(K)|^-1/2 (1 where K_ii is 0). O(nnz). NaN where
-    a norm overflows."""
+def _jacobi(kk) -> np.ndarray:
+    """d = |diag(K)|^-1/2 of the Jacobi scaling D = diag(d), 1 where K_ii is 0."""
     diag = np.abs(kk.diagonal())
-    d = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    return 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+
+
+def _scaled_norms(kk, mm):
+    """(||DKD||_F, ||DMD||_F) of the free-dof pencil (kk, mm), D = diag(d)
+    of _jacobi; inf where a norm overflows."""
+    d = _jacobi(kk)
     d2 = d * d
 
     def scaled_norm(a):
         if isinstance(a, np.ndarray):   # ||DAD||_F^2 = d^2 . (A o A) d^2
-            return np.sqrt(d2 @ ((a * a) @ d2))
+            return float(np.sqrt(d2 @ ((a * a) @ d2)))
         cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
-        return np.linalg.norm(d[a.indices] * a.data * d[cols])
+        return float(np.linalg.norm(d[a.indices] * a.data * d[cols]))
 
     with np.errstate(over="ignore", invalid="ignore"):
+        return scaled_norm(kk), scaled_norm(mm)
+
+
+def _backward_errors(kk, mm, vals, vecs, r, norms) -> np.ndarray:
+    """Jacobi-scaled normwise backward error of each pair (lambda, v) of the
+    free-dof pencil (kk, mm), r = kk v - lambda mm v (Tisseur, "Backward
+    error and condition of polynomial eigenvalue problems", Linear Algebra
+    Appl. 309, 2000): ||D r|| / ((||DKD||_F + |lambda| ||DMD||_F) ||v / d||),
+    D = diag(d) of _jacobi and norms = (||DKD||_F, ||DMD||_F). O(n). NaN
+    where a norm overflows."""
+    d = _jacobi(kk)
+    norm_k, norm_m = norms
+    with np.errstate(over="ignore", invalid="ignore"):
         num = np.linalg.norm(d[:, None] * r, axis=0)
-        den = ((scaled_norm(kk) + np.abs(vals) * scaled_norm(mm))
+        den = ((norm_k + np.abs(vals) * norm_m)
                * np.linalg.norm(vecs / d[:, None], axis=0))
         # a zero denominator means K = 0 and lambda = 0, so r = 0 too
         berr = num / np.where(den > 0, den, 1.0)
@@ -727,8 +918,10 @@ def solve_modes(sys: AssembledSystem, k: int):
         raise EigenSolveError(
             f"eigen-residual {resid[bad[0]]:.2e} exceeds {_RESIDUAL_BOUND:.0e} "
             f"for mode {bad[0]}")
-    # every mode, rigid ones too, passes the backward-error gate
-    berr = _backward_errors(kk, mm, vals, vecs, r)
+    # every mode, rigid ones too, passes the backward-error gate; a beam's
+    # scaled norms are those of its unit system
+    norms = _scaled_norms(kk, mm) if sys._unit_beam is None else sys._unit_beam[4]
+    berr = _backward_errors(kk, mm, vals, vecs, r, norms)
     bad = np.flatnonzero(~(berr <= _BACKWARD_BOUND))
     if bad.size:
         raise EigenSolveError(
@@ -750,27 +943,38 @@ def solve_modes(sys: AssembledSystem, k: int):
             for lam, vec in zip(vals.tolist(), full)]
 
 
+def _rim_nodes(nodes: np.ndarray) -> np.ndarray:
+    """The outer-rim nodes of a disk mesh, in ascending angle."""
+    r = np.hypot(nodes[:, 0], nodes[:, 1])
+    bnd = np.flatnonzero(r >= float(r.max()) * (1 - 1e-9))
+    return bnd[np.argsort(np.arctan2(nodes[bnd, 1], nodes[bnd, 0]))]
+
+
 def _rim_radial(mesh: Mesh, vectors: np.ndarray):
     """Angles of the outer-rim nodes, ascending, and the radial displacement
     u_r there of each mode vector (the last axis of `vectors` runs over
     dofs, so one vector gives one row and a stack gives one row each)."""
-    r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    bnd = np.flatnonzero(r >= float(r.max()) * (1 - 1e-9))
-    theta = np.arctan2(mesh.nodes[bnd, 1], mesh.nodes[bnd, 0])
-    order = np.argsort(theta)
-    bnd, theta = bnd[order], theta[order]
+    bnd = _rim_nodes(mesh.nodes) if mesh._topology is None else mesh._topology.rim
     x, y = mesh.nodes[bnd, 0], mesh.nodes[bnd, 1]
-    return theta, (vectors[..., 2 * bnd] * x + vectors[..., 2 * bnd + 1] * y) / r[bnd]
+    return (np.arctan2(y, x),
+            (vectors[..., 2 * bnd] * x + vectors[..., 2 * bnd + 1] * y) / np.hypot(x, y))
 
 
-def _dominant_harmonic(theta: np.ndarray, u_rad: np.ndarray) -> int:
-    """Index of the cos/sin harmonic of u_rad(theta) with the largest
-    energy; see identify_angular_order."""
+def _harmonic_basis(theta: np.ndarray):
+    """(cos, sin, scale) of the harmonics n = 0..max(1, (nb - 1) // 2) at
+    the nb rim angles theta, one row per n, for _dominant_harmonic."""
     nb = len(theta)
     n = np.arange(max(1, (nb - 1) // 2) + 1)
     scale = np.where(n == 0, 1.0 / nb, 2.0 / nb)  # DC component has no pair
-    a = np.sum(u_rad * np.cos(n[:, None] * theta), axis=1) * scale
-    b = np.sum(u_rad * np.sin(n[:, None] * theta), axis=1) * scale
+    return np.cos(n[:, None] * theta), np.sin(n[:, None] * theta), scale
+
+
+def _dominant_harmonic(basis, u_rad: np.ndarray) -> int:
+    """Index of the cos/sin harmonic of u_rad with the largest energy, on
+    the _harmonic_basis of its rim angles; see identify_angular_order."""
+    cos, sin, scale = basis
+    a = np.sum(u_rad * cos, axis=1) * scale
+    b = np.sum(u_rad * sin, axis=1) * scale
     energies = a * a + b * b
     top = int(np.argmax(energies))
     rest = energies.copy()
@@ -797,7 +1001,7 @@ def identify_angular_order(mode_vector: np.ndarray, mesh: Mesh) -> int:
     if mesh.kind != "plane_stress_2d":
         raise MeshError("angular order identification needs a disk mesh")
     theta, u_rad = _rim_radial(mesh, mode_vector)
-    return _dominant_harmonic(theta, u_rad)
+    return _dominant_harmonic(_harmonic_basis(theta), u_rad)
 
 
 def disk_modal_fem(geom: DiskGeometry, mat: Material, mesh: Mesh,
@@ -828,12 +1032,13 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
             f"expected 3 rigid-body modes for a free disk, found {n_rigid}")
 
     theta, u_rads = _rim_radial(mesh, np.array([vec for _, vec in modes[3:]]))
+    basis = _harmonic_basis(theta)
     free = sys.free_dofs()
 
     results = []
     for (freq, vec), u_rad in zip(modes[3:], u_rads):
         try:
-            order = _dominant_harmonic(theta, u_rad)
+            order = _dominant_harmonic(basis, u_rad)
         except AmbiguousAngularOrderError:
             order = 0
         rim = float(np.max(np.abs(u_rad)))

@@ -315,6 +315,25 @@ def test_help_exits_0(capsys):
     assert "usage: resokit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--drawn", "80 nm", "--tunnel", "1 um", "--json", "{out}"],
+    ["respond", "--config", "{beam}", "--csv", "{out}"],
+    ["respond", "--config", "{beam}", "--circuit-json", "{out}"],
+    ["compare-detection", "--config", "{mos}", "--csv", "{out}"],
+    ["fem", "--config", "{beam}", "--mesh-out", "{out}"],
+    ["fem", "--config", "{disk}", "--modes", "2", "--modes-csv", "{out}"],
+], ids=["json", "csv", "circuit-json", "detection-csv", "mesh-out", "modes-csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_is_usage_error(beam_config, mos_beam_config, disk_config,
+                                          tmp_path, capsys, argv, where):
+    out = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+    assert main([a.format(beam=beam_config, mos=mos_beam_config, disk=disk_config,
+                          out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
 class TestFem:
     def test_disk_modes_csv_solves_once(self, disk_config, tmp_path, monkeypatch):
         calls = []

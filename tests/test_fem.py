@@ -155,8 +155,7 @@ class TestOneBeamElement:
         n_free = ndof - 4 if clamped else ndof
         dofs = 2 * np.arange(n)[:, None] + np.arange(4)
         for block, e in ((kk, fem._KE0), (mm, fem._ME0)):
-            old = fem._scatter(dofs, np.broadcast_to(e, (n, 4, 4)),
-                               np.broadcast_to(e, (n, 4, 4)), ndof, n_free)[0]
+            old = _triplet_scatter(dofs, np.broadcast_to(e, (n, 4, 4)), ndof, n_free)
             if clamped:
                 old = old[2:-2, 2:-2]
             assert type(block) is type(old)
@@ -377,6 +376,21 @@ def _dense_scatter(dofs, blocks, ndof):
                        minlength=ndof * ndof).reshape(ndof, ndof)
 
 
+def _triplet_scatter(dofs, blocks, ndof, n_free):
+    """Assembly as it was before the scatter plan (reference): dense at or
+    below _SPARSE_MIN_DOF free dofs, else CSC from the triplets, sorted by
+    one np.unique of the keys col*ndof + row, without exact zeros."""
+    if n_free <= fem._SPARSE_MIN_DOF:
+        return _dense_scatter(dofs, blocks, ndof)
+    keys, slot = np.unique((dofs[:, None, :] * ndof + dofs[:, :, None]).ravel(),
+                           return_inverse=True)
+    data = np.bincount(slot, weights=blocks.ravel(), minlength=len(keys))
+    nonzero = data != 0
+    cols, rows = np.divmod(keys[nonzero], ndof)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ndof))))
+    return fem._csc_type()((data[nonzero], rows, indptr), shape=(ndof, ndof))
+
+
 def _assert_canonical_csc(a):
     """Sorted, duplicate-free row indices in every column; no stored zero."""
     assert isinstance(a, csc_array)
@@ -392,16 +406,20 @@ class TestSparseStorage:
 
     @staticmethod
     def _assemble_recording(monkeypatch, assemble, *args):
+        # the element matrices that reach _system, scattered by the
+        # reference at the dofs of the mesh's elements
         calls = []
-        scatter = fem._scatter
+        system = fem._system
 
-        def recording(dofs, ke, me, ndof, n_free):
-            calls.append((dofs, ke, me, ndof))
-            return scatter(dofs, ke, me, ndof, n_free)
+        def recording(plan, ke, me, mesh=None):
+            calls.append((ke, me, mesh))
+            return system(plan, ke, me, mesh)
 
-        monkeypatch.setattr(fem, "_scatter", recording)
+        monkeypatch.setattr(fem, "_system", recording)
         sys_ = assemble(*args)
-        (dofs, ke, me, ndof), = calls
+        (ke, me, mesh), = calls
+        ndof = 2 * len(mesh.nodes)
+        dofs = (2 * mesh.elements[:, :, None] + np.arange(2)).reshape(len(mesh.elements), -1)
         return sys_, _dense_scatter(dofs, ke, ndof), _dense_scatter(dofs, me, ndof)
 
     def _check(self, sys_, k_ref, m_ref):
@@ -761,25 +779,45 @@ class TestScaledBeam:
     @pytest.mark.parametrize("clamped", [True, False])
     def test_beam_shares_unit_structure(self, ref_beam, silicon, n, clamped):
         beam = assemble_beam(ref_beam, silicon, n, clamped)
-        unit, _, band = fem._unit_beam_system(n, clamped)
-        assert band[3] == 3   # half-bandwidth under node-major numbering
-        for name in ("dof_map", "constraints", "_free", "_tdofs", "_tnode_dofs"):
-            assert getattr(beam, name) is getattr(unit, name)
+        unit = fem._unit_beam_system(n, clamped)
+        assert unit.band[3] == 3   # half-bandwidth under node-major numbering
+        for name, shared in (("dof_map", unit.layout.dof_map),
+                             ("constraints", unit.layout.constraints),
+                             ("_free", unit.layout.free), ("_tdofs", unit.layout.tdofs),
+                             ("_tnode_dofs", unit.layout.tnode_dofs)):
+            assert getattr(beam, name) is shared
         assert (beam._kf is beam.stiffness) == (not clamped)
-        for own, shared in ((beam.stiffness, unit.stiffness), (beam.mass, unit.mass),
-                            (beam._kf, unit._kf), (beam._mf, unit._mf)):
-            if isinstance(own, np.ndarray):
+        assert (unit.kf is unit.k) == (not clamped)
+        for own, entries in ((beam.stiffness, unit.k), (beam.mass, unit.m),
+                             (beam._kf, unit.kf), (beam._mf, unit.mf)):
+            if isinstance(own, np.ndarray):   # the unit keeps only the shape
                 assert not own.flags.writeable and own.flags.c_contiguous
+                assert entries.form == own.shape
                 continue
             _assert_canonical_csc(own)
             assert not own.data.flags.writeable
-            assert np.shares_memory(own.indices, shared.indices)
-            assert np.shares_memory(own.indptr, shared.indptr)
+            assert np.shares_memory(own.indices, entries.form.indices)
+            assert np.shares_memory(own.indptr, entries.form.indptr)
         for k, m in ((beam.stiffness, beam.mass), (beam._kf, beam._mf)):
             if not isinstance(k, np.ndarray):
                 for a in (k.data, k.indices, k.indptr):
                     for b in (m.data, m.indices, m.indptr):
                         assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    def test_dense_unit_keeps_no_dense_matrix(self, cold_unit_caches, clamped):
+        # the cached 128-element unit keeps entry tables and shapes (its
+        # dense K0, M0 and free blocks were 2.1 MB); a cold eigensolve
+        # rebuilds the dense free blocks bitwise
+        unit = fem._unit_beam_system(128, clamped)
+        tables = (unit.k, unit.m, unit.kf, unit.mf)
+        assert all(isinstance(e.form, tuple) for e in tables)
+        kept = {id(a): a.nbytes for e in tables for a in e[:4] if a is not None}
+        assert sum(kept.values()) < 100_000
+        k0, m0 = _unit_pencil(128, clamped)
+        vals, vecs = fem._unit_beam_modes(128, clamped, 4)
+        ref_vals, ref_vecs = eigh(k0, m0, subset_by_index=(0, 3))
+        assert _bits_equal(vals, ref_vals) and _bits_equal(vecs, ref_vecs)
 
     @pytest.mark.parametrize("n", [16, 200])
     @pytest.mark.parametrize("unit_gate", [True, False], ids=["unit-gated", "beam-gated"])
@@ -860,6 +898,33 @@ class TestBackwardErrorGate:
             assert recorded[-1] == pytest.approx(_jacobi_backward_errors(sys_, modes),
                                                  rel=1e-6, abs=1e-17)
             assert recorded[-1].max() <= fem._BACKWARD_BOUND == 1e-12
+
+
+class TestCachedBackwardNorms:
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [8, 64, 128, 151, 152, 512, 1024])
+    def test_equal_to_per_call_norms(self, silicon, n, clamped):
+        # ||DKD||_F and ||DMD||_F of every beam are its unit system's
+        # (||DMD|| over the eigenvalue scale), whatever the beam's size
+        for geom in (BeamGeometry(10e-6, 0.46e-6, 0.4e-6, VibrationAxis.IN_PLANE),
+                     BeamGeometry(37e-6, 2e-6, 1e-6, VibrationAxis.OUT_OF_PLANE),
+                     BeamGeometry(1e-3, 1e-6, 3e-6, VibrationAxis.IN_PLANE)):
+            sys_ = assemble_beam(geom, silicon, n, clamped)
+            cached = sys_._unit_beam[4]
+            per_call = fem._scaled_norms(sys_._kf, sys_._mf)
+            assert cached == pytest.approx(per_call, rel=1e-14, abs=0)
+
+    def test_beam_solve_computes_no_norm(self, monkeypatch, ref_beam, silicon):
+        sys_ = assemble_beam(ref_beam, silicon, 64)
+
+        def refuse(*args):
+            raise AssertionError("the scaled norms were computed per call")
+
+        monkeypatch.setattr(fem, "_scaled_norms", refuse)
+        assert len(solve_modes(sys_, 4)) == 4
+        direct = AssembledSystem(sys_.stiffness, sys_.mass, sys_.dof_map, sys_.constraints)
+        with pytest.raises(AssertionError, match="per call"):
+            solve_modes(direct, 4)
 
 
 class TestSignConvention:
@@ -1017,6 +1082,252 @@ class TestDiskMesh:
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(MeshError):
             Mesh(nodes=nodes, elements=np.array([[0, 1, 7]]), kind="plane_stress_2d")
+
+
+def _loop_mesh_disk(geom, target_edge):
+    """(nodes, elements) of mesh_disk as it was built before the topology
+    cache, node by node (reference)."""
+    r_out = geom.radius
+    m = max(4, round(r_out / target_edge))
+    nodes, rings = [(0.0, 0.0)], [[0]]
+    for i in range(1, m + 1):
+        r = r_out * i / m
+        cnt = 6 * i
+        ring = []
+        for j in range(cnt):
+            th = 2 * math.pi * j / cnt
+            ring.append(len(nodes))
+            nodes.append((r * math.cos(th), r * math.sin(th)))
+        rings.append(ring)
+    tris = []
+    for i in range(m):
+        inner, outer = rings[i], rings[i + 1]
+        ni, no = len(inner), len(outer)
+        if ni == 1:
+            tris += [(0, outer[j], outer[(j + 1) % no]) for j in range(no)]
+            continue
+        a = b = 0
+        while a < ni or b < no:
+            if (b >= no) or (a < ni and (a + 1) * no <= (b + 1) * ni):
+                tris.append((inner[a % ni], outer[b % no], inner[(a + 1) % ni]))
+                a += 1
+            else:
+                tris.append((inner[a % ni], outer[b % no], outer[(b + 1) % no]))
+                b += 1
+    return np.array(nodes), np.array(tris)
+
+
+def _csc_parts_equal(a, b):
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and _bits_equal(a, b)
+    return all(x.dtype == y.dtype and np.array_equal(x.view(np.uint64) if x.dtype == float
+                                                     else x, y.view(np.uint64)
+                                                     if y.dtype == float else y)
+               for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+
+def _assert_same_disk(got, ref):
+    """Two solve_disk results bitwise equal: K, M, free blocks, dof tables,
+    mode vectors and ModeResults."""
+    (sys_a, modes_a, res_a), (sys_b, modes_b, res_b) = got, ref
+    for name in ("stiffness", "mass", "_kf", "_mf"):
+        assert _csc_parts_equal(getattr(sys_a, name), getattr(sys_b, name))
+    assert sys_a.dof_map == sys_b.dof_map and sys_a.constraints == sys_b.constraints
+    for name in ("_free", "_tdofs", "_tnode_dofs"):
+        a, b = getattr(sys_a, name), getattr(sys_b, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert [repr(f) for f, _ in modes_a] == [repr(f) for f, _ in modes_b]
+    assert all(_bits_equal(va, vb) for (_, va), (_, vb) in zip(modes_a, modes_b))
+    assert len(res_a) == len(res_b)
+    for a, b in zip(res_a, res_b):
+        assert repr(a.to_dict()) == repr(b.to_dict())   # repr of every float
+
+
+@pytest.fixture
+def cold_disk_topologies():
+    """An empty disk-topology cache before and after the test."""
+    fem._disk_topology.cache_clear()
+    yield
+    fem._disk_topology.cache_clear()
+
+
+class TestDiskTopology:
+    """mesh_disk builds each ring count's topology once (_disk_topology):
+    connectivity, per-node ring index and cos/sin, the scatter plan and the
+    rim order. Meshes, systems and modes are bitwise those of the uncached
+    construction."""
+
+    @pytest.mark.parametrize("divisor", [4.4, 5, 7, 8, 12, 20])
+    def test_mesh_bitwise_equal_to_loop(self, ref_disk, cold_disk_topologies, divisor):
+        for radius in (ref_disk.radius, 3.020276102957687e-06, 17.3e-6):
+            geom = DiskGeometry(radius, 0.4e-6)
+            mesh = mesh_disk(geom, radius / divisor)
+            nodes, tris = _loop_mesh_disk(geom, radius / divisor)
+            assert _bits_equal(mesh.nodes, nodes) and mesh.nodes.flags.c_contiguous
+            assert mesh.elements.dtype == tris.dtype and np.array_equal(mesh.elements, tris)
+            assert mesh._topology is fem._disk_topology(max(4, round(divisor)))
+
+    @pytest.mark.parametrize("divisor", [5, 8, 12])
+    def test_cold_warm_and_uncached_bitwise(self, ref_disk, silicon, cold_disk_topologies,
+                                            divisor):
+        filler = DiskGeometry(7.1e-6, 1.3e-6)
+        cold = fem.solve_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / divisor))
+        fem.solve_disk(filler, silicon, mesh_disk(filler, filler.radius / divisor))
+        mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
+        _assert_same_disk(fem.solve_disk(ref_disk, silicon, mesh), cold)
+        # the same mesh built by a caller: no topology, its own plan
+        caller = Mesh(nodes=mesh.nodes.copy(), elements=mesh.elements.copy(),
+                      kind="plane_stress_2d")
+        assert caller._topology is None
+        _assert_same_disk(fem.solve_disk(ref_disk, silicon, caller), cold)
+
+    @pytest.mark.parametrize("divisor", [5, 12])
+    def test_permuted_caller_mesh(self, monkeypatch, ref_disk, silicon, divisor):
+        # elements shuffled and their vertices rotated (still CCW): K and M
+        # are the reference scatter of the caller's elements and the modes
+        # those of the structured mesh
+        mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
+        rng = np.random.default_rng(divisor)
+        perm = rng.permutation(len(mesh.elements))
+        shift = rng.integers(0, 3, len(perm))
+        elements = mesh.elements[perm][np.arange(len(perm))[:, None],
+                                      (np.arange(3) + shift[:, None]) % 3]
+        caller = Mesh(nodes=mesh.nodes, elements=elements, kind="plane_stress_2d")
+        sys_, k_ref, m_ref = TestSparseStorage._assemble_recording(
+            monkeypatch, assemble_disk, ref_disk, silicon, caller)
+        TestSparseStorage()._check(sys_, k_ref, m_ref)
+        base = assemble_disk(ref_disk, silicon, mesh)
+        for a, b in ((sys_.stiffness, base.stiffness), (sys_.mass, base.mass)):
+            if not isinstance(a, np.ndarray):
+                a, b = a.toarray(), b.toarray()
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * abs(b).max())
+        freqs = [f for f, _ in solve_modes(sys_, 9)[3:]]
+        assert freqs == pytest.approx([f for f, _ in solve_modes(base, 9)[3:]], rel=1e-9)
+
+    def test_rim_order_is_the_computed_one(self, ref_disk):
+        for divisor in (4.4, 6, 9, 16, 31):
+            for radius in (1e-9, ref_disk.radius, 1.0, 1e3):
+                mesh = mesh_disk(DiskGeometry(radius, 0.1 * radius), radius / divisor)
+                assert np.array_equal(mesh._topology.rim, fem._rim_nodes(mesh.nodes))
+
+    @pytest.mark.parametrize("divisor", [5, 12])
+    def test_symmetry_gate_reads_the_stored_matrices(self, monkeypatch, ref_disk, silicon,
+                                                     divisor):
+        # the gate's max|A - A^T| and max|A| on the slot sums are those of the
+        # stored K and M
+        recorded = []
+        gate = fem._gate
+
+        def recording(k, kt, m, mt, mf, positive_definite):
+            recorded.append((abs(k - kt).max(), abs(k).max(), abs(m - mt).max(), abs(m).max()))
+            return gate(k, kt, m, mt, mf, positive_definite)
+
+        monkeypatch.setattr(fem, "_gate", recording)
+        sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / divisor))
+        ref = []
+        for a in (sys_.stiffness, sys_.mass):
+            if not isinstance(a, np.ndarray):
+                a = a.toarray()
+            ref += [abs(a - a.T).max(), abs(a).max()]
+        assert recorded == [tuple(ref)] and ref[0] > 0
+
+    @pytest.mark.parametrize("divisor", [5, 8])
+    def test_asymmetric_element_matrix_refused(self, monkeypatch, ref_disk, silicon,
+                                               divisor):
+        template = fem._ME_TRI.copy()
+        template[0, 2] *= 1.5
+        monkeypatch.setattr(fem, "_ME_TRI", template)
+        with pytest.raises(InvariantError, match="mass matrix not symmetric"):
+            assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / divisor))
+
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_asymmetric_unit_element_refused(self, monkeypatch, cold_unit_caches, n):
+        asymmetric = fem._KE0.copy()
+        asymmetric[0, 1] += 1
+        monkeypatch.setattr(fem, "_KE0", asymmetric)
+        with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
+            fem._unit_beam_system(n, True)
+
+    def test_cache_is_bounded(self):
+        assert fem._disk_topology.cache_info().maxsize == fem._DISK_TOPOLOGY_CACHE == 8
+
+    def test_topology_is_read_only(self, ref_disk):
+        top = mesh_disk(ref_disk, ref_disk.radius / 8)._topology
+        arrays = [top.ring, top.unit, top.elements, top.rim, top.plan.slot, top.plan.rows,
+                  top.plan.indptr, top.plan.transpose, top.plan.layout.free]
+        assert all(not a.flags.writeable for a in arrays)
+        assert all(a.dtype == np.int32 for a in arrays[4:8])
+
+
+def _component_matrices(seed):
+    """Random symmetric matrices of even size: (matrix, decoupled) with
+    decoupled = even and odd dofs uncoupled with equal blocks."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    ms = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3)
+    ms = ms + ms.T + np.diag(rng.uniform(0.5, 2.0, n))
+    if rng.random() < 0.5:   # diagonally dominant: positive definite
+        ms += np.diag(np.abs(ms).sum(axis=1))
+    a = np.kron(ms, np.eye(2))
+    kind = rng.integers(0, 3)
+    if kind == 1:   # an even-odd coupling
+        i, j = 2 * rng.integers(0, n), 2 * rng.integers(0, n) + 1
+        a[i, j] = a[j, i] = rng.normal()
+    elif kind == 2:   # uncoupled, but the odd block differs
+        i = 2 * rng.integers(0, n) + 1
+        a[i, i] *= rng.choice([-1.0, 0.5, 3.0])
+    return a, kind == 0
+
+
+class TestComponentMassGate:
+    """_positive_definite factors only the even-dof block of a matrix whose
+    even and odd dofs are uncoupled with equal blocks (a disk's mass); it
+    agrees with the full factorization on any symmetric matrix."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_agrees_with_full_factorization(self, sparse):
+        verdicts = {True: [], False: []}
+        for seed in range(400):
+            a, decoupled = _component_matrices(seed)
+            eig = np.linalg.eigvalsh(a)
+            if abs(eig).min() < 1e-6 * abs(eig).max():   # too near singular to compare
+                continue
+            stored = fem._csc_type()(a) if sparse else a
+            block = fem._component_block(stored)
+            assert (block is not None) == decoupled
+            if block is not None:
+                assert type(block) is type(stored) and block.shape == (len(a) // 2,) * 2
+            assert fem._positive_definite(stored) == (eig.min() > 0)
+            verdicts[decoupled].append(eig.min() > 0)
+        for found in verdicts.values():   # PD and indefinite, decoupled and coupled
+            assert 20 < sum(found) < len(found) - 20
+
+    def test_disk_mass_is_reduced(self, disk_r12, monkeypatch):
+        block = fem._component_block(disk_r12.mass)
+        assert block is not None and block.shape[0] == len(disk_r12.dof_map) // 2
+        assert _bits_equal(block.toarray(), disk_r12.mass.toarray()[0::2, 0::2])
+        sizes = []
+        lu = fem._symmetric_lu
+
+        def recording(a):
+            sizes.append(a.shape[0])
+            return lu(a)
+
+        monkeypatch.setattr(fem, "_symmetric_lu", recording)
+        assert fem._positive_definite(disk_r12.mass)
+        assert sizes == [len(disk_r12.dof_map) // 2]
+
+    @pytest.mark.parametrize("divisor", [5, 8])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_indefinite_mass_template_refused(self, monkeypatch, ref_disk, silicon,
+                                              divisor, coupled):
+        template = fem._ME_TRI.copy()
+        template[[0, 1], [2, 3]] = template[[2, 3], [0, 1]] = 3.0   # |offdiag| > diag
+        if coupled:
+            template[0, 1] = template[1, 0] = 0.01
+        monkeypatch.setattr(fem, "_ME_TRI", template)
+        with pytest.raises(InvariantError, match="mass matrix not positive-definite"):
+            assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / divisor))
 
 
 @pytest.fixture(scope="module")
