@@ -83,6 +83,7 @@ _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
 _BACKWARD_BOUND = 1e-12    # Jacobi-scaled backward-error bound per returned mode
 _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
 _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and solve
+_SHIFT_RATIO = 1e-7        # shift-invert sigma, below 0, vs the median diag(K)/diag(M)
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _SIGN_RTOL = 1e-6          # translational entries this close to the largest tie for the sign
 _UNIT_BEAM_CACHE = 8       # unit-beam systems and eigenpair sets kept, each
@@ -791,19 +792,26 @@ def _dense_modes(a: np.ndarray, b: np.ndarray, k: int):
 def _shift_invert_modes(kk, mm, k: int):
     """k lowest eigenpairs of the CSC pencil (kk, mm), ascending; needs 4k < n.
 
-    The shift sits just below zero, at 1e-12 of the median diagonal ratio,
-    so K - sigma*M is positive definite even with rigid-body modes (a shift
-    of 1e-6 of that ratio returned wrong eigenpairs on 1024-element and
-    free-free beams). ARPACK starts from a fixed vector, so the result is
-    deterministic, and finds 2k pairs: asked for k alone it split
-    degenerate disk pairs at the window edge, missed an eigenvalue at k = 12
-    on disks R/8 to R/20 and left residuals up to 1e-7. One
-    inverse-iteration step with the same factorization and a 2k x 2k
-    Rayleigh-Ritz projection then bring the disk residuals below 1e-9.
+    The shift sits below zero, at _SHIFT_RATIO (1e-7) of the median
+    diagonal ratio, so K - sigma*M is positive definite even with
+    rigid-body modes. Closer to zero K - sigma*M is nearly singular and
+    its LU solves lose digits in the rigid directions: over the disks of
+    the benchmark's fem-converge seeds 1-10, R/7 to R/20, k = 4 to 13, a
+    shift of 1e-12 of that ratio left 22 of 1400 solves above
+    _BACKWARD_BOUND (worst 7e-12). At 1e-7 none of 7000 (seeds 1-50) is
+    above it, worst 9e-13; at 1e-6, 8 are (worst 2e-11). Unit-beam
+    eigenvalues (151-1024 elements, k <= 8) move from the 1e-12 shift's by
+    at most 1.4e-7 relative, the conditioning of the 1024-element pencil.
+    ARPACK starts from a fixed vector, so the result is deterministic, and
+    finds 2k pairs: asked for k alone it split degenerate disk pairs at
+    the window edge, missed an eigenvalue at k = 12 on disks R/8 to R/20
+    and left residuals up to 1e-7. One inverse-iteration step with the
+    same factorization and a 2k x 2k Rayleigh-Ritz projection then bring
+    the disk residuals below 1e-9.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
     n = kk.shape[0]
-    sigma = -1e-12 * float(np.median(kk.diagonal() / mm.diagonal()))
+    sigma = -_SHIFT_RATIO * float(np.median(kk.diagonal() / mm.diagonal()))
     lu = _symmetric_lu(kk - sigma * mm)
     op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     _, vecs = eigsh(kk, 2 * k, M=mm, sigma=sigma, OPinv=op, v0=np.ones(n))

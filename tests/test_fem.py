@@ -8,7 +8,7 @@ from scipy.sparse import eye_array as sparse_eye
 
 from resokit import fem
 from resokit.analytic import beam_mode_frequency, disk_wineglass_frequency
-from resokit.core import BeamGeometry, DiskGeometry, VibrationAxis
+from resokit.core import BeamGeometry, DiskGeometry, Material, VibrationAxis
 from resokit.errors import (AmbiguousAngularOrderError, EigenSolveError,
                             InvariantError, MeshError)
 from resokit.fem import (AssembledSystem, Mesh, assemble_beam, assemble_disk,
@@ -898,6 +898,33 @@ class TestBackwardErrorGate:
             assert recorded[-1] == pytest.approx(_jacobi_backward_errors(sys_, modes),
                                                  rel=1e-6, abs=1e-17)
             assert recorded[-1].max() <= fem._BACKWARD_BOUND == 1e-12
+
+
+# the fem-converge seed-1 disk, which K - sigma*M with sigma at 1e-12 of the
+# median diag(K)/diag(M) left above the backward-error bound at R/12
+_SEED1_DISK = (DiskGeometry(3.020276102957687e-06, 5.264802234123511e-07),
+               Material(138061854646.74408, 2369.4867473874465, 0.2763774618976614))
+
+
+class TestShiftInvertShift:
+    def test_seed1_disk_passes_the_gates(self):
+        geom, mat = _SEED1_DISK
+        results = disk_modal_fem(geom, mat, mesh_disk(geom, geom.radius / 12))
+        assert len(results) == 6 and [r.mode_order for r in results[:2]] == [2, 2]
+
+    @pytest.mark.parametrize("divisor", [8, 12])
+    @pytest.mark.parametrize("which", ["reference", "seed-1"])
+    def test_k_sweep(self, ref_disk, silicon, which, divisor):
+        geom, mat = (ref_disk, silicon) if which == "reference" else _SEED1_DISK
+        sys_ = assemble_disk(geom, mat, mesh_disk(geom, geom.radius / divisor))
+        assert len(sys_.free_dofs()) > fem._SPARSE_MIN_DOF
+        oracle = eigh(sys_.stiffness.toarray(), sys_.mass.toarray(), subset_by_index=(0, 12),
+                      eigvals_only=True)
+        for k in range(4, 14):
+            modes = solve_modes(sys_, k)
+            assert np.max(_jacobi_backward_errors(sys_, modes)) <= 1e-13
+            lams = [(2 * math.pi * f) ** 2 for f, _ in modes]
+            assert lams[3:] == pytest.approx(oracle[3:k], rel=1e-10)
 
 
 class TestCachedBackwardNorms:
