@@ -468,12 +468,12 @@ def _system(plan: _Plan, ke, me, mesh: Mesh | None = None) -> AssembledSystem:
                                 minlength=plan.n_slots) for e in (ke, me))
     if plan.rows is None:
         k, m = (_readonly(s.reshape(ndof, ndof)) for s in (k_sum, m_sum))
-        k_sum, k_t, m_sum, m_t = k, k.T, m, m.T
+        gated = (k, k.T, m, m.T)
     else:
-        k_t, m_t = k_sum[plan.transpose], m_sum[plan.transpose]
         k, m = (_compressed(plan, s) for s in (k_sum, m_sum))
+        gated = (k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose])
     kf, mf = _free_blocks(layout.free, k, m)
-    _gate(k_sum, k_t, m_sum, m_t, mf, _positive_definite)
+    _gate(*gated, mf, _positive_definite)
     return AssembledSystem._of(layout, k, m, kf, mf, mesh)
 
 

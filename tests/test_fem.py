@@ -422,7 +422,8 @@ class TestSparseStorage:
         dofs = (2 * mesh.elements[:, :, None] + np.arange(2)).reshape(len(mesh.elements), -1)
         return sys_, _dense_scatter(dofs, ke, ndof), _dense_scatter(dofs, me, ndof)
 
-    def _check(self, sys_, k_ref, m_ref):
+    @staticmethod
+    def _check(sys_, k_ref, m_ref):
         free = sys_.free_dofs()
         sparse = len(free) > fem._SPARSE_MIN_DOF
 
@@ -1144,13 +1145,14 @@ def _loop_mesh_disk(geom, target_edge):
     return np.array(nodes), np.array(tris)
 
 
-def _csc_parts_equal(a, b):
+def _stored_equal(a, b):
+    """Dense arrays, or CSC data, indices and indptr, bitwise equal with
+    their dtypes."""
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and _bits_equal(a, b)
-    return all(x.dtype == y.dtype and np.array_equal(x.view(np.uint64) if x.dtype == float
-                                                     else x, y.view(np.uint64)
-                                                     if y.dtype == float else y)
-               for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+    return _bits_equal(a.data, b.data) and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in ((a.indices, b.indices), (a.indptr, b.indptr)))
 
 
 def _assert_same_disk(got, ref):
@@ -1158,7 +1160,7 @@ def _assert_same_disk(got, ref):
     mode vectors and ModeResults."""
     (sys_a, modes_a, res_a), (sys_b, modes_b, res_b) = got, ref
     for name in ("stiffness", "mass", "_kf", "_mf"):
-        assert _csc_parts_equal(getattr(sys_a, name), getattr(sys_b, name))
+        assert _stored_equal(getattr(sys_a, name), getattr(sys_b, name))
     assert sys_a.dof_map == sys_b.dof_map and sys_a.constraints == sys_b.constraints
     for name in ("_free", "_tdofs", "_tnode_dofs"):
         a, b = getattr(sys_a, name), getattr(sys_b, name)
@@ -1222,7 +1224,7 @@ class TestDiskTopology:
         caller = Mesh(nodes=mesh.nodes, elements=elements, kind="plane_stress_2d")
         sys_, k_ref, m_ref = TestSparseStorage._assemble_recording(
             monkeypatch, assemble_disk, ref_disk, silicon, caller)
-        TestSparseStorage()._check(sys_, k_ref, m_ref)
+        TestSparseStorage._check(sys_, k_ref, m_ref)
         base = assemble_disk(ref_disk, silicon, mesh)
         for a, b in ((sys_.stiffness, base.stiffness), (sys_.mass, base.mass)):
             if not isinstance(a, np.ndarray):
