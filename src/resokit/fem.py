@@ -1053,7 +1053,7 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
         if rim <= 0:
             continue
         scaled = vec[free] / rim
-        m_eff = float(scaled @ sys._mf @ scaled)
+        m_eff = float(scaled @ (sys._mf @ scaled))   # M v: a CSC M needs no transposed copy
         w0 = 2 * math.pi * freq
         amp = _translational_amplitude(sys, vec)
         shape = amp / np.max(amp)
