@@ -83,7 +83,7 @@ _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
 _BACKWARD_BOUND = 1e-12    # Jacobi-scaled backward-error bound per returned mode
 _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
 _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and solve
-_SHIFT_RATIO = 1e-7        # shift-invert sigma, below 0, vs the median diag(K)/diag(M)
+_SHIFT_RATIO = 1e-9        # shift-invert sigma, below 0, vs the median diag(K)/diag(M)
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _SIGN_RTOL = 1e-6          # translational entries this close to the largest tie for the sign
 _UNIT_BEAM_CACHE = 8       # unit-beam systems and eigenpair sets kept, each
@@ -792,14 +792,17 @@ def _dense_modes(a: np.ndarray, b: np.ndarray, k: int):
 def _shift_invert_modes(kk, mm, k: int):
     """k lowest eigenpairs of the CSC pencil (kk, mm), ascending; needs 4k < n.
 
-    The shift sits below zero, at _SHIFT_RATIO (1e-7) of the median
+    The shift sits below zero, at _SHIFT_RATIO (1e-9) of the median
     diagonal ratio, so K - sigma*M is positive definite even with
-    rigid-body modes. Closer to zero K - sigma*M is nearly singular and
-    its LU solves lose digits in the rigid directions: over the disks of
-    the benchmark's fem-converge seeds 1-10, R/7 to R/20, k = 4 to 13, a
-    shift of 1e-12 of that ratio left 22 of 1400 solves above
-    _BACKWARD_BOUND (worst 7e-12). At 1e-7 none of 7000 (seeds 1-50) is
-    above it, worst 9e-13; at 1e-6, 8 are (worst 2e-11). Unit-beam
+    rigid-body modes. The ratio trades accuracy for Lanczos steps. Over
+    the disks of the benchmark's fem-converge seeds (R/7 to R/20, k = 4 to
+    13, 1400 solves per 10 seeds), at 1e-12 K - sigma*M is nearly singular
+    and 22 of the 1400 solves of seeds 1-10 end above _BACKWARD_BOUND
+    (worst 7e-12). At 1e-9, 3 of 7000 (seeds 1-50) do, each at most
+    1.04e-12, with 48-51 LU solves per k = 9 solve at R/16 and R/20 (48 at
+    1e-12). Farther from zero ARPACK restarts more often: 3e-9 had none of
+    2800 above the bound but 54-56 solves, 1e-7 none of 7000 but 56-63,
+    and 1e-6 had 8 of 7000 above it (worst 2e-11) and 62. Unit-beam
     eigenvalues (151-1024 elements, k <= 8) move from the 1e-12 shift's by
     at most 1.4e-7 relative, the conditioning of the 1024-element pencil.
     ARPACK starts from a fixed vector, so the result is deterministic, and

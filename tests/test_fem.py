@@ -921,9 +921,9 @@ class TestShiftInvertShift:
         assert len(sys_.free_dofs()) > fem._SPARSE_MIN_DOF
         oracle = eigh(sys_.stiffness.toarray(), sys_.mass.toarray(), subset_by_index=(0, 12),
                       eigvals_only=True)
-        for k in range(4, 14):
+        for k in range(4, 14):   # a quarter of the gate's bound at every k
             modes = solve_modes(sys_, k)
-            assert np.max(_jacobi_backward_errors(sys_, modes)) <= 1e-13
+            assert np.max(_jacobi_backward_errors(sys_, modes)) <= 2.5e-13
             lams = [(2 * math.pi * f) ** 2 for f, _ in modes]
             assert lams[3:] == pytest.approx(oracle[3:k], rel=1e-10)
 
