@@ -567,7 +567,8 @@ def _unit_beam_system(n_elements: int, clamped: bool) -> _UnitBeam:
     k, m = (entries(a, odd, True) for a in (unit.stiffness, unit.mass))
     kf, mf = ((k, m) if unit._kf is unit.stiffness else
               (entries(a, odd[unit.free_dofs()], False) for a in (unit._kf, unit._mf)))
-    return _UnitBeam(plan.layout, k, m, kf, mf, _lower_band(unit._mf), _scaled_norms(unit._kf, unit._mf))
+    return _UnitBeam(plan.layout, k, m, kf, mf, _lower_band(unit._mf),
+                     _scaled_norms(unit._kf, unit._mf))
 
 
 def _scaled(entries: _Entries, values: np.ndarray):
@@ -792,19 +793,13 @@ def _dense_modes(a: np.ndarray, b: np.ndarray, k: int):
 def _shift_invert_modes(kk, mm, k: int):
     """k lowest eigenpairs of the CSC pencil (kk, mm), ascending; needs 4k < n.
 
-    The shift sits below zero, at _SHIFT_RATIO (1e-9) of the median
-    diagonal ratio, so K - sigma*M is positive definite even with
-    rigid-body modes. The ratio trades accuracy for Lanczos steps. Over
-    the disks of the benchmark's fem-converge seeds (R/7 to R/20, k = 4 to
-    13, 1400 solves per 10 seeds), at 1e-12 K - sigma*M is nearly singular
-    and 22 of the 1400 solves of seeds 1-10 end above _BACKWARD_BOUND
-    (worst 7e-12). At 1e-9, 3 of 7000 (seeds 1-50) do, each at most
-    1.04e-12, with 48-51 LU solves per k = 9 solve at R/16 and R/20 (48 at
-    1e-12). Farther from zero ARPACK restarts more often: 3e-9 had none of
-    2800 above the bound but 54-56 solves, 1e-7 none of 7000 but 56-63,
-    and 1e-6 had 8 of 7000 above it (worst 2e-11) and 62. Unit-beam
-    eigenvalues (151-1024 elements, k <= 8) move from the 1e-12 shift's by
-    at most 1.4e-7 relative, the conditioning of the 1024-element pencil.
+    The shift sits below zero, at _SHIFT_RATIO of the median diagonal
+    ratio, so K - sigma*M is positive definite even with rigid-body modes.
+    The ratio trades accuracy for Lanczos steps: nearer zero (1e-12)
+    K - sigma*M is nearly singular, its solves lose digits in the rigid
+    directions and some disk modes end above _BACKWARD_BOUND; farther from
+    it (1e-7, 1e-6) ARPACK restarts more often, for up to a third more LU
+    solves (sweeps in README.md, "Cost of one design analysis").
     ARPACK starts from a fixed vector, so the result is deterministic, and
     finds 2k pairs: asked for k alone it split degenerate disk pairs at
     the window edge, missed an eigenvalue at k = 12 on disks R/8 to R/20
