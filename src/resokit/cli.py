@@ -230,11 +230,14 @@ def _cmd_optimize(args) -> int:
     profile = _load_profile(args.profile)
     process = _load_process(args.process)
     assumed_q = bcfg.get("assumed_q")
-    candidates = design.optimize(
-        profile, bcfg["family"], bcfg["bounds"], process=process, material=material,
-        assumed_q=None if assumed_q is None else parse_quantity(assumed_q),
-        grid_points=bcfg.get("grid_points", 7),
-        max_results=bcfg.get("max_results", 10))
+    try:
+        candidates = design.optimize(
+            profile, bcfg["family"], bcfg["bounds"], process=process, material=material,
+            assumed_q=None if assumed_q is None else parse_quantity(assumed_q),
+            grid_points=bcfg.get("grid_points", 7),
+            max_results=bcfg.get("max_results", 10))
+    except SchemaError as exc:   # every value optimize checks is the bounds file's
+        raise SchemaError(f"{args.bounds}: {exc}") from None
     ranked = [c.to_dict() for c in candidates]
     for i, c in enumerate(candidates):
         print(f"#{i + 1}: R_x = {c.analysis.r_x!r} ohm, "

@@ -8,20 +8,20 @@ a mesh topology and works out where each element entry is summed; one
 function, _system, sums the element matrices by that plan and gates the
 result, for the unit beam and every disk.
 
-One threshold, _SPARSE_MIN_DOF (300 free dofs), picks both how K and M are
-stored and how they are solved. At or below it, assembly scatters into
-dense ndof x ndof arrays, Cholesky proves the mass matrix SPD and LAPACK
-dsygvx, called directly as scipy.linalg.eigh would call it, returns the
-modes. Above it, assembly sums straight into CSC (no dense matrix is
-ever built), the mass matrix is proved SPD with a sparse LDL^T, and the
-lowest modes come from shift-invert Lanczos (ARPACK) on a sparse LU of
-K - sigma*M, polished by one inverse-iteration step and a Rayleigh-Ritz
-projection (dsygvx again). LAPACK is faster on small systems,
-and ARPACK needs k well below n: a sparse system asked for k >= n/4 modes
-is solved densely too. Both paths share the gates, normalization and
-sign convention. Every returned mode passes a Jacobi-scaled normwise
-backward-error gate (_BACKWARD_BOUND); modes away from the rigid-body
-null space also pass the relative residual gate (_RESIDUAL_BOUND).
+K and M are stored in one form at every size: canonical read-only CSC.
+One threshold, _SPARSE_MIN_DOF (300 free dofs), picks only how a pencil is
+factored. At or below it, Cholesky of the dense copy (toarray) proves the
+mass matrix SPD and LAPACK dsygvx, called directly as scipy.linalg.eigh
+would call it, returns the modes from the dense copies. Above it, the mass
+matrix is proved SPD with a sparse LDL^T, and the lowest modes come from
+shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished by
+one inverse-iteration step and a Rayleigh-Ritz projection (dsygvx again).
+LAPACK is faster on small systems, and ARPACK needs k well below n: a
+larger system asked for k >= n/4 modes is solved densely too. Both paths
+share the gates, normalization and sign convention. Every returned mode
+passes a Jacobi-scaled normwise backward-error gate (_BACKWARD_BOUND);
+modes away from the rigid-body null space also pass the relative residual
+gate (_RESIDUAL_BOUND).
 
 A beam is a scaled copy of its unit system. With le = L/n and D = diag(1,
 le, 1, le, ...), assemble_beam's K is (EI/le^3) D K0 D and its M is
@@ -56,7 +56,7 @@ beam's pairs exactly: lambda = mu * ratio with ratio = (EI/le^3) /
 (rho*A*le/420), and phi = psi / d on the free dofs. assemble_beam refuses a
 ratio that is not finite and > 0, so every beam it returns maps through
 the unit pencil. solve_modes takes (mu, psi) from a small LRU cache keyed
-by (n_elements, clamped, k), filled through the dense/sparse dispatch
+by (n_elements, clamped, k), filled through the factorization dispatch
 above; the gates, normalization and sign convention then run on the
 beam's own K and M. Disks, and systems built with AssembledSystem(...)
 directly, are assembled, gated and solved directly.
@@ -67,6 +67,7 @@ them: importing this module, or building a mesh, loads no scipy module.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
@@ -82,7 +83,7 @@ _SYM_RTOL = 1e-12          # symmetry tolerance for assembled matrices
 _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
 _BACKWARD_BOUND = 1e-12    # Jacobi-scaled backward-error bound per returned mode
 _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
-_SPARSE_MIN_DOF = 300      # more free dofs than this: sparse validation and solve
+_SPARSE_MIN_DOF = 300      # more free dofs than this: sparse factorization and solve
 _SHIFT_RATIO = 1e-9        # shift-invert sigma, below 0, vs the median diag(K)/diag(M)
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _SIGN_RTOL = 1e-6          # translational entries this close to the largest tie for the sign
@@ -173,14 +174,11 @@ class AssembledSystem:
     constraints is the sorted tuple of fixed dof indices. mesh is kept for
     mode identification and export.
 
-    K and M are stored read-only, in the form the solver uses: with at most
-    _SPARSE_MIN_DOF free dofs as C-ordered dense arrays, above it as CSC
+    K and M are stored read-only in one form at every size: canonical CSC
     (sorted row indices, no duplicate or explicit zero entries, K's and
     M's index arrays apart, `nbytes` = bytes of data + indices + indptr; a
     beam shares its read-only index arrays with its cached unit system).
-    Either form is accepted and converted: a dense matrix above the
-    threshold with scipy's csc_array, a sparse one at or below it with
-    toarray.
+    A caller's dense or sparse matrix is converted with scipy's csc_array.
     """
 
     stiffness: object
@@ -207,8 +205,7 @@ class AssembledSystem:
     def __post_init__(self):
         layout = _layout(self.dof_map, self.constraints)
         n = len(layout.dof_map)
-        sparse = len(layout.free) > _SPARSE_MIN_DOF
-        k, m = _stored(self.stiffness, sparse), _stored(self.mass, sparse)
+        k, m = _stored(self.stiffness), _stored(self.mass)
         if k.shape != (n, n) or m.shape != (n, n):
             raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
         kf, mf = _free_blocks(layout.free, k, m)
@@ -238,9 +235,9 @@ class AssembledSystem:
 
 @cache
 def _csc_type():
-    """The CSC class K and M are stored as: scipy's csc_array, plus the
-    `nbytes` that dense arrays have. Built on first use, so that importing
-    this module loads no scipy module."""
+    """The CSC class K and M are stored as: scipy's csc_array, plus an
+    `nbytes` of its data, indices and indptr. Built on first use, so that
+    importing this module loads no scipy module."""
     from scipy.sparse import csc_array
 
     class CSC(csc_array):
@@ -251,19 +248,30 @@ def _csc_type():
     return CSC
 
 
-def _stored(a, sparse: bool):
+def _stored(a):
     """K or M in the form AssembledSystem stores it (see its docstring)."""
-    if not sparse:
-        return _readonly(np.asarray(a.toarray(order="C") if hasattr(a, "tocsc") else a,
-                                    dtype=float))
     csc = _csc_type()
     if type(a) is not csc:   # a caller's matrix; assembly builds canonical CSC
-        a = csc(a, dtype=float, copy=True)
+        try:
+            a = csc(a, dtype=float, copy=True)
+        except (TypeError, ValueError) as exc:
+            raise InvariantError("stiffness and mass must be 2-D numeric matrices: "
+                                 f"{exc}") from None
         a.sum_duplicates()
         a.eliminate_zeros()
+    return _frozen(a)
+
+
+def _frozen(a):
+    """The CSC matrix a, its data and index arrays made read-only."""
     for part in (a.data, a.indices, a.indptr):
         part.flags.writeable = False
     return a
+
+
+def _columns(a) -> np.ndarray:
+    """The column of each stored entry of the CSC matrix a."""
+    return np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
 
 
 def _free_blocks(free: np.ndarray, k, m):
@@ -271,7 +279,7 @@ def _free_blocks(free: np.ndarray, k, m):
     fixed."""
     if len(free) == k.shape[0]:
         return k, m
-    return tuple(a[:, free][free] for a in (k, m))
+    return tuple(_frozen(a[:, free][free]) for a in (k, m))
 
 
 def _symmetric_lu(a):
@@ -282,54 +290,32 @@ def _symmetric_lu(a):
                 options={"SymmetricMode": True})
 
 
-def _values(a) -> np.ndarray:
-    """The stored entries of K, M or a free block: the dense array itself,
-    or the CSC data."""
-    return a if isinstance(a, np.ndarray) else a.data
-
-
-def _nonzeros(a):
-    """(pos, rows, cols) of the nonzero stored entries of a dense or CSC a:
-    their positions in _values(a).ravel(), ascending, and their rows and
-    columns."""
-    if isinstance(a, np.ndarray):
-        rows, cols = np.nonzero(a)
-        return rows * a.shape[1] + cols, rows, cols
-    pos = np.flatnonzero(a.data)
-    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
-    return pos, a.indices[pos], cols[pos]
-
-
 def _gate(k, kt, m, mt, mf, positive_definite):
     """The value gate of every system: K and M finite and symmetric, and M
     positive-definite on the free dofs (positive_definite(mf)). k and m are
     K and M, or arrays of their stored entries; kt and mt hold the same
     entries of the transposes."""
     for name, a, at in (("stiffness", k, kt), ("mass", m, mt)):
-        if not np.isfinite(_values(a)).all():
+        largest = abs(a).max()   # NaN if an entry is NaN
+        if not np.isfinite(largest):
             raise InvariantError(f"{name} matrix has non-finite entries")
-        if abs(a - at).max() > _SYM_RTOL * abs(a).max():
+        if abs(a - at).max() > _SYM_RTOL * largest:
             raise InvariantError(f"{name} matrix not symmetric")
     if not positive_definite(mf):
         raise InvariantError("mass matrix not positive-definite on free dofs")
 
 
 def _component_block(a):
-    """The block of a on its even dofs, stored as a is, when the even and
+    """The CSC block of the CSC matrix a on its even dofs, when the even and
     odd dofs are uncoupled and their two blocks are equal (a = Ms (x) I2 up
     to the dof order, as the CST mass of a disk is); None otherwise."""
     n = a.shape[0]
     if n % 2 or n == 0:
         return None
-    if isinstance(a, np.ndarray):
-        even = a[0::2, 0::2]
-        if a[0::2, 1::2].any() or a[1::2, 0::2].any() or not np.array_equal(even, a[1::2, 1::2]):
-            return None
-        return even
     counts = np.diff(a.indptr)
     if not np.array_equal(counts[0::2], counts[1::2]):
         return None
-    even = np.repeat(np.arange(n) % 2 == 0, counts)   # entries of the even columns
+    even = _columns(a) % 2 == 0   # entries of the even columns
     rows = a.indices
     if not (np.array_equal(rows % 2 == 0, even) and np.array_equal(rows[even], rows[~even] - 1)
             and np.array_equal(a.data[even], a.data[~even])):
@@ -339,16 +325,19 @@ def _component_block(a):
 
 
 def _positive_definite(a) -> bool:
-    """Dense: Cholesky succeeds. CSC: the symmetric LU pivots only on the
-    diagonal (perm_r == perm_c, so it is an LDL^T) and every pivot is
-    positive. Where _component_block finds a = Ms (x) I2, the test runs on
-    Ms alone, an exact reduction: a is positive-definite iff Ms is."""
+    """Whether the CSC matrix a is positive-definite. With at most
+    _SPARSE_MIN_DOF rows: Cholesky of its dense copy succeeds. Above: the
+    symmetric LU pivots only on the diagonal (perm_r == perm_c, so it is an
+    LDL^T) and every pivot is positive. Where _component_block finds
+    a = Ms (x) I2, the test runs on Ms alone, an exact reduction: a is
+    positive-definite iff Ms is."""
+    dense = a.shape[0] <= _SPARSE_MIN_DOF
     block = _component_block(a)
     if block is not None:
         a = block
-    if isinstance(a, np.ndarray):
+    if dense:
         try:
-            np.linalg.cholesky(a)
+            np.linalg.cholesky(a.toarray())
         except np.linalg.LinAlgError:
             return False
         return True
@@ -360,28 +349,28 @@ def _positive_definite(a) -> bool:
 
 
 def _band_positive_definite(a, band) -> bool:
-    """Banded Cholesky (LAPACK dpbtrf, O(n kd^2)) succeeds on a, a dense or
-    CSC matrix whose nonzero entries lie within kd of the diagonal. band is
+    """Banded Cholesky (LAPACK dpbtrf, O(n kd^2)) succeeds on a, a CSC
+    matrix whose stored entries lie within kd of the diagonal. band is
     (src, dst, n, kd): the stored entries src of a's lower band go to the
     flat positions dst of the (n, kd + 1) array whose row j is column j
     from the diagonal down."""
     from scipy.linalg.lapack import dpbtrf
     src, dst, n, kd = band
     ab = np.zeros(n * (kd + 1))
-    ab[dst] = _values(a).ravel()[src]
+    ab[dst] = a.data[src]
     _, info = dpbtrf(ab.reshape(n, kd + 1).T, lower=1, overwrite_ab=1)
     return info == 0
 
 
 def _lower_band(a):
-    """(src, dst, n, kd) of _band_positive_definite for the dense or CSC
-    symmetric matrix a: kd is the largest distance of a nonzero entry from
-    the diagonal, src the nonzero stored entries on or below it."""
-    pos, rows, cols = _nonzeros(a)
+    """(src, dst, n, kd) of _band_positive_definite for the symmetric CSC
+    matrix a: kd is the largest distance of a stored entry from the
+    diagonal, src the stored entries on or below it."""
+    rows, cols = a.indices, _columns(a)
     lower = rows >= cols
     offset = rows[lower] - cols[lower]
     kd = int(offset.max(initial=0))
-    return (_readonly(pos[lower]), _readonly(cols[lower] * (kd + 1) + offset),
+    return (_readonly(np.flatnonzero(lower)), _readonly(cols[lower] * (kd + 1) + offset),
             a.shape[0], kd)
 
 
@@ -411,20 +400,17 @@ def _translational_layout(dof_map):
 class _Plan(NamedTuple):
     """How the element matrices of one mesh topology are summed into K and M.
 
-    slot[e, p, q] (int32) is the stored entry that entry (p, q) of element
-    e's matrix is summed into. With at most _SPARSE_MIN_DOF free dofs it is
-    a row-major position in the dense ndof x ndof matrix (n_slots = ndof^2)
-    and rows, indptr and transpose are None. Above it, the slots are the
-    n_slots distinct (row, column) pairs in CSC order (column, then row):
-    rows (int32) and indptr place them, and transpose[s] (int32) is the
+    slot[e, p, q] (int32) is the slot that entry (p, q) of element e's
+    matrix is summed into. The slots are the distinct (row, column) pairs
+    of the elements' dofs in CSC order (column, then row): rows (int32,
+    one per slot) and indptr place them, and transpose[s] (int32) is the
     slot of the transpose of slot s.
     """
     layout: _Layout
     slot: np.ndarray
-    n_slots: int
-    rows: np.ndarray | None
-    indptr: np.ndarray | None
-    transpose: np.ndarray | None
+    rows: np.ndarray
+    indptr: np.ndarray
+    transpose: np.ndarray
 
 
 def _plan(elements: np.ndarray, comps: tuple, n_nodes: int,
@@ -437,15 +423,12 @@ def _plan(elements: np.ndarray, comps: tuple, n_nodes: int,
     layout = _layout(((node, comp) for node in range(n_nodes) for comp in comps),
                      (nc * node + i for node in fixed_nodes for i in range(nc)))
     shape = dofs.shape + dofs.shape[1:]
-    if len(layout.free) <= _SPARSE_MIN_DOF:
-        slot = dofs[:, :, None] * ndof + dofs[:, None, :]
-        return _Plan(layout, _readonly(slot.astype(np.int32)), ndof * ndof, None, None, None)
     keys, slot = np.unique((dofs[:, None, :] * ndof + dofs[:, :, None]).ravel(),
                            return_inverse=True)
     cols, rows = np.divmod(keys, ndof)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ndof))))
     transpose = np.searchsorted(keys, rows * ndof + cols)
-    return _Plan(layout, _readonly(slot.reshape(shape).astype(np.int32)), len(keys),
+    return _Plan(layout, _readonly(slot.reshape(shape).astype(np.int32)),
                  *(_readonly(a.astype(np.int32)) for a in (rows, indptr, transpose)))
 
 
@@ -455,25 +438,19 @@ def _system(plan: _Plan, ke, me, mesh: Mesh | None = None) -> AssembledSystem:
 
     One bincount per matrix over the plan's slots (Davis, Direct Methods
     for Sparse Linear Systems, ch. 2) sums each entry in element order, as
-    a dense scatter does. In CSC, exact zeros (cancelled couplings, the
-    uncoupled ux-uy entries of a disk's mass) are dropped, as a
-    dense-to-CSC conversion drops them; the symmetry gate reads every slot
-    and its transpose slot, the union of the patterns of K and K^T, so it
-    computes max|K - K^T| as on the stored matrices.
+    a dense scatter does. Exact zeros (cancelled couplings, the uncoupled
+    ux-uy entries of a disk's mass) are dropped, as a dense-to-CSC
+    conversion drops them; the symmetry gate reads every slot and its
+    transpose slot, the union of the patterns of K and K^T, so it computes
+    max|K - K^T| as on the stored matrices.
     """
     layout, shape = plan.layout, plan.slot.shape
-    ndof = len(layout.dof_map)
     slot = plan.slot.ravel()
     k_sum, m_sum = (np.bincount(slot, weights=np.broadcast_to(e, shape).ravel(),
-                                minlength=plan.n_slots) for e in (ke, me))
-    if plan.rows is None:
-        k, m = (_readonly(s.reshape(ndof, ndof)) for s in (k_sum, m_sum))
-        gated = (k, k.T, m, m.T)
-    else:
-        k, m = (_compressed(plan, s) for s in (k_sum, m_sum))
-        gated = (k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose])
+                                minlength=len(plan.rows)) for e in (ke, me))
+    k, m = (_compressed(plan, s) for s in (k_sum, m_sum))
     kf, mf = _free_blocks(layout.free, k, m)
-    _gate(*gated, mf, _positive_definite)
+    _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], mf, _positive_definite)
     return AssembledSystem._of(layout, k, m, kf, mf, mesh)
 
 
@@ -484,11 +461,8 @@ def _compressed(plan: _Plan, data: np.ndarray):
     keep = data != 0
     indptr = np.concatenate(([0], np.cumsum(keep)))[plan.indptr]
     ndof = len(plan.indptr) - 1
-    a = _csc_type()((data[keep], plan.rows[keep].astype(np.int64), indptr),
-                    shape=(ndof, ndof))
-    for part in (a.data, a.indices, a.indptr):
-        part.flags.writeable = False
-    return a
+    return _frozen(_csc_type()((data[keep], plan.rows[keep].astype(np.int64), indptr),
+                               shape=(ndof, ndof)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +486,13 @@ _ME0 = np.array([[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22],
 
 
 class _Entries(NamedTuple):
-    """The nonzero stored entries of a unit-beam matrix: their flat positions
-    in _values, their values, their parity (how many of their row and
-    column dofs are rotations, int8), for K and M the position in this
-    table of each entry's transpose, and the matrix's form: the unit CSC
-    matrix itself (whose index arrays a beam shares), or the shape of the
-    dense array, which is not kept."""
-    pos: np.ndarray
-    values: np.ndarray
+    """A unit-beam CSC matrix (whose index arrays a beam shares) and, for
+    each stored entry, its parity (how many of its row and column dofs are
+    rotations, int8) and, for K and M, the position in the data of its
+    transpose."""
+    matrix: object
     parity: np.ndarray
     transpose: np.ndarray | None
-    form: object
 
 
 class _UnitBeam(NamedTuple):
@@ -550,19 +520,14 @@ def _unit_beam_system(n_elements: int, clamped: bool) -> _UnitBeam:
     odd = np.arange(len(unit.dof_map), dtype=np.int8) % 2
 
     def entries(a, dof_odd, with_transpose):
-        values = _values(a).ravel()
-        pos, rows, cols = _nonzeros(a)
+        rows, cols = a.indices, _columns(a)
         transpose = None
         if with_transpose:
             key = rows * a.shape[0] + cols
             order = np.argsort(key)
             transpose = _readonly(order[np.searchsorted(key, cols * a.shape[0] + rows,
                                                         sorter=order)].astype(np.int32))
-        # CSC stores no zero, so its values are its data
-        return _Entries(_readonly(pos.astype(np.int32)),
-                        _readonly(values if len(pos) == len(values) else values[pos]),
-                        _readonly(dof_odd[rows] + dof_odd[cols]), transpose,
-                        a.shape if isinstance(a, np.ndarray) else a)
+        return _Entries(a, _readonly(dof_odd[rows] + dof_odd[cols]), transpose)
 
     k, m = (entries(a, odd, True) for a in (unit.stiffness, unit.mass))
     kf, mf = ((k, m) if unit._kf is unit.stiffness else
@@ -571,16 +536,13 @@ def _unit_beam_system(n_elements: int, clamped: bool) -> _UnitBeam:
                      _scaled_norms(unit._kf, unit._mf))
 
 
-def _scaled(entries: _Entries, values: np.ndarray):
-    """The matrix of entries' form with values at its nonzero entries,
-    stored as the unit matrix was: a CSC result shares its read-only index
-    arrays."""
-    form = entries.form
-    if isinstance(form, tuple):
-        dense = np.zeros(form[0] * form[1])
-        dense[entries.pos] = values
-        return _readonly(dense.reshape(form))
-    return _csc_type()((_readonly(values), form.indices, form.indptr), shape=form.shape)
+def _scaled(entries: _Entries, scale, s: np.ndarray):
+    """scale * (D A D) for the unit matrix A of entries, D.D the pattern s
+    of (1, le, le^2): a shallow copy of A with new data, so it shares A's
+    read-only index arrays (scipy's constructor would check them again)."""
+    a = copy.copy(entries.matrix)
+    a.data = _readonly(scale * (entries.matrix.data * s[entries.parity]))
+    return a
 
 
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
@@ -610,16 +572,12 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     mesh = Mesh(nodes=np.linspace(0.0, geom.length, n_nodes)[:, None],
                 elements=np.arange(n_elements)[:, None] + np.arange(2), kind="beam_1d")
     unit = _unit_beam_system(n_elements, clamped)
-    ek, em, ekf, emf = unit.k, unit.m, unit.kf, unit.mf
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        kv, mv = k_scale * (ek.values * s[ek.parity]), m_scale * (em.values * s[em.parity])
-        k, m = _scaled(ek, kv), _scaled(em, mv)
-        if ekf is ek:
-            kf, mf = k, m
-        else:
-            kf = _scaled(ekf, k_scale * (ekf.values * s[ekf.parity]))
-            mf = _scaled(emf, m_scale * (emf.values * s[emf.parity]))
-    _gate(kv, kv[ek.transpose], mv, mv[em.transpose], mf,
+        k, m = _scaled(unit.k, k_scale, s), _scaled(unit.m, m_scale, s)
+        kf, mf = ((k, m) if unit.kf is unit.k else
+                  (_scaled(unit.kf, k_scale, s), _scaled(unit.mf, m_scale, s)))
+    kv, mv = k.data, m.data
+    _gate(kv, kv[unit.k.transpose], mv, mv[unit.m.transpose], mf,
           lambda a: _band_positive_definite(a, unit.band))
     if not 0 < ratio < math.inf:   # the unit-beam pairs could not be scaled back
         raise InvariantError("beam eigenvalue scale (EI/le^3)/(rho*A*le/420) must be "
@@ -819,12 +777,11 @@ def _shift_invert_modes(kk, mm, k: int):
 
 
 def _pencil_modes(kk, mm, k: int):
-    """k lowest eigenpairs of the free-dof pencil (kk, mm), stored as
-    AssembledSystem stores it: LAPACK for a dense pencil or for k >= n/4,
-    shift-invert Lanczos otherwise."""
-    if isinstance(kk, np.ndarray):
-        return _dense_modes(kk, mm, k)
-    if 4 * k >= kk.shape[0]:
+    """k lowest eigenpairs of the free-dof CSC pencil (kk, mm): LAPACK on
+    the dense copies with at most _SPARSE_MIN_DOF free dofs or for
+    k >= n/4, shift-invert Lanczos otherwise."""
+    n = kk.shape[0]
+    if n <= _SPARSE_MIN_DOF or 4 * k >= n:
         return _dense_modes(kk.toarray(), mm.toarray(), k)
     return _shift_invert_modes(kk, mm, k)
 
@@ -833,10 +790,9 @@ def _pencil_modes(kk, mm, k: int):
 def _unit_beam_modes(n_elements: int, clamped: bool, k: int):
     """k lowest eigenpairs (mu, psi) of the cached unit-beam pencil (K0, M0)
     on its free dofs, as read-only arrays, solved as the beam's own pencil
-    would be. A dense pencil is rebuilt from its entries."""
+    would be."""
     unit = _unit_beam_system(n_elements, clamped)
-    vals, vecs = _pencil_modes(_scaled(unit.kf, unit.kf.values),
-                               _scaled(unit.mf, unit.mf.values), k)
+    vals, vecs = _pencil_modes(unit.kf.matrix, unit.mf.matrix, k)
     return _readonly(vals), _readonly(vecs)
 
 
@@ -858,19 +814,12 @@ def _jacobi(kk) -> np.ndarray:
 
 
 def _scaled_norms(kk, mm):
-    """(||DKD||_F, ||DMD||_F) of the free-dof pencil (kk, mm), D = diag(d)
-    of _jacobi; inf where a norm overflows."""
+    """(||DKD||_F, ||DMD||_F) of the free-dof CSC pencil (kk, mm),
+    D = diag(d) of _jacobi; inf where a norm overflows."""
     d = _jacobi(kk)
-    d2 = d * d
-
-    def scaled_norm(a):
-        if isinstance(a, np.ndarray):   # ||DAD||_F^2 = d^2 . (A o A) d^2
-            return float(np.sqrt(d2 @ ((a * a) @ d2)))
-        cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
-        return float(np.linalg.norm(d[a.indices] * a.data * d[cols]))
-
     with np.errstate(over="ignore", invalid="ignore"):
-        return scaled_norm(kk), scaled_norm(mm)
+        return tuple(float(np.linalg.norm(d[a.indices] * a.data * d[_columns(a)]))
+                     for a in (kk, mm))
 
 
 def _backward_errors(kk, mm, vals, vecs, r, norms) -> np.ndarray:
@@ -916,7 +865,8 @@ def solve_modes(sys: AssembledSystem, k: int):
     if not (np.isfinite(norm_kv).all() and np.isfinite(norm_v).all()):
         # M-normalized vectors of a mass matrix near the float floor
         raise EigenSolveError("mode vector norms overflow; the residual cannot be gated")
-    elastic = norm_kv > 1e-9 * float(abs(kk).max()) * norm_v
+    # every nonzero of K is stored, so max|K| is that of its data
+    elastic = norm_kv > 1e-9 * float(abs(kk.data).max(initial=0.0)) * norm_v
     r = kv - vals * (mm @ vecs)
     resid = np.linalg.norm(r, axis=0) / np.where(elastic, norm_kv, 1.0)
     bad = np.flatnonzero(elastic & (resid > _RESIDUAL_BOUND))

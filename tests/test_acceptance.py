@@ -279,8 +279,8 @@ def test_criterion_10_eigensolver(ref_beam, ref_disk, silicon):
         sys_b = assemble_beam(ref_beam, silicon, 32)
         modes = solve_modes(sys_b, 5)
         free = sys_b.free_dofs()
-        kk = sys_b.stiffness[np.ix_(free, free)]
-        mm = sys_b.mass[np.ix_(free, free)]
+        kk = sys_b.stiffness.toarray()[np.ix_(free, free)]
+        mm = sys_b.mass.toarray()[np.ix_(free, free)]
         vecs = [v[free] for _, v in modes]
         for (f, _), v in zip(modes, vecs):
             lam = (2 * math.pi * f) ** 2

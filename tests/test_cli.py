@@ -271,15 +271,13 @@ def _breaking(tmp_path, kind):
                                   "process-gap", "process-check"])
 def test_value_breaking_an_invariant_is_usage_error(tmp_path, capsys, kind):
     """A value no input can have is a config error in every kind of config
-    file: exit 2 and one error line naming the file (or, for assumed_q,
-    which design.optimize refuses like a bad bound, the key)."""
+    file: exit 2 and one error line naming the file."""
     argv, path = _breaking(tmp_path, kind)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    named = "assumed_q must be finite and > 0" if kind == "bounds-assumed-q" else path
-    assert captured.err.startswith(f"error: {named}")
+    assert captured.err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -501,7 +499,8 @@ class TestOptimizeCommand:
             json.dump(cfg, f)
         assert main(["optimize", "--profile", "oscillator-n2", "--bounds", path]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: bounds has parameters a beam does not have: ['radius']\n"
+        assert captured.err == (f"error: {path}: bounds has parameters a beam does not have: "
+                                "['radius']\n")
         assert captured.out == ""
 
     def test_candidates_all_pass_check(self, tmp_path):
@@ -543,7 +542,8 @@ class TestOptimizeCommand:
         with open(path, "w") as f:
             json.dump(cfg, f)
         assert main(["optimize", "--profile", "oscillator-n2", "--bounds", path]) == 2
-        assert "grid_points must be an integer >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: grid_points must be an integer >= 1")
 
     @pytest.mark.parametrize("interval", [["2 um"], [], "2 um"])
     def test_malformed_interval_is_usage_error(self, tmp_path, capsys, interval):
@@ -553,7 +553,8 @@ class TestOptimizeCommand:
         with open(path, "w") as f:
             json.dump(cfg, f)
         assert main(["optimize", "--profile", "oscillator-n2", "--bounds", path]) == 2
-        assert "bounds['length'] must be a [low, high] list" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: bounds['length'] must be a [low, high] list")
 
     @pytest.mark.parametrize("bounds", [[["length", "2 um", "30 um"]], 5])
     def test_bounds_not_an_object_is_usage_error(self, tmp_path, bounds):

@@ -19,7 +19,7 @@ from resokit.fem import (AssembledSystem, Mesh, assemble_beam, assemble_disk,
 class TestBeamAssembly:
     def test_symmetry_and_pd(self, ref_beam, silicon):
         sys_ = assemble_beam(ref_beam, silicon, 2)
-        k, m = sys_.stiffness, sys_.mass
+        k, m = sys_.stiffness.toarray(), sys_.mass.toarray()
         assert np.array_equal(k, k.T)
         assert np.array_equal(m, m.T)
         free = sys_.free_dofs()
@@ -32,7 +32,7 @@ class TestBeamAssembly:
         for i, (_, comp) in enumerate(sys_.dof_map):
             if comp == "w":
                 ones[i] = 1.0
-        total = float(ones @ sys_.mass @ ones)
+        total = float(ones @ sys_.mass.toarray() @ ones)
         expected = silicon.density * ref_beam.cross_section_area * ref_beam.length
         assert total == pytest.approx(expected, rel=1e-9)
 
@@ -126,13 +126,11 @@ class TestOneBeamElement:
         geom = BeamGeometry(float(lengths[np.float_power(le, 2) != le * le][0]),
                             0.46e-6, 0.4e-6, axis)
         sys_ = assemble_beam(geom, silicon, n, clamped)
-        assert isinstance(sys_.stiffness, np.ndarray) == (len(sys_.free_dofs()) <= 300)
         ke, me = _literal_beam_elements(geom, silicon, n)
         dofs = 2 * np.arange(n)[:, None] + np.arange(4)
         for stored, e in ((sys_.stiffness, ke), (sys_.mass, me)):
             ref = _dense_scatter(dofs, np.broadcast_to(e, (n, 4, 4)), 2 * (n + 1))
-            dense = stored if isinstance(stored, np.ndarray) else stored.toarray()
-            assert _bits_equal(dense, ref)
+            assert _bits_equal(stored.toarray(), ref)
 
     @pytest.mark.parametrize("clamped", [True, False])
     @pytest.mark.parametrize("n", [2, 16, 149, 150, 151, 152, 512])
@@ -155,16 +153,13 @@ class TestOneBeamElement:
         n_free = ndof - 4 if clamped else ndof
         dofs = 2 * np.arange(n)[:, None] + np.arange(4)
         for block, e in ((kk, fem._KE0), (mm, fem._ME0)):
-            old = _triplet_scatter(dofs, np.broadcast_to(e, (n, 4, 4)), ndof, n_free)
+            old = _triplet_scatter(dofs, np.broadcast_to(e, (n, 4, 4)), ndof)
             if clamped:
                 old = old[2:-2, 2:-2]
-            assert type(block) is type(old)
-            if isinstance(old, np.ndarray):
-                assert _bits_equal(block, old)
-            else:
-                for a, b in ((block.data, old.data), (block.indices, old.indices),
-                             (block.indptr, old.indptr)):
-                    assert np.array_equal(a, b) and a.dtype == b.dtype
+            assert type(block) is type(old) and block.shape == (n_free, n_free)
+            for a, b in ((block.data, old.data), (block.indices, old.indices),
+                         (block.indptr, old.indptr)):
+                assert np.array_equal(a, b) and a.dtype == b.dtype
 
     def test_unit_pencil_is_gated(self, monkeypatch, cold_unit_caches):
         asymmetric = fem._KE0.copy()
@@ -251,8 +246,8 @@ class TestSolver:
         sys_ = assemble_beam(ref_beam, silicon, 32)
         modes = solve_modes(sys_, 5)
         free = sys_.free_dofs()
-        kk = sys_.stiffness[np.ix_(free, free)]
-        mm = sys_.mass[np.ix_(free, free)]
+        kk = sys_.stiffness.toarray()[np.ix_(free, free)]
+        mm = sys_.mass.toarray()[np.ix_(free, free)]
         vecs = [v[free] for _, v in modes]
         for f, v in zip((f for f, _ in modes), vecs):
             lam = (2 * math.pi * f) ** 2
@@ -288,6 +283,12 @@ class TestSolver:
         k, m = (a, np.eye(2)) if which == "stiffness" else (np.eye(2), a)
         with pytest.raises(InvariantError, match="non-finite"):
             AssembledSystem(k, m, dof_map=((0, "w"), (1, "w")), constraints=())
+
+    @pytest.mark.parametrize("bad", [np.ones(2), np.array([["1", "0"], ["0", "x"]])],
+                             ids=["1-D", "non-numeric"])
+    def test_non_matrix_rejected(self, bad):
+        with pytest.raises(InvariantError, match="2-D numeric matrices"):
+            AssembledSystem(bad, np.eye(2), dof_map=((0, "w"), (1, "w")), constraints=())
 
 
 def _elastic_residuals(sys_, modes):
@@ -376,12 +377,10 @@ def _dense_scatter(dofs, blocks, ndof):
                        minlength=ndof * ndof).reshape(ndof, ndof)
 
 
-def _triplet_scatter(dofs, blocks, ndof, n_free):
-    """Assembly as it was before the scatter plan (reference): dense at or
-    below _SPARSE_MIN_DOF free dofs, else CSC from the triplets, sorted by
-    one np.unique of the keys col*ndof + row, without exact zeros."""
-    if n_free <= fem._SPARSE_MIN_DOF:
-        return _dense_scatter(dofs, blocks, ndof)
+def _triplet_scatter(dofs, blocks, ndof):
+    """Assembly as it was before the scatter plan (reference): CSC from the
+    triplets, sorted by one np.unique of the keys col*ndof + row, without
+    exact zeros."""
     keys, slot = np.unique((dofs[:, None, :] * ndof + dofs[:, :, None]).ravel(),
                            return_inverse=True)
     data = np.bincount(slot, weights=blocks.ravel(), minlength=len(keys))
@@ -392,8 +391,10 @@ def _triplet_scatter(dofs, blocks, ndof, n_free):
 
 
 def _assert_canonical_csc(a):
-    """Sorted, duplicate-free row indices in every column; no stored zero."""
-    assert isinstance(a, csc_array)
+    """Read-only CSC of the stored type: sorted, duplicate-free row indices
+    in every column; no stored zero."""
+    assert type(a) is fem._csc_type()
+    assert not any(p.flags.writeable for p in (a.data, a.indices, a.indptr))
     later = np.setdiff1d(np.arange(1, len(a.indices)), a.indptr)
     assert np.all(a.indices[later] > a.indices[later - 1])
     assert np.all(a.data != 0)
@@ -401,8 +402,8 @@ def _assert_canonical_csc(a):
 
 
 class TestSparseStorage:
-    """K and M are dense at or below _SPARSE_MIN_DOF free dofs and CSC
-    above, and bitwise the matrices the dense scatter builds."""
+    """K, M and their free blocks are canonical read-only CSC at every size,
+    bitwise the matrices the dense scatter builds."""
 
     @staticmethod
     def _assemble_recording(monkeypatch, assemble, *args):
@@ -425,33 +426,26 @@ class TestSparseStorage:
     @staticmethod
     def _check(sys_, k_ref, m_ref):
         free = sys_.free_dofs()
-        sparse = len(free) > fem._SPARSE_MIN_DOF
 
         def bits(a):
             return a.view(np.uint64)
 
         for stored, block, ref in ((sys_.stiffness, sys_._kf, k_ref),
                                    (sys_.mass, sys_._mf, m_ref)):
-            if sparse:
-                _assert_canonical_csc(stored)
-                _assert_canonical_csc(block)
-                stored, block = stored.toarray(), block.toarray()
-            else:
-                assert isinstance(stored, np.ndarray) and stored.flags.c_contiguous
-                assert not stored.flags.writeable
-            assert np.array_equal(bits(stored), bits(ref))
+            _assert_canonical_csc(stored)
+            _assert_canonical_csc(block)
+            assert np.array_equal(bits(stored.toarray()), bits(ref))
             if len(free) < len(ref):
                 ref = ref[np.ix_(free, free)]
-            assert np.array_equal(bits(block), bits(ref))
-        if sparse:
-            k, m = sys_.stiffness, sys_.mass
-            for a in (k.data, k.indices, k.indptr):
-                for b in (m.data, m.indices, m.indptr):
-                    assert not np.shares_memory(a, b)
+            assert np.array_equal(bits(block.toarray()), bits(ref))
+        k, m = sys_.stiffness, sys_.mass
+        for a in (k.data, k.indices, k.indptr):
+            for b in (m.data, m.indices, m.indptr):
+                assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("axis", list(VibrationAxis))
     @pytest.mark.parametrize("clamped", [True, False])
-    @pytest.mark.parametrize("n", [16, 149, 150, 151, 152, 256, 1024])
+    @pytest.mark.parametrize("n", [2, 16, 64, 149, 150, 151, 152, 256, 1024])
     def test_beam_bitwise_dense_scatter(self, silicon, axis, clamped, n):
         # a beam is a scaled copy of its unit system (no scatter of its own):
         # the reference scatters the literal element matrices
@@ -461,17 +455,27 @@ class TestSparseStorage:
                         for e in _literal_beam_elements(geom, silicon, n))
         self._check(assemble_beam(geom, silicon, n, clamped), k_ref, m_ref)
 
-    @pytest.mark.parametrize("divisor", [6, 8, 12, 16, 20, 24])
+    @pytest.mark.parametrize("divisor", [4.5, 6, 8, 12, 16, 20, 24])
     def test_disk_bitwise_dense_scatter(self, monkeypatch, ref_disk, silicon, divisor):
         mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
         sys_, k_ref, m_ref = self._assemble_recording(
             monkeypatch, assemble_disk, ref_disk, silicon, mesh)
         self._check(sys_, k_ref, m_ref)
 
-    def test_storage_switches_at_threshold(self, ref_beam, silicon):
+    def test_solve_switches_at_threshold(self, monkeypatch, cold_unit_caches):
         # 151 clamped elements: 304 dofs, 300 free; 152: 302 free
-        assert isinstance(assemble_beam(ref_beam, silicon, 151).stiffness, np.ndarray)
-        assert isinstance(assemble_beam(ref_beam, silicon, 152).stiffness, csc_array)
+        calls = []
+        for name in ("_dense_modes", "_shift_invert_modes"):
+            def recording(kk, mm, k, name=name, solver=getattr(fem, name)):
+                calls.append((name, kk.shape[0]))
+                return solver(kk, mm, k)
+
+            monkeypatch.setattr(fem, name, recording)
+        fem._unit_beam_modes(151, True, 4)
+        assert calls == [("_dense_modes", 300)]
+        calls.clear()
+        fem._unit_beam_modes(152, True, 4)   # then the 2k x 2k Rayleigh-Ritz step
+        assert calls == [("_shift_invert_modes", 302), ("_dense_modes", 8)]
 
     def test_fine_disk_storage_is_small(self, ref_disk, silicon):
         sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 48))
@@ -503,13 +507,11 @@ class TestSparseStorage:
         assert np.array_equal(sys_.mass.toarray(), expected)
         assert all(np.array_equal(a, b) for a, b in zip(before, (m.data, m.indices, m.indptr)))
 
-    def test_caller_sparse_matrix_stored_dense_when_small(self):
-        k = csc_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        sys_ = AssembledSystem(k, sparse_eye(2, format="csc"),
-                               dof_map=((0, "w"), (1, "w")), constraints=())
-        for a in (sys_.stiffness, sys_.mass, sys_._kf, sys_._mf):
-            assert isinstance(a, np.ndarray) and a.flags.c_contiguous
-        assert np.array_equal(sys_.stiffness, k.toarray())
+    def test_caller_small_dense_matrix_stored_csc(self):
+        k = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        sys_ = AssembledSystem(k, np.eye(2), dof_map=((0, "w"), (1, "w")), constraints=())
+        self._check(sys_, k, np.eye(2))
+        assert k.flags.writeable
 
 
 def _loop_translational_amplitude(sys_, vec):
@@ -550,9 +552,7 @@ class TestDenseModes:
     @pytest.mark.parametrize("n", [2, 3, 5, 16, 64, 151])
     def test_beam_bitwise_equal_to_eigh(self, ref_beam, silicon, n, clamped):
         sys_ = assemble_beam(ref_beam, silicon, n, clamped)
-        kk, mm = sys_._kf, sys_._mf
-        if not isinstance(kk, np.ndarray):   # 151 free: the k >= n/4 fallback
-            kk, mm = kk.toarray(), mm.toarray()
+        kk, mm = sys_._kf.toarray(), sys_._mf.toarray()
         n_free = len(sys_.free_dofs())
         ks = (range(1, n_free + 1) if n_free <= 40 else
               sorted({*range(1, n_free, 23), n_free - 1, n_free}))
@@ -583,7 +583,7 @@ class TestDenseModes:
                                constraints=())
         with pytest.raises(np.linalg.LinAlgError, match="dsygvx"):
             fem._dense_modes(np.eye(2), np.diag([1.0, -1.0]), 1)
-        object.__setattr__(sys_, "_mf", np.diag([1.0, -1.0]))   # bypasses validation
+        object.__setattr__(sys_, "_mf", fem._csc_type()(np.diag([1.0, -1.0])))   # unvalidated
         with pytest.raises(EigenSolveError, match="dsygvx"):
             solve_modes(sys_, 1)
 
@@ -633,7 +633,7 @@ class TestNormalization:
 
     def test_dense_disk_equals_loop(self, ref_disk, silicon):
         sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 6))
-        vals, vecs = eigh(sys_._kf, sys_._mf, subset_by_index=(0, 8))
+        vals, vecs = eigh(sys_._kf.toarray(), sys_._mf.toarray(), subset_by_index=(0, 8))
         self._check(solve_modes(sys_, 9), _loop_normalized(sys_, vals, vecs))
 
     def test_sparse_disk_equals_loop(self, monkeypatch, disk_r12):
@@ -671,9 +671,7 @@ def _jacobi_backward_errors(sys_, modes):
     ||D(K v - lam M v)|| / ((||DKD||_F + lam ||DMD||_F) ||D^-1 v||) with
     D = diag(K)^-1/2 on the free dofs."""
     free = sys_.free_dofs()
-    kk, mm = sys_._kf, sys_._mf
-    if not isinstance(kk, np.ndarray):
-        kk, mm = kk.toarray(), mm.toarray()
+    kk, mm = sys_._kf.toarray(), sys_._mf.toarray()
     d = 1.0 / np.sqrt(np.diag(kk))
     ks, ms = d[:, None] * kk * d, d[:, None] * mm * d
     nk, nm = np.linalg.norm(ks), np.linalg.norm(ms)
@@ -745,7 +743,7 @@ class TestUnitBeamCache:
             raise AssertionError("a direct system went through the unit-beam cache")
 
         monkeypatch.setattr(fem, "_unit_beam_modes", refuse)
-        vals, vecs = eigh(direct._kf, direct._mf, subset_by_index=(0, 2))
+        vals, vecs = eigh(direct._kf.toarray(), direct._mf.toarray(), subset_by_index=(0, 2))
         TestNormalization._check(solve_modes(direct, 3), _loop_normalized(direct, vals, vecs))
 
     @pytest.mark.parametrize("clamped", [True, False])
@@ -769,10 +767,7 @@ class TestScaledBeam:
         solve_modes(assemble_beam(filler, silicon, n, clamped), 4)
         warm = assemble_beam(target, silicon, n, clamped)
         for name in ("stiffness", "mass", "_kf", "_mf"):
-            a, b = getattr(cold, name), getattr(warm, name)
-            if not isinstance(a, np.ndarray):
-                a, b = a.toarray(), b.toarray()
-            assert _bits_equal(a, b)
+            assert _bits_equal(getattr(cold, name).toarray(), getattr(warm, name).toarray())
         for (f, v), (f_ref, v_ref) in zip(solve_modes(warm, 4), cold_modes):
             assert repr(f) == repr(f_ref) and _bits_equal(v, v_ref)
 
@@ -791,34 +786,14 @@ class TestScaledBeam:
         assert (unit.kf is unit.k) == (not clamped)
         for own, entries in ((beam.stiffness, unit.k), (beam.mass, unit.m),
                              (beam._kf, unit.kf), (beam._mf, unit.mf)):
-            if isinstance(own, np.ndarray):   # the unit keeps only the shape
-                assert not own.flags.writeable and own.flags.c_contiguous
-                assert entries.form == own.shape
-                continue
             _assert_canonical_csc(own)
-            assert not own.data.flags.writeable
-            assert np.shares_memory(own.indices, entries.form.indices)
-            assert np.shares_memory(own.indptr, entries.form.indptr)
+            assert not np.shares_memory(own.data, entries.matrix.data)
+            assert np.shares_memory(own.indices, entries.matrix.indices)
+            assert np.shares_memory(own.indptr, entries.matrix.indptr)
         for k, m in ((beam.stiffness, beam.mass), (beam._kf, beam._mf)):
-            if not isinstance(k, np.ndarray):
-                for a in (k.data, k.indices, k.indptr):
-                    for b in (m.data, m.indices, m.indptr):
-                        assert not np.shares_memory(a, b)
-
-    @pytest.mark.parametrize("clamped", [True, False])
-    def test_dense_unit_keeps_no_dense_matrix(self, cold_unit_caches, clamped):
-        # the cached 128-element unit keeps entry tables and shapes (its
-        # dense K0, M0 and free blocks were 2.1 MB); a cold eigensolve
-        # rebuilds the dense free blocks bitwise
-        unit = fem._unit_beam_system(128, clamped)
-        tables = (unit.k, unit.m, unit.kf, unit.mf)
-        assert all(isinstance(e.form, tuple) for e in tables)
-        kept = {id(a): a.nbytes for e in tables for a in e[:4] if a is not None}
-        assert sum(kept.values()) < 100_000
-        k0, m0 = _unit_pencil(128, clamped)
-        vals, vecs = fem._unit_beam_modes(128, clamped, 4)
-        ref_vals, ref_vecs = eigh(k0, m0, subset_by_index=(0, 3))
-        assert _bits_equal(vals, ref_vals) and _bits_equal(vecs, ref_vecs)
+            for a in (k.data, k.indices, k.indptr):
+                for b in (m.data, m.indices, m.indptr):
+                    assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("n", [16, 200])
     @pytest.mark.parametrize("unit_gate", [True, False], ids=["unit-gated", "beam-gated"])
@@ -832,7 +807,11 @@ class TestScaledBeam:
             assemble_beam(ref_beam, silicon, n)
 
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_band_cholesky_agrees_with_dense(self, sparse):
+    def test_band_cholesky_agrees_with_dense(self, monkeypatch, sparse):
+        # _positive_definite too: its sparse LDL^T test runs on these small
+        # matrices only with the threshold at 0
+        if sparse:
+            monkeypatch.setattr(fem, "_SPARSE_MIN_DOF", 0)
         rng = np.random.default_rng(5)
         verdicts = []
         for _ in range(200):
@@ -851,8 +830,9 @@ class TestScaledBeam:
                 dense = True
             except np.linalg.LinAlgError:
                 dense = False
-            stored = csc_array(a) if sparse else a
+            stored = fem._csc_type()(a)
             assert fem._band_positive_definite(stored, fem._lower_band(stored)) == dense
+            assert fem._positive_definite(stored) == dense
             verdicts.append(dense)
         assert 50 < sum(verdicts) < len(verdicts) - 50
 
@@ -1006,9 +986,7 @@ class TestDofBookkeeping:
             assert not a.flags.writeable
         free = ref[0]
         for block, full in ((sys_._kf, sys_.stiffness), (sys_._mf, sys_.mass)):
-            if not isinstance(full, np.ndarray):
-                block, full = block.toarray(), full.toarray()
-            assert _bits_equal(block, full[np.ix_(free, free)])
+            assert _bits_equal(block.toarray(), full.toarray()[np.ix_(free, free)])
 
     @pytest.mark.parametrize("clamped", [True, False])
     @pytest.mark.parametrize("n", [2, 16, 151, 152])
@@ -1055,7 +1033,8 @@ class TestDofBookkeeping:
         for sys_ in (small_disk, free_beam, disk_r12):
             assert sys_._kf is sys_.stiffness and sys_._mf is sys_.mass
         clamped = assemble_beam(ref_beam, silicon, 16)
-        assert clamped._kf.shape == (30, 30) and clamped._kf.base is not clamped.stiffness
+        assert clamped._kf.shape == (30, 30)
+        assert not np.shares_memory(clamped._kf.data, clamped.stiffness.data)
 
 
 class TestDiskMesh:
@@ -1146,10 +1125,7 @@ def _loop_mesh_disk(geom, target_edge):
 
 
 def _stored_equal(a, b):
-    """Dense arrays, or CSC data, indices and indptr, bitwise equal with
-    their dtypes."""
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and _bits_equal(a, b)
+    """CSC data, indices and indptr bitwise equal with their dtypes."""
     return _bits_equal(a.data, b.data) and all(
         x.dtype == y.dtype and np.array_equal(x, y)
         for x, y in ((a.indices, b.indices), (a.indptr, b.indptr)))
@@ -1227,8 +1203,7 @@ class TestDiskTopology:
         TestSparseStorage._check(sys_, k_ref, m_ref)
         base = assemble_disk(ref_disk, silicon, mesh)
         for a, b in ((sys_.stiffness, base.stiffness), (sys_.mass, base.mass)):
-            if not isinstance(a, np.ndarray):
-                a, b = a.toarray(), b.toarray()
+            a, b = a.toarray(), b.toarray()
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * abs(b).max())
         freqs = [f for f, _ in solve_modes(sys_, 9)[3:]]
         assert freqs == pytest.approx([f for f, _ in solve_modes(base, 9)[3:]], rel=1e-9)
@@ -1254,9 +1229,7 @@ class TestDiskTopology:
         monkeypatch.setattr(fem, "_gate", recording)
         sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / divisor))
         ref = []
-        for a in (sys_.stiffness, sys_.mass):
-            if not isinstance(a, np.ndarray):
-                a = a.toarray()
+        for a in (sys_.stiffness.toarray(), sys_.mass.toarray()):
             ref += [abs(a - a.T).max(), abs(a).max()]
         assert recorded == [tuple(ref)] and ref[0] > 0
 
@@ -1314,14 +1287,18 @@ class TestComponentMassGate:
     agrees with the full factorization on any symmetric matrix."""
 
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_agrees_with_full_factorization(self, sparse):
+    def test_agrees_with_full_factorization(self, monkeypatch, sparse):
+        # sparse: the threshold at 0, so the LDL^T test runs on these small
+        # matrices
+        if sparse:
+            monkeypatch.setattr(fem, "_SPARSE_MIN_DOF", 0)
         verdicts = {True: [], False: []}
         for seed in range(400):
             a, decoupled = _component_matrices(seed)
             eig = np.linalg.eigvalsh(a)
             if abs(eig).min() < 1e-6 * abs(eig).max():   # too near singular to compare
                 continue
-            stored = fem._csc_type()(a) if sparse else a
+            stored = fem._csc_type()(a)
             block = fem._component_block(stored)
             assert (block is not None) == decoupled
             if block is not None:
