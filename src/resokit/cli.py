@@ -34,12 +34,12 @@ def _material(cfg: dict) -> Material:
 
 def _config(path: str, parse):
     """parse(the JSON object in the config file at path), for every kind of
-    config file: a value no input can have (InvariantError) is a config
-    error naming the file."""
+    config file: a value that is not a quantity (UnitError) or that no input
+    can have (InvariantError) is a config error naming the file."""
     cfg = _load_json_file(path)
     try:
         return parse(cfg)
-    except InvariantError as exc:
+    except (InvariantError, UnitError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
 
@@ -236,7 +236,7 @@ def _cmd_optimize(args) -> int:
             assumed_q=None if assumed_q is None else parse_quantity(assumed_q),
             grid_points=bcfg.get("grid_points", 7),
             max_results=bcfg.get("max_results", 10))
-    except SchemaError as exc:   # every value optimize checks is the bounds file's
+    except (SchemaError, UnitError) as exc:   # every value optimize checks is the bounds file's
         raise SchemaError(f"{args.bounds}: {exc}") from None
     ranked = [c.to_dict() for c in candidates]
     for i, c in enumerate(candidates):

@@ -15,7 +15,8 @@ mass matrix SPD and LAPACK dsygvx, called directly as scipy.linalg.eigh
 would call it, returns the modes from the dense copies. Above it, the mass
 matrix is proved SPD with a sparse LDL^T, and the lowest modes come from
 shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished by
-one inverse-iteration step and a Rayleigh-Ritz projection (dsygvx again).
+an inverse-iteration step and a Rayleigh-Ritz projection (dsygvx again),
+repeated at most twice while a pair is near a gate.
 LAPACK is faster on small systems, and ARPACK needs k well below n: a
 larger system asked for k >= n/4 modes is solved densely too. Both paths
 share the gates, normalization and sign convention. Every returned mode
@@ -50,16 +51,37 @@ equal blocks), so _positive_definite factors only the n/2 x n/2 block Ms
 whenever the stored entries show that structure: an exact reduction. A
 mesh built by a caller gets its plan from the same function, uncached.
 
-A beam is solved once per mesh. The pencils are congruent (Golub & Van
-Loan, Matrix Computations, sec. 8.7), so K0 psi = mu M0 psi gives the
-beam's pairs exactly: lambda = mu * ratio with ratio = (EI/le^3) /
-(rho*A*le/420), and phi = psi / d on the free dofs. assemble_beam refuses a
-ratio that is not finite and > 0, so every beam it returns maps through
-the unit pencil. solve_modes takes (mu, psi) from a small LRU cache keyed
-by (n_elements, clamped, k), filled through the factorization dispatch
-above; the gates, normalization and sign convention then run on the
-beam's own K and M. Disks, and systems built with AssembledSystem(...)
-directly, are assembled, gated and solved directly.
+A mesh is solved once, for every beam and for every disk of one Poisson
+ratio. A system from assemble_beam or from assemble_disk on a mesh_disk
+mesh is congruent to a cached reference pencil (Golub & Van Loan, Matrix
+Computations, sec. 8.7), so the reference pairs K0 psi = mu M0 psi give
+the system's pairs exactly: lambda = mu * ratio and phi = psi / d. A beam's
+reference is its unit pencil: ratio = (EI/le^3) / (rho*A*le/420) and d the
+diagonal of D on the free dofs. On mesh_disk's mesh with m rings, the CST
+stiffness is t*E/(1 - nu^2) K^(m, nu), independent of the radius, and the
+mass is rho*t*R^2 M^(m), so every disk of one (m, nu) maps one reference
+disk: ratio = (E/(rho*R^2)) / (E0/(rho0*R0^2)) and the scalar
+d = sqrt(rho*t*R^2 / (rho0*t0*R0^2)), with R the mesh's own radius. The
+reference disk is the silicon preset at R0 = 3 um, t0 = 0.4 um. Its scale
+matters: ARPACK accepts a Ritz value theta = 1/(lambda - sigma) once its
+error bound is below eps * max(eps^(2/3), |theta|) (tol 0), and theta is
+far below eps^(2/3) here, so the Lanczos steps depend on the eigenvalue
+scale E/(rho*R^2). This reference takes as many steps as the physical
+disks of fem-converge; a 20 um one took about a fifth more, a unit-scale
+pencil about two thirds more (README). solve_modes takes (mu, psi) from a
+small LRU cache keyed by (n_elements, clamped, k) or (m, nu, k), filled
+through the factorization dispatch above; the gates, normalization and
+sign convention then run on the system's own K and M. A disk whose ratio
+or d is not finite and > 0, or whose K or M has an entry below the normal
+float range (where the congruence holds only to the subnormal grid), a
+disk on a mesh built by a caller and a system built with
+AssembledSystem(...) directly are solved directly.
+
+solve_disk reports each degenerate pair of one angular order n > 0 in one
+basis: M-orthonormalized and rotated within its span so that the first
+member's rim u_r has no sin(n theta) part and the second's no
+cos(n theta) part. Its effective mass and mode shape are then properties
+of the design, not of the basis a solver returned.
 
 scipy.linalg and scipy.sparse are imported inside the functions that call
 them: importing this module, or building a mesh, loads no scipy module.
@@ -87,11 +109,17 @@ _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse factorization and 
 _SHIFT_RATIO = 1e-9        # shift-invert sigma, below 0, vs the median diag(K)/diag(M)
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _SIGN_RTOL = 1e-6          # translational entries this close to the largest tie for the sign
-_UNIT_BEAM_CACHE = 8       # unit-beam systems and eigenpair sets kept, each
+_UNIT_CACHE = 8            # unit-beam systems and reference eigenpair sets kept, each
+_POLISH_REPEATS = 2        # extra inverse-iteration steps at most, per sparse solve
+_POLISH_MARGIN = 0.25      # repeat the step while a pair is above this share of a bound
+_PAIR_GAP = 1e-9           # relative eigenvalue gap of a degenerate disk pair, at most
 _DISK_TOPOLOGY_CACHE = 8   # disk ring counts whose topology is kept
 _TRANSLATIONAL = frozenset(("w", "ux", "uy"))
 # most rings mesh_disk builds: radius/1000 is already 3 million nodes
 _MAX_RINGS = 1000
+# the reference disk of the disk congruence: the silicon preset (Young's
+# modulus, density) at radius 3 um, thickness 0.4 um (configs/disk.json)
+_REF_DISK = (169e9, 2330.0, 3e-6, 0.4e-6)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -112,8 +140,10 @@ class Mesh:
     elements: np.ndarray
     kind: str
     # Set by mesh_disk only: the cached _DiskTopology of its ring count,
-    # whose scatter plan and rim order assembly and mode identification reuse
+    # whose scatter plan and rim order assembly and mode identification
+    # reuse, and the radius its nodes were scaled to
     _topology: object = field(default=None, init=False, repr=False, compare=False)
+    _radius: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = _readonly(np.asarray(self.nodes, dtype=float))
@@ -166,6 +196,20 @@ def _layout(dof_map, constraints) -> _Layout:
                    *_translational_layout(dof_map))
 
 
+class _Congruence(NamedTuple):
+    """How a system's free-dof pencil maps from a cached reference pencil
+    (see the module docstring): the reference pairs (mu, psi) are
+    _unit_beam_modes(*key, k) for a beam mesh, _unit_disk_modes(*key, k)
+    for a disk mesh, and the system's are lambda = mu * ratio and
+    phi = psi / d (d a column on the free dofs, or a scalar). norms are
+    (||DKD||_F, ||DMD||_F) of the backward-error gate, or None where the
+    gate computes them from the system's own K and M."""
+    key: tuple
+    ratio: float
+    d: object
+    norms: tuple | None
+
+
 @dataclass(frozen=True)
 class AssembledSystem:
     """Assembled K, M with dof bookkeeping.
@@ -186,11 +230,10 @@ class AssembledSystem:
     dof_map: tuple
     constraints: tuple
     mesh: Mesh | None = field(default=None, compare=False)
-    # Set by assemble_beam only: (n_elements, clamped, d on the free dofs,
-    # (EI/le^3) / (rho*A*le/420), (||DKD||_F, ||DMD||_F) of the backward
-    # error), the congruence that maps the unit-beam pairs to this
-    # system's (see the module docstring).
-    _unit_beam: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # Set by assemble_beam, and by assemble_disk on a mesh_disk mesh: the
+    # _Congruence that maps cached reference pairs to this system's.
+    _congruence: _Congruence | None = field(default=None, init=False, repr=False,
+                                            compare=False)
     # The _Layout tables and the free-dof blocks _kf/_mf of K and M, stored
     # as K and M are. _tdofs lists the translational dofs; row j of
     # _tnode_dofs holds the translational dofs of the j-th node that has
@@ -214,17 +257,17 @@ class AssembledSystem:
 
     @classmethod
     def _of(cls, layout: _Layout, k, m, kf, mf, mesh: Mesh | None = None,
-            unit_beam: tuple | None = None) -> "AssembledSystem":
+            congruence: _Congruence | None = None) -> "AssembledSystem":
         """The system of K, M and their free blocks, already stored and gated
         by the caller (no __post_init__)."""
         sys = object.__new__(cls)
-        sys._set(layout, k, m, kf, mf, mesh, unit_beam)
+        sys._set(layout, k, m, kf, mf, mesh, congruence)
         return sys
 
-    def _set(self, layout, k, m, kf, mf, mesh, unit_beam=None):
+    def _set(self, layout, k, m, kf, mf, mesh, congruence=None):
         for name, value in (("stiffness", k), ("mass", m), ("dof_map", layout.dof_map),
                             ("constraints", layout.constraints), ("mesh", mesh),
-                            ("_unit_beam", unit_beam), ("_free", layout.free),
+                            ("_congruence", congruence), ("_free", layout.free),
                             ("_kf", kf), ("_mf", mf), ("_tdofs", layout.tdofs),
                             ("_tnode_dofs", layout.tnode_dofs)):
             object.__setattr__(self, name, value)
@@ -509,7 +552,7 @@ class _UnitBeam(NamedTuple):
     norms: tuple
 
 
-@lru_cache(maxsize=_UNIT_BEAM_CACHE)
+@lru_cache(maxsize=_UNIT_CACHE)
 def _unit_beam_system(n_elements: int, clamped: bool) -> _UnitBeam:
     """The _UnitBeam on n_elements, built from _KE0 and _ME0 by _system and
     gated as every system is. The band's half-bandwidth kd is 3 under
@@ -590,11 +633,11 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     # the dof tables are the unit system's; K, M, their free blocks and the
     # mesh are this beam's. Jacobi scaling undoes the congruence, so the
     # scaled norms of the backward error are the unit's, ||DMD|| over ratio.
-    d_free = _readonly(np.tile((1.0, le), n_nodes)[unit.layout.free])
+    d_free = _readonly(np.tile((1.0, le), n_nodes)[unit.layout.free][:, None])
     norm_k, norm_m = unit.norms
     return AssembledSystem._of(unit.layout, k, m, kf, mf, mesh,
-                               (n_elements, clamped, d_free, float(ratio),
-                                (norm_k, norm_m / float(ratio))))
+                               _Congruence((n_elements, clamped), float(ratio), d_free,
+                                           (norm_k, norm_m / float(ratio))))
 
 
 # ---------------------------------------------------------------------------
@@ -610,14 +653,15 @@ _ME_TRI = np.array([
 class _DiskTopology(NamedTuple):
     """What mesh_disk's mesh with m rings is for every radius: the ring
     index (float) and (cos, sin) of each node's angle, the elements, their
-    _Plan, and the outer-rim nodes in ascending angle (_rim_nodes of the
+    _Plan, the outer-rim nodes in ascending angle (_rim_nodes of the
     unit-radius mesh: the order of the angles does not change with the
-    radius)."""
+    radius) and m."""
     ring: np.ndarray
     unit: np.ndarray
     elements: np.ndarray
     plan: _Plan
     rim: np.ndarray
+    rings: int
 
 
 @lru_cache(maxsize=_DISK_TOPOLOGY_CACHE)
@@ -657,7 +701,7 @@ def _disk_topology(m: int) -> _DiskTopology:
     ring, unit = _readonly(np.array(ring, dtype=float)), _readonly(np.array(unit))
     elements = _readonly(np.array(tris, dtype=int))
     return _DiskTopology(ring, unit, elements, _plan(elements, ("ux", "uy"), len(ring)),
-                         _readonly(_rim_nodes((ring / m)[:, None] * unit)))
+                         _readonly(_rim_nodes((ring / m)[:, None] * unit)), m)
 
 
 def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
@@ -673,24 +717,55 @@ def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
         raise MeshError(f"target_edge must be in (0, radius/4), got {target_edge}")
     if not r_out / target_edge <= _MAX_RINGS:
         raise MeshError(f"target_edge {target_edge} needs more than {_MAX_RINGS} rings")
-    m = max(4, round(r_out / target_edge))
+    return _disk_mesh(max(4, round(r_out / target_edge)), r_out)
+
+
+def _disk_mesh(m: int, r_out: float) -> Mesh:
+    """mesh_disk's mesh with m rings at radius r_out."""
     topology = _disk_topology(m)
     mesh = Mesh(nodes=(r_out * topology.ring / m)[:, None] * topology.unit,
                 elements=topology.elements, kind="plane_stress_2d")
     object.__setattr__(mesh, "_topology", topology)
+    object.__setattr__(mesh, "_radius", r_out)
     return mesh
 
 
 def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSystem:
     """Plane-stress CST stiffness + consistent mass, free boundary.
 
-    A mesh from mesh_disk is summed by its cached topology's plan; any
-    other mesh builds its plan here.
+    A mesh from mesh_disk is summed by its cached topology's plan and
+    records its congruence to the reference disk of its ring count and
+    Poisson ratio (see the module docstring); any other mesh builds its
+    plan here and is solved directly.
     """
     if mesh.kind != "plane_stress_2d":
         raise MeshError("disk assembly needs a plane_stress_2d mesh")
     e_mod, nu, rho, t = (mat.youngs_modulus, mat.poisson_ratio,
                          mat.density, geom.thickness)
+    sys = _disk_system(mesh, e_mod, nu, rho, t)
+    if mesh._topology is not None:
+        object.__setattr__(sys, "_congruence", _disk_congruence(sys, e_mod, nu, rho, t))
+    return sys
+
+
+def _disk_congruence(sys: AssembledSystem, e_mod, nu, rho, t) -> _Congruence | None:
+    """The _Congruence of a disk on a mesh_disk mesh to the reference disk
+    of its ring count and nu; None where it would not be exact to rounding
+    (see the module docstring)."""
+    e_ref, rho_ref, r_ref, t_ref = _REF_DISK
+    r = sys.mesh._radius
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        ratio = np.float64(e_mod) / (rho * r * r) / (e_ref / (rho_ref * r_ref * r_ref))
+        d = np.sqrt(np.float64(rho) * t * r * r / (rho_ref * t_ref * r_ref * r_ref))
+    smallest = min(abs(sys.stiffness.data).min(), abs(sys.mass.data).min())
+    if not (0 < ratio < math.inf and 0 < d < math.inf and smallest >= np.finfo(float).tiny):
+        return None
+    return _Congruence((sys.mesh._topology.rings, nu), float(ratio), float(d), None)
+
+
+def _disk_system(mesh: Mesh, e_mod, nu, rho, t) -> AssembledSystem:
+    """The gated CST system of a disk of thickness t and material (e_mod,
+    nu, rho) on mesh, with no congruence recorded."""
     d_mat = e_mod / (1 - nu**2) * np.array([
         [1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]])
 
@@ -710,6 +785,17 @@ def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSys
     plan = (_plan(mesh.elements, ("ux", "uy"), len(mesh.nodes)) if mesh._topology is None
             else mesh._topology.plan)
     return _system(plan, ke, me, mesh)
+
+
+@lru_cache(maxsize=_UNIT_CACHE)
+def _unit_disk_modes(rings: int, nu: float, k: int):
+    """k lowest eigenpairs (mu, psi) of the reference disk (_REF_DISK, nu)
+    on mesh_disk's mesh with this many rings, as read-only arrays, solved
+    as a disk's own pencil would be."""
+    e_ref, rho_ref, r_ref, t_ref = _REF_DISK
+    ref = _disk_system(_disk_mesh(rings, r_ref), e_ref, nu, rho_ref, t_ref)
+    vals, vecs = _pencil_modes(ref._kf, ref._mf, k)
+    return _readonly(vals), _readonly(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +834,7 @@ def _dense_modes(a: np.ndarray, b: np.ndarray, k: int):
     return vals[:found], vecs[:, :found]
 
 
-def _shift_invert_modes(kk, mm, k: int):
+def _shift_invert_modes(kk, mm, k: int, *, residual_margin: bool = True):
     """k lowest eigenpairs of the CSC pencil (kk, mm), ascending; needs 4k < n.
 
     The shift sits below zero, at _SHIFT_RATIO of the median diagonal
@@ -761,50 +847,64 @@ def _shift_invert_modes(kk, mm, k: int):
     ARPACK starts from a fixed vector, so the result is deterministic, and
     finds 2k pairs: asked for k alone it split degenerate disk pairs at
     the window edge, missed an eigenvalue at k = 12 on disks R/8 to R/20
-    and left residuals up to 1e-7. One inverse-iteration step with the
+    and left residuals up to 1e-7. An inverse-iteration step with the
     same factorization and a 2k x 2k Rayleigh-Ritz projection then bring
-    the disk residuals below 1e-9.
+    the disk residuals below 1e-9. The step is repeated, at most
+    _POLISH_REPEATS times, while a wanted pair is above _POLISH_MARGIN of
+    the backward-error bound or, with residual_margin, an elastic one above
+    it of the residual bound, so that a pair mapped to a congruent pencil
+    keeps a margin. The Jacobi-scaled backward error is the same on every
+    diagonally congruent pencil, the relative residual only on a scalar
+    multiple: a unit beam's is not its beams' (residual_margin False).
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
     n = kk.shape[0]
     sigma = -_SHIFT_RATIO * float(np.median(kk.diagonal() / mm.diagonal()))
     lu = _symmetric_lu(kk - sigma * mm)
     op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    _, vecs = eigsh(kk, 2 * k, M=mm, sigma=sigma, OPinv=op, v0=np.ones(n))
-    x = lu.solve(mm @ vecs)
-    vals, q = _dense_modes(x.T @ (kk @ x), x.T @ (mm @ x), k)
-    return vals, x @ q
+    _, x = eigsh(kk, 2 * k, M=mm, sigma=sigma, OPinv=op, v0=np.ones(n))
+    norms = _scaled_norms(kk, mm)
+    for _ in range(1 + _POLISH_REPEATS):
+        x = lu.solve(mm @ x)
+        vals, q = _dense_modes(x.T @ (kk @ x), x.T @ (mm @ x), 2 * k)
+        x = x @ q
+        elastic, resid, berr = _accuracy(kk, mm, vals[:k], x[:, :k], norms)
+        if np.all(berr <= _POLISH_MARGIN * _BACKWARD_BOUND) and not (
+                residual_margin and np.any(elastic & (resid > _POLISH_MARGIN * _RESIDUAL_BOUND))):
+            break
+    return vals[:k], x[:, :k]
 
 
-def _pencil_modes(kk, mm, k: int):
+def _pencil_modes(kk, mm, k: int, *, residual_margin: bool = True):
     """k lowest eigenpairs of the free-dof CSC pencil (kk, mm): LAPACK on
     the dense copies with at most _SPARSE_MIN_DOF free dofs or for
-    k >= n/4, shift-invert Lanczos otherwise."""
+    k >= n/4, shift-invert Lanczos otherwise (residual_margin as there)."""
     n = kk.shape[0]
     if n <= _SPARSE_MIN_DOF or 4 * k >= n:
         return _dense_modes(kk.toarray(), mm.toarray(), k)
-    return _shift_invert_modes(kk, mm, k)
+    return _shift_invert_modes(kk, mm, k, residual_margin=residual_margin)
 
 
-@lru_cache(maxsize=_UNIT_BEAM_CACHE)
+@lru_cache(maxsize=_UNIT_CACHE)
 def _unit_beam_modes(n_elements: int, clamped: bool, k: int):
     """k lowest eigenpairs (mu, psi) of the cached unit-beam pencil (K0, M0)
     on its free dofs, as read-only arrays, solved as the beam's own pencil
     would be."""
     unit = _unit_beam_system(n_elements, clamped)
-    vals, vecs = _pencil_modes(unit.kf.matrix, unit.mf.matrix, k)
+    vals, vecs = _pencil_modes(unit.kf.matrix, unit.mf.matrix, k, residual_margin=False)
     return _readonly(vals), _readonly(vecs)
 
 
 def _eigenpairs(sys: AssembledSystem, k: int):
     """k lowest eigenpairs of the system's free-dof pencil: eigenvalues
-    ascending, eigenvectors as columns. A beam from assemble_beam maps the
-    cached unit-beam pairs (see the module docstring)."""
-    if sys._unit_beam is None:
+    ascending, eigenvectors as columns. A system with a congruence maps the
+    cached reference pairs (see the module docstring)."""
+    c = sys._congruence
+    if c is None:
         return _pencil_modes(sys._kf, sys._mf, k)
-    n_elements, clamped, d_free, ratio, _ = sys._unit_beam
-    mu, psi = _unit_beam_modes(n_elements, clamped, k)
-    return mu * ratio, psi / d_free[:, None]
+    pairs = _unit_beam_modes if sys.mesh.kind == "beam_1d" else _unit_disk_modes
+    mu, psi = pairs(*c.key, k)
+    return mu * c.ratio, psi / c.d
 
 
 def _jacobi(kk) -> np.ndarray:
@@ -858,7 +958,35 @@ def solve_modes(sys: AssembledSystem, k: int):
     except (np.linalg.LinAlgError, RuntimeError) as exc:   # ArpackError is a RuntimeError
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from None
 
-    # residual bound is meaningful only away from the rigid-body null space
+    # a beam's scaled norms are those of its unit system
+    c = sys._congruence
+    norms = _scaled_norms(kk, mm) if c is None or c.norms is None else c.norms
+    elastic, resid, berr = _accuracy(kk, mm, vals, vecs, norms)
+    bad = np.flatnonzero(elastic & (resid > _RESIDUAL_BOUND))
+    if bad.size:
+        raise EigenSolveError(
+            f"eigen-residual {resid[bad[0]]:.2e} exceeds {_RESIDUAL_BOUND:.0e} "
+            f"for mode {bad[0]}")
+    # every mode, rigid ones too, passes the backward-error gate
+    bad = np.flatnonzero(~(berr <= _BACKWARD_BOUND))
+    if bad.size:
+        raise EigenSolveError(
+            f"backward error {berr[bad[0]]:.2e} exceeds {_BACKWARD_BOUND:.0e} "
+            f"for mode {bad[0]}")
+
+    full = np.zeros((len(vals), len(sys.dof_map)))
+    full[:, free] = vecs.T
+    _normalize(sys, full)
+    return [(math.sqrt(max(lam, 0.0)) / (2 * math.pi), vec)
+            for lam, vec in zip(vals.tolist(), full)]
+
+
+def _accuracy(kk, mm, vals, vecs, norms):
+    """(elastic, resid, berr) of the pairs (vals, vecs) of the free-dof
+    CSC pencil (kk, mm): which pairs are away from the rigid-body null
+    space, where the relative residual ||K v - lambda M v|| / ||K v|| of
+    resid is meaningful, and the backward error of each (_backward_errors,
+    norms its scaled norms). EigenSolveError if a vector norm overflows."""
     kv = kk @ vecs
     with np.errstate(over="ignore"):
         norm_kv, norm_v = np.linalg.norm(kv, axis=0), np.linalg.norm(vecs, axis=0)
@@ -869,34 +997,21 @@ def solve_modes(sys: AssembledSystem, k: int):
     elastic = norm_kv > 1e-9 * float(abs(kk.data).max(initial=0.0)) * norm_v
     r = kv - vals * (mm @ vecs)
     resid = np.linalg.norm(r, axis=0) / np.where(elastic, norm_kv, 1.0)
-    bad = np.flatnonzero(elastic & (resid > _RESIDUAL_BOUND))
-    if bad.size:
-        raise EigenSolveError(
-            f"eigen-residual {resid[bad[0]]:.2e} exceeds {_RESIDUAL_BOUND:.0e} "
-            f"for mode {bad[0]}")
-    # every mode, rigid ones too, passes the backward-error gate; a beam's
-    # scaled norms are those of its unit system
-    norms = _scaled_norms(kk, mm) if sys._unit_beam is None else sys._unit_beam[4]
-    berr = _backward_errors(kk, mm, vals, vecs, r, norms)
-    bad = np.flatnonzero(~(berr <= _BACKWARD_BOUND))
-    if bad.size:
-        raise EigenSolveError(
-            f"backward error {berr[bad[0]]:.2e} exceeds {_BACKWARD_BOUND:.0e} "
-            f"for mode {bad[0]}")
+    return elastic, resid, _backward_errors(kk, mm, vals, vecs, r, norms)
 
-    full = np.zeros((len(vals), len(sys.dof_map)))
-    full[:, free] = vecs.T
+
+def _normalize(sys: AssembledSystem, full: np.ndarray) -> None:
+    """Scale each full-length mode vector (a row of full) in place to unit
+    maximum translational displacement, then apply the sign convention: the
+    two peaks of an antisymmetric mode differ only by rounding, so the
+    first translational entry near the largest magnitude is made positive."""
     peak = np.max(_translational_amplitude(sys, full), axis=1)
     full /= np.where(peak > 0, peak, 1.0)[:, None]
-    # sign convention: the two peaks of an antisymmetric mode differ only by
-    # rounding, so the first entry near the largest magnitude decides
     tvals = full[:, sys._tdofs]
     mag = np.abs(tvals)
     first = np.argmax(mag >= (1 - _SIGN_RTOL) * mag.max(axis=1, keepdims=True), axis=1)
     lead = tvals[np.arange(len(full)), first]
     full[lead < 0] *= -1.0
-    return [(math.sqrt(max(lam, 0.0)) / (2 * math.pi), vec)
-            for lam, vec in zip(vals.tolist(), full)]
 
 
 def _rim_nodes(nodes: np.ndarray) -> np.ndarray:
@@ -975,9 +1090,16 @@ def disk_modal_fem(geom: DiskGeometry, mat: Material, mesh: Mesh,
 def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
     """Assemble and solve a free disk once: (system, elastic modes as
     [(frequency_hz, mode_vector)], their ModeResults as disk_modal_fem
-    returns them)."""
+    returns them).
+
+    Each degenerate pair (neighbouring elastic modes of one angular order
+    n > 0, eigenvalues within _PAIR_GAP) is reported in one basis
+    (_canonical_pair). One mode more than asked for is solved, so that a
+    pair at the window's edge is whole, and dropped at the end.
+    """
     sys = assemble_disk(geom, mat, mesh)
-    modes = solve_modes(sys, n_modes + 3)
+    wanted = n_modes + 3
+    modes = solve_modes(sys, wanted + 1 if 4 <= wanted < len(sys.free_dofs()) else wanted)
     lam = np.array([(2 * math.pi * f)**2 for f, _ in modes])
     if len(lam) < 4:
         raise RigidBodyModeError("need at least 4 modes to separate rigid body motion")
@@ -987,16 +1109,28 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
         raise RigidBodyModeError(
             f"expected 3 rigid-body modes for a free disk, found {n_rigid}")
 
-    theta, u_rads = _rim_radial(mesh, np.array([vec for _, vec in modes[3:]]))
+    freqs = [f for f, _ in modes[3:wanted]]
+    vecs = np.array([vec for _, vec in modes[3:]])
+    theta, u_rads = _rim_radial(mesh, vecs)
     basis = _harmonic_basis(theta)
+    orders = []
+    for u_rad in u_rads:
+        try:
+            orders.append(_dominant_harmonic(basis, u_rad))
+        except AmbiguousAngularOrderError:
+            orders.append(0)
+    i = 0
+    while i < min(len(freqs), len(orders) - 1):
+        n, gap = orders[i], lam[4 + i] - lam[3 + i]
+        if n > 0 and orders[i + 1] == n and gap <= _PAIR_GAP * lam[4 + i]:
+            vecs[i:i + 2] = _canonical_pair(sys, basis[1][n], u_rads[i:i + 2], vecs[i:i + 2])
+            u_rads[i:i + 2] = _rim_radial(mesh, vecs[i:i + 2])[1]
+            i += 1
+        i += 1
     free = sys.free_dofs()
 
     results = []
-    for (freq, vec), u_rad in zip(modes[3:], u_rads):
-        try:
-            order = _dominant_harmonic(basis, u_rad)
-        except AmbiguousAngularOrderError:
-            order = 0
+    for freq, vec, u_rad, order in zip(freqs, vecs, u_rads, orders):
         rim = float(np.max(np.abs(u_rad)))
         if rim <= 0:
             continue
@@ -1009,7 +1143,31 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
                                   effective_mass=m_eff,
                                   effective_stiffness=w0 * w0 * m_eff,
                                   mode_shape=shape))
-    return sys, modes[3:], results
+    return sys, list(zip(freqs, vecs)), results
+
+
+def _canonical_pair(sys: AssembledSystem, sin_n, u_rads, pair):
+    """The degenerate pair of full-length mode vectors (the rows of pair,
+    whose rim u_r are the rows of u_rads) in its canonical basis, then
+    normalized as solve_modes normalizes; sin_n is sin(n theta) at the rim
+    angles. The pair is M-orthonormalized and rotated within its span so
+    that the first member's rim u_r has no sin(n theta) part, which puts an
+    antinode at theta = 0. The second member is M-orthogonal to it, so its
+    rim u_r has no cos(n theta) part: the 60-degree symmetry of mesh_disk's
+    mesh turns the pair by n * 60 degrees, which for n not a multiple of 3
+    makes the map from the pair to its rim (cos, sin) parts a scaled
+    rotation."""
+    free = sys.free_dofs()
+    w = pair[:, free]
+    chol = np.linalg.cholesky(w @ (sys._mf @ w.T))
+    w = np.linalg.solve(chol, w)          # M-orthonormal rows
+    s = np.linalg.solve(chol, u_rads @ sin_n)   # their rim sin(n theta) parts
+    if not np.hypot(*s) > 0:
+        return pair
+    full = np.zeros_like(pair)
+    full[:, free] = np.array([[s[1], -s[0]], [s[0], s[1]]]) @ w
+    _normalize(sys, full)
+    return full
 
 
 # ---------------------------------------------------------------------------

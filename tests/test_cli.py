@@ -280,6 +280,30 @@ def test_value_breaking_an_invariant_is_usage_error(tmp_path, capsys, kind):
     assert captured.err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("kind,message", [
+    ("design", "cannot parse quantity 'abc'"),
+    ("bound", "unknown unit suffix 'parsecs' in '2 parsecs'"),
+    ("assumed-q", "cannot parse quantity 'lots'"),
+])
+def test_value_not_a_quantity_names_its_file(tmp_path, capsys, kind, message):
+    """A config value that does not parse as a quantity is a config error
+    naming the file, wherever it is parsed."""
+    bounds = json.loads((CONFIGS / "oscillator_bounds.json").read_text())
+    design = json.loads((CONFIGS / "beam.json").read_text())
+    design["geometry"]["width"] = "abc"
+    bounds_bad = dict(bounds, bounds=dict(bounds["bounds"], width=["2 parsecs", "3 um"]))
+    optimize = ["optimize", "--profile", "oscillator-n2", "--bounds"]
+    cfg, argv = {"design": (design, ["analyze", "--config"]),
+                 "bound": (bounds_bad, optimize),
+                 "assumed-q": (dict(bounds, assumed_q="lots"), optimize)}[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--config", "{disk}", "--target-edge", "0"],
     ["fem", "--config", "{disk}", "--target-edge", "-0.3 um"],

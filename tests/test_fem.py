@@ -140,9 +140,9 @@ class TestOneBeamElement:
         calls = []
         pencil = fem._pencil_modes
 
-        def recording(kk, mm, k):
+        def recording(kk, mm, k, **kwargs):
             calls.append((kk, mm))
-            return pencil(kk, mm, k)
+            return pencil(kk, mm, k, **kwargs)
 
         monkeypatch.setattr(fem, "_pencil_modes", recording)
         fem._unit_beam_modes.cache_clear()
@@ -309,6 +309,23 @@ def disk_r12(ref_disk, silicon):
     return sys_
 
 
+def _caller_copy(mesh):
+    """mesh as a caller would build it: no cached topology, so a disk on it
+    is solved directly, not through the reference-disk pairs."""
+    caller = Mesh(nodes=mesh.nodes.copy(), elements=mesh.elements.copy(),
+                  kind="plane_stress_2d")
+    assert caller._topology is None
+    return caller
+
+
+@pytest.fixture(scope="module")
+def caller_disk_r12(ref_disk, silicon):
+    sys_ = assemble_disk(ref_disk, silicon,
+                         _caller_copy(mesh_disk(ref_disk, ref_disk.radius / 12)))
+    assert sys_._congruence is None and len(sys_.free_dofs()) > fem._SPARSE_MIN_DOF
+    return sys_
+
+
 class TestSparseSolver:
     """Systems above the dense/sparse threshold: shift-invert Lanczos."""
 
@@ -466,9 +483,9 @@ class TestSparseStorage:
         # 151 clamped elements: 304 dofs, 300 free; 152: 302 free
         calls = []
         for name in ("_dense_modes", "_shift_invert_modes"):
-            def recording(kk, mm, k, name=name, solver=getattr(fem, name)):
+            def recording(kk, mm, k, name=name, solver=getattr(fem, name), **kwargs):
                 calls.append((name, kk.shape[0]))
-                return solver(kk, mm, k)
+                return solver(kk, mm, k, **kwargs)
 
             monkeypatch.setattr(fem, name, recording)
         fem._unit_beam_modes(151, True, 4)
@@ -561,8 +578,9 @@ class TestDenseModes:
             ref_vals, ref_vecs = eigh(kk, mm, subset_by_index=(0, k - 1))
             assert _bits_equal(vals, ref_vals) and _bits_equal(vecs, ref_vecs)
 
-    def test_rayleigh_ritz_step_bitwise_equal_to_eigh(self, monkeypatch, disk_r12):
-        # the projected pencil is symmetric only to rounding
+    def test_rayleigh_ritz_step_bitwise_equal_to_eigh(self, monkeypatch, caller_disk_r12):
+        # the projected pencil is symmetric only to rounding; every step
+        # keeps all 2k Ritz pairs
         calls = []
         dense_modes = fem._dense_modes
 
@@ -572,11 +590,12 @@ class TestDenseModes:
             return out
 
         monkeypatch.setattr(fem, "_dense_modes", recording)
-        solve_modes(disk_r12, 9)
-        (a, b, k, (vals, vecs)), = calls
-        assert a.shape == (18, 18) and not np.array_equal(a, a.T)
-        ref_vals, ref_vecs = eigh(a, b, subset_by_index=(0, k - 1))
-        assert _bits_equal(vals, ref_vals) and _bits_equal(vecs, ref_vecs)
+        solve_modes(caller_disk_r12, 9)
+        assert 1 <= len(calls) <= 1 + fem._POLISH_REPEATS
+        for a, b, k, (vals, vecs) in calls:
+            assert a.shape == (18, 18) and k == 18 and not np.array_equal(a, a.T)
+            ref_vals, ref_vecs = eigh(a, b, subset_by_index=(0, k - 1))
+            assert _bits_equal(vals, ref_vals) and _bits_equal(vecs, ref_vecs)
 
     def test_lapack_failure_is_eigen_solve_error(self):
         sys_ = AssembledSystem(np.eye(2), np.eye(2), dof_map=((0, "w"), (1, "w")),
@@ -632,22 +651,23 @@ class TestNormalization:
         self._check(modes, _loop_normalized(sys_, vals, vecs))
 
     def test_dense_disk_equals_loop(self, ref_disk, silicon):
-        sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 6))
+        sys_ = assemble_disk(ref_disk, silicon,
+                             _caller_copy(mesh_disk(ref_disk, ref_disk.radius / 6)))
         vals, vecs = eigh(sys_._kf.toarray(), sys_._mf.toarray(), subset_by_index=(0, 8))
         self._check(solve_modes(sys_, 9), _loop_normalized(sys_, vals, vecs))
 
-    def test_sparse_disk_equals_loop(self, monkeypatch, disk_r12):
+    def test_sparse_disk_equals_loop(self, monkeypatch, caller_disk_r12):
         calls = []
         shift_invert = fem._shift_invert_modes
 
-        def recording(kk, mm, k):
-            calls.append(shift_invert(kk, mm, k))
+        def recording(kk, mm, k, **kwargs):
+            calls.append(shift_invert(kk, mm, k, **kwargs))
             return calls[-1]
 
         monkeypatch.setattr(fem, "_shift_invert_modes", recording)
-        modes = solve_modes(disk_r12, 9)
+        modes = solve_modes(caller_disk_r12, 9)
         (vals, vecs), = calls
-        self._check(modes, _loop_normalized(disk_r12, vals, vecs))
+        self._check(modes, _loop_normalized(caller_disk_r12, vals, vecs))
 
 
 def _unit_pencil(n, clamped):
@@ -703,7 +723,7 @@ class TestUnitBeamCache:
             assert not vals.flags.writeable and not vecs.flags.writeable
 
     def test_cache_is_bounded(self):
-        assert fem._unit_beam_modes.cache_info().maxsize == fem._UNIT_BEAM_CACHE == 8
+        assert fem._unit_beam_modes.cache_info().maxsize == fem._UNIT_CACHE == 8
 
     @pytest.mark.parametrize("n,clamped,k", [(64, True, 1), (64, True, 4), (16, False, 6),
                                              (200, True, 4), (200, False, 4)])
@@ -724,7 +744,7 @@ class TestUnitBeamCache:
     def test_second_beam_makes_no_lapack_call(self, monkeypatch, ref_beam, silicon, n):
         solve_modes(assemble_beam(ref_beam, silicon, n), 4)
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("the unit-beam pairs were solved again")
 
         monkeypatch.setattr(fem, "_dense_modes", refuse)
@@ -737,7 +757,7 @@ class TestUnitBeamCache:
     def test_direct_system_is_solved_as_given(self, monkeypatch, ref_beam, silicon):
         beam = assemble_beam(ref_beam, silicon, 16)
         direct = AssembledSystem(beam.stiffness, beam.mass, beam.dof_map, beam.constraints)
-        assert direct._unit_beam is None and beam._unit_beam is not None
+        assert direct._congruence is None and beam._congruence is not None
 
         def refuse(*args):
             raise AssertionError("a direct system went through the unit-beam cache")
@@ -918,7 +938,7 @@ class TestCachedBackwardNorms:
                      BeamGeometry(37e-6, 2e-6, 1e-6, VibrationAxis.OUT_OF_PLANE),
                      BeamGeometry(1e-3, 1e-6, 3e-6, VibrationAxis.IN_PLANE)):
             sys_ = assemble_beam(geom, silicon, n, clamped)
-            cached = sys_._unit_beam[4]
+            cached = sys_._congruence.norms
             per_call = fem._scaled_norms(sys_._kf, sys_._mf)
             assert cached == pytest.approx(per_call, rel=1e-14, abs=0)
 
@@ -1131,16 +1151,21 @@ def _stored_equal(a, b):
         for x, y in ((a.indices, b.indices), (a.indptr, b.indptr)))
 
 
-def _assert_same_disk(got, ref):
-    """Two solve_disk results bitwise equal: K, M, free blocks, dof tables,
-    mode vectors and ModeResults."""
-    (sys_a, modes_a, res_a), (sys_b, modes_b, res_b) = got, ref
+def _assert_same_system(sys_a, sys_b):
+    """Two systems bitwise equal: K, M, free blocks and dof tables."""
     for name in ("stiffness", "mass", "_kf", "_mf"):
         assert _stored_equal(getattr(sys_a, name), getattr(sys_b, name))
     assert sys_a.dof_map == sys_b.dof_map and sys_a.constraints == sys_b.constraints
     for name in ("_free", "_tdofs", "_tnode_dofs"):
         a, b = getattr(sys_a, name), getattr(sys_b, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_same_disk(got, ref):
+    """Two solve_disk results bitwise equal: K, M, free blocks, dof tables,
+    mode vectors and ModeResults."""
+    (sys_a, modes_a, res_a), (sys_b, modes_b, res_b) = got, ref
+    _assert_same_system(sys_a, sys_b)
     assert [repr(f) for f, _ in modes_a] == [repr(f) for f, _ in modes_b]
     assert all(_bits_equal(va, vb) for (_, va), (_, vb) in zip(modes_a, modes_b))
     assert len(res_a) == len(res_b)
@@ -1148,12 +1173,25 @@ def _assert_same_disk(got, ref):
         assert repr(a.to_dict()) == repr(b.to_dict())   # repr of every float
 
 
+def _assert_close_results(got, ref, m_eff_rtol=1e-9):
+    """Two lists of disk ModeResults equal to rounding: frequencies within
+    1e-12, the same angular orders, effective masses within m_eff_rtol."""
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.frequency == pytest.approx(b.frequency, rel=1e-12, abs=0)
+        assert a.mode_order == b.mode_order
+        assert a.effective_mass == pytest.approx(b.effective_mass, rel=m_eff_rtol, abs=0)
+
+
 @pytest.fixture
 def cold_disk_topologies():
-    """An empty disk-topology cache before and after the test."""
-    fem._disk_topology.cache_clear()
+    """Empty disk-topology and reference-disk caches before and after the
+    test."""
+    for cached in (fem._disk_topology, fem._unit_disk_modes):
+        cached.cache_clear()
     yield
-    fem._disk_topology.cache_clear()
+    for cached in (fem._disk_topology, fem._unit_disk_modes):
+        cached.cache_clear()
 
 
 class TestDiskTopology:
@@ -1180,11 +1218,11 @@ class TestDiskTopology:
         fem.solve_disk(filler, silicon, mesh_disk(filler, filler.radius / divisor))
         mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
         _assert_same_disk(fem.solve_disk(ref_disk, silicon, mesh), cold)
-        # the same mesh built by a caller: no topology, its own plan
-        caller = Mesh(nodes=mesh.nodes.copy(), elements=mesh.elements.copy(),
-                      kind="plane_stress_2d")
-        assert caller._topology is None
-        _assert_same_disk(fem.solve_disk(ref_disk, silicon, caller), cold)
+        # the same mesh built by a caller: no topology, its own plan and a
+        # direct solve; K and M bitwise, the modes equal to rounding
+        sys_, _, results = fem.solve_disk(ref_disk, silicon, _caller_copy(mesh))
+        _assert_same_system(sys_, cold[0])
+        _assert_close_results(results, cold[2])
 
     @pytest.mark.parametrize("divisor", [5, 12])
     def test_permuted_caller_mesh(self, monkeypatch, ref_disk, silicon, divisor):
@@ -1469,6 +1507,173 @@ class TestDiskModal:
             modal = disk_modal_fem(ref_disk, silicon, mesh, n_modes=2)
             freqs.append([m for m in modal if m.mode_order == 2][0].frequency)
         assert abs(freqs[1] - freqs[0]) / freqs[1] < 0.005
+
+
+# fem-converge disks near the backward-error bound at R/7 with 13 modes:
+# seeds 3 and 21, which a direct solve with one polish step left above it,
+# and seed 30, which the reference-disk pairs with one step leave above it
+_NEAR_MISS_DISKS = {
+    "seed-3": (DiskGeometry(4.415680154384778e-06, 8.560151247953092e-07),
+               Material(144277877625.5135, 2308.84584505919, 0.23699551665480792)),
+    "seed-21": (DiskGeometry(3.9164018882298055e-06, 5.185400388194423e-07),
+                Material(139896968789.99188, 2337.9533848435135, 0.2634999940404721)),
+    "seed-30": (DiskGeometry(4.614543015571048e-06, 6.068184254458345e-07),
+                Material(162344893876.34863, 2257.839288727944, 0.20300369085511272))}
+
+
+class TestUnitDisk:
+    """A disk on a mesh_disk mesh maps the cached pairs of the reference disk
+    of its ring count and Poisson ratio; a degenerate pair is reported in
+    one basis."""
+
+    @staticmethod
+    def _record_pencils(monkeypatch):
+        calls = []
+        pencil = fem._pencil_modes
+
+        def recording(kk, mm, k, **kwargs):
+            calls.append(kk.shape[0])
+            return pencil(kk, mm, k, **kwargs)
+
+        monkeypatch.setattr(fem, "_pencil_modes", recording)
+        return calls
+
+    def test_congruent_disks_share_one_solve(self, monkeypatch, silicon, cold_disk_topologies):
+        calls = self._record_pencils(monkeypatch)
+        a = DiskGeometry(3e-6, 0.4e-6)
+        b = DiskGeometry(17.3e-6, 1.1e-6)
+        other = Material(131e9, 2210.0, silicon.poisson_ratio)
+        ra = fem.solve_disk(a, silicon, mesh_disk(a, a.radius / 12))
+        rb = fem.solve_disk(b, other, mesh_disk(b, b.radius / 12))
+        assert calls == [len(ra[0].dof_map)]
+        for sys_ in (ra[0], rb[0]):
+            assert sys_._congruence.key == (12, silicon.poisson_ratio)
+        # each is its own pencil's solution: the reference frequency scales
+        # with sqrt(E / rho) / R
+        scale = (math.sqrt(other.youngs_modulus / other.density) / b.radius) / (
+            math.sqrt(silicon.youngs_modulus / silicon.density) / a.radius)
+        for x, y in zip(rb[2], ra[2]):
+            assert x.frequency == pytest.approx(scale * y.frequency, rel=1e-12)
+            assert x.mode_order == y.mode_order
+
+    def test_new_ratio_or_ring_count_misses(self, monkeypatch, ref_disk, silicon,
+                                            cold_disk_topologies):
+        calls = self._record_pencils(monkeypatch)
+        softer = Material(silicon.youngs_modulus, silicon.density, 0.21)
+        fem.disk_modal_fem(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 8))
+        fem.disk_modal_fem(ref_disk, softer, mesh_disk(ref_disk, ref_disk.radius / 8))
+        fem.disk_modal_fem(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 9))
+        fem.disk_modal_fem(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 8))
+        assert len(calls) == 3
+        assert fem._unit_disk_modes.cache_info().currsize == 3
+
+    def test_cache_is_bounded(self):
+        assert fem._unit_disk_modes.cache_info().maxsize == fem._UNIT_CACHE == 8
+
+    def test_scale_is_the_mesh_radius(self, ref_disk, silicon):
+        # a mesh built for another radius: K and M are those of its nodes,
+        # and so are the mapped pairs
+        other = DiskGeometry(5.3e-6, ref_disk.thickness)
+        mesh = mesh_disk(other, other.radius / 8)
+        mapped = fem.solve_disk(ref_disk, silicon, mesh)[2]
+        direct = fem.solve_disk(ref_disk, silicon, _caller_copy(mesh))[2]
+        _assert_close_results(mapped, direct)
+
+    def test_caller_mesh_and_subnormal_mass_are_solved_directly(self, ref_disk, silicon):
+        mesh = mesh_disk(ref_disk, ref_disk.radius / 6)
+        assert assemble_disk(ref_disk, silicon, mesh)._congruence is not None
+        assert assemble_disk(ref_disk, silicon, _caller_copy(mesh))._congruence is None
+        # the mass of test_vectors_too_large_to_gate's disk is subnormal, so
+        # the congruence would hold only to the subnormal grid
+        thin = DiskGeometry(3e-6, 0.4e-306)
+        sys_ = assemble_disk(thin, silicon, mesh_disk(thin, 0.6e-6))
+        assert sys_._congruence is None and abs(sys_.mass.data).min() < np.finfo(float).tiny
+        with pytest.raises(EigenSolveError, match="overflow"):
+            solve_modes(sys_, 5)
+
+    @pytest.mark.parametrize("which", sorted(_NEAR_MISS_DISKS))
+    def test_near_miss_disks_pass(self, which):
+        geom, mat = _NEAR_MISS_DISKS[which]
+        sys_ = assemble_disk(geom, mat, mesh_disk(geom, geom.radius / 7))
+        modes = solve_modes(sys_, 13)
+        assert np.max(_jacobi_backward_errors(sys_, modes)) <= fem._BACKWARD_BOUND
+        results = disk_modal_fem(geom, mat, mesh_disk(geom, geom.radius / 7), 10)
+        assert [r.mode_order for r in results[:4]] == [2, 2, 1, 1]
+
+    @pytest.mark.parametrize("margin,steps", [(fem._POLISH_MARGIN, 2), (0.0, 3)])
+    def test_polish_repeats_while_near_a_gate(self, monkeypatch, cold_disk_topologies,
+                                              margin, steps):
+        # the seed-30 reference solve needs a second step; with no margin
+        # that any pair meets, the step runs 1 + _POLISH_REPEATS times
+        monkeypatch.setattr(fem, "_POLISH_MARGIN", margin)
+        geom, mat = _NEAR_MISS_DISKS["seed-30"]
+        dense_modes = fem._dense_modes
+        calls = []
+
+        def recording(a, b, k):
+            calls.append(k)
+            return dense_modes(a, b, k)
+
+        monkeypatch.setattr(fem, "_dense_modes", recording)
+        solve_modes(assemble_disk(geom, mat, mesh_disk(geom, geom.radius / 7)), 13)
+        assert calls == [26] * steps
+
+    @pytest.mark.parametrize("divisor", [6, 12])
+    def test_pair_rotation_leaves_results_unchanged(self, monkeypatch, ref_disk, silicon,
+                                                    divisor):
+        mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
+        ref = fem.solve_disk(ref_disk, silicon, mesh)[2]
+        solve = fem.solve_modes
+        rng = np.random.default_rng(divisor)
+
+        def rotated(sys_, k):
+            modes = solve(sys_, k)
+            for i in (3, 5):   # the n = 2 and n = 1 pairs, in any basis
+                phi = rng.uniform(0, 2 * math.pi)
+                (fa, va), (fb, vb) = modes[i:i + 2]
+                modes[i:i + 2] = [(fa, math.cos(phi) * va + math.sin(phi) * vb),
+                                  (fb, 3.0 * (math.cos(phi) * vb - math.sin(phi) * va))]
+            return modes
+
+        monkeypatch.setattr(fem, "solve_modes", rotated)
+        got = fem.solve_disk(ref_disk, silicon, mesh)[2]
+        assert [r.mode_order for r in ref[:4]] == [2, 2, 1, 1]
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.frequency == b.frequency and a.mode_order == b.mode_order
+            for name in ("effective_mass", "effective_stiffness"):
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
+            assert np.allclose(a.mode_shape, b.mode_shape, rtol=0, atol=1e-12)
+
+    def test_pair_basis(self, ref_disk, silicon):
+        # member a's rim u_r is cos(n theta), member b's sin(n theta)
+        mesh = mesh_disk(ref_disk, ref_disk.radius / 12)
+        _, modes, results = fem.solve_disk(ref_disk, silicon, mesh)
+        theta, u_rads = fem._rim_radial(mesh, np.array([v for _, v in modes]))
+        for i, n in ((0, 2), (2, 1)):
+            assert results[i].mode_order == results[i + 1].mode_order == n
+            a, b = u_rads[i], u_rads[i + 1]
+            assert abs(a @ np.sin(n * theta)) < 1e-12 * abs(a @ np.cos(n * theta))
+            assert abs(b @ np.cos(n * theta)) < 1e-9 * abs(b @ np.sin(n * theta))
+
+    def test_dense_and_sparse_solves_agree(self, monkeypatch, ref_disk, silicon):
+        # a caller mesh at R/12 is solved by shift-invert Lanczos, or by LAPACK
+        # with the threshold raised; the pairs come out in one basis
+        mesh = _caller_copy(mesh_disk(ref_disk, ref_disk.radius / 12))
+        sparse = fem.solve_disk(ref_disk, silicon, mesh)[2]
+        monkeypatch.setattr(fem, "_SPARSE_MIN_DOF", 10**6)
+        _assert_close_results(fem.solve_disk(ref_disk, silicon, mesh)[2], sparse,
+                              m_eff_rtol=1e-10)
+
+    def test_extra_mode_is_dropped(self, ref_disk, silicon):
+        # n_modes elastic modes come back though n_modes + 4 are solved, and
+        # a pair cut by the window edge is rotated as a whole
+        mesh = mesh_disk(ref_disk, ref_disk.radius / 8)
+        for n_modes in (1, 3, 8):
+            _, modes, results = fem.solve_disk(ref_disk, silicon, mesh, n_modes)
+            assert len(modes) == len(results) == n_modes
+        wide = fem.solve_disk(ref_disk, silicon, mesh, 9)[2]
+        _assert_close_results(results, wide[:8])
 
 
 class TestExport:
