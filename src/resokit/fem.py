@@ -48,8 +48,13 @@ matrix into the plan's slots. The value gate reads each slot and its
 transpose slot, the same symmetry number as on the stored matrices. The
 CST mass is Ms (x) I2 up to the dof order (ux and uy uncoupled, with
 equal blocks), so _positive_definite factors only the n/2 x n/2 block Ms
-whenever the stored entries show that structure: an exact reduction. A
-mesh built by a caller gets its plan from the same function, uncached.
+whenever the stored entries show that structure: an exact reduction. On
+a mesh_disk mesh the topology also keeps the pattern of Ms and its band
+with the nodes in ascending x (half-bandwidth about 3m), and the mass
+gate is a banded Cholesky of Ms (_disk_mass_definite), as a beam's is: a
+symmetric permutation, so again exact. A mesh built by a caller gets its
+plan from the same function, uncached, and its mass is tested by
+_positive_definite.
 
 A mesh is solved once, for every beam and for every disk of one Poisson
 ratio. A system from assemble_beam or from assemble_disk on a mesh_disk
@@ -68,10 +73,12 @@ error bound is below eps * max(eps^(2/3), |theta|) (tol 0), and theta is
 far below eps^(2/3) here, so the Lanczos steps depend on the eigenvalue
 scale E/(rho*R^2). This reference takes as many steps as the physical
 disks of fem-converge; a 20 um one took about a fifth more, a unit-scale
-pencil about two thirds more (README). solve_modes takes (mu, psi) from a
-small LRU cache keyed by (n_elements, clamped, k) or (m, nu, k), filled
-through the factorization dispatch above; the gates, normalization and
-sign convention then run on the system's own K and M. A disk whose ratio
+pencil about two thirds more (README). The reference mass does not
+depend on nu, so its gate factors it once per ring count. solve_modes
+takes (mu, psi) from a small LRU cache keyed by (n_elements, clamped, k)
+or (m, nu, k), filled through the factorization dispatch above; the
+gates, normalization and sign convention then run on the system's own K
+and M. A disk whose ratio
 or d is not finite and > 0, or whose K or M has an entry below the normal
 float range (where the congruence holds only to the subnormal grid), a
 disk on a mesh built by a caller and a system built with
@@ -81,7 +88,12 @@ solve_disk reports each degenerate pair of one angular order n > 0 in one
 basis: M-orthonormalized and rotated within its span so that the first
 member's rim u_r has no sin(n theta) part and the second's no
 cos(n theta) part. Its effective mass and mode shape are then properties
-of the design, not of the basis a solver returned.
+of the design, not of the basis a solver returned. A rotated pair passes
+the gates of solve_modes, or the pair keeps the basis it was solved in.
+To see a pair at the window's edge whole, a disk's solve keeps one spare
+pair beyond the wanted modes: the next Ritz pair of the shift-invert
+window of 2k (no wider window), or of the dense solve; a spare that fails
+a gate is dropped, never refused.
 
 scipy.linalg and scipy.sparse are imported inside the functions that call
 them: importing this module, or building a mesh, loads no scipy module.
@@ -92,7 +104,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -112,7 +124,10 @@ _SIGN_RTOL = 1e-6          # translational entries this close to the largest tie
 _UNIT_CACHE = 8            # unit-beam systems and reference eigenpair sets kept, each
 _POLISH_REPEATS = 2        # extra inverse-iteration steps at most, per sparse solve
 _POLISH_MARGIN = 0.25      # repeat the step while a pair is above this share of a bound
-_PAIR_GAP = 1e-9           # relative eigenvalue gap of a degenerate disk pair, at most
+# relative eigenvalue gap of a degenerate disk pair, at most: such pairs of
+# the fem-converge disks are at most 9e-14 apart, the split n = 3 pairs of
+# mesh_disk's 6-fold mesh at least 1.2e-3 (README)
+_PAIR_GAP = 1e-9
 _DISK_TOPOLOGY_CACHE = 8   # disk ring counts whose topology is kept
 _TRANSLATIONAL = frozenset(("w", "ux", "uy"))
 # most rings mesh_disk builds: radius/1000 is already 3 million nodes
@@ -407,14 +422,20 @@ def _band_positive_definite(a, band) -> bool:
 
 def _lower_band(a):
     """(src, dst, n, kd) of _band_positive_definite for the symmetric CSC
-    matrix a: kd is the largest distance of a stored entry from the
-    diagonal, src the stored entries on or below it."""
-    rows, cols = a.indices, _columns(a)
+    matrix a (_band of its stored entries)."""
+    return _band(a.indices, _columns(a), a.shape[0])
+
+
+def _band(rows, cols, n: int):
+    """(src, dst, n, kd) of _band_positive_definite for the symmetric n x n
+    matrix whose stored entries are at (rows, cols), in storage order: kd is
+    the largest distance of an entry from the diagonal, src the entries on
+    or below it."""
     lower = rows >= cols
     offset = rows[lower] - cols[lower]
     kd = int(offset.max(initial=0))
     return (_readonly(np.flatnonzero(lower)), _readonly(cols[lower] * (kd + 1) + offset),
-            a.shape[0], kd)
+            n, kd)
 
 
 def _translational_layout(dof_map):
@@ -475,9 +496,11 @@ def _plan(elements: np.ndarray, comps: tuple, n_nodes: int,
                  *(_readonly(a.astype(np.int32)) for a in (rows, indptr, transpose)))
 
 
-def _system(plan: _Plan, ke, me, mesh: Mesh | None = None) -> AssembledSystem:
+def _system(plan: _Plan, ke, me, mesh: Mesh | None = None,
+            positive_definite=None) -> AssembledSystem:
     """The gated AssembledSystem of element matrices ke[e], me[e] (or one
-    pair for every element) summed by plan.
+    pair for every element) summed by plan; positive_definite, by default
+    _positive_definite, tests the free-dof mass.
 
     One bincount per matrix over the plan's slots (Davis, Direct Methods
     for Sparse Linear Systems, ch. 2) sums each entry in element order, as
@@ -493,7 +516,8 @@ def _system(plan: _Plan, ke, me, mesh: Mesh | None = None) -> AssembledSystem:
                                 minlength=len(plan.rows)) for e in (ke, me))
     k, m = (_compressed(plan, s) for s in (k_sum, m_sum))
     kf, mf = _free_blocks(layout.free, k, m)
-    _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], mf, _positive_definite)
+    _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], mf,
+          positive_definite or _positive_definite)
     return AssembledSystem._of(layout, k, m, kf, mf, mesh)
 
 
@@ -655,13 +679,14 @@ class _DiskTopology(NamedTuple):
     index (float) and (cos, sin) of each node's angle, the elements, their
     _Plan, the outer-rim nodes in ascending angle (_rim_nodes of the
     unit-radius mesh: the order of the angles does not change with the
-    radius) and m."""
+    radius), m, and the mass pattern of _disk_mass_definite."""
     ring: np.ndarray
     unit: np.ndarray
     elements: np.ndarray
     plan: _Plan
     rim: np.ndarray
     rings: int
+    mass_band: tuple
 
 
 @lru_cache(maxsize=_DISK_TOPOLOGY_CACHE)
@@ -700,8 +725,40 @@ def _disk_topology(m: int) -> _DiskTopology:
                 b += 1
     ring, unit = _readonly(np.array(ring, dtype=float)), _readonly(np.array(unit))
     elements = _readonly(np.array(tris, dtype=int))
-    return _DiskTopology(ring, unit, elements, _plan(elements, ("ux", "uy"), len(ring)),
-                         _readonly(_rim_nodes((ring / m)[:, None] * unit)), m)
+    plan = _plan(elements, ("ux", "uy"), len(ring))
+    nodes = (ring / m)[:, None] * unit
+    return _DiskTopology(ring, unit, elements, plan, _readonly(_rim_nodes(nodes)), m,
+                         _mass_band(plan, np.lexsort((nodes[:, 1], nodes[:, 0]))))
+
+
+def _mass_band(plan: _Plan, order: np.ndarray):
+    """(indices, indptr, band) of the per-node mass block Ms (_component_block)
+    of a disk summed by plan: every pair of nodes of one element is stored,
+    as the CST mass has no zero there, and band is its _band with the nodes
+    in order (x ascending: half-bandwidth about 3m, where the rings in turn
+    give 12m)."""
+    cols = np.repeat(np.arange(len(plan.indptr) - 1), np.diff(plan.indptr))
+    even = (cols % 2 == 0) & (plan.rows % 2 == 0)
+    rows, cols = plan.rows[even] // 2, cols[even] // 2
+    n = len(order)
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return _readonly(rows), _readonly(indptr), _band(rank[rows], rank[cols], n)
+
+
+def _disk_mass_definite(topology: _DiskTopology, mf) -> bool:
+    """_positive_definite of a free-dof mass summed by the plan of topology:
+    a banded Cholesky of its per-node block Ms in the topology's node order
+    (a symmetric permutation, so an exact reduction), where Ms exists and
+    has the stored pattern of topology.mass_band; _positive_definite
+    otherwise."""
+    block = _component_block(mf)
+    indices, indptr, band = topology.mass_band
+    if block is None or not (np.array_equal(block.indptr, indptr)
+                             and np.array_equal(block.indices, indices)):
+        return _positive_definite(mf)
+    return _band_positive_definite(block, band)
 
 
 def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
@@ -763,9 +820,11 @@ def _disk_congruence(sys: AssembledSystem, e_mod, nu, rho, t) -> _Congruence | N
     return _Congruence((sys.mesh._topology.rings, nu), float(ratio), float(d), None)
 
 
-def _disk_system(mesh: Mesh, e_mod, nu, rho, t) -> AssembledSystem:
+def _disk_system(mesh: Mesh, e_mod, nu, rho, t, positive_definite=None) -> AssembledSystem:
     """The gated CST system of a disk of thickness t and material (e_mod,
-    nu, rho) on mesh, with no congruence recorded."""
+    nu, rho) on mesh, with no congruence recorded. positive_definite tests
+    the mass, by default _disk_mass_definite on a mesh_disk mesh and
+    _positive_definite on any other."""
     d_mat = e_mod / (1 - nu**2) * np.array([
         [1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]])
 
@@ -782,20 +841,41 @@ def _disk_system(mesh: Mesh, e_mod, nu, rho, t) -> AssembledSystem:
     # batched matmul, not einsum: it rounds exactly as the per-element B^T D B
     ke = (t * area)[:, None, None] * (b_mat.transpose(0, 2, 1) @ d_mat @ b_mat)
     me = (rho * t * area)[:, None, None] * _ME_TRI
-    plan = (_plan(mesh.elements, ("ux", "uy"), len(mesh.nodes)) if mesh._topology is None
-            else mesh._topology.plan)
-    return _system(plan, ke, me, mesh)
+    topology = mesh._topology
+    if topology is None:
+        plan = _plan(mesh.elements, ("ux", "uy"), len(mesh.nodes))
+    else:
+        plan = topology.plan
+        positive_definite = positive_definite or partial(_disk_mass_definite, topology)
+    return _system(plan, ke, me, mesh, positive_definite)
 
 
 @lru_cache(maxsize=_UNIT_CACHE)
 def _unit_disk_modes(rings: int, nu: float, k: int):
     """k lowest eigenpairs (mu, psi) of the reference disk (_REF_DISK, nu)
-    on mesh_disk's mesh with this many rings, as read-only arrays, solved
-    as a disk's own pencil would be."""
+    on mesh_disk's mesh with this many rings, and one spare pair (see
+    solve_disk) where the pencil has it, as read-only arrays, solved as a
+    disk's own pencil would be."""
     e_ref, rho_ref, r_ref, t_ref = _REF_DISK
-    ref = _disk_system(_disk_mesh(rings, r_ref), e_ref, nu, rho_ref, t_ref)
-    vals, vecs = _pencil_modes(ref._kf, ref._mf, k)
+    ref = _disk_system(_disk_mesh(rings, r_ref), e_ref, nu, rho_ref, t_ref,
+                       _reference_mass_gate(rings))
+    vals, vecs, _ = _pencil_modes(ref._kf, ref._mf, k, spare=1)
     return _readonly(vals), _readonly(vecs)
+
+
+@lru_cache(maxsize=_DISK_TOPOLOGY_CACHE)
+def _reference_mass_gate(rings: int):
+    """The mass test of the reference disks with this many rings. Their
+    mass does not depend on nu (bitwise the same for every nu), so the test
+    factors it on its first call and returns that verdict after."""
+    verdict = []
+
+    def positive_definite(mf) -> bool:
+        if not verdict:
+            verdict.append(_disk_mass_definite(_disk_topology(rings), mf))
+        return verdict[0]
+
+    return positive_definite
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +914,11 @@ def _dense_modes(a: np.ndarray, b: np.ndarray, k: int):
     return vals[:found], vecs[:, :found]
 
 
-def _shift_invert_modes(kk, mm, k: int, *, residual_margin: bool = True):
-    """k lowest eigenpairs of the CSC pencil (kk, mm), ascending; needs 4k < n.
+def _shift_invert_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool = True):
+    """k lowest eigenpairs of the CSC pencil (kk, mm), ascending, and up to
+    spare more from the same window; needs 4k < n. Returns (vals, vecs,
+    check), check = (norms, (elastic, resid, berr)): the scaled norms of
+    the pencil and _accuracy of exactly the returned pairs.
 
     The shift sits below zero, at _SHIFT_RATIO of the median diagonal
     ratio, so K - sigma*M is positive definite even with rigid-body modes.
@@ -849,8 +932,9 @@ def _shift_invert_modes(kk, mm, k: int, *, residual_margin: bool = True):
     the window edge, missed an eigenvalue at k = 12 on disks R/8 to R/20
     and left residuals up to 1e-7. An inverse-iteration step with the
     same factorization and a 2k x 2k Rayleigh-Ritz projection then bring
-    the disk residuals below 1e-9. The step is repeated, at most
-    _POLISH_REPEATS times, while a wanted pair is above _POLISH_MARGIN of
+    the disk residuals below 1e-9; the spare pairs are Ritz pairs of that
+    projection, so they cost no wider window. The step is repeated, at most
+    _POLISH_REPEATS times, while a returned pair is above _POLISH_MARGIN of
     the backward-error bound or, with residual_margin, an elastic one above
     it of the residual bound, so that a pair mapped to a congruent pencil
     keeps a margin. The Jacobi-scaled backward error is the same on every
@@ -864,25 +948,30 @@ def _shift_invert_modes(kk, mm, k: int, *, residual_margin: bool = True):
     op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     _, x = eigsh(kk, 2 * k, M=mm, sigma=sigma, OPinv=op, v0=np.ones(n))
     norms = _scaled_norms(kk, mm)
+    kept = k + spare
     for _ in range(1 + _POLISH_REPEATS):
         x = lu.solve(mm @ x)
         vals, q = _dense_modes(x.T @ (kk @ x), x.T @ (mm @ x), 2 * k)
         x = x @ q
-        elastic, resid, berr = _accuracy(kk, mm, vals[:k], x[:, :k], norms)
+        vals_k, x_k = vals[:kept], x[:, :kept]
+        accuracy = _accuracy(kk, mm, vals_k, x_k, norms)
+        elastic, resid, berr = accuracy
         if np.all(berr <= _POLISH_MARGIN * _BACKWARD_BOUND) and not (
                 residual_margin and np.any(elastic & (resid > _POLISH_MARGIN * _RESIDUAL_BOUND))):
             break
-    return vals[:k], x[:, :k]
+    return vals_k, x_k, (norms, accuracy)
 
 
-def _pencil_modes(kk, mm, k: int, *, residual_margin: bool = True):
-    """k lowest eigenpairs of the free-dof CSC pencil (kk, mm): LAPACK on
-    the dense copies with at most _SPARSE_MIN_DOF free dofs or for
-    k >= n/4, shift-invert Lanczos otherwise (residual_margin as there)."""
+def _pencil_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool = True):
+    """k lowest eigenpairs of the free-dof CSC pencil (kk, mm), and up to
+    spare more: LAPACK on the dense copies with at most _SPARSE_MIN_DOF free
+    dofs or for k >= n/4, shift-invert Lanczos otherwise (spare,
+    residual_margin and the check as there). Returns (vals, vecs, check),
+    check None from LAPACK."""
     n = kk.shape[0]
     if n <= _SPARSE_MIN_DOF or 4 * k >= n:
-        return _dense_modes(kk.toarray(), mm.toarray(), k)
-    return _shift_invert_modes(kk, mm, k, residual_margin=residual_margin)
+        return (*_dense_modes(kk.toarray(), mm.toarray(), min(k + spare, n)), None)
+    return _shift_invert_modes(kk, mm, k, spare=spare, residual_margin=residual_margin)
 
 
 @lru_cache(maxsize=_UNIT_CACHE)
@@ -891,20 +980,22 @@ def _unit_beam_modes(n_elements: int, clamped: bool, k: int):
     on its free dofs, as read-only arrays, solved as the beam's own pencil
     would be."""
     unit = _unit_beam_system(n_elements, clamped)
-    vals, vecs = _pencil_modes(unit.kf.matrix, unit.mf.matrix, k, residual_margin=False)
+    vals, vecs, _ = _pencil_modes(unit.kf.matrix, unit.mf.matrix, k, residual_margin=False)
     return _readonly(vals), _readonly(vecs)
 
 
-def _eigenpairs(sys: AssembledSystem, k: int):
-    """k lowest eigenpairs of the system's free-dof pencil: eigenvalues
-    ascending, eigenvectors as columns. A system with a congruence maps the
-    cached reference pairs (see the module docstring)."""
+def _eigenpairs(sys: AssembledSystem, k: int, spare: int = 0):
+    """k lowest eigenpairs of the system's free-dof pencil, and up to spare
+    more: eigenvalues ascending, eigenvectors as columns, and the check of
+    _pencil_modes. A system with a congruence maps the cached reference
+    pairs (see the module docstring), with no check: the gates run on the
+    system's own K and M."""
     c = sys._congruence
     if c is None:
-        return _pencil_modes(sys._kf, sys._mf, k)
+        return _pencil_modes(sys._kf, sys._mf, k, spare=spare)
     pairs = _unit_beam_modes if sys.mesh.kind == "beam_1d" else _unit_disk_modes
     mu, psi = pairs(*c.key, k)
-    return mu * c.ratio, psi / c.d
+    return mu[:k + spare] * c.ratio, psi[:, :k + spare] / c.d, None
 
 
 def _jacobi(kk) -> np.ndarray:
@@ -949,36 +1040,54 @@ def solve_modes(sys: AssembledSystem, k: int):
     _SIGN_RTOL of the largest magnitude is positive. Deterministic for fixed
     input.
     """
+    vals, full, _ = _solve(sys, k)
+    return [(_frequency(lam), vec) for lam, vec in zip(vals.tolist(), full)]
+
+
+def _frequency(lam: float) -> float:
+    """The frequency in Hz of the eigenvalue lam (rad^2/s^2), 0 below 0."""
+    return math.sqrt(max(lam, 0.0)) / (2 * math.pi)
+
+
+def _solve(sys: AssembledSystem, k: int, spare: int = 0):
+    """The gated modes of solve_modes, and up to spare more where the solve
+    has them at no extra cost: (eigenvalues, full-length normalized mode
+    vectors as rows, the scaled norms of the backward-error gate). A
+    wanted pair that fails a gate is refused; a spare one is dropped."""
     free = sys.free_dofs()
     if not 1 <= k <= len(free):
         raise EigenSolveError(f"k must be in [1, {len(free)}], got {k}")
     kk, mm = sys._kf, sys._mf
     try:
-        vals, vecs = _eigenpairs(sys, k)
+        vals, vecs, check = _eigenpairs(sys, k, spare)
     except (np.linalg.LinAlgError, RuntimeError) as exc:   # ArpackError is a RuntimeError
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from None
 
-    # a beam's scaled norms are those of its unit system
-    c = sys._congruence
-    norms = _scaled_norms(kk, mm) if c is None or c.norms is None else c.norms
-    elastic, resid, berr = _accuracy(kk, mm, vals, vecs, norms)
-    bad = np.flatnonzero(elastic & (resid > _RESIDUAL_BOUND))
+    if check is None:
+        # a beam's scaled norms are those of its unit system
+        c = sys._congruence
+        norms = _scaled_norms(kk, mm) if c is None or c.norms is None else c.norms
+        check = norms, _accuracy(kk, mm, vals, vecs, norms)
+    norms, (elastic, resid, berr) = check
+    bad = np.flatnonzero(elastic[:k] & (resid[:k] > _RESIDUAL_BOUND))
     if bad.size:
         raise EigenSolveError(
             f"eigen-residual {resid[bad[0]]:.2e} exceeds {_RESIDUAL_BOUND:.0e} "
             f"for mode {bad[0]}")
     # every mode, rigid ones too, passes the backward-error gate
-    bad = np.flatnonzero(~(berr <= _BACKWARD_BOUND))
+    bad = np.flatnonzero(~(berr[:k] <= _BACKWARD_BOUND))
     if bad.size:
         raise EigenSolveError(
             f"backward error {berr[bad[0]]:.2e} exceeds {_BACKWARD_BOUND:.0e} "
             f"for mode {bad[0]}")
+    # the spare pairs up to the first that fails a gate
+    passed = ~(elastic & (resid > _RESIDUAL_BOUND)) & (berr <= _BACKWARD_BOUND)
+    kept = k + int(np.argmin(np.append(passed[k:], False)))
 
-    full = np.zeros((len(vals), len(sys.dof_map)))
-    full[:, free] = vecs.T
+    full = np.zeros((kept, len(sys.dof_map)))
+    full[:, free] = vecs[:, :kept].T
     _normalize(sys, full)
-    return [(math.sqrt(max(lam, 0.0)) / (2 * math.pi), vec)
-            for lam, vec in zip(vals.tolist(), full)]
+    return vals[:kept], full, norms
 
 
 def _accuracy(kk, mm, vals, vecs, norms):
@@ -1094,13 +1203,14 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
 
     Each degenerate pair (neighbouring elastic modes of one angular order
     n > 0, eigenvalues within _PAIR_GAP) is reported in one basis
-    (_canonical_pair). One mode more than asked for is solved, so that a
-    pair at the window's edge is whole, and dropped at the end.
+    (_canonical_pair) where both rotated members pass the gates of
+    solve_modes, then normalized as solve_modes normalizes. The solve
+    keeps one spare pair beyond the wanted modes (_solve), so that a pair
+    at the window's edge is whole; it is dropped at the end.
     """
     sys = assemble_disk(geom, mat, mesh)
     wanted = n_modes + 3
-    modes = solve_modes(sys, wanted + 1 if 4 <= wanted < len(sys.free_dofs()) else wanted)
-    lam = np.array([(2 * math.pi * f)**2 for f, _ in modes])
+    lam, vecs, norms = _solve(sys, wanted, spare=1)
     if len(lam) < 4:
         raise RigidBodyModeError("need at least 4 modes to separate rigid body motion")
     first_elastic = lam[3]
@@ -1109,8 +1219,8 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
         raise RigidBodyModeError(
             f"expected 3 rigid-body modes for a free disk, found {n_rigid}")
 
-    freqs = [f for f, _ in modes[3:wanted]]
-    vecs = np.array([vec for _, vec in modes[3:]])
+    freqs = [_frequency(x) for x in lam[3:wanted].tolist()]
+    vecs = vecs[3:]
     theta, u_rads = _rim_radial(mesh, vecs)
     basis = _harmonic_basis(theta)
     orders = []
@@ -1119,15 +1229,27 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
             orders.append(_dominant_harmonic(basis, u_rad))
         except AmbiguousAngularOrderError:
             orders.append(0)
-    i = 0
+    free = sys.free_dofs()
+    firsts, i = [], 0
     while i < min(len(freqs), len(orders) - 1):
-        n, gap = orders[i], lam[4 + i] - lam[3 + i]
-        if n > 0 and orders[i + 1] == n and gap <= _PAIR_GAP * lam[4 + i]:
-            vecs[i:i + 2] = _canonical_pair(sys, basis[1][n], u_rads[i:i + 2], vecs[i:i + 2])
-            u_rads[i:i + 2] = _rim_radial(mesh, vecs[i:i + 2])[1]
+        n = orders[i]
+        if n > 0 and orders[i + 1] == n and lam[4 + i] - lam[3 + i] <= _PAIR_GAP * lam[4 + i]:
+            firsts.append(i)
             i += 1
         i += 1
-    free = sys.free_dofs()
+    if firsts:
+        # turn every pair, gate them together and keep those that pass whole
+        rows = np.ravel([(i, i + 1) for i in firsts])
+        turned = np.concatenate([_canonical_pair(sys, basis[1][orders[i]], u_rads[i:i + 2],
+                                                 vecs[i:i + 2]) for i in firsts])
+        elastic, resid, berr = _accuracy(sys._kf, sys._mf, lam[3 + rows], turned[:, free].T,
+                                         norms)
+        passed = (berr <= _BACKWARD_BOUND) & ~(elastic & (resid > _RESIDUAL_BOUND))
+        whole = passed.reshape(-1, 2).all(axis=1).repeat(2)
+        rows, turned = rows[whole], turned[whole]
+        _normalize(sys, turned)
+        vecs[rows] = turned
+        u_rads[rows] = _rim_radial(mesh, turned)[1]
 
     results = []
     for freq, vec, u_rad, order in zip(freqs, vecs, u_rads, orders):
@@ -1148,15 +1270,15 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
 
 def _canonical_pair(sys: AssembledSystem, sin_n, u_rads, pair):
     """The degenerate pair of full-length mode vectors (the rows of pair,
-    whose rim u_r are the rows of u_rads) in its canonical basis, then
-    normalized as solve_modes normalizes; sin_n is sin(n theta) at the rim
-    angles. The pair is M-orthonormalized and rotated within its span so
-    that the first member's rim u_r has no sin(n theta) part, which puts an
-    antinode at theta = 0. The second member is M-orthogonal to it, so its
-    rim u_r has no cos(n theta) part: the 60-degree symmetry of mesh_disk's
-    mesh turns the pair by n * 60 degrees, which for n not a multiple of 3
-    makes the map from the pair to its rim (cos, sin) parts a scaled
-    rotation."""
+    whose rim u_r are the rows of u_rads) in its canonical basis, not yet
+    normalized; sin_n is sin(n theta) at the rim angles (the pair as given
+    if its rim u_r has no such part). The pair is M-orthonormalized and
+    rotated within its span so that the first member's rim u_r has no
+    sin(n theta) part, which puts an antinode at theta = 0. The second
+    member is M-orthogonal to it, so its rim u_r has no cos(n theta) part:
+    the 60-degree symmetry of mesh_disk's mesh turns the pair by n * 60
+    degrees, which for n not a multiple of 3 makes the map from the pair to
+    its rim (cos, sin) parts a scaled rotation."""
     free = sys.free_dofs()
     w = pair[:, free]
     chol = np.linalg.cholesky(w @ (sys._mf @ w.T))
@@ -1166,7 +1288,6 @@ def _canonical_pair(sys: AssembledSystem, sin_n, u_rads, pair):
         return pair
     full = np.zeros_like(pair)
     full[:, free] = np.array([[s[1], -s[0]], [s[0], s[1]]]) @ w
-    _normalize(sys, full)
     return full
 
 

@@ -359,13 +359,13 @@ def test_unwritable_output_is_usage_error(beam_config, mos_beam_config, disk_con
 class TestFem:
     def test_disk_modes_csv_solves_once(self, disk_config, tmp_path, monkeypatch):
         calls = []
-        solve = fem.solve_modes
+        solve = fem._eigenpairs
 
         def counting(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(fem, "solve_modes", counting)
+        monkeypatch.setattr(fem, "_eigenpairs", counting)
         csv, out = tmp_path / "modes.csv", tmp_path / "fem.json"
         rc = main(["fem", "--config", disk_config, "--modes", "3",
                    "--modes-csv", str(csv), "--json", str(out)])

@@ -429,9 +429,9 @@ class TestSparseStorage:
         calls = []
         system = fem._system
 
-        def recording(plan, ke, me, mesh=None):
+        def recording(plan, ke, me, mesh=None, *rest):
             calls.append((ke, me, mesh))
-            return system(plan, ke, me, mesh)
+            return system(plan, ke, me, mesh, *rest)
 
         monkeypatch.setattr(fem, "_system", recording)
         sys_ = assemble(*args)
@@ -641,13 +641,13 @@ class TestNormalization:
         calls = []
         eigenpairs = fem._eigenpairs
 
-        def recording(system, k):
-            calls.append(eigenpairs(system, k))
+        def recording(system, k, *args):
+            calls.append(eigenpairs(system, k, *args))
             return calls[-1]
 
         monkeypatch.setattr(fem, "_eigenpairs", recording)
         modes = solve_modes(sys_, k)
-        (vals, vecs), = calls
+        (vals, vecs, _), = calls
         self._check(modes, _loop_normalized(sys_, vals, vecs))
 
     def test_dense_disk_equals_loop(self, ref_disk, silicon):
@@ -666,7 +666,7 @@ class TestNormalization:
 
         monkeypatch.setattr(fem, "_shift_invert_modes", recording)
         modes = solve_modes(caller_disk_r12, 9)
-        (vals, vecs), = calls
+        (vals, vecs, _), = calls
         self._check(modes, _loop_normalized(caller_disk_r12, vals, vecs))
 
 
@@ -942,6 +942,20 @@ class TestCachedBackwardNorms:
             per_call = fem._scaled_norms(sys_._kf, sys_._mf)
             assert cached == pytest.approx(per_call, rel=1e-14, abs=0)
 
+    def test_direct_sparse_solve_gates_on_its_polish_check(self, monkeypatch,
+                                                           caller_disk_r12):
+        # the polish step's norms and residuals are the gate's: computed once
+        calls = []
+        for name in ("_scaled_norms", "_accuracy", "_dense_modes"):
+            def recording(*args, name=name, f=getattr(fem, name)):
+                calls.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(fem, name, recording)
+        assert len(solve_modes(caller_disk_r12, 9)) == 9
+        steps = calls.count("_dense_modes")
+        assert calls.count("_scaled_norms") == 1 and calls.count("_accuracy") == steps
+
     def test_beam_solve_computes_no_norm(self, monkeypatch, ref_beam, silicon):
         sys_ = assemble_beam(ref_beam, silicon, 64)
 
@@ -1187,10 +1201,11 @@ def _assert_close_results(got, ref, m_eff_rtol=1e-9):
 def cold_disk_topologies():
     """Empty disk-topology and reference-disk caches before and after the
     test."""
-    for cached in (fem._disk_topology, fem._unit_disk_modes):
+    caches = (fem._disk_topology, fem._unit_disk_modes, fem._reference_mass_gate)
+    for cached in caches:
         cached.cache_clear()
     yield
-    for cached in (fem._disk_topology, fem._unit_disk_modes):
+    for cached in caches:
         cached.cache_clear()
 
 
@@ -1360,6 +1375,43 @@ class TestComponentMassGate:
         monkeypatch.setattr(fem, "_symmetric_lu", recording)
         assert fem._positive_definite(disk_r12.mass)
         assert sizes == [len(disk_r12.dof_map) // 2]
+
+    @pytest.mark.parametrize("divisor", [4.5, 8, 12, 20])
+    def test_disk_mass_is_band_factored(self, monkeypatch, ref_disk, silicon, divisor):
+        # a mesh_disk disk's mass gate is a banded Cholesky of Ms with the
+        # nodes in x order (half-bandwidth about 3m): no LDL^T
+        mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
+        _, _, (_, _, n, kd) = mesh._topology.mass_band
+        assert n == len(mesh.nodes) and kd <= 3 * mesh._topology.rings + 1
+
+        def refuse(a):
+            raise AssertionError("the mass was factored by LU")
+
+        monkeypatch.setattr(fem, "_symmetric_lu", refuse)
+        sys_ = assemble_disk(ref_disk, silicon, mesh)
+        monkeypatch.undo()
+        assert fem._positive_definite(sys_.mass)
+
+    def test_disk_mass_band_verdict_agrees(self, ref_disk, silicon):
+        # diagonal entries of Ms scaled down: the banded test, the general
+        # test and the eigenvalues agree, definite and not
+        mesh = mesh_disk(ref_disk, ref_disk.radius / 6)
+        mass = assemble_disk(ref_disk, silicon, mesh).mass.toarray()
+        rng = np.random.default_rng(6)
+        verdicts = []
+        for _ in range(60):
+            shifted = mass.copy()
+            for node in rng.choice(len(mesh.nodes), 3, replace=False):
+                dofs = [2 * node, 2 * node + 1]
+                shifted[dofs, dofs] *= rng.uniform(-0.2, 0.6)
+            eig = np.linalg.eigvalsh(shifted)
+            if abs(eig).min() < 1e-6 * abs(eig).max():   # too near singular to compare
+                continue
+            stored = fem._csc_type()(shifted)
+            verdict = fem._disk_mass_definite(mesh._topology, stored)
+            assert verdict == fem._positive_definite(stored) == (eig.min() > 0)
+            verdicts.append(verdict)
+        assert 10 < sum(verdicts) < len(verdicts) - 10
 
     @pytest.mark.parametrize("divisor", [5, 8])
     @pytest.mark.parametrize("coupled", [False, True])
@@ -1569,6 +1621,30 @@ class TestUnitDisk:
 
     def test_cache_is_bounded(self):
         assert fem._unit_disk_modes.cache_info().maxsize == fem._UNIT_CACHE == 8
+        assert fem._reference_mass_gate.cache_info().maxsize == fem._DISK_TOPOLOGY_CACHE
+
+    def test_reference_mass_is_factored_once_per_ring_count(self, monkeypatch,
+                                                           cold_disk_topologies):
+        # the mass gate factors the per-node block (one row per node) in a
+        # band; a new nu at a known ring count factors only K - sigma M
+        calls = []
+        lu, band = fem._symmetric_lu, fem._band_positive_definite
+
+        def recording_lu(a):
+            calls.append(("lu", a.shape[0]))
+            return lu(a)
+
+        def recording_band(a, layout):
+            calls.append(("band", a.shape[0]))
+            return band(a, layout)
+
+        monkeypatch.setattr(fem, "_symmetric_lu", recording_lu)
+        monkeypatch.setattr(fem, "_band_positive_definite", recording_band)
+        for rings, nu in ((8, 0.28), (8, 0.21), (9, 0.28)):
+            fem._unit_disk_modes(rings, nu, 9)
+        nodes8, nodes9 = 1 + 3 * 8 * 9, 1 + 3 * 9 * 10
+        assert calls == [("band", nodes8), ("lu", 2 * nodes8), ("lu", 2 * nodes8),
+                         ("band", nodes9), ("lu", 2 * nodes9)]
 
     def test_scale_is_the_mesh_radius(self, ref_disk, silicon):
         # a mesh built for another radius: K and M are those of its nodes,
@@ -1623,20 +1699,23 @@ class TestUnitDisk:
                                                     divisor):
         mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
         ref = fem.solve_disk(ref_disk, silicon, mesh)[2]
-        solve = fem.solve_modes
+        solve = fem._solve
         rng = np.random.default_rng(divisor)
+        calls = []
 
-        def rotated(sys_, k):
-            modes = solve(sys_, k)
+        def rotated(sys_, k, spare=0):
+            vals, full, norms = solve(sys_, k, spare)
+            calls.append(k)
             for i in (3, 5):   # the n = 2 and n = 1 pairs, in any basis
                 phi = rng.uniform(0, 2 * math.pi)
-                (fa, va), (fb, vb) = modes[i:i + 2]
-                modes[i:i + 2] = [(fa, math.cos(phi) * va + math.sin(phi) * vb),
-                                  (fb, 3.0 * (math.cos(phi) * vb - math.sin(phi) * va))]
-            return modes
+                va, vb = full[i].copy(), full[i + 1].copy()
+                full[i] = math.cos(phi) * va + math.sin(phi) * vb
+                full[i + 1] = 3.0 * (math.cos(phi) * vb - math.sin(phi) * va)
+            return vals, full, norms
 
-        monkeypatch.setattr(fem, "solve_modes", rotated)
+        monkeypatch.setattr(fem, "_solve", rotated)
         got = fem.solve_disk(ref_disk, silicon, mesh)[2]
+        assert calls == [9]
         assert [r.mode_order for r in ref[:4]] == [2, 2, 1, 1]
         assert len(got) == len(ref)
         for a, b in zip(got, ref):
@@ -1644,6 +1723,27 @@ class TestUnitDisk:
             for name in ("effective_mass", "effective_stiffness"):
                 assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
             assert np.allclose(a.mode_shape, b.mode_shape, rtol=0, atol=1e-12)
+
+    def test_rotated_pair_failing_a_gate_is_not_used(self, monkeypatch, ref_disk, silicon):
+        # a rotated pair is gated as solve_modes gates a pair: one whose
+        # residual is 1e-6 keeps the basis it was solved in
+        mesh = mesh_disk(ref_disk, ref_disk.radius / 8)
+        gap = fem._PAIR_GAP
+        monkeypatch.setattr(fem, "_PAIR_GAP", -1.0)   # no pair is rotated
+        unrotated = fem.solve_disk(ref_disk, silicon, mesh)
+        monkeypatch.setattr(fem, "_PAIR_GAP", gap)
+        canonical = fem._canonical_pair
+        rng = np.random.default_rng(8)
+        calls = []
+
+        def noisy(*args):
+            calls.append(args[-1].shape)
+            out = canonical(*args)
+            return out + 1e-6 * np.abs(out).max() * rng.standard_normal(out.shape)
+
+        monkeypatch.setattr(fem, "_canonical_pair", noisy)
+        _assert_same_disk(fem.solve_disk(ref_disk, silicon, mesh), unrotated)
+        assert len(calls) == 2
 
     def test_pair_basis(self, ref_disk, silicon):
         # member a's rim u_r is cos(n theta), member b's sin(n theta)
@@ -1665,15 +1765,41 @@ class TestUnitDisk:
         _assert_close_results(fem.solve_disk(ref_disk, silicon, mesh)[2], sparse,
                               m_eff_rtol=1e-10)
 
-    def test_extra_mode_is_dropped(self, ref_disk, silicon):
-        # n_modes elastic modes come back though n_modes + 4 are solved, and
-        # a pair cut by the window edge is rotated as a whole
+    def test_spare_mode_is_dropped(self, monkeypatch, ref_disk, silicon, cold_disk_topologies):
+        # n_modes elastic modes come back though n_modes + 4 are solved, the
+        # spare from the Ritz pairs of the window of n_modes + 3, and a pair
+        # cut by the window edge is rotated as a whole
         mesh = mesh_disk(ref_disk, ref_disk.radius / 8)
+        windows = []
+        shift_invert = fem._shift_invert_modes
+
+        def recording(kk, mm, k, **kwargs):
+            windows.append((k, kwargs["spare"]))
+            return shift_invert(kk, mm, k, **kwargs)
+
+        monkeypatch.setattr(fem, "_shift_invert_modes", recording)
         for n_modes in (1, 3, 8):
             _, modes, results = fem.solve_disk(ref_disk, silicon, mesh, n_modes)
             assert len(modes) == len(results) == n_modes
+        assert windows == [(4, 1), (6, 1), (11, 1)]
         wide = fem.solve_disk(ref_disk, silicon, mesh, 9)[2]
         _assert_close_results(results, wide[:8])
+
+    def test_spare_failing_a_gate_is_dropped(self, monkeypatch, ref_disk, silicon):
+        sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 8))
+        vals, full, _ = fem._solve(sys_, 9, spare=1)
+        assert len(vals) == len(full) == 10
+        eigenpairs = fem._eigenpairs
+
+        def spoiled(system, k, spare=0):
+            vals, vecs, check = eigenpairs(system, k, spare)
+            vecs = vecs.copy()
+            vecs[:, k:] += 1e-6 * np.abs(vecs[:, k:]).max()
+            return vals, vecs, check
+
+        monkeypatch.setattr(fem, "_eigenpairs", spoiled)
+        got_vals, got_full, _ = fem._solve(sys_, 9, spare=1)
+        assert _bits_equal(got_vals, vals[:9]) and _bits_equal(got_full, full[:9])
 
 
 class TestExport:
