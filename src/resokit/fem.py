@@ -13,10 +13,11 @@ One threshold, _SPARSE_MIN_DOF (300 free dofs), picks only how a pencil is
 factored. At or below it, Cholesky of the dense copy (toarray) proves the
 mass matrix SPD and LAPACK dsygvx, called directly as scipy.linalg.eigh
 would call it, returns the modes from the dense copies. Above it, the mass
-matrix is proved SPD with a sparse LDL^T, and the lowest modes come from
-shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished by
-an inverse-iteration step and a Rayleigh-Ritz projection (dsygvx again),
-repeated at most twice while a pair is near a gate.
+matrix is proved SPD with a sparse LDL^T (beams and disks on a mesh_disk
+mesh use a banded Cholesky at every size, below), and the lowest modes
+come from shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M,
+polished by an inverse-iteration step and a Rayleigh-Ritz projection
+(dsygvx again), repeated at most twice while a pair is near a gate.
 LAPACK is faster on small systems, and ARPACK needs k well below n: a
 larger system asked for k >= n/4 modes is solved densely too. Both paths
 share the gates, normalization and sign convention. Every returned mode
