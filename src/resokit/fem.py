@@ -6,7 +6,8 @@ plane-stress elements on a structured polar mesh. Element matrices are
 built for all elements at once. One function, _plan, numbers the dofs of
 a mesh topology and works out where each element entry is summed; one
 function, _system, sums the element matrices by that plan and gates the
-result, for the unit beam and every disk.
+result, for the unit beam, every reference disk and every disk on a
+caller's mesh.
 
 K and M are stored in one form at every size: canonical read-only CSC.
 One threshold, _SPARSE_MIN_DOF (300 free dofs), picks only how a pencil is
@@ -39,23 +40,36 @@ last by a banded Cholesky (LAPACK dpbtrf, half-bandwidth 3), O(n).
 Jacobi scaling undoes the congruence, so the norms ||DKD||_F and
 ||DMD||_F of the backward-error gate are computed once per unit system.
 
-A disk is built from its cached topology. Everything about mesh_disk's
-mesh with m rings but the radius (connectivity, each node's ring index
-and cos/sin, the dof tables, the plan and the rim nodes in angle order)
-is built once per m and kept in a small LRU cache (_disk_topology). A
-call scales the per-node terms by the radius, bitwise the nodes built one
-by one, forms the element matrices and sums them with one bincount per
-matrix into the plan's slots. The value gate reads each slot and its
-transpose slot, the same symmetry number as on the stored matrices. The
-CST mass is Ms (x) I2 up to the dof order (ux and uy uncoupled, with
-equal blocks), so _positive_definite factors only the n/2 x n/2 block Ms
-whenever the stored entries show that structure: an exact reduction. On
-a mesh_disk mesh the topology also keeps the pattern of Ms and its band
-with the nodes in ascending x (half-bandwidth about 3m), and the mass
-gate is a banded Cholesky of Ms (_disk_mass_definite), as a beam's is: a
-symmetric permutation, so again exact. A mesh built by a caller gets its
-plan from the same function, uncached, and its mass is tested by
-_positive_definite.
+A disk is a scaled copy of its reference disk. Everything about
+mesh_disk's mesh with m rings but the radius (connectivity, each node's
+ring index and cos/sin, the dof tables, the plan and the rim nodes in
+angle order) is built once per m and kept in a small LRU cache
+(_disk_topology). On that mesh the CST stiffness is t*E/(1 - nu^2)
+K^(m, nu), independent of the radius, and the mass is rho*t*R^2 M^(m),
+with R the mesh's own radius. So K = (t*E/(t0*E0)) K0 and
+M = (rho*t*R^2/(rho0*t0*R0^2)) M0, where (K0, M0) is the reference disk
+of (m, nu): the silicon preset at R0 = 3 um, t0 = 0.4 um. A reference
+disk is built once per (m, nu) and kept in a small LRU cache
+(_reference_disk): its element matrices are formed and summed with one
+bincount per matrix into the plan's slots, and it is gated as every
+system is. The value gate reads each slot and its transpose slot, the
+same symmetry number as on the stored matrices. The CST mass is Ms (x) I2
+up to the dof order (ux and uy uncoupled, with equal blocks), so
+_positive_definite factors only the n/2 x n/2 block Ms whenever the
+stored entries show that structure: an exact reduction. On a mesh_disk
+mesh the topology also keeps the pattern of Ms and its band with the
+nodes in ascending x (half-bandwidth about 3m), and the mass gate is a
+banded Cholesky of Ms (_disk_mass_definite), as a beam's is: a symmetric
+permutation, so again exact. The record also keeps, for each stored
+entry of K0 and M0, the position of its transpose (the appended 0 where
+the transpose cancelled to an exact 0), the positions of Ms's band in
+the data of M0, and the scaled norms of the backward-error gate. A disk
+forms no element matrix: its K and M are the scalars times the stored
+entries of K0 and M0, sharing their index arrays, and each disk still
+passes the value gate on its own entries, through those positions (a
+banded Cholesky for M, O(n m^2)). A mesh built by a caller gets its plan
+from the same function, uncached, its element matrices are summed as a
+reference disk's are, and its mass is tested by _positive_definite.
 
 A mesh is solved once, for every beam and for every disk of one Poisson
 ratio. A system from assemble_beam or from assemble_disk on a mesh_disk
@@ -63,27 +77,33 @@ mesh is congruent to a cached reference pencil (Golub & Van Loan, Matrix
 Computations, sec. 8.7), so the reference pairs K0 psi = mu M0 psi give
 the system's pairs exactly: lambda = mu * ratio and phi = psi / d. A beam's
 reference is its unit pencil: ratio = (EI/le^3) / (rho*A*le/420) and d the
-diagonal of D on the free dofs. On mesh_disk's mesh with m rings, the CST
-stiffness is t*E/(1 - nu^2) K^(m, nu), independent of the radius, and the
-mass is rho*t*R^2 M^(m), so every disk of one (m, nu) maps one reference
-disk: ratio = (E/(rho*R^2)) / (E0/(rho0*R0^2)) and the scalar
-d = sqrt(rho*t*R^2 / (rho0*t0*R0^2)), with R the mesh's own radius. The
-reference disk is the silicon preset at R0 = 3 um, t0 = 0.4 um. Its scale
+diagonal of D on the free dofs. A disk's is its reference disk:
+ratio = (E/(rho*R^2)) / (E0/(rho0*R0^2)) and the scalar
+d = sqrt(rho*t*R^2 / (rho0*t0*R0^2)). The reference disk's scale
 matters: ARPACK accepts a Ritz value theta = 1/(lambda - sigma) once its
 error bound is below eps * max(eps^(2/3), |theta|) (tol 0), and theta is
 far below eps^(2/3) here, so the Lanczos steps depend on the eigenvalue
 scale E/(rho*R^2). This reference takes as many steps as the physical
 disks of fem-converge; a 20 um one took about a fifth more, a unit-scale
-pencil about two thirds more (README). The reference mass does not
-depend on nu, so its gate factors it once per ring count. solve_modes
-takes (mu, psi) from a small LRU cache keyed by (n_elements, clamped, k)
-or (m, nu, k), filled through the factorization dispatch above; the
-gates, normalization and sign convention then run on the system's own K
-and M. A disk whose ratio
-or d is not finite and > 0, or whose K or M has an entry below the normal
-float range (where the congruence holds only to the subnormal grid), a
-disk on a mesh built by a caller and a system built with
-AssembledSystem(...) directly are solved directly.
+pencil about two thirds more (README). solve_modes takes (mu, psi) from
+a small LRU cache keyed by (n_elements, clamped, k) or (m, nu, k), filled
+through the factorization dispatch above; the gates, normalization and
+sign convention then run on the system's own K and M, with the
+reference's scaled norms (Jacobi scaling undoes the congruence, so
+||DKD||_F is the reference's and ||DMD||_F the reference's over ratio).
+solve_disk maps more: the reference disk's finished solve (_finish_disk,
+cached per (m, nu, n_modes) by _reference_modes), whose eigenvalues are
+multiplied by ratio and whose normalized mode vectors (rigid ones too),
+angular orders, pair basis and mode shapes are the disk's as they are:
+scaling to unit peak displacement takes the scalar d out. All n_modes + 3
+mapped pairs pass the gates of solve_modes on the disk's own K and M in
+one _accuracy call, or the disk is assembled from its element matrices
+and solved directly; only the effective masses are computed per disk,
+from its own mass and rim. A disk whose ratio or d is not finite and
+> 0, or whose K or M has an entry below the normal float range (where
+the congruence holds only to the subnormal grid), a disk on a mesh
+built by a caller and a system built with AssembledSystem(...) directly
+are solved directly.
 
 solve_disk reports each degenerate pair of one angular order n > 0 in one
 basis: M-orthonormalized and rotated within its span so that the first
@@ -122,7 +142,8 @@ _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse factorization and 
 _SHIFT_RATIO = 1e-9        # shift-invert sigma, below 0, vs the median diag(K)/diag(M)
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _SIGN_RTOL = 1e-6          # translational entries this close to the largest tie for the sign
-_UNIT_CACHE = 8            # unit-beam systems and reference eigenpair sets kept, each
+_UNIT_CACHE = 8            # unit-beam systems, reference disks, reference eigenpair
+                           # sets and finished reference-disk solves kept, each
 _POLISH_REPEATS = 2        # extra inverse-iteration steps at most, per sparse solve
 _POLISH_MARGIN = 0.25      # repeat the step while a pair is above this share of a bound
 # relative eigenvalue gap of a degenerate disk pair, at most: such pairs of
@@ -218,12 +239,12 @@ class _Congruence(NamedTuple):
     _unit_beam_modes(*key, k) for a beam mesh, _unit_disk_modes(*key, k)
     for a disk mesh, and the system's are lambda = mu * ratio and
     phi = psi / d (d a column on the free dofs, or a scalar). norms are
-    (||DKD||_F, ||DMD||_F) of the backward-error gate, or None where the
-    gate computes them from the system's own K and M."""
+    (||DKD||_F, ||DMD||_F) of the backward-error gate, mapped from the
+    reference's."""
     key: tuple
     ratio: float
     d: object
-    norms: tuple | None
+    norms: tuple
 
 
 @dataclass(frozen=True)
@@ -362,6 +383,25 @@ def _gate(k, kt, m, mt, mf, positive_definite):
             raise InvariantError(f"{name} matrix not symmetric")
     if not positive_definite(mf):
         raise InvariantError("mass matrix not positive-definite on free dofs")
+
+
+def _transposes(a) -> np.ndarray:
+    """For each stored entry of the canonical CSC matrix a, the position in
+    a.data of the entry of its transpose, or len(a.data) where that entry
+    is not stored (an exact 0); int32, for _transposed."""
+    n = a.shape[0]
+    rows, cols = a.indices.astype(np.int64), _columns(a)
+    keys = np.append(cols * n + rows, -1)   # ascending, then a key no entry has
+    wanted = rows * n + cols
+    pos = np.searchsorted(keys[:-1], wanted)
+    return _readonly(np.where(keys[pos] == wanted, pos, len(wanted)).astype(np.int32))
+
+
+def _transposed(a, transpose: np.ndarray) -> np.ndarray:
+    """The entries of the transpose of the CSC matrix a at a's stored
+    positions, from their positions transpose (_transposes of a matrix with
+    a's pattern): for _gate."""
+    return np.append(a.data, 0.0)[transpose]
 
 
 def _component_block(a):
@@ -588,14 +628,8 @@ def _unit_beam_system(n_elements: int, clamped: bool) -> _UnitBeam:
     odd = np.arange(len(unit.dof_map), dtype=np.int8) % 2
 
     def entries(a, dof_odd, with_transpose):
-        rows, cols = a.indices, _columns(a)
-        transpose = None
-        if with_transpose:
-            key = rows * a.shape[0] + cols
-            order = np.argsort(key)
-            transpose = _readonly(order[np.searchsorted(key, cols * a.shape[0] + rows,
-                                                        sorter=order)].astype(np.int32))
-        return _Entries(a, _readonly(dof_odd[rows] + dof_odd[cols]), transpose)
+        return _Entries(a, _readonly(dof_odd[a.indices] + dof_odd[_columns(a)]),
+                        _transposes(a) if with_transpose else None)
 
     k, m = (entries(a, odd, True) for a in (unit.stiffness, unit.mass))
     kf, mf = ((k, m) if unit._kf is unit.stiffness else
@@ -604,13 +638,14 @@ def _unit_beam_system(n_elements: int, clamped: bool) -> _UnitBeam:
                      _scaled_norms(unit._kf, unit._mf))
 
 
-def _scaled(entries: _Entries, scale, s: np.ndarray):
-    """scale * (D A D) for the unit matrix A of entries, D.D the pattern s
-    of (1, le, le^2): a shallow copy of A with new data, so it shares A's
-    read-only index arrays (scipy's constructor would check them again)."""
-    a = copy.copy(entries.matrix)
-    a.data = _readonly(scale * (entries.matrix.data * s[entries.parity]))
-    return a
+def _scaled(a, scale, pattern=None):
+    """scale * A for the CSC matrix a, its entries first multiplied by
+    pattern if given (a beam's D.D): a shallow copy of a with new data, so
+    it shares a's read-only index arrays (scipy's constructor would check
+    them again)."""
+    out = copy.copy(a)
+    out.data = _readonly(scale * (a.data if pattern is None else a.data * pattern))
+    return out
 
 
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
@@ -641,12 +676,15 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
                 elements=np.arange(n_elements)[:, None] + np.arange(2), kind="beam_1d")
     unit = _unit_beam_system(n_elements, clamped)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        k, m = _scaled(unit.k, k_scale, s), _scaled(unit.m, m_scale, s)
+        def scaled(entries, scale):   # scale * (D A D), D.D the pattern s
+            return _scaled(entries.matrix, scale, s[entries.parity])
+
+        k, m = scaled(unit.k, k_scale), scaled(unit.m, m_scale)
         kf, mf = ((k, m) if unit.kf is unit.k else
-                  (_scaled(unit.kf, k_scale, s), _scaled(unit.mf, m_scale, s)))
+                  (scaled(unit.kf, k_scale), scaled(unit.mf, m_scale)))
     kv, mv = k.data, m.data
-    _gate(kv, kv[unit.k.transpose], mv, mv[unit.m.transpose], mf,
-          lambda a: _band_positive_definite(a, unit.band))
+    _gate(kv, _transposed(k, unit.k.transpose), mv, _transposed(m, unit.m.transpose), mf,
+          partial(_band_positive_definite, band=unit.band))
     if not 0 < ratio < math.inf:   # the unit-beam pairs could not be scaled back
         raise InvariantError("beam eigenvalue scale (EI/le^3)/(rho*A*le/420) must be "
                              f"finite and > 0, got {float(ratio)!r}")
@@ -748,18 +786,28 @@ def _mass_band(plan: _Plan, order: np.ndarray):
     return _readonly(rows), _readonly(indptr), _band(rank[rows], rank[cols], n)
 
 
+def _disk_mass_band(topology: _DiskTopology, mf):
+    """The band of _band_positive_definite of the per-node block Ms of a
+    free-dof mass mf summed by the plan of topology, in the topology's node
+    order and with src the positions of Ms's entries in mf's data; None
+    where Ms is not found or its stored pattern is not that of
+    topology.mass_band."""
+    block = _component_block(mf)
+    indices, indptr, (src, dst, n, kd) = topology.mass_band
+    if block is None or not (np.array_equal(block.indptr, indptr)
+                             and np.array_equal(block.indices, indices)):
+        return None
+    even = np.flatnonzero(_columns(mf) % 2 == 0)   # Ms's entries, as _component_block takes them
+    return _readonly(even[src].astype(np.int32)), dst, n, kd
+
+
 def _disk_mass_definite(topology: _DiskTopology, mf) -> bool:
     """_positive_definite of a free-dof mass summed by the plan of topology:
     a banded Cholesky of its per-node block Ms in the topology's node order
-    (a symmetric permutation, so an exact reduction), where Ms exists and
-    has the stored pattern of topology.mass_band; _positive_definite
-    otherwise."""
-    block = _component_block(mf)
-    indices, indptr, band = topology.mass_band
-    if block is None or not (np.array_equal(block.indptr, indptr)
-                             and np.array_equal(block.indices, indices)):
-        return _positive_definite(mf)
-    return _band_positive_definite(block, band)
+    (a symmetric permutation, so an exact reduction), where _disk_mass_band
+    finds it; _positive_definite otherwise."""
+    band = _disk_mass_band(topology, mf)
+    return _positive_definite(mf) if band is None else _band_positive_definite(mf, band)
 
 
 def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
@@ -791,41 +839,81 @@ def _disk_mesh(m: int, r_out: float) -> Mesh:
 def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSystem:
     """Plane-stress CST stiffness + consistent mass, free boundary.
 
-    A mesh from mesh_disk is summed by its cached topology's plan and
-    records its congruence to the reference disk of its ring count and
-    Poisson ratio (see the module docstring); any other mesh builds its
-    plan here and is solved directly.
+    On a mesh from mesh_disk, K and M are those of the reference disk of
+    the mesh's ring count and Poisson ratio times scalars, and the system
+    records its congruence to that disk (_mapped_disk; see the module
+    docstring). Any other mesh, or a disk that cannot be mapped exactly,
+    has its element matrices summed here and is solved directly.
     """
     if mesh.kind != "plane_stress_2d":
         raise MeshError("disk assembly needs a plane_stress_2d mesh")
     e_mod, nu, rho, t = (mat.youngs_modulus, mat.poisson_ratio,
                          mat.density, geom.thickness)
-    sys = _disk_system(mesh, e_mod, nu, rho, t)
     if mesh._topology is not None:
-        object.__setattr__(sys, "_congruence", _disk_congruence(sys, e_mod, nu, rho, t))
-    return sys
+        sys = _mapped_disk(mesh, e_mod, nu, rho, t)
+        if sys is not None:
+            return sys
+    return _disk_system(mesh, e_mod, nu, rho, t)
 
 
-def _disk_congruence(sys: AssembledSystem, e_mod, nu, rho, t) -> _Congruence | None:
-    """The _Congruence of a disk on a mesh_disk mesh to the reference disk
-    of its ring count and nu; None where it would not be exact to rounding
-    (see the module docstring)."""
+class _ReferenceDisk(NamedTuple):
+    """The reference disk of one ring count and Poisson ratio: its gated
+    system, the _transposes of its K and M, the band of its mass for
+    _band_positive_definite (src positions in M's data; None where
+    _disk_mass_band finds no Ms), and (||DKD||_F, ||DMD||_F) of the
+    backward-error gate."""
+    system: AssembledSystem
+    k_transpose: np.ndarray
+    m_transpose: np.ndarray
+    mass_band: tuple | None
+    norms: tuple
+
+
+@lru_cache(maxsize=_UNIT_CACHE)
+def _reference_disk(rings: int, nu: float) -> _ReferenceDisk:
+    """The _ReferenceDisk (_REF_DISK, nu) on mesh_disk's mesh with this
+    many rings, summed and gated by _disk_system."""
     e_ref, rho_ref, r_ref, t_ref = _REF_DISK
-    r = sys.mesh._radius
+    ref = _disk_system(_disk_mesh(rings, r_ref), e_ref, nu, rho_ref, t_ref)
+    k, m = ref.stiffness, ref.mass
+    return _ReferenceDisk(ref, _transposes(k), _transposes(m),
+                          _disk_mass_band(ref.mesh._topology, m), _scaled_norms(k, m))
+
+
+def _mapped_disk(mesh: Mesh, e_mod, nu, rho, t) -> AssembledSystem | None:
+    """The gated system of a disk of thickness t and material (e_mod, nu,
+    rho) on the mesh_disk mesh, a scaled copy of its reference disk with
+    the _Congruence to it; None where the copy would not be exact to
+    rounding (see the module docstring)."""
+    e_ref, rho_ref, r_ref, t_ref = _REF_DISK
+    r = mesh._radius
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         ratio = np.float64(e_mod) / (rho * r * r) / (e_ref / (rho_ref * r_ref * r_ref))
-        d = np.sqrt(np.float64(rho) * t * r * r / (rho_ref * t_ref * r_ref * r_ref))
-    smallest = min(abs(sys.stiffness.data).min(), abs(sys.mass.data).min())
-    if not (0 < ratio < math.inf and 0 < d < math.inf and smallest >= np.finfo(float).tiny):
+        m_scale = np.float64(rho) * t * r * r / (rho_ref * t_ref * r_ref * r_ref)
+        d = np.sqrt(m_scale)
+    if not (0 < ratio < math.inf and 0 < d < math.inf):
         return None
-    return _Congruence((sys.mesh._topology.rings, nu), float(ratio), float(d), None)
+    key = (mesh._topology.rings, nu)
+    ref = _reference_disk(*key)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        k = _scaled(ref.system.stiffness, np.float64(t) * e_mod / (t_ref * e_ref))
+        m = _scaled(ref.system.mass, m_scale)
+    if not min(abs(k.data).min(), abs(m.data).min()) >= np.finfo(float).tiny:
+        return None
+    _gate(k.data, _transposed(k, ref.k_transpose), m.data, _transposed(m, ref.m_transpose), m,
+          _positive_definite if ref.mass_band is None else
+          partial(_band_positive_definite, band=ref.mass_band))
+    norm_k, norm_m = ref.norms
+    return AssembledSystem._of(mesh._topology.plan.layout, k, m, k, m, mesh,
+                               _Congruence(key, float(ratio), float(d),
+                                           (norm_k, norm_m / float(ratio))))
 
 
-def _disk_system(mesh: Mesh, e_mod, nu, rho, t, positive_definite=None) -> AssembledSystem:
+def _disk_system(mesh: Mesh, e_mod, nu, rho, t) -> AssembledSystem:
     """The gated CST system of a disk of thickness t and material (e_mod,
-    nu, rho) on mesh, with no congruence recorded. positive_definite tests
-    the mass, by default _disk_mass_definite on a mesh_disk mesh and
-    _positive_definite on any other."""
+    nu, rho) on mesh, summed from its element matrices, with no congruence
+    recorded. The mass is tested by _disk_mass_definite on a mesh_disk
+    mesh and by _positive_definite on any other."""
     d_mat = e_mod / (1 - nu**2) * np.array([
         [1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]])
 
@@ -844,39 +932,19 @@ def _disk_system(mesh: Mesh, e_mod, nu, rho, t, positive_definite=None) -> Assem
     me = (rho * t * area)[:, None, None] * _ME_TRI
     topology = mesh._topology
     if topology is None:
-        plan = _plan(mesh.elements, ("ux", "uy"), len(mesh.nodes))
-    else:
-        plan = topology.plan
-        positive_definite = positive_definite or partial(_disk_mass_definite, topology)
-    return _system(plan, ke, me, mesh, positive_definite)
+        return _system(_plan(mesh.elements, ("ux", "uy"), len(mesh.nodes)), ke, me, mesh)
+    return _system(topology.plan, ke, me, mesh, partial(_disk_mass_definite, topology))
 
 
 @lru_cache(maxsize=_UNIT_CACHE)
 def _unit_disk_modes(rings: int, nu: float, k: int):
     """k lowest eigenpairs (mu, psi) of the reference disk (_REF_DISK, nu)
     on mesh_disk's mesh with this many rings, and one spare pair (see
-    solve_disk) where the pencil has it, as read-only arrays, solved as a
+    _solve) where the pencil has it, as read-only arrays, solved as a
     disk's own pencil would be."""
-    e_ref, rho_ref, r_ref, t_ref = _REF_DISK
-    ref = _disk_system(_disk_mesh(rings, r_ref), e_ref, nu, rho_ref, t_ref,
-                       _reference_mass_gate(rings))
+    ref = _reference_disk(rings, nu).system
     vals, vecs, _ = _pencil_modes(ref._kf, ref._mf, k, spare=1)
     return _readonly(vals), _readonly(vecs)
-
-
-@lru_cache(maxsize=_DISK_TOPOLOGY_CACHE)
-def _reference_mass_gate(rings: int):
-    """The mass test of the reference disks with this many rings. Their
-    mass does not depend on nu (bitwise the same for every nu), so the test
-    factors it on its first call and returns that verdict after."""
-    verdict = []
-
-    def positive_definite(mf) -> bool:
-        if not verdict:
-            verdict.append(_disk_mass_definite(_disk_topology(rings), mf))
-        return verdict[0]
-
-    return positive_definite
 
 
 # ---------------------------------------------------------------------------
@@ -1056,8 +1124,7 @@ def _solve(sys: AssembledSystem, k: int, spare: int = 0):
     vectors as rows, the scaled norms of the backward-error gate). A
     wanted pair that fails a gate is refused; a spare one is dropped."""
     free = sys.free_dofs()
-    if not 1 <= k <= len(free):
-        raise EigenSolveError(f"k must be in [1, {len(free)}], got {k}")
+    k = _count("k", k, len(free))
     kk, mm = sys._kf, sys._mf
     try:
         vals, vecs, check = _eigenpairs(sys, k, spare)
@@ -1065,9 +1132,9 @@ def _solve(sys: AssembledSystem, k: int, spare: int = 0):
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from None
 
     if check is None:
-        # a beam's scaled norms are those of its unit system
+        # a mapped system's scaled norms are mapped from its reference's
         c = sys._congruence
-        norms = _scaled_norms(kk, mm) if c is None or c.norms is None else c.norms
+        norms = _scaled_norms(kk, mm) if c is None else c.norms
         check = norms, _accuracy(kk, mm, vals, vecs, norms)
     norms, (elastic, resid, berr) = check
     bad = np.flatnonzero(elastic[:k] & (resid[:k] > _RESIDUAL_BOUND))
@@ -1082,13 +1149,27 @@ def _solve(sys: AssembledSystem, k: int, spare: int = 0):
             f"backward error {berr[bad[0]]:.2e} exceeds {_BACKWARD_BOUND:.0e} "
             f"for mode {bad[0]}")
     # the spare pairs up to the first that fails a gate
-    passed = ~(elastic & (resid > _RESIDUAL_BOUND)) & (berr <= _BACKWARD_BOUND)
+    passed = _passed(elastic, resid, berr)
     kept = k + int(np.argmin(np.append(passed[k:], False)))
 
     full = np.zeros((kept, len(sys.dof_map)))
     full[:, free] = vecs[:, :kept].T
     _normalize(sys, full)
     return vals[:kept], full, norms
+
+
+def _count(name: str, k, most: int) -> int:
+    """k, a number of modes, as an int: an integer (not a bool) in
+    [1, most], or EigenSolveError."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= most:
+        raise EigenSolveError(f"{name} must be an integer in [1, {most}], got {k!r}")
+    return int(k)
+
+
+def _passed(elastic, resid, berr) -> np.ndarray:
+    """Which pairs of an _accuracy pass the gates of solve_modes: the
+    backward-error bound, and the residual bound where elastic."""
+    return ~(elastic & (resid > _RESIDUAL_BOUND)) & (berr <= _BACKWARD_BOUND)
 
 
 def _accuracy(kk, mm, vals, vecs, norms):
@@ -1202,6 +1283,62 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
     [(frequency_hz, mode_vector)], their ModeResults as disk_modal_fem
     returns them).
 
+    A disk on a mesh_disk mesh maps the finished solve of its reference
+    disk (_reference_modes): the eigenvalues times the ratio of its
+    congruence, and the reference's mode vectors, angular orders and mode
+    shapes. All n_modes + 3 mapped pairs, rigid ones too, pass the gates of
+    solve_modes on the disk's own K and M; if one does not, the disk is
+    summed from its element matrices and finished directly (_finish_disk),
+    as a disk on a caller's mesh is. The effective masses are computed
+    from the disk's own mass and rim (_disk_results).
+    """
+    sys = assemble_disk(geom, mat, mesh)
+    n_modes = _count("n_modes", n_modes, len(sys.free_dofs()) - 3)
+    c = sys._congruence
+    if c is not None:
+        modes = _reference_modes(*c.key, n_modes)
+        lam = modes.lam * c.ratio
+        if _passed(*_accuracy(sys._kf, sys._mf, lam, modes.vecs.T, c.norms)).all():
+            _rigid_check(lam)
+            return sys, *_disk_results(sys, lam, modes)
+        sys = _disk_system(mesh, mat.youngs_modulus, mat.poisson_ratio, mat.density,
+                           geom.thickness)
+    modes = _finish_disk(sys, n_modes)
+    return sys, *_disk_results(sys, modes.lam, modes)
+
+
+class _DiskModes(NamedTuple):
+    """A free disk's finished solve (_finish_disk): the n_modes + 3
+    eigenvalues, rigid-body modes first; the full-length mode vectors as
+    rows, normalized as solve_modes normalizes and each degenerate pair in
+    its canonical basis; the angular order and the mode shape (translational
+    amplitude per node, unit maximum) of each elastic mode. Arrays are
+    read-only: a reference disk's are shared by every disk mapped from it."""
+    lam: np.ndarray
+    vecs: np.ndarray
+    orders: tuple
+    shapes: np.ndarray
+
+
+@lru_cache(maxsize=_UNIT_CACHE)
+def _reference_modes(rings: int, nu: float, n_modes: int) -> _DiskModes:
+    """The finished solve of the reference disk of this ring count and nu
+    (_reference_disk) with n_modes elastic modes."""
+    return _finish_disk(_reference_disk(rings, nu).system, n_modes)
+
+
+def _rigid_check(lam: np.ndarray) -> None:
+    """RigidBodyModeError unless exactly 3 of a free disk's 4 lowest
+    eigenvalues lam lie below _RIGID_RATIO of the fourth."""
+    n_rigid = int(np.sum(lam[:4] < _RIGID_RATIO * lam[3]))
+    if n_rigid != 3:
+        raise RigidBodyModeError(
+            f"expected 3 rigid-body modes for a free disk, found {n_rigid}")
+
+
+def _finish_disk(sys: AssembledSystem, n_modes: int) -> _DiskModes:
+    """The _DiskModes of the free disk sys, solved on its own pencil.
+
     Each degenerate pair (neighbouring elastic modes of one angular order
     n > 0, eigenvalues within _PAIR_GAP) is reported in one basis
     (_canonical_pair) where both rotated members pass the gates of
@@ -1209,20 +1346,11 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
     keeps one spare pair beyond the wanted modes (_solve), so that a pair
     at the window's edge is whole; it is dropped at the end.
     """
-    sys = assemble_disk(geom, mat, mesh)
     wanted = n_modes + 3
     lam, vecs, norms = _solve(sys, wanted, spare=1)
-    if len(lam) < 4:
-        raise RigidBodyModeError("need at least 4 modes to separate rigid body motion")
-    first_elastic = lam[3]
-    n_rigid = int(np.sum(lam[:4] < _RIGID_RATIO * first_elastic))
-    if n_rigid != 3:
-        raise RigidBodyModeError(
-            f"expected 3 rigid-body modes for a free disk, found {n_rigid}")
-
-    freqs = [_frequency(x) for x in lam[3:wanted].tolist()]
-    vecs = vecs[3:]
-    theta, u_rads = _rim_radial(mesh, vecs)
+    _rigid_check(lam)
+    elastic = vecs[3:]
+    theta, u_rads = _rim_radial(sys.mesh, elastic)
     basis = _harmonic_basis(theta)
     orders = []
     for u_rad in u_rads:
@@ -1230,9 +1358,8 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
             orders.append(_dominant_harmonic(basis, u_rad))
         except AmbiguousAngularOrderError:
             orders.append(0)
-    free = sys.free_dofs()
     firsts, i = [], 0
-    while i < min(len(freqs), len(orders) - 1):
+    while i < min(n_modes, len(orders) - 1):
         n = orders[i]
         if n > 0 and orders[i + 1] == n and lam[4 + i] - lam[3 + i] <= _PAIR_GAP * lam[4 + i]:
             firsts.append(i)
@@ -1240,33 +1367,43 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
         i += 1
     if firsts:
         # turn every pair, gate them together and keep those that pass whole
+        free = sys.free_dofs()
         rows = np.ravel([(i, i + 1) for i in firsts])
         turned = np.concatenate([_canonical_pair(sys, basis[1][orders[i]], u_rads[i:i + 2],
-                                                 vecs[i:i + 2]) for i in firsts])
-        elastic, resid, berr = _accuracy(sys._kf, sys._mf, lam[3 + rows], turned[:, free].T,
-                                         norms)
-        passed = (berr <= _BACKWARD_BOUND) & ~(elastic & (resid > _RESIDUAL_BOUND))
+                                                 elastic[i:i + 2]) for i in firsts])
+        passed = _passed(*_accuracy(sys._kf, sys._mf, lam[3 + rows], turned[:, free].T,
+                                    norms))
         whole = passed.reshape(-1, 2).all(axis=1).repeat(2)
         rows, turned = rows[whole], turned[whole]
         _normalize(sys, turned)
-        vecs[rows] = turned
-        u_rads[rows] = _rim_radial(mesh, turned)[1]
+        elastic[rows] = turned
+    amp = _translational_amplitude(sys, elastic[:n_modes])
+    return _DiskModes(_readonly(lam[:wanted]), _readonly(vecs[:wanted]),
+                      tuple(orders[:n_modes]), _readonly(amp / amp.max(axis=1, keepdims=True)))
 
+
+def _disk_results(sys: AssembledSystem, lam: np.ndarray, modes: _DiskModes):
+    """(elastic modes as [(frequency_hz, mode_vector)], their ModeResults)
+    of the free disk sys with eigenvalues lam and finished solve modes: the
+    effective mass of each is phi^T M phi with the disk's own M, phi scaled
+    to max |u_r| = 1 on the disk's own rim."""
+    freqs = [_frequency(x) for x in lam[3:].tolist()]
+    vecs = modes.vecs[3:]
+    free = sys.free_dofs()
     results = []
-    for freq, vec, u_rad, order in zip(freqs, vecs, u_rads, orders):
+    for freq, vec, u_rad, order, shape in zip(freqs, vecs, _rim_radial(sys.mesh, vecs)[1],
+                                              modes.orders, modes.shapes):
         rim = float(np.max(np.abs(u_rad)))
         if rim <= 0:
             continue
         scaled = vec[free] / rim
         m_eff = float(scaled @ (sys._mf @ scaled))   # M v: a CSC M needs no transposed copy
         w0 = 2 * math.pi * freq
-        amp = _translational_amplitude(sys, vec)
-        shape = amp / np.max(amp)
         results.append(ModeResult(frequency=freq, mode_order=order,
                                   effective_mass=m_eff,
                                   effective_stiffness=w0 * w0 * m_eff,
                                   mode_shape=shape))
-    return sys, list(zip(freqs, vecs)), results
+    return list(zip(freqs, vecs)), results
 
 
 def _canonical_pair(sys: AssembledSystem, sin_n, u_rads, pair):

@@ -358,25 +358,33 @@ def test_unwritable_output_is_usage_error(beam_config, mos_beam_config, disk_con
 
 class TestFem:
     def test_disk_modes_csv_solves_once(self, disk_config, tmp_path, monkeypatch):
+        # one solve, of the reference disk (the finished solves forgotten),
+        # for the table and the CSV
         calls = []
-        solve = fem._eigenpairs
+        for name in ("_finish_disk", "_eigenpairs"):
+            def counting(*args, name=name, solve=getattr(fem, name)):
+                calls.append(name)
+                return solve(*args)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(fem, "_eigenpairs", counting)
+            monkeypatch.setattr(fem, name, counting)
+        fem._reference_modes.cache_clear()
         csv, out = tmp_path / "modes.csv", tmp_path / "fem.json"
         rc = main(["fem", "--config", disk_config, "--modes", "3",
                    "--modes-csv", str(csv), "--json", str(out)])
         assert rc == 0
-        assert len(calls) == 1
+        assert calls == ["_finish_disk", "_eigenpairs"]
         rows = json.loads(out.read_text())["modes"]
         header = csv.read_text().splitlines()[0].split(",")
         # columns mode<k>_f<frequency>_<component>
         csv_freqs = [col.split("_")[1] for col in header if col.endswith("_ux")]
         assert csv_freqs == [f"f{row['frequency_hz']:.6g}" for row in rows]
         assert len(rows) == 3
+
+    def test_disk_too_many_modes_is_a_domain_failure(self, disk_config, capsys):
+        assert main(["fem", "--config", disk_config, "--modes", "5000"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: n_modes must be an integer in [1, ")
 
 
 class TestRespond:

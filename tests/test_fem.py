@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -473,11 +474,25 @@ class TestSparseStorage:
         self._check(assemble_beam(geom, silicon, n, clamped), k_ref, m_ref)
 
     @pytest.mark.parametrize("divisor", [4.5, 6, 8, 12, 16, 20, 24])
-    def test_disk_bitwise_dense_scatter(self, monkeypatch, ref_disk, silicon, divisor):
-        mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
-        sys_, k_ref, m_ref = self._assemble_recording(
-            monkeypatch, assemble_disk, ref_disk, silicon, mesh)
-        self._check(sys_, k_ref, m_ref)
+    def test_disk_bitwise_dense_scatter(self, monkeypatch, cold_disk_topologies, silicon,
+                                        divisor):
+        # the reference disk is the one disk of its (m, nu) whose element
+        # matrices are summed: bitwise the dense scatter. A disk is the
+        # scalars t*E/(t0*E0) and rho*t*R^2/(rho0*t0*R0^2) times its
+        # entries, on its index arrays
+        geom, mat = DiskGeometry(5.3e-6, 0.9e-6), Material(131e9, 2210.0, 0.23)
+        mesh = mesh_disk(geom, geom.radius / divisor)
+        sys_, k_ref, m_ref = self._assemble_recording(monkeypatch, assemble_disk, geom, mat,
+                                                      mesh)
+        ref = fem._reference_disk(mesh._topology.rings, mat.poisson_ratio).system
+        self._check(ref, k_ref, m_ref)
+        e0, rho0, r0, t0 = fem._REF_DISK
+        t, r = geom.thickness, geom.radius
+        k_scale = t * mat.youngs_modulus / (t0 * e0)
+        m_scale = mat.density * t * r * r / (rho0 * t0 * r0 * r0)
+        self._check(sys_, k_scale * k_ref, m_scale * m_ref)
+        for a, b in ((sys_.stiffness, ref.stiffness), (sys_.mass, ref.mass)):
+            assert a.indices is b.indices and a.indptr is b.indptr
 
     def test_solve_switches_at_threshold(self, monkeypatch, cold_unit_caches):
         # 151 clamped elements: 304 dofs, 300 free; 152: 302 free
@@ -1200,8 +1215,9 @@ def _assert_close_results(got, ref, m_eff_rtol=1e-9):
 @pytest.fixture
 def cold_disk_topologies():
     """Empty disk-topology and reference-disk caches before and after the
-    test."""
-    caches = (fem._disk_topology, fem._unit_disk_modes, fem._reference_mass_gate)
+    test, so that it builds (and leaves behind) no cached reference."""
+    caches = (fem._disk_topology, fem._reference_disk, fem._reference_modes,
+              fem._unit_disk_modes)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -1233,10 +1249,16 @@ class TestDiskTopology:
         fem.solve_disk(filler, silicon, mesh_disk(filler, filler.radius / divisor))
         mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
         _assert_same_disk(fem.solve_disk(ref_disk, silicon, mesh), cold)
-        # the same mesh built by a caller: no topology, its own plan and a
-        # direct solve; K and M bitwise, the modes equal to rounding
+        # the same mesh built by a caller: no topology, its own plan, its
+        # element matrices summed and a direct solve. ref_disk in silicon
+        # is the reference disk, so its K and M are bitwise the reference's,
+        # and the mapped disk's are 1.0 times them; the modes equal to
+        # rounding
         sys_, _, results = fem.solve_disk(ref_disk, silicon, _caller_copy(mesh))
-        _assert_same_system(sys_, cold[0])
+        ref = fem._reference_disk(mesh._topology.rings, silicon.poisson_ratio).system
+        _assert_same_system(sys_, ref)
+        for a, b in ((cold[0].stiffness, ref.stiffness), (cold[0].mass, ref.mass)):
+            assert _bits_equal(a.data, b.data) and a.indices is b.indices
         _assert_close_results(results, cold[2])
 
     @pytest.mark.parametrize("divisor", [5, 12])
@@ -1268,10 +1290,12 @@ class TestDiskTopology:
                 assert np.array_equal(mesh._topology.rim, fem._rim_nodes(mesh.nodes))
 
     @pytest.mark.parametrize("divisor", [5, 12])
-    def test_symmetry_gate_reads_the_stored_matrices(self, monkeypatch, ref_disk, silicon,
-                                                     divisor):
-        # the gate's max|A - A^T| and max|A| on the slot sums are those of the
-        # stored K and M
+    def test_symmetry_gate_reads_the_stored_matrices(self, monkeypatch, cold_disk_topologies,
+                                                     silicon, divisor):
+        # the gate's max|A - A^T| and max|A|, on the reference disk's slot
+        # sums and on a scaled disk's entries and their transposes' (an
+        # appended 0 where a transpose cancelled), are those of the stored
+        # K and M
         recorded = []
         gate = fem._gate
 
@@ -1280,15 +1304,24 @@ class TestDiskTopology:
             return gate(k, kt, m, mt, mf, positive_definite)
 
         monkeypatch.setattr(fem, "_gate", recording)
-        sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / divisor))
-        ref = []
-        for a in (sys_.stiffness.toarray(), sys_.mass.toarray()):
-            ref += [abs(a - a.T).max(), abs(a).max()]
-        assert recorded == [tuple(ref)] and ref[0] > 0
+        geom = DiskGeometry(5.3e-6, 0.9e-6)
+        sys_ = assemble_disk(geom, silicon, mesh_disk(geom, geom.radius / divisor))
+        ref = fem._reference_disk(sys_.mesh._topology.rings, silicon.poisson_ratio).system
+        expected = []
+        for system in (ref, sys_):
+            numbers = []
+            for a in (system.stiffness.toarray(), system.mass.toarray()):
+                numbers += [abs(a - a.T).max(), abs(a).max()]
+            expected.append(tuple(numbers))
+        assert recorded == expected and expected[1][0] > 0
+        # some transposes of K cancelled to an exact 0 (not stored)
+        transposes = fem._reference_disk(sys_.mesh._topology.rings, silicon.poisson_ratio)
+        assert np.any(transposes.k_transpose == len(sys_.stiffness.data))
 
     @pytest.mark.parametrize("divisor", [5, 8])
-    def test_asymmetric_element_matrix_refused(self, monkeypatch, ref_disk, silicon,
-                                               divisor):
+    def test_asymmetric_element_matrix_refused(self, monkeypatch, cold_disk_topologies,
+                                               ref_disk, silicon, divisor):
+        # the element matrices reach the cold reference disk's build
         template = fem._ME_TRI.copy()
         template[0, 2] *= 1.5
         monkeypatch.setattr(fem, "_ME_TRI", template)
@@ -1415,8 +1448,9 @@ class TestComponentMassGate:
 
     @pytest.mark.parametrize("divisor", [5, 8])
     @pytest.mark.parametrize("coupled", [False, True])
-    def test_indefinite_mass_template_refused(self, monkeypatch, ref_disk, silicon,
-                                              divisor, coupled):
+    def test_indefinite_mass_template_refused(self, monkeypatch, cold_disk_topologies,
+                                              ref_disk, silicon, divisor, coupled):
+        # the template reaches the cold reference disk's build
         template = fem._ME_TRI.copy()
         template[[0, 1], [2, 3]] = template[[2, 3], [0, 1]] = 3.0   # |offdiag| > diag
         if coupled:
@@ -1617,34 +1651,51 @@ class TestUnitDisk:
         fem.disk_modal_fem(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 9))
         fem.disk_modal_fem(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 8))
         assert len(calls) == 3
-        assert fem._unit_disk_modes.cache_info().currsize == 3
+        assert fem._reference_modes.cache_info().currsize == 3
+        assert fem._reference_disk.cache_info().currsize == 3
 
     def test_cache_is_bounded(self):
-        assert fem._unit_disk_modes.cache_info().maxsize == fem._UNIT_CACHE == 8
-        assert fem._reference_mass_gate.cache_info().maxsize == fem._DISK_TOPOLOGY_CACHE
+        for cached in (fem._reference_disk, fem._reference_modes, fem._unit_disk_modes):
+            assert cached.cache_info().maxsize == fem._UNIT_CACHE == 8
 
-    def test_reference_mass_is_factored_once_per_ring_count(self, monkeypatch,
+    def test_reference_is_built_once_per_ring_count_and_nu(self, monkeypatch, silicon,
                                                            cold_disk_topologies):
-        # the mass gate factors the per-node block (one row per node) in a
-        # band; a new nu at a known ring count factors only K - sigma M
+        # a cold disk_modal_fem sums the element matrices of its reference
+        # disk alone (at R0), factors the reference's mass and its own in a
+        # band and K - sigma M by LU; a warm one sums none and factors only
+        # its own mass
         calls = []
-        lu, band = fem._symmetric_lu, fem._band_positive_definite
+        lu, banded, system = fem._symmetric_lu, fem._band_positive_definite, fem._system
 
         def recording_lu(a):
             calls.append(("lu", a.shape[0]))
             return lu(a)
 
-        def recording_band(a, layout):
+        def recording_band(a, band):
             calls.append(("band", a.shape[0]))
-            return band(a, layout)
+            return banded(a, band)
+
+        def recording_system(plan, ke, me, mesh=None, *rest):
+            calls.append(("system", mesh._radius))
+            return system(plan, ke, me, mesh, *rest)
 
         monkeypatch.setattr(fem, "_symmetric_lu", recording_lu)
         monkeypatch.setattr(fem, "_band_positive_definite", recording_band)
-        for rings, nu in ((8, 0.28), (8, 0.21), (9, 0.28)):
-            fem._unit_disk_modes(rings, nu, 9)
-        nodes8, nodes9 = 1 + 3 * 8 * 9, 1 + 3 * 9 * 10
-        assert calls == [("band", nodes8), ("lu", 2 * nodes8), ("lu", 2 * nodes8),
-                         ("band", nodes9), ("lu", 2 * nodes9)]
+        monkeypatch.setattr(fem, "_system", recording_system)
+        softer = Material(silicon.youngs_modulus, silicon.density, 0.21)
+        r0 = fem._REF_DISK[2]
+        n8, n9 = 2 * (1 + 3 * 8 * 9), 2 * (1 + 3 * 9 * 10)
+        cold, warm = [("system", r0), ("band", n8), ("band", n8), ("lu", n8)], [("band", n8)]
+        for geom, mat, rings, expected in (
+                (DiskGeometry(4e-6, 0.5e-6), silicon, 8, cold),
+                (DiskGeometry(7e-6, 0.9e-6), silicon, 8, warm),
+                (DiskGeometry(4e-6, 0.5e-6), softer, 8, cold),
+                (DiskGeometry(4e-6, 0.5e-6), silicon, 9,
+                 [("system", r0), ("band", n9), ("band", n9), ("lu", n9)]),
+                (DiskGeometry(2e-6, 0.3e-6), softer, 8, warm)):
+            calls.clear()
+            fem.disk_modal_fem(geom, mat, mesh_disk(geom, geom.radius / rings))
+            assert calls == expected
 
     def test_scale_is_the_mesh_radius(self, ref_disk, silicon):
         # a mesh built for another radius: K and M are those of its nodes,
@@ -1696,9 +1747,10 @@ class TestUnitDisk:
 
     @pytest.mark.parametrize("divisor", [6, 12])
     def test_pair_rotation_leaves_results_unchanged(self, monkeypatch, ref_disk, silicon,
-                                                    divisor):
+                                                    cold_disk_topologies, divisor):
         mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
         ref = fem.solve_disk(ref_disk, silicon, mesh)[2]
+        fem._reference_modes.cache_clear()   # solve the reference again, rotated
         solve = fem._solve
         rng = np.random.default_rng(divisor)
         calls = []
@@ -1724,7 +1776,8 @@ class TestUnitDisk:
                 assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
             assert np.allclose(a.mode_shape, b.mode_shape, rtol=0, atol=1e-12)
 
-    def test_rotated_pair_failing_a_gate_is_not_used(self, monkeypatch, ref_disk, silicon):
+    def test_rotated_pair_failing_a_gate_is_not_used(self, monkeypatch, ref_disk, silicon,
+                                                     cold_disk_topologies):
         # a rotated pair is gated as solve_modes gates a pair: one whose
         # residual is 1e-6 keeps the basis it was solved in
         mesh = mesh_disk(ref_disk, ref_disk.radius / 8)
@@ -1732,6 +1785,7 @@ class TestUnitDisk:
         monkeypatch.setattr(fem, "_PAIR_GAP", -1.0)   # no pair is rotated
         unrotated = fem.solve_disk(ref_disk, silicon, mesh)
         monkeypatch.setattr(fem, "_PAIR_GAP", gap)
+        fem._reference_modes.cache_clear()
         canonical = fem._canonical_pair
         rng = np.random.default_rng(8)
         calls = []
@@ -1800,6 +1854,86 @@ class TestUnitDisk:
         monkeypatch.setattr(fem, "_eigenpairs", spoiled)
         got_vals, got_full, _ = fem._solve(sys_, 9, spare=1)
         assert _bits_equal(got_vals, vals[:9]) and _bits_equal(got_full, full[:9])
+
+    @pytest.mark.parametrize("divisor", [6, 12])
+    def test_mapped_solve_matches_the_direct_one(self, silicon, divisor):
+        # a disk mapped from its reference against the same mesh built by a
+        # caller: its element matrices summed and its own pencil solved
+        for geom, mat in ((DiskGeometry(5.3e-6, 0.9e-6), Material(131e9, 2210.0, 0.23)),
+                          (DiskGeometry(2.1e-6, 0.3e-6), silicon)):
+            mesh = mesh_disk(geom, geom.radius / divisor)
+            mapped = fem.solve_disk(geom, mat, mesh)
+            direct = fem.solve_disk(geom, mat, _caller_copy(mesh))
+            assert mapped[0]._congruence is not None and direct[0]._congruence is None
+            for a, b in ((mapped[0].stiffness, direct[0].stiffness),
+                         (mapped[0].mass, direct[0].mass)):
+                a, b = a.toarray(), b.toarray()
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+            _assert_close_results(mapped[2], direct[2], m_eff_rtol=1e-10)
+            for a, b in zip(mapped[2], direct[2]):
+                assert np.allclose(a.mode_shape, b.mode_shape, rtol=0, atol=1e-10)
+
+    def test_mapped_norms_equal_per_call_norms(self, silicon):
+        for divisor in (6, 12):
+            geom = DiskGeometry(5.3e-6, 0.9e-6)
+            sys_ = assemble_disk(geom, silicon, mesh_disk(geom, geom.radius / divisor))
+            assert sys_._congruence.norms == pytest.approx(
+                fem._scaled_norms(sys_._kf, sys_._mf), rel=1e-14, abs=0)
+
+    def test_failing_mapped_pair_falls_back_to_a_direct_solve(self, monkeypatch):
+        # one mapped pair off by 1e-6: the disk is summed from its element
+        # matrices and solved as a caller's mesh is
+        geom, mat = DiskGeometry(5.3e-6, 0.9e-6), Material(131e9, 2210.0, 0.23)
+        mesh = mesh_disk(geom, geom.radius / 8)
+        reference_modes = fem._reference_modes
+
+        def spoiled(*key):
+            modes = reference_modes(*key)
+            vecs = modes.vecs.copy()
+            vecs[5] += 1e-6 * np.abs(vecs[5]).max()
+            return modes._replace(vecs=vecs)
+
+        monkeypatch.setattr(fem, "_reference_modes", spoiled)
+        got = fem.solve_disk(geom, mat, mesh)
+        assert got[0]._congruence is None
+        _assert_same_disk(got, fem.solve_disk(geom, mat, _caller_copy(mesh)))
+
+    @pytest.mark.parametrize("n_modes", [10, 13])
+    @pytest.mark.parametrize("which", sorted(_NEAR_MISS_DISKS))
+    def test_near_miss_disks_are_mapped(self, which, n_modes):
+        # mapped, with no fallback, every pair within the backward-error bound
+        geom, mat = _NEAR_MISS_DISKS[which]
+        sys_, modes, results = fem.solve_disk(geom, mat, mesh_disk(geom, geom.radius / 7),
+                                              n_modes)
+        assert sys_._congruence is not None and len(results) == n_modes
+        assert np.max(_jacobi_backward_errors(sys_, modes)) <= fem._BACKWARD_BOUND
+
+
+class TestModeCount:
+    """A number of modes is an integer (not a bool) in range, or
+    EigenSolveError naming the range."""
+
+    @pytest.mark.parametrize("bad", [1.5, 4.0, True, -1, 0, 10**6])
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_beam(self, ref_beam, silicon, n, bad):
+        sys_ = assemble_beam(ref_beam, silicon, n)
+        most = len(sys_.free_dofs())
+        with pytest.raises(EigenSolveError,
+                           match=re.escape(f"k must be an integer in [1, {most}], got {bad!r}")):
+            solve_modes(sys_, bad)
+        assert len(solve_modes(sys_, np.int64(3))) == 3
+
+    def test_disk(self, ref_disk, silicon):
+        sys_ = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 12))
+        with pytest.raises(EigenSolveError, match=re.escape("k must be an integer in [1, 938], "
+                                                            "got 1.5")):
+            solve_modes(sys_, 1.5)
+        mesh = mesh_disk(ref_disk, ref_disk.radius / 8)   # 434 dofs
+        for bad in (1.5, 6.0, False, -1, 0, 432):
+            with pytest.raises(EigenSolveError, match=re.escape(
+                    f"n_modes must be an integer in [1, 431], got {bad!r}")):
+                fem.disk_modal_fem(ref_disk, silicon, mesh, n_modes=bad)
+        assert len(fem.disk_modal_fem(ref_disk, silicon, mesh, n_modes=np.int32(2))) == 2
 
 
 class TestExport:
