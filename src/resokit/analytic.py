@@ -248,10 +248,88 @@ def plane_stress_wave_speeds(mat: Material):
     return c_l, c_t
 
 
-def _jv_prime(n: int, z):
-    """Jn'(z) = (J(n-1, z) - J(n+1, z)) / 2, bit for bit scipy's jvp."""
-    from scipy.special import jv
-    return (jv(n - 1, z) - jv(n + 1, z)) / 2.0
+# largest |z| _bessel_j accepts: its node count, and so its cost, grows as |z|
+_BESSEL_MAX_ARG = 1e4
+# trig values per chunk of a _bessel_j call (nodes x points), which bounds
+# its temporaries whatever the number of points
+_BESSEL_CHUNK = 1 << 15
+
+
+# a call over arguments up to _BESSEL_MAX_ARG meets some 1300 node counts
+@lru_cache(maxsize=64)
+def _bessel_rule(n_nodes: int, orders: tuple):
+    """sin(tau_k) at the quarter-period nodes tau_k = 2*pi*k/N, k = 0..N/4,
+    and per order m the weighted coefficients w_k*cos(m*tau_k) (m even) or
+    w_k*sin(m*tau_k) (m odd), with m*k reduced mod N before the table lookup
+    and w_k = 1/2 at both ends; read-only, shapes (K, 1) and (orders, K, 1)."""
+    k = np.arange(n_nodes // 4 + 1)
+    s = np.sin(2 * math.pi * k / n_nodes)
+    ang = 2 * math.pi * np.arange(n_nodes) / n_nodes
+    table = np.stack([np.cos(ang), np.sin(ang)])
+    coef = table[[[m % 2] for m in orders], np.multiply.outer(orders, k) % n_nodes]
+    coef[:, [0, -1]] *= 0.5
+    s, coef = s[:, None], coef[:, :, None]
+    s.flags.writeable = coef.flags.writeable = False
+    return s, coef
+
+
+def _bessel_j(orders, z):
+    """J_m(z) for the integer orders m at every z, shape (len(orders), *z.shape).
+
+    The N-point trapezoid rule of Bessel's integral
+    J_m(z) = 1/(2*pi) * int_0^2pi cos(m*t - z*sin t) dt, exponentially
+    accurate for this periodic integrand (Trefethen & Weideman, SIAM Review
+    56, 2014), folded onto the quarter period: with N a multiple of 8,
+    J_m = (4/N) * sum_k w_k * c_m(tau_k) * T(z*sin tau_k), T = cos for even
+    m and sin for odd m, so cos and sin of z*sin(tau_k) are shared by the
+    orders. Each z takes the smallest N >= |z| + 12|z|^(1/3) + 8 + max|m|
+    (the aliased J_(N-|m|)(z) is then below 1e-20) and its terms are summed
+    one node after the other, so a value depends on its own z only, never on
+    the other points of the call. J(+-inf) = 0, J(nan) = nan; a finite |z|
+    above _BESSEL_MAX_ARG raises InvariantError.
+    """
+    orders = tuple(orders)
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    a = np.abs(flat)
+    out = np.empty((len(orders), flat.size))
+    bad = None
+    if not a.max(initial=0.0) <= _BESSEL_MAX_ARG:   # a nan, an inf or too large
+        bad = ~np.isfinite(a)
+        if np.any(a[~bad] > _BESSEL_MAX_ARG):
+            raise InvariantError(
+                f"Bessel argument above {_BESSEL_MAX_ARG:g}: {float(np.max(a[~bad]))!r}")
+        # evaluated at 0, then set to J(nan) = nan and J(+-inf) = 0
+        a[bad] = 0.0
+        flat = np.where(bad, 0.0, flat)
+    blocks = np.ceil((a + 12 * np.cbrt(a) + 8 + max(map(abs, orders))) / 8)
+    parity = [m % 2 for m in orders]
+    for b in set(blocks.tolist()):
+        n_nodes = 8 * int(b)
+        s, coef = _bessel_rule(n_nodes, orders)
+        pts = np.flatnonzero(blocks == b)
+        step = max(1, _BESSEL_CHUNK // len(s))
+        for lo in range(0, pts.size, step):
+            chunk = pts[lo:lo + step]
+            arg = s * flat[chunk]
+            trig = np.empty((2,) + arg.shape)
+            np.cos(arg, out=trig[0])
+            np.sin(arg, out=trig[1])
+            terms = coef * trig[parity]
+            acc = terms[:, 0].copy()
+            for k in range(1, len(s)):
+                acc += terms[:, k]
+            out[:, chunk] = acc * (4.0 / n_nodes)
+    if bad is not None:
+        out[:, bad] = np.where(np.isnan(z.ravel()[bad]), math.nan, 0.0)
+    return out.reshape((len(orders),) + z.shape)
+
+
+def _jv_and_prime(n: int, z):
+    """(Jn(z), Jn'(z)) from one _bessel_j call for orders n-1, n, n+1, with
+    Jn' = (J(n-1, z) - J(n+1, z)) / 2."""
+    j = _bessel_j((n - 1, n, n + 1), z)
+    return j[1], (j[0] - j[2]) / 2.0
 
 
 def _wave_speed_ratio(nu: float) -> float:
@@ -264,9 +342,7 @@ def disk_boundary_matrix(n: int, nu: float, x, y) -> np.ndarray:
 
     x and y may be arrays of one shape S; the result then has shape (2, 2, *S).
     """
-    from scipy.special import jv
-    jx, jy = jv(n, x), jv(n, y)
-    dx, dy = _jv_prime(n, x), _jv_prime(n, y)
+    (jx, jy), (dx, dy) = _jv_and_prime(n, np.stack([x, y]))
     m11 = (1 - nu) * (n * n * jx - x * dx) - x * x * jx
     m12 = n * (1 - nu) * (y * dy - jy)
     m21 = 2 * n * (jx - x * dx)
@@ -340,12 +416,12 @@ def disk_radius_for_frequency(f: float, mat: Material) -> float:
 
 
 def _disk_unit_fields(n: int, nu: float):
-    """Dimensionless radial profiles (u_r, u_t) on the unit disk.
+    """Dimensionless radial profiles on the unit disk: a function of rho
+    returning (u_r, u_t) from one _bessel_j call at x*rho and y*rho.
 
     Angular dependence is cos(n t) for u_r and sin(n t) for u_t; radial
     coordinate rho = r/R in (0, 1].
     """
-    from scipy.special import jv
     y = _disk_dimensionless_root(n, nu)
     x = y * _wave_speed_ratio(nu)
     m = disk_boundary_matrix(n, nu, x, y)
@@ -355,25 +431,33 @@ def _disk_unit_fields(n: int, nu: float):
     else:
         a, b = -m[1, 1], m[1, 0]
 
-    def u_r(rho):
+    def fields(rho):
         rho = np.asarray(rho, dtype=float)
-        return a * x * _jv_prime(n, x * rho) + b * n * jv(n, y * rho) / rho
+        (jx, jy), (dx, dy) = _jv_and_prime(n, np.stack([x * rho, y * rho]))
+        return (a * x * dx + b * n * jy / rho,
+                -a * n * jx / rho - b * y * dy)
 
-    def u_t(rho):
-        rho = np.asarray(rho, dtype=float)
-        return -a * n * jv(n, x * rho) / rho - b * y * _jv_prime(n, y * rho)
-
-    return u_r, u_t
+    return fields
 
 
 @lru_cache(maxsize=None)
 def _disk_meff_coefficient(n: int, nu: float) -> float:
     """m_eff / (rho * t * R^2), rim-radial-antinode normalization (cached)."""
-    u_r, u_t = _disk_unit_fields(n, nu)
     rho, wts = _gauss_nodes(0.0, 1.0)
-    integral = float(np.sum(wts * (u_r(rho)**2 + u_t(rho)**2) * rho))
-    rim = float(u_r(1.0))
-    return math.pi * integral / rim**2
+    # the rim rho = 1 rides along as a last point
+    u_r, u_t = _disk_unit_fields(n, nu)(np.append(rho, 1.0))
+    integral = float(np.sum(wts * (u_r[:-1]**2 + u_t[:-1]**2) * rho))
+    return math.pi * integral / float(u_r[-1])**2
+
+
+@lru_cache(maxsize=64)
+def _disk_shape(n: int, nu: float, samples: int) -> np.ndarray:
+    """u_r at `samples` radii rho = i/samples, i = 1..samples, normalized to
+    unit maximum; read-only (cached: it depends on nothing else)."""
+    prof = _disk_unit_fields(n, nu)(np.linspace(1.0 / samples, 1.0, samples))[0]
+    shape = prof / np.max(np.abs(prof))
+    shape.flags.writeable = False
+    return shape
 
 
 def disk_effective_params(geom: DiskGeometry, mat: Material, n: int = 2):
@@ -398,8 +482,6 @@ def disk_mode_result(geom: DiskGeometry, mat: Material, n: int = 2,
                                geom.thickness, mat)
     shape = ()
     if samples:
-        u_r, _ = _disk_unit_fields(n, mat.poisson_ratio)
-        prof = u_r(np.linspace(1.0 / samples, 1.0, samples))
-        shape = prof / np.max(np.abs(prof))
+        shape = _disk_shape(n, mat.poisson_ratio, samples)
     return ModeResult(frequency=f, mode_order=n, effective_mass=m_eff,
                       effective_stiffness=k_eff, mode_shape=shape)

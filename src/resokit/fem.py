@@ -730,40 +730,43 @@ class _DiskTopology(NamedTuple):
 
 @lru_cache(maxsize=_DISK_TOPOLOGY_CACHE)
 def _disk_topology(m: int) -> _DiskTopology:
-    """The _DiskTopology of m rings: ring i carries 6*i nodes at angles
-    2*pi*j/(6*i) (math.cos and math.sin), and each ring strip is cut into
-    triangles by advancing whichever ring pointer trails in angle."""
-    ring, unit = [0], [(1.0, 0.0)]
-    rings = [[0]]
-    for i in range(1, m + 1):
-        cnt = 6 * i
-        rings.append(list(range(len(ring), len(ring) + cnt)))
-        for j in range(cnt):
-            th = 2 * math.pi * j / cnt
-            ring.append(i)
-            unit.append((math.cos(th), math.sin(th)))
+    """The _DiskTopology of m rings: ring i carries 6*i nodes, numbered from
+    1 + 3*i*(i-1), at angles 2*pi*j/(6*i) (math.cos and math.sin, so the
+    nodes keep libm's rounding), and each strip between rings i and i+1
+    is cut by the two-pointer walk that advances whichever ring trails in
+    angle: a stable merge of the inner steps a (key (a+1)*n_o) and the
+    outer steps b (key (b+1)*n_i), the inner step first on ties. A step's
+    place in the strip is its own index plus the other ring's steps before
+    it, so the strips are built as array expressions."""
+    i = np.arange(1, m + 1)
+    ring = np.repeat(i, 6 * i)
+    j = np.arange(ring.size) - 3 * ring * (ring - 1)
+    th = (2 * math.pi * j / (6 * ring)).tolist()
+    unit = np.empty((ring.size + 1, 2))
+    unit[0] = (1.0, 0.0)
+    unit[1:, 0] = np.fromiter(map(math.cos, th), float, len(th))
+    unit[1:, 1] = np.fromiter(map(math.sin, th), float, len(th))
+    ring = np.concatenate(([0.0], ring))
 
-    tris = []
-    for i in range(m):
-        inner, outer = rings[i], rings[i + 1]
-        ni, no = len(inner), len(outer)
-        if ni == 1:
-            c = inner[0]
-            for j in range(no):
-                tris.append((c, outer[j], outer[(j + 1) % no]))
-            continue
-        # advance whichever ring pointer trails in angle (two-pointer strip)
-        a = b = 0
-        while a < ni or b < no:
-            take_inner = (b >= no) or (a < ni and (a + 1) * no <= (b + 1) * ni)
-            if take_inner:
-                tris.append((inner[a % ni], outer[b % no], inner[(a + 1) % ni]))
-                a += 1
-            else:
-                tris.append((inner[a % ni], outer[b % no], outer[(b + 1) % no]))
-                b += 1
-    ring, unit = _readonly(np.array(ring, dtype=float)), _readonly(np.array(unit))
-    elements = _readonly(np.array(tris, dtype=int))
+    # strip s (rings s and s+1; the center strip is s = 0) holds triangles
+    # 6*s^2 .. 6*(s+1)^2 - 1
+    tris = np.empty((6 * m * m, 3), dtype=int)
+    c = np.arange(6)
+    tris[:6] = np.stack([0 * c, 1 + c, 1 + (c + 1) % 6], axis=1)
+    s = np.arange(1, m)
+    si = np.repeat(s, 6 * s)                  # inner step a of strip si
+    a = np.arange(si.size) - 3 * si * (si - 1)
+    first, n_i, n_o = 1 + 3 * si * (si - 1), 6 * si, 6 * (si + 1)
+    b = ((a + 1) * n_o + n_i - 1) // n_i - 1  # outer keys below the step's
+    tris[6 * si * si + a + b] = np.stack(
+        [first + a, first + n_i + b, first + (a + 1) % n_i], axis=1)
+    so = np.repeat(s, 6 * (s + 1))            # outer step b of strip so
+    b = np.arange(so.size) - 3 * (so - 1) * (so + 2)
+    first, n_i, n_o = 1 + 3 * so * (so - 1), 6 * so, 6 * (so + 1)
+    a = (b + 1) * n_i // n_o                  # inner keys up to the step's
+    tris[6 * so * so + a + b] = np.stack(
+        [first + a % n_i, first + n_i + b, first + n_i + (b + 1) % n_o], axis=1)
+    ring, unit, elements = _readonly(ring), _readonly(unit), _readonly(tris)
     plan = _plan(elements, ("ux", "uy"), len(ring))
     nodes = (ring / m)[:, None] * unit
     return _DiskTopology(ring, unit, elements, plan, _readonly(_rim_nodes(nodes)), m,

@@ -369,9 +369,30 @@ class TestVectorizedDiskRoot:
         assert analytic._disk_dimensionless_root(n, nu) == root
 
 
-def _jvp_boundary_matrix(n, nu, x, y):
-    """Reference: the boundary matrix written with jv and jvp as in the
+def _jv(n, z):
+    """Jn(z) from the module's kernel, called for orders n-1, n, n+1 as the
+    module calls it (the node count depends on the largest order)."""
+    return analytic._bessel_j((n - 1, n, n + 1), z)[1]
+
+
+def _jvp(n, z):
+    """Jn'(z) = (J(n-1, z) - J(n+1, z)) / 2 from the module's kernel."""
+    j = analytic._bessel_j((n - 1, n, n + 1), z)
+    return (j[0] - j[2]) / 2.0
+
+
+def _kernel_boundary_matrix(n, nu, x, y):
+    """Reference: the boundary matrix written with Jn and Jn' as in the
     module docs, 13 Bessel evaluations per point."""
+    m11 = (1 - nu) * (n * n * _jv(n, x) - x * _jvp(n, x)) - x * x * _jv(n, x)
+    m12 = n * (1 - nu) * (y * _jvp(n, y) - _jv(n, y))
+    m21 = 2 * n * (_jv(n, x) - x * _jvp(n, x))
+    m22 = (y * y - 2 * n * n) * _jv(n, y) + 2 * y * _jvp(n, y)
+    return np.array([[m11, m12], [m21, m22]])
+
+
+def _scipy_boundary_matrix(n, nu, x, y):
+    """The same formula with scipy's jv and jvp."""
     from scipy.special import jv, jvp
     m11 = (1 - nu) * (n * n * jv(n, x) - x * jvp(n, x)) - x * x * jv(n, x)
     m12 = n * (1 - nu) * (y * jvp(n, y) - jv(n, y))
@@ -386,19 +407,38 @@ class TestBoundaryMatrix:
         rng = np.random.default_rng(n)
         x, y = rng.uniform(0.01, 60.0, (2, 3000))
         nu = float(rng.uniform(0.05, 0.45))
-        assert np.array_equal(disk_boundary_matrix(n, nu, x, y),
-                              _jvp_boundary_matrix(n, nu, x, y))
+        m = disk_boundary_matrix(n, nu, x, y)
+        assert np.array_equal(m, _kernel_boundary_matrix(n, nu, x, y))
         for xi, yi in zip(x[:20].tolist(), y[:20].tolist()):
             assert np.array_equal(disk_boundary_matrix(n, nu, xi, yi),
-                                  _jvp_boundary_matrix(n, nu, xi, yi))
+                                  _kernel_boundary_matrix(n, nu, xi, yi))
+        # entries are up to ~y^2 in size: compare on that scale
+        ref = _scipy_boundary_matrix(n, nu, x, y)
+        assert np.all(np.abs(m - ref) <= 1e-14 * (1.0 + x * x + y * y))
 
 
-def _jvp_unit_fields(n, nu):
-    """Reference: the unit-disk fields written with scipy's jvp."""
-    from scipy.special import jv, jvp
-    y = analytic._disk_dimensionless_root(n, nu)
+def _scipy_root(n, nu):
+    """Reference: the characteristic root by scipy's jv, jvp and brentq over
+    the module's scan window."""
+    ratio = math.sqrt((1 - nu) / 2.0)
+
+    def det(y):
+        m = _scipy_boundary_matrix(n, nu, y * ratio, y)
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+    y_rq = 2.0 * math.sqrt(n * (n - 1))
+    ys = np.linspace(0.1 * y_rq, 10.0 * y_rq, 4001)
+    vals = det(ys)
+    i = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))[0]
+    return brentq(det, ys[i], ys[i + 1], rtol=1e-12)
+
+
+def _unit_fields(n, nu, y, jv, jvp, matrix):
+    """Reference: the unit-disk fields (u_r, u_t) of the order-n mode at
+    characteristic root y, written with the Bessel functions and boundary
+    matrix given."""
     x = y * math.sqrt((1 - nu) / 2.0)
-    m = disk_boundary_matrix(n, nu, x, y)
+    m = matrix(n, nu, x, y)
     if abs(m[0, 0]) + abs(m[0, 1]) >= abs(m[1, 0]) + abs(m[1, 1]):
         a, b = -m[0, 1], m[0, 0]
     else:
@@ -407,28 +447,129 @@ def _jvp_unit_fields(n, nu):
             lambda rho: -a * n * jv(n, x * rho) / rho - b * y * jvp(n, y * rho))
 
 
+def _meff_coefficient(u_r, u_t):
+    rho, wts = analytic._gauss_nodes(0.0, 1.0)
+    integral = float(np.sum(wts * (u_r(rho)**2 + u_t(rho)**2) * rho))
+    return math.pi * integral / float(u_r(1.0))**2
+
+
+def _scipy_fields(n, nu):
+    from scipy.special import jv, jvp
+    return _unit_fields(n, nu, _scipy_root(n, nu), jv, jvp, _scipy_boundary_matrix)
+
+
 class TestBesselDerivative:
-    """One Jn' helper serves the boundary matrix and the mode fields, bit
-    for bit scipy's jvp."""
+    """One Jn, Jn' helper serves the boundary matrix and the mode fields, as
+    the kernel's (J(n-1) - J(n+1)) / 2, within rounding of scipy's jvp."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equals_jvp(self, n):
-        from scipy.special import jvp
+        from scipy.special import jv, jvp
         z = np.random.default_rng(n).uniform(0.0, 60.0, 100_000)
-        assert np.array_equal(analytic._jv_prime(n, z), jvp(n, z))
+        jn, dn = analytic._jv_and_prime(n, z)
+        j = analytic._bessel_j((n - 1, n, n + 1), z)
+        assert np.array_equal(jn, j[1])
+        assert np.array_equal(dn, (j[0] - j[2]) / 2.0)
+        assert np.max(np.abs(jn - jv(n, z))) <= 4e-15
+        assert np.max(np.abs(dn - jvp(n, z))) <= 4e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("nu", [0.0, 0.17, 0.28, 0.45])
     def test_fields_and_meff_coefficient_unchanged(self, n, nu):
-        rho, wts = analytic._gauss_nodes(0.0, 1.0)
-        u_r, u_t = analytic._disk_unit_fields(n, nu)
-        ref_r, ref_t = _jvp_unit_fields(n, nu)
+        ref_r, ref_t = _unit_fields(n, nu, analytic._disk_dimensionless_root(n, nu),
+                                    _jv, _jvp, _kernel_boundary_matrix)
         grid = np.linspace(1e-3, 1.0, 2001)
-        assert np.array_equal(u_r(grid), ref_r(grid))
-        assert np.array_equal(u_t(grid), ref_t(grid))
-        integral = float(np.sum(wts * (ref_r(rho)**2 + ref_t(rho)**2) * rho))
-        assert analytic._disk_meff_coefficient(n, nu) == \
-            math.pi * integral / float(ref_r(1.0))**2
+        u_r, u_t = analytic._disk_unit_fields(n, nu)(grid)
+        assert np.array_equal(u_r, ref_r(grid))
+        assert np.array_equal(u_t, ref_t(grid))
+        assert analytic._disk_meff_coefficient(n, nu) == _meff_coefficient(ref_r, ref_t)
+        samples = np.linspace(1.0 / 201, 1.0, 201)
+        shape = analytic._disk_shape(n, nu, 201)
+        assert np.array_equal(shape, ref_r(samples) / np.max(np.abs(ref_r(samples))))
+
+
+class TestScipyReference:
+    """Roots, m_eff coefficients and shapes stay within rounding of the
+    values scipy's Bessel functions give, over the orders and Poisson
+    ratios the library uses."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_roots(self, n):
+        for nu in np.linspace(0.0, 0.49, 15).tolist():
+            assert analytic._disk_dimensionless_root(n, nu) == \
+                pytest.approx(_scipy_root(n, nu), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_meff_and_shape(self, n):
+        for nu in np.linspace(0.0, 0.49, 8).tolist():
+            sp_r, sp_t = _scipy_fields(n, nu)
+            assert analytic._disk_meff_coefficient(n, nu) == \
+                pytest.approx(_meff_coefficient(sp_r, sp_t), rel=1e-14, abs=0)
+            samples = np.linspace(1.0 / 201, 1.0, 201)
+            sp_shape = sp_r(samples) / np.max(np.abs(sp_r(samples)))
+            assert np.max(np.abs(analytic._disk_shape(n, nu, 201) - sp_shape)) <= 2e-13
+
+
+class TestBesselKernel:
+    """analytic._bessel_j: the trapezoid rule of Bessel's integral."""
+
+    def test_against_scipy(self):
+        from scipy.special import jv
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.uniform(-60.0, 60.0, 20_000), np.linspace(0.0, 60.0, 2001),
+                            np.geomspace(1e-300, 1.0, 200), [0.0, -0.0]])
+        orders = range(-1, 10)
+        j = analytic._bessel_j(orders, z)
+        assert j.shape == (11, len(z))
+        for row, m in zip(j, orders):
+            assert np.max(np.abs(row - jv(m, z))) <= 4e-15
+
+    def test_shapes(self):
+        z = np.linspace(0.0, 5.0, 12).reshape(3, 4)
+        assert analytic._bessel_j((0, 1), z).shape == (2, 3, 4)
+        assert analytic._bessel_j((2,), 1.5).shape == (1,)
+        assert analytic._bessel_j((0, 1, 2), np.empty(0)).shape == (3, 0)
+
+    @pytest.mark.parametrize("orders", [(1, 2, 3), (3, 4, 5), (-1, 0, 1, 2, 9)])
+    def test_array_equals_scalars(self, orders):
+        # arguments over many node counts
+        z = np.random.default_rng(len(orders)).uniform(-70.0, 70.0, 3000)
+        j = analytic._bessel_j(orders, z)
+        scalars = np.array([analytic._bessel_j(orders, v) for v in z.tolist()]).T
+        assert np.array_equal(j, scalars)
+        halves = np.concatenate([analytic._bessel_j(orders, z[:1234]),
+                                 analytic._bessel_j(orders, z[1234:])], axis=1)
+        assert np.array_equal(j, halves)
+
+    def test_non_finite(self):
+        # J(+-inf) is the limit 0, J(nan) is nan; the finite points of the
+        # call are unaffected
+        z = np.array([np.inf, -np.inf, np.nan, 1.5])
+        j = analytic._bessel_j((-1, 0, 1, 4), z)
+        assert np.array_equal(j[:, :2], np.zeros((4, 2)))
+        assert np.isnan(j[:, 2]).all()
+        assert np.array_equal(j[:, 3], analytic._bessel_j((-1, 0, 1, 4), 1.5))
+
+    def test_argument_cap(self):
+        cap = analytic._BESSEL_MAX_ARG
+        assert np.isfinite(analytic._bessel_j((0, 1), np.array([cap, -cap]))).all()
+        for z in (np.nextafter(cap, np.inf), -2.0 * cap, np.array([1.0, np.nan, 3 * cap])):
+            with pytest.raises(InvariantError):
+                analytic._bessel_j((0, 1), z)
+
+    def test_many_points_bounded_temporaries(self):
+        import tracemalloc
+        z = np.random.default_rng(9).uniform(0.0, 60.0, 100_000)
+        tracemalloc.start()
+        try:
+            j = analytic._bessel_j((1, 2, 3), z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(j).all()
+        # a (points x nodes) array at |z| near 60 would take 100000 * 40 * 8
+        # bytes = 32 MB; the output and the per-point arrays take about 7 MB
+        assert peak < 12e6
 
 
 class TestBrent:

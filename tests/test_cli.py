@@ -638,9 +638,15 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
-def test_beam_commands_load_no_scipy():
-    """Beam and process commands run without importing any scipy module."""
+def test_closed_form_commands_load_no_scipy(tmp_path):
+    """Beam, disk and process commands that need no FEM run without
+    importing any scipy module."""
     configs = Path(__file__).resolve().parents[1] / "configs"
+    disk_bounds = tmp_path / "disk_bounds.json"
+    disk_bounds.write_text(json.dumps({
+        "schema_version": 1, "family": "disk", "material": "silicon", "grid_points": 3,
+        "bounds": {"radius": ["2 um", "40 um"], "thickness": ["0.4 um", "2 um"],
+                   "gap": ["80 nm", "200 nm"], "bias_voltage": [1.2, 5.0]}}))
     argvs = [
         ["gap", "--drawn", "80 nm", "--tunnel", "1.19 um"],
         ["check", "--config", str(configs / "beam.json"), "--profile", "vco"],
@@ -648,6 +654,10 @@ def test_beam_commands_load_no_scipy():
         ["optimize", "--profile", "oscillator-n2",
          "--bounds", str(configs / "oscillator_bounds.json")],
         ["respond", "--config", str(configs / "beam.json")],
+        ["check", "--config", str(configs / "disk.json"), "--profile", "oscillator-n2"],
+        ["respond", "--config", str(configs / "disk.json")],
+        # disks fail the tunnel-depth rule on every grid point
+        ["optimize", "--profile", "oscillator-n2", "--bounds", str(disk_bounds)],
     ]
     src = str(Path(resokit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -656,5 +666,5 @@ def test_beam_commands_load_no_scipy():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 1, 1, 0, 0]
+    assert result["codes"] == [0, 1, 1, 0, 0, 1, 0, 1]
     assert result["scipy"] == []

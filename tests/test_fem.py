@@ -1173,6 +1173,36 @@ def _loop_mesh_disk(geom, target_edge):
     return np.array(nodes), np.array(tris)
 
 
+def _loop_disk_topology(m):
+    """(ring, unit, elements) of fem._disk_topology(m) as it was built by
+    per-node and two-pointer loops (reference)."""
+    ring, unit = [0], [(1.0, 0.0)]
+    rings = [[0]]
+    for i in range(1, m + 1):
+        cnt = 6 * i
+        rings.append(list(range(len(ring), len(ring) + cnt)))
+        for j in range(cnt):
+            th = 2 * math.pi * j / cnt
+            ring.append(i)
+            unit.append((math.cos(th), math.sin(th)))
+    tris = []
+    for i in range(m):
+        inner, outer = rings[i], rings[i + 1]
+        ni, no = len(inner), len(outer)
+        if ni == 1:
+            tris += [(inner[0], outer[j], outer[(j + 1) % no]) for j in range(no)]
+            continue
+        a = b = 0
+        while a < ni or b < no:
+            if (b >= no) or (a < ni and (a + 1) * no <= (b + 1) * ni):
+                tris.append((inner[a % ni], outer[b % no], inner[(a + 1) % ni]))
+                a += 1
+            else:
+                tris.append((inner[a % ni], outer[b % no], outer[(b + 1) % no]))
+                b += 1
+    return np.array(ring, dtype=float), np.array(unit), np.array(tris, dtype=int)
+
+
 def _stored_equal(a, b):
     """CSC data, indices and indptr bitwise equal with their dtypes."""
     return _bits_equal(a.data, b.data) and all(
@@ -1338,6 +1368,14 @@ class TestDiskTopology:
 
     def test_cache_is_bounded(self):
         assert fem._disk_topology.cache_info().maxsize == fem._DISK_TOPOLOGY_CACHE == 8
+
+    def test_topology_equal_to_loop(self):
+        for m in range(1, 41):
+            top = fem._disk_topology.__wrapped__(m)   # uncached: no eviction
+            ring, unit, elements = _loop_disk_topology(m)
+            assert _bits_equal(top.ring, ring) and _bits_equal(top.unit, unit)
+            assert top.elements.dtype == elements.dtype
+            assert np.array_equal(top.elements, elements)
 
     def test_topology_is_read_only(self, ref_disk):
         top = mesh_disk(ref_disk, ref_disk.radius / 8)._topology
