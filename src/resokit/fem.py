@@ -26,84 +26,75 @@ passes a Jacobi-scaled normwise backward-error gate (_BACKWARD_BOUND);
 modes away from the rigid-body null space also pass the relative residual
 gate (_RESIDUAL_BOUND).
 
-A beam is a scaled copy of its unit system. With le = L/n and D = diag(1,
-le, 1, le, ...), assemble_beam's K is (EI/le^3) D K0 D and its M is
-(rho*A*le/420) D M0 D, where K0 and M0 scatter _KE0 and _ME0, the only
-beam element matrices, and depend only on (n_elements, clamped). The unit
-system (K0, M0) is built and gated once per (n_elements, clamped) and kept
-in a small LRU cache; a beam scales its stored entries (and those of its
-free blocks) by the pattern (1, le, le^2) of D.D, which is bitwise the
-sum of the scaled element matrices, and shares its dof numbering, free
-dofs and CSC index arrays. Each beam still passes the value gate on its
-own entries (finite, symmetric, M positive-definite on the free dofs), the
-last by a banded Cholesky (LAPACK dpbtrf, half-bandwidth 3), O(n).
-Jacobi scaling undoes the congruence, so the norms ||DKD||_F and
-||DMD||_F of the backward-error gate are computed once per unit system.
+A beam, and a disk on mesh_disk's mesh, is a scaled copy of a cached
+reference system (Golub & Van Loan, Matrix Computations, sec. 8.7). The
+reference is built by _system and gated once, and kept in a small LRU
+cache with what its copies read (_Reference): for each stored entry of K0
+and M0 the position of its transpose (the appended 0 where the transpose
+cancelled to an exact 0), the band of its free-dof mass for a banded
+Cholesky (LAPACK dpbtrf), the scaled norms of the backward-error gate and,
+for a beam, the parity of each entry. A copy (_mapped) forms no element
+matrix: K = c_K D K0 D and M = c_M D M0 D are its scalars and D times the
+stored entries of K0 and M0, bitwise the sum of its scaled element
+matrices, sharing the reference's dof tables and CSC index arrays. Each
+copy still passes the value gate on its own entries: finite and symmetric
+through the transpose positions, and M positive-definite by the banded
+Cholesky on the reference's band. Its free-dof pencil is congruent to the
+reference's, so the reference pairs K0 psi = mu M0 psi give the copy's
+exactly: lambda = mu * ratio, ratio = c_K / c_M, and phi = psi / d, d the
+diagonal of D on the free dofs. Jacobi scaling undoes the congruence, so
+the scaled norms are the reference's, ||DMD||_F over ratio. solve_modes
+takes (mu, psi) from one small LRU cache keyed by the reference and k,
+filled through the factorization dispatch above; the gates,
+normalization and sign convention then run on the copy's own K and M. The
+two cases differ in D:
 
-A disk is a scaled copy of its reference disk. Everything about
-mesh_disk's mesh with m rings but the radius (connectivity, each node's
-ring index and cos/sin, the dof tables, the plan and the rim nodes in
-angle order) is built once per m and kept in a small LRU cache
-(_disk_topology). On that mesh the CST stiffness is t*E/(1 - nu^2)
-K^(m, nu), independent of the radius, and the mass is rho*t*R^2 M^(m),
-with R the mesh's own radius. So K = (t*E/(t0*E0)) K0 and
-M = (rho*t*R^2/(rho0*t0*R0^2)) M0, where (K0, M0) is the reference disk
-of (m, nu): the silicon preset at R0 = 3 um, t0 = 0.4 um. A reference
-disk is built once per (m, nu) and kept in a small LRU cache
-(_reference_disk): its element matrices are formed and summed with one
-bincount per matrix into the plan's slots, and it is gated as every
-system is. The value gate reads each slot and its transpose slot, the
-same symmetry number as on the stored matrices. The CST mass is Ms (x) I2
-up to the dof order (ux and uy uncoupled, with equal blocks), so
-_positive_definite factors only the n/2 x n/2 block Ms whenever the
-stored entries show that structure: an exact reduction. On a mesh_disk
-mesh the topology also keeps the pattern of Ms and its band with the
-nodes in ascending x (half-bandwidth about 3m), and the mass gate is a
-banded Cholesky of Ms (_disk_mass_definite), as a beam's is: a symmetric
-permutation, so again exact. The record also keeps, for each stored
-entry of K0 and M0, the position of its transpose (the appended 0 where
-the transpose cancelled to an exact 0), the positions of Ms's band in
-the data of M0, and the scaled norms of the backward-error gate. A disk
-forms no element matrix: its K and M are the scalars times the stored
-entries of K0 and M0, sharing their index arrays, and each disk still
-passes the value gate on its own entries, through those positions (a
-banded Cholesky for M, O(n m^2)). A mesh built by a caller gets its plan
-from the same function, uncached, its element matrices are summed as a
-reference disk's are, and its mass is tested by _positive_definite.
+- A beam's reference is its unit beam: K0 and M0 scatter _KE0 and _ME0,
+  the only beam element matrices, and depend only on (n_elements,
+  clamped). With le = L/n, c_K = EI/le^3, c_M = rho*A*le/420 and D =
+  diag(1, le, 1, le, ...), so a copy multiplies each entry by the pattern
+  (1, le, le^2) of D.D at its parity (how many of its row and column dofs
+  are rotations); two elements feeding one entry give an exact doubling
+  or an exact 0. Its mass band has half-bandwidth 3, so the gate is O(n).
+- A disk's reference is the disk of (m, nu) on mesh_disk's mesh with m
+  rings: the silicon preset at R0 = 3 um, t0 = 0.4 um. Everything about
+  that mesh but the radius (connectivity, each node's ring index and
+  cos/sin, the dof tables, the plan, the rim nodes in angle order and the
+  nodes in ascending x) is built once per m (_disk_topology). The CST
+  stiffness is t*E/(1 - nu^2) K^(m, nu), independent of the radius, and
+  the mass rho*t*R^2 M^(m), with R the mesh's own radius, so D = d I is a
+  scalar: c_K = t*E/(t0*E0), c_M = d^2 = rho*t*R^2/(rho0*t0*R0^2) and
+  ratio = (E/(rho*R^2)) / (E0/(rho0*R0^2)). The CST mass is Ms (x) I2 up
+  to the dof order (ux and uy uncoupled, with equal blocks), and its band
+  is that of Ms with the nodes in ascending x (half-bandwidth about 3m): a
+  symmetric permutation, so the banded Cholesky is exact, O(n m^2).
 
-A mesh is solved once, for every beam and for every disk of one Poisson
-ratio. A system from assemble_beam or from assemble_disk on a mesh_disk
-mesh is congruent to a cached reference pencil (Golub & Van Loan, Matrix
-Computations, sec. 8.7), so the reference pairs K0 psi = mu M0 psi give
-the system's pairs exactly: lambda = mu * ratio and phi = psi / d. A beam's
-reference is its unit pencil: ratio = (EI/le^3) / (rho*A*le/420) and d the
-diagonal of D on the free dofs. A disk's is its reference disk:
-ratio = (E/(rho*R^2)) / (E0/(rho0*R0^2)) and the scalar
-d = sqrt(rho*t*R^2 / (rho0*t0*R0^2)). The reference disk's scale
-matters: ARPACK accepts a Ritz value theta = 1/(lambda - sigma) once its
-error bound is below eps * max(eps^(2/3), |theta|) (tol 0), and theta is
-far below eps^(2/3) here, so the Lanczos steps depend on the eigenvalue
-scale E/(rho*R^2). This reference takes as many steps as the physical
-disks of fem-converge; a 20 um one took about a fifth more, a unit-scale
-pencil about two thirds more (README). solve_modes takes (mu, psi) from
-a small LRU cache keyed by (n_elements, clamped, k) or (m, nu, k), filled
-through the factorization dispatch above; the gates, normalization and
-sign convention then run on the system's own K and M, with the
-reference's scaled norms (Jacobi scaling undoes the congruence, so
-||DKD||_F is the reference's and ||DMD||_F the reference's over ratio).
-solve_disk maps more: the reference disk's finished solve (_finish_disk,
-cached per (m, nu, n_modes) by _reference_modes), whose eigenvalues are
-multiplied by ratio and whose normalized mode vectors (rigid ones too),
-angular orders, pair basis and mode shapes are the disk's as they are:
-scaling to unit peak displacement takes the scalar d out. All n_modes + 3
-mapped pairs pass the gates of solve_modes on the disk's own K and M in
-one _accuracy call, or the disk is assembled from its element matrices
-and solved directly; only the effective masses are computed per disk,
-from its own mass and rim. A disk whose ratio or d is not finite and
-> 0, or whose K or M has an entry below the normal float range (where
-the congruence holds only to the subnormal grid), a disk on a mesh
-built by a caller and a system built with AssembledSystem(...) directly
-are solved directly.
+A beam whose ratio is not finite and > 0 or whose K or M has an entry
+below the normal float range (where the congruence holds only to the
+subnormal grid) is refused; such a disk, a disk on a mesh built by a
+caller and a system built with AssembledSystem(...) directly are solved
+directly. A caller's mesh gets its plan from the same function,
+uncached, its element matrices are summed as a reference disk's are, and
+its mass is tested by _positive_definite, which factors only the
+n/2 x n/2 block Ms whenever the stored entries show that structure: an
+exact reduction.
+
+The reference disk's scale matters: ARPACK accepts a Ritz value
+theta = 1/(lambda - sigma) once its error bound is below
+eps * max(eps^(2/3), |theta|) (tol 0), and theta is far below eps^(2/3)
+here, so the Lanczos steps depend on the eigenvalue scale E/(rho*R^2).
+This reference takes as many steps as the physical disks of
+fem-converge; a 20 um one took about a fifth more, a unit-scale pencil
+about two thirds more (README). solve_disk maps more: the reference
+disk's finished solve (_finish_disk, cached per (m, nu, n_modes) by
+_reference_modes), whose eigenvalues are multiplied by ratio and whose
+normalized mode vectors (rigid ones too), angular orders, pair basis and
+mode shapes are the disk's as they are: scaling to unit peak
+displacement takes the scalar d out. All n_modes + 3 mapped pairs pass
+the gates of solve_modes on the disk's own K and M in one _accuracy
+call, or the disk is assembled from its element matrices and solved
+directly; only the effective masses are computed per disk, from its own
+mass and rim.
 
 solve_disk reports each degenerate pair of one angular order n > 0 in one
 basis: M-orthonormalized and rotated within its span so that the first
@@ -142,8 +133,8 @@ _SPARSE_MIN_DOF = 300      # more free dofs than this: sparse factorization and 
 _SHIFT_RATIO = 1e-9        # shift-invert sigma, below 0, vs the median diag(K)/diag(M)
 _AMBIGUITY_RATIO = 0.1     # harmonic energy gap below which an angular order is ambiguous
 _SIGN_RTOL = 1e-6          # translational entries this close to the largest tie for the sign
-_UNIT_CACHE = 8            # unit-beam systems, reference disks, reference eigenpair
-                           # sets and finished reference-disk solves kept, each
+_UNIT_CACHE = 8            # beam and disk references, reference eigenpair sets and
+                           # finished reference-disk solves kept, each
 _POLISH_REPEATS = 2        # extra inverse-iteration steps at most, per sparse solve
 _POLISH_MARGIN = 0.25      # repeat the step while a pair is above this share of a bound
 # relative eigenvalue gap of a degenerate disk pair, at most: such pairs of
@@ -235,9 +226,9 @@ def _layout(dof_map, constraints) -> _Layout:
 
 class _Congruence(NamedTuple):
     """How a system's free-dof pencil maps from a cached reference pencil
-    (see the module docstring): the reference pairs (mu, psi) are
-    _unit_beam_modes(*key, k) for a beam mesh, _unit_disk_modes(*key, k)
-    for a disk mesh, and the system's are lambda = mu * ratio and
+    (see the module docstring): key is the reference's builder and its
+    arguments (_reference), the reference pairs (mu, psi) are
+    _reference_pairs(key, k), and the system's are lambda = mu * ratio and
     phi = psi / d (d a column on the free dofs, or a scalar). norms are
     (||DKD||_F, ||DMD||_F) of the backward-error gate, mapped from the
     reference's."""
@@ -257,8 +248,9 @@ class AssembledSystem:
 
     K and M are stored read-only in one form at every size: canonical CSC
     (sorted row indices, no duplicate or explicit zero entries, K's and
-    M's index arrays apart, `nbytes` = bytes of data + indices + indptr; a
-    beam shares its read-only index arrays with its cached unit system).
+    M's index arrays apart, int32 indices and indptr where assembly built
+    them, `nbytes` = bytes of data + indices + indptr; a scaled copy shares
+    its read-only index arrays with its cached reference).
     A caller's dense or sparse matrix is converted with scipy's csc_array.
     """
 
@@ -267,15 +259,16 @@ class AssembledSystem:
     dof_map: tuple
     constraints: tuple
     mesh: Mesh | None = field(default=None, compare=False)
-    # Set by assemble_beam, and by assemble_disk on a mesh_disk mesh: the
-    # _Congruence that maps cached reference pairs to this system's.
+    # Set by _mapped (assemble_beam, and assemble_disk on a mesh_disk
+    # mesh): the _Congruence that maps cached reference pairs to this
+    # system's.
     _congruence: _Congruence | None = field(default=None, init=False, repr=False,
                                             compare=False)
     # The _Layout tables and the free-dof blocks _kf/_mf of K and M, stored
     # as K and M are. _tdofs lists the translational dofs; row j of
     # _tnode_dofs holds the translational dofs of the j-th node that has
-    # any, padded with ndof. Systems built by _system and assemble_beam
-    # share the tables of their plan or unit system.
+    # any, padded with ndof. Systems built by _system and _mapped share
+    # the tables of their plan or reference.
     _free: np.ndarray = field(init=False, repr=False, compare=False)
     _kf: object = field(init=False, repr=False, compare=False)
     _mf: object = field(init=False, repr=False, compare=False)
@@ -289,7 +282,7 @@ class AssembledSystem:
         if k.shape != (n, n) or m.shape != (n, n):
             raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
         kf, mf = _free_blocks(layout.free, k, m)
-        _gate(k, k.T, m, m.T, mf, _positive_definite)
+        _gate(k, k.T, m, m.T, mf)
         self._set(layout, k, m, kf, mf, self.mesh)
 
     @classmethod
@@ -370,38 +363,20 @@ def _symmetric_lu(a):
                 options={"SymmetricMode": True})
 
 
-def _gate(k, kt, m, mt, mf, positive_definite):
+def _gate(k, kt, m, mt, mf, band=None):
     """The value gate of every system: K and M finite and symmetric, and M
-    positive-definite on the free dofs (positive_definite(mf)). k and m are
-    K and M, or arrays of their stored entries; kt and mt hold the same
-    entries of the transposes."""
+    positive-definite on the free dofs: the banded Cholesky of mf on band
+    where given (_band_positive_definite), _positive_definite(mf)
+    otherwise. k and m are K and M, or arrays of their stored entries; kt
+    and mt hold the same entries of the transposes."""
     for name, a, at in (("stiffness", k, kt), ("mass", m, mt)):
         largest = abs(a).max()   # NaN if an entry is NaN
         if not np.isfinite(largest):
             raise InvariantError(f"{name} matrix has non-finite entries")
         if abs(a - at).max() > _SYM_RTOL * largest:
             raise InvariantError(f"{name} matrix not symmetric")
-    if not positive_definite(mf):
+    if not (_positive_definite(mf) if band is None else _band_positive_definite(mf, band)):
         raise InvariantError("mass matrix not positive-definite on free dofs")
-
-
-def _transposes(a) -> np.ndarray:
-    """For each stored entry of the canonical CSC matrix a, the position in
-    a.data of the entry of its transpose, or len(a.data) where that entry
-    is not stored (an exact 0); int32, for _transposed."""
-    n = a.shape[0]
-    rows, cols = a.indices.astype(np.int64), _columns(a)
-    keys = np.append(cols * n + rows, -1)   # ascending, then a key no entry has
-    wanted = rows * n + cols
-    pos = np.searchsorted(keys[:-1], wanted)
-    return _readonly(np.where(keys[pos] == wanted, pos, len(wanted)).astype(np.int32))
-
-
-def _transposed(a, transpose: np.ndarray) -> np.ndarray:
-    """The entries of the transpose of the CSC matrix a at a's stored
-    positions, from their positions transpose (_transposes of a matrix with
-    a's pattern): for _gate."""
-    return np.append(a.data, 0.0)[transpose]
 
 
 def _component_block(a):
@@ -461,10 +436,22 @@ def _band_positive_definite(a, band) -> bool:
     return info == 0
 
 
-def _lower_band(a):
+def _lower_band(a, order=None):
     """(src, dst, n, kd) of _band_positive_definite for the symmetric CSC
-    matrix a (_band of its stored entries)."""
-    return _band(a.indices, _columns(a), a.shape[0])
+    matrix a: _band of its stored entries or, given a node order, of its
+    per-node block Ms (_component_block) with the nodes in that order, src
+    then the positions of Ms's entries in a's data (a symmetric
+    permutation, so an exact reduction); None where a has no such Ms."""
+    rows, cols = a.indices, _columns(a)
+    if order is None:
+        return _band(rows, cols, a.shape[0])
+    if _component_block(a) is None:
+        return None
+    even = np.flatnonzero(cols % 2 == 0)   # Ms's entries, as _component_block takes them
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.arange(len(order))
+    src, dst, n, kd = _band(rank[rows[even] // 2], rank[cols[even] // 2], len(order))
+    return _readonly(even[src].astype(np.int32)), dst, n, kd
 
 
 def _band(rows, cols, n: int):
@@ -537,11 +524,12 @@ def _plan(elements: np.ndarray, comps: tuple, n_nodes: int,
                  *(_readonly(a.astype(np.int32)) for a in (rows, indptr, transpose)))
 
 
-def _system(plan: _Plan, ke, me, mesh: Mesh | None = None,
-            positive_definite=None) -> AssembledSystem:
+def _system(plan: _Plan, ke, me, mesh: Mesh | None = None, band=None):
     """The gated AssembledSystem of element matrices ke[e], me[e] (or one
-    pair for every element) summed by plan; positive_definite, by default
-    _positive_definite, tests the free-dof mass.
+    pair for every element) summed by plan, the positions of the
+    transposes of its stored entries (of K and of M, _compressed) and the
+    band of its free-dof mass mf: band(mf) where band is given (for
+    _gate), None otherwise.
 
     One bincount per matrix over the plan's slots (Davis, Direct Methods
     for Sparse Linear Systems, ch. 2) sums each entry in element order, as
@@ -555,22 +543,90 @@ def _system(plan: _Plan, ke, me, mesh: Mesh | None = None,
     slot = plan.slot.ravel()
     k_sum, m_sum = (np.bincount(slot, weights=np.broadcast_to(e, shape).ravel(),
                                 minlength=len(plan.rows)) for e in (ke, me))
-    k, m = (_compressed(plan, s) for s in (k_sum, m_sum))
+    (k, k_transpose), (m, m_transpose) = (_compressed(plan, s) for s in (k_sum, m_sum))
     kf, mf = _free_blocks(layout.free, k, m)
-    _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], mf,
-          positive_definite or _positive_definite)
-    return AssembledSystem._of(layout, k, m, kf, mf, mesh)
+    band = None if band is None else band(mf)
+    _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], mf, band)
+    return AssembledSystem._of(layout, k, m, kf, mf, mesh), (k_transpose, m_transpose), band
 
 
 def _compressed(plan: _Plan, data: np.ndarray):
-    """The read-only CSC matrix of the slot sums data, less its exact zeros,
-    with index arrays of its own (int64, as scipy builds them from int64
-    triplets)."""
+    """The read-only CSC matrix of the slot sums data, less its exact
+    zeros, with int32 index arrays of its own, and for each of its stored
+    entries the position in its data of its transpose's entry: len(data),
+    an appended 0, where that entry is an exact 0 (int32)."""
     keep = data != 0
-    indptr = np.concatenate(([0], np.cumsum(keep)))[plan.indptr]
+    count = np.cumsum(keep)
+    indptr = np.concatenate(([0], count))[plan.indptr].astype(np.int32)
     ndof = len(plan.indptr) - 1
-    return _frozen(_csc_type()((data[keep], plan.rows[keep].astype(np.int64), indptr),
-                               shape=(ndof, ndof)))
+    matrix = _frozen(_csc_type()((data[keep], plan.rows[keep], indptr), shape=(ndof, ndof)))
+    position = np.where(keep, count - 1, count[-1]).astype(np.int32)   # of each slot
+    return matrix, _readonly(position[plan.transpose[keep]])
+
+
+# ---------------------------------------------------------------------------
+# scaled copies of a reference system
+
+class _Reference(NamedTuple):
+    """A cached reference system that beams or disks are scaled copies of
+    (see the module docstring): the gated system; for each stored entry of
+    K and M, the position of its transpose's entry (of K and of M,
+    _compressed); the band of its free-dof mass for _gate (None where a
+    disk's mass has no Ms); (||DKD||_F, ||DMD||_F) of its free-dof pencil,
+    D = |diag K|^-1/2, for the backward-error gate; and, for a beam, the
+    parity of each stored entry of _blocks(system) (how many of its row and
+    column dofs are rotations, int8), None for a disk."""
+    system: AssembledSystem
+    transposes: tuple
+    band: tuple | None
+    norms: tuple
+    parity: tuple | None
+
+
+def _reference(key: tuple) -> _Reference:
+    """The cached _Reference of a _Congruence key: (builder, *its arguments)."""
+    build, *args = key
+    return build(*args)
+
+
+def _blocks(sys: AssembledSystem) -> tuple:
+    """K and M of sys, then their free blocks where a dof is fixed."""
+    if sys._kf is sys.stiffness:
+        return sys.stiffness, sys.mass
+    return sys.stiffness, sys.mass, sys._kf, sys._mf
+
+
+def _scaled(a, scale, pattern=None):
+    """scale * A for the CSC matrix a, its entries first multiplied by
+    pattern if given (a beam's D.D): a shallow copy of a with new data, so
+    it shares a's read-only index arrays (scipy's constructor would check
+    them again)."""
+    out = copy.copy(a)
+    out.data = _readonly(scale * (a.data if pattern is None else a.data * pattern))
+    return out
+
+
+def _mapped(key: tuple, k_scale, m_scale, ratio, d, mesh: Mesh, dd=None) -> AssembledSystem:
+    """The system whose K and M are k_scale and m_scale times the stored
+    entries of the reference of key (a beam's each first multiplied by dd
+    at its parity: D.D), with the _Congruence (key, ratio, d) to it. It
+    shares the reference's dof tables and index arrays and is gated on its
+    own entries, through the reference's transpose positions and band.
+    The caller refuses a ratio that is not finite and > 0."""
+    ref = _reference(key)
+    base = ref.system
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        k, m, *free = (_scaled(a, scale, None if p is None else dd[p]) for a, scale, p in
+                       zip(_blocks(base), (k_scale, m_scale) * 2, ref.parity or (None,) * 4))
+    kf, mf = free or (k, m)
+    kt, mt = (np.append(a.data, 0.0)[t] for a, t in zip((k, m), ref.transposes))
+    _gate(k.data, kt, m.data, mt, mf, ref.band)
+    norm_k, norm_m = ref.norms
+    with np.errstate(divide="ignore"):
+        norms = norm_k, float(norm_m / ratio)
+    layout = _Layout(base.dof_map, base.constraints, base._free, base._tdofs, base._tnode_dofs)
+    return AssembledSystem._of(layout, k, m, kf, mf, mesh,
+                               _Congruence(key, float(ratio), d, norms))
 
 
 # ---------------------------------------------------------------------------
@@ -593,70 +649,32 @@ _ME0 = np.array([[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22],
                  [-13, -3, -22, 4]])
 
 
-class _Entries(NamedTuple):
-    """A unit-beam CSC matrix (whose index arrays a beam shares) and, for
-    each stored entry, its parity (how many of its row and column dofs are
-    rotations, int8) and, for K and M, the position in the data of its
-    transpose."""
-    matrix: object
-    parity: np.ndarray
-    transpose: np.ndarray | None
-
-
-class _UnitBeam(NamedTuple):
-    """A cached unit beam: its dof tables, the _Entries of K0, M0 and their
-    free blocks (kf is k when no dof is fixed), the lower band of the free
-    mass block for _band_positive_definite, and (||DK0D||_F, ||DM0D||_F) on
-    the free dofs, D = |diag K0|^-1/2, for the backward-error gate."""
-    layout: _Layout
-    k: _Entries
-    m: _Entries
-    kf: _Entries
-    mf: _Entries
-    band: tuple
-    norms: tuple
-
-
 @lru_cache(maxsize=_UNIT_CACHE)
-def _unit_beam_system(n_elements: int, clamped: bool) -> _UnitBeam:
-    """The _UnitBeam on n_elements, built from _KE0 and _ME0 by _system and
-    gated as every system is. The band's half-bandwidth kd is 3 under
-    node-major numbering."""
+def _beam_reference(n_elements: int, clamped: bool) -> _Reference:
+    """The _Reference of the unit beam on n_elements, built from _KE0 and
+    _ME0 by _system and gated as every reference is, its mass by its band
+    (half-bandwidth 3 under node-major numbering)."""
     plan = _plan(np.arange(n_elements)[:, None] + np.arange(2), ("w", "theta"),
                  n_elements + 1, (0, n_elements) if clamped else ())
-    unit = _system(plan, _KE0, _ME0)
-    odd = np.arange(len(unit.dof_map), dtype=np.int8) % 2
-
-    def entries(a, dof_odd, with_transpose):
-        return _Entries(a, _readonly(dof_odd[a.indices] + dof_odd[_columns(a)]),
-                        _transposes(a) if with_transpose else None)
-
-    k, m = (entries(a, odd, True) for a in (unit.stiffness, unit.mass))
-    kf, mf = ((k, m) if unit._kf is unit.stiffness else
-              (entries(a, odd[unit.free_dofs()], False) for a in (unit._kf, unit._mf)))
-    return _UnitBeam(plan.layout, k, m, kf, mf, _lower_band(unit._mf),
-                     _scaled_norms(unit._kf, unit._mf))
-
-
-def _scaled(a, scale, pattern=None):
-    """scale * A for the CSC matrix a, its entries first multiplied by
-    pattern if given (a beam's D.D): a shallow copy of a with new data, so
-    it shares a's read-only index arrays (scipy's constructor would check
-    them again)."""
-    out = copy.copy(a)
-    out.data = _readonly(scale * (a.data if pattern is None else a.data * pattern))
-    return out
+    unit, transposes, band = _system(plan, _KE0, _ME0, band=_lower_band)
+    odd = np.arange(len(unit.dof_map), dtype=np.int8) % 2   # the rotation dofs
+    odd_free = odd[unit.free_dofs()]
+    parity = tuple(_readonly(dof_odd[a.indices] + dof_odd[_columns(a)])
+                   for a, dof_odd in zip(_blocks(unit), (odd, odd, odd_free, odd_free)))
+    return _Reference(unit, transposes, band, _scaled_norms(unit._kf, unit._mf), parity)
 
 
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
                   clamped: bool = True) -> AssembledSystem:
     """Euler-Bernoulli beam with consistent mass; both ends clamped by default.
 
-    K = (EI/le^3) D K0 D and M = (rho*A*le/420) D M0 D, formed entry by
-    entry from the cached unit system (K0, M0) with D.D as a pattern of
+    K = (EI/le^3) D K0 D and M = (rho*A*le/420) D M0 D, a scaled copy
+    (_mapped) of the cached unit beam (K0, M0) with D.D as a pattern of
     (1, le, le^2): bitwise the sum of the scaled element matrices, since
     two elements feeding one entry give an exact doubling or an exact 0.
     """
+    if isinstance(n_elements, bool) or not isinstance(n_elements, (int, np.integer)):
+        raise InvariantError(f"n_elements must be an integer, got {n_elements!r}")
     if n_elements < 2:
         raise InvariantError(f"n_elements must be >= 2, got {n_elements}")
     le = geom.length / n_elements
@@ -667,40 +685,25 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
         ei, ral = mat.youngs_modulus * inertia, mat.density * area * le
         k_scale, m_scale = ei / np.float_power(le, 3), ral / 420.0
         ratio = k_scale / m_scale
-        s = np.array([1.0, le, np.float_power(le, 2)])
+        dd = np.array([1.0, le, np.float_power(le, 2)])
     if not k_scale > 0:   # an underflow: a zero K would give 0 Hz modes
         raise InvariantError(f"beam element stiffness EI/le^3 must be > 0, got {float(k_scale)!r}")
 
     n_nodes = n_elements + 1
     mesh = Mesh(nodes=np.linspace(0.0, geom.length, n_nodes)[:, None],
                 elements=np.arange(n_elements)[:, None] + np.arange(2), kind="beam_1d")
-    unit = _unit_beam_system(n_elements, clamped)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        def scaled(entries, scale):   # scale * (D A D), D.D the pattern s
-            return _scaled(entries.matrix, scale, s[entries.parity])
-
-        k, m = scaled(unit.k, k_scale), scaled(unit.m, m_scale)
-        kf, mf = ((k, m) if unit.kf is unit.k else
-                  (scaled(unit.kf, k_scale), scaled(unit.mf, m_scale)))
-    kv, mv = k.data, m.data
-    _gate(kv, _transposed(k, unit.k.transpose), mv, _transposed(m, unit.m.transpose), mf,
-          partial(_band_positive_definite, band=unit.band))
+    d = np.tile((1.0, le), n_nodes)   # the diagonal of D; the clamped end dofs are fixed
+    sys = _mapped((_beam_reference, n_elements, clamped), k_scale, m_scale, ratio,
+                  _readonly((d[2:-2] if clamped else d)[:, None]), mesh, dd)
     if not 0 < ratio < math.inf:   # the unit-beam pairs could not be scaled back
         raise InvariantError("beam eigenvalue scale (EI/le^3)/(rho*A*le/420) must be "
                              f"finite and > 0, got {float(ratio)!r}")
     # a subnormal entry is rounded on a fixed grid, so it is not the exact
     # doubling that the sum of two element entries is
-    smallest = float(min(abs(kv).min(), abs(mv).min()))
+    smallest = float(min(abs(sys.stiffness.data).min(), abs(sys.mass.data).min()))
     if not smallest >= np.finfo(float).tiny:
         raise InvariantError(f"beam matrix entries must be normal floats, got {smallest!r}")
-    # the dof tables are the unit system's; K, M, their free blocks and the
-    # mesh are this beam's. Jacobi scaling undoes the congruence, so the
-    # scaled norms of the backward error are the unit's, ||DMD|| over ratio.
-    d_free = _readonly(np.tile((1.0, le), n_nodes)[unit.layout.free][:, None])
-    norm_k, norm_m = unit.norms
-    return AssembledSystem._of(unit.layout, k, m, kf, mf, mesh,
-                               _Congruence((n_elements, clamped), float(ratio), d_free,
-                                           (norm_k, norm_m / float(ratio))))
+    return sys
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +721,16 @@ class _DiskTopology(NamedTuple):
     index (float) and (cos, sin) of each node's angle, the elements, their
     _Plan, the outer-rim nodes in ascending angle (_rim_nodes of the
     unit-radius mesh: the order of the angles does not change with the
-    radius), m, and the mass pattern of _disk_mass_definite."""
+    radius), m, and the nodes in ascending x (then y), the order of the
+    mass band (_lower_band: half-bandwidth about 3m, where the rings in
+    turn give 12m)."""
     ring: np.ndarray
     unit: np.ndarray
     elements: np.ndarray
     plan: _Plan
     rim: np.ndarray
     rings: int
-    mass_band: tuple
+    order: np.ndarray
 
 
 @lru_cache(maxsize=_DISK_TOPOLOGY_CACHE)
@@ -770,47 +775,7 @@ def _disk_topology(m: int) -> _DiskTopology:
     plan = _plan(elements, ("ux", "uy"), len(ring))
     nodes = (ring / m)[:, None] * unit
     return _DiskTopology(ring, unit, elements, plan, _readonly(_rim_nodes(nodes)), m,
-                         _mass_band(plan, np.lexsort((nodes[:, 1], nodes[:, 0]))))
-
-
-def _mass_band(plan: _Plan, order: np.ndarray):
-    """(indices, indptr, band) of the per-node mass block Ms (_component_block)
-    of a disk summed by plan: every pair of nodes of one element is stored,
-    as the CST mass has no zero there, and band is its _band with the nodes
-    in order (x ascending: half-bandwidth about 3m, where the rings in turn
-    give 12m)."""
-    cols = np.repeat(np.arange(len(plan.indptr) - 1), np.diff(plan.indptr))
-    even = (cols % 2 == 0) & (plan.rows % 2 == 0)
-    rows, cols = plan.rows[even] // 2, cols[even] // 2
-    n = len(order)
-    rank = np.empty(n, dtype=int)
-    rank[order] = np.arange(n)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    return _readonly(rows), _readonly(indptr), _band(rank[rows], rank[cols], n)
-
-
-def _disk_mass_band(topology: _DiskTopology, mf):
-    """The band of _band_positive_definite of the per-node block Ms of a
-    free-dof mass mf summed by the plan of topology, in the topology's node
-    order and with src the positions of Ms's entries in mf's data; None
-    where Ms is not found or its stored pattern is not that of
-    topology.mass_band."""
-    block = _component_block(mf)
-    indices, indptr, (src, dst, n, kd) = topology.mass_band
-    if block is None or not (np.array_equal(block.indptr, indptr)
-                             and np.array_equal(block.indices, indices)):
-        return None
-    even = np.flatnonzero(_columns(mf) % 2 == 0)   # Ms's entries, as _component_block takes them
-    return _readonly(even[src].astype(np.int32)), dst, n, kd
-
-
-def _disk_mass_definite(topology: _DiskTopology, mf) -> bool:
-    """_positive_definite of a free-dof mass summed by the plan of topology:
-    a banded Cholesky of its per-node block Ms in the topology's node order
-    (a symmetric permutation, so an exact reduction), where _disk_mass_band
-    finds it; _positive_definite otherwise."""
-    band = _disk_mass_band(topology, mf)
-    return _positive_definite(mf) if band is None else _band_positive_definite(mf, band)
+                         _readonly(np.lexsort((nodes[:, 1], nodes[:, 0]))))
 
 
 def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
@@ -842,81 +807,50 @@ def _disk_mesh(m: int, r_out: float) -> Mesh:
 def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSystem:
     """Plane-stress CST stiffness + consistent mass, free boundary.
 
-    On a mesh from mesh_disk, K and M are those of the reference disk of
-    the mesh's ring count and Poisson ratio times scalars, and the system
-    records its congruence to that disk (_mapped_disk; see the module
-    docstring). Any other mesh, or a disk that cannot be mapped exactly,
-    has its element matrices summed here and is solved directly.
+    On a mesh from mesh_disk, K and M are a scaled copy (_mapped) of the
+    reference disk of the mesh's ring count and Poisson ratio (see the
+    module docstring). Any other mesh, or a disk that cannot be mapped
+    exactly, has its element matrices summed here and is solved directly.
     """
     if mesh.kind != "plane_stress_2d":
         raise MeshError("disk assembly needs a plane_stress_2d mesh")
     e_mod, nu, rho, t = (mat.youngs_modulus, mat.poisson_ratio,
                          mat.density, geom.thickness)
     if mesh._topology is not None:
-        sys = _mapped_disk(mesh, e_mod, nu, rho, t)
-        if sys is not None:
-            return sys
-    return _disk_system(mesh, e_mod, nu, rho, t)
-
-
-class _ReferenceDisk(NamedTuple):
-    """The reference disk of one ring count and Poisson ratio: its gated
-    system, the _transposes of its K and M, the band of its mass for
-    _band_positive_definite (src positions in M's data; None where
-    _disk_mass_band finds no Ms), and (||DKD||_F, ||DMD||_F) of the
-    backward-error gate."""
-    system: AssembledSystem
-    k_transpose: np.ndarray
-    m_transpose: np.ndarray
-    mass_band: tuple | None
-    norms: tuple
+        e_ref, rho_ref, r_ref, t_ref = _REF_DISK
+        r = mesh._radius
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+            ratio = np.float64(e_mod) / (rho * r * r) / (e_ref / (rho_ref * r_ref * r_ref))
+            k_scale = np.float64(t) * e_mod / (t_ref * e_ref)
+            m_scale = np.float64(rho) * t * r * r / (rho_ref * t_ref * r_ref * r_ref)
+            d = np.sqrt(m_scale)
+        if 0 < ratio < math.inf and 0 < d < math.inf:
+            key = (_disk_reference, mesh._topology.rings, nu)
+            ref = _reference(key).system
+            # rounding is monotone, so the copy's smallest entry is its scale
+            # times the reference's: refused before its gate, as not exact
+            with np.errstate(over="ignore", under="ignore"):
+                smallest = min(k_scale * abs(ref.stiffness.data).min(),
+                               m_scale * abs(ref.mass.data).min())
+            if smallest >= np.finfo(float).tiny:
+                return _mapped(key, k_scale, m_scale, ratio, float(d), mesh)
+    return _disk_system(mesh, e_mod, nu, rho, t)[0]
 
 
 @lru_cache(maxsize=_UNIT_CACHE)
-def _reference_disk(rings: int, nu: float) -> _ReferenceDisk:
-    """The _ReferenceDisk (_REF_DISK, nu) on mesh_disk's mesh with this
-    many rings, summed and gated by _disk_system."""
+def _disk_reference(rings: int, nu: float) -> _Reference:
+    """The _Reference of the disk (_REF_DISK, nu) on mesh_disk's mesh with
+    this many rings, summed and gated by _disk_system."""
     e_ref, rho_ref, r_ref, t_ref = _REF_DISK
-    ref = _disk_system(_disk_mesh(rings, r_ref), e_ref, nu, rho_ref, t_ref)
-    k, m = ref.stiffness, ref.mass
-    return _ReferenceDisk(ref, _transposes(k), _transposes(m),
-                          _disk_mass_band(ref.mesh._topology, m), _scaled_norms(k, m))
+    ref, transposes, band = _disk_system(_disk_mesh(rings, r_ref), e_ref, nu, rho_ref, t_ref)
+    return _Reference(ref, transposes, band, _scaled_norms(ref.stiffness, ref.mass), None)
 
 
-def _mapped_disk(mesh: Mesh, e_mod, nu, rho, t) -> AssembledSystem | None:
-    """The gated system of a disk of thickness t and material (e_mod, nu,
-    rho) on the mesh_disk mesh, a scaled copy of its reference disk with
-    the _Congruence to it; None where the copy would not be exact to
-    rounding (see the module docstring)."""
-    e_ref, rho_ref, r_ref, t_ref = _REF_DISK
-    r = mesh._radius
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        ratio = np.float64(e_mod) / (rho * r * r) / (e_ref / (rho_ref * r_ref * r_ref))
-        m_scale = np.float64(rho) * t * r * r / (rho_ref * t_ref * r_ref * r_ref)
-        d = np.sqrt(m_scale)
-    if not (0 < ratio < math.inf and 0 < d < math.inf):
-        return None
-    key = (mesh._topology.rings, nu)
-    ref = _reference_disk(*key)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        k = _scaled(ref.system.stiffness, np.float64(t) * e_mod / (t_ref * e_ref))
-        m = _scaled(ref.system.mass, m_scale)
-    if not min(abs(k.data).min(), abs(m.data).min()) >= np.finfo(float).tiny:
-        return None
-    _gate(k.data, _transposed(k, ref.k_transpose), m.data, _transposed(m, ref.m_transpose), m,
-          _positive_definite if ref.mass_band is None else
-          partial(_band_positive_definite, band=ref.mass_band))
-    norm_k, norm_m = ref.norms
-    return AssembledSystem._of(mesh._topology.plan.layout, k, m, k, m, mesh,
-                               _Congruence(key, float(ratio), float(d),
-                                           (norm_k, norm_m / float(ratio))))
-
-
-def _disk_system(mesh: Mesh, e_mod, nu, rho, t) -> AssembledSystem:
-    """The gated CST system of a disk of thickness t and material (e_mod,
-    nu, rho) on mesh, summed from its element matrices, with no congruence
-    recorded. The mass is tested by _disk_mass_definite on a mesh_disk
-    mesh and by _positive_definite on any other."""
+def _disk_system(mesh: Mesh, e_mod, nu, rho, t):
+    """_system of the CST elements of a disk of thickness t and material
+    (e_mod, nu, rho) on mesh, with no congruence recorded. The mass is
+    tested by a banded Cholesky of Ms with the nodes in ascending x on a
+    mesh_disk mesh (_lower_band) and by _positive_definite on any other."""
     d_mat = e_mod / (1 - nu**2) * np.array([
         [1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]])
 
@@ -936,18 +870,7 @@ def _disk_system(mesh: Mesh, e_mod, nu, rho, t) -> AssembledSystem:
     topology = mesh._topology
     if topology is None:
         return _system(_plan(mesh.elements, ("ux", "uy"), len(mesh.nodes)), ke, me, mesh)
-    return _system(topology.plan, ke, me, mesh, partial(_disk_mass_definite, topology))
-
-
-@lru_cache(maxsize=_UNIT_CACHE)
-def _unit_disk_modes(rings: int, nu: float, k: int):
-    """k lowest eigenpairs (mu, psi) of the reference disk (_REF_DISK, nu)
-    on mesh_disk's mesh with this many rings, and one spare pair (see
-    _solve) where the pencil has it, as read-only arrays, solved as a
-    disk's own pencil would be."""
-    ref = _reference_disk(rings, nu).system
-    vals, vecs, _ = _pencil_modes(ref._kf, ref._mf, k, spare=1)
-    return _readonly(vals), _readonly(vecs)
+    return _system(topology.plan, ke, me, mesh, partial(_lower_band, order=topology.order))
 
 
 # ---------------------------------------------------------------------------
@@ -1047,12 +970,16 @@ def _pencil_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool = Tru
 
 
 @lru_cache(maxsize=_UNIT_CACHE)
-def _unit_beam_modes(n_elements: int, clamped: bool, k: int):
-    """k lowest eigenpairs (mu, psi) of the cached unit-beam pencil (K0, M0)
-    on its free dofs, as read-only arrays, solved as the beam's own pencil
-    would be."""
-    unit = _unit_beam_system(n_elements, clamped)
-    vals, vecs, _ = _pencil_modes(unit.kf.matrix, unit.mf.matrix, k, residual_margin=False)
+def _reference_pairs(key: tuple, k: int):
+    """k lowest eigenpairs (mu, psi) of the free-dof pencil of the reference
+    of key (_reference), as read-only arrays, solved as a copy's own pencil
+    would be. A disk's keeps one spare pair (see _solve) where the pencil
+    has it. Only a scalar congruence maps the relative residual, so a
+    beam's solve keeps no margin on it (_shift_invert_modes)."""
+    ref = _reference(key)
+    disk = ref.parity is None
+    vals, vecs, _ = _pencil_modes(ref.system._kf, ref.system._mf, k, spare=int(disk),
+                                  residual_margin=disk)
     return _readonly(vals), _readonly(vecs)
 
 
@@ -1065,8 +992,7 @@ def _eigenpairs(sys: AssembledSystem, k: int, spare: int = 0):
     c = sys._congruence
     if c is None:
         return _pencil_modes(sys._kf, sys._mf, k, spare=spare)
-    pairs = _unit_beam_modes if sys.mesh.kind == "beam_1d" else _unit_disk_modes
-    mu, psi = pairs(*c.key, k)
+    mu, psi = _reference_pairs(c.key, k)
     return mu[:k + spare] * c.ratio, psi[:, :k + spare] / c.d, None
 
 
@@ -1299,13 +1225,13 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
     n_modes = _count("n_modes", n_modes, len(sys.free_dofs()) - 3)
     c = sys._congruence
     if c is not None:
-        modes = _reference_modes(*c.key, n_modes)
+        modes = _reference_modes(c.key, n_modes)
         lam = modes.lam * c.ratio
         if _passed(*_accuracy(sys._kf, sys._mf, lam, modes.vecs.T, c.norms)).all():
             _rigid_check(lam)
             return sys, *_disk_results(sys, lam, modes)
         sys = _disk_system(mesh, mat.youngs_modulus, mat.poisson_ratio, mat.density,
-                           geom.thickness)
+                           geom.thickness)[0]
     modes = _finish_disk(sys, n_modes)
     return sys, *_disk_results(sys, modes.lam, modes)
 
@@ -1324,10 +1250,10 @@ class _DiskModes(NamedTuple):
 
 
 @lru_cache(maxsize=_UNIT_CACHE)
-def _reference_modes(rings: int, nu: float, n_modes: int) -> _DiskModes:
-    """The finished solve of the reference disk of this ring count and nu
-    (_reference_disk) with n_modes elastic modes."""
-    return _finish_disk(_reference_disk(rings, nu).system, n_modes)
+def _reference_modes(key: tuple, n_modes: int) -> _DiskModes:
+    """The finished solve of the reference disk of key (_reference) with
+    n_modes elastic modes."""
+    return _finish_disk(_reference(key).system, n_modes)
 
 
 def _rigid_check(lam: np.ndarray) -> None:

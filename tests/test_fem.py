@@ -50,6 +50,13 @@ class TestBeamAssembly:
         with pytest.raises(InvariantError):
             assemble_beam(ref_beam, silicon, 1)
 
+    @pytest.mark.parametrize("bad", [64.0, 2.5, "8", True, False, None, np.float64(8.0)])
+    def test_element_count_must_be_an_integer(self, ref_beam, silicon, bad):
+        with pytest.raises(InvariantError, match=re.escape(
+                f"n_elements must be an integer, got {bad!r}")):
+            assemble_beam(ref_beam, silicon, bad)
+        assert len(assemble_beam(ref_beam, silicon, np.int64(8)).dof_map) == 18
+
     def test_clamped_constraints(self, ref_beam, silicon):
         sys_ = assemble_beam(ref_beam, silicon, 4)
         assert sys_.constraints == (0, 1, 8, 9)
@@ -81,13 +88,18 @@ class TestBeamAssembly:
 
 @pytest.fixture
 def cold_unit_caches():
-    """Empty unit-beam caches before and after the test, so that it builds
-    (and leaves behind) no cached unit system or eigenpairs."""
-    for cached in (fem._unit_beam_system, fem._unit_beam_modes):
+    """Empty unit-beam and reference-pair caches before and after the test,
+    so that it builds (and leaves behind) no cached unit beam or eigenpairs."""
+    for cached in (fem._beam_reference, fem._reference_pairs):
         cached.cache_clear()
     yield
-    for cached in (fem._unit_beam_system, fem._unit_beam_modes):
+    for cached in (fem._beam_reference, fem._reference_pairs):
         cached.cache_clear()
+
+
+def _unit_pairs(n, clamped, k):
+    """The cached eigenpairs of the unit-beam pencil on n elements."""
+    return fem._reference_pairs((fem._beam_reference, n, clamped), k)
 
 
 def _literal_beam_elements(geom, mat, n_elements):
@@ -146,9 +158,9 @@ class TestOneBeamElement:
             return pencil(kk, mm, k, **kwargs)
 
         monkeypatch.setattr(fem, "_pencil_modes", recording)
-        fem._unit_beam_modes.cache_clear()
-        fem._unit_beam_modes(n, clamped, 1)
-        fem._unit_beam_modes.cache_clear()
+        fem._reference_pairs.cache_clear()
+        _unit_pairs(n, clamped, 1)
+        fem._reference_pairs.cache_clear()
         (kk, mm), = calls
         ndof = 2 * (n + 1)
         n_free = ndof - 4 if clamped else ndof
@@ -158,20 +170,22 @@ class TestOneBeamElement:
             if clamped:
                 old = old[2:-2, 2:-2]
             assert type(block) is type(old) and block.shape == (n_free, n_free)
-            for a, b in ((block.data, old.data), (block.indices, old.indices),
-                         (block.indptr, old.indptr)):
-                assert np.array_equal(a, b) and a.dtype == b.dtype
+            # assembly stores int32 index arrays; scipy's triplets build int64
+            for a, b, dtype in ((block.data, old.data, old.data.dtype),
+                                (block.indices, old.indices, np.int32),
+                                (block.indptr, old.indptr, np.int32)):
+                assert np.array_equal(a, b) and a.dtype == dtype
 
     def test_unit_pencil_is_gated(self, monkeypatch, cold_unit_caches):
         asymmetric = fem._KE0.copy()
         asymmetric[0, 1] += 1
         monkeypatch.setattr(fem, "_KE0", asymmetric)
         with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
-            fem._unit_beam_modes(8, True, 2)
+            _unit_pairs(8, True, 2)
         monkeypatch.setattr(fem, "_KE0", -fem._ME0)
         monkeypatch.setattr(fem, "_ME0", -fem._ME0)
         with pytest.raises(InvariantError, match="mass matrix not positive-definite"):
-            fem._unit_beam_modes(8, True, 2)
+            _unit_pairs(8, True, 2)
 
     def test_underflowing_eigenvalue_scale_rejected(self, silicon):
         # EI/le^3 is a positive subnormal, but (EI/le^3)/(rho*A*le/420)
@@ -484,7 +498,7 @@ class TestSparseStorage:
         mesh = mesh_disk(geom, geom.radius / divisor)
         sys_, k_ref, m_ref = self._assemble_recording(monkeypatch, assemble_disk, geom, mat,
                                                       mesh)
-        ref = fem._reference_disk(mesh._topology.rings, mat.poisson_ratio).system
+        ref = fem._disk_reference(mesh._topology.rings, mat.poisson_ratio).system
         self._check(ref, k_ref, m_ref)
         e0, rho0, r0, t0 = fem._REF_DISK
         t, r = geom.thickness, geom.radius
@@ -503,10 +517,10 @@ class TestSparseStorage:
                 return solver(kk, mm, k, **kwargs)
 
             monkeypatch.setattr(fem, name, recording)
-        fem._unit_beam_modes(151, True, 4)
+        _unit_pairs(151, True, 4)
         assert calls == [("_dense_modes", 300)]
         calls.clear()
-        fem._unit_beam_modes(152, True, 4)   # then the 2k x 2k Rayleigh-Ritz step
+        _unit_pairs(152, True, 4)   # then the 2k x 2k Rayleigh-Ritz step
         assert calls == [("_shift_invert_modes", 302), ("_dense_modes", 8)]
 
     def test_fine_disk_storage_is_small(self, ref_disk, silicon):
@@ -731,14 +745,14 @@ class TestUnitBeamCache:
         dense = len(k0) <= fem._SPARSE_MIN_DOF
         for k in sorted(k for k in {1, 4, len(k0) // 2, len(k0)}
                         if 1 <= k <= len(k0) and (dense or 4 * k >= len(k0))):
-            fem._unit_beam_modes.cache_clear()
-            vals, vecs = fem._unit_beam_modes(n, clamped, k)
+            fem._reference_pairs.cache_clear()
+            vals, vecs = _unit_pairs(n, clamped, k)
             ref_vals, ref_vecs = eigh(k0, m0, subset_by_index=(0, k - 1))
             assert _bits_equal(vals, ref_vals) and _bits_equal(vecs, ref_vecs)
             assert not vals.flags.writeable and not vecs.flags.writeable
 
     def test_cache_is_bounded(self):
-        assert fem._unit_beam_modes.cache_info().maxsize == fem._UNIT_CACHE == 8
+        assert fem._reference_pairs.cache_info().maxsize == fem._UNIT_CACHE == 8
 
     @pytest.mark.parametrize("n,clamped,k", [(64, True, 1), (64, True, 4), (16, False, 6),
                                              (200, True, 4), (200, False, 4)])
@@ -746,10 +760,10 @@ class TestUnitBeamCache:
         target = BeamGeometry(12e-6, 0.5e-6, 0.3e-6, VibrationAxis.OUT_OF_PLANE)
         fillers = [BeamGeometry(10e-6, 0.46e-6, 0.4e-6, VibrationAxis.IN_PLANE),
                    BeamGeometry(37e-6, 2e-6, 1e-6, VibrationAxis.OUT_OF_PLANE), target]
-        fem._unit_beam_modes.cache_clear()
+        fem._reference_pairs.cache_clear()
         cold = solve_modes(assemble_beam(target, silicon, n, clamped), k)
         for filler in fillers:
-            fem._unit_beam_modes.cache_clear()
+            fem._reference_pairs.cache_clear()
             solve_modes(assemble_beam(filler, silicon, n, clamped), k)
             warm = solve_modes(assemble_beam(target, silicon, n, clamped), k)
             for (f, v), (f_ref, v_ref) in zip(warm, cold):
@@ -777,9 +791,19 @@ class TestUnitBeamCache:
         def refuse(*args):
             raise AssertionError("a direct system went through the unit-beam cache")
 
-        monkeypatch.setattr(fem, "_unit_beam_modes", refuse)
+        monkeypatch.setattr(fem, "_reference_pairs", refuse)
         vals, vecs = eigh(direct._kf.toarray(), direct._mf.toarray(), subset_by_index=(0, 2))
         TestNormalization._check(solve_modes(direct, 3), _loop_normalized(direct, vals, vecs))
+
+    def test_beam_and_disk_pairs_kept_apart(self, ref_beam, ref_disk):
+        # (8, False) == (8, 0.0): the builder in the key keeps a free
+        # 8-element beam and an 8-ring disk at nu = 0 apart in one cache
+        mat = Material(169e9, 2330.0, 0.0)
+        beam = assemble_beam(ref_beam, mat, 8, clamped=False)
+        disk = assemble_disk(ref_disk, mat, mesh_disk(ref_disk, ref_disk.radius / 8))
+        assert beam._congruence.key[1:] == disk._congruence.key[1:]
+        assert beam._congruence.key != disk._congruence.key
+        assert len(solve_modes(beam, 4)) == len(solve_modes(disk, 4)) == 4
 
     @pytest.mark.parametrize("clamped", [True, False])
     @pytest.mark.parametrize("n", [16, 64, 151, 152, 256, 1024])
@@ -810,21 +834,20 @@ class TestScaledBeam:
     @pytest.mark.parametrize("clamped", [True, False])
     def test_beam_shares_unit_structure(self, ref_beam, silicon, n, clamped):
         beam = assemble_beam(ref_beam, silicon, n, clamped)
-        unit = fem._unit_beam_system(n, clamped)
-        assert unit.band[3] == 3   # half-bandwidth under node-major numbering
-        for name, shared in (("dof_map", unit.layout.dof_map),
-                             ("constraints", unit.layout.constraints),
-                             ("_free", unit.layout.free), ("_tdofs", unit.layout.tdofs),
-                             ("_tnode_dofs", unit.layout.tnode_dofs)):
-            assert getattr(beam, name) is shared
+        ref = fem._beam_reference(n, clamped)
+        unit = ref.system
+        assert ref.band[3] == 3   # half-bandwidth under node-major numbering
+        for name in ("dof_map", "constraints", "_free", "_tdofs", "_tnode_dofs"):
+            assert getattr(beam, name) is getattr(unit, name)
         assert (beam._kf is beam.stiffness) == (not clamped)
-        assert (unit.kf is unit.k) == (not clamped)
-        for own, entries in ((beam.stiffness, unit.k), (beam.mass, unit.m),
-                             (beam._kf, unit.kf), (beam._mf, unit.mf)):
+        assert (unit._kf is unit.stiffness) == (not clamped)
+        assert len(ref.parity) == (4 if clamped else 2)
+        for name in ("stiffness", "mass", "_kf", "_mf"):
+            own, shared = getattr(beam, name), getattr(unit, name)
             _assert_canonical_csc(own)
-            assert not np.shares_memory(own.data, entries.matrix.data)
-            assert np.shares_memory(own.indices, entries.matrix.indices)
-            assert np.shares_memory(own.indptr, entries.matrix.indptr)
+            assert not np.shares_memory(own.data, shared.data)
+            assert np.shares_memory(own.indices, shared.indices)
+            assert np.shares_memory(own.indptr, shared.indptr)
         for k, m in ((beam.stiffness, beam.mass), (beam._kf, beam._mf)):
             for a in (k.data, k.indices, k.indptr):
                 for b in (m.data, m.indices, m.indptr):
@@ -834,10 +857,17 @@ class TestScaledBeam:
     @pytest.mark.parametrize("unit_gate", [True, False], ids=["unit-gated", "beam-gated"])
     def test_indefinite_element_mass_refused(self, monkeypatch, ref_beam, silicon,
                                              cold_unit_caches, n, unit_gate):
-        # without the unit system's own test, the beam's banded gate refuses it
+        # without the unit system's own test (the first banded Cholesky),
+        # the beam's banded gate refuses it
         monkeypatch.setattr(fem, "_ME0", fem._ME0 - 200 * np.eye(4, dtype=int))
         if not unit_gate:
-            monkeypatch.setattr(fem, "_positive_definite", lambda a: True)
+            banded, calls = fem._band_positive_definite, []
+
+            def unit_passes(a, band):
+                calls.append(a.shape)
+                return len(calls) == 1 or banded(a, band)
+
+            monkeypatch.setattr(fem, "_band_positive_definite", unit_passes)
         with pytest.raises(InvariantError, match="mass matrix not positive-definite"):
             assemble_beam(ref_beam, silicon, n)
 
@@ -883,17 +913,17 @@ class TestBackwardErrorGate:
     def test_perturbed_unit_vector_refused(self, monkeypatch, ref_beam, silicon):
         # at 1024 elements the near-null test exempts every mode from the
         # relative residual gate; the backward-error gate still sees it
-        unit_modes = fem._unit_beam_modes
+        unit_modes = fem._reference_pairs
 
-        def perturbed(n, clamped, k):
-            mu, psi = unit_modes(n, clamped, k)
+        def perturbed(key, k):
+            mu, psi = unit_modes(key, k)
             psi = psi.copy()
             psi[len(psi) // 2, 1] += 1e-6 * abs(psi[:, 1]).max()
             return mu, psi
 
         sys_ = assemble_beam(ref_beam, silicon, 1024)
         solve_modes(sys_, 4)
-        monkeypatch.setattr(fem, "_unit_beam_modes", perturbed)
+        monkeypatch.setattr(fem, "_reference_pairs", perturbed)
         with pytest.raises(EigenSolveError, match=r"backward error .* exceeds 1e-12 for mode 1"):
             solve_modes(sys_, 4)
 
@@ -1246,8 +1276,8 @@ def _assert_close_results(got, ref, m_eff_rtol=1e-9):
 def cold_disk_topologies():
     """Empty disk-topology and reference-disk caches before and after the
     test, so that it builds (and leaves behind) no cached reference."""
-    caches = (fem._disk_topology, fem._reference_disk, fem._reference_modes,
-              fem._unit_disk_modes)
+    caches = (fem._disk_topology, fem._disk_reference, fem._reference_modes,
+              fem._reference_pairs)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -1285,7 +1315,7 @@ class TestDiskTopology:
         # and the mapped disk's are 1.0 times them; the modes equal to
         # rounding
         sys_, _, results = fem.solve_disk(ref_disk, silicon, _caller_copy(mesh))
-        ref = fem._reference_disk(mesh._topology.rings, silicon.poisson_ratio).system
+        ref = fem._disk_reference(mesh._topology.rings, silicon.poisson_ratio).system
         _assert_same_system(sys_, ref)
         for a, b in ((cold[0].stiffness, ref.stiffness), (cold[0].mass, ref.mass)):
             assert _bits_equal(a.data, b.data) and a.indices is b.indices
@@ -1336,7 +1366,7 @@ class TestDiskTopology:
         monkeypatch.setattr(fem, "_gate", recording)
         geom = DiskGeometry(5.3e-6, 0.9e-6)
         sys_ = assemble_disk(geom, silicon, mesh_disk(geom, geom.radius / divisor))
-        ref = fem._reference_disk(sys_.mesh._topology.rings, silicon.poisson_ratio).system
+        ref = fem._disk_reference(sys_.mesh._topology.rings, silicon.poisson_ratio).system
         expected = []
         for system in (ref, sys_):
             numbers = []
@@ -1345,8 +1375,9 @@ class TestDiskTopology:
             expected.append(tuple(numbers))
         assert recorded == expected and expected[1][0] > 0
         # some transposes of K cancelled to an exact 0 (not stored)
-        transposes = fem._reference_disk(sys_.mesh._topology.rings, silicon.poisson_ratio)
-        assert np.any(transposes.k_transpose == len(sys_.stiffness.data))
+        k_transpose, _ = fem._disk_reference(sys_.mesh._topology.rings,
+                                             silicon.poisson_ratio).transposes
+        assert np.any(k_transpose == len(sys_.stiffness.data))
 
     @pytest.mark.parametrize("divisor", [5, 8])
     def test_asymmetric_element_matrix_refused(self, monkeypatch, cold_disk_topologies,
@@ -1364,7 +1395,7 @@ class TestDiskTopology:
         asymmetric[0, 1] += 1
         monkeypatch.setattr(fem, "_KE0", asymmetric)
         with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
-            fem._unit_beam_system(n, True)
+            fem._beam_reference(n, True)
 
     def test_cache_is_bounded(self):
         assert fem._disk_topology.cache_info().maxsize == fem._DISK_TOPOLOGY_CACHE == 8
@@ -1383,6 +1414,52 @@ class TestDiskTopology:
                   top.plan.indptr, top.plan.transpose, top.plan.layout.free]
         assert all(not a.flags.writeable for a in arrays)
         assert all(a.dtype == np.int32 for a in arrays[4:8])
+
+
+def _search_transposes(a):
+    """For each stored entry of the canonical CSC matrix a, the position in
+    a.data of its transpose's entry, or len(a.data) where that entry is
+    not stored (an exact 0), int32: a binary search of each entry's
+    transpose key among the sorted (column, row) keys, as the transpose
+    positions were found before _compressed read them off the plan
+    (reference)."""
+    n = a.shape[0]
+    rows, cols = a.indices.astype(np.int64), np.repeat(np.arange(n), np.diff(a.indptr))
+    keys = np.append(cols * n + rows, -1)   # ascending, then a key no entry has
+    wanted = rows * n + cols
+    pos = np.searchsorted(keys[:-1], wanted)
+    return np.where(keys[pos] == wanted, pos, len(wanted)).astype(np.int32)
+
+
+class TestTransposePositions:
+    """The position of each stored entry's transpose in a reference's K and
+    M, read off the plan by _compressed, is bitwise the binary search's."""
+
+    @staticmethod
+    def _check(ref):
+        for a, transpose in zip((ref.system.stiffness, ref.system.mass), ref.transposes):
+            expected = _search_transposes(a)
+            assert transpose.dtype == expected.dtype and np.array_equal(transpose, expected)
+            assert not transpose.flags.writeable
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 64, 151, 152, 1024])
+    def test_unit_beam(self, n, clamped):
+        self._check(fem._beam_reference.__wrapped__(n, clamped))   # uncached: no eviction
+
+    @pytest.mark.parametrize("nu", [0.2, 0.25, 0.3])
+    @pytest.mark.parametrize("divisor", [4.5, 5, 7, 8, 12, 16, 20])
+    def test_reference_disk(self, divisor, nu):
+        self._check(fem._disk_reference.__wrapped__(max(4, round(divisor)), nu))
+
+    def test_cancelled_transpose_is_the_appended_zero(self):
+        # at R/20, nu = 0.25, 11 transposes of K's entries cancel to an
+        # exact 0, which is not stored
+        ref = fem._disk_reference.__wrapped__(20, 0.25)
+        k_transpose, m_transpose = ref.transposes
+        assert np.sum(k_transpose == len(ref.system.stiffness.data)) == 11
+        assert np.all(m_transpose < len(ref.system.mass.data))
+        self._check(ref)
 
 
 def _component_matrices(seed):
@@ -1452,7 +1529,7 @@ class TestComponentMassGate:
         # a mesh_disk disk's mass gate is a banded Cholesky of Ms with the
         # nodes in x order (half-bandwidth about 3m): no LDL^T
         mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
-        _, _, (_, _, n, kd) = mesh._topology.mass_band
+        _, _, n, kd = fem._disk_reference(mesh._topology.rings, silicon.poisson_ratio).band
         assert n == len(mesh.nodes) and kd <= 3 * mesh._topology.rings + 1
 
         def refuse(a):
@@ -1479,7 +1556,8 @@ class TestComponentMassGate:
             if abs(eig).min() < 1e-6 * abs(eig).max():   # too near singular to compare
                 continue
             stored = fem._csc_type()(shifted)
-            verdict = fem._disk_mass_definite(mesh._topology, stored)
+            verdict = fem._band_positive_definite(
+                stored, fem._lower_band(stored, mesh._topology.order))
             assert verdict == fem._positive_definite(stored) == (eig.min() > 0)
             verdicts.append(verdict)
         assert 10 < sum(verdicts) < len(verdicts) - 10
@@ -1671,7 +1749,7 @@ class TestUnitDisk:
         rb = fem.solve_disk(b, other, mesh_disk(b, b.radius / 12))
         assert calls == [len(ra[0].dof_map)]
         for sys_ in (ra[0], rb[0]):
-            assert sys_._congruence.key == (12, silicon.poisson_ratio)
+            assert sys_._congruence.key == (fem._disk_reference, 12, silicon.poisson_ratio)
         # each is its own pencil's solution: the reference frequency scales
         # with sqrt(E / rho) / R
         scale = (math.sqrt(other.youngs_modulus / other.density) / b.radius) / (
@@ -1690,10 +1768,10 @@ class TestUnitDisk:
         fem.disk_modal_fem(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 8))
         assert len(calls) == 3
         assert fem._reference_modes.cache_info().currsize == 3
-        assert fem._reference_disk.cache_info().currsize == 3
+        assert fem._disk_reference.cache_info().currsize == 3
 
     def test_cache_is_bounded(self):
-        for cached in (fem._reference_disk, fem._reference_modes, fem._unit_disk_modes):
+        for cached in (fem._disk_reference, fem._reference_modes, fem._reference_pairs):
             assert cached.cache_info().maxsize == fem._UNIT_CACHE == 8
 
     def test_reference_is_built_once_per_ring_count_and_nu(self, monkeypatch, silicon,
