@@ -14,70 +14,72 @@ One threshold, _SPARSE_MIN_DOF (300 free dofs), picks only how a pencil is
 factored. At or below it, Cholesky of the dense copy (toarray) proves the
 mass matrix SPD and LAPACK dsygvx, called directly as scipy.linalg.eigh
 would call it, returns the modes from the dense copies. Above it, the mass
-matrix is proved SPD with a sparse LDL^T (beams and disks on a mesh_disk
-mesh use a banded Cholesky at every size, below), and the lowest modes
-come from shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M,
-polished by an inverse-iteration step and a Rayleigh-Ritz projection
-(dsygvx again), repeated at most twice while a pair is near a gate.
-LAPACK is faster on small systems, and ARPACK needs k well below n: a
-larger system asked for k >= n/4 modes is solved densely too. Both paths
-share the gates, normalization and sign convention. Every returned mode
-passes a Jacobi-scaled normwise backward-error gate (_BACKWARD_BOUND);
-modes away from the rigid-body null space also pass the relative residual
-gate (_RESIDUAL_BOUND).
+matrix is proved SPD with a sparse LDL^T, and the lowest modes come from
+shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished by
+an inverse-iteration step and a Rayleigh-Ritz projection (dsygvx again),
+repeated at most twice while a pair is near a gate. LAPACK is faster on
+small systems, and ARPACK needs k well below n: a larger system asked for
+k >= n/4 modes is solved densely too. Both paths share the gates,
+normalization and sign convention. Every returned mode passes a
+Jacobi-scaled normwise backward-error gate (_BACKWARD_BOUND). The relative
+residual gate (_RESIDUAL_BOUND) applies only to the modes _accuracy calls
+elastic, ||K v|| > 1e-9 max|K| ||v||: a disk's elastic modes, but no mode
+of the shipped micrometre beam clamped with 48 or more elements, whose
+lowest bending modes fall below that share of max|K| (README).
 
 A beam, and a disk on mesh_disk's mesh, is a scaled copy of a cached
 reference system (Golub & Van Loan, Matrix Computations, sec. 8.7). The
-reference is built by _system and gated once, and kept in a small LRU
-cache with what its copies read (_Reference): for each stored entry of K0
-and M0 the position of its transpose (the appended 0 where the transpose
-cancelled to an exact 0), the band of its free-dof mass for a banded
-Cholesky (LAPACK dpbtrf), the scaled norms of the backward-error gate and,
-for a beam, the parity of each entry. A copy (_mapped) forms no element
-matrix: K = c_K D K0 D and M = c_M D M0 D are its scalars and D times the
-stored entries of K0 and M0, bitwise the sum of its scaled element
-matrices, sharing the reference's dof tables and CSC index arrays. Each
-copy still passes the value gate on its own entries: finite and symmetric
-through the transpose positions, and M positive-definite by the banded
-Cholesky on the reference's band. Its free-dof pencil is congruent to the
-reference's, so the reference pairs K0 psi = mu M0 psi give the copy's
-exactly: lambda = mu * ratio, ratio = c_K / c_M, and phi = psi / d, d the
-diagonal of D on the free dofs. Jacobi scaling undoes the congruence, so
-the scaled norms are the reference's, ||DMD||_F over ratio. solve_modes
-takes (mu, psi) from one small LRU cache keyed by the reference and k,
-filled through the factorization dispatch above; the gates,
-normalization and sign convention then run on the copy's own K and M. The
-two cases differ in D:
+reference is built by _system, gated once with margins, and kept in a
+small LRU cache with what its copies read (_Reference): the largest and
+smallest |entry| of K0 and M0 in each class of D.D, the scaled norms of
+the backward-error gate and, for a beam, the class of each entry. A copy
+(_mapped) forms no element matrix: K = c_K D K0 D and M = c_M D M0 D are
+its scalars and D times the stored entries of K0 and M0, bitwise the sum
+of its scaled element matrices, sharing the reference's dof tables and
+CSC index arrays. A copy is certified by its congruence, not gated again.
+Rounding is monotone, so its largest and smallest entries in a class are
+the reference's scaled (_certified). A copy whose entries are all
+finite and normal is symmetric and has M positive-definite: its rounding
+is a componentwise relative perturbation too small to use up the margins
+its reference was gated with, and by Sylvester's law of inertia the
+congruence keeps M definite (see _Reference). Its free-dof pencil is
+congruent to the reference's, so the reference pairs K0 psi = mu M0 psi
+give the copy's exactly: lambda = mu * ratio, ratio = c_K / c_M, and
+phi = psi / d, d the diagonal of D on the free dofs. Jacobi scaling undoes
+the congruence, so the scaled norms are the reference's, ||DMD||_F over
+ratio. solve_modes takes (mu, psi) from one small LRU cache keyed by the
+reference and k, filled through the factorization dispatch above; the
+gates, normalization and sign convention then run on the copy's own K and
+M. The two cases differ in D:
 
 - A beam's reference is its unit beam: K0 and M0 scatter _KE0 and _ME0,
   the only beam element matrices, and depend only on (n_elements,
   clamped). With le = L/n, c_K = EI/le^3, c_M = rho*A*le/420 and D =
   diag(1, le, 1, le, ...), so a copy multiplies each entry by the pattern
   (1, le, le^2) of D.D at its parity (how many of its row and column dofs
-  are rotations); two elements feeding one entry give an exact doubling
-  or an exact 0. Its mass band has half-bandwidth 3, so the gate is O(n).
+  are rotations), the class of the entry; two elements feeding one entry
+  give an exact doubling or an exact 0.
 - A disk's reference is the disk of (m, nu) on mesh_disk's mesh with m
   rings: the silicon preset at R0 = 3 um, t0 = 0.4 um. Everything about
   that mesh but the radius (connectivity, each node's ring index and
-  cos/sin, the dof tables, the plan, the rim nodes in angle order and the
-  nodes in ascending x) is built once per m (_disk_topology). The CST
-  stiffness is t*E/(1 - nu^2) K^(m, nu), independent of the radius, and
-  the mass rho*t*R^2 M^(m), with R the mesh's own radius, so D = d I is a
-  scalar: c_K = t*E/(t0*E0), c_M = d^2 = rho*t*R^2/(rho0*t0*R0^2) and
-  ratio = (E/(rho*R^2)) / (E0/(rho0*R0^2)). The CST mass is Ms (x) I2 up
-  to the dof order (ux and uy uncoupled, with equal blocks), and its band
-  is that of Ms with the nodes in ascending x (half-bandwidth about 3m): a
-  symmetric permutation, so the banded Cholesky is exact, O(n m^2).
+  cos/sin, the dof tables, the plan and the rim nodes in angle order) is
+  built once per m (_disk_topology). The CST stiffness is
+  t*E/(1 - nu^2) K^(m, nu), independent of the radius, and the mass
+  rho*t*R^2 M^(m), with R the mesh's own radius, so D = d I is a scalar
+  and all entries form one class: c_K = t*E/(t0*E0),
+  c_M = d^2 = rho*t*R^2/(rho0*t0*R0^2) and
+  ratio = (E/(rho*R^2)) / (E0/(rho0*R0^2)).
 
 A beam whose ratio is not finite and > 0 or whose K or M has an entry
 below the normal float range (where the congruence holds only to the
 subnormal grid) is refused; such a disk, a disk on a mesh built by a
 caller and a system built with AssembledSystem(...) directly are solved
 directly. A caller's mesh gets its plan from the same function,
-uncached, its element matrices are summed as a reference disk's are, and
-its mass is tested by _positive_definite, which factors only the
-n/2 x n/2 block Ms whenever the stored entries show that structure: an
-exact reduction.
+uncached, and its element matrices are summed as a reference disk's are.
+Its mass, as a reference's, is tested by _positive_definite, which
+factors only the n/2 x n/2 block Ms whenever the stored entries show that
+structure (the CST mass is Ms (x) I2 up to the dof order): an exact
+reduction.
 
 The reference disk's scale matters: ARPACK accepts a Ritz value
 theta = 1/(lambda - sigma) once its error bound is below
@@ -116,7 +118,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -126,6 +128,13 @@ from .errors import (AmbiguousAngularOrderError, EigenSolveError, InvariantError
                      MeshError, RigidBodyModeError)
 
 _SYM_RTOL = 1e-12          # symmetry tolerance for assembled matrices
+# the relative rounding of a scaled copy's entry, at most: two products
+# (u each) and libm's le^2 (under one ulp), with room to spare
+_COPY_ROUNDING = 4 * np.finfo(float).eps
+# a reference mass M0 must keep M0 - _MASS_MARGIN diag(M0) positive-definite:
+# far above _COPY_ROUNDING times the entries in a row, far below the 0.25
+# (beams) and 0.5 (disks) of its Jacobi-scaled smallest eigenvalue
+_MASS_MARGIN = 1e-6
 _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
 _BACKWARD_BOUND = 1e-12    # Jacobi-scaled backward-error bound per returned mode
 _RIGID_RATIO = 1e-6        # rigid eigenvalue threshold vs first elastic
@@ -342,9 +351,10 @@ def _frozen(a):
     return a
 
 
-def _columns(a) -> np.ndarray:
-    """The column of each stored entry of the CSC matrix a."""
-    return np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+def _columns(indptr) -> np.ndarray:
+    """The column of each stored entry of a CSC matrix (or each slot of a
+    _Plan) with column pointers indptr."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def _free_blocks(free: np.ndarray, k, m):
@@ -363,19 +373,36 @@ def _symmetric_lu(a):
                 options={"SymmetricMode": True})
 
 
-def _gate(k, kt, m, mt, mf, band=None):
-    """The value gate of every system: K and M finite and symmetric, and M
-    positive-definite on the free dofs: the banded Cholesky of mf on band
-    where given (_band_positive_definite), _positive_definite(mf)
-    otherwise. k and m are K and M, or arrays of their stored entries; kt
-    and mt hold the same entries of the transposes."""
+def _gate(k, kt, m, mt, mf, parity=None):
+    """The value gate of a system that is solved as it is or is a
+    reference: K and M finite and symmetric, and M positive-definite on the
+    free dofs (_positive_definite of mf). k and m are K and M, or arrays of
+    their entries; kt and mt hold the same entries of the transposes.
+
+    A reference (parity given: the D.D class of each entry, see
+    _Reference) passes it with the margins that its scaled copies inherit:
+    symmetric in each class to _SYM_RTOL less 3 _COPY_ROUNDING of the
+    class's largest entry, and mf - _MASS_MARGIN diag(mf)
+    positive-definite. A copy is not gated again: its reference's extremes
+    certify it (_certified)."""
+    rtol = _SYM_RTOL if parity is None else _SYM_RTOL - 3 * _COPY_ROUNDING
     for name, a, at in (("stiffness", k, kt), ("mass", m, mt)):
         largest = abs(a).max()   # NaN if an entry is NaN
         if not np.isfinite(largest):
             raise InvariantError(f"{name} matrix has non-finite entries")
-        if abs(a - at).max() > _SYM_RTOL * largest:
+        skew = abs(a - at)
+        if parity is not None and parity.any() and skew.any():
+            # several classes: each entry against the largest of its class
+            class_max = np.array([abs(a[parity == p]).max(initial=0) for p in range(3)])
+            asymmetric = np.any(skew > rtol * class_max[parity])
+        else:
+            asymmetric = skew.max() > rtol * largest
+        if asymmetric:
             raise InvariantError(f"{name} matrix not symmetric")
-    if not (_positive_definite(mf) if band is None else _band_positive_definite(mf, band)):
+    del skew   # not held through the factorization below
+    if parity is not None:
+        mf = _scaled(mf, 1.0, np.where(mf.indices == _columns(mf.indptr), 1 - _MASS_MARGIN, 1.0))
+    if not _positive_definite(mf):
         raise InvariantError("mass matrix not positive-definite on free dofs")
 
 
@@ -389,7 +416,7 @@ def _component_block(a):
     counts = np.diff(a.indptr)
     if not np.array_equal(counts[0::2], counts[1::2]):
         return None
-    even = _columns(a) % 2 == 0   # entries of the even columns
+    even = _columns(a.indptr) % 2 == 0   # entries of the even columns
     rows = a.indices
     if not (np.array_equal(rows % 2 == 0, even) and np.array_equal(rows[even], rows[~even] - 1)
             and np.array_equal(a.data[even], a.data[~even])):
@@ -399,71 +426,23 @@ def _component_block(a):
 
 
 def _positive_definite(a) -> bool:
-    """Whether the CSC matrix a is positive-definite. With at most
-    _SPARSE_MIN_DOF rows: Cholesky of its dense copy succeeds. Above: the
-    symmetric LU pivots only on the diagonal (perm_r == perm_c, so it is an
-    LDL^T) and every pivot is positive. Where _component_block finds
-    a = Ms (x) I2, the test runs on Ms alone, an exact reduction: a is
-    positive-definite iff Ms is."""
-    dense = a.shape[0] <= _SPARSE_MIN_DOF
+    """Whether the CSC matrix a is positive-definite. Where
+    _component_block finds a = Ms (x) I2, the test runs on Ms alone, an
+    exact reduction: a is positive-definite iff Ms is. With at most
+    _SPARSE_MIN_DOF rows left: Cholesky (LAPACK dpotrf) of the dense copy
+    succeeds. Above: the symmetric LU pivots only on the diagonal
+    (perm_r == perm_c, so it is an LDL^T) and every pivot is positive."""
     block = _component_block(a)
     if block is not None:
         a = block
-    if dense:
-        try:
-            np.linalg.cholesky(a.toarray())
-        except np.linalg.LinAlgError:
-            return False
-        return True
+    if a.shape[0] <= _SPARSE_MIN_DOF:
+        from scipy.linalg.lapack import dpotrf
+        return dpotrf(a.toarray(), lower=1, overwrite_a=1, clean=0)[1] == 0
     try:
         lu = _symmetric_lu(a)
     except RuntimeError:   # exactly singular
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0))
-
-
-def _band_positive_definite(a, band) -> bool:
-    """Banded Cholesky (LAPACK dpbtrf, O(n kd^2)) succeeds on a, a CSC
-    matrix whose stored entries lie within kd of the diagonal. band is
-    (src, dst, n, kd): the stored entries src of a's lower band go to the
-    flat positions dst of the (n, kd + 1) array whose row j is column j
-    from the diagonal down."""
-    from scipy.linalg.lapack import dpbtrf
-    src, dst, n, kd = band
-    ab = np.zeros(n * (kd + 1))
-    ab[dst] = a.data[src]
-    _, info = dpbtrf(ab.reshape(n, kd + 1).T, lower=1, overwrite_ab=1)
-    return info == 0
-
-
-def _lower_band(a, order=None):
-    """(src, dst, n, kd) of _band_positive_definite for the symmetric CSC
-    matrix a: _band of its stored entries or, given a node order, of its
-    per-node block Ms (_component_block) with the nodes in that order, src
-    then the positions of Ms's entries in a's data (a symmetric
-    permutation, so an exact reduction); None where a has no such Ms."""
-    rows, cols = a.indices, _columns(a)
-    if order is None:
-        return _band(rows, cols, a.shape[0])
-    if _component_block(a) is None:
-        return None
-    even = np.flatnonzero(cols % 2 == 0)   # Ms's entries, as _component_block takes them
-    rank = np.empty(len(order), dtype=int)
-    rank[order] = np.arange(len(order))
-    src, dst, n, kd = _band(rank[rows[even] // 2], rank[cols[even] // 2], len(order))
-    return _readonly(even[src].astype(np.int32)), dst, n, kd
-
-
-def _band(rows, cols, n: int):
-    """(src, dst, n, kd) of _band_positive_definite for the symmetric n x n
-    matrix whose stored entries are at (rows, cols), in storage order: kd is
-    the largest distance of an entry from the diagonal, src the entries on
-    or below it."""
-    lower = rows >= cols
-    offset = rows[lower] - cols[lower]
-    kd = int(offset.max(initial=0))
-    return (_readonly(np.flatnonzero(lower)), _readonly(cols[lower] * (kd + 1) + offset),
-            n, kd)
 
 
 def _translational_layout(dof_map):
@@ -524,12 +503,12 @@ def _plan(elements: np.ndarray, comps: tuple, n_nodes: int,
                  *(_readonly(a.astype(np.int32)) for a in (rows, indptr, transpose)))
 
 
-def _system(plan: _Plan, ke, me, mesh: Mesh | None = None, band=None):
+def _system(plan: _Plan, ke, me, mesh: Mesh | None = None, odd=None) -> AssembledSystem:
     """The gated AssembledSystem of element matrices ke[e], me[e] (or one
-    pair for every element) summed by plan, the positions of the
-    transposes of its stored entries (of K and of M, _compressed) and the
-    band of its free-dof mass mf: band(mf) where band is given (for
-    _gate), None otherwise.
+    pair for every element) summed by plan. A reference is gated with
+    margins (_gate): odd marks its dofs that D scales by le (a beam's
+    rotations; none of a disk's), so that an entry's D.D class is odd at
+    its row plus odd at its column.
 
     One bincount per matrix over the plan's slots (Davis, Direct Methods
     for Sparse Linear Systems, ch. 2) sums each entry in element order, as
@@ -543,25 +522,20 @@ def _system(plan: _Plan, ke, me, mesh: Mesh | None = None, band=None):
     slot = plan.slot.ravel()
     k_sum, m_sum = (np.bincount(slot, weights=np.broadcast_to(e, shape).ravel(),
                                 minlength=len(plan.rows)) for e in (ke, me))
-    (k, k_transpose), (m, m_transpose) = (_compressed(plan, s) for s in (k_sum, m_sum))
+    k, m = (_compressed(plan, s) for s in (k_sum, m_sum))
     kf, mf = _free_blocks(layout.free, k, m)
-    band = None if band is None else band(mf)
-    _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], mf, band)
-    return AssembledSystem._of(layout, k, m, kf, mf, mesh), (k_transpose, m_transpose), band
+    parity = None if odd is None else odd[plan.rows] + odd[_columns(plan.indptr)]
+    _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], mf, parity)
+    return AssembledSystem._of(layout, k, m, kf, mf, mesh)
 
 
 def _compressed(plan: _Plan, data: np.ndarray):
     """The read-only CSC matrix of the slot sums data, less its exact
-    zeros, with int32 index arrays of its own, and for each of its stored
-    entries the position in its data of its transpose's entry: len(data),
-    an appended 0, where that entry is an exact 0 (int32)."""
+    zeros, with int32 index arrays of its own."""
     keep = data != 0
-    count = np.cumsum(keep)
-    indptr = np.concatenate(([0], count))[plan.indptr].astype(np.int32)
+    indptr = np.concatenate(([0], np.cumsum(keep)))[plan.indptr].astype(np.int32)
     ndof = len(plan.indptr) - 1
-    matrix = _frozen(_csc_type()((data[keep], plan.rows[keep], indptr), shape=(ndof, ndof)))
-    position = np.where(keep, count - 1, count[-1]).astype(np.int32)   # of each slot
-    return matrix, _readonly(position[plan.transpose[keep]])
+    return _frozen(_csc_type()((data[keep], plan.rows[keep], indptr), shape=(ndof, ndof)))
 
 
 # ---------------------------------------------------------------------------
@@ -569,24 +543,47 @@ def _compressed(plan: _Plan, data: np.ndarray):
 
 class _Reference(NamedTuple):
     """A cached reference system that beams or disks are scaled copies of
-    (see the module docstring): the gated system; for each stored entry of
-    K and M, the position of its transpose's entry (of K and of M,
-    _compressed); the band of its free-dof mass for _gate (None where a
-    disk's mass has no Ms); (||DKD||_F, ||DMD||_F) of its free-dof pencil,
-    D = |diag K|^-1/2, for the backward-error gate; and, for a beam, the
-    parity of each stored entry of _blocks(system) (how many of its row and
-    column dofs are rotations, int8), None for a disk."""
+    (see the module docstring): the system, gated with margins (_gate);
+    the (largest, smallest) |entry| of K and of M in each D.D class
+    (arrays by class: a beam's 0, 1, 2, a disk's one); (||DKD||_F,
+    ||DMD||_F) of its free-dof pencil, D = |diag K|^-1/2, for the
+    backward-error gate; and the class of each stored entry of
+    _blocks(system) (int8: a beam's parity, how many of its row and column
+    dofs are rotations; 0 for a disk).
+
+    The margins certify every copy whose entries are finite and normal
+    (_certified), with no gate of its own (Demmel & Veselic, "Jacobi's
+    method is more accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992).
+    A copy's entry in class p is fl(fl(x dd_p) c), x the reference's entry
+    and dd_p = d_i d_j, so it is c d_i d_j x (1 + e) with |e| <=
+    _COPY_ROUNDING while no product leaves the normal range.
+    - Symmetric: x_ij and x_ji share a class, so the copy's two entries
+      differ by at most c dd_p (|x_ij - x_ji| + 2 e m_p), m_p the class's
+      largest |x|. The reference's |x_ij - x_ji| <= (_SYM_RTOL - 3 e) m_p
+      keeps that below _SYM_RTOL times the copy's largest entry.
+    - Mass positive-definite: Jacobi scaling undoes the congruence, so the
+      copy's scaled free-dof mass is A0 + E, A0 the reference's, with
+      |E_ij| <= e |A0_ij| <= e (A0 is definite with unit diagonal). So
+      ||E|| <= e r, r the most entries in a row (6 for a beam, 7 for a
+      disk), about 6e-15, and the reference proved lambda_min(A0) >
+      _MASS_MARGIN = 1e-6 (M0 - _MASS_MARGIN diag(M0) positive-definite),
+      so by Weyl's inequality and Sylvester's law of inertia the copy's
+      mass is definite. Its measured lambda_min(A0) is 0.25 for unit
+      beams and 0.5 for reference disks, the element bounds of Wathen,
+      "Realistic eigenvalue bounds for the Galerkin mass matrix", IMA J.
+      Numer. Anal. 7, 1987.
+    A beam copy's inner products x dd_p stay normal whenever its K is
+    finite: le below 1.5e-154, where le^2 is subnormal, makes le^3 = 0 and
+    c_K not finite; otherwise every dd_p is normal and every |x| >= 1."""
     system: AssembledSystem
-    transposes: tuple
-    band: tuple | None
+    extremes: tuple
     norms: tuple
-    parity: tuple | None
+    parity: tuple
 
 
 def _reference(key: tuple) -> _Reference:
     """The cached _Reference of a _Congruence key: (builder, *its arguments)."""
-    build, *args = key
-    return build(*args)
+    return key[0](*key[1:])
 
 
 def _blocks(sys: AssembledSystem) -> tuple:
@@ -606,24 +603,51 @@ def _scaled(a, scale, pattern=None):
     return out
 
 
+def _reference_of(sys: AssembledSystem, odd) -> _Reference:
+    """The _Reference of sys, a reference system summed and gated by
+    _system(..., odd): the class of each stored entry, and the extremes of
+    each class."""
+    free = odd[sys._free]
+    parity = tuple(_readonly(o[a.indices] + o[_columns(a.indptr)])
+                   for a, o in zip(_blocks(sys), (odd, odd, free, free)))
+    extremes = []
+    for a, p in zip((sys.stiffness, sys.mass), parity):
+        mags = [abs(a.data[p == c]) for c in range(p.max() + 1)]
+        extremes.append(tuple(_readonly(np.array([f(x) for x in mags])) for f in (np.max, np.min)))
+    return _Reference(sys, tuple(extremes), _scaled_norms(sys._kf, sys._mf), parity)
+
+
+def _certified(key: tuple, k_scale, m_scale, dd=1.0) -> list:
+    """The smallest |entry| of K and of M of the scaled copy that
+    _mapped(key, k_scale, m_scale, ..., dd) builds (dd by class, 1 for a
+    disk), or InvariantError if an entry would not be finite: the
+    reference's extremes in each class, scaled as its entries are, are the
+    copy's, since rounding is monotone. A copy whose entries are all finite
+    and normal is certified by its reference (_Reference)."""
+    smallest = []
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for name, scale, (largest, least) in zip(("stiffness", "mass"), (k_scale, m_scale),
+                                                  _reference(key).extremes):
+            if not np.isfinite(scale * (largest * dd)).all():
+                raise InvariantError(f"{name} matrix has non-finite entries")
+            smallest.append((scale * (least * dd)).min())
+    return smallest
+
+
 def _mapped(key: tuple, k_scale, m_scale, ratio, d, mesh: Mesh, dd=None) -> AssembledSystem:
     """The system whose K and M are k_scale and m_scale times the stored
     entries of the reference of key (a beam's each first multiplied by dd
     at its parity: D.D), with the _Congruence (key, ratio, d) to it. It
-    shares the reference's dof tables and index arrays and is gated on its
-    own entries, through the reference's transpose positions and band.
-    The caller refuses a ratio that is not finite and > 0."""
+    shares the reference's dof tables and index arrays. It is not gated:
+    the caller has certified it (_certified: every entry finite and
+    normal) and refused a ratio that is not finite and > 0."""
     ref = _reference(key)
     base = ref.system
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        k, m, *free = (_scaled(a, scale, None if p is None else dd[p]) for a, scale, p in
-                       zip(_blocks(base), (k_scale, m_scale) * 2, ref.parity or (None,) * 4))
+    k, m, *free = (_scaled(a, scale, None if dd is None else dd[p]) for a, scale, p in
+                   zip(_blocks(base), (k_scale, m_scale) * 2, ref.parity))
     kf, mf = free or (k, m)
-    kt, mt = (np.append(a.data, 0.0)[t] for a, t in zip((k, m), ref.transposes))
-    _gate(k.data, kt, m.data, mt, mf, ref.band)
     norm_k, norm_m = ref.norms
-    with np.errstate(divide="ignore"):
-        norms = norm_k, float(norm_m / ratio)
+    norms = norm_k, float(norm_m / ratio)
     layout = _Layout(base.dof_map, base.constraints, base._free, base._tdofs, base._tnode_dofs)
     return AssembledSystem._of(layout, k, m, kf, mf, mesh,
                                _Congruence(key, float(ratio), d, norms))
@@ -652,16 +676,11 @@ _ME0 = np.array([[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22],
 @lru_cache(maxsize=_UNIT_CACHE)
 def _beam_reference(n_elements: int, clamped: bool) -> _Reference:
     """The _Reference of the unit beam on n_elements, built from _KE0 and
-    _ME0 by _system and gated as every reference is, its mass by its band
-    (half-bandwidth 3 under node-major numbering)."""
+    _ME0 by _system and gated as every reference is."""
     plan = _plan(np.arange(n_elements)[:, None] + np.arange(2), ("w", "theta"),
                  n_elements + 1, (0, n_elements) if clamped else ())
-    unit, transposes, band = _system(plan, _KE0, _ME0, band=_lower_band)
-    odd = np.arange(len(unit.dof_map), dtype=np.int8) % 2   # the rotation dofs
-    odd_free = odd[unit.free_dofs()]
-    parity = tuple(_readonly(dof_odd[a.indices] + dof_odd[_columns(a)])
-                   for a, dof_odd in zip(_blocks(unit), (odd, odd, odd_free, odd_free)))
-    return _Reference(unit, transposes, band, _scaled_norms(unit._kf, unit._mf), parity)
+    odd = np.arange(2 * (n_elements + 1), dtype=np.int8) % 2   # the rotation dofs
+    return _reference_of(_system(plan, _KE0, _ME0, odd=odd), odd)
 
 
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
@@ -672,6 +691,9 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     (_mapped) of the cached unit beam (K0, M0) with D.D as a pattern of
     (1, le, le^2): bitwise the sum of the scaled element matrices, since
     two elements feeding one entry give an exact doubling or an exact 0.
+    The copy is certified by the unit beam's extremes (_certified):
+    refused where an entry is not finite or, as it would not be exact,
+    below the normal range.
     """
     if isinstance(n_elements, bool) or not isinstance(n_elements, (int, np.integer)):
         raise InvariantError(f"n_elements must be an integer, got {n_elements!r}")
@@ -679,7 +701,7 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
         raise InvariantError(f"n_elements must be >= 2, got {n_elements}")
     le = geom.length / n_elements
     # powers by libm pow, as Python's **, but an overflow (or a division by
-    # an le^3 that underflows) is a non-finite entry the gate refuses
+    # an le^3 that underflows) is a non-finite entry, refused below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         area, inertia = _beam_section(geom)
         ei, ral = mat.youngs_modulus * inertia, mat.density * area * le
@@ -692,18 +714,22 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     n_nodes = n_elements + 1
     mesh = Mesh(nodes=np.linspace(0.0, geom.length, n_nodes)[:, None],
                 elements=np.arange(n_elements)[:, None] + np.arange(2), kind="beam_1d")
-    d = np.tile((1.0, le), n_nodes)   # the diagonal of D; the clamped end dofs are fixed
-    sys = _mapped((_beam_reference, n_elements, clamped), k_scale, m_scale, ratio,
-                  _readonly((d[2:-2] if clamped else d)[:, None]), mesh, dd)
-    if not 0 < ratio < math.inf:   # the unit-beam pairs could not be scaled back
+    key = (_beam_reference, n_elements, clamped)
+    smallest_k, smallest_m = _certified(key, k_scale, m_scale, dd)
+    # a subnormal entry is rounded on a fixed grid, so it is not the exact
+    # doubling that the sum of two element entries is; M is certified
+    # definite only where its entries are normal, so that is refused first.
+    # A ratio that is not finite and > 0 could not scale the unit pairs back
+    tiny = np.finfo(float).tiny
+    if smallest_m >= tiny and not 0 < ratio < math.inf:
         raise InvariantError("beam eigenvalue scale (EI/le^3)/(rho*A*le/420) must be "
                              f"finite and > 0, got {float(ratio)!r}")
-    # a subnormal entry is rounded on a fixed grid, so it is not the exact
-    # doubling that the sum of two element entries is
-    smallest = float(min(abs(sys.stiffness.data).min(), abs(sys.mass.data).min()))
-    if not smallest >= np.finfo(float).tiny:
+    smallest = float(min(smallest_k, smallest_m))
+    if not smallest >= tiny:
         raise InvariantError(f"beam matrix entries must be normal floats, got {smallest!r}")
-    return sys
+    d = np.tile((1.0, le), n_nodes)   # the diagonal of D; the clamped end dofs are fixed
+    return _mapped(key, k_scale, m_scale, ratio, _readonly((d[2:-2] if clamped else d)[:, None]),
+                   mesh, dd)
 
 
 # ---------------------------------------------------------------------------
@@ -721,16 +747,13 @@ class _DiskTopology(NamedTuple):
     index (float) and (cos, sin) of each node's angle, the elements, their
     _Plan, the outer-rim nodes in ascending angle (_rim_nodes of the
     unit-radius mesh: the order of the angles does not change with the
-    radius), m, and the nodes in ascending x (then y), the order of the
-    mass band (_lower_band: half-bandwidth about 3m, where the rings in
-    turn give 12m)."""
+    radius) and m."""
     ring: np.ndarray
     unit: np.ndarray
     elements: np.ndarray
     plan: _Plan
     rim: np.ndarray
     rings: int
-    order: np.ndarray
 
 
 @lru_cache(maxsize=_DISK_TOPOLOGY_CACHE)
@@ -773,9 +796,8 @@ def _disk_topology(m: int) -> _DiskTopology:
         [first + a % n_i, first + n_i + b, first + n_i + (b + 1) % n_o], axis=1)
     ring, unit, elements = _readonly(ring), _readonly(unit), _readonly(tris)
     plan = _plan(elements, ("ux", "uy"), len(ring))
-    nodes = (ring / m)[:, None] * unit
-    return _DiskTopology(ring, unit, elements, plan, _readonly(_rim_nodes(nodes)), m,
-                         _readonly(np.lexsort((nodes[:, 1], nodes[:, 0]))))
+    return _DiskTopology(ring, unit, elements, plan,
+                         _readonly(_rim_nodes((ring / m)[:, None] * unit)), m)
 
 
 def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
@@ -809,7 +831,8 @@ def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSys
 
     On a mesh from mesh_disk, K and M are a scaled copy (_mapped) of the
     reference disk of the mesh's ring count and Poisson ratio (see the
-    module docstring). Any other mesh, or a disk that cannot be mapped
+    module docstring), certified by the reference's extremes
+    (_certified). Any other mesh, or a disk that cannot be mapped
     exactly, has its element matrices summed here and is solved directly.
     """
     if mesh.kind != "plane_stress_2d":
@@ -826,15 +849,10 @@ def assemble_disk(geom: DiskGeometry, mat: Material, mesh: Mesh) -> AssembledSys
             d = np.sqrt(m_scale)
         if 0 < ratio < math.inf and 0 < d < math.inf:
             key = (_disk_reference, mesh._topology.rings, nu)
-            ref = _reference(key).system
-            # rounding is monotone, so the copy's smallest entry is its scale
-            # times the reference's: refused before its gate, as not exact
-            with np.errstate(over="ignore", under="ignore"):
-                smallest = min(k_scale * abs(ref.stiffness.data).min(),
-                               m_scale * abs(ref.mass.data).min())
-            if smallest >= np.finfo(float).tiny:
+            # a copy with an entry below the normal range would not be exact
+            if min(_certified(key, k_scale, m_scale)) >= np.finfo(float).tiny:
                 return _mapped(key, k_scale, m_scale, ratio, float(d), mesh)
-    return _disk_system(mesh, e_mod, nu, rho, t)[0]
+    return _disk_system(mesh, e_mod, nu, rho, t)
 
 
 @lru_cache(maxsize=_UNIT_CACHE)
@@ -842,15 +860,15 @@ def _disk_reference(rings: int, nu: float) -> _Reference:
     """The _Reference of the disk (_REF_DISK, nu) on mesh_disk's mesh with
     this many rings, summed and gated by _disk_system."""
     e_ref, rho_ref, r_ref, t_ref = _REF_DISK
-    ref, transposes, band = _disk_system(_disk_mesh(rings, r_ref), e_ref, nu, rho_ref, t_ref)
-    return _Reference(ref, transposes, band, _scaled_norms(ref.stiffness, ref.mass), None)
+    mesh = _disk_mesh(rings, r_ref)
+    odd = np.zeros(2 * len(mesh.nodes), np.int8)   # D = d I: one class
+    return _reference_of(_disk_system(mesh, e_ref, nu, rho_ref, t_ref, odd), odd)
 
 
-def _disk_system(mesh: Mesh, e_mod, nu, rho, t):
+def _disk_system(mesh: Mesh, e_mod, nu, rho, t, odd=None) -> AssembledSystem:
     """_system of the CST elements of a disk of thickness t and material
-    (e_mod, nu, rho) on mesh, with no congruence recorded. The mass is
-    tested by a banded Cholesky of Ms with the nodes in ascending x on a
-    mesh_disk mesh (_lower_band) and by _positive_definite on any other."""
+    (e_mod, nu, rho) on mesh, with no congruence recorded; odd as there
+    for a reference disk."""
     d_mat = e_mod / (1 - nu**2) * np.array([
         [1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]])
 
@@ -868,9 +886,9 @@ def _disk_system(mesh: Mesh, e_mod, nu, rho, t):
     ke = (t * area)[:, None, None] * (b_mat.transpose(0, 2, 1) @ d_mat @ b_mat)
     me = (rho * t * area)[:, None, None] * _ME_TRI
     topology = mesh._topology
-    if topology is None:
-        return _system(_plan(mesh.elements, ("ux", "uy"), len(mesh.nodes)), ke, me, mesh)
-    return _system(topology.plan, ke, me, mesh, partial(_lower_band, order=topology.order))
+    plan = (_plan(mesh.elements, ("ux", "uy"), len(mesh.nodes)) if topology is None
+            else topology.plan)
+    return _system(plan, ke, me, mesh, odd)
 
 
 # ---------------------------------------------------------------------------
@@ -900,13 +918,15 @@ def _dense_modes(a: np.ndarray, b: np.ndarray, k: int):
     The call, workspace and slicing are those of scipy.linalg.eigh(a, b,
     subset_by_index=(0, k - 1)), so the pairs are bitwise eigh's; eigh's
     argument checks are left out (AssembledSystem validated K and M).
+    LinAlgError if LAPACK fails or finds fewer than k pairs (as on a
+    pencil whose eigenvalues overflow).
     """
     from scipy.linalg.lapack import dsygvx
     vals, vecs, found, _, info = dsygvx(a, b, range="I", il=1, iu=k, uplo="L",
                                         lwork=_dsygvx_lwork(a.shape[0]))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dsygvx returned info {info}")
-    return vals[:found], vecs[:, :found]
+    if info != 0 or found < k:
+        raise np.linalg.LinAlgError(f"LAPACK dsygvx found {found} of {k} eigenpairs (info {info})")
+    return vals[:k], vecs[:, :k]
 
 
 def _shift_invert_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool = True):
@@ -977,7 +997,7 @@ def _reference_pairs(key: tuple, k: int):
     has it. Only a scalar congruence maps the relative residual, so a
     beam's solve keeps no margin on it (_shift_invert_modes)."""
     ref = _reference(key)
-    disk = ref.parity is None
+    disk = key[0] is _disk_reference
     vals, vecs, _ = _pencil_modes(ref.system._kf, ref.system._mf, k, spare=int(disk),
                                   residual_margin=disk)
     return _readonly(vals), _readonly(vecs)
@@ -1007,7 +1027,7 @@ def _scaled_norms(kk, mm):
     D = diag(d) of _jacobi; inf where a norm overflows."""
     d = _jacobi(kk)
     with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(float(np.linalg.norm(d[a.indices] * a.data * d[_columns(a)]))
+        return tuple(float(np.linalg.norm(d[a.indices] * a.data * d[_columns(a.indptr)]))
                      for a in (kk, mm))
 
 
@@ -1231,7 +1251,7 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
             _rigid_check(lam)
             return sys, *_disk_results(sys, lam, modes)
         sys = _disk_system(mesh, mat.youngs_modulus, mat.poisson_ratio, mat.density,
-                           geom.thickness)[0]
+                           geom.thickness)
     modes = _finish_disk(sys, n_modes)
     return sys, *_disk_results(sys, modes.lam, modes)
 

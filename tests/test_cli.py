@@ -166,6 +166,19 @@ class TestConfigReader:
         assert len(err.splitlines()) == 1
 
 
+class TestEigenSolveFailure:
+    def test_overflowing_disk_is_domain_error(self, tmp_path, capsys):
+        # a material whose disk eigenvalues overflow: one error line, exit 1
+        material = tmp_path / "extreme.json"
+        material.write_text(json.dumps({"name": "extreme", "youngs_modulus": 1e100,
+                                        "density": 1e-300, "poisson_ratio": 0.25}))
+        config = TestConfigReader._with_material(tmp_path, "disk.json", str(material))
+        assert main(["fem", "--config", config, "--target-edge", "0.6 um", "--modes", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: generalized eigensolver failed: LAPACK dsygvx found 0")
+        assert len(err.splitlines()) == 1
+
+
 class TestUnknownTopLevelKeys:
     """A design or bounds config with a key no loader reads is a config
     error, not a default silently used."""

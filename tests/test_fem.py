@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import re
 
@@ -11,7 +13,7 @@ from resokit import fem
 from resokit.analytic import beam_mode_frequency, disk_wineglass_frequency
 from resokit.core import BeamGeometry, DiskGeometry, Material, VibrationAxis
 from resokit.errors import (AmbiguousAngularOrderError, EigenSolveError,
-                            InvariantError, MeshError)
+                            InvariantError, MeshError, ResokitError)
 from resokit.fem import (AssembledSystem, Mesh, assemble_beam, assemble_disk,
                          disk_modal_fem, export_mesh, export_modes_csv,
                          identify_angular_order, mesh_disk, solve_modes)
@@ -635,6 +637,19 @@ class TestDenseModes:
         with pytest.raises(EigenSolveError, match="dsygvx"):
             solve_modes(sys_, 1)
 
+    @pytest.mark.parametrize("e_mod", [1e100, 1e200])
+    def test_fewer_pairs_than_asked_is_eigen_solve_error(self, e_mod):
+        # the eigenvalues of this disk's pencil overflow: dsygvx reports
+        # success but finds no pair
+        geom = DiskGeometry(3e-6, 1e-6)
+        mat = Material(e_mod, 1e-300, 0.25)
+        mesh = mesh_disk(geom, 3e-6 / 5)
+        with pytest.raises(EigenSolveError, match="dsygvx found 0 of 6 eigenpairs"):
+            fem.solve_disk(geom, mat, mesh, 2)
+        sys_ = assemble_disk(geom, mat, mesh)
+        with pytest.raises(np.linalg.LinAlgError, match="found 0 of 4"):
+            fem._dense_modes(sys_._kf.toarray(), sys_._mf.toarray(), 4)
+
 
 def _loop_normalized(sys_, vals, vecs):
     """solve_modes' normalization and sign convention as a per-mode loop
@@ -814,7 +829,7 @@ class TestUnitBeamCache:
 
 class TestScaledBeam:
     """assemble_beam forms K and M as scaled copies of the cached unit
-    system and gates each beam on its own values."""
+    system, certified by the unit system's extremes."""
 
     @pytest.mark.parametrize("n,clamped", [(16, True), (64, False), (151, True),
                                            (152, False), (1024, True)])
@@ -836,7 +851,6 @@ class TestScaledBeam:
         beam = assemble_beam(ref_beam, silicon, n, clamped)
         ref = fem._beam_reference(n, clamped)
         unit = ref.system
-        assert ref.band[3] == 3   # half-bandwidth under node-major numbering
         for name in ("dof_map", "constraints", "_free", "_tdofs", "_tnode_dofs"):
             assert getattr(beam, name) is getattr(unit, name)
         assert (beam._kf is beam.stiffness) == (not clamped)
@@ -854,22 +868,29 @@ class TestScaledBeam:
                     assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("n", [16, 200])
-    @pytest.mark.parametrize("unit_gate", [True, False], ids=["unit-gated", "beam-gated"])
+    @pytest.mark.parametrize("margin", [False, True], ids=["unit-gated", "margin-gated"])
     def test_indefinite_element_mass_refused(self, monkeypatch, ref_beam, silicon,
-                                             cold_unit_caches, n, unit_gate):
-        # without the unit system's own test (the first banded Cholesky),
-        # the beam's banded gate refuses it
-        monkeypatch.setattr(fem, "_ME0", fem._ME0 - 200 * np.eye(4, dtype=int))
-        if not unit_gate:
-            banded, calls = fem._band_positive_definite, []
-
-            def unit_passes(a, band):
-                calls.append(a.shape)
-                return len(calls) == 1 or banded(a, band)
-
-            monkeypatch.setattr(fem, "_band_positive_definite", unit_passes)
+                                             cold_unit_caches, n, margin):
+        # unit-gated: an indefinite unit mass. margin-gated: an element mass
+        # that nearly annihilates a rigid translation t makes the free-free
+        # unit mass definite, with its Jacobi-scaled smallest eigenvalue
+        # below _MASS_MARGIN: the unit beam's gate refuses it, so no copy
+        # inherits a margin its rounding could use up
+        if margin:
+            t = np.array([1.0, 0.0, 1.0, 0.0])
+            mt = fem._ME0 @ t
+            element = fem._ME0 - (1 - 1e-8) * np.outer(mt, mt) / (t @ mt)
+            unit = _triplet_scatter(2 * np.arange(n)[:, None] + np.arange(4),
+                                    np.broadcast_to(element, (n, 4, 4)), 2 * (n + 1))
+            assert fem._positive_definite(unit)
+            d = 1 / np.sqrt(unit.diagonal())
+            scaled = d[:, None] * unit.toarray() * d
+            assert 0 < np.linalg.eigvalsh(scaled).min() < fem._MASS_MARGIN
+        else:
+            element = fem._ME0 - 200 * np.eye(4, dtype=int)
+        monkeypatch.setattr(fem, "_ME0", element)
         with pytest.raises(InvariantError, match="mass matrix not positive-definite"):
-            assemble_beam(ref_beam, silicon, n)
+            assemble_beam(ref_beam, silicon, n, clamped=not margin)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_band_cholesky_agrees_with_dense(self, monkeypatch, sparse):
@@ -895,9 +916,7 @@ class TestScaledBeam:
                 dense = True
             except np.linalg.LinAlgError:
                 dense = False
-            stored = fem._csc_type()(a)
-            assert fem._band_positive_definite(stored, fem._lower_band(stored)) == dense
-            assert fem._positive_definite(stored) == dense
+            assert fem._positive_definite(fem._csc_type()(a)) == dense
             verdicts.append(dense)
         assert 50 < sum(verdicts) < len(verdicts) - 50
 
@@ -907,6 +926,179 @@ class TestScaledBeam:
         geom = BeamGeometry(1e-62, 4e-63, 4e-63, VibrationAxis.IN_PLANE)
         with pytest.raises(InvariantError, match="entries must be normal floats"):
             assemble_beam(geom, silicon, 64)
+
+
+def _copy_gate(sys_):
+    """The value gate every scaled copy passed on its own entries before its
+    reference's extremes certified it (reference): K and M finite and
+    symmetric at _SYM_RTOL, and M positive-definite on the free dofs."""
+    for name, a in (("stiffness", sys_.stiffness), ("mass", sys_.mass)):
+        largest = abs(a.data).max()
+        if not np.isfinite(largest):
+            raise InvariantError(f"{name} matrix has non-finite entries")
+        if abs(a - a.T).max() > fem._SYM_RTOL * largest:
+            raise InvariantError(f"{name} matrix not symmetric")
+    if not fem._positive_definite(sys_._mf):
+        raise InvariantError("mass matrix not positive-definite on free dofs")
+
+
+def _verdict(call):
+    """(error type, message) of call(), or its result."""
+    try:
+        return call()
+    except ResokitError as exc:
+        return type(exc), str(exc)
+
+
+# lengths (or radii), Young's moduli and densities across the float range
+_EXTREMES = (1e-300, 1e-150, 1e-50, 1.0, 1e50, 1e150, 1e300)
+
+
+class TestCopyCertificate:
+    """A scaled copy is certified by its reference's extremes, with no gate
+    of its own: assemble_beam and assemble_disk accept and refuse exactly
+    the copies that the copy's own value gate (_copy_gate) accepts and
+    refuses, with equal error types, on beams and disks whose sizes, Young's
+    moduli and densities span 1e-300..1e300."""
+
+    @staticmethod
+    def _compare(monkeypatch, assemble, tally):
+        """Assemble (assemble(): the new verdict) and compare with the gate
+        on the copy it was certified as, built by _mapped from the recorded
+        scales. tally counts the kinds of verdict."""
+        recorded = []
+        certified = fem._certified
+
+        def recording(key, k_scale, m_scale, dd=1.0):
+            recorded.append((key, k_scale, m_scale, dd))
+            return certified(key, k_scale, m_scale, dd)
+
+        monkeypatch.setattr(fem, "_certified", recording)
+        with np.errstate(all="ignore"):   # a direct disk's element matrices may overflow
+            new = _verdict(assemble)
+        monkeypatch.undo()
+        if not recorded:   # refused or solved directly before any copy
+            assert isinstance(new, tuple) or new._congruence is None
+            tally["before"] += 1
+            return
+        (key, k_scale, m_scale, dd), = recorded
+        beam = key[0] is fem._beam_reference
+        with np.errstate(all="ignore"):
+            copy = fem._mapped(key, k_scale, m_scale, 1.0, 1.0, None, dd if beam else None)
+            smallest = min(abs(copy.stiffness.data).min(), abs(copy.mass.data).min())
+            ratio = k_scale / m_scale
+        subnormal = not smallest >= np.finfo(float).tiny
+        if subnormal and not beam:   # solved directly, as before
+            assert isinstance(new, tuple) or new._congruence is None
+            tally["direct"] += 1
+            return
+        old = _verdict(lambda: _copy_gate(copy))
+        if old is None and beam:   # the checks after the gate, as before
+            if not 0 < ratio < math.inf:
+                old = InvariantError, "beam eigenvalue scale"
+            elif subnormal:
+                old = InvariantError, "beam matrix entries must be normal floats"
+        if old is None:
+            assert new._congruence is not None
+            _assert_same_system(new, copy)
+            tally["accepted"] += 1
+            return
+        assert isinstance(new, tuple) and new[0] is old[0]
+        if new[1].startswith(old[1]):
+            tally[old[1]] += 1
+        else:
+            # a mass with entries below the normal range is no longer
+            # factored: it is refused as not normal
+            assert beam and abs(copy.mass.data).min() < np.finfo(float).tiny
+            assert new[1].startswith("beam matrix entries must be normal floats")
+            tally["now normal"] += 1
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 151, 1024])
+    def test_beam_verdicts(self, monkeypatch, n, clamped):
+        tally = collections.Counter()
+        for length, e_mod, rho in itertools.product(_EXTREMES, repeat=3):
+            for dims in ((length, 0.46e-6, 0.4e-6), (length, 0.046 * length, 0.04 * length)):
+                self._compare(monkeypatch, lambda: assemble_beam(
+                    BeamGeometry(*dims, VibrationAxis.IN_PLANE),
+                    Material(e_mod, rho, 0.28), n, clamped), tally)
+        for kind in ("before", "accepted", "stiffness matrix has non-finite entries",
+                     "mass matrix has non-finite entries", "beam eigenvalue scale",
+                     "beam matrix entries must be normal floats", "now normal"):
+            assert tally[kind] > 0, kind
+
+    @pytest.mark.parametrize("divisor", [4.5, 8, 20])
+    def test_disk_verdicts(self, monkeypatch, divisor):
+        tally = collections.Counter()
+        for radius, e_mod, rho in itertools.product(_EXTREMES, repeat=3):
+            for dims in ((radius, 0.1 * radius), (radius, 0.4e-6)):
+                def assemble():
+                    geom = DiskGeometry(*dims)
+                    mesh = mesh_disk(geom, radius / divisor)
+                    return assemble_disk(geom, Material(e_mod, rho, 0.25), mesh)
+                self._compare(monkeypatch, assemble, tally)
+        # a copy's M cannot overflow: the reference's entries are below 1e-15
+        for kind in ("before", "accepted", "direct", "stiffness matrix has non-finite entries"):
+            assert tally[kind] > 0, kind
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 64, 1024])
+    def test_beam_extremes(self, n, clamped):
+        ref = fem._beam_reference(n, clamped)
+        for a, parity, (largest, smallest) in zip(fem._blocks(ref.system), ref.parity,
+                                                  ref.extremes):
+            for c in range(3):
+                assert largest[c] == abs(a.data[parity == c]).max()
+                assert smallest[c] == abs(a.data[parity == c]).min()
+
+    @pytest.mark.parametrize("divisor", [4.5, 20])
+    def test_disk_extremes(self, silicon, divisor):
+        ref = fem._disk_reference(max(4, round(divisor)), silicon.poisson_ratio)
+        for a, (largest, smallest) in zip((ref.system.stiffness, ref.system.mass),
+                                          ref.extremes):
+            assert largest.tolist() == [abs(a.data).max()]
+            assert smallest.tolist() == [abs(a.data).min()]
+
+    def test_asymmetry_is_measured_in_its_class(self, monkeypatch, cold_unit_caches):
+        # K0[w_i, theta_i] - K0[theta_i, w_i] = 1.2e-11 at every node: within
+        # _SYM_RTOL of K0's largest entry (24), not of its class's (6, the
+        # entries a copy scales by le)
+        asymmetric = fem._KE0.astype(float)
+        asymmetric[0, 1] += 1.2e-11
+        monkeypatch.setattr(fem, "_KE0", asymmetric)
+        n = 8
+        k = _triplet_scatter(2 * np.arange(n)[:, None] + np.arange(4),
+                             np.broadcast_to(asymmetric, (n, 4, 4)), 2 * (n + 1))
+        assert abs(k - k.T).max() <= fem._SYM_RTOL * abs(k).max()
+        with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
+            fem._beam_reference(n, True)
+
+    def test_reference_symmetry_keeps_the_copies_margin(self):
+        # asymmetric by _SYM_RTOL less one _COPY_ROUNDING: a system solved
+        # as it is passes, a reference (one class) is refused
+        a = np.ones(3)
+        at = a.copy()
+        at[1] = 1 - (fem._SYM_RTOL - fem._COPY_ROUNDING)
+        mf = fem._csc_type()(np.eye(2))
+        fem._gate(a, at, a, a, mf)
+        with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
+            fem._gate(a, at, a, a, mf, np.zeros(3, np.int8))
+
+    def test_warm_copies_are_not_gated(self, monkeypatch, ref_beam, ref_disk, silicon):
+        # no gate, symmetry scan or factorization once the reference is cached
+        mesh = mesh_disk(ref_disk, ref_disk.radius / 8)
+        expected = [assemble_beam(ref_beam, silicon, n) for n in (16, 400)]
+        expected.append(assemble_disk(ref_disk, silicon, mesh))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scaled copy was gated")
+
+        for name in ("_gate", "_positive_definite", "_symmetric_lu"):
+            monkeypatch.setattr(fem, name, refuse)
+        got = [assemble_beam(ref_beam, silicon, n) for n in (16, 400)]
+        got.append(assemble_disk(ref_disk, silicon, mesh))
+        for a, b in zip(got, expected):
+            _assert_same_system(a, b)
 
 
 class TestBackwardErrorGate:
@@ -1353,31 +1545,24 @@ class TestDiskTopology:
     def test_symmetry_gate_reads_the_stored_matrices(self, monkeypatch, cold_disk_topologies,
                                                      silicon, divisor):
         # the gate's max|A - A^T| and max|A|, on the reference disk's slot
-        # sums and on a scaled disk's entries and their transposes' (an
-        # appended 0 where a transpose cancelled), are those of the stored
-        # K and M
+        # sums, are those of the stored K and M; the scaled disk is not
+        # gated again
         recorded = []
         gate = fem._gate
 
-        def recording(k, kt, m, mt, mf, positive_definite):
+        def recording(k, kt, m, mt, mf, parity=None):
             recorded.append((abs(k - kt).max(), abs(k).max(), abs(m - mt).max(), abs(m).max()))
-            return gate(k, kt, m, mt, mf, positive_definite)
+            return gate(k, kt, m, mt, mf, parity)
 
         monkeypatch.setattr(fem, "_gate", recording)
         geom = DiskGeometry(5.3e-6, 0.9e-6)
         sys_ = assemble_disk(geom, silicon, mesh_disk(geom, geom.radius / divisor))
         ref = fem._disk_reference(sys_.mesh._topology.rings, silicon.poisson_ratio).system
-        expected = []
-        for system in (ref, sys_):
-            numbers = []
-            for a in (system.stiffness.toarray(), system.mass.toarray()):
-                numbers += [abs(a - a.T).max(), abs(a).max()]
-            expected.append(tuple(numbers))
-        assert recorded == expected and expected[1][0] > 0
-        # some transposes of K cancelled to an exact 0 (not stored)
-        k_transpose, _ = fem._disk_reference(sys_.mesh._topology.rings,
-                                             silicon.poisson_ratio).transposes
-        assert np.any(k_transpose == len(sys_.stiffness.data))
+        numbers = []
+        for a in (ref.stiffness.toarray(), ref.mass.toarray()):
+            numbers += [abs(a - a.T).max(), abs(a).max()]
+        assert sys_._congruence is not None
+        assert recorded == [tuple(numbers)] and numbers[0] > 0
 
     @pytest.mark.parametrize("divisor", [5, 8])
     def test_asymmetric_element_matrix_refused(self, monkeypatch, cold_disk_topologies,
@@ -1420,9 +1605,8 @@ def _search_transposes(a):
     """For each stored entry of the canonical CSC matrix a, the position in
     a.data of its transpose's entry, or len(a.data) where that entry is
     not stored (an exact 0), int32: a binary search of each entry's
-    transpose key among the sorted (column, row) keys, as the transpose
-    positions were found before _compressed read them off the plan
-    (reference)."""
+    transpose key among the sorted (column, row) keys, independent of the
+    plan (reference)."""
     n = a.shape[0]
     rows, cols = a.indices.astype(np.int64), np.repeat(np.arange(n), np.diff(a.indptr))
     keys = np.append(cols * n + rows, -1)   # ascending, then a key no entry has
@@ -1432,34 +1616,51 @@ def _search_transposes(a):
 
 
 class TestTransposePositions:
-    """The position of each stored entry's transpose in a reference's K and
-    M, read off the plan by _compressed, is bitwise the binary search's."""
+    """The transposes a reference's symmetry gate reads off the plan (the
+    slot sums at _Plan.transpose) are, at each stored entry, the stored
+    transposes that the binary search finds: an exact 0 where a transpose
+    cancelled."""
 
     @staticmethod
-    def _check(ref):
-        for a, transpose in zip((ref.system.stiffness, ref.system.mass), ref.transposes):
-            expected = _search_transposes(a)
-            assert transpose.dtype == expected.dtype and np.array_equal(transpose, expected)
-            assert not transpose.flags.writeable
+    def _check(monkeypatch, build, *args):
+        """Build a reference uncached (no eviction), recording its gate's
+        arguments; returns the reference and how many of K's transposes
+        cancelled."""
+        recorded = []
+        gate = fem._gate
+
+        def recording(k, kt, m, mt, mf, parity=None):
+            recorded.append(((k, kt), (m, mt)))
+            return gate(k, kt, m, mt, mf, parity)
+
+        monkeypatch.setattr(fem, "_gate", recording)
+        ref = build.__wrapped__(*args)
+        monkeypatch.undo()
+        (sums,) = recorded
+        cancelled = []
+        for a, (slots, transposes) in zip((ref.system.stiffness, ref.system.mass), sums):
+            kept = slots != 0
+            assert np.array_equal(slots[kept], a.data)
+            position = _search_transposes(a)
+            assert _bits_equal(transposes[kept], np.append(a.data, 0.0)[position])
+            cancelled.append(int(np.sum(position == len(a.data))))
+        return ref, cancelled
 
     @pytest.mark.parametrize("clamped", [True, False])
     @pytest.mark.parametrize("n", [2, 3, 64, 151, 152, 1024])
-    def test_unit_beam(self, n, clamped):
-        self._check(fem._beam_reference.__wrapped__(n, clamped))   # uncached: no eviction
+    def test_unit_beam(self, monkeypatch, n, clamped):
+        self._check(monkeypatch, fem._beam_reference, n, clamped)
 
     @pytest.mark.parametrize("nu", [0.2, 0.25, 0.3])
     @pytest.mark.parametrize("divisor", [4.5, 5, 7, 8, 12, 16, 20])
-    def test_reference_disk(self, divisor, nu):
-        self._check(fem._disk_reference.__wrapped__(max(4, round(divisor)), nu))
+    def test_reference_disk(self, monkeypatch, divisor, nu):
+        self._check(monkeypatch, fem._disk_reference, max(4, round(divisor)), nu)
 
-    def test_cancelled_transpose_is_the_appended_zero(self):
+    def test_cancelled_transpose_is_the_appended_zero(self, monkeypatch):
         # at R/20, nu = 0.25, 11 transposes of K's entries cancel to an
-        # exact 0, which is not stored
-        ref = fem._disk_reference.__wrapped__(20, 0.25)
-        k_transpose, m_transpose = ref.transposes
-        assert np.sum(k_transpose == len(ref.system.stiffness.data)) == 11
-        assert np.all(m_transpose < len(ref.system.mass.data))
-        self._check(ref)
+        # exact 0, which is not stored: the gate reads the 0 of its slot
+        _, cancelled = self._check(monkeypatch, fem._disk_reference, 20, 0.25)
+        assert cancelled == [11, 0]
 
 
 def _component_matrices(seed):
@@ -1524,25 +1725,9 @@ class TestComponentMassGate:
         assert fem._positive_definite(disk_r12.mass)
         assert sizes == [len(disk_r12.dof_map) // 2]
 
-    @pytest.mark.parametrize("divisor", [4.5, 8, 12, 20])
-    def test_disk_mass_is_band_factored(self, monkeypatch, ref_disk, silicon, divisor):
-        # a mesh_disk disk's mass gate is a banded Cholesky of Ms with the
-        # nodes in x order (half-bandwidth about 3m): no LDL^T
-        mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
-        _, _, n, kd = fem._disk_reference(mesh._topology.rings, silicon.poisson_ratio).band
-        assert n == len(mesh.nodes) and kd <= 3 * mesh._topology.rings + 1
-
-        def refuse(a):
-            raise AssertionError("the mass was factored by LU")
-
-        monkeypatch.setattr(fem, "_symmetric_lu", refuse)
-        sys_ = assemble_disk(ref_disk, silicon, mesh)
-        monkeypatch.undo()
-        assert fem._positive_definite(sys_.mass)
-
     def test_disk_mass_band_verdict_agrees(self, ref_disk, silicon):
-        # diagonal entries of Ms scaled down: the banded test, the general
-        # test and the eigenvalues agree, definite and not
+        # diagonal entries of Ms scaled down: the general test (on Ms alone)
+        # and the eigenvalues agree, definite and not
         mesh = mesh_disk(ref_disk, ref_disk.radius / 6)
         mass = assemble_disk(ref_disk, silicon, mesh).mass.toarray()
         rng = np.random.default_rng(6)
@@ -1555,10 +1740,8 @@ class TestComponentMassGate:
             eig = np.linalg.eigvalsh(shifted)
             if abs(eig).min() < 1e-6 * abs(eig).max():   # too near singular to compare
                 continue
-            stored = fem._csc_type()(shifted)
-            verdict = fem._band_positive_definite(
-                stored, fem._lower_band(stored, mesh._topology.order))
-            assert verdict == fem._positive_definite(stored) == (eig.min() > 0)
+            verdict = fem._positive_definite(fem._csc_type()(shifted))
+            assert verdict == (eig.min() > 0)
             verdicts.append(verdict)
         assert 10 < sum(verdicts) < len(verdicts) - 10
 
@@ -1777,37 +1960,32 @@ class TestUnitDisk:
     def test_reference_is_built_once_per_ring_count_and_nu(self, monkeypatch, silicon,
                                                            cold_disk_topologies):
         # a cold disk_modal_fem sums the element matrices of its reference
-        # disk alone (at R0), factors the reference's mass and its own in a
-        # band and K - sigma M by LU; a warm one sums none and factors only
-        # its own mass
+        # disk alone (at R0), factors the reference's Ms for the mass gate
+        # (by dense Cholesky: at most 300 nodes) and K - sigma M by LU; a
+        # warm one sums and factors nothing
         calls = []
-        lu, banded, system = fem._symmetric_lu, fem._band_positive_definite, fem._system
+        lu, system = fem._symmetric_lu, fem._system
 
         def recording_lu(a):
             calls.append(("lu", a.shape[0]))
             return lu(a)
-
-        def recording_band(a, band):
-            calls.append(("band", a.shape[0]))
-            return banded(a, band)
 
         def recording_system(plan, ke, me, mesh=None, *rest):
             calls.append(("system", mesh._radius))
             return system(plan, ke, me, mesh, *rest)
 
         monkeypatch.setattr(fem, "_symmetric_lu", recording_lu)
-        monkeypatch.setattr(fem, "_band_positive_definite", recording_band)
         monkeypatch.setattr(fem, "_system", recording_system)
         softer = Material(silicon.youngs_modulus, silicon.density, 0.21)
         r0 = fem._REF_DISK[2]
         n8, n9 = 2 * (1 + 3 * 8 * 9), 2 * (1 + 3 * 9 * 10)
-        cold, warm = [("system", r0), ("band", n8), ("band", n8), ("lu", n8)], [("band", n8)]
+        cold, warm = [("system", r0), ("lu", n8)], []
         for geom, mat, rings, expected in (
                 (DiskGeometry(4e-6, 0.5e-6), silicon, 8, cold),
                 (DiskGeometry(7e-6, 0.9e-6), silicon, 8, warm),
                 (DiskGeometry(4e-6, 0.5e-6), softer, 8, cold),
                 (DiskGeometry(4e-6, 0.5e-6), silicon, 9,
-                 [("system", r0), ("band", n9), ("band", n9), ("lu", n9)]),
+                 [("system", r0), ("lu", n9)]),
                 (DiskGeometry(2e-6, 0.3e-6), softer, 8, warm)):
             calls.clear()
             fem.disk_modal_fem(geom, mat, mesh_disk(geom, geom.radius / rings))
