@@ -7,15 +7,17 @@ built for all elements at once. One function, _plan, numbers the dofs of
 a mesh topology and works out where each element entry is summed; one
 function, _system, sums the element matrices by that plan and gates the
 result, for the unit beam, every reference disk and every disk on a
-caller's mesh.
+caller's mesh. _system certifies the mass positive-definite by its
+element matrices, with no factorization (Wathen's bound); only a system
+built with AssembledSystem(...) from a caller's matrices, which has no
+elements, has its mass factored (_positive_definite).
 
 K and M are stored in one form at every size: canonical read-only CSC.
 One threshold, _SPARSE_MIN_DOF (300 free dofs), picks only how a pencil is
-factored. At or below it, Cholesky of the dense copy (toarray) proves the
-mass matrix SPD and LAPACK dsygvx, called directly as scipy.linalg.eigh
-would call it, returns the modes from the dense copies. Above it, the mass
-matrix is proved SPD with a sparse LDL^T, and the lowest modes come from
-shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished by
+factored. At or below it, LAPACK dsygvx, called directly as
+scipy.linalg.eigh would call it, returns the modes from the dense copies
+(toarray). Above it, the lowest modes come from shift-invert Lanczos
+(ARPACK) on a sparse LU of K - sigma*M, polished by
 an inverse-iteration step and a Rayleigh-Ritz projection (dsygvx again),
 repeated at most twice while a pair is near a gate. LAPACK is faster on
 small systems, and ARPACK needs k well below n: a larger system asked for
@@ -35,19 +37,19 @@ smallest |entry| of K0 and M0 in each class of D.D, the scaled norms of
 the backward-error gate and, for a beam, the class of each entry. A copy
 (_mapped) forms no element matrix: K = c_K D K0 D and M = c_M D M0 D are
 its scalars and D times the stored entries of K0 and M0, bitwise the sum
-of its scaled element matrices, sharing the reference's dof tables and
-CSC index arrays. A copy is certified by its congruence, not gated again.
+of its scaled element matrices, sharing the reference's dof tables and CSC
+index arrays. A copy is certified by its congruence, not gated again.
 Rounding is monotone, so its largest and smallest entries in a class are
-the reference's scaled (_certified). A copy whose entries are all
-finite and normal is symmetric and has M positive-definite: its rounding
-is a componentwise relative perturbation too small to use up the margins
-its reference was gated with, and by Sylvester's law of inertia the
-congruence keeps M definite (see _Reference). Its free-dof pencil is
+the reference's scaled (_certified). A copy whose entries are all finite
+and normal is symmetric and has M positive-definite: its rounding is a
+componentwise relative perturbation too small to use up the margins its
+reference was gated and certified with, and by Sylvester's law of inertia
+the congruence keeps M definite (see _Reference). Its free-dof pencil is
 congruent to the reference's, so the reference pairs K0 psi = mu M0 psi
-give the copy's exactly: lambda = mu * ratio, ratio = c_K / c_M, and
-phi = psi / d, d the diagonal of D on the free dofs. Jacobi scaling undoes
-the congruence, so the scaled norms are the reference's, ||DMD||_F over
-ratio. solve_modes takes (mu, psi) from one small LRU cache keyed by the
+give the copy's exactly: lambda = mu * ratio, ratio = c_K / c_M, and phi =
+psi / d, d the diagonal of D on the free dofs. Jacobi scaling undoes the
+congruence, so the scaled norms are the reference's, ||DMD||_F over ratio.
+solve_modes takes (mu, psi) from one small LRU cache keyed by the
 reference and k, filled through the factorization dispatch above; the
 gates, normalization and sign convention then run on the copy's own K and
 M. The two cases differ in D:
@@ -75,11 +77,8 @@ below the normal float range (where the congruence holds only to the
 subnormal grid) is refused; such a disk, a disk on a mesh built by a
 caller and a system built with AssembledSystem(...) directly are solved
 directly. A caller's mesh gets its plan from the same function,
-uncached, and its element matrices are summed as a reference disk's are.
-Its mass, as a reference's, is tested by _positive_definite, which
-factors only the n/2 x n/2 block Ms whenever the stored entries show that
-structure (the CST mass is Ms (x) I2 up to the dof order): an exact
-reduction.
+uncached, and its element matrices are summed and certified as a
+reference disk's are.
 
 The reference disk's scale matters: ARPACK accepts a Ritz value
 theta = 1/(lambda - sigma) once its error bound is below
@@ -131,9 +130,10 @@ _SYM_RTOL = 1e-12          # symmetry tolerance for assembled matrices
 # the relative rounding of a scaled copy's entry, at most: two products
 # (u each) and libm's le^2 (under one ulp), with room to spare
 _COPY_ROUNDING = 4 * np.finfo(float).eps
-# a reference mass M0 must keep M0 - _MASS_MARGIN diag(M0) positive-definite:
-# far above _COPY_ROUNDING times the entries in a row, far below the 0.25
-# (beams) and 0.5 (disks) of its Jacobi-scaled smallest eigenvalue
+# the Jacobi-scaled element mass template (_ME0, _ME_TRI) must have its
+# smallest eigenvalue above this, which by Wathen's bound is a floor on
+# every assembled mass's (_system): far above _COPY_ROUNDING times the
+# entries in a row, far below the 0.0389 of _ME0 and the 0.5 of _ME_TRI
 _MASS_MARGIN = 1e-6
 _RESIDUAL_BOUND = 1e-8     # relative eigen-residual bound per returned mode
 _BACKWARD_BOUND = 1e-12    # Jacobi-scaled backward-error bound per returned mode
@@ -291,7 +291,9 @@ class AssembledSystem:
         if k.shape != (n, n) or m.shape != (n, n):
             raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
         kf, mf = _free_blocks(layout.free, k, m)
-        _gate(k, k.T, m, m.T, mf)
+        _gate(k, k.T, m, m.T)
+        if not _positive_definite(mf):   # no elements to certify it by
+            raise InvariantError("mass matrix not positive-definite on free dofs")
         self._set(layout, k, m, kf, mf, self.mesh)
 
     @classmethod
@@ -373,18 +375,19 @@ def _symmetric_lu(a):
                 options={"SymmetricMode": True})
 
 
-def _gate(k, kt, m, mt, mf, parity=None):
+def _gate(k, kt, m, mt, parity=None):
     """The value gate of a system that is solved as it is or is a
-    reference: K and M finite and symmetric, and M positive-definite on the
-    free dofs (_positive_definite of mf). k and m are K and M, or arrays of
-    their entries; kt and mt hold the same entries of the transposes.
+    reference: K and M finite and symmetric. k and m are K and M, or arrays
+    of their entries; kt and mt hold the same entries of the transposes.
+    Whether M is positive-definite on the free dofs is the caller's test:
+    _system certifies it by the element matrices, AssembledSystem(...)
+    factors it (_positive_definite).
 
     A reference (parity given: the D.D class of each entry, see
-    _Reference) passes it with the margins that its scaled copies inherit:
+    _Reference) passes it with the margin that its scaled copies inherit:
     symmetric in each class to _SYM_RTOL less 3 _COPY_ROUNDING of the
-    class's largest entry, and mf - _MASS_MARGIN diag(mf)
-    positive-definite. A copy is not gated again: its reference's extremes
-    certify it (_certified)."""
+    class's largest entry. A copy is not gated again: its reference's
+    extremes certify it (_certified)."""
     rtol = _SYM_RTOL if parity is None else _SYM_RTOL - 3 * _COPY_ROUNDING
     for name, a, at in (("stiffness", k, kt), ("mass", m, mt)):
         largest = abs(a).max()   # NaN if an entry is NaN
@@ -399,42 +402,13 @@ def _gate(k, kt, m, mt, mf, parity=None):
             asymmetric = skew.max() > rtol * largest
         if asymmetric:
             raise InvariantError(f"{name} matrix not symmetric")
-    del skew   # not held through the factorization below
-    if parity is not None:
-        mf = _scaled(mf, 1.0, np.where(mf.indices == _columns(mf.indptr), 1 - _MASS_MARGIN, 1.0))
-    if not _positive_definite(mf):
-        raise InvariantError("mass matrix not positive-definite on free dofs")
-
-
-def _component_block(a):
-    """The CSC block of the CSC matrix a on its even dofs, when the even and
-    odd dofs are uncoupled and their two blocks are equal (a = Ms (x) I2 up
-    to the dof order, as the CST mass of a disk is); None otherwise."""
-    n = a.shape[0]
-    if n % 2 or n == 0:
-        return None
-    counts = np.diff(a.indptr)
-    if not np.array_equal(counts[0::2], counts[1::2]):
-        return None
-    even = _columns(a.indptr) % 2 == 0   # entries of the even columns
-    rows = a.indices
-    if not (np.array_equal(rows % 2 == 0, even) and np.array_equal(rows[even], rows[~even] - 1)
-            and np.array_equal(a.data[even], a.data[~even])):
-        return None
-    indptr = np.concatenate(([0], np.cumsum(counts[0::2])))
-    return _csc_type()((a.data[even], rows[even] // 2, indptr), shape=(n // 2, n // 2))
 
 
 def _positive_definite(a) -> bool:
-    """Whether the CSC matrix a is positive-definite. Where
-    _component_block finds a = Ms (x) I2, the test runs on Ms alone, an
-    exact reduction: a is positive-definite iff Ms is. With at most
-    _SPARSE_MIN_DOF rows left: Cholesky (LAPACK dpotrf) of the dense copy
+    """Whether the CSC matrix a is positive-definite. With at most
+    _SPARSE_MIN_DOF rows: Cholesky (LAPACK dpotrf) of the dense copy
     succeeds. Above: the symmetric LU pivots only on the diagonal
     (perm_r == perm_c, so it is an LDL^T) and every pivot is positive."""
-    block = _component_block(a)
-    if block is not None:
-        a = block
     if a.shape[0] <= _SPARSE_MIN_DOF:
         from scipy.linalg.lapack import dpotrf
         return dpotrf(a.toarray(), lower=1, overwrite_a=1, clean=0)[1] == 0
@@ -503,10 +477,11 @@ def _plan(elements: np.ndarray, comps: tuple, n_nodes: int,
                  *(_readonly(a.astype(np.int32)) for a in (rows, indptr, transpose)))
 
 
-def _system(plan: _Plan, ke, me, mesh: Mesh | None = None, odd=None) -> AssembledSystem:
-    """The gated AssembledSystem of element matrices ke[e], me[e] (or one
-    pair for every element) summed by plan. A reference is gated with
-    margins (_gate): odd marks its dofs that D scales by le (a beam's
+def _system(plan: _Plan, ke, me, scale, mesh: Mesh | None = None, odd=None) -> AssembledSystem:
+    """The gated AssembledSystem of element stiffness matrices ke[e] (or
+    one for every element) and element masses scale[e] * me (a scalar
+    scale: one for every element), summed by plan. A reference is gated
+    with margins (_gate): odd marks its dofs that D scales by le (a beam's
     rotations; none of a disk's), so that an entry's D.D class is odd at
     its row plus odd at its column.
 
@@ -517,15 +492,42 @@ def _system(plan: _Plan, ke, me, mesh: Mesh | None = None, odd=None) -> Assemble
     conversion drops them; the symmetry gate reads every slot and its
     transpose slot, the union of the patterns of K and K^T, so it computes
     max|K - K^T| as on the stored matrices.
+
+    M is certified positive-definite on the free dofs by its elements,
+    with no factorization (Wathen, "Realistic eigenvalue bounds for the
+    Galerkin mass matrix", IMA J. Numer. Anal. 7, 1987). Let a be the
+    smallest eigenvalue of the Jacobi-scaled template J^-1/2 me J^-1/2,
+    J = diag(me). Each element has x_e^T me x_e >= a x_e^T J x_e, so their
+    sum with weights scale[e] > 0 has x^T M x >= a x^T diag(M) x. For x
+    on the free dofs that is the free block M_f, whose Jacobi-scaled
+    eigenvalues are therefore at least a (as Cauchy interlacing gives for a
+    principal submatrix) once diag(M_f) > 0: every free dof lies in some
+    element. Where diag(M_f) is normal, the rounded products and sums move
+    each Jacobi-scaled entry by at most about c eps, c the elements that
+    feed it (|me_ij| <= (me_ii me_jj)^1/2; a product below the normal range
+    is off by at most eps tiny / 2), and the eigenvalues by that times the
+    entries in a row: far below a, which must exceed _MASS_MARGIN. A
+    template below the margin, a scale not finite and > 0 or a free dof in
+    no element is refused as not positive-definite; a free diagonal entry
+    below the normal range as not normal.
     """
     layout, shape = plan.layout, plan.slot.shape
     slot = plan.slot.ravel()
+    with np.errstate(invalid="ignore"):   # inf * 0: the gate reports a non-finite scale
+        masses = np.multiply.outer(scale, me)
     k_sum, m_sum = (np.bincount(slot, weights=np.broadcast_to(e, shape).ravel(),
-                                minlength=len(plan.rows)) for e in (ke, me))
+                                minlength=len(plan.rows)) for e in (ke, masses))
     k, m = (_compressed(plan, s) for s in (k_sum, m_sum))
     kf, mf = _free_blocks(layout.free, k, m)
     parity = None if odd is None else odd[plan.rows] + odd[_columns(plan.indptr)]
-    _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], mf, parity)
+    _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], parity)
+    j, diag = np.diagonal(me), mf.diagonal()
+    if not (np.all((0 < scale) & (scale < math.inf)) and np.all(j > 0) and np.all(diag > 0)
+            and np.linalg.eigvalsh(me / np.sqrt(np.outer(j, j))).min() > _MASS_MARGIN):
+        raise InvariantError("mass matrix not positive-definite on free dofs")
+    least = float(diag.min(initial=math.inf))
+    if not least >= np.finfo(float).tiny:
+        raise InvariantError(f"mass matrix entries must be normal floats, got {least!r}")
     return AssembledSystem._of(layout, k, m, kf, mf, mesh)
 
 
@@ -543,8 +545,8 @@ def _compressed(plan: _Plan, data: np.ndarray):
 
 class _Reference(NamedTuple):
     """A cached reference system that beams or disks are scaled copies of
-    (see the module docstring): the system, gated with margins (_gate);
-    the (largest, smallest) |entry| of K and of M in each D.D class
+    (see the module docstring): the system, gated with margins (_gate)
+    and its mass certified (_system); the (largest, smallest) |entry| of K and of M in each D.D class
     (arrays by class: a beam's 0, 1, 2, a disk's one); (||DKD||_F,
     ||DMD||_F) of its free-dof pencil, D = |diag K|^-1/2, for the
     backward-error gate; and the class of each stored entry of
@@ -565,13 +567,13 @@ class _Reference(NamedTuple):
       copy's scaled free-dof mass is A0 + E, A0 the reference's, with
       |E_ij| <= e |A0_ij| <= e (A0 is definite with unit diagonal). So
       ||E|| <= e r, r the most entries in a row (6 for a beam, 7 for a
-      disk), about 6e-15, and the reference proved lambda_min(A0) >
-      _MASS_MARGIN = 1e-6 (M0 - _MASS_MARGIN diag(M0) positive-definite),
-      so by Weyl's inequality and Sylvester's law of inertia the copy's
-      mass is definite. Its measured lambda_min(A0) is 0.25 for unit
-      beams and 0.5 for reference disks, the element bounds of Wathen,
-      "Realistic eigenvalue bounds for the Galerkin mass matrix", IMA J.
-      Numer. Anal. 7, 1987.
+      disk), about 6e-15. The reference's build certified lambda_min(A0)
+      by Wathen's element bound (_system): at least the Jacobi-scaled
+      element template's, which exceeds _MASS_MARGIN = 1e-6, less a
+      rounding of the same order as e r. So by Weyl's inequality and
+      Sylvester's law of inertia the copy's mass is definite. The measured
+      lambda_min(A0) is 0.25 for unit beams and 0.5 for reference disks
+      (the templates': 0.0389 for _ME0, 0.5 for _ME_TRI).
     A beam copy's inner products x dd_p stay normal whenever its K is
     finite: le below 1.5e-154, where le^2 is subnormal, makes le^3 = 0 and
     c_K not finite; otherwise every dd_p is normal and every |x| >= 1."""
@@ -680,7 +682,7 @@ def _beam_reference(n_elements: int, clamped: bool) -> _Reference:
     plan = _plan(np.arange(n_elements)[:, None] + np.arange(2), ("w", "theta"),
                  n_elements + 1, (0, n_elements) if clamped else ())
     odd = np.arange(2 * (n_elements + 1), dtype=np.int8) % 2   # the rotation dofs
-    return _reference_of(_system(plan, _KE0, _ME0, odd=odd), odd)
+    return _reference_of(_system(plan, _KE0, _ME0, 1.0, odd=odd), odd)
 
 
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
@@ -868,27 +870,29 @@ def _disk_reference(rings: int, nu: float) -> _Reference:
 def _disk_system(mesh: Mesh, e_mod, nu, rho, t, odd=None) -> AssembledSystem:
     """_system of the CST elements of a disk of thickness t and material
     (e_mod, nu, rho) on mesh, with no congruence recorded; odd as there
-    for a reference disk."""
-    d_mat = e_mod / (1 - nu**2) * np.array([
-        [1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]])
+    for a reference disk. An entry that overflows is left to the gate to
+    report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_mat = e_mod / (1 - nu**2) * np.array([
+            [1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]])
 
-    x, y = mesh.nodes[mesh.elements, 0], mesh.nodes[mesh.elements, 1]  # (E, 3)
-    area = mesh.triangle_areas()
-    b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)   # b_i = y_j - y_l
-    c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)   # c_i = x_l - x_j
-    b_mat = np.zeros((len(area), 3, 6))
-    b_mat[:, 0, 0::2] = b
-    b_mat[:, 1, 1::2] = c
-    b_mat[:, 2, 0::2] = c
-    b_mat[:, 2, 1::2] = b
-    b_mat *= (0.5 / area)[:, None, None]   # 1/det, det = 2*area exactly
-    # batched matmul, not einsum: it rounds exactly as the per-element B^T D B
-    ke = (t * area)[:, None, None] * (b_mat.transpose(0, 2, 1) @ d_mat @ b_mat)
-    me = (rho * t * area)[:, None, None] * _ME_TRI
+        x, y = mesh.nodes[mesh.elements, 0], mesh.nodes[mesh.elements, 1]  # (E, 3)
+        area = mesh.triangle_areas()
+        b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)   # b_i = y_j - y_l
+        c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)   # c_i = x_l - x_j
+        b_mat = np.zeros((len(area), 3, 6))
+        b_mat[:, 0, 0::2] = b
+        b_mat[:, 1, 1::2] = c
+        b_mat[:, 2, 0::2] = c
+        b_mat[:, 2, 1::2] = b
+        b_mat *= (0.5 / area)[:, None, None]   # 1/det, det = 2*area exactly
+        # batched matmul, not einsum: it rounds exactly as the per-element B^T D B
+        ke = (t * area)[:, None, None] * (b_mat.transpose(0, 2, 1) @ d_mat @ b_mat)
+        scale = rho * t * area
     topology = mesh._topology
     plan = (_plan(mesh.elements, ("ux", "uy"), len(mesh.nodes)) if topology is None
             else topology.plan)
-    return _system(plan, ke, me, mesh, odd)
+    return _system(plan, ke, _ME_TRI, scale, mesh, odd)
 
 
 # ---------------------------------------------------------------------------

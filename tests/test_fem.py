@@ -446,9 +446,9 @@ class TestSparseStorage:
         calls = []
         system = fem._system
 
-        def recording(plan, ke, me, mesh=None, *rest):
-            calls.append((ke, me, mesh))
-            return system(plan, ke, me, mesh, *rest)
+        def recording(plan, ke, me, scale, mesh=None, *rest):
+            calls.append((ke, scale[:, None, None] * me, mesh))
+            return system(plan, ke, me, scale, mesh, *rest)
 
         monkeypatch.setattr(fem, "_system", recording)
         sys_ = assemble(*args)
@@ -637,16 +637,18 @@ class TestDenseModes:
         with pytest.raises(EigenSolveError, match="dsygvx"):
             solve_modes(sys_, 1)
 
-    @pytest.mark.parametrize("e_mod", [1e100, 1e200])
+    @pytest.mark.parametrize("e_mod", [1e280, 1e290])
     def test_fewer_pairs_than_asked_is_eigen_solve_error(self, e_mod):
         # the eigenvalues of this disk's pencil overflow: dsygvx reports
-        # success but finds no pair
+        # success but finds no pair. Its mass entries (about 1.5e-50) are
+        # normal, and its eigenvalue ratio overflows, so it is solved directly
         geom = DiskGeometry(3e-6, 1e-6)
-        mat = Material(e_mod, 1e-300, 0.25)
+        mat = Material(e_mod, 1e-30, 0.25)
         mesh = mesh_disk(geom, 3e-6 / 5)
         with pytest.raises(EigenSolveError, match="dsygvx found 0 of 6 eigenpairs"):
             fem.solve_disk(geom, mat, mesh, 2)
         sys_ = assemble_disk(geom, mat, mesh)
+        assert sys_._congruence is None
         with pytest.raises(np.linalg.LinAlgError, match="found 0 of 4"):
             fem._dense_modes(sys_._kf.toarray(), sys_._mf.toarray(), 4)
 
@@ -974,7 +976,10 @@ class TestCopyCertificate:
             return certified(key, k_scale, m_scale, dd)
 
         monkeypatch.setattr(fem, "_certified", recording)
-        with np.errstate(all="ignore"):   # a direct disk's element matrices may overflow
+        # a mesh_disk mesh of radius 1e300 m overflows in its triangle areas,
+        # and _mapped in a beam's mapped mass norm where the eigenvalue ratio
+        # is subnormal: both warn
+        with np.errstate(all="ignore"):
             new = _verdict(assemble)
         monkeypatch.undo()
         if not recorded:   # refused or solved directly before any copy
@@ -988,8 +993,13 @@ class TestCopyCertificate:
             smallest = min(abs(copy.stiffness.data).min(), abs(copy.mass.data).min())
             ratio = k_scale / m_scale
         subnormal = not smallest >= np.finfo(float).tiny
-        if subnormal and not beam:   # solved directly, as before
+        if subnormal and not beam:   # summed directly, as before
             assert isinstance(new, tuple) or new._congruence is None
+            if isinstance(new, tuple) and "normal floats" in new[1]:
+                # the direct sum's certificate refuses a mass below the
+                # normal range
+                assert abs(copy.mass.data).min() < np.finfo(float).tiny
+                tally["direct, mass not normal"] += 1
             tally["direct"] += 1
             return
         old = _verdict(lambda: _copy_gate(copy))
@@ -1038,7 +1048,8 @@ class TestCopyCertificate:
                     return assemble_disk(geom, Material(e_mod, rho, 0.25), mesh)
                 self._compare(monkeypatch, assemble, tally)
         # a copy's M cannot overflow: the reference's entries are below 1e-15
-        for kind in ("before", "accepted", "direct", "stiffness matrix has non-finite entries"):
+        for kind in ("before", "accepted", "direct", "direct, mass not normal",
+                     "stiffness matrix has non-finite entries"):
             assert tally[kind] > 0, kind
 
     @pytest.mark.parametrize("clamped", [True, False])
@@ -1079,10 +1090,9 @@ class TestCopyCertificate:
         a = np.ones(3)
         at = a.copy()
         at[1] = 1 - (fem._SYM_RTOL - fem._COPY_ROUNDING)
-        mf = fem._csc_type()(np.eye(2))
-        fem._gate(a, at, a, a, mf)
+        fem._gate(a, at, a, a)
         with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
-            fem._gate(a, at, a, a, mf, np.zeros(3, np.int8))
+            fem._gate(a, at, a, a, np.zeros(3, np.int8))
 
     def test_warm_copies_are_not_gated(self, monkeypatch, ref_beam, ref_disk, silicon):
         # no gate, symmetry scan or factorization once the reference is cached
@@ -1550,9 +1560,9 @@ class TestDiskTopology:
         recorded = []
         gate = fem._gate
 
-        def recording(k, kt, m, mt, mf, parity=None):
+        def recording(k, kt, m, mt, parity=None):
             recorded.append((abs(k - kt).max(), abs(k).max(), abs(m - mt).max(), abs(m).max()))
-            return gate(k, kt, m, mt, mf, parity)
+            return gate(k, kt, m, mt, parity)
 
         monkeypatch.setattr(fem, "_gate", recording)
         geom = DiskGeometry(5.3e-6, 0.9e-6)
@@ -1629,9 +1639,9 @@ class TestTransposePositions:
         recorded = []
         gate = fem._gate
 
-        def recording(k, kt, m, mt, mf, parity=None):
+        def recording(k, kt, m, mt, parity=None):
             recorded.append(((k, kt), (m, mt)))
-            return gate(k, kt, m, mt, mf, parity)
+            return gate(k, kt, m, mt, parity)
 
         monkeypatch.setattr(fem, "_gate", recording)
         ref = build.__wrapped__(*args)
@@ -1684,9 +1694,10 @@ def _component_matrices(seed):
 
 
 class TestComponentMassGate:
-    """_positive_definite factors only the even-dof block of a matrix whose
-    even and odd dofs are uncoupled with equal blocks (a disk's mass); it
-    agrees with the full factorization on any symmetric matrix."""
+    """_positive_definite, the mass test of a system built with
+    AssembledSystem(...) from a caller's matrices, agrees with the
+    eigenvalues on any symmetric matrix, whether its even and odd dofs are
+    uncoupled with equal blocks (as a disk's mass) or not."""
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_agrees_with_full_factorization(self, monkeypatch, sparse):
@@ -1700,33 +1711,13 @@ class TestComponentMassGate:
             eig = np.linalg.eigvalsh(a)
             if abs(eig).min() < 1e-6 * abs(eig).max():   # too near singular to compare
                 continue
-            stored = fem._csc_type()(a)
-            block = fem._component_block(stored)
-            assert (block is not None) == decoupled
-            if block is not None:
-                assert type(block) is type(stored) and block.shape == (len(a) // 2,) * 2
-            assert fem._positive_definite(stored) == (eig.min() > 0)
+            assert fem._positive_definite(fem._csc_type()(a)) == (eig.min() > 0)
             verdicts[decoupled].append(eig.min() > 0)
         for found in verdicts.values():   # PD and indefinite, decoupled and coupled
             assert 20 < sum(found) < len(found) - 20
 
-    def test_disk_mass_is_reduced(self, disk_r12, monkeypatch):
-        block = fem._component_block(disk_r12.mass)
-        assert block is not None and block.shape[0] == len(disk_r12.dof_map) // 2
-        assert _bits_equal(block.toarray(), disk_r12.mass.toarray()[0::2, 0::2])
-        sizes = []
-        lu = fem._symmetric_lu
-
-        def recording(a):
-            sizes.append(a.shape[0])
-            return lu(a)
-
-        monkeypatch.setattr(fem, "_symmetric_lu", recording)
-        assert fem._positive_definite(disk_r12.mass)
-        assert sizes == [len(disk_r12.dof_map) // 2]
-
     def test_disk_mass_band_verdict_agrees(self, ref_disk, silicon):
-        # diagonal entries of Ms scaled down: the general test (on Ms alone)
+        # diagonal entries of a disk's mass scaled down: _positive_definite
         # and the eigenvalues agree, definite and not
         mesh = mesh_disk(ref_disk, ref_disk.radius / 6)
         mass = assemble_disk(ref_disk, silicon, mesh).mass.toarray()
@@ -1757,6 +1748,64 @@ class TestComponentMassGate:
         monkeypatch.setattr(fem, "_ME_TRI", template)
         with pytest.raises(InvariantError, match="mass matrix not positive-definite"):
             assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / divisor))
+
+
+def _scaled_least_eigenvalue(a) -> float:
+    """The smallest eigenvalue of the Jacobi-scaled dense symmetric a."""
+    d = 1 / np.sqrt(np.diagonal(a))
+    return float(np.linalg.eigvalsh(d[:, None] * a * d).min())
+
+
+class TestMassCertificate:
+    """_system certifies an assembled mass positive-definite by its element
+    template (Wathen's bound), with no factorization."""
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 16, 151, 512])
+    def test_unit_beam_mass_above_the_template(self, n, clamped):
+        mf = fem._beam_reference(n, clamped).system._mf.toarray()
+        assert _scaled_least_eigenvalue(mf) >= _scaled_least_eigenvalue(fem._ME0) - 1e-12
+
+    @pytest.mark.parametrize("divisor", [4.5, 6, 8, 12])
+    def test_reference_disk_mass_above_the_template(self, silicon, divisor):
+        ref = fem._disk_reference(max(4, round(divisor)), silicon.poisson_ratio)
+        assert (_scaled_least_eigenvalue(ref.system._mf.toarray())
+                >= _scaled_least_eigenvalue(fem._ME_TRI) - 1e-12)
+
+    def test_node_in_no_element_refused(self, ref_disk, silicon):
+        mesh = mesh_disk(ref_disk, ref_disk.radius / 5)
+        stray = Mesh(nodes=np.vstack([mesh.nodes, [[2 * ref_disk.radius, 0.0]]]),
+                     elements=mesh.elements, kind="plane_stress_2d")
+        with pytest.raises(InvariantError, match="mass matrix not positive-definite on free dofs"):
+            assemble_disk(ref_disk, silicon, stray)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
+    def test_element_scale_must_be_finite_and_positive(self, ref_disk, bad):
+        # one element's mass scaled by 0, negated or infinite
+        mesh = _caller_copy(mesh_disk(ref_disk, ref_disk.radius / 5))
+        plan = fem._plan(mesh.elements, ("ux", "uy"), len(mesh.nodes))
+        scale = mesh.triangle_areas()
+        ke = np.broadcast_to(np.eye(6), (len(scale), 6, 6))
+        fem._system(plan, ke, fem._ME_TRI, scale, mesh)
+        scale = scale.copy()
+        scale[7] = bad
+        with pytest.raises(InvariantError, match="mass matrix (not positive-definite on "
+                                                 "free dofs|has non-finite entries)"):
+            fem._system(plan, ke, fem._ME_TRI, scale, mesh)
+
+    def test_no_factorization_at_assembly(self, monkeypatch, cold_unit_caches,
+                                          cold_disk_topologies, ref_beam, ref_disk, silicon):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mass matrix was factored")
+
+        for name in ("_positive_definite", "_symmetric_lu"):
+            monkeypatch.setattr(fem, name, refuse)
+        for n in (64, 1024):
+            assert assemble_beam(ref_beam, silicon, n)._congruence is not None
+        for divisor in (8, 20):
+            mesh = mesh_disk(ref_disk, ref_disk.radius / divisor)
+            assert assemble_disk(ref_disk, silicon, mesh)._congruence is not None
+            assert assemble_disk(ref_disk, silicon, _caller_copy(mesh))._congruence is None
 
 
 @pytest.fixture(scope="module")
@@ -1855,10 +1904,16 @@ class TestDiskModal:
     def test_vectors_too_large_to_gate(self, silicon):
         # a 4e-307 m thick disk has mass entries near the float floor, so the
         # M-normalized vectors' norms overflow: the residual gate cannot be
-        # evaluated, and the solve fails rather than skip it
-        geom = DiskGeometry(3e-6, 0.4e-306)
+        # evaluated, and the solve fails rather than skip it. assemble_disk
+        # refuses that mass as not normal, so its K and M (the 0.4 um
+        # disk's times 1e-300, up to rounding) are a caller's matrices
+        geom = DiskGeometry(3e-6, 0.4e-6)
+        sys_ = assemble_disk(geom, silicon, mesh_disk(geom, 0.6e-6))
+        thin = AssembledSystem(1e-300 * sys_.stiffness, 1e-300 * sys_.mass, sys_.dof_map,
+                               sys_.constraints, sys_.mesh)
+        assert abs(thin.mass.data).max() < np.finfo(float).tiny
         with pytest.raises(EigenSolveError, match="overflow"):
-            disk_modal_fem(geom, silicon, mesh_disk(geom, 0.6e-6), n_modes=2)
+            solve_modes(thin, 5)
 
     def test_wineglass_within_5pct_of_analytic(self, modal, ref_disk, silicon):
         f_ref = disk_wineglass_frequency(ref_disk, silicon, 2)
@@ -1960,9 +2015,9 @@ class TestUnitDisk:
     def test_reference_is_built_once_per_ring_count_and_nu(self, monkeypatch, silicon,
                                                            cold_disk_topologies):
         # a cold disk_modal_fem sums the element matrices of its reference
-        # disk alone (at R0), factors the reference's Ms for the mass gate
-        # (by dense Cholesky: at most 300 nodes) and K - sigma M by LU; a
-        # warm one sums and factors nothing
+        # disk alone (at R0), certifies its mass by the element template
+        # and factors only K - sigma M, by LU; a warm one sums and factors
+        # nothing
         calls = []
         lu, system = fem._symmetric_lu, fem._system
 
@@ -1970,9 +2025,9 @@ class TestUnitDisk:
             calls.append(("lu", a.shape[0]))
             return lu(a)
 
-        def recording_system(plan, ke, me, mesh=None, *rest):
+        def recording_system(plan, ke, me, scale, mesh=None, *rest):
             calls.append(("system", mesh._radius))
-            return system(plan, ke, me, mesh, *rest)
+            return system(plan, ke, me, scale, mesh, *rest)
 
         monkeypatch.setattr(fem, "_symmetric_lu", recording_lu)
         monkeypatch.setattr(fem, "_system", recording_system)
@@ -2004,13 +2059,14 @@ class TestUnitDisk:
         mesh = mesh_disk(ref_disk, ref_disk.radius / 6)
         assert assemble_disk(ref_disk, silicon, mesh)._congruence is not None
         assert assemble_disk(ref_disk, silicon, _caller_copy(mesh))._congruence is None
-        # the mass of test_vectors_too_large_to_gate's disk is subnormal, so
-        # the congruence would hold only to the subnormal grid
+        # the mass of a 4e-307 m thick disk is subnormal, so the congruence
+        # would hold only to the subnormal grid: the disk is summed directly,
+        # and the certificate of its sum refuses it
         thin = DiskGeometry(3e-6, 0.4e-306)
-        sys_ = assemble_disk(thin, silicon, mesh_disk(thin, 0.6e-6))
-        assert sys_._congruence is None and abs(sys_.mass.data).min() < np.finfo(float).tiny
-        with pytest.raises(EigenSolveError, match="overflow"):
-            solve_modes(sys_, 5)
+        thin_mesh = mesh_disk(thin, 0.6e-6)
+        for mesh in (thin_mesh, _caller_copy(thin_mesh)):
+            with pytest.raises(InvariantError, match="mass matrix entries must be normal floats"):
+                assemble_disk(thin, silicon, mesh)
 
     @pytest.mark.parametrize("which", sorted(_NEAR_MISS_DISKS))
     def test_near_miss_disks_pass(self, which):
