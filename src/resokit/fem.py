@@ -14,11 +14,10 @@ elements, has its mass factored (_positive_definite).
 
 K and M are stored in one form at every size: canonical read-only CSC.
 One threshold, _SPARSE_MIN_DOF (300 free dofs), picks only how a pencil is
-factored. At or below it, LAPACK dsygvx, called directly as
-scipy.linalg.eigh would call it, returns the modes from the dense copies
-(toarray). Above it, the lowest modes come from shift-invert Lanczos
-(ARPACK) on a sparse LU of K - sigma*M, polished by
-an inverse-iteration step and a Rayleigh-Ritz projection (dsygvx again),
+factored. At or below it, scipy.linalg.eigh (LAPACK dsygvx) returns the
+modes from the dense copies (toarray). Above it, the lowest modes come
+from shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished
+by an inverse-iteration step and a Rayleigh-Ritz projection (eigh again),
 repeated at most twice while a pair is near a gate. LAPACK is faster on
 small systems, and ARPACK needs k well below n: a larger system asked for
 k >= n/4 modes is solved densely too. Both paths share the gates,
@@ -72,13 +71,15 @@ M. The two cases differ in D:
   c_M = d^2 = rho*t*R^2/(rho0*t0*R0^2) and
   ratio = (E/(rho*R^2)) / (E0/(rho0*R0^2)).
 
-A beam whose ratio is not finite and > 0 or whose K or M has an entry
+A beam whose ratio is not a normal float or whose K or M has an entry
 below the normal float range (where the congruence holds only to the
-subnormal grid) is refused; such a disk, a disk on a mesh built by a
+subnormal grid) is refused. A disk whose ratio is not finite and > 0 or
+whose K or M would have such an entry, a disk on a mesh built by a
 caller and a system built with AssembledSystem(...) directly are solved
-directly. A caller's mesh gets its plan from the same function,
-uncached, and its element matrices are summed and certified as a
-reference disk's are.
+directly, unless the eigenvalue scale of their pencil (the median of
+diag K / diag M) is not a normal float. A caller's mesh gets its plan
+from the same function, uncached, and its element matrices are summed
+and certified as a reference disk's are.
 
 The reference disk's scale matters: ARPACK accepts a Ritz value
 theta = 1/(lambda - sigma) once its error bound is below
@@ -93,9 +94,8 @@ normalized mode vectors (rigid ones too), angular orders, pair basis and
 mode shapes are the disk's as they are: scaling to unit peak
 displacement takes the scalar d out. All n_modes + 3 mapped pairs pass
 the gates of solve_modes on the disk's own K and M in one _accuracy
-call, or the disk is assembled from its element matrices and solved
-directly; only the effective masses are computed per disk, from its own
-mass and rim.
+call, or the disk is refused, as a beam is; only the effective masses
+are computed per disk, from its own mass and rim.
 
 solve_disk reports each degenerate pair of one angular order n > 0 in one
 basis: M-orthonormalized and rotated within its span so that the first
@@ -103,10 +103,10 @@ member's rim u_r has no sin(n theta) part and the second's no
 cos(n theta) part. Its effective mass and mode shape are then properties
 of the design, not of the basis a solver returned. A rotated pair passes
 the gates of solve_modes, or the pair keeps the basis it was solved in.
-To see a pair at the window's edge whole, a disk's solve keeps one spare
-pair beyond the wanted modes: the next Ritz pair of the shift-invert
-window of 2k (no wider window), or of the dense solve; a spare that fails
-a gate is dropped, never refused.
+To see a pair at the window's edge whole, a disk's own solve
+(_finish_disk) keeps one spare pair beyond the wanted modes: the next
+Ritz pair of the shift-invert window of 2k (no wider window), or of the
+dense solve; a spare that fails a gate is dropped, never refused.
 
 scipy.linalg and scipy.sparse are imported inside the functions that call
 them: importing this module, or building a mesh, loads no scipy module.
@@ -191,28 +191,37 @@ class Mesh:
             raise MeshError(f"unknown mesh kind {self.kind!r}")
         if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
             raise MeshError("element connectivity index out of range")
+        if not np.isfinite(nodes).all():
+            raise MeshError("node coordinates must be finite")
         if self.kind == "beam_1d":
             if elements.shape[1] != 2:
                 raise MeshError("beam_1d elements must have 2 nodes")
-            lengths = np.abs(nodes[elements[:, 1], 0] - nodes[elements[:, 0], 0])
-            if np.any(lengths <= 0):
-                raise MeshError("degenerate beam element (zero length)")
+            with np.errstate(over="ignore"):
+                sizes = np.abs(nodes[elements[:, 1], 0] - nodes[elements[:, 0], 0])
+            what = "beam element lengths"
         else:
             if elements.shape[1] != 3:
                 raise MeshError("plane_stress_2d elements must have 3 nodes")
-            if np.any(self.triangle_areas() <= 0):
-                raise MeshError("degenerate or negatively oriented triangle")
+            sizes, what = self.triangle_areas(), "triangle areas"
+        # <= 0: degenerate or negatively oriented; an overflow is inf or NaN
+        bad = ~((0 < sizes) & (sizes < math.inf))
+        if bad.any():
+            raise MeshError(f"{what} must be finite and > 0, got {float(sizes[bad][0])!r}")
 
     def triangle_areas(self) -> np.ndarray:
+        """Signed area of each triangle, positive if counter-clockwise; an
+        area that overflows is not finite."""
         p = self.nodes[self.elements]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                          - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
 class _Layout(NamedTuple):
     """The dof tables of a system (see AssembledSystem): dof_map and the
-    sorted constraints as tuples, the free dofs, the translational dofs and
-    the per-node translational dof table."""
+    sorted constraints as tuples, the free dofs, the translational dofs
+    and the per-node translational dof table, whose row j holds the
+    translational dofs of the j-th node that has any, padded with ndof."""
     dof_map: tuple
     constraints: tuple
     free: np.ndarray
@@ -273,16 +282,12 @@ class AssembledSystem:
     # system's.
     _congruence: _Congruence | None = field(default=None, init=False, repr=False,
                                             compare=False)
-    # The _Layout tables and the free-dof blocks _kf/_mf of K and M, stored
-    # as K and M are. _tdofs lists the translational dofs; row j of
-    # _tnode_dofs holds the translational dofs of the j-th node that has
-    # any, padded with ndof. Systems built by _system and _mapped share
-    # the tables of their plan or reference.
-    _free: np.ndarray = field(init=False, repr=False, compare=False)
+    # The _Layout of dof_map and constraints, and the free-dof blocks
+    # _kf/_mf of K and M, stored as K and M are. Systems built by _system
+    # and _mapped share the layout of their plan or reference.
+    _layout: _Layout = field(init=False, repr=False, compare=False)
     _kf: object = field(init=False, repr=False, compare=False)
     _mf: object = field(init=False, repr=False, compare=False)
-    _tdofs: np.ndarray = field(init=False, repr=False, compare=False)
-    _tnode_dofs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layout = _layout(self.dof_map, self.constraints)
@@ -308,13 +313,12 @@ class AssembledSystem:
     def _set(self, layout, k, m, kf, mf, mesh, congruence=None):
         for name, value in (("stiffness", k), ("mass", m), ("dof_map", layout.dof_map),
                             ("constraints", layout.constraints), ("mesh", mesh),
-                            ("_congruence", congruence), ("_free", layout.free),
-                            ("_kf", kf), ("_mf", mf), ("_tdofs", layout.tdofs),
-                            ("_tnode_dofs", layout.tnode_dofs)):
+                            ("_congruence", congruence), ("_layout", layout),
+                            ("_kf", kf), ("_mf", mf)):
             object.__setattr__(self, name, value)
 
     def free_dofs(self) -> np.ndarray:
-        return self._free
+        return self._layout.free
 
 
 @cache
@@ -609,7 +613,7 @@ def _reference_of(sys: AssembledSystem, odd) -> _Reference:
     """The _Reference of sys, a reference system summed and gated by
     _system(..., odd): the class of each stored entry, and the extremes of
     each class."""
-    free = odd[sys._free]
+    free = odd[sys._layout.free]
     parity = tuple(_readonly(o[a.indices] + o[_columns(a.indptr)])
                    for a, o in zip(_blocks(sys), (odd, odd, free, free)))
     extremes = []
@@ -642,7 +646,7 @@ def _mapped(key: tuple, k_scale, m_scale, ratio, d, mesh: Mesh, dd=None) -> Asse
     at its parity: D.D), with the _Congruence (key, ratio, d) to it. It
     shares the reference's dof tables and index arrays. It is not gated:
     the caller has certified it (_certified: every entry finite and
-    normal) and refused a ratio that is not finite and > 0."""
+    normal) and refused a ratio that is not a normal float."""
     ref = _reference(key)
     base = ref.system
     k, m, *free = (_scaled(a, scale, None if dd is None else dd[p]) for a, scale, p in
@@ -650,8 +654,7 @@ def _mapped(key: tuple, k_scale, m_scale, ratio, d, mesh: Mesh, dd=None) -> Asse
     kf, mf = free or (k, m)
     norm_k, norm_m = ref.norms
     norms = norm_k, float(norm_m / ratio)
-    layout = _Layout(base.dof_map, base.constraints, base._free, base._tdofs, base._tnode_dofs)
-    return AssembledSystem._of(layout, k, m, kf, mf, mesh,
+    return AssembledSystem._of(base._layout, k, m, kf, mf, mesh,
                                _Congruence(key, float(ratio), d, norms))
 
 
@@ -721,11 +724,12 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     # a subnormal entry is rounded on a fixed grid, so it is not the exact
     # doubling that the sum of two element entries is; M is certified
     # definite only where its entries are normal, so that is refused first.
-    # A ratio that is not finite and > 0 could not scale the unit pairs back
+    # A ratio that is not a normal float could not scale the unit pairs
+    # back to full precision, nor the unit's ||DMD||_F (_mapped) finitely
     tiny = np.finfo(float).tiny
-    if smallest_m >= tiny and not 0 < ratio < math.inf:
+    if smallest_m >= tiny and not tiny <= ratio < math.inf:
         raise InvariantError("beam eigenvalue scale (EI/le^3)/(rho*A*le/420) must be "
-                             f"finite and > 0, got {float(ratio)!r}")
+                             f"a normal float, got {float(ratio)!r}")
     smallest = float(min(smallest_k, smallest_m))
     if not smallest >= tiny:
         raise InvariantError(f"beam matrix entries must be normal floats, got {smallest!r}")
@@ -902,52 +906,46 @@ def _translational_amplitude(sys: AssembledSystem, vecs: np.ndarray) -> np.ndarr
     """Per-node displacement magnitude from translational dof components
     (the last axis of `vecs` runs over dofs, as in _rim_radial)."""
     padded = np.concatenate((vecs, np.zeros(vecs.shape[:-1] + (1,))), axis=-1)
-    return np.hypot.reduce(padded[..., sys._tnode_dofs], axis=-1, initial=0.0)
-
-
-@cache
-def _dsygvx_lwork(n: int) -> int:
-    """Workspace length dsygvx asks for on an n x n lower-triangle pencil."""
-    from scipy.linalg.lapack import dsygvx_lwork
-    work, info = dsygvx_lwork(n, uplo="L")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dsygvx_lwork returned info {info}")
-    return int(work)
+    return np.hypot.reduce(padded[..., sys._layout.tnode_dofs], axis=-1, initial=0.0)
 
 
 def _dense_modes(a: np.ndarray, b: np.ndarray, k: int):
     """k lowest eigenpairs of the dense symmetric-definite pencil (a, b),
-    ascending, from LAPACK dsygvx on the lower triangles.
-
-    The call, workspace and slicing are those of scipy.linalg.eigh(a, b,
-    subset_by_index=(0, k - 1)), so the pairs are bitwise eigh's; eigh's
-    argument checks are left out (AssembledSystem validated K and M).
-    LinAlgError if LAPACK fails or finds fewer than k pairs (as on a
-    pencil whose eigenvalues overflow).
+    ascending: scipy.linalg.eigh(a, b, subset_by_index=(0, k - 1)), LAPACK
+    dsygvx on the lower triangles, with no finiteness scan (AssembledSystem
+    validated K and M). LinAlgError if LAPACK fails or finds fewer than k
+    pairs (as on a pencil whose eigenvalues overflow).
     """
-    from scipy.linalg.lapack import dsygvx
-    vals, vecs, found, _, info = dsygvx(a, b, range="I", il=1, iu=k, uplo="L",
-                                        lwork=_dsygvx_lwork(a.shape[0]))
-    if info != 0 or found < k:
-        raise np.linalg.LinAlgError(f"LAPACK dsygvx found {found} of {k} eigenpairs (info {info})")
-    return vals[:k], vecs[:, :k]
+    from scipy.linalg import eigh
+    vals, vecs = eigh(a, b, subset_by_index=(0, k - 1), check_finite=False)
+    if len(vals) < k:
+        raise np.linalg.LinAlgError(f"LAPACK dsygvx found {len(vals)} of {k} eigenpairs")
+    return vals, vecs
+
+
+def _eigenvalue_scale(kk, mm) -> float:
+    """The median diag(K)/diag(M) of the free-dof CSC pencil (kk, mm): the
+    scale of its eigenvalues (inf where it overflows)."""
+    with np.errstate(over="ignore"):
+        return float(np.median(kk.diagonal() / mm.diagonal()))
 
 
 def _shift_invert_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool = True):
-    """k lowest eigenpairs of the CSC pencil (kk, mm), ascending, and up to
-    spare more from the same window; needs 4k < n. Returns (vals, vecs,
-    check), check = (norms, (elastic, resid, berr)): the scaled norms of
-    the pencil and _accuracy of exactly the returned pairs.
+    """k lowest eigenpairs (vals, vecs) of the CSC pencil (kk, mm),
+    ascending, and up to spare more from the same window; needs 4k < n.
 
-    The shift sits below zero, at _SHIFT_RATIO of the median diagonal
-    ratio, so K - sigma*M is positive definite even with rigid-body modes.
-    The ratio trades accuracy for Lanczos steps: nearer zero (1e-12)
-    K - sigma*M is nearly singular, its solves lose digits in the rigid
-    directions and some disk modes end above _BACKWARD_BOUND; farther from
-    it (1e-7, 1e-6) ARPACK restarts more often, for up to a third more LU
-    solves (sweeps in README.md, "Cost of one design analysis").
-    ARPACK starts from a fixed vector, so the result is deterministic, and
-    finds 2k pairs: asked for k alone it split degenerate disk pairs at
+    The shift sits below zero, at _SHIFT_RATIO of the eigenvalue scale
+    (_eigenvalue_scale), so K - sigma*M is positive definite even with
+    rigid-body modes. The ratio trades accuracy for Lanczos steps: nearer
+    zero (1e-12) K - sigma*M is nearly singular, its solves lose digits in
+    the rigid directions and some disk modes end above _BACKWARD_BOUND;
+    farther from it (1e-7, 1e-6) ARPACK restarts more often, for up to a
+    third more LU solves (sweeps in README.md, "Cost of one design
+    analysis").
+    ARPACK starts from a fixed vector, so the result is deterministic; a
+    shift below the normal range or an M-norm of that vector that
+    overflows is refused (LinAlgError) before ARPACK runs. It finds 2k
+    pairs: asked for k alone it split degenerate disk pairs at
     the window edge, missed an eigenvalue at k = 12 on disks R/8 to R/20
     and left residuals up to 1e-7. An inverse-iteration step with the
     same factorization and a 2k x 2k Rayleigh-Ritz projection then bring
@@ -962,7 +960,13 @@ def _shift_invert_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
     n = kk.shape[0]
-    sigma = -_SHIFT_RATIO * float(np.median(kk.diagonal() / mm.diagonal()))
+    sigma = -_SHIFT_RATIO * _eigenvalue_scale(kk, mm)
+    with np.errstate(over="ignore"):
+        start = float(mm.sum())   # v0^T M v0 of ARPACK's start vector v0 = (1, ..., 1)
+    if not (-sigma >= np.finfo(float).tiny and start < math.inf):
+        # else ARPACK fails, and LAPACK (DLASCL) writes to stdout on the way
+        raise np.linalg.LinAlgError(f"ARPACK needs a normal shift and a finite v0^T M v0, "
+                                    f"got {sigma!r} and {start!r}")
     lu = _symmetric_lu(kk - sigma * mm)
     op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     _, x = eigsh(kk, 2 * k, M=mm, sigma=sigma, OPinv=op, v0=np.ones(n))
@@ -973,23 +977,21 @@ def _shift_invert_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool
         vals, q = _dense_modes(x.T @ (kk @ x), x.T @ (mm @ x), 2 * k)
         x = x @ q
         vals_k, x_k = vals[:kept], x[:, :kept]
-        accuracy = _accuracy(kk, mm, vals_k, x_k, norms)
-        elastic, resid, berr = accuracy
+        elastic, resid, berr = _accuracy(kk, mm, vals_k, x_k, norms)
         if np.all(berr <= _POLISH_MARGIN * _BACKWARD_BOUND) and not (
                 residual_margin and np.any(elastic & (resid > _POLISH_MARGIN * _RESIDUAL_BOUND))):
             break
-    return vals_k, x_k, (norms, accuracy)
+    return vals_k, x_k
 
 
 def _pencil_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool = True):
-    """k lowest eigenpairs of the free-dof CSC pencil (kk, mm), and up to
-    spare more: LAPACK on the dense copies with at most _SPARSE_MIN_DOF free
-    dofs or for k >= n/4, shift-invert Lanczos otherwise (spare,
-    residual_margin and the check as there). Returns (vals, vecs, check),
-    check None from LAPACK."""
+    """k lowest eigenpairs (vals, vecs) of the free-dof CSC pencil (kk,
+    mm), and up to spare more: LAPACK on the dense copies with at most
+    _SPARSE_MIN_DOF free dofs or for k >= n/4, shift-invert Lanczos
+    otherwise (spare and residual_margin as there)."""
     n = kk.shape[0]
     if n <= _SPARSE_MIN_DOF or 4 * k >= n:
-        return (*_dense_modes(kk.toarray(), mm.toarray(), min(k + spare, n)), None)
+        return _dense_modes(kk.toarray(), mm.toarray(), min(k + spare, n))
     return _shift_invert_modes(kk, mm, k, spare=spare, residual_margin=residual_margin)
 
 
@@ -997,27 +999,12 @@ def _pencil_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool = Tru
 def _reference_pairs(key: tuple, k: int):
     """k lowest eigenpairs (mu, psi) of the free-dof pencil of the reference
     of key (_reference), as read-only arrays, solved as a copy's own pencil
-    would be. A disk's keeps one spare pair (see _solve) where the pencil
-    has it. Only a scalar congruence maps the relative residual, so a
+    would be. Only a scalar congruence maps the relative residual, so a
     beam's solve keeps no margin on it (_shift_invert_modes)."""
     ref = _reference(key)
-    disk = key[0] is _disk_reference
-    vals, vecs, _ = _pencil_modes(ref.system._kf, ref.system._mf, k, spare=int(disk),
-                                  residual_margin=disk)
+    vals, vecs = _pencil_modes(ref.system._kf, ref.system._mf, k,
+                               residual_margin=key[0] is _disk_reference)
     return _readonly(vals), _readonly(vecs)
-
-
-def _eigenpairs(sys: AssembledSystem, k: int, spare: int = 0):
-    """k lowest eigenpairs of the system's free-dof pencil, and up to spare
-    more: eigenvalues ascending, eigenvectors as columns, and the check of
-    _pencil_modes. A system with a congruence maps the cached reference
-    pairs (see the module docstring), with no check: the gates run on the
-    system's own K and M."""
-    c = sys._congruence
-    if c is None:
-        return _pencil_modes(sys._kf, sys._mf, k, spare=spare)
-    mu, psi = _reference_pairs(c.key, k)
-    return mu[:k + spare] * c.ratio, psi[:, :k + spare] / c.d, None
 
 
 def _jacobi(kk) -> np.ndarray:
@@ -1074,22 +1061,45 @@ def _frequency(lam: float) -> float:
 def _solve(sys: AssembledSystem, k: int, spare: int = 0):
     """The gated modes of solve_modes, and up to spare more where the solve
     has them at no extra cost: (eigenvalues, full-length normalized mode
-    vectors as rows, the scaled norms of the backward-error gate). A
-    wanted pair that fails a gate is refused; a spare one is dropped."""
+    vectors as rows, the scaled norms of the backward-error gate).
+
+    A system with a congruence maps the cached reference pairs (see the
+    module docstring); any other is solved on its own pencil, or refused
+    before LAPACK or ARPACK sees it if its eigenvalue scale is not a
+    normal float. The gates then run on the system's own K and M
+    (_gated)."""
     free = sys.free_dofs()
     k = _count("k", k, len(free))
     kk, mm = sys._kf, sys._mf
+    c = sys._congruence
+    if c is None:
+        scale = _eigenvalue_scale(kk, mm)
+        if not np.finfo(float).tiny <= scale < math.inf:
+            raise EigenSolveError("eigenvalue scale median(diag K / diag M) must be a "
+                                  f"normal float, got {scale!r}")
     try:
-        vals, vecs, check = _eigenpairs(sys, k, spare)
+        if c is None:
+            vals, vecs = _pencil_modes(kk, mm, k, spare=spare)
+        else:
+            mu, psi = _reference_pairs(c.key, k)
+            vals, vecs = mu[:k + spare] * c.ratio, psi[:, :k + spare] / c.d
     except (np.linalg.LinAlgError, RuntimeError) as exc:   # ArpackError is a RuntimeError
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from None
 
-    if check is None:
-        # a mapped system's scaled norms are mapped from its reference's
-        c = sys._congruence
-        norms = _scaled_norms(kk, mm) if c is None else c.norms
-        check = norms, _accuracy(kk, mm, vals, vecs, norms)
-    norms, (elastic, resid, berr) = check
+    # a mapped system's scaled norms are mapped from its reference's
+    norms = _scaled_norms(kk, mm) if c is None else c.norms
+    kept = _gated(*_accuracy(kk, mm, vals, vecs, norms), k)
+    full = np.zeros((kept, len(sys.dof_map)))
+    full[:, free] = vecs[:, :kept].T
+    _normalize(sys, full)
+    return vals[:kept], full, norms
+
+
+def _gated(elastic, resid, berr, k: int) -> int:
+    """How many pairs of an _accuracy (elastic, resid, berr) are kept: the
+    first k must pass the gates of solve_modes, or EigenSolveError names
+    the first that does not; the spare pairs after them are kept up to the
+    first that fails a gate."""
     bad = np.flatnonzero(elastic[:k] & (resid[:k] > _RESIDUAL_BOUND))
     if bad.size:
         raise EigenSolveError(
@@ -1101,14 +1111,7 @@ def _solve(sys: AssembledSystem, k: int, spare: int = 0):
         raise EigenSolveError(
             f"backward error {berr[bad[0]]:.2e} exceeds {_BACKWARD_BOUND:.0e} "
             f"for mode {bad[0]}")
-    # the spare pairs up to the first that fails a gate
-    passed = _passed(elastic, resid, berr)
-    kept = k + int(np.argmin(np.append(passed[k:], False)))
-
-    full = np.zeros((kept, len(sys.dof_map)))
-    full[:, free] = vecs[:, :kept].T
-    _normalize(sys, full)
-    return vals[:kept], full, norms
+    return k + int(np.argmin(np.append(_passed(elastic, resid, berr)[k:], False)))
 
 
 def _count(name: str, k, most: int) -> int:
@@ -1151,7 +1154,7 @@ def _normalize(sys: AssembledSystem, full: np.ndarray) -> None:
     first translational entry near the largest magnitude is made positive."""
     peak = np.max(_translational_amplitude(sys, full), axis=1)
     full /= np.where(peak > 0, peak, 1.0)[:, None]
-    tvals = full[:, sys._tdofs]
+    tvals = full[:, sys._layout.tdofs]
     mag = np.abs(tvals)
     first = np.argmax(mag >= (1 - _SIGN_RTOL) * mag.max(axis=1, keepdims=True), axis=1)
     lead = tvals[np.arange(len(full)), first]
@@ -1239,25 +1242,23 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
     A disk on a mesh_disk mesh maps the finished solve of its reference
     disk (_reference_modes): the eigenvalues times the ratio of its
     congruence, and the reference's mode vectors, angular orders and mode
-    shapes. All n_modes + 3 mapped pairs, rigid ones too, pass the gates of
-    solve_modes on the disk's own K and M; if one does not, the disk is
-    summed from its element matrices and finished directly (_finish_disk),
-    as a disk on a caller's mesh is. The effective masses are computed
-    from the disk's own mass and rim (_disk_results).
+    shapes. All n_modes + 3 mapped pairs, rigid ones too, must pass the
+    gates of solve_modes on the disk's own K and M (_gated), as a mapped
+    beam's must. A disk on a caller's mesh, or one assembled directly, is
+    finished on its own pencil (_finish_disk). The effective masses are
+    computed from the disk's own mass and rim (_disk_results).
     """
     sys = assemble_disk(geom, mat, mesh)
     n_modes = _count("n_modes", n_modes, len(sys.free_dofs()) - 3)
     c = sys._congruence
-    if c is not None:
-        modes = _reference_modes(c.key, n_modes)
-        lam = modes.lam * c.ratio
-        if _passed(*_accuracy(sys._kf, sys._mf, lam, modes.vecs.T, c.norms)).all():
-            _rigid_check(lam)
-            return sys, *_disk_results(sys, lam, modes)
-        sys = _disk_system(mesh, mat.youngs_modulus, mat.poisson_ratio, mat.density,
-                           geom.thickness)
-    modes = _finish_disk(sys, n_modes)
-    return sys, *_disk_results(sys, modes.lam, modes)
+    if c is None:
+        modes = _finish_disk(sys, n_modes)
+        return sys, *_disk_results(sys, modes.lam, modes)
+    modes = _reference_modes(c.key, n_modes)
+    lam = modes.lam * c.ratio
+    _gated(*_accuracy(sys._kf, sys._mf, lam, modes.vecs.T, c.norms), len(lam))
+    _rigid_check(lam)
+    return sys, *_disk_results(sys, lam, modes)
 
 
 class _DiskModes(NamedTuple):

@@ -181,7 +181,8 @@ class TestEigenSolveFailure:
         # a material whose disk eigenvalues overflow: one error line, exit 1
         assert _fem_on_material(tmp_path, 1e280, 1e-30) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: generalized eigensolver failed: LAPACK dsygvx found 0")
+        assert err.startswith("error: eigenvalue scale median(diag K / diag M) must be a "
+                              "normal float, got inf")
         assert len(err.splitlines()) == 1
 
     def test_overflowing_stiffness_is_one_error_line(self, tmp_path, capsys):
@@ -190,6 +191,17 @@ class TestEigenSolveFailure:
         assert _fem_on_material(tmp_path, 1e300, 1.0) == 1
         err = capsys.readouterr().err
         assert err == "error: stiffness matrix has non-finite entries\n"
+
+    def test_overflowing_mesh_is_one_error_line(self, tmp_path, capsys):
+        # the triangle areas of a 1e300 m disk overflow: the mesh refuses
+        # them, with no numpy warning (an error under the test filter)
+        config = tmp_path / "huge_disk.json"
+        text = (CONFIGS / "disk.json").read_text()
+        config.write_text(text.replace('"3 um"', '"1e300 m"').replace('"0.4 um"', '"1e299 m"'))
+        assert main(["fem", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: triangle areas must be finite and > 0")
+        assert len(err.splitlines()) == 1
 
 
 class TestUnknownTopLevelKeys:
@@ -387,10 +399,10 @@ class TestFem:
         # one solve, of the reference disk (the finished solves forgotten),
         # for the table and the CSV
         calls = []
-        for name in ("_finish_disk", "_eigenpairs"):
-            def counting(*args, name=name, solve=getattr(fem, name)):
+        for name in ("_finish_disk", "_pencil_modes"):
+            def counting(*args, name=name, solve=getattr(fem, name), **kwargs):
                 calls.append(name)
-                return solve(*args)
+                return solve(*args, **kwargs)
 
             monkeypatch.setattr(fem, name, counting)
         fem._reference_modes.cache_clear()
@@ -398,7 +410,7 @@ class TestFem:
         rc = main(["fem", "--config", disk_config, "--modes", "3",
                    "--modes-csv", str(csv), "--json", str(out)])
         assert rc == 0
-        assert calls == ["_finish_disk", "_eigenpairs"]
+        assert calls == ["_finish_disk", "_pencil_modes"]
         rows = json.loads(out.read_text())["modes"]
         header = csv.read_text().splitlines()[0].split(",")
         # columns mode<k>_f<frequency>_<component>
