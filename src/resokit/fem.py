@@ -12,21 +12,25 @@ element matrices, with no factorization (Wathen's bound); only a system
 built with AssembledSystem(...) from a caller's matrices, which has no
 elements, has its mass factored (_positive_definite).
 
-K and M are stored in one form at every size: canonical read-only CSC.
-One threshold, _SPARSE_MIN_DOF (300 free dofs), picks only how a pencil is
-factored. At or below it, scipy.linalg.eigh (LAPACK dsygvx) returns the
-modes from the dense copies (toarray). Above it, the lowest modes come
-from shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished
-by an inverse-iteration step and a Rayleigh-Ritz projection (eigh again),
-repeated at most twice while a pair is near a gate. LAPACK is faster on
-small systems, and ARPACK needs k well below n: a larger system asked for
-k >= n/4 modes is solved densely too. Both paths share the gates,
-normalization and sign convention. Every returned mode passes a
-Jacobi-scaled normwise backward-error gate (_BACKWARD_BOUND). The relative
-residual gate (_RESIDUAL_BOUND) applies only to the modes _accuracy calls
-elastic, ||K v|| > 1e-9 max|K| ||v||: a disk's elastic modes, but no mode
-of the shipped micrometre beam clamped with 48 or more elements, whose
-lowest bending modes fall below that share of max|K| (README).
+K and M are stored in one form at every size: CSCMatrix, a read-only
+canonical CSC record with numpy arrays. One threshold, _SPARSE_MIN_DOF
+(300 free dofs), picks how a pencil is factored and solved. At or below
+it, numpy alone does it: the modes come from the dense copies (toarray)
+by a Cholesky reduction and numpy.linalg.eigh (_dense_modes), and a
+product with a stored matrix is a numpy bincount. Above it, the lowest
+modes come from shift-invert Lanczos (ARPACK) on a sparse LU of
+K - sigma*M, polished by an inverse-iteration step and a Rayleigh-Ritz
+projection (the dense solve again), repeated at most twice while a pair
+is near a gate, and products go through scipy's CSC kernel. The dense
+solve is faster on small systems, and ARPACK needs k well below n: a
+larger system asked for k >= n/4 modes is solved densely too. Both paths
+share the gates, normalization and sign convention. Every returned mode
+passes a Jacobi-scaled normwise backward-error gate (_BACKWARD_BOUND). The
+relative residual gate (_RESIDUAL_BOUND) applies only to the modes
+_accuracy calls elastic, ||K v|| > 1e-9 max|K| ||v||: a disk's elastic
+modes, but no mode of the shipped micrometre beam clamped with 48 or more
+elements, whose lowest bending modes fall below that share of max|K|
+(README).
 
 A beam, and a disk on mesh_disk's mesh, is a scaled copy of a cached
 reference system (Golub & Van Loan, Matrix Computations, sec. 8.7). The
@@ -108,8 +112,13 @@ To see a pair at the window's edge whole, a disk's own solve
 Ritz pair of the shift-invert window of 2k (no wider window), or of the
 dense solve; a spare that fails a gate is dropped, never refused.
 
-scipy.linalg and scipy.sparse are imported inside the functions that call
-them: importing this module, or building a mesh, loads no scipy module.
+scipy is imported only where it does the work, inside the functions of
+the sparse path (_symmetric_lu, _shift_invert_modes, _positive_definite
+and the products of CSCMatrix above the threshold): importing this
+module, building a mesh, or assembling and solving a pencil of at most
+_SPARSE_MIN_DOF free dofs (a beam of up to 151 clamped elements, a
+mesh_disk disk up to R/6) loads no scipy module. A caller's scipy sparse
+matrix is still accepted by AssembledSystem(...).
 """
 
 from __future__ import annotations
@@ -117,7 +126,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -264,12 +273,13 @@ class AssembledSystem:
     constraints is the sorted tuple of fixed dof indices. mesh is kept for
     mode identification and export.
 
-    K and M are stored read-only in one form at every size: canonical CSC
-    (sorted row indices, no duplicate or explicit zero entries, K's and
-    M's index arrays apart, int32 indices and indptr where assembly built
-    them, `nbytes` = bytes of data + indices + indptr; a scaled copy shares
-    its read-only index arrays with its cached reference).
-    A caller's dense or sparse matrix is converted with scipy's csc_array.
+    K and M are stored read-only in one form at every size: CSCMatrix,
+    canonical CSC (sorted row indices, no duplicate or explicit zero
+    entries, K's and M's index arrays apart, int32 indices and indptr
+    where they fit, `nbytes` = bytes of data + indices + indptr; a scaled
+    copy shares its read-only index arrays with its cached reference).
+    A caller's dense array is converted by numpy alone, a caller's scipy
+    sparse matrix canonicalized on a copy (_stored).
     """
 
     stiffness: object
@@ -296,7 +306,7 @@ class AssembledSystem:
         if k.shape != (n, n) or m.shape != (n, n):
             raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
         kf, mf = _free_blocks(layout.free, k, m)
-        _gate(k, k.T, m, m.T)
+        _gate(k.data, _transposed(k), m.data, _transposed(m))
         if not _positive_definite(mf):   # no elements to certify it by
             raise InvariantError("mass matrix not positive-definite on free dofs")
         self._set(layout, k, m, kf, mf, self.mesh)
@@ -321,40 +331,138 @@ class AssembledSystem:
         return self._layout.free
 
 
-@cache
-def _csc_type():
-    """The CSC class K and M are stored as: scipy's csc_array, plus an
-    `nbytes` of its data, indices and indptr. Built on first use, so that
-    importing this module loads no scipy module."""
-    from scipy.sparse import csc_array
+class CSCMatrix:
+    """A read-only sparse matrix in canonical compressed sparse column
+    (CSC) form, the form AssembledSystem stores K and M in: data holds the
+    stored entries column by column, indices their rows (sorted within
+    each column, no duplicates) and indptr where each column starts; no
+    stored entry is an exact zero. nbytes is the bytes of data, indices
+    and indptr. toarray() is the dense copy, diagonal() the main diagonal,
+    and A @ x the product with a 1-D or 2-D array x.
 
-    class CSC(csc_array):
-        @property
-        def nbytes(self) -> int:
-            return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+    A product is summed per row in column order by numpy alone (np.bincount,
+    as scipy's CSC kernel sums it, so bitwise its result) on matrices with
+    at most _SPARSE_MIN_DOF rows. A larger one goes through scipy's
+    compiled CSC kernel: the csc_array of the index arrays is built once
+    (checked by scipy's constructor) and shared by every matrix with those
+    index arrays, as a scaled copy shares them with its reference
+    (_scaled); each matrix's own csc_array is a shallow copy of it with its
+    data. Records sharing index arrays share what is worked out from them
+    (_pattern): the column of each entry and the flat slots of numpy's
+    products, where the diagonal is stored and that csc_array.
+    """
 
-    return CSC
+    __slots__ = ("data", "indices", "indptr", "shape", "_pattern", "_sparse")
+
+    def __init__(self, data, indices, indptr, shape, pattern=None):
+        self.data, self.indices, self.indptr = (_readonly(a) for a in (data, indices, indptr))
+        self.shape = tuple(int(n) for n in shape)
+        self._pattern = {} if pattern is None else pattern
+        self._sparse = None
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def _columns(self) -> np.ndarray:
+        """The column of each entry: kept where numpy's products read it."""
+        cols = self._pattern.get("columns")
+        if cols is None:
+            cols = _readonly(_index_array(_columns(self.indptr)))
+            if self.shape[0] <= _SPARSE_MIN_DOF:
+                self._pattern["columns"] = cols
+        return cols
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.indices, self._columns()] = self.data
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        where = self._pattern.get("diagonal")
+        if where is None:
+            cols = self._columns()
+            on = np.flatnonzero(self.indices == cols)
+            where = self._pattern["diagonal"] = (_readonly(cols[on]), _readonly(on))
+        out = np.zeros(min(self.shape))
+        out[where[0]] = self.data[where[1]]
+        return out
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if self.shape[0] > _SPARSE_MIN_DOF:
+            return self._scipy() @ x
+        # y[i] sums data * x[column] over row i's entries in column order
+        terms = np.take(x, self._columns(), axis=0).astype(float, copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):   # overflows are inf, as scipy's
+            terms *= self.data if x.ndim == 1 else self.data[:, None]
+        if x.ndim == 1:
+            return np.bincount(self.indices, weights=terms, minlength=self.shape[0])
+        m = x.shape[1]
+        slots = self._pattern.get("slots")   # kept for the last number of vectors
+        if slots is None or slots.size != terms.size:   # the flat (row, vector) slots
+            slots = self._pattern["slots"] = _readonly(
+                (self.indices[:, None] * m + np.arange(m)).ravel())
+        out = np.bincount(slots, weights=terms.ravel(), minlength=self.shape[0] * m)
+        return out.reshape(self.shape[0], m)
+
+    def _scipy(self):
+        """This matrix as a scipy csc_array on its own arrays (see above)."""
+        if self._sparse is None:
+            template = self._pattern.get("scipy")
+            if template is None:
+                from scipy.sparse import csc_array
+                self._sparse = self._pattern["scipy"] = csc_array(
+                    (self.data, self.indices, self.indptr), shape=self.shape)
+            else:
+                self._sparse = copy.copy(template)
+                self._sparse.data = self.data
+        return self._sparse
 
 
-def _stored(a):
-    """K or M in the form AssembledSystem stores it (see its docstring)."""
-    csc = _csc_type()
-    if type(a) is not csc:   # a caller's matrix; assembly builds canonical CSC
-        try:
-            a = csc(a, dtype=float, copy=True)
-        except (TypeError, ValueError) as exc:
-            raise InvariantError("stiffness and mass must be 2-D numeric matrices: "
-                                 f"{exc}") from None
-        a.sum_duplicates()
-        a.eliminate_zeros()
-    return _frozen(a)
+def _index_array(a) -> np.ndarray:
+    """a as CSC index array: int32, or int64 where int32 cannot hold it."""
+    a = np.asarray(a)
+    fits = a.size == 0 or a.max() <= np.iinfo(np.int32).max
+    return a.astype(np.int32 if fits else np.int64, copy=False)
 
 
-def _frozen(a):
-    """The CSC matrix a, its data and index arrays made read-only."""
-    for part in (a.data, a.indices, a.indptr):
-        part.flags.writeable = False
-    return a
+def _stored(a) -> CSCMatrix:
+    """K or M in the form AssembledSystem stores it: a CSCMatrix as it is
+    (assembly builds canonical ones), a caller's scipy sparse matrix
+    canonicalized on a copy, and any other 2-D numeric array converted by
+    numpy alone, its exact zeros dropped."""
+    if type(a) is CSCMatrix:
+        return a
+    try:
+        if hasattr(a, "tocsc"):   # scipy sparse: the caller has loaded scipy
+            a = a.tocsc(copy=True).astype(float)
+            a.sum_duplicates()
+            a.eliminate_zeros()
+            return CSCMatrix(a.data, _index_array(a.indices), _index_array(a.indptr), a.shape)
+        dense = np.array(a, dtype=float)
+        if dense.ndim != 2:
+            raise ValueError(f"got a {dense.ndim}-D array")
+    except (TypeError, ValueError) as exc:
+        raise InvariantError("stiffness and mass must be 2-D numeric matrices: "
+                             f"{exc}") from None
+    stored = dense.T != 0   # column by column; NaN is kept for the gate
+    _, rows = np.nonzero(stored)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
+    return CSCMatrix(dense.T[stored], _index_array(rows), _index_array(indptr), dense.shape)
+
+
+def _transposed(a: CSCMatrix) -> np.ndarray:
+    """The entry of A^T at each stored entry of the square CSC matrix a (0
+    where A stores none): with a.data, the entries _gate compares."""
+    if not len(a.data):
+        return a.data
+    n = a.shape[0]
+    rows, cols = a.indices.astype(np.int64), a._columns().astype(np.int64)
+    keys = cols * n + rows   # ascending: canonical CSC
+    wanted = rows * n + cols
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, a.data[at], 0.0)
 
 
 def _columns(indptr) -> np.ndarray:
@@ -368,12 +476,25 @@ def _free_blocks(free: np.ndarray, k, m):
     fixed."""
     if len(free) == k.shape[0]:
         return k, m
-    return tuple(_frozen(a[:, free][free]) for a in (k, m))
+    return _principal(k, free), _principal(m, free)
+
+
+def _principal(a: CSCMatrix, keep: np.ndarray) -> CSCMatrix:
+    """The principal submatrix of a on the ascending indices keep, with
+    index arrays of its own: renumbering keeps each column's rows sorted."""
+    new = np.full(a.shape[0], -1)
+    new[keep] = np.arange(len(keep))
+    rows, cols = new[a.indices], new[a._columns()]
+    inside = (rows >= 0) & (cols >= 0)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols[inside], minlength=len(keep)))))
+    return CSCMatrix(a.data[inside], _index_array(rows[inside]), _index_array(indptr),
+                     (len(keep), len(keep)))
 
 
 def _symmetric_lu(a):
-    """Sparse LU of a CSC matrix with symmetric structure: a fill-reducing
-    ordering of A + A^T, and the diagonal pivot whenever it is nonzero."""
+    """Sparse LU of a scipy CSC matrix with symmetric structure: a
+    fill-reducing ordering of A + A^T, and the diagonal pivot whenever it
+    is nonzero."""
     from scipy.sparse.linalg import splu
     return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
@@ -394,7 +515,7 @@ def _gate(k, kt, m, mt, parity=None):
     extremes certify it (_certified)."""
     rtol = _SYM_RTOL if parity is None else _SYM_RTOL - 3 * _COPY_ROUNDING
     for name, a, at in (("stiffness", k, kt), ("mass", m, mt)):
-        largest = abs(a).max()   # NaN if an entry is NaN
+        largest = np.abs(a).max(initial=0.0)   # NaN if an entry is NaN
         if not np.isfinite(largest):
             raise InvariantError(f"{name} matrix has non-finite entries")
         skew = abs(a - at)
@@ -403,21 +524,25 @@ def _gate(k, kt, m, mt, parity=None):
             class_max = np.array([abs(a[parity == p]).max(initial=0) for p in range(3)])
             asymmetric = np.any(skew > rtol * class_max[parity])
         else:
-            asymmetric = skew.max() > rtol * largest
+            asymmetric = skew.max(initial=0.0) > rtol * largest
         if asymmetric:
             raise InvariantError(f"{name} matrix not symmetric")
 
 
-def _positive_definite(a) -> bool:
-    """Whether the CSC matrix a is positive-definite. With at most
-    _SPARSE_MIN_DOF rows: Cholesky (LAPACK dpotrf) of the dense copy
-    succeeds. Above: the symmetric LU pivots only on the diagonal
-    (perm_r == perm_c, so it is an LDL^T) and every pivot is positive."""
+def _positive_definite(a: CSCMatrix) -> bool:
+    """Whether the symmetric CSC matrix a is positive-definite. With at
+    most _SPARSE_MIN_DOF rows: numpy's Cholesky of the dense copy (its
+    lower triangle) succeeds. Above: the symmetric LU pivots only on the
+    diagonal (perm_r == perm_c, so it is an LDL^T) and every pivot is
+    positive."""
     if a.shape[0] <= _SPARSE_MIN_DOF:
-        from scipy.linalg.lapack import dpotrf
-        return dpotrf(a.toarray(), lower=1, overwrite_a=1, clean=0)[1] == 0
+        try:
+            np.linalg.cholesky(a.toarray())
+        except np.linalg.LinAlgError:
+            return False
+        return True
     try:
-        lu = _symmetric_lu(a)
+        lu = _symmetric_lu(a._scipy())
     except RuntimeError:   # exactly singular
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0))
@@ -535,13 +660,13 @@ def _system(plan: _Plan, ke, me, scale, mesh: Mesh | None = None, odd=None) -> A
     return AssembledSystem._of(layout, k, m, kf, mf, mesh)
 
 
-def _compressed(plan: _Plan, data: np.ndarray):
-    """The read-only CSC matrix of the slot sums data, less its exact
-    zeros, with int32 index arrays of its own."""
+def _compressed(plan: _Plan, data: np.ndarray) -> CSCMatrix:
+    """The CSC matrix of the slot sums data, less its exact zeros, with
+    int32 index arrays of its own."""
     keep = data != 0
     indptr = np.concatenate(([0], np.cumsum(keep)))[plan.indptr].astype(np.int32)
     ndof = len(plan.indptr) - 1
-    return _frozen(_csc_type()((data[keep], plan.rows[keep], indptr), shape=(ndof, ndof)))
+    return CSCMatrix(data[keep], plan.rows[keep], indptr, (ndof, ndof))
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +724,12 @@ def _blocks(sys: AssembledSystem) -> tuple:
     return sys.stiffness, sys.mass, sys._kf, sys._mf
 
 
-def _scaled(a, scale, pattern=None):
+def _scaled(a: CSCMatrix, scale, pattern=None) -> CSCMatrix:
     """scale * A for the CSC matrix a, its entries first multiplied by
-    pattern if given (a beam's D.D): a shallow copy of a with new data, so
-    it shares a's read-only index arrays (scipy's constructor would check
-    them again)."""
-    out = copy.copy(a)
-    out.data = _readonly(scale * (a.data if pattern is None else a.data * pattern))
-    return out
+    pattern if given (a beam's D.D), sharing a's read-only index arrays
+    and what is worked out from them (CSCMatrix)."""
+    return CSCMatrix(scale * (a.data if pattern is None else a.data * pattern),
+                     a.indices, a.indptr, a.shape, a._pattern)
 
 
 def _reference_of(sys: AssembledSystem, odd) -> _Reference:
@@ -614,7 +737,7 @@ def _reference_of(sys: AssembledSystem, odd) -> _Reference:
     _system(..., odd): the class of each stored entry, and the extremes of
     each class."""
     free = odd[sys._layout.free]
-    parity = tuple(_readonly(o[a.indices] + o[_columns(a.indptr)])
+    parity = tuple(_readonly(o[a.indices] + o[a._columns()])
                    for a, o in zip(_blocks(sys), (odd, odd, free, free)))
     extremes = []
     for a, p in zip((sys.stiffness, sys.mass), parity):
@@ -910,16 +1033,23 @@ def _translational_amplitude(sys: AssembledSystem, vecs: np.ndarray) -> np.ndarr
 
 
 def _dense_modes(a: np.ndarray, b: np.ndarray, k: int):
-    """k lowest eigenpairs of the dense symmetric-definite pencil (a, b),
-    ascending: scipy.linalg.eigh(a, b, subset_by_index=(0, k - 1)), LAPACK
-    dsygvx on the lower triangles, with no finiteness scan (AssembledSystem
-    validated K and M). LinAlgError if LAPACK fails or finds fewer than k
-    pairs (as on a pencil whose eigenvalues overflow).
+    """k lowest eigenpairs (vals, vecs) of the dense symmetric-definite
+    pencil (a, b), ascending, by numpy alone: the Cholesky factor B = L L^T
+    (of b's lower triangle), the standard pencil C = L^-1 A L^-T solved by
+    numpy.linalg.eigh (C's lower triangle) and the vectors L^-T y, which
+    are B-orthonormal. LinAlgError if b is not positive definite or C or
+    a returned pair is not finite (as on a pencil whose eigenvalues
+    overflow).
     """
-    from scipy.linalg import eigh
-    vals, vecs = eigh(a, b, subset_by_index=(0, k - 1), check_finite=False)
-    if len(vals) < k:
-        raise np.linalg.LinAlgError(f"LAPACK dsygvx found {len(vals)} of {k} eigenpairs")
+    with np.errstate(over="ignore", invalid="ignore"):
+        l_inv = np.linalg.inv(np.linalg.cholesky(b))
+        c = l_inv @ a @ l_inv.T
+        if not np.isfinite(c).all():
+            raise np.linalg.LinAlgError("the reduced pencil L^-1 A L^-T is not finite")
+        vals, y = np.linalg.eigh(c)
+        vals, vecs = vals[:k], l_inv.T @ y[:, :k]
+    if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+        raise np.linalg.LinAlgError(f"of the {k} lowest eigenpairs, some are not finite")
     return vals, vecs
 
 
@@ -962,19 +1092,25 @@ def _shift_invert_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool
     n = kk.shape[0]
     sigma = -_SHIFT_RATIO * _eigenvalue_scale(kk, mm)
     with np.errstate(over="ignore"):
-        start = float(mm.sum())   # v0^T M v0 of ARPACK's start vector v0 = (1, ..., 1)
+        start = float(mm.data.sum())   # v0^T M v0 of ARPACK's start vector v0 = (1, ..., 1)
     if not (-sigma >= np.finfo(float).tiny and start < math.inf):
         # else ARPACK fails, and LAPACK (DLASCL) writes to stdout on the way
         raise np.linalg.LinAlgError(f"ARPACK needs a normal shift and a finite v0^T M v0, "
                                     f"got {sigma!r} and {start!r}")
-    lu = _symmetric_lu(kk - sigma * mm)
+    ks, ms = kk._scipy(), mm._scipy()
+    lu = _symmetric_lu(ks - sigma * ms)
     op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    _, x = eigsh(kk, 2 * k, M=mm, sigma=sigma, OPinv=op, v0=np.ones(n))
+    _, x = eigsh(ks, 2 * k, M=ms, sigma=sigma, OPinv=op, v0=np.ones(n))
     norms = _scaled_norms(kk, mm)
     kept = k + spare
     for _ in range(1 + _POLISH_REPEATS):
-        x = lu.solve(mm @ x)
-        vals, q = _dense_modes(x.T @ (kk @ x), x.T @ (mm @ x), 2 * k)
+        x = lu.solve(ms @ x)
+        # Lanczos vectors of an extreme but normal pencil can overflow here
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = x.T @ (ks @ x), x.T @ (ms @ x)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise np.linalg.LinAlgError("the Rayleigh-Ritz projection is not finite")
+        vals, q = _dense_modes(a, b, 2 * k)
         x = x @ q
         vals_k, x_k = vals[:kept], x[:, :kept]
         elastic, resid, berr = _accuracy(kk, mm, vals_k, x_k, norms)
@@ -986,9 +1122,9 @@ def _shift_invert_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool
 
 def _pencil_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool = True):
     """k lowest eigenpairs (vals, vecs) of the free-dof CSC pencil (kk,
-    mm), and up to spare more: LAPACK on the dense copies with at most
-    _SPARSE_MIN_DOF free dofs or for k >= n/4, shift-invert Lanczos
-    otherwise (spare and residual_margin as there)."""
+    mm), and up to spare more: the dense solve of the dense copies
+    (_dense_modes) with at most _SPARSE_MIN_DOF free dofs or for k >= n/4,
+    shift-invert Lanczos otherwise (spare and residual_margin as there)."""
     n = kk.shape[0]
     if n <= _SPARSE_MIN_DOF or 4 * k >= n:
         return _dense_modes(kk.toarray(), mm.toarray(), min(k + spare, n))
@@ -1018,7 +1154,7 @@ def _scaled_norms(kk, mm):
     D = diag(d) of _jacobi; inf where a norm overflows."""
     d = _jacobi(kk)
     with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(float(np.linalg.norm(d[a.indices] * a.data * d[_columns(a.indptr)]))
+        return tuple(float(np.linalg.norm(d[a.indices] * a.data * d[a._columns()]))
                      for a in (kk, mm))
 
 
@@ -1065,8 +1201,8 @@ def _solve(sys: AssembledSystem, k: int, spare: int = 0):
 
     A system with a congruence maps the cached reference pairs (see the
     module docstring); any other is solved on its own pencil, or refused
-    before LAPACK or ARPACK sees it if its eigenvalue scale is not a
-    normal float. The gates then run on the system's own K and M
+    before the dense solve or ARPACK sees it if its eigenvalue scale is
+    not a normal float. The gates then run on the system's own K and M
     (_gated)."""
     free = sys.free_dofs()
     k = _count("k", k, len(free))

@@ -676,6 +676,19 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
+def _run_loading(argvs):
+    """(exit codes, scipy modules loaded) of the CLI commands argvs run in
+    one fresh interpreter."""
+    src = str(Path(resokit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["codes"], result["scipy"]
+
+
 def test_closed_form_commands_load_no_scipy(tmp_path):
     """Beam, disk and process commands that need no FEM run without
     importing any scipy module."""
@@ -697,12 +710,26 @@ def test_closed_form_commands_load_no_scipy(tmp_path):
         # disks fail the tunnel-depth rule on every grid point
         ["optimize", "--profile", "oscillator-n2", "--bounds", str(disk_bounds)],
     ]
-    src = str(Path(resokit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 1, 1, 0, 0, 1, 0, 1]
-    assert result["scipy"] == []
+    codes, loaded = _run_loading(argvs)
+    assert codes == [0, 1, 1, 0, 0, 1, 0, 1]
+    assert loaded == []
+
+
+def test_small_fem_commands_load_no_scipy():
+    """Pencils of at most 300 free dofs are stored, certified and solved by
+    numpy alone: the 64-element beam, the 151-element one and the R/5 disk
+    (182 dofs) load no scipy module; a 152-element beam and the R/16 disk
+    still solve, through scipy's sparse path."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    beam, disk = str(configs / "beam.json"), str(configs / "disk.json")
+    codes, loaded = _run_loading([
+        ["analyze", "--config", beam],
+        ["fem", "--config", beam],
+        ["fem", "--config", beam, "--elements", "151", "--modes", "4"],
+        ["fem", "--config", disk, "--target-edge", "0.6 um", "--modes", "4"],
+    ])
+    assert codes == [0, 0, 0, 0] and loaded == []
+    for argv in (["fem", "--config", beam, "--elements", "152", "--modes", "4"],
+                 ["analyze", "--config", disk]):
+        codes, loaded = _run_loading([argv])
+        assert codes == [0] and "scipy.sparse.linalg" in loaded
