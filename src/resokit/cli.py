@@ -274,8 +274,11 @@ def _arg(convert, valid, expected: str):
     return parse
 
 
-def _int_at_least(lo: int):
-    return _arg(int, lambda n: n >= lo, f"an integer >= {lo}")
+def _int_at_least(lo: int, most: int | None = None):
+    """argparse type: an integer >= lo, and <= most if given."""
+    at_least = _arg(int, lambda n: n >= lo, f"an integer >= {lo}")
+    return at_least if most is None else _arg(at_least, lambda n: n <= most,
+                                              f"an integer <= {most}")
 
 
 # a length or resistance: a finite quantity > 0 (parse_quantity refuses inf)
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="analytic vs FEM modal frequencies")
     a.add_argument("--config", required=True, help="design config JSON")
-    a.add_argument("--elements", type=_int_at_least(2), default=64,
+    a.add_argument("--elements", type=_int_at_least(2, fem._MAX_ELEMENTS), default=64,
                    help="beam FEM elements")
     a.add_argument("--target-edge", type=_positive_quantity, default=None,
                    help="disk mesh target edge (default radius/16)")
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fem", help="FEM modal analysis with optional exports")
     f.add_argument("--config", required=True)
-    f.add_argument("--elements", type=_int_at_least(2), default=64)
+    f.add_argument("--elements", type=_int_at_least(2, fem._MAX_ELEMENTS), default=64)
     f.add_argument("--target-edge", type=_positive_quantity, default=None)
     f.add_argument("--modes", type=_int_at_least(1), default=4)
     f.add_argument("--mesh-out", default=None, help="write mesh text file")

@@ -93,13 +93,14 @@ This reference takes as many steps as the physical disks of
 fem-converge; a 20 um one took about a fifth more, a unit-scale pencil
 about two thirds more (README). solve_disk maps more: the reference
 disk's finished solve (_finish_disk, cached per (m, nu, n_modes) by
-_reference_modes), whose eigenvalues are multiplied by ratio and whose
-normalized mode vectors (rigid ones too), angular orders, pair basis and
-mode shapes are the disk's as they are: scaling to unit peak
-displacement takes the scalar d out. All n_modes + 3 mapped pairs pass
-the gates of solve_modes on the disk's own K and M in one _accuracy
-call, or the disk is refused, as a beam is; only the effective masses
-are computed per disk, from its own mass and rim.
+_reference_modes), whose eigenvalues are multiplied by ratio, whose
+effective masses by c_M = d^2, and whose normalized mode vectors (rigid
+ones too), angular orders, pair basis and mode shapes are the disk's as
+they are: scaling to unit peak displacement takes the scalar d out, and
+a radial scaling of the nodes leaves the rim's u_r as it is. All
+n_modes + 3 mapped pairs pass the gates of solve_modes on the disk's own
+K and M in one _accuracy call, or the disk is refused, as a beam is; a
+mapped disk computes nothing else of its own.
 
 solve_disk reports each degenerate pair of one angular order n > 0 in one
 basis: M-orthonormalized and rotated within its span so that the first
@@ -163,6 +164,11 @@ _DISK_TOPOLOGY_CACHE = 8   # disk ring counts whose topology is kept
 _TRANSLATIONAL = frozenset(("w", "ux", "uy"))
 # most rings mesh_disk builds: radius/1000 is already 3 million nodes
 _MAX_RINGS = 1000
+# most elements assemble_beam takes: the shipped beam's first frequency is
+# 4.1e-10 from the analytic value at 256 elements, 3.6e-8 at 1024 and
+# 1.3e-6 at 4096 (0.7 s cold), but 1.5e-4 at 10000 (11 s cold); a million
+# ran out of 2 GB in the sparse LU (README)
+_MAX_ELEMENTS = 4096
 # the reference disk of the disk congruence: the silicon preset (Young's
 # modulus, density) at radius 3 um, thickness 0.4 um (configs/disk.json)
 _REF_DISK = (169e9, 2330.0, 3e-6, 0.4e-6)
@@ -186,8 +192,8 @@ class Mesh:
     elements: np.ndarray
     kind: str
     # Set by mesh_disk only: the cached _DiskTopology of its ring count,
-    # whose scatter plan and rim order assembly and mode identification
-    # reuse, and the radius its nodes were scaled to
+    # whose scatter plan assembly reuses, and the radius its nodes were
+    # scaled to
     _topology: object = field(default=None, init=False, repr=False, compare=False)
     _radius: float | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -510,22 +516,19 @@ def _gate(k, kt, m, mt, parity=None):
 
     A reference (parity given: the D.D class of each entry, see
     _Reference) passes it with the margin that its scaled copies inherit:
-    symmetric in each class to _SYM_RTOL less 3 _COPY_ROUNDING of the
-    class's largest entry. A copy is not gated again: its reference's
-    extremes certify it (_certified)."""
-    rtol = _SYM_RTOL if parity is None else _SYM_RTOL - 3 * _COPY_ROUNDING
+    one whose entries span several classes (a unit beam) is exactly
+    symmetric, one of a single class (a disk) symmetric to _SYM_RTOL less
+    3 _COPY_ROUNDING of its largest entry. A copy is not gated again: its
+    reference's extremes certify it (_certified)."""
+    if parity is None:
+        rtol = _SYM_RTOL
+    else:
+        rtol = 0.0 if parity.any() else _SYM_RTOL - 3 * _COPY_ROUNDING
     for name, a, at in (("stiffness", k, kt), ("mass", m, mt)):
         largest = np.abs(a).max(initial=0.0)   # NaN if an entry is NaN
         if not np.isfinite(largest):
             raise InvariantError(f"{name} matrix has non-finite entries")
-        skew = abs(a - at)
-        if parity is not None and parity.any() and skew.any():
-            # several classes: each entry against the largest of its class
-            class_max = np.array([abs(a[parity == p]).max(initial=0) for p in range(3)])
-            asymmetric = np.any(skew > rtol * class_max[parity])
-        else:
-            asymmetric = skew.max(initial=0.0) > rtol * largest
-        if asymmetric:
+        if abs(a - at).max(initial=0.0) > rtol * largest:
             raise InvariantError(f"{name} matrix not symmetric")
 
 
@@ -688,10 +691,12 @@ class _Reference(NamedTuple):
     A copy's entry in class p is fl(fl(x dd_p) c), x the reference's entry
     and dd_p = d_i d_j, so it is c d_i d_j x (1 + e) with |e| <=
     _COPY_ROUNDING while no product leaves the normal range.
-    - Symmetric: x_ij and x_ji share a class, so the copy's two entries
-      differ by at most c dd_p (|x_ij - x_ji| + 2 e m_p), m_p the class's
-      largest |x|. The reference's |x_ij - x_ji| <= (_SYM_RTOL - 3 e) m_p
-      keeps that below _SYM_RTOL times the copy's largest entry.
+    - Symmetric: x_ij and x_ji share a class, so a copy rounds them
+      identically. A reference of several classes (a unit beam, sums of
+      the integer _KE0 and _ME0) has x_ij = x_ji. A disk copy's two
+      entries differ by at most c (|x_ij - x_ji| + 2 e m), m the largest
+      |x|, which |x_ij - x_ji| <= (_SYM_RTOL - 3 e) m keeps below
+      _SYM_RTOL times the copy's largest entry.
     - Mass positive-definite: Jacobi scaling undoes the congruence, so the
       copy's scaled free-dof mass is A0 + E, A0 the reference's, with
       |E_ij| <= e |A0_ij| <= e (A0 is definite with unit diagonal). So
@@ -813,7 +818,8 @@ def _beam_reference(n_elements: int, clamped: bool) -> _Reference:
 
 def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
                   clamped: bool = True) -> AssembledSystem:
-    """Euler-Bernoulli beam with consistent mass; both ends clamped by default.
+    """Euler-Bernoulli beam with consistent mass; both ends clamped by
+    default. n_elements is an integer from 2 to _MAX_ELEMENTS.
 
     K = (EI/le^3) D K0 D and M = (rho*A*le/420) D M0 D, a scaled copy
     (_mapped) of the cached unit beam (K0, M0) with D.D as a pattern of
@@ -827,6 +833,8 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
         raise InvariantError(f"n_elements must be an integer, got {n_elements!r}")
     if n_elements < 2:
         raise InvariantError(f"n_elements must be >= 2, got {n_elements}")
+    if n_elements > _MAX_ELEMENTS:
+        raise InvariantError(f"n_elements must be <= {_MAX_ELEMENTS}, got {n_elements}")
     le = geom.length / n_elements
     # powers by libm pow, as Python's **, but an overflow (or a division by
     # an le^3 that underflows) is a non-finite entry, refused below
@@ -874,14 +882,11 @@ _ME_TRI = np.array([
 class _DiskTopology(NamedTuple):
     """What mesh_disk's mesh with m rings is for every radius: the ring
     index (float) and (cos, sin) of each node's angle, the elements, their
-    _Plan, the outer-rim nodes in ascending angle (_rim_nodes of the
-    unit-radius mesh: the order of the angles does not change with the
-    radius) and m."""
+    _Plan and m."""
     ring: np.ndarray
     unit: np.ndarray
     elements: np.ndarray
     plan: _Plan
-    rim: np.ndarray
     rings: int
 
 
@@ -924,9 +929,7 @@ def _disk_topology(m: int) -> _DiskTopology:
     tris[6 * so * so + a + b] = np.stack(
         [first + a % n_i, first + n_i + b, first + n_i + (b + 1) % n_o], axis=1)
     ring, unit, elements = _readonly(ring), _readonly(unit), _readonly(tris)
-    plan = _plan(elements, ("ux", "uy"), len(ring))
-    return _DiskTopology(ring, unit, elements, plan,
-                         _readonly(_rim_nodes((ring / m)[:, None] * unit)), m)
+    return _DiskTopology(ring, unit, elements, _plan(elements, ("ux", "uy"), len(ring)), m)
 
 
 def mesh_disk(geom: DiskGeometry, target_edge: float) -> Mesh:
@@ -1308,7 +1311,7 @@ def _rim_radial(mesh: Mesh, vectors: np.ndarray):
     """Angles of the outer-rim nodes, ascending, and the radial displacement
     u_r there of each mode vector (the last axis of `vectors` runs over
     dofs, so one vector gives one row and a stack gives one row each)."""
-    bnd = _rim_nodes(mesh.nodes) if mesh._topology is None else mesh._topology.rim
+    bnd = _rim_nodes(mesh.nodes)
     x, y = mesh.nodes[bnd, 0], mesh.nodes[bnd, 1]
     return (np.arctan2(y, x),
             (vectors[..., 2 * bnd] * x + vectors[..., 2 * bnd + 1] * y) / np.hypot(x, y))
@@ -1377,37 +1380,40 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
 
     A disk on a mesh_disk mesh maps the finished solve of its reference
     disk (_reference_modes): the eigenvalues times the ratio of its
-    congruence, and the reference's mode vectors, angular orders and mode
-    shapes. All n_modes + 3 mapped pairs, rigid ones too, must pass the
-    gates of solve_modes on the disk's own K and M (_gated), as a mapped
-    beam's must. A disk on a caller's mesh, or one assembled directly, is
-    finished on its own pencil (_finish_disk). The effective masses are
-    computed from the disk's own mass and rim (_disk_results).
+    congruence, the effective masses times c_M = d^2, and the reference's
+    mode vectors, angular orders and mode shapes. All n_modes + 3 mapped
+    pairs, rigid ones too, must pass the gates of solve_modes on the disk's
+    own K and M (_gated), as a mapped beam's must; nothing else is computed
+    per disk. A disk on a caller's mesh, or one assembled directly, is
+    finished on its own pencil (_finish_disk).
     """
     sys = assemble_disk(geom, mat, mesh)
     n_modes = _count("n_modes", n_modes, len(sys.free_dofs()) - 3)
     c = sys._congruence
     if c is None:
         modes = _finish_disk(sys, n_modes)
-        return sys, *_disk_results(sys, modes.lam, modes)
+        return sys, *_disk_results(modes.lam, modes)
     modes = _reference_modes(c.key, n_modes)
     lam = modes.lam * c.ratio
     _gated(*_accuracy(sys._kf, sys._mf, lam, modes.vecs.T, c.norms), len(lam))
     _rigid_check(lam)
-    return sys, *_disk_results(sys, lam, modes)
+    return sys, *_disk_results(lam, modes, c.d * c.d)
 
 
 class _DiskModes(NamedTuple):
     """A free disk's finished solve (_finish_disk): the n_modes + 3
     eigenvalues, rigid-body modes first; the full-length mode vectors as
     rows, normalized as solve_modes normalizes and each degenerate pair in
-    its canonical basis; the angular order and the mode shape (translational
-    amplitude per node, unit maximum) of each elastic mode. Arrays are
+    its canonical basis; the angular order, the mode shape (translational
+    amplitude per node, unit maximum) and the effective mass of each
+    elastic mode: phi^T M phi on the solved system's M, phi scaled to
+    max |u_r| = 1 on its rim, None where the rim does not move. Arrays are
     read-only: a reference disk's are shared by every disk mapped from it."""
     lam: np.ndarray
     vecs: np.ndarray
     orders: tuple
     shapes: np.ndarray
+    masses: tuple
 
 
 @lru_cache(maxsize=_UNIT_CACHE)
@@ -1434,7 +1440,9 @@ def _finish_disk(sys: AssembledSystem, n_modes: int) -> _DiskModes:
     (_canonical_pair) where both rotated members pass the gates of
     solve_modes, then normalized as solve_modes normalizes. The solve
     keeps one spare pair beyond the wanted modes (_solve), so that a pair
-    at the window's edge is whole; it is dropped at the end.
+    at the window's edge is whole; it is dropped at the end. The effective
+    masses are computed here alone, on sys's own M and rim: a mapped disk
+    scales its reference's (solve_disk).
     """
     wanted = n_modes + 3
     lam, vecs, norms = _solve(sys, wanted, spare=1)
@@ -1455,9 +1463,9 @@ def _finish_disk(sys: AssembledSystem, n_modes: int) -> _DiskModes:
             firsts.append(i)
             i += 1
         i += 1
+    free = sys.free_dofs()
     if firsts:
         # turn every pair, gate them together and keep those that pass whole
-        free = sys.free_dofs()
         rows = np.ravel([(i, i + 1) for i in firsts])
         turned = np.concatenate([_canonical_pair(sys, basis[1][orders[i]], u_rads[i:i + 2],
                                                  elastic[i:i + 2]) for i in firsts])
@@ -1467,33 +1475,33 @@ def _finish_disk(sys: AssembledSystem, n_modes: int) -> _DiskModes:
         rows, turned = rows[whole], turned[whole]
         _normalize(sys, turned)
         elastic[rows] = turned
-    amp = _translational_amplitude(sys, elastic[:n_modes])
-    return _DiskModes(_readonly(lam[:wanted]), _readonly(vecs[:wanted]),
-                      tuple(orders[:n_modes]), _readonly(amp / amp.max(axis=1, keepdims=True)))
-
-
-def _disk_results(sys: AssembledSystem, lam: np.ndarray, modes: _DiskModes):
-    """(elastic modes as [(frequency_hz, mode_vector)], their ModeResults)
-    of the free disk sys with eigenvalues lam and finished solve modes: the
-    effective mass of each is phi^T M phi with the disk's own M, phi scaled
-    to max |u_r| = 1 on the disk's own rim."""
-    freqs = [_frequency(x) for x in lam[3:].tolist()]
-    vecs = modes.vecs[3:]
-    free = sys.free_dofs()
-    results = []
-    for freq, vec, u_rad, order, shape in zip(freqs, vecs, _rim_radial(sys.mesh, vecs)[1],
-                                              modes.orders, modes.shapes):
+    elastic, masses = elastic[:n_modes], []
+    for vec, u_rad in zip(elastic, _rim_radial(sys.mesh, elastic)[1]):
         rim = float(np.max(np.abs(u_rad)))
-        if rim <= 0:
+        scaled = None if rim <= 0 else vec[free] / rim
+        # M v: a CSC M needs no transposed copy
+        masses.append(None if scaled is None else float(scaled @ (sys._mf @ scaled)))
+    amp = _translational_amplitude(sys, elastic)
+    return _DiskModes(_readonly(lam[:wanted]), _readonly(vecs[:wanted]), tuple(orders[:n_modes]),
+                      _readonly(amp / amp.max(axis=1, keepdims=True)), tuple(masses))
+
+
+def _disk_results(lam: np.ndarray, modes: _DiskModes, mass_scale: float = 1.0):
+    """(elastic modes as [(frequency_hz, mode_vector)], their ModeResults)
+    of a free disk with eigenvalues lam and finished solve modes, whose
+    effective masses are mass_scale times those of modes."""
+    freqs = [_frequency(x) for x in lam[3:].tolist()]
+    results = []
+    for freq, mass, order, shape in zip(freqs, modes.masses, modes.orders, modes.shapes):
+        if mass is None:
             continue
-        scaled = vec[free] / rim
-        m_eff = float(scaled @ (sys._mf @ scaled))   # M v: a CSC M needs no transposed copy
+        m_eff = mass * mass_scale
         w0 = 2 * math.pi * freq
         results.append(ModeResult(frequency=freq, mode_order=order,
                                   effective_mass=m_eff,
                                   effective_stiffness=w0 * w0 * m_eff,
                                   mode_shape=shape))
-    return list(zip(freqs, vecs)), results
+    return list(zip(freqs, modes.vecs[3:])), results
 
 
 def _canonical_pair(sys: AssembledSystem, sin_n, u_rads, pair):

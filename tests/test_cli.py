@@ -350,6 +350,8 @@ def test_value_not_a_quantity_names_its_file(tmp_path, capsys, kind, message):
     ["fem", "--config", "{beam}", "--modes", "0"],
     ["respond", "--config", "{beam}", "--points", "2"],
     ["analyze", "--config", "{beam}", "--elements", "1"],
+    ["analyze", "--config", "{beam}", "--elements", "4097"],
+    ["fem", "--config", "{beam}", "--elements", "10000000000"],
     ["compare-detection", "--config", "{mos}", "--scales", "1,abc"],
     ["check", "--config", "{beam}", "--profile", "vco", "--freq-tol", "nan"],
     ["check", "--config", "{beam}", "--profile", "vco", "--freq-tol", "-1"],
@@ -358,7 +360,8 @@ def test_value_not_a_quantity_names_its_file(tmp_path, capsys, kind, message):
     ["compare-detection", "--config", "{mos}", "--scales", "1,0.5,0.5"],
     ["compare-detection", "--config", "{mos}", "--scales", "1,0.5,-0.1"],
 ], ids=["target-edge-0", "target-edge-negative", "termination-0",
-        "termination-negative", "modes-0", "points-2", "elements-1", "scales-abc", "freq-tol-nan",
+        "termination-negative", "modes-0", "points-2", "elements-1", "elements-4097",
+        "elements-1e10", "scales-abc", "freq-tol-nan",
         "freq-tol-negative", "scales-not-from-1", "scales-above-1",
         "scales-not-descending", "scales-negative"])
 def test_bad_argument_is_usage_error(beam_config, mos_beam_config, disk_config, capsys,

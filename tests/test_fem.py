@@ -29,6 +29,23 @@ class TestBeamAssembly:
         vals = np.linalg.eigvalsh(m[np.ix_(free, free)])
         assert vals.min() > 0
 
+    def test_element_count_is_bounded(self, monkeypatch, ref_beam, silicon):
+        # refused before the mesh's nodes are allocated
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("the beam's nodes were allocated")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        for n in (fem._MAX_ELEMENTS + 1, 10**10):
+            with pytest.raises(InvariantError,
+                               match=f"n_elements must be <= {fem._MAX_ELEMENTS}, got {n}$"):
+                assemble_beam(ref_beam, silicon, n)
+
+    def test_most_elements_solve(self, ref_beam, silicon, cold_unit_caches):
+        modes = solve_modes(assemble_beam(ref_beam, silicon, fem._MAX_ELEMENTS), 4)
+        # 1.3e-6 from the analytic value: the rounding of the lowest
+        # eigenvalue grows with the element count (README)
+        assert modes[0][0] == pytest.approx(beam_mode_frequency(ref_beam, silicon, 1), rel=1e-5)
+
     def test_total_mass(self, ref_beam, silicon):
         sys_ = assemble_beam(ref_beam, silicon, 8, clamped=False)
         ones = np.zeros(len(sys_.dof_map))
@@ -1233,19 +1250,30 @@ class TestCopyCertificate:
             assert largest.tolist() == [abs(a.data).max()]
             assert smallest.tolist() == [abs(a.data).min()]
 
-    def test_asymmetry_is_measured_in_its_class(self, monkeypatch, cold_unit_caches):
+    def test_reference_of_several_classes_is_exactly_symmetric(self, monkeypatch,
+                                                                cold_unit_caches):
         # K0[w_i, theta_i] - K0[theta_i, w_i] = 1.2e-11 at every node: within
         # _SYM_RTOL of K0's largest entry (24), not of its class's (6, the
-        # entries a copy scales by le)
-        asymmetric = fem._KE0.astype(float)
-        asymmetric[0, 1] += 1.2e-11
-        monkeypatch.setattr(fem, "_KE0", asymmetric)
+        # entries a copy scales by le); one ulp of 6 is refused too
         n = 8
-        k = _triplet_scatter(2 * np.arange(n)[:, None] + np.arange(4),
-                             np.broadcast_to(asymmetric, (n, 4, 4)), 2 * (n + 1))
-        assert abs(k - k.T).max() <= fem._SYM_RTOL * abs(k).max()
+        for skew in (1.2e-11, np.spacing(6.0)):
+            asymmetric = fem._KE0.astype(float)
+            asymmetric[0, 1] += skew
+            monkeypatch.setattr(fem, "_KE0", asymmetric)
+            k = _triplet_scatter(2 * np.arange(n)[:, None] + np.arange(4),
+                                 np.broadcast_to(asymmetric, (n, 4, 4)), 2 * (n + 1))
+            assert 0 < abs(k - k.T).max() <= fem._SYM_RTOL * abs(k).max()
+            with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
+                fem._beam_reference(n, True)
+
+    def test_one_class_reference_keeps_its_margin(self):
+        # the same skew: refused in several classes, accepted in one
+        a = np.array([6.0, 24.0, 6.0])
+        at = a.copy()
+        at[0] = 6.0 + np.spacing(6.0)
+        fem._gate(a, at, a, a, np.zeros(3, np.int8))
         with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
-            fem._beam_reference(n, True)
+            fem._gate(a, at, a, a, np.array([1, 0, 1], np.int8))
 
     def test_reference_symmetry_keeps_the_copies_margin(self):
         # asymmetric by _SYM_RTOL less one _COPY_ROUNDING: a system solved
@@ -1654,8 +1682,8 @@ def cold_disk_topologies():
 
 class TestDiskTopology:
     """mesh_disk builds each ring count's topology once (_disk_topology):
-    connectivity, per-node ring index and cos/sin, the scatter plan and the
-    rim order. Meshes, systems and modes are bitwise those of the uncached
+    connectivity, per-node ring index and cos/sin and the scatter plan.
+    Meshes, systems and modes are bitwise those of the uncached
     construction."""
 
     @pytest.mark.parametrize("divisor", [4.4, 5, 7, 8, 12, 20])
@@ -1710,11 +1738,25 @@ class TestDiskTopology:
         freqs = [f for f, _ in solve_modes(sys_, 9)[3:]]
         assert freqs == pytest.approx([f for f, _ in solve_modes(base, 9)[3:]], rel=1e-9)
 
-    def test_rim_order_is_the_computed_one(self, ref_disk):
+    def test_rim_order_is_the_computed_one(self, monkeypatch):
+        # the rim order _rim_radial reads on a mesh_disk mesh, at every
+        # radius mesh_disk accepts, is the unit-radius mesh's: its angles do
+        # not change with the radius
+        rim_nodes, used, accepted = fem._rim_nodes, [], 0
+        monkeypatch.setattr(fem, "_rim_nodes", lambda nodes: used.append(rim_nodes(nodes))
+                            or used[-1])
         for divisor in (4.4, 6, 9, 16, 31):
-            for radius in (1e-9, ref_disk.radius, 1.0, 1e3):
-                mesh = mesh_disk(DiskGeometry(radius, 0.1 * radius), radius / divisor)
-                assert np.array_equal(mesh._topology.rim, fem._rim_nodes(mesh.nodes))
+            for radius in _EXTREMES:
+                try:
+                    mesh = mesh_disk(DiskGeometry(radius, 0.1 * radius), radius / divisor)
+                except MeshError:   # its triangle areas leave the float range
+                    continue
+                top = mesh._topology
+                unit = rim_nodes((top.ring / top.rings)[:, None] * top.unit)
+                fem._rim_radial(mesh, np.zeros(2 * len(mesh.nodes)))
+                assert np.array_equal(used.pop(), unit)
+                accepted += 1
+        assert accepted == 25   # 5 ring counts; all radii but 1e-300 m and 1e300 m
 
     @pytest.mark.parametrize("divisor", [5, 12])
     def test_symmetry_gate_reads_the_stored_matrices(self, monkeypatch, cold_disk_topologies,
@@ -1770,10 +1812,10 @@ class TestDiskTopology:
 
     def test_topology_is_read_only(self, ref_disk):
         top = mesh_disk(ref_disk, ref_disk.radius / 8)._topology
-        arrays = [top.ring, top.unit, top.elements, top.rim, top.plan.slot, top.plan.rows,
+        arrays = [top.ring, top.unit, top.elements, top.plan.slot, top.plan.rows,
                   top.plan.indptr, top.plan.transpose, top.plan.layout.free]
         assert all(not a.flags.writeable for a in arrays)
-        assert all(a.dtype == np.int32 for a in arrays[4:8])
+        assert all(a.dtype == np.int32 for a in arrays[3:7])
 
 
 def _search_transposes(a):
@@ -2115,6 +2157,21 @@ class TestDiskModal:
         assert abs(freqs[1] - freqs[0]) / freqs[1] < 0.005
 
 
+def _own_masses(sys_, modes):
+    """The effective mass of each elastic mode (frequency, vector) of
+    solve_disk on the disk's own M and rim: the vector scaled to max |u_r|
+    = 1 on the rim, then phi^T M phi on the free dofs; none for a mode whose
+    rim does not move. A disk on a caller's mesh reduces its modes so."""
+    vecs = np.array([v for _, v in modes])
+    free, masses = sys_.free_dofs(), []
+    for vec, u_rad in zip(vecs, fem._rim_radial(sys_.mesh, vecs)[1]):
+        rim = float(np.max(np.abs(u_rad)))
+        if rim > 0:
+            scaled = vec[free] / rim
+            masses.append(float(scaled @ (sys_._mf @ scaled)))
+    return masses
+
+
 # fem-converge disks near the backward-error bound at R/7 with 13 modes:
 # seeds 3 and 21, which a direct solve with one polish step left above it,
 # and seed 30, which the reference-disk pairs with one step leave above it
@@ -2173,6 +2230,51 @@ class TestUnitDisk:
         assert len(calls) == 3
         assert fem._reference_modes.cache_info().currsize == 3
         assert fem._disk_reference.cache_info().currsize == 3
+
+    @pytest.mark.parametrize("divisor", [4.5, 8, 12, 20])
+    def test_effective_masses(self, divisor):
+        # a mapped disk's effective masses are c_M = d^2 times its
+        # reference's, within 8 eps of those on its own M and rim; a disk on
+        # a caller's mesh (dense at R/4.5, sparse at R/8) computes its own
+        eps, tally = np.finfo(float).eps, collections.Counter()
+        for radius, t, e_mod, rho, nu, n_modes, caller in itertools.product(
+                (3e-6, 17.3e-6), (0.4e-6, 1.1e-6), (1e-5, 169e9, 1e200), (2330.0, 1e100),
+                (0.25, 0.28), (3, 6), (False, True)):
+            if caller and (divisor > 8 or e_mod > 1e100):
+                continue
+            geom = DiskGeometry(radius, t)
+            mesh = mesh_disk(geom, radius / divisor)
+            try:
+                sys_, modes, results = fem.solve_disk(
+                    geom, Material(e_mod, rho, nu), _caller_copy(mesh) if caller else mesh,
+                    n_modes)
+            except EigenSolveError:   # mode vector norms overflow at E = 1e200
+                tally["refused"] += 1
+                continue
+            got, own = [r.effective_mass for r in results], _own_masses(sys_, modes)
+            assert len(got) == len(own) == n_modes
+            c = sys_._congruence
+            if c is None:
+                assert got == own
+                tally["own"] += 1
+                continue
+            ref = fem._reference_modes(c.key, n_modes).masses
+            assert got == [m * (c.d * c.d) for m in ref]
+            assert np.all(np.abs(np.subtract(got, own)) <= 8 * eps * np.array(own))
+            tally["mapped"] += 1
+        assert tally["mapped"] == 64 and tally["refused"] == 32
+        assert tally["own"] == (64 if divisor <= 8 else 0)
+
+    def test_warm_disk_makes_no_rim_pass(self, monkeypatch, silicon):
+        geom = DiskGeometry(5.3e-6, 0.9e-6)
+        mesh = mesh_disk(geom, geom.radius / 8)
+        warm = fem.solve_disk(geom, silicon, mesh)
+
+        def no_rim(*args):
+            raise AssertionError("a warm mapped disk read its rim")
+
+        monkeypatch.setattr(fem, "_rim_radial", no_rim)
+        _assert_same_disk(fem.solve_disk(geom, silicon, mesh), warm)
 
     def test_cache_is_bounded(self):
         for cached in (fem._disk_reference, fem._reference_modes, fem._reference_pairs):
