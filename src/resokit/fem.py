@@ -36,8 +36,8 @@ A beam, and a disk on mesh_disk's mesh, is a scaled copy of a cached
 reference system (Golub & Van Loan, Matrix Computations, sec. 8.7). The
 reference is built by _system, gated once with margins, and kept in a
 small LRU cache with what its copies read (_Reference): the largest and
-smallest |entry| of K0 and M0 in each class of D.D, the scaled norms of
-the backward-error gate and, for a beam, the class of each entry. A copy
+smallest |entry| of K0 and M0 in each class of D.D and, for a beam, the
+class of each entry and of each free dof. A copy
 (_mapped) forms no element matrix: K = c_K D K0 D and M = c_M D M0 D are
 its scalars and D times the stored entries of K0 and M0, bitwise the sum
 of its scaled element matrices, sharing the reference's dof tables and CSC
@@ -50,12 +50,17 @@ reference was gated and certified with, and by Sylvester's law of inertia
 the congruence keeps M definite (see _Reference). Its free-dof pencil is
 congruent to the reference's, so the reference pairs K0 psi = mu M0 psi
 give the copy's exactly: lambda = mu * ratio, ratio = c_K / c_M, and phi =
-psi / d, d the diagonal of D on the free dofs. Jacobi scaling undoes the
-congruence, so the scaled norms are the reference's, ||DMD||_F over ratio.
-solve_modes takes (mu, psi) from one small LRU cache keyed by the
-reference and k, filled through the factorization dispatch above; the
-gates, normalization and sign convention then run on the copy's own K and
-M. The two cases differ in D:
+psi / d, d the diagonal of D on the free dofs. solve_modes takes (mu, psi)
+from one small LRU cache keyed by the reference and k, filled through the
+factorization dispatch above together with what the gates of each pair
+read on the reference (_recorded), and the copy's pairs pass those gates
+as their images (_mapped_accuracy), with no product of the copy's own:
+Jacobi scaling undoes the congruence, so a copy's backward error is the
+reference's within a stated rounding allowance, and the norms of K phi,
+of its residual and of phi are those of K0 psi, r0 = K0 psi - mu M0 psi
+and psi, per class of free dofs, scaled by D (Tisseur, Linear Algebra
+Appl. 309, 2000). Normalization and the sign convention then run on the
+copy's mode vectors. The two cases differ in D:
 
 - A beam's reference is its unit beam: K0 and M0 scatter _KE0 and _ME0,
   the only beam element matrices, and depend only on (n_elements,
@@ -98,9 +103,10 @@ effective masses by c_M = d^2, and whose normalized mode vectors (rigid
 ones too), angular orders, pair basis and mode shapes are the disk's as
 they are: scaling to unit peak displacement takes the scalar d out, and
 a radial scaling of the nodes leaves the rim's u_r as it is. All
-n_modes + 3 mapped pairs pass the gates of solve_modes on the disk's own
-K and M in one _accuracy call, or the disk is refused, as a beam is; a
-mapped disk computes nothing else of its own.
+n_modes + 3 mapped pairs pass the gates of solve_modes as the record of
+the finished solve says (_recorded; one class, so their elastic flags
+and relative residuals are the reference's own), or the disk is refused,
+as a beam is; a mapped disk computes nothing else of its own.
 
 solve_disk reports each degenerate pair of one angular order n > 0 in one
 basis: M-orthonormalized and rotated within its span so that the first
@@ -262,13 +268,13 @@ class _Congruence(NamedTuple):
     (see the module docstring): key is the reference's builder and its
     arguments (_reference), the reference pairs (mu, psi) are
     _reference_pairs(key, k), and the system's are lambda = mu * ratio and
-    phi = psi / d (d a column on the free dofs, or a scalar). norms are
-    (||DKD||_F, ||DMD||_F) of the backward-error gate, mapped from the
-    reference's."""
+    phi = psi / d (d a column on the free dofs, or a scalar). dd is a
+    beam's D.D by class, (1, le, le^2), so D is 1 on its w dofs and le on
+    its rotations; None for a disk, whose D = d I cancels from its gates."""
     key: tuple
     ratio: float
     d: object
-    norms: tuple
+    dd: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -678,12 +684,12 @@ def _compressed(plan: _Plan, data: np.ndarray) -> CSCMatrix:
 class _Reference(NamedTuple):
     """A cached reference system that beams or disks are scaled copies of
     (see the module docstring): the system, gated with margins (_gate)
-    and its mass certified (_system); the (largest, smallest) |entry| of K and of M in each D.D class
-    (arrays by class: a beam's 0, 1, 2, a disk's one); (||DKD||_F,
-    ||DMD||_F) of its free-dof pencil, D = |diag K|^-1/2, for the
-    backward-error gate; and the class of each stored entry of
-    _blocks(system) (int8: a beam's parity, how many of its row and column
-    dofs are rotations; 0 for a disk).
+    and its mass certified (_system); the (largest, smallest) |entry| of
+    K and of M in each D.D class (arrays by class: a beam's 0, 1, 2, a
+    disk's one); the class of each stored entry of _blocks(system) (int8:
+    a beam's parity, how many of its row and column dofs are rotations; 0
+    for a disk); and the class of each free dof (int8: 1 on a beam's
+    rotations, else 0).
 
     The margins certify every copy whose entries are finite and normal
     (_certified), with no gate of its own (Demmel & Veselic, "Jacobi's
@@ -713,8 +719,8 @@ class _Reference(NamedTuple):
     c_K not finite; otherwise every dd_p is normal and every |x| >= 1."""
     system: AssembledSystem
     extremes: tuple
-    norms: tuple
     parity: tuple
+    odd: np.ndarray
 
 
 def _reference(key: tuple) -> _Reference:
@@ -739,16 +745,16 @@ def _scaled(a: CSCMatrix, scale, pattern=None) -> CSCMatrix:
 
 def _reference_of(sys: AssembledSystem, odd) -> _Reference:
     """The _Reference of sys, a reference system summed and gated by
-    _system(..., odd): the class of each stored entry, and the extremes of
-    each class."""
-    free = odd[sys._layout.free]
+    _system(..., odd): the class of each stored entry and free dof, and the
+    extremes of each class."""
+    free = _readonly(odd[sys._layout.free])
     parity = tuple(_readonly(o[a.indices] + o[a._columns()])
                    for a, o in zip(_blocks(sys), (odd, odd, free, free)))
     extremes = []
     for a, p in zip((sys.stiffness, sys.mass), parity):
         mags = [abs(a.data[p == c]) for c in range(p.max() + 1)]
         extremes.append(tuple(_readonly(np.array([f(x) for x in mags])) for f in (np.max, np.min)))
-    return _Reference(sys, tuple(extremes), _scaled_norms(sys._kf, sys._mf), parity)
+    return _Reference(sys, tuple(extremes), parity, free)
 
 
 def _certified(key: tuple, k_scale, m_scale, dd=1.0) -> list:
@@ -771,8 +777,8 @@ def _certified(key: tuple, k_scale, m_scale, dd=1.0) -> list:
 def _mapped(key: tuple, k_scale, m_scale, ratio, d, mesh: Mesh, dd=None) -> AssembledSystem:
     """The system whose K and M are k_scale and m_scale times the stored
     entries of the reference of key (a beam's each first multiplied by dd
-    at its parity: D.D), with the _Congruence (key, ratio, d) to it. It
-    shares the reference's dof tables and index arrays. It is not gated:
+    at its parity: D.D), with the _Congruence (key, ratio, d, dd) to it.
+    It shares the reference's dof tables and index arrays. It is not gated:
     the caller has certified it (_certified: every entry finite and
     normal) and refused a ratio that is not a normal float."""
     ref = _reference(key)
@@ -780,10 +786,8 @@ def _mapped(key: tuple, k_scale, m_scale, ratio, d, mesh: Mesh, dd=None) -> Asse
     k, m, *free = (_scaled(a, scale, None if dd is None else dd[p]) for a, scale, p in
                    zip(_blocks(base), (k_scale, m_scale) * 2, ref.parity))
     kf, mf = free or (k, m)
-    norm_k, norm_m = ref.norms
-    norms = norm_k, float(norm_m / ratio)
     return AssembledSystem._of(base._layout, k, m, kf, mf, mesh,
-                               _Congruence(key, float(ratio), d, norms))
+                               _Congruence(key, float(ratio), d, dd))
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +860,7 @@ def assemble_beam(geom: BeamGeometry, mat: Material, n_elements: int,
     # doubling that the sum of two element entries is; M is certified
     # definite only where its entries are normal, so that is refused first.
     # A ratio that is not a normal float could not scale the unit pairs
-    # back to full precision, nor the unit's ||DMD||_F (_mapped) finitely
+    # back to full precision
     tiny = np.finfo(float).tiny
     if smallest_m >= tiny and not tiny <= ratio < math.inf:
         raise InvariantError("beam eigenvalue scale (EI/le^3)/(rho*A*le/420) must be "
@@ -1104,7 +1108,6 @@ def _shift_invert_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool
     lu = _symmetric_lu(ks - sigma * ms)
     op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     _, x = eigsh(ks, 2 * k, M=ms, sigma=sigma, OPinv=op, v0=np.ones(n))
-    norms = _scaled_norms(kk, mm)
     kept = k + spare
     for _ in range(1 + _POLISH_REPEATS):
         x = lu.solve(ms @ x)
@@ -1116,7 +1119,7 @@ def _shift_invert_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool
         vals, q = _dense_modes(a, b, 2 * k)
         x = x @ q
         vals_k, x_k = vals[:kept], x[:, :kept]
-        elastic, resid, berr = _accuracy(kk, mm, vals_k, x_k, norms)
+        elastic, resid, berr = _accuracy(kk, mm, vals_k, x_k)
         if np.all(berr <= _POLISH_MARGIN * _BACKWARD_BOUND) and not (
                 residual_margin and np.any(elastic & (resid > _POLISH_MARGIN * _RESIDUAL_BOUND))):
             break
@@ -1138,12 +1141,72 @@ def _pencil_modes(kk, mm, k: int, *, spare: int = 0, residual_margin: bool = Tru
 def _reference_pairs(key: tuple, k: int):
     """k lowest eigenpairs (mu, psi) of the free-dof pencil of the reference
     of key (_reference), as read-only arrays, solved as a copy's own pencil
-    would be. Only a scalar congruence maps the relative residual, so a
-    beam's solve keeps no margin on it (_shift_invert_modes)."""
+    would be, and the _Record of their gates. Only a scalar congruence maps
+    the relative residual, so a beam's solve keeps no margin on it
+    (_shift_invert_modes)."""
     ref = _reference(key)
     vals, vecs = _pencil_modes(ref.system._kf, ref.system._mf, k,
                                residual_margin=key[0] is _disk_reference)
-    return _readonly(vals), _readonly(vecs)
+    return _readonly(vals), _readonly(vecs), _recorded(ref, vals, vecs)
+
+
+class _Record(NamedTuple):
+    """What the gates of solve_modes read of the pairs (mu, psi) of a
+    reference, for the copies they map to (_recorded): the norms of K0 psi,
+    r0 = K0 psi - mu M0 psi and psi over each class of free dofs
+    (_pair_norms), and each pair's backward error plus the allowance.
+    Arrays are read-only."""
+    norms: np.ndarray
+    berr: np.ndarray
+
+
+def _recorded(ref: _Reference, vals, vecs) -> _Record:
+    """The _Record of the pairs (vals, vecs) of the free-dof pencil of ref.
+
+    A copy's pair (mu * ratio, psi / d) has, in exact arithmetic, its
+    reference pair's Jacobi-scaled backward error: the copy's Jacobi
+    scaling undoes its congruence. berr is the reference's as computed
+    plus an allowance gamma that bounds both the copy's exact backward
+    error and the one _accuracy would compute on the copy: _COPY_ROUNDING
+    for the copy's entries, 2 eps for the rounding of lambda and phi, and
+    (rows + 2) eps / 2 for each of the two computed residuals, rows the
+    most stored entries in a row. gamma is 22 eps (4.9e-15) on a
+    mesh_disk disk and at most 13 eps on a beam."""
+    kk, mm = ref.system._kf, ref.system._mf
+    parts, r = _pair_norms(kk, mm, vals, vecs, [ref.odd == c for c in range(ref.odd.max() + 1)])
+    berr = _backward_errors(kk, mm, vals, vecs, r)
+    rows = max(int(np.diff(a.indptr).max(initial=0)) for a in (kk, mm))
+    gamma = _COPY_ROUNDING + (rows + 4) * np.finfo(float).eps
+    return _Record(_readonly(parts), _readonly(berr + gamma))
+
+
+def _mapped_accuracy(c: _Congruence, record: _Record):
+    """(elastic, resid, berr) of _accuracy for the pairs of record mapped to
+    the system of congruence c, in O(k): K phi, its residual and phi are
+    D K0 psi, D r0 and D^-1 psi up to one factor common to all pairs (a
+    disk's D = d I is such a factor), so their norms are the reference's
+    per class of free dofs scaled by D there (a beam's 1 or le), and max|K|
+    is that factor times the reference's largest |entry| of K0 in each
+    class of D.D, scaled by D.D, at its largest."""
+    dd = np.ones(1) if c.dd is None else c.dd
+    # the extremes are K0's, not its free block's; they agree on the
+    # largest scaled entry: each class's largest is also in the free block,
+    # but a clamped 2-element beam's w-theta 6 le, never above 24 or 8 le^2
+    top = float((_reference(c.key).extremes[0][0] * dd).max())
+    # D on the free dofs of class 0 and 1 is D.D of class 0 and 1: 1, le
+    return (*_elastic_residuals(record.norms, dd[:record.norms.shape[1], None], top),
+            record.berr)
+
+
+def _norm(x: np.ndarray, axis=None):
+    """The 2-norm of x (along axis) with x scaled by a power of two near its
+    largest |entry|, so that it overflows only where the norm does: inf
+    where an entry is, NaN where one is NaN. The scaling is exact, so the
+    norm is bitwise np.linalg.norm's wherever that does not overflow."""
+    top = np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0)
+    scale = np.ldexp(1.0, np.frexp(np.where(top < math.inf, top, 1.0))[1] - 1)
+    with np.errstate(over="ignore"):
+        return np.squeeze(scale, axis) * np.linalg.norm(x / scale, axis=axis)
 
 
 def _jacobi(kk) -> np.ndarray:
@@ -1157,23 +1220,20 @@ def _scaled_norms(kk, mm):
     D = diag(d) of _jacobi; inf where a norm overflows."""
     d = _jacobi(kk)
     with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(float(np.linalg.norm(d[a.indices] * a.data * d[a._columns()]))
-                     for a in (kk, mm))
+        return tuple(float(_norm(d[a.indices] * a.data * d[a._columns()])) for a in (kk, mm))
 
 
-def _backward_errors(kk, mm, vals, vecs, r, norms) -> np.ndarray:
+def _backward_errors(kk, mm, vals, vecs, r) -> np.ndarray:
     """Jacobi-scaled normwise backward error of each pair (lambda, v) of the
     free-dof pencil (kk, mm), r = kk v - lambda mm v (Tisseur, "Backward
     error and condition of polynomial eigenvalue problems", Linear Algebra
     Appl. 309, 2000): ||D r|| / ((||DKD||_F + |lambda| ||DMD||_F) ||v / d||),
-    D = diag(d) of _jacobi and norms = (||DKD||_F, ||DMD||_F). O(n). NaN
-    where a norm overflows."""
+    D = diag(d) of _jacobi (_scaled_norms). NaN where a norm overflows."""
     d = _jacobi(kk)
-    norm_k, norm_m = norms
+    norm_k, norm_m = _scaled_norms(kk, mm)
     with np.errstate(over="ignore", invalid="ignore"):
-        num = np.linalg.norm(d[:, None] * r, axis=0)
-        den = ((norm_k + np.abs(vals) * norm_m)
-               * np.linalg.norm(vecs / d[:, None], axis=0))
+        num = _norm(d[:, None] * r, axis=0)
+        den = (norm_k + np.abs(vals) * norm_m) * _norm(vecs / d[:, None], axis=0)
         # a zero denominator means K = 0 and lambda = 0, so r = 0 too
         berr = num / np.where(den > 0, den, 1.0)
     return np.where(np.isfinite(den), berr, np.nan)
@@ -1188,7 +1248,7 @@ def solve_modes(sys: AssembledSystem, k: int):
     _SIGN_RTOL of the largest magnitude is positive. Deterministic for fixed
     input.
     """
-    vals, full, _ = _solve(sys, k)
+    vals, full = _solve(sys, k)
     return [(_frequency(lam), vec) for lam, vec in zip(vals.tolist(), full)]
 
 
@@ -1200,13 +1260,14 @@ def _frequency(lam: float) -> float:
 def _solve(sys: AssembledSystem, k: int, spare: int = 0):
     """The gated modes of solve_modes, and up to spare more where the solve
     has them at no extra cost: (eigenvalues, full-length normalized mode
-    vectors as rows, the scaled norms of the backward-error gate).
+    vectors as rows).
 
     A system with a congruence maps the cached reference pairs (see the
-    module docstring); any other is solved on its own pencil, or refused
-    before the dense solve or ARPACK sees it if its eigenvalue scale is
-    not a normal float. The gates then run on the system's own K and M
-    (_gated)."""
+    module docstring), and their gates from the reference's record of them
+    (_mapped_accuracy): it computes no product with its own K or M. Any
+    other is solved on its own pencil, or refused before the dense solve
+    or ARPACK sees it if its eigenvalue scale is not a normal float, and
+    gated on its own K and M (_accuracy). _gated is the one refusal."""
     free = sys.free_dofs()
     k = _count("k", k, len(free))
     kk, mm = sys._kf, sys._mf
@@ -1220,18 +1281,17 @@ def _solve(sys: AssembledSystem, k: int, spare: int = 0):
         if c is None:
             vals, vecs = _pencil_modes(kk, mm, k, spare=spare)
         else:
-            mu, psi = _reference_pairs(c.key, k)
+            mu, psi, record = _reference_pairs(c.key, k)
             vals, vecs = mu[:k + spare] * c.ratio, psi[:, :k + spare] / c.d
     except (np.linalg.LinAlgError, RuntimeError) as exc:   # ArpackError is a RuntimeError
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from None
 
-    # a mapped system's scaled norms are mapped from its reference's
-    norms = _scaled_norms(kk, mm) if c is None else c.norms
-    kept = _gated(*_accuracy(kk, mm, vals, vecs, norms), k)
+    gates = _accuracy(kk, mm, vals, vecs) if c is None else _mapped_accuracy(c, record)
+    kept = _gated(*gates, k)
     full = np.zeros((kept, len(sys.dof_map)))
     full[:, free] = vecs[:, :kept].T
     _normalize(sys, full)
-    return vals[:kept], full, norms
+    return vals[:kept], full
 
 
 def _gated(elastic, resid, berr, k: int) -> int:
@@ -1267,23 +1327,41 @@ def _passed(elastic, resid, berr) -> np.ndarray:
     return ~(elastic & (resid > _RESIDUAL_BOUND)) & (berr <= _BACKWARD_BOUND)
 
 
-def _accuracy(kk, mm, vals, vecs, norms):
+def _accuracy(kk, mm, vals, vecs):
     """(elastic, resid, berr) of the pairs (vals, vecs) of the free-dof
     CSC pencil (kk, mm): which pairs are away from the rigid-body null
     space, where the relative residual ||K v - lambda M v|| / ||K v|| of
-    resid is meaningful, and the backward error of each (_backward_errors,
-    norms its scaled norms). EigenSolveError if a vector norm overflows."""
-    kv = kk @ vecs
-    with np.errstate(over="ignore"):
-        norm_kv, norm_v = np.linalg.norm(kv, axis=0), np.linalg.norm(vecs, axis=0)
-    if not (np.isfinite(norm_kv).all() and np.isfinite(norm_v).all()):
-        # M-normalized vectors of a mass matrix near the float floor
+    resid is meaningful (_elastic_residuals), and the backward error of
+    each (_backward_errors). Norms are scaled (_norm): EigenSolveError only
+    if that of K v or v is not finite."""
+    parts, r = _pair_norms(kk, mm, vals, vecs, [slice(None)])
+    if not np.isfinite(parts[[0, 2]]).all():
         raise EigenSolveError("mode vector norms overflow; the residual cannot be gated")
     # every nonzero of K is stored, so max|K| is that of its data
-    elastic = norm_kv > 1e-9 * float(abs(kk.data).max(initial=0.0)) * norm_v
-    r = kv - vals * (mm @ vecs)
-    resid = np.linalg.norm(r, axis=0) / np.where(elastic, norm_kv, 1.0)
-    return elastic, resid, _backward_errors(kk, mm, vals, vecs, r, norms)
+    return (*_elastic_residuals(parts, np.ones((1, 1)), float(abs(kk.data).max(initial=0.0))),
+            _backward_errors(kk, mm, vals, vecs, r))
+
+
+def _pair_norms(kk, mm, vals, vecs, classes):
+    """The norms of K v, r = K v - lambda M v and v over each class (an
+    index) of free dofs, for the pairs (vals, vecs) of the free-dof CSC
+    pencil (kk, mm): an array (3, classes, pairs); and r."""
+    kv = kk @ vecs
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = kv - vals * (mm @ vecs)
+    return np.array([[_norm(a[c], axis=0) for c in classes] for a in (kv, r, vecs)]), r
+
+
+def _elastic_residuals(parts, s, top):
+    """(elastic, resid) of pairs whose K v, r and v have, over each class
+    of free dofs, the norms parts (_pair_norms) times s (v's over s), s a
+    column by class; top is max|K|. A pair is elastic where ||K v|| > 1e-9
+    top ||v||; resid is ||r|| / ||K v||, read only where elastic."""
+    kv, r, v = parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_kv = np.hypot.reduce(s * kv, axis=0)
+        elastic = norm_kv > 1e-9 * top * np.hypot.reduce(v / s, axis=0)
+        return elastic, np.hypot.reduce(s * r, axis=0) / np.where(elastic, norm_kv, 1.0)
 
 
 def _normalize(sys: AssembledSystem, full: np.ndarray) -> None:
@@ -1382,10 +1460,11 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
     disk (_reference_modes): the eigenvalues times the ratio of its
     congruence, the effective masses times c_M = d^2, and the reference's
     mode vectors, angular orders and mode shapes. All n_modes + 3 mapped
-    pairs, rigid ones too, must pass the gates of solve_modes on the disk's
-    own K and M (_gated), as a mapped beam's must; nothing else is computed
-    per disk. A disk on a caller's mesh, or one assembled directly, is
-    finished on its own pencil (_finish_disk).
+    pairs, rigid ones too, must pass the gates of solve_modes (_gated) as
+    the reference's record of them maps to the disk (_mapped_accuracy), as
+    a mapped beam's must; nothing else is computed per disk. A disk on a
+    caller's mesh, or one assembled directly, is finished and gated on its
+    own pencil (_finish_disk).
     """
     sys = assemble_disk(geom, mat, mesh)
     n_modes = _count("n_modes", n_modes, len(sys.free_dofs()) - 3)
@@ -1395,7 +1474,7 @@ def solve_disk(geom: DiskGeometry, mat: Material, mesh: Mesh, n_modes: int = 6):
         return sys, *_disk_results(modes.lam, modes)
     modes = _reference_modes(c.key, n_modes)
     lam = modes.lam * c.ratio
-    _gated(*_accuracy(sys._kf, sys._mf, lam, modes.vecs.T, c.norms), len(lam))
+    _gated(*_mapped_accuracy(c, modes.record), len(lam))
     _rigid_check(lam)
     return sys, *_disk_results(lam, modes, c.d * c.d)
 
@@ -1407,20 +1486,25 @@ class _DiskModes(NamedTuple):
     its canonical basis; the angular order, the mode shape (translational
     amplitude per node, unit maximum) and the effective mass of each
     elastic mode: phi^T M phi on the solved system's M, phi scaled to
-    max |u_r| = 1 on its rim, None where the rim does not move. Arrays are
-    read-only: a reference disk's are shared by every disk mapped from it."""
+    max |u_r| = 1 on its rim, None where the rim does not move; for a
+    reference disk, the _Record of its pairs (vals, vectors), None for a
+    disk solved directly. Arrays are read-only: a reference disk's are
+    shared by every disk mapped from it."""
     lam: np.ndarray
     vecs: np.ndarray
     orders: tuple
     shapes: np.ndarray
     masses: tuple
+    record: _Record | None = None
 
 
 @lru_cache(maxsize=_UNIT_CACHE)
 def _reference_modes(key: tuple, n_modes: int) -> _DiskModes:
     """The finished solve of the reference disk of key (_reference) with
-    n_modes elastic modes."""
-    return _finish_disk(_reference(key).system, n_modes)
+    n_modes elastic modes, and its record."""
+    ref = _reference(key)
+    modes = _finish_disk(ref.system, n_modes)
+    return modes._replace(record=_recorded(ref, modes.lam, modes.vecs.T))
 
 
 def _rigid_check(lam: np.ndarray) -> None:
@@ -1445,7 +1529,7 @@ def _finish_disk(sys: AssembledSystem, n_modes: int) -> _DiskModes:
     scales its reference's (solve_disk).
     """
     wanted = n_modes + 3
-    lam, vecs, norms = _solve(sys, wanted, spare=1)
+    lam, vecs = _solve(sys, wanted, spare=1)
     _rigid_check(lam)
     elastic = vecs[3:]
     theta, u_rads = _rim_radial(sys.mesh, elastic)
@@ -1469,8 +1553,7 @@ def _finish_disk(sys: AssembledSystem, n_modes: int) -> _DiskModes:
         rows = np.ravel([(i, i + 1) for i in firsts])
         turned = np.concatenate([_canonical_pair(sys, basis[1][orders[i]], u_rads[i:i + 2],
                                                  elastic[i:i + 2]) for i in firsts])
-        passed = _passed(*_accuracy(sys._kf, sys._mf, lam[3 + rows], turned[:, free].T,
-                                    norms))
+        passed = _passed(*_accuracy(sys._kf, sys._mf, lam[3 + rows], turned[:, free].T))
         whole = passed.reshape(-1, 2).all(axis=1).repeat(2)
         rows, turned = rows[whole], turned[whole]
         _normalize(sys, turned)

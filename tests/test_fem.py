@@ -118,7 +118,7 @@ def cold_unit_caches():
 
 def _unit_pairs(n, clamped, k):
     """The cached eigenpairs of the unit-beam pencil on n elements."""
-    return fem._reference_pairs((fem._beam_reference, n, clamped), k)
+    return fem._reference_pairs((fem._beam_reference, n, clamped), k)[:2]
 
 
 def _literal_beam_elements(geom, mat, n_elements):
@@ -739,7 +739,7 @@ class TestDenseModes:
         n = len(a)
         vals, vecs = fem._dense_modes(a, b, n)
         _assert_matches_eigh(a, b, n, vals, vecs)
-        elastic, resid, berr = fem._accuracy(kk, mm, vals, vecs, fem._scaled_norms(kk, mm))
+        elastic, resid, berr = fem._accuracy(kk, mm, vals, vecs)
         assert np.all(berr <= fem._BACKWARD_BOUND)
         assert not residual or np.all(resid[elastic] <= fem._RESIDUAL_BOUND)
         for k in sorted({1, 2, n // 2} - {0}):   # the lowest k are the first k of all
@@ -873,7 +873,7 @@ class TestNormalization:
 
         monkeypatch.setattr(fem, "_reference_pairs", recording)
         modes = solve_modes(sys_, k)
-        (mu, psi), = calls
+        (mu, psi, _), = calls
         c = sys_._congruence
         self._check(modes, _loop_normalized(sys_, mu * c.ratio, psi / c.d))
 
@@ -1286,57 +1286,145 @@ class TestCopyCertificate:
             fem._gate(a, at, a, a, np.zeros(3, np.int8))
 
     def test_warm_copies_are_not_gated(self, monkeypatch, ref_beam, ref_disk, silicon):
-        # no gate, symmetry scan or factorization once the reference is cached
+        # no gate, symmetry scan, factorization or product with K or M once
+        # the references and their pairs are cached: a copy's eigenpair
+        # gates are read off its reference's record
         mesh = mesh_disk(ref_disk, ref_disk.radius / 8)
-        expected = [assemble_beam(ref_beam, silicon, n) for n in (16, 400)]
-        expected.append(assemble_disk(ref_disk, silicon, mesh))
+
+        def solved():
+            beams = [assemble_beam(ref_beam, silicon, n) for n in (16, 400)]
+            return beams, [solve_modes(b, 4) for b in beams], fem.solve_disk(ref_disk, silicon,
+                                                                           mesh)
+
+        expected = solved()
 
         def refuse(*args, **kwargs):
             raise AssertionError("a scaled copy was gated")
 
-        for name in ("_gate", "_positive_definite", "_symmetric_lu"):
+        for name in ("_gate", "_positive_definite", "_symmetric_lu", "_accuracy"):
             monkeypatch.setattr(fem, name, refuse)
-        got = [assemble_beam(ref_beam, silicon, n) for n in (16, 400)]
-        got.append(assemble_disk(ref_disk, silicon, mesh))
-        for a, b in zip(got, expected):
+        monkeypatch.setattr(fem.CSCMatrix, "__matmul__", refuse)
+        got = solved()
+        monkeypatch.undo()
+        for a, b in zip(got[0], expected[0]):
             _assert_same_system(a, b)
+        for a, b in zip(got[1], expected[1]):
+            TestNormalization._check(a, b)
+        _assert_same_disk(got[2], expected[2])
+
+
+_EPS = np.finfo(float).eps
+
+
+def _reference_backward_errors(key, vals, vecs):
+    """The backward errors of the pairs (vals, vecs) of the reference of
+    key, as _accuracy computes them on its own K and M."""
+    ref = fem._reference(key).system
+    return fem._accuracy(ref._kf, ref._mf, vals, vecs)[2]
 
 
 class TestBackwardErrorGate:
-    def test_perturbed_unit_vector_refused(self, monkeypatch, ref_beam, silicon):
+    def test_perturbed_unit_vector_refused(self, monkeypatch, silicon, cold_unit_caches):
         # at 1024 elements the near-null test exempts every mode from the
-        # relative residual gate; the backward-error gate still sees it
-        unit_modes = fem._reference_pairs
+        # relative residual gate; the backward-error gate still sees it. A
+        # unit pair perturbed before its record is made refuses every beam
+        # it maps to: at 1 m, where the perturbed mode is elastic, by its
+        # residual
+        lengths = (1e-6, 10e-6, 1e-3, 1.0)
+        beams = [assemble_beam(BeamGeometry(length, 0.46e-6, 0.4e-6, VibrationAxis.IN_PLANE),
+                               silicon, 1024) for length in lengths]
+        solve_modes(beams[1], 4)
+        fem._reference_pairs.cache_clear()
+        pencil_modes = fem._pencil_modes
 
-        def perturbed(key, k):
-            mu, psi = unit_modes(key, k)
+        def perturbed(kk, mm, k, **kwargs):
+            mu, psi = pencil_modes(kk, mm, k, **kwargs)
             psi = psi.copy()
             psi[len(psi) // 2, 1] += 1e-6 * abs(psi[:, 1]).max()
             return mu, psi
 
-        sys_ = assemble_beam(ref_beam, silicon, 1024)
-        solve_modes(sys_, 4)
-        monkeypatch.setattr(fem, "_reference_pairs", perturbed)
-        with pytest.raises(EigenSolveError, match=r"backward error .* exceeds 1e-12 for mode 1"):
-            solve_modes(sys_, 4)
+        monkeypatch.setattr(fem, "_pencil_modes", perturbed)
+        for length, sys_ in zip(lengths, beams):
+            gate = r"eigen-residual .* exceeds 1e-08" if length == 1.0 else \
+                r"backward error .* exceeds 1e-12"
+            with pytest.raises(EigenSolveError, match=gate + " for mode 1"):
+                solve_modes(sys_, 4)
 
-    def test_matches_reference(self, ref_beam, ref_disk, silicon, disk_r12):
-        # the gated value is the reference backward error (beam and disk)
-        recorded = []
-        backward_errors = fem._backward_errors
+    def test_matches_reference(self, monkeypatch, ref_beam, silicon, disk_r12):
+        # the gated value is the reference's backward error plus an
+        # allowance gamma of at most 22 eps, and the copy's own is within
+        # gamma of the reference's (beam and disk)
+        gated = []
+        gate = fem._gated
 
-        def recording(*args):
-            recorded.append(backward_errors(*args))
-            return recorded[-1]
+        def recording(elastic, resid, berr, k):
+            gated.append(berr)
+            return gate(elastic, resid, berr, k)
 
+        monkeypatch.setattr(fem, "_gated", recording)
         for sys_ in (assemble_beam(ref_beam, silicon, 64),
                      assemble_beam(ref_beam, silicon, 512, clamped=False), disk_r12):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fem, "_backward_errors", recording)
-                modes = solve_modes(sys_, 9)
-            assert recorded[-1] == pytest.approx(_jacobi_backward_errors(sys_, modes),
-                                                 rel=1e-6, abs=1e-17)
-            assert recorded[-1].max() <= fem._BACKWARD_BOUND == 1e-12
+            modes = solve_modes(sys_, 9)
+            mu, psi, _ = fem._reference_pairs(sys_._congruence.key, 9)
+            gamma = gated[-1] - _reference_backward_errors(sys_._congruence.key, mu, psi)
+            assert np.all((8 * _EPS <= gamma) & (gamma <= 22.001 * _EPS))
+            own = _jacobi_backward_errors(sys_, modes)
+            assert np.all(np.abs(gated[-1] - gamma - own) <= gamma)
+            assert gated[-1].max() <= fem._BACKWARD_BOUND == 1e-12
+
+
+class TestMappedGates:
+    """A scaled copy's eigenpair gates are read off its reference's record
+    (_mapped_accuracy), and give each pair the verdict that _accuracy gives
+    it on the copy's own K and M: elastic flags equal, backward errors
+    within the record's allowance gamma, on beams of 2-4096 elements and
+    lengths 1 um-1 m and on disks of R/4.5-R/20, E 1e-5-1e150. Two 1 m
+    beams are refused by both: the free 64-element one (residual 1.1e-8)
+    and the clamped 151-element one (1.9e-7)."""
+
+    @staticmethod
+    def _compare(sys_, mu, psi, record):
+        """Compare the gates of the reference pairs (mu, psi) mapped to
+        sys_; True if sys_ is refused."""
+        c = sys_._congruence
+        vals, vecs = mu * c.ratio, psi / c.d
+        own = fem._accuracy(sys_._kf, sys_._mf, vals, vecs)
+        mapped = fem._mapped_accuracy(c, record)
+        gamma = record.berr - _reference_backward_errors(c.key, mu, psi)
+        assert np.all((8 * _EPS <= gamma) & (gamma <= 22.001 * _EPS))
+        assert np.array_equal(own[0], mapped[0])
+        assert np.all(np.abs(mapped[2] - gamma - own[2]) <= gamma)
+        assert np.array_equal(fem._passed(*own), fem._passed(*mapped))
+        # the same gate refuses the same mode, its value equal to rounding
+        own_verdict, mapped_verdict = (
+            re.sub(r"\S+ exceeds", "exceeds", str(_verdict(lambda: fem._gated(*gates, len(mu)))))
+            for gates in (own, mapped))
+        assert own_verdict == mapped_verdict
+        return own_verdict != str(len(mu))
+
+    @pytest.mark.parametrize("clamped", [True, False])
+    @pytest.mark.parametrize("n", [2, 16, 32, 48, 64, 151, 152, 512, 1024, 4096])
+    def test_beams(self, silicon, n, clamped):
+        refused = []
+        for length in (1e-6, 1e-5, 1e-3, 1.0):
+            sys_ = assemble_beam(BeamGeometry(length, 0.46e-6, 0.4e-6, VibrationAxis.IN_PLANE),
+                                 silicon, n, clamped)
+            if self._compare(sys_, *fem._reference_pairs(sys_._congruence.key,
+                                                         min(4, len(sys_.free_dofs())))):
+                refused.append(length)
+        assert refused == ([1.0] if (n, clamped) in ((64, False), (151, True)) else [])
+
+    @pytest.mark.parametrize("divisor", [4.5, 8, 12, 20])
+    def test_disks(self, divisor):
+        geom = DiskGeometry(5.3e-6, 0.9e-6)
+        mesh = mesh_disk(geom, geom.radius / divisor)
+        for nu, e_mod in itertools.product((0.25, 0.28), (1e-5, 169e9, 1e150)):
+            sys_ = assemble_disk(geom, Material(e_mod, 2330.0, nu), mesh)
+            key = sys_._congruence.key
+            assert not self._compare(sys_, *fem._reference_pairs(key, 9))
+            # solve_disk's pairs: the finished solve's, normalized
+            modes = fem._reference_modes(key, 6)
+            assert not self._compare(sys_, modes.lam, modes.vecs.T, modes.record)
 
 
 # the fem-converge seed-1 disk, which K - sigma*M with sigma at 1e-12 of the
@@ -1371,17 +1459,17 @@ class TestCachedBackwardNorms:
     @pytest.mark.parametrize("n", [8, 64, 128, 151, 152, 512, 1024])
     def test_equal_to_per_call_norms(self, silicon, n, clamped):
         # ||DKD||_F and ||DMD||_F of every beam are its unit system's
-        # (||DMD|| over the eigenvalue scale), whatever the beam's size
+        # (||DMD|| over the eigenvalue scale), whatever the beam's size: so
+        # its backward errors are its unit pairs'
         for geom in (BeamGeometry(10e-6, 0.46e-6, 0.4e-6, VibrationAxis.IN_PLANE),
                      BeamGeometry(37e-6, 2e-6, 1e-6, VibrationAxis.OUT_OF_PLANE),
                      BeamGeometry(1e-3, 1e-6, 3e-6, VibrationAxis.IN_PLANE)):
             sys_ = assemble_beam(geom, silicon, n, clamped)
-            cached = sys_._congruence.norms
-            per_call = fem._scaled_norms(sys_._kf, sys_._mf)
-            assert cached == pytest.approx(per_call, rel=1e-14, abs=0)
+            _assert_reference_norms(sys_)
 
     def test_beam_solve_computes_no_norm(self, monkeypatch, ref_beam, silicon):
         sys_ = assemble_beam(ref_beam, silicon, 64)
+        solve_modes(sys_, 4)   # the unit pairs and their record, once
 
         def refuse(*args):
             raise AssertionError("the scaled norms were computed per call")
@@ -1391,6 +1479,34 @@ class TestCachedBackwardNorms:
         direct = AssembledSystem(sys_.stiffness, sys_.mass, sys_.dof_map, sys_.constraints)
         with pytest.raises(AssertionError, match="per call"):
             solve_modes(direct, 4)
+
+    def test_scaled_norm_is_numpys_where_finite(self):
+        # the scaling is by a power of two, so exact: where numpy's norm is
+        # finite and normal the gates read its bits, and a norm numpy
+        # overflows on is finite unless the norm itself overflows
+        rng = np.random.default_rng(7)
+        for scale in (1e-140, 1e-20, 1.0, 3e40, 1e140):
+            x = scale * rng.standard_normal((200, 5)) * np.logspace(-6, 6, 200)[:, None]
+            assert _bits_equal(fem._norm(x, axis=0), np.linalg.norm(x, axis=0))
+            assert _bits_equal(fem._norm(x[:, 0]), np.linalg.norm(x[:, 0]))
+        big = np.array([[1e300, 3e307], [1e300, 4e307], [1e300, 1e308]])
+        assert fem._norm(big, axis=0) == pytest.approx([math.sqrt(3) * 1e300, math.hypot(
+            3e307, 4e307, 1e308)], rel=1e-15)
+        with np.errstate(over="ignore"):
+            assert fem._norm(np.array([1.5e308, 1.5e308])) == math.inf
+        assert np.isnan(fem._norm(np.array([1.0, np.nan])))
+        assert fem._norm(np.array([np.inf, 1.0])) == math.inf
+        assert _bits_equal(fem._norm(np.zeros((3, 2)), axis=0), np.zeros(2))
+
+
+def _assert_reference_norms(sys_):
+    """(||DKD||_F, ||DMD||_F) of the scaled copy sys_ are its reference's,
+    ||DMD||_F over the eigenvalue ratio, to rounding."""
+    c = sys_._congruence
+    ref = fem._reference(c.key).system
+    norm_k, norm_m = fem._scaled_norms(ref._kf, ref._mf)
+    assert (norm_k, norm_m / c.ratio) == pytest.approx(fem._scaled_norms(sys_._kf, sys_._mf),
+                                                       rel=1e-14, abs=0)
 
 
 class TestSignConvention:
@@ -2110,17 +2226,19 @@ class TestHarmonicEnergies:
 class TestDiskModal:
     def test_vectors_too_large_to_gate(self, silicon):
         # a 4e-307 m thick disk has mass entries near the float floor, so the
-        # M-normalized vectors' norms overflow: the residual gate cannot be
-        # evaluated, and the solve fails rather than skip it. assemble_disk
-        # refuses that mass as not normal, so its K and M (the 0.4 um
-        # disk's times 1e-300, up to rounding) are a caller's matrices
+        # M-normalized vectors reach 1e157, and their unscaled norms would
+        # overflow. Scaled, they are finite, and the gates refuse the solve
+        # of entries below the normal range: its elastic pairs' residuals
+        # are 8e-8 (backward errors 2e-10). assemble_disk refuses that mass
+        # as not normal, so its K and M (the 0.4 um disk's times 1e-300, up
+        # to rounding) are a caller's matrices
         geom = DiskGeometry(3e-6, 0.4e-6)
         sys_ = assemble_disk(geom, silicon, mesh_disk(geom, 0.6e-6))
         thin = AssembledSystem(1e-300 * sys_.stiffness.toarray(), 1e-300 * sys_.mass.toarray(),
                                sys_.dof_map,
                                sys_.constraints, sys_.mesh)
         assert abs(thin.mass.data).max() < np.finfo(float).tiny
-        with pytest.raises(EigenSolveError, match="overflow"):
+        with pytest.raises(EigenSolveError, match="eigen-residual"):
             solve_modes(thin, 5)
 
     def test_wineglass_within_5pct_of_analytic(self, modal, ref_disk, silicon):
@@ -2235,7 +2353,9 @@ class TestUnitDisk:
     def test_effective_masses(self, divisor):
         # a mapped disk's effective masses are c_M = d^2 times its
         # reference's, within 8 eps of those on its own M and rim; a disk on
-        # a caller's mesh (dense at R/4.5, sparse at R/8) computes its own
+        # a caller's mesh (dense at R/4.5, sparse at R/8) computes its own.
+        # Every disk is accepted: the E = 1e200 ones too, whose gates are
+        # their reference's
         eps, tally = np.finfo(float).eps, collections.Counter()
         for radius, t, e_mod, rho, nu, n_modes, caller in itertools.product(
                 (3e-6, 17.3e-6), (0.4e-6, 1.1e-6), (1e-5, 169e9, 1e200), (2330.0, 1e100),
@@ -2244,13 +2364,8 @@ class TestUnitDisk:
                 continue
             geom = DiskGeometry(radius, t)
             mesh = mesh_disk(geom, radius / divisor)
-            try:
-                sys_, modes, results = fem.solve_disk(
-                    geom, Material(e_mod, rho, nu), _caller_copy(mesh) if caller else mesh,
-                    n_modes)
-            except EigenSolveError:   # mode vector norms overflow at E = 1e200
-                tally["refused"] += 1
-                continue
+            sys_, modes, results = fem.solve_disk(
+                geom, Material(e_mod, rho, nu), _caller_copy(mesh) if caller else mesh, n_modes)
             got, own = [r.effective_mass for r in results], _own_masses(sys_, modes)
             assert len(got) == len(own) == n_modes
             c = sys_._congruence
@@ -2262,7 +2377,7 @@ class TestUnitDisk:
             assert got == [m * (c.d * c.d) for m in ref]
             assert np.all(np.abs(np.subtract(got, own)) <= 8 * eps * np.array(own))
             tally["mapped"] += 1
-        assert tally["mapped"] == 64 and tally["refused"] == 32
+        assert tally["mapped"] == 96
         assert tally["own"] == (64 if divisor <= 8 else 0)
 
     def test_warm_disk_makes_no_rim_pass(self, monkeypatch, silicon):
@@ -2374,14 +2489,14 @@ class TestUnitDisk:
         calls = []
 
         def rotated(sys_, k, spare=0):
-            vals, full, norms = solve(sys_, k, spare)
+            vals, full = solve(sys_, k, spare)
             calls.append(k)
             for i in (3, 5):   # the n = 2 and n = 1 pairs, in any basis
                 phi = rng.uniform(0, 2 * math.pi)
                 va, vb = full[i].copy(), full[i + 1].copy()
                 full[i] = math.cos(phi) * va + math.sin(phi) * vb
                 full[i + 1] = 3.0 * (math.cos(phi) * vb - math.sin(phi) * va)
-            return vals, full, norms
+            return vals, full
 
         monkeypatch.setattr(fem, "_solve", rotated)
         got = fem.solve_disk(ref_disk, silicon, mesh)[2]
@@ -2460,7 +2575,7 @@ class TestUnitDisk:
     def test_spare_failing_a_gate_is_dropped(self, monkeypatch, ref_disk, silicon):
         mesh = _caller_copy(mesh_disk(ref_disk, ref_disk.radius / 8))
         sys_ = assemble_disk(ref_disk, silicon, mesh)
-        vals, full, _ = fem._solve(sys_, 9, spare=1)
+        vals, full = fem._solve(sys_, 9, spare=1)
         assert len(vals) == len(full) == 10
         pencil_modes = fem._pencil_modes
 
@@ -2471,7 +2586,7 @@ class TestUnitDisk:
             return vals, vecs
 
         monkeypatch.setattr(fem, "_pencil_modes", spoiled)
-        got_vals, got_full, _ = fem._solve(sys_, 9, spare=1)
+        got_vals, got_full = fem._solve(sys_, 9, spare=1)
         assert _bits_equal(got_vals, vals[:9]) and _bits_equal(got_full, full[:9])
 
     @pytest.mark.parametrize("divisor", [6, 12])
@@ -2495,26 +2610,27 @@ class TestUnitDisk:
     def test_mapped_norms_equal_per_call_norms(self, silicon):
         for divisor in (6, 12):
             geom = DiskGeometry(5.3e-6, 0.9e-6)
-            sys_ = assemble_disk(geom, silicon, mesh_disk(geom, geom.radius / divisor))
-            assert sys_._congruence.norms == pytest.approx(
-                fem._scaled_norms(sys_._kf, sys_._mf), rel=1e-14, abs=0)
+            _assert_reference_norms(assemble_disk(geom, silicon,
+                                                  mesh_disk(geom, geom.radius / divisor)))
 
-    def test_failing_mapped_pair_is_refused(self, monkeypatch):
-        # one mapped pair off by 1e-6: the disk is refused, as a beam whose
-        # mapped pair fails a gate is
-        geom, mat = DiskGeometry(5.3e-6, 0.9e-6), Material(131e9, 2210.0, 0.23)
-        mesh = mesh_disk(geom, geom.radius / 8)
-        reference_modes = fem._reference_modes
+    def test_failing_mapped_pair_is_refused(self, monkeypatch, cold_disk_topologies):
+        # one reference pair off by 1e-6 before its record is made: every
+        # disk mapped from it is refused, as a beam whose mapped pair fails
+        # a gate is
+        finish_disk = fem._finish_disk
 
-        def spoiled(*key):
-            modes = reference_modes(*key)
+        def spoiled(*args):
+            modes = finish_disk(*args)
             vecs = modes.vecs.copy()
             vecs[5] += 1e-6 * np.abs(vecs[5]).max()
             return modes._replace(vecs=vecs)
 
-        monkeypatch.setattr(fem, "_reference_modes", spoiled)
-        with pytest.raises(EigenSolveError, match=r"eigen-residual .* exceeds 1e-08 for mode 5"):
-            fem.solve_disk(geom, mat, mesh)
+        monkeypatch.setattr(fem, "_finish_disk", spoiled)
+        for geom, mat in ((DiskGeometry(5.3e-6, 0.9e-6), Material(131e9, 2210.0, 0.23)),
+                          (DiskGeometry(17.3e-6, 1.1e-6), Material(1e200, 2330.0, 0.23))):
+            with pytest.raises(EigenSolveError,
+                               match=r"eigen-residual .* exceeds 1e-08 for mode 5"):
+                fem.solve_disk(geom, mat, mesh_disk(geom, geom.radius / 8))
 
     @pytest.mark.parametrize("n_modes", [10, 13])
     @pytest.mark.parametrize("which", sorted(_NEAR_MISS_DISKS))
