@@ -9,6 +9,7 @@ results are identical to direct calls.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -285,7 +286,12 @@ def _int_at_least(lo: int, most: int | None = None):
 _positive_quantity = _arg(parse_quantity, lambda x: x > 0, "a positive quantity")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared by every
+    later one (and every main() call) in the process; callers must not
+    mutate it. Its defaults are immutable, so no state passes between
+    parses."""
     p = argparse.ArgumentParser(
         prog="resokit",
         description="Electrostatic MEMS resonator design and analysis toolkit")
@@ -313,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("respond", help="transmission spectrum and extracted Q")
     r.add_argument("--config", required=True)
     r.add_argument("--termination", type=_positive_quantity, default=50.0)
-    r.add_argument("--points", type=_int_at_least(3), default=2001)
+    r.add_argument("--points", type=_int_at_least(3, transduction._MAX_POINTS),
+                   default=2001)
     r.add_argument("--csv", default=None, help="write spectrum CSV here")
     r.add_argument("--circuit-json", default=None,
                    help="write the equivalent circuit as a JSON record")

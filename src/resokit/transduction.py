@@ -12,6 +12,7 @@ factor eta = Vp * eps0 * er * S / d0^2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,12 +141,18 @@ def circuit_to_json(c: EquivalentCircuit, path):
     _write_json({"topology": "series-RLC with shunt C0 at each port", **c.to_dict()}, path)
 
 
+# most samples a spectrum takes, 50 times the default 2001 (README states
+# the peak RSS of `respond` at the cap); --points refuses more with exit 2
+_MAX_POINTS = 100_000
+
+
 def transmission_spectrum(c: EquivalentCircuit, termination: float = 50.0,
                           f_lo: float = None, f_hi: float = None,
                           points: int = 2001) -> Spectrum:
     """Two-port transmission of the series-RLC branch between matched
     terminations, with the static capacitance as a shunt element at each
-    port. Sampled on a geometric frequency grid.
+    port. Sampled on a geometric frequency grid of 3 to _MAX_POINTS
+    points whose ends are f_lo and f_hi exactly.
 
     Without the shunts H(f) reduces to 2*Z/(2*Z + Z_motional(f)).
     """
@@ -155,12 +162,17 @@ def transmission_spectrum(c: EquivalentCircuit, termination: float = 50.0,
         f_hi = c.f0 * (1 + 20.0 / c.q)
     if not (0 < f_lo < c.f0 < f_hi):
         raise SpectrumError(f"need f_lo < f0 < f_hi, got [{f_lo}, {f_hi}] vs f0={c.f0}")
-    if points < 3:
-        raise SpectrumError(f"points must be >= 3, got {points}")
+    try:
+        n = operator.index(points)
+    except TypeError:
+        raise SpectrumError(f"points must be an integer, got {points!r}") from None
+    if not 3 <= n <= _MAX_POINTS:
+        raise SpectrumError(f"points must be from 3 to {_MAX_POINTS}, got {n}")
     if termination <= 0:
         raise SpectrumError(f"termination must be > 0, got {termination}")
 
-    f = np.geomspace(f_lo, f_hi, points)
+    f = np.exp(np.linspace(math.log(f_lo), math.log(f_hi), n))
+    f[0], f[-1] = f_lo, f_hi
     w = 2 * np.pi * f
     z_m = c.r_x + 1j * (w * c.l_x - 1.0 / (w * c.c_x))
     y0 = 1j * w * c.c0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import resokit
-from resokit import fem
+from resokit import cli, fem, transduction
 from resokit.cli import main
 from resokit.core import DiskGeometry
 from resokit.design import profile_by_name
@@ -349,6 +349,8 @@ def test_value_not_a_quantity_names_its_file(tmp_path, capsys, kind, message):
     ["respond", "--config", "{beam}", "--termination", "-5"],
     ["fem", "--config", "{beam}", "--modes", "0"],
     ["respond", "--config", "{beam}", "--points", "2"],
+    ["respond", "--config", "{beam}", "--points", str(transduction._MAX_POINTS + 1)],
+    ["respond", "--config", "{beam}", "--points", "3.0"],
     ["analyze", "--config", "{beam}", "--elements", "1"],
     ["analyze", "--config", "{beam}", "--elements", "4097"],
     ["fem", "--config", "{beam}", "--elements", "10000000000"],
@@ -360,7 +362,8 @@ def test_value_not_a_quantity_names_its_file(tmp_path, capsys, kind, message):
     ["compare-detection", "--config", "{mos}", "--scales", "1,0.5,0.5"],
     ["compare-detection", "--config", "{mos}", "--scales", "1,0.5,-0.1"],
 ], ids=["target-edge-0", "target-edge-negative", "termination-0",
-        "termination-negative", "modes-0", "points-2", "elements-1", "elements-4097",
+        "termination-negative", "modes-0", "points-2",
+        "points-above-cap", "points-not-integer", "elements-1", "elements-4097",
         "elements-1e10", "scales-abc", "freq-tol-nan",
         "freq-tol-negative", "scales-not-from-1", "scales-above-1",
         "scales-not-descending", "scales-negative"])
@@ -376,6 +379,42 @@ def test_bad_argument_is_usage_error(beam_config, mos_beam_config, disk_config, 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "usage: resokit" in capsys.readouterr().out
+
+
+def test_repeated_calls_share_one_parser(tmp_path, capsys):
+    """main() reuses one parser: every subcommand run twice in this process,
+    with a usage error and --help between the rounds, writes the same
+    report bytes and exit code both times."""
+    beam, mos = str(CONFIGS / "beam.json"), str(CONFIGS / "mos_beam.json")
+    commands = [
+        ["analyze", "--config", beam],
+        ["fem", "--config", beam, "--modes", "4"],
+        ["respond", "--config", beam],
+        ["compare-detection", "--config", mos],
+        ["check", "--config", beam, "--profile", "oscillator-n2", "--freq-tol", "0.005"],
+        ["optimize", "--profile", "oscillator-n2",
+         "--bounds", str(CONFIGS / "oscillator_bounds.json")],
+        ["gap", "--drawn", "80 nm", "--tunnel", "1.19 um"],
+    ]
+
+    def run_all(round_):
+        codes, reports = [], []
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"{round_}-{i}.json"
+            codes.append(main([*argv, "--json", str(out)]))
+            reports.append(out.read_bytes())
+        return codes, reports
+
+    first = run_all("a")
+    assert main(["analyze", "--config", beam, "--elements", "1"]) == 2
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert "usage: resokit" in captured.out
+    assert captured.err.count("error:") == 1
+    second = run_all("b")
+    assert first[0] == second[0] == [0, 0, 0, 0, 1, 0, 0]
+    assert first[1] == second[1]
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("argv", [

@@ -285,7 +285,33 @@ class TestSpectrum:
         f = np.asarray(s.frequencies)
         assert len(f) == 101
         ratios = f[1:] / f[:-1]
-        assert np.allclose(ratios, ratios[0], rtol=1e-9)
+        assert np.allclose(ratios, ratios[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("points", [3, 101, 2001, transduction._MAX_POINTS])
+    def test_grid_ends_exactly_at_its_bounds(self, ref_circuit, points):
+        f_lo, f_hi = ref_circuit.f0 * 0.999, ref_circuit.f0 * 1.003
+        f = transmission_spectrum(ref_circuit, f_lo=f_lo, f_hi=f_hi,
+                                  points=points).frequencies
+        assert f[0] == f_lo and f[-1] == f_hi
+        assert np.all(f[1:] > f[:-1])
+        # the default band too
+        f = transmission_spectrum(ref_circuit, points=points).frequencies
+        assert f[0] == ref_circuit.f0 * (1 - 20.0 / ref_circuit.q)
+        assert f[-1] == ref_circuit.f0 * (1 + 20.0 / ref_circuit.q)
+        assert np.all(f[1:] > f[:-1])
+
+    @pytest.mark.parametrize("q,expected", [
+        (1e2, 99.98349559357261),
+        (1e3, 999.8886088451765),
+        (1e4, 9988.788787978965),
+        (1e5, 98891.89448013887),
+        (1e6, 899934.864626092),
+    ])
+    def test_extracted_q_recorded(self, ref_mode, ref_transducer, q, expected):
+        # recorded on the np.geomspace grid the spectrum was sampled on
+        # before; the exp(linspace) grid moves each value by ~1e-11 at most
+        c = equivalent_circuit(ref_mode, ref_transducer, q)
+        assert extract_q(transmission_spectrum(c)) == pytest.approx(expected, rel=1e-9)
 
     def test_invalid_range(self, ref_circuit):
         with pytest.raises(SpectrumError):
@@ -293,6 +319,23 @@ class TestSpectrum:
                                   f_hi=ref_circuit.f0 * 1.1)
         with pytest.raises(SpectrumError):
             transmission_spectrum(ref_circuit, points=2)
+
+    @pytest.mark.parametrize("points,message", [
+        (2, "from 3 to 100000, got 2"),
+        (transduction._MAX_POINTS + 1, "from 3 to 100000, got 100001"),
+        (10**12, "from 3 to 100000"),
+        (3.0, "an integer, got 3.0"),
+        (2001.5, "an integer"),
+        ("2001", "an integer"),
+        (None, "an integer"),
+    ])
+    def test_points_refused(self, ref_circuit, points, message):
+        with pytest.raises(SpectrumError, match=message):
+            transmission_spectrum(ref_circuit, points=points)
+
+    def test_points_any_integer_type(self, ref_circuit):
+        assert transmission_spectrum(ref_circuit, points=np.int64(101)) == \
+            transmission_spectrum(ref_circuit, points=101)
 
     def test_csv_export(self, ref_circuit, tmp_path):
         s = transmission_spectrum(ref_circuit, points=101)
