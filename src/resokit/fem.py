@@ -1,136 +1,69 @@
 """In-house FEM modal solver.
 
 Beam eigenmodes use 2-node Euler-Bernoulli elements (cubic Hermite shape
-functions, consistent mass). Disk in-plane eigenmodes use linear-triangle
-plane-stress elements on a structured polar mesh. Element matrices are
-built for all elements at once. One function, _plan, numbers the dofs of
-a mesh topology and works out where each element entry is summed; one
-function, _system, sums the element matrices by that plan and gates the
-result, for the unit beam, every reference disk and every disk on a
-caller's mesh. _system certifies the mass positive-definite by its
-element matrices, with no factorization (Wathen's bound); only a system
-built with AssembledSystem(...) from a caller's matrices, which has no
-elements, has its mass factored (_positive_definite).
+functions, consistent mass); disk in-plane eigenmodes use linear-triangle
+plane-stress elements on a structured polar mesh. _plan numbers the dofs
+of a mesh topology and works out where each element entry is summed;
+_system sums the element matrices by that plan, gates K and M finite and
+symmetric (_gate) and certifies M positive-definite on the free dofs by
+its element matrices, with no factorization (Wathen's bound). Only a
+system built with AssembledSystem(...) from a caller's 2-D numeric
+arrays, which has no elements, has its mass factored (_positive_definite).
 
-K and M are stored in one form at every size: CSCMatrix, a read-only
-canonical CSC record with numpy arrays. One threshold, _SPARSE_MIN_DOF
-(300 free dofs), picks how a pencil is factored and solved. At or below
-it, numpy alone does it: the modes come from the dense copies (toarray)
-by a Cholesky reduction and numpy.linalg.eigh (_dense_modes), and a
-product with a stored matrix is a numpy bincount. Above it, the lowest
-modes come from shift-invert Lanczos (ARPACK) on a sparse LU of
-K - sigma*M, polished by an inverse-iteration step and a Rayleigh-Ritz
-projection (the dense solve again), repeated at most twice while a pair
-is near a gate, and products go through scipy's CSC kernel. The dense
-solve is faster on small systems, and ARPACK needs k well below n: a
-larger system asked for k >= n/4 modes is solved densely too. Both paths
-share the gates, normalization and sign convention. Every returned mode
-passes a Jacobi-scaled normwise backward-error gate (_BACKWARD_BOUND). The
-relative residual gate (_RESIDUAL_BOUND) applies only to the modes
-_accuracy calls elastic, ||K v|| > 1e-9 max|K| ||v||: a disk's elastic
-modes, but no mode of the shipped micrometre beam clamped with 48 or more
-elements, whose lowest bending modes fall below that share of max|K|
-(README).
+K and M are stored as CSCMatrix, a read-only canonical CSC record, at
+every size. One threshold, _SPARSE_MIN_DOF (300 free dofs), picks the
+solver: at or below it, or for k >= n/4, a Cholesky reduction and
+numpy.linalg.eigh of the dense copies (_dense_modes); above it,
+shift-invert Lanczos (ARPACK) on a sparse LU of K - sigma*M, polished by
+inverse iteration and a Rayleigh-Ritz projection (_shift_invert_modes).
+Every returned mode passes a Jacobi-scaled normwise backward-error gate
+(_BACKWARD_BOUND); the modes _accuracy calls elastic also pass a relative
+residual gate (_RESIDUAL_BOUND). Both paths share the gates, the
+normalization and the sign convention.
 
-A beam, and a disk on mesh_disk's mesh, is a scaled copy of a cached
-reference system (Golub & Van Loan, Matrix Computations, sec. 8.7). The
-reference is built by _system, gated once with margins, and kept in a
-small LRU cache with what its copies read (_Reference): the largest and
-smallest |entry| of K0 and M0 in each class of D.D and, for a beam, the
-class of each entry and of each free dof. A copy
-(_mapped) forms no element matrix: K = c_K D K0 D and M = c_M D M0 D are
-its scalars and D times the stored entries of K0 and M0, bitwise the sum
-of its scaled element matrices, sharing the reference's dof tables and CSC
-index arrays. A copy is certified by its congruence, not gated again.
-Rounding is monotone, so its largest and smallest entries in a class are
-the reference's scaled (_certified). A copy whose entries are all finite
-and normal is symmetric and has M positive-definite: its rounding is a
-componentwise relative perturbation too small to use up the margins its
-reference was gated and certified with, and by Sylvester's law of inertia
-the congruence keeps M definite (see _Reference). Its free-dof pencil is
-congruent to the reference's, so the reference pairs K0 psi = mu M0 psi
-give the copy's exactly: lambda = mu * ratio, ratio = c_K / c_M, and phi =
-psi / d, d the diagonal of D on the free dofs. solve_modes takes (mu, psi)
-from one small LRU cache keyed by the reference and k, filled through the
-factorization dispatch above together with what the gates of each pair
-read on the reference (_recorded), and the copy's pairs pass those gates
-as their images (_mapped_accuracy), with no product of the copy's own:
-Jacobi scaling undoes the congruence, so a copy's backward error is the
-reference's within a stated rounding allowance, and the norms of K phi,
-of its residual and of phi are those of K0 psi, r0 = K0 psi - mu M0 psi
-and psi, per class of free dofs, scaled by D (Tisseur, Linear Algebra
-Appl. 309, 2000). Normalization and the sign convention then run on the
-copy's mode vectors. The two cases differ in D:
+Mapped: a beam, and a disk on mesh_disk's mesh, is a scaled copy of a
+cached reference system, K = c_K D K0 D and M = c_M D M0 D (_mapped),
+bitwise the sum of its scaled element matrices. It holds K, M, the
+reference's dof tables and index arrays, and its _Congruence; its
+free-dof pencil is formed only where a pencil is solved (_pencil).
+- A beam's reference is its unit beam on (n_elements, clamped), whose
+  only element matrices are _KE0 and _ME0: c_K = EI/le^3,
+  c_M = rho*A*le/420 and D = diag(1, le, 1, le, ...), so each entry is
+  scaled by (1, le, le^2) at its D.D class.
+- A disk's reference is the disk of (m, nu) at _REF_DISK on mesh_disk's
+  mesh with m rings: D = d I, c_K = t*E/(t0*E0) and
+  c_M = d^2 = rho*t*R^2/(rho0*t0*R0^2), one class.
 
-- A beam's reference is its unit beam: K0 and M0 scatter _KE0 and _ME0,
-  the only beam element matrices, and depend only on (n_elements,
-  clamped). With le = L/n, c_K = EI/le^3, c_M = rho*A*le/420 and D =
-  diag(1, le, 1, le, ...), so a copy multiplies each entry by the pattern
-  (1, le, le^2) of D.D at its parity (how many of its row and column dofs
-  are rotations), the class of the entry; two elements feeding one entry
-  give an exact doubling or an exact 0.
-- A disk's reference is the disk of (m, nu) on mesh_disk's mesh with m
-  rings: the silicon preset at R0 = 3 um, t0 = 0.4 um. Everything about
-  that mesh but the radius (connectivity, each node's ring index and
-  cos/sin, the dof tables, the plan and the rim nodes in angle order) is
-  built once per m (_disk_topology). The CST stiffness is
-  t*E/(1 - nu^2) K^(m, nu), independent of the radius, and the mass
-  rho*t*R^2 M^(m), with R the mesh's own radius, so D = d I is a scalar
-  and all entries form one class: c_K = t*E/(t0*E0),
-  c_M = d^2 = rho*t*R^2/(rho0*t0*R0^2) and
-  ratio = (E/(rho*R^2)) / (E0/(rho0*R0^2)).
+Certified: a copy is not gated again. Its reference is gated with
+margins and keeps the extremes of K0 and M0 in each class (_Reference);
+rounding is monotone, so a copy whose entries are all finite and normal
+is symmetric with M positive-definite (_certified), and one with an entry
+that is not, or a ratio c_K/c_M that is not a normal float, is refused
+(a disk is then solved directly).
 
-A beam whose ratio is not a normal float or whose K or M has an entry
-below the normal float range (where the congruence holds only to the
-subnormal grid) is refused. A disk whose ratio is not finite and > 0 or
-whose K or M would have such an entry, a disk on a mesh built by a
-caller and a system built with AssembledSystem(...) directly are solved
-directly, unless the eigenvalue scale of their pencil (the median of
-diag K / diag M) is not a normal float. A caller's mesh gets its plan
-from the same function, uncached, and its element matrices are summed
-and certified as a reference disk's are.
+Gated: the reference pencil's pairs (mu, psi) give the copy's exactly,
+lambda = mu * c_K/c_M and phi = psi / d (_reference_pairs), and pass the
+gates of solve_modes as the record of the reference's gates maps them
+(_recorded, _mapped_accuracy): a copy computes no product with its own K
+or M. solve_disk maps the reference disk's finished solve the same way
+(_reference_modes): eigenvalues, effective masses times c_M, mode
+vectors, angular orders and shapes. A caller's mesh, a system built with
+AssembledSystem(...) and a disk that cannot be mapped are solved and
+gated on their own pencil, after a check that their eigenvalue scale is a
+normal float. solve_disk reports each degenerate pair of one angular
+order n > 0 in one basis (_canonical_pair), and a disk's own solve keeps
+one spare pair beyond the wanted modes so that a pair at the window's
+edge is whole (_finish_disk).
 
-The reference disk's scale matters: ARPACK accepts a Ritz value
-theta = 1/(lambda - sigma) once its error bound is below
-eps * max(eps^(2/3), |theta|) (tol 0), and theta is far below eps^(2/3)
-here, so the Lanczos steps depend on the eigenvalue scale E/(rho*R^2).
-This reference takes as many steps as the physical disks of
-fem-converge; a 20 um one took about a fifth more, a unit-scale pencil
-about two thirds more (README). solve_disk maps more: the reference
-disk's finished solve (_finish_disk, cached per (m, nu, n_modes) by
-_reference_modes), whose eigenvalues are multiplied by ratio, whose
-effective masses by c_M = d^2, and whose normalized mode vectors (rigid
-ones too), angular orders, pair basis and mode shapes are the disk's as
-they are: scaling to unit peak displacement takes the scalar d out, and
-a radial scaling of the nodes leaves the rim's u_r as it is. All
-n_modes + 3 mapped pairs pass the gates of solve_modes as the record of
-the finished solve says (_recorded; one class, so their elastic flags
-and relative residuals are the reference's own), or the disk is refused,
-as a beam is; a mapped disk computes nothing else of its own.
-
-solve_disk reports each degenerate pair of one angular order n > 0 in one
-basis: M-orthonormalized and rotated within its span so that the first
-member's rim u_r has no sin(n theta) part and the second's no
-cos(n theta) part. Its effective mass and mode shape are then properties
-of the design, not of the basis a solver returned. A rotated pair passes
-the gates of solve_modes, or the pair keeps the basis it was solved in.
-To see a pair at the window's edge whole, a disk's own solve
-(_finish_disk) keeps one spare pair beyond the wanted modes: the next
-Ritz pair of the shift-invert window of 2k (no wider window), or of the
-dense solve; a spare that fails a gate is dropped, never refused.
-
-scipy is imported only where it does the work, inside the functions of
-the sparse path (_symmetric_lu, _shift_invert_modes, _positive_definite
-and the products of CSCMatrix above the threshold): importing this
-module, building a mesh, or assembling and solving a pencil of at most
-_SPARSE_MIN_DOF free dofs (a beam of up to 151 clamped elements, a
-mesh_disk disk up to R/6) loads no scipy module. A caller's scipy sparse
-matrix is still accepted by AssembledSystem(...).
+scipy is imported only inside the functions of the sparse path
+(_symmetric_lu, _shift_invert_modes, _positive_definite and the CSCMatrix
+products above the threshold): importing this module, building a mesh, or assembling and
+solving a pencil of at most _SPARSE_MIN_DOF free dofs (a beam of up to
+151 clamped elements, a mesh_disk disk up to R/6) loads no scipy module.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -176,7 +109,9 @@ _MAX_RINGS = 1000
 # ran out of 2 GB in the sparse LU (README)
 _MAX_ELEMENTS = 4096
 # the reference disk of the disk congruence: the silicon preset (Young's
-# modulus, density) at radius 3 um, thickness 0.4 um (configs/disk.json)
+# modulus, density) at radius 3 um, thickness 0.4 um (configs/disk.json).
+# ARPACK's stopping test depends on the eigenvalue scale E/(rho*R^2), and
+# at this one it takes as many Lanczos steps as on the shipped disks
 _REF_DISK = (169e9, 2330.0, 3e-6, 0.4e-6)
 
 
@@ -290,8 +225,8 @@ class AssembledSystem:
     entries, K's and M's index arrays apart, int32 indices and indptr
     where they fit, `nbytes` = bytes of data + indices + indptr; a scaled
     copy shares its read-only index arrays with its cached reference).
-    A caller's dense array is converted by numpy alone, a caller's scipy
-    sparse matrix canonicalized on a copy (_stored).
+    A caller's matrix is a 2-D numeric array, converted by numpy alone
+    (_stored); the free-dof pencil is formed where it is solved (_pencil).
     """
 
     stiffness: object
@@ -304,12 +239,9 @@ class AssembledSystem:
     # system's.
     _congruence: _Congruence | None = field(default=None, init=False, repr=False,
                                             compare=False)
-    # The _Layout of dof_map and constraints, and the free-dof blocks
-    # _kf/_mf of K and M, stored as K and M are. Systems built by _system
-    # and _mapped share the layout of their plan or reference.
+    # The _Layout of dof_map and constraints. Systems built by _system and
+    # _mapped share the layout of their plan or reference.
     _layout: _Layout = field(init=False, repr=False, compare=False)
-    _kf: object = field(init=False, repr=False, compare=False)
-    _mf: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layout = _layout(self.dof_map, self.constraints)
@@ -317,26 +249,24 @@ class AssembledSystem:
         k, m = _stored(self.stiffness), _stored(self.mass)
         if k.shape != (n, n) or m.shape != (n, n):
             raise InvariantError("stiffness/mass/dof_map sizes inconsistent")
-        kf, mf = _free_blocks(layout.free, k, m)
         _gate(k.data, _transposed(k), m.data, _transposed(m))
-        if not _positive_definite(mf):   # no elements to certify it by
+        self._set(layout, k, m, self.mesh)
+        if not _positive_definite(_pencil(self)[1]):   # no elements to certify it by
             raise InvariantError("mass matrix not positive-definite on free dofs")
-        self._set(layout, k, m, kf, mf, self.mesh)
 
     @classmethod
-    def _of(cls, layout: _Layout, k, m, kf, mf, mesh: Mesh | None = None,
+    def _of(cls, layout: _Layout, k, m, mesh: Mesh | None = None,
             congruence: _Congruence | None = None) -> "AssembledSystem":
-        """The system of K, M and their free blocks, already stored and gated
-        by the caller (no __post_init__)."""
+        """The system of K and M, already stored and gated by the caller (no
+        __post_init__)."""
         sys = object.__new__(cls)
-        sys._set(layout, k, m, kf, mf, mesh, congruence)
+        sys._set(layout, k, m, mesh, congruence)
         return sys
 
-    def _set(self, layout, k, m, kf, mf, mesh, congruence=None):
+    def _set(self, layout, k, m, mesh, congruence=None):
         for name, value in (("stiffness", k), ("mass", m), ("dof_map", layout.dof_map),
                             ("constraints", layout.constraints), ("mesh", mesh),
-                            ("_congruence", congruence), ("_layout", layout),
-                            ("_kf", kf), ("_mf", mf)):
+                            ("_congruence", congruence), ("_layout", layout)):
             object.__setattr__(self, name, value)
 
     def free_dofs(self) -> np.ndarray:
@@ -355,35 +285,27 @@ class CSCMatrix:
     A product is summed per row in column order by numpy alone (np.bincount,
     as scipy's CSC kernel sums it, so bitwise its result) on matrices with
     at most _SPARSE_MIN_DOF rows. A larger one goes through scipy's
-    compiled CSC kernel: the csc_array of the index arrays is built once
-    (checked by scipy's constructor) and shared by every matrix with those
-    index arrays, as a scaled copy shares them with its reference
-    (_scaled); each matrix's own csc_array is a shallow copy of it with its
-    data. Records sharing index arrays share what is worked out from them
-    (_pattern): the column of each entry and the flat slots of numpy's
-    products, where the diagonal is stored and that csc_array.
+    compiled CSC kernel, on a csc_array of the record's own arrays. Each
+    record keeps, for itself alone, the column of each entry, where its
+    diagonal is stored and that csc_array, once worked out.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape", "_pattern", "_sparse")
+    __slots__ = ("data", "indices", "indptr", "shape", "_cols", "_diag", "_sparse")
 
-    def __init__(self, data, indices, indptr, shape, pattern=None):
+    def __init__(self, data, indices, indptr, shape):
         self.data, self.indices, self.indptr = (_readonly(a) for a in (data, indices, indptr))
         self.shape = tuple(int(n) for n in shape)
-        self._pattern = {} if pattern is None else pattern
-        self._sparse = None
+        self._cols = self._diag = self._sparse = None
 
     @property
     def nbytes(self) -> int:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
     def _columns(self) -> np.ndarray:
-        """The column of each entry: kept where numpy's products read it."""
-        cols = self._pattern.get("columns")
-        if cols is None:
-            cols = _readonly(_index_array(_columns(self.indptr)))
-            if self.shape[0] <= _SPARSE_MIN_DOF:
-                self._pattern["columns"] = cols
-        return cols
+        """The column of each entry."""
+        if self._cols is None:
+            self._cols = _readonly(_index_array(_columns(self.indptr)))
+        return self._cols
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -391,13 +313,12 @@ class CSCMatrix:
         return out
 
     def diagonal(self) -> np.ndarray:
-        where = self._pattern.get("diagonal")
-        if where is None:
+        if self._diag is None:
             cols = self._columns()
             on = np.flatnonzero(self.indices == cols)
-            where = self._pattern["diagonal"] = (_readonly(cols[on]), _readonly(on))
+            self._diag = (_readonly(cols[on]), _readonly(on))
         out = np.zeros(min(self.shape))
-        out[where[0]] = self.data[where[1]]
+        out[self._diag[0]] = self.data[self._diag[1]]
         return out
 
     def __matmul__(self, x):
@@ -411,24 +332,15 @@ class CSCMatrix:
         if x.ndim == 1:
             return np.bincount(self.indices, weights=terms, minlength=self.shape[0])
         m = x.shape[1]
-        slots = self._pattern.get("slots")   # kept for the last number of vectors
-        if slots is None or slots.size != terms.size:   # the flat (row, vector) slots
-            slots = self._pattern["slots"] = _readonly(
-                (self.indices[:, None] * m + np.arange(m)).ravel())
+        slots = (self.indices[:, None] * m + np.arange(m)).ravel()   # flat (row, vector)
         out = np.bincount(slots, weights=terms.ravel(), minlength=self.shape[0] * m)
         return out.reshape(self.shape[0], m)
 
     def _scipy(self):
-        """This matrix as a scipy csc_array on its own arrays (see above)."""
+        """This matrix as a scipy csc_array on its own arrays."""
         if self._sparse is None:
-            template = self._pattern.get("scipy")
-            if template is None:
-                from scipy.sparse import csc_array
-                self._sparse = self._pattern["scipy"] = csc_array(
-                    (self.data, self.indices, self.indptr), shape=self.shape)
-            else:
-                self._sparse = copy.copy(template)
-                self._sparse.data = self.data
+            from scipy.sparse import csc_array
+            self._sparse = csc_array((self.data, self.indices, self.indptr), shape=self.shape)
         return self._sparse
 
 
@@ -441,17 +353,11 @@ def _index_array(a) -> np.ndarray:
 
 def _stored(a) -> CSCMatrix:
     """K or M in the form AssembledSystem stores it: a CSCMatrix as it is
-    (assembly builds canonical ones), a caller's scipy sparse matrix
-    canonicalized on a copy, and any other 2-D numeric array converted by
-    numpy alone, its exact zeros dropped."""
+    (assembly builds canonical ones), and any other 2-D numeric array
+    converted by numpy alone, its exact zeros dropped."""
     if type(a) is CSCMatrix:
         return a
     try:
-        if hasattr(a, "tocsc"):   # scipy sparse: the caller has loaded scipy
-            a = a.tocsc(copy=True).astype(float)
-            a.sum_duplicates()
-            a.eliminate_zeros()
-            return CSCMatrix(a.data, _index_array(a.indices), _index_array(a.indptr), a.shape)
         dense = np.array(a, dtype=float)
         if dense.ndim != 2:
             raise ValueError(f"got a {dense.ndim}-D array")
@@ -483,9 +389,10 @@ def _columns(indptr) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def _free_blocks(free: np.ndarray, k, m):
-    """The free-dof blocks of K and M: K and M themselves when no dof is
-    fixed."""
+def _pencil(sys: AssembledSystem) -> tuple:
+    """The free-dof pencil (K_f, M_f) of sys, formed where it is solved or
+    tested: K and M themselves when no dof is fixed."""
+    free, k, m = sys._layout.free, sys.stiffness, sys.mass
     if len(free) == k.shape[0]:
         return k, m
     return _principal(k, free), _principal(m, free)
@@ -656,17 +563,16 @@ def _system(plan: _Plan, ke, me, scale, mesh: Mesh | None = None, odd=None) -> A
     k_sum, m_sum = (np.bincount(slot, weights=np.broadcast_to(e, shape).ravel(),
                                 minlength=len(plan.rows)) for e in (ke, masses))
     k, m = (_compressed(plan, s) for s in (k_sum, m_sum))
-    kf, mf = _free_blocks(layout.free, k, m)
     parity = None if odd is None else odd[plan.rows] + odd[_columns(plan.indptr)]
     _gate(k_sum, k_sum[plan.transpose], m_sum, m_sum[plan.transpose], parity)
-    j, diag = np.diagonal(me), mf.diagonal()
+    j, diag = np.diagonal(me), m.diagonal()[layout.free]
     if not (np.all((0 < scale) & (scale < math.inf)) and np.all(j > 0) and np.all(diag > 0)
             and np.linalg.eigvalsh(me / np.sqrt(np.outer(j, j))).min() > _MASS_MARGIN):
         raise InvariantError("mass matrix not positive-definite on free dofs")
     least = float(diag.min(initial=math.inf))
     if not least >= np.finfo(float).tiny:
         raise InvariantError(f"mass matrix entries must be normal floats, got {least!r}")
-    return AssembledSystem._of(layout, k, m, kf, mf, mesh)
+    return AssembledSystem._of(layout, k, m, mesh)
 
 
 def _compressed(plan: _Plan, data: np.ndarray) -> CSCMatrix:
@@ -684,10 +590,11 @@ def _compressed(plan: _Plan, data: np.ndarray) -> CSCMatrix:
 class _Reference(NamedTuple):
     """A cached reference system that beams or disks are scaled copies of
     (see the module docstring): the system, gated with margins (_gate)
-    and its mass certified (_system); the (largest, smallest) |entry| of
-    K and of M in each D.D class (arrays by class: a beam's 0, 1, 2, a
-    disk's one); the class of each stored entry of _blocks(system) (int8:
-    a beam's parity, how many of its row and column dofs are rotations; 0
+    and its mass certified (_system); its free-dof pencil (_pencil), which
+    its pairs are solved and recorded on; the (largest, smallest) |entry|
+    of K and of M in each D.D class (arrays by class: a beam's 0, 1, 2, a
+    disk's one); the class of each stored entry of K and of M (int8: a
+    beam's parity, how many of its row and column dofs are rotations; 0
     for a disk); and the class of each free dof (int8: 1 on a beam's
     rotations, else 0).
 
@@ -718,6 +625,7 @@ class _Reference(NamedTuple):
     finite: le below 1.5e-154, where le^2 is subnormal, makes le^3 = 0 and
     c_K not finite; otherwise every dd_p is normal and every |x| >= 1."""
     system: AssembledSystem
+    pencil: tuple
     extremes: tuple
     parity: tuple
     odd: np.ndarray
@@ -728,33 +636,25 @@ def _reference(key: tuple) -> _Reference:
     return key[0](*key[1:])
 
 
-def _blocks(sys: AssembledSystem) -> tuple:
-    """K and M of sys, then their free blocks where a dof is fixed."""
-    if sys._kf is sys.stiffness:
-        return sys.stiffness, sys.mass
-    return sys.stiffness, sys.mass, sys._kf, sys._mf
-
-
 def _scaled(a: CSCMatrix, scale, pattern=None) -> CSCMatrix:
     """scale * A for the CSC matrix a, its entries first multiplied by
-    pattern if given (a beam's D.D), sharing a's read-only index arrays
-    and what is worked out from them (CSCMatrix)."""
+    pattern if given (a beam's D.D), sharing a's read-only index arrays."""
     return CSCMatrix(scale * (a.data if pattern is None else a.data * pattern),
-                     a.indices, a.indptr, a.shape, a._pattern)
+                     a.indices, a.indptr, a.shape)
 
 
 def _reference_of(sys: AssembledSystem, odd) -> _Reference:
     """The _Reference of sys, a reference system summed and gated by
-    _system(..., odd): the class of each stored entry and free dof, and the
-    extremes of each class."""
-    free = _readonly(odd[sys._layout.free])
-    parity = tuple(_readonly(o[a.indices] + o[a._columns()])
-                   for a, o in zip(_blocks(sys), (odd, odd, free, free)))
+    _system(..., odd): its pencil, the class of each stored entry and free
+    dof, and the extremes of each class."""
+    blocks = (sys.stiffness, sys.mass)
+    parity = tuple(_readonly(odd[a.indices] + odd[a._columns()]) for a in blocks)
     extremes = []
-    for a, p in zip((sys.stiffness, sys.mass), parity):
+    for a, p in zip(blocks, parity):
         mags = [abs(a.data[p == c]) for c in range(p.max() + 1)]
         extremes.append(tuple(_readonly(np.array([f(x) for x in mags])) for f in (np.max, np.min)))
-    return _Reference(sys, tuple(extremes), parity, free)
+    return _Reference(sys, _pencil(sys), tuple(extremes), parity,
+                      _readonly(odd[sys._layout.free]))
 
 
 def _certified(key: tuple, k_scale, m_scale, dd=1.0) -> list:
@@ -783,11 +683,9 @@ def _mapped(key: tuple, k_scale, m_scale, ratio, d, mesh: Mesh, dd=None) -> Asse
     normal) and refused a ratio that is not a normal float."""
     ref = _reference(key)
     base = ref.system
-    k, m, *free = (_scaled(a, scale, None if dd is None else dd[p]) for a, scale, p in
-                   zip(_blocks(base), (k_scale, m_scale) * 2, ref.parity))
-    kf, mf = free or (k, m)
-    return AssembledSystem._of(base._layout, k, m, kf, mf, mesh,
-                               _Congruence(key, float(ratio), d, dd))
+    k, m = (_scaled(a, scale, None if dd is None else dd[p]) for a, scale, p in
+            zip((base.stiffness, base.mass), (k_scale, m_scale), ref.parity))
+    return AssembledSystem._of(base._layout, k, m, mesh, _Congruence(key, float(ratio), d, dd))
 
 
 # ---------------------------------------------------------------------------
@@ -1145,8 +1043,7 @@ def _reference_pairs(key: tuple, k: int):
     the relative residual, so a beam's solve keeps no margin on it
     (_shift_invert_modes)."""
     ref = _reference(key)
-    vals, vecs = _pencil_modes(ref.system._kf, ref.system._mf, k,
-                               residual_margin=key[0] is _disk_reference)
+    vals, vecs = _pencil_modes(*ref.pencil, k, residual_margin=key[0] is _disk_reference)
     return _readonly(vals), _readonly(vecs), _recorded(ref, vals, vecs)
 
 
@@ -1172,7 +1069,7 @@ def _recorded(ref: _Reference, vals, vecs) -> _Record:
     (rows + 2) eps / 2 for each of the two computed residuals, rows the
     most stored entries in a row. gamma is 22 eps (4.9e-15) on a
     mesh_disk disk and at most 13 eps on a beam."""
-    kk, mm = ref.system._kf, ref.system._mf
+    kk, mm = ref.pencil
     parts, r = _pair_norms(kk, mm, vals, vecs, [ref.odd == c for c in range(ref.odd.max() + 1)])
     berr = _backward_errors(kk, mm, vals, vecs, r)
     rows = max(int(np.diff(a.indptr).max(initial=0)) for a in (kk, mm))
@@ -1270,9 +1167,9 @@ def _solve(sys: AssembledSystem, k: int, spare: int = 0):
     gated on its own K and M (_accuracy). _gated is the one refusal."""
     free = sys.free_dofs()
     k = _count("k", k, len(free))
-    kk, mm = sys._kf, sys._mf
     c = sys._congruence
     if c is None:
+        kk, mm = _pencil(sys)
         scale = _eigenvalue_scale(kk, mm)
         if not np.finfo(float).tiny <= scale < math.inf:
             raise EigenSolveError("eigenvalue scale median(diag K / diag M) must be a "
@@ -1282,7 +1179,7 @@ def _solve(sys: AssembledSystem, k: int, spare: int = 0):
             vals, vecs = _pencil_modes(kk, mm, k, spare=spare)
         else:
             mu, psi, record = _reference_pairs(c.key, k)
-            vals, vecs = mu[:k + spare] * c.ratio, psi[:, :k + spare] / c.d
+            vals, vecs = mu * c.ratio, psi / c.d
     except (np.linalg.LinAlgError, RuntimeError) as exc:   # ArpackError is a RuntimeError
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from None
 
@@ -1548,12 +1445,14 @@ def _finish_disk(sys: AssembledSystem, n_modes: int) -> _DiskModes:
             i += 1
         i += 1
     free = sys.free_dofs()
+    kk, mm = _pencil(sys)
     if firsts:
         # turn every pair, gate them together and keep those that pass whole
         rows = np.ravel([(i, i + 1) for i in firsts])
-        turned = np.concatenate([_canonical_pair(sys, basis[1][orders[i]], u_rads[i:i + 2],
-                                                 elastic[i:i + 2]) for i in firsts])
-        passed = _passed(*_accuracy(sys._kf, sys._mf, lam[3 + rows], turned[:, free].T))
+        turned = np.concatenate([_canonical_pair(mm, free, basis[1][orders[i]],
+                                                 u_rads[i:i + 2], elastic[i:i + 2])
+                                 for i in firsts])
+        passed = _passed(*_accuracy(kk, mm, lam[3 + rows], turned[:, free].T))
         whole = passed.reshape(-1, 2).all(axis=1).repeat(2)
         rows, turned = rows[whole], turned[whole]
         _normalize(sys, turned)
@@ -1563,7 +1462,7 @@ def _finish_disk(sys: AssembledSystem, n_modes: int) -> _DiskModes:
         rim = float(np.max(np.abs(u_rad)))
         scaled = None if rim <= 0 else vec[free] / rim
         # M v: a CSC M needs no transposed copy
-        masses.append(None if scaled is None else float(scaled @ (sys._mf @ scaled)))
+        masses.append(None if scaled is None else float(scaled @ (mm @ scaled)))
     amp = _translational_amplitude(sys, elastic)
     return _DiskModes(_readonly(lam[:wanted]), _readonly(vecs[:wanted]), tuple(orders[:n_modes]),
                       _readonly(amp / amp.max(axis=1, keepdims=True)), tuple(masses))
@@ -1587,20 +1486,20 @@ def _disk_results(lam: np.ndarray, modes: _DiskModes, mass_scale: float = 1.0):
     return list(zip(freqs, modes.vecs[3:])), results
 
 
-def _canonical_pair(sys: AssembledSystem, sin_n, u_rads, pair):
+def _canonical_pair(mm, free, sin_n, u_rads, pair):
     """The degenerate pair of full-length mode vectors (the rows of pair,
     whose rim u_r are the rows of u_rads) in its canonical basis, not yet
-    normalized; sin_n is sin(n theta) at the rim angles (the pair as given
-    if its rim u_r has no such part). The pair is M-orthonormalized and
+    normalized, on a system with free dofs free and free-dof mass mm;
+    sin_n is sin(n theta) at the rim angles (the pair as given if its rim
+    u_r has no such part). The pair is M-orthonormalized and
     rotated within its span so that the first member's rim u_r has no
     sin(n theta) part, which puts an antinode at theta = 0. The second
     member is M-orthogonal to it, so its rim u_r has no cos(n theta) part:
     the 60-degree symmetry of mesh_disk's mesh turns the pair by n * 60
     degrees, which for n not a multiple of 3 makes the map from the pair to
     its rim (cos, sin) parts a scaled rotation."""
-    free = sys.free_dofs()
     w = pair[:, free]
-    chol = np.linalg.cholesky(w @ (sys._mf @ w.T))
+    chol = np.linalg.cholesky(w @ (mm @ w.T))
     w = np.linalg.solve(chol, w)          # M-orthonormal rows
     s = np.linalg.solve(chol, u_rads @ sin_n)   # their rim sin(n theta) parts
     if not np.hypot(*s) > 0:

@@ -171,18 +171,27 @@ def transmission_spectrum(c: EquivalentCircuit, termination: float = 50.0,
     if termination <= 0:
         raise SpectrumError(f"termination must be > 0, got {termination}")
 
-    f = np.exp(np.linspace(math.log(f_lo), math.log(f_hi), n))
-    f[0], f[-1] = f_lo, f_hi
-    w = 2 * np.pi * f
-    z_m = c.r_x + 1j * (w * c.l_x - 1.0 / (w * c.c_x))
-    y0 = 1j * w * c.c0
-    # ABCD chain: shunt C0, series Z_m, shunt C0
-    a = 1 + z_m * y0
-    b = z_m
-    cc = y0 * (2 + z_m * y0)
-    d = a
-    s21 = 2.0 / (a + b / termination + cc * termination + d)
-    return Spectrum(frequencies=f, magnitude=np.abs(s21), phase=np.angle(s21))
+    # a band the float grid cannot sample (an infinite or subnormal end, one
+    # too narrow for distinct points) or whose response overflows is not
+    # finite or not increasing: Spectrum refuses it, with no numpy warning
+    with np.errstate(all="ignore"):
+        f = np.exp(np.linspace(math.log(f_lo), math.log(f_hi), n))
+        f[0], f[-1] = f_lo, f_hi
+        w = 2 * np.pi * f
+        z_m = c.r_x + 1j * (w * c.l_x - 1.0 / (w * c.c_x))
+        y0 = 1j * w * c.c0
+        # ABCD chain: shunt C0, series Z_m, shunt C0
+        a = 1 + z_m * y0
+        b = z_m
+        cc = y0 * (2 + z_m * y0)
+        d = a
+        s21 = 2.0 / (a + b / termination + cc * termination + d)
+        magnitude, phase = np.abs(s21), np.angle(s21)
+    try:
+        return Spectrum(frequencies=f, magnitude=magnitude, phase=phase)
+    except InvariantError as exc:
+        raise SpectrumError(f"band [{f_lo}, {f_hi}] with {n} points cannot be sampled: "
+                            f"{exc}") from None
 
 
 def extract_q(s: Spectrum) -> float:

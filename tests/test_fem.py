@@ -514,23 +514,26 @@ class TestCSCMatrix:
             assert _bits_equal(block.toarray(), dense[np.ix_(keep, keep)])
             assert _bits_equal(fem._transposed(a), dense.T[a.indices, fem._columns(a.indptr)])
 
-    def test_scaled_copies_share_one_scipy_template(self, ref_beam, silicon):
-        # above the threshold a product goes through scipy's kernel: one
-        # csc_array per index arrays, checked once, shared by the copies
+    def test_scaled_copy_products_on_shared_index_arrays(self, ref_beam, silicon):
+        # above the threshold a product goes through scipy's kernel, on a
+        # csc_array of each record's own data and the index arrays a copy
+        # shares with its reference
         n = 200
         unit = fem._beam_reference(n, True).system
         beams = [assemble_beam(BeamGeometry(length, 0.46e-6, 0.4e-6), silicon, n)
                  for length in (10e-6, 12e-6)]
-        x = np.random.default_rng(3).normal(size=(unit._kf.shape[0], 2))
+        rng = np.random.default_rng(3)
         for beam in beams:
-            kf = beam._kf
-            assert kf.shape[0] > fem._SPARSE_MIN_DOF
-            assert _bits_equal(kf @ x, _scipy_csc(kf) @ x)
-            view = kf._scipy()
-            assert np.shares_memory(view.data, kf.data)
-            assert np.shares_memory(view.indices, unit._kf.indices)
-            assert kf._pattern is unit._kf._pattern
-        assert beams[0]._kf._scipy() is not beams[1]._kf._scipy()
+            for a, shared in zip((beam.stiffness, beam.mass, *fem._pencil(beam)),
+                                 (unit.stiffness, unit.mass, None, None)):
+                x = rng.normal(size=(a.shape[0], 2))
+                assert a.shape[0] > fem._SPARSE_MIN_DOF
+                assert _bits_equal(a @ x, _scipy_csc(a) @ x)
+                view = a._scipy()
+                assert np.shares_memory(view.data, a.data)
+                if shared is not None:
+                    assert np.shares_memory(view.indices, shared.indices)
+        assert beams[0].stiffness._scipy() is not beams[1].stiffness._scipy()
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 2, 2)), [[1.0, 2.0], [3.0]], None],
                              ids=["3-D", "ragged", "None"])
@@ -568,8 +571,8 @@ class TestSparseStorage:
         def bits(a):
             return a.view(np.uint64)
 
-        for stored, block, ref in ((sys_.stiffness, sys_._kf, k_ref),
-                                   (sys_.mass, sys_._mf, m_ref)):
+        for stored, block, ref in zip((sys_.stiffness, sys_.mass), fem._pencil(sys_),
+                                      (k_ref, m_ref)):
             _assert_canonical_csc(stored)
             _assert_canonical_csc(block)
             assert np.array_equal(bits(stored.toarray()), bits(ref))
@@ -642,22 +645,16 @@ class TestSparseStorage:
         _assert_canonical_csc(sys_.stiffness)
         assert np.array_equal(sys_.stiffness.toarray(), k)
 
-    def test_caller_sparse_matrix_canonicalized_not_mutated(self):
-        n = 2 * fem._SPARSE_MIN_DOF
-        rows = [[j] for j in range(n)]
-        rows[0], rows[2] = [0, 0], [2, 1]   # a duplicate; unsorted with a zero
-        vals = [[1.0]] * n
-        vals[0], vals[2] = [1.0, 1.0], [1.0, 0.0]
-        m = csc_array((np.concatenate(vals), np.concatenate(rows),
-                       np.cumsum([0] + [len(r) for r in rows])), shape=(n, n))
-        before = (m.data.copy(), m.indices.copy(), m.indptr.copy())
-        sys_ = AssembledSystem(sparse_eye(n, format="csc"), m,
-                               dof_map=tuple((i, "w") for i in range(n)), constraints=())
-        _assert_canonical_csc(sys_.mass)
-        expected = np.eye(n)
-        expected[0, 0] = 2.0
-        assert np.array_equal(sys_.mass.toarray(), expected)
-        assert all(np.array_equal(a, b) for a, b in zip(before, (m.data, m.indices, m.indptr)))
+    @pytest.mark.parametrize("fmt", ["csc", "csr", "coo"])
+    def test_caller_sparse_matrix_refused(self, fmt):
+        # a caller passes 2-D numeric arrays or CSCMatrix records; a scipy
+        # sparse matrix is a usage error, not a traceback
+        n = 4
+        dofs = tuple((i, "w") for i in range(n))
+        with pytest.raises(InvariantError, match="2-D numeric matrices"):
+            AssembledSystem(sparse_eye(n, format=fmt), np.eye(n), dof_map=dofs, constraints=())
+        with pytest.raises(InvariantError, match="2-D numeric matrices"):
+            AssembledSystem(np.eye(n), csc_array(np.eye(n)), dof_map=dofs, constraints=())
 
     def test_caller_small_dense_matrix_stored_csc(self):
         k = np.array([[2.0, -1.0], [-1.0, 2.0]])
@@ -694,6 +691,11 @@ class TestTranslationalAmplitude:
 
 def _bits_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _dense_pencil(sys_):
+    """The dense copies of the free-dof pencil of sys_."""
+    return tuple(a.toarray() for a in fem._pencil(sys_))
 
 
 def _kappa_eps(b) -> float:
@@ -756,7 +758,7 @@ class TestDenseModes:
         # the unit pencil itself, the lowest modes of 64 free-free and 151
         # elements are above the bound with dsygvx too)
         unit = fem._beam_reference(n, clamped).system
-        self._check(unit._kf, unit._mf, residual=False)
+        self._check(*fem._pencil(unit), residual=False)
         n_free = len(unit.free_dofs())
         assert len(solve_modes(assemble_beam(ref_beam, silicon, n, clamped), n_free)) == n_free
 
@@ -764,7 +766,7 @@ class TestDenseModes:
     def test_reference_disk_matches_eigh(self, silicon, rings):
         ref = fem._disk_reference(rings, silicon.poisson_ratio).system
         assert len(ref.free_dofs()) <= fem._SPARSE_MIN_DOF
-        self._check(ref._kf, ref._mf)
+        self._check(*fem._pencil(ref))
 
     def test_caller_pencils_match_eigh(self, ref_beam, silicon):
         # a beam's own matrices, and random definite pencils, each built
@@ -779,7 +781,7 @@ class TestDenseModes:
             systems.append(AssembledSystem(g + g.T, m, tuple((i, "w") for i in range(n)), ()))
         for sys_ in systems:
             assert sys_._congruence is None
-            self._check(sys_._kf, sys_._mf)
+            self._check(*fem._pencil(sys_))
 
     def test_rayleigh_ritz_step_matches_eigh(self, monkeypatch, caller_disk_r12):
         # the projected pencil is symmetric only to rounding; every step
@@ -804,7 +806,7 @@ class TestDenseModes:
         sys_ = AssembledSystem(np.eye(3), np.eye(3), dof_map=dofs, constraints=())
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             fem._dense_modes(np.eye(3), np.diag([1.0, 1.0, -1.0]), 1)
-        object.__setattr__(sys_, "_mf", fem._stored(np.diag([1.0, 1.0, -1.0])))   # unvalidated
+        object.__setattr__(sys_, "mass", fem._stored(np.diag([1.0, 1.0, -1.0])))   # unvalidated
         with pytest.raises(EigenSolveError, match="not positive definite"):
             solve_modes(sys_, 1)
         # a normal eigenvalue scale, one eigenvalue that overflows: the
@@ -829,7 +831,7 @@ class TestDenseModes:
         sys_ = assemble_disk(geom, mat, mesh)
         assert sys_._congruence is None
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            fem._dense_modes(sys_._kf.toarray(), sys_._mf.toarray(), 4)
+            fem._dense_modes(*_dense_pencil(sys_), 4)
 
 
 def _loop_normalized(sys_, vals, vecs):
@@ -880,7 +882,7 @@ class TestNormalization:
     def test_dense_disk_equals_loop(self, ref_disk, silicon):
         sys_ = assemble_disk(ref_disk, silicon,
                              _caller_copy(mesh_disk(ref_disk, ref_disk.radius / 6)))
-        vals, vecs = fem._dense_modes(sys_._kf.toarray(), sys_._mf.toarray(), 9)
+        vals, vecs = fem._dense_modes(*_dense_pencil(sys_), 9)
         self._check(solve_modes(sys_, 9), _loop_normalized(sys_, vals, vecs))
 
     def test_sparse_disk_equals_loop(self, monkeypatch, caller_disk_r12):
@@ -918,7 +920,7 @@ def _jacobi_backward_errors(sys_, modes):
     ||D(K v - lam M v)|| / ((||DKD||_F + lam ||DMD||_F) ||D^-1 v||) with
     D = diag(K)^-1/2 on the free dofs."""
     free = sys_.free_dofs()
-    kk, mm = sys_._kf.toarray(), sys_._mf.toarray()
+    kk, mm = _dense_pencil(sys_)
     d = 1.0 / np.sqrt(np.diag(kk))
     ks, ms = d[:, None] * kk * d, d[:, None] * mm * d
     nk, nm = np.linalg.norm(ks), np.linalg.norm(ms)
@@ -992,7 +994,7 @@ class TestUnitBeamCache:
             raise AssertionError("a direct system went through the unit-beam cache")
 
         monkeypatch.setattr(fem, "_reference_pairs", refuse)
-        vals, vecs = fem._dense_modes(direct._kf.toarray(), direct._mf.toarray(), 3)
+        vals, vecs = fem._dense_modes(*_dense_pencil(direct), 3)
         TestNormalization._check(solve_modes(direct, 3), _loop_normalized(direct, vals, vecs))
 
     def test_beam_and_disk_pairs_kept_apart(self, ref_beam, ref_disk):
@@ -1025,8 +1027,9 @@ class TestScaledBeam:
         cold_modes = solve_modes(cold, 4)
         solve_modes(assemble_beam(filler, silicon, n, clamped), 4)
         warm = assemble_beam(target, silicon, n, clamped)
-        for name in ("stiffness", "mass", "_kf", "_mf"):
-            assert _bits_equal(getattr(cold, name).toarray(), getattr(warm, name).toarray())
+        for a, b in zip((cold.stiffness, cold.mass, *fem._pencil(cold)),
+                        (warm.stiffness, warm.mass, *fem._pencil(warm))):
+            assert _bits_equal(a.toarray(), b.toarray())
         for (f, v), (f_ref, v_ref) in zip(solve_modes(warm, 4), cold_modes):
             assert repr(f) == repr(f_ref) and _bits_equal(v, v_ref)
 
@@ -1038,16 +1041,22 @@ class TestScaledBeam:
         unit = ref.system
         for name in ("dof_map", "constraints", "_layout"):
             assert getattr(beam, name) is getattr(unit, name)
-        assert (beam._kf is beam.stiffness) == (not clamped)
-        assert (unit._kf is unit.stiffness) == (not clamped)
-        assert len(ref.parity) == (4 if clamped else 2)
-        for name in ("stiffness", "mass", "_kf", "_mf"):
-            own, shared = getattr(beam, name), getattr(unit, name)
+        # a copy holds K and M alone: its free-dof pencil is formed where
+        # it is solved, the reference's kept once in its _Reference
+        assert not hasattr(beam, "_kf") and not hasattr(beam, "_mf")
+        kf, mf = fem._pencil(beam)
+        assert (kf is beam.stiffness) == (not clamped)
+        assert (ref.pencil[0] is unit.stiffness) == (not clamped)
+        assert len(ref.parity) == 2
+        for own, shared in ((beam.stiffness, unit.stiffness), (beam.mass, unit.mass)):
             _assert_canonical_csc(own)
             assert not np.shares_memory(own.data, shared.data)
             assert np.shares_memory(own.indices, shared.indices)
             assert np.shares_memory(own.indptr, shared.indptr)
-        for k, m in ((beam.stiffness, beam.mass), (beam._kf, beam._mf)):
+        for own, shared in ((kf, ref.pencil[0]), (mf, ref.pencil[1])):
+            _assert_canonical_csc(own)
+            assert not np.shares_memory(own.data, shared.data)
+        for k, m in ((beam.stiffness, beam.mass), (kf, mf)):
             for a in (k.data, k.indices, k.indptr):
                 for b in (m.data, m.indices, m.indptr):
                     assert not np.shares_memory(a, b)
@@ -1067,7 +1076,7 @@ class TestScaledBeam:
             element = fem._ME0 - (1 - 1e-8) * np.outer(mt, mt) / (t @ mt)
             unit = _triplet_scatter(2 * np.arange(n)[:, None] + np.arange(4),
                                     np.broadcast_to(element, (n, 4, 4)), 2 * (n + 1))
-            assert fem._positive_definite(fem._stored(unit))
+            assert fem._positive_definite(fem._stored(unit.toarray()))
             d = 1 / np.sqrt(unit.diagonal())
             scaled = d[:, None] * unit.toarray() * d
             assert 0 < np.linalg.eigvalsh(scaled).min() < fem._MASS_MARGIN
@@ -1124,7 +1133,7 @@ def _copy_gate(sys_):
         a = _scipy_csc(a)
         if abs(a - a.T).max() > fem._SYM_RTOL * largest:
             raise InvariantError(f"{name} matrix not symmetric")
-    if not fem._positive_definite(sys_._mf):
+    if not fem._positive_definite(fem._pencil(sys_)[1]):
         raise InvariantError("mass matrix not positive-definite on free dofs")
 
 
@@ -1236,8 +1245,8 @@ class TestCopyCertificate:
     @pytest.mark.parametrize("n", [2, 3, 64, 1024])
     def test_beam_extremes(self, n, clamped):
         ref = fem._beam_reference(n, clamped)
-        for a, parity, (largest, smallest) in zip(fem._blocks(ref.system), ref.parity,
-                                                  ref.extremes):
+        for a, parity, (largest, smallest) in zip((ref.system.stiffness, ref.system.mass),
+                                                  ref.parity, ref.extremes):
             for c in range(3):
                 assert largest[c] == abs(a.data[parity == c]).max()
                 assert smallest[c] == abs(a.data[parity == c]).min()
@@ -1285,6 +1294,38 @@ class TestCopyCertificate:
         with pytest.raises(InvariantError, match="stiffness matrix not symmetric"):
             fem._gate(a, at, a, a, np.zeros(3, np.int8))
 
+    def test_warm_copies_read_no_stored_matrix(self, monkeypatch, silicon):
+        # once the references, their pairs and the finished reference-disk
+        # solves are cached, a beam or mesh_disk disk reads nothing of its
+        # own K or M, nor of its reference's: no product, diagonal, dense
+        # copy, column table or scipy matrix
+        beam_geom = BeamGeometry(12e-6, 0.5e-6, 0.3e-6, VibrationAxis.OUT_OF_PLANE)
+        disk_geom = DiskGeometry(4e-6, 0.5e-6)
+        meshes = [mesh_disk(disk_geom, disk_geom.radius / d) for d in (8, 20)]
+
+        def solved():
+            beams = [solve_modes(assemble_beam(beam_geom, silicon, n, clamped), 4)
+                     for n in (64, 152, 1024) for clamped in (True, False)]
+            disks = [fem.solve_disk(disk_geom, silicon, mesh) for mesh in meshes]
+            return beams, disks, [disk_modal_fem(disk_geom, silicon, mesh) for mesh in meshes]
+
+        solved()
+        warm = solved()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm copy read a stored matrix")
+
+        for name in ("__matmul__", "diagonal", "toarray", "_columns", "_scipy"):
+            monkeypatch.setattr(fem.CSCMatrix, name, refuse)
+        got = solved()
+        monkeypatch.undo()
+        for a, b in zip(got[0], warm[0]):
+            TestNormalization._check(a, b)
+        for a, b in zip(got[1], warm[1]):
+            _assert_same_disk(a, b)
+        for a, b in zip(got[2], warm[2]):
+            assert [repr(r.to_dict()) for r in a] == [repr(r.to_dict()) for r in b]
+
     def test_warm_copies_are_not_gated(self, monkeypatch, ref_beam, ref_disk, silicon):
         # no gate, symmetry scan, factorization or product with K or M once
         # the references and their pairs are cached: a copy's eigenpair
@@ -1320,7 +1361,7 @@ def _reference_backward_errors(key, vals, vecs):
     """The backward errors of the pairs (vals, vecs) of the reference of
     key, as _accuracy computes them on its own K and M."""
     ref = fem._reference(key).system
-    return fem._accuracy(ref._kf, ref._mf, vals, vecs)[2]
+    return fem._accuracy(*fem._pencil(ref), vals, vecs)[2]
 
 
 class TestBackwardErrorGate:
@@ -1388,7 +1429,7 @@ class TestMappedGates:
         sys_; True if sys_ is refused."""
         c = sys_._congruence
         vals, vecs = mu * c.ratio, psi / c.d
-        own = fem._accuracy(sys_._kf, sys_._mf, vals, vecs)
+        own = fem._accuracy(*fem._pencil(sys_), vals, vecs)
         mapped = fem._mapped_accuracy(c, record)
         gamma = record.berr - _reference_backward_errors(c.key, mu, psi)
         assert np.all((8 * _EPS <= gamma) & (gamma <= 22.001 * _EPS))
@@ -1504,8 +1545,8 @@ def _assert_reference_norms(sys_):
     ||DMD||_F over the eigenvalue ratio, to rounding."""
     c = sys_._congruence
     ref = fem._reference(c.key).system
-    norm_k, norm_m = fem._scaled_norms(ref._kf, ref._mf)
-    assert (norm_k, norm_m / c.ratio) == pytest.approx(fem._scaled_norms(sys_._kf, sys_._mf),
+    norm_k, norm_m = fem._scaled_norms(*fem._pencil(ref))
+    assert (norm_k, norm_m / c.ratio) == pytest.approx(fem._scaled_norms(*fem._pencil(sys_)),
                                                        rel=1e-14, abs=0)
 
 
@@ -1559,7 +1600,7 @@ class TestDofBookkeeping:
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
             assert not a.flags.writeable
         free = ref[0]
-        for block, full in ((sys_._kf, sys_.stiffness), (sys_._mf, sys_.mass)):
+        for block, full in zip(fem._pencil(sys_), (sys_.stiffness, sys_.mass)):
             assert _bits_equal(block.toarray(), full.toarray()[np.ix_(free, free)])
 
     @pytest.mark.parametrize("clamped", [True, False])
@@ -1605,10 +1646,12 @@ class TestDofBookkeeping:
         small_disk = assemble_disk(ref_disk, silicon, mesh_disk(ref_disk, ref_disk.radius / 5))
         free_beam = assemble_beam(ref_beam, silicon, 16, clamped=False)
         for sys_ in (small_disk, free_beam, disk_r12):
-            assert sys_._kf is sys_.stiffness and sys_._mf is sys_.mass
+            kf, mf = fem._pencil(sys_)
+            assert kf is sys_.stiffness and mf is sys_.mass
         clamped = assemble_beam(ref_beam, silicon, 16)
-        assert clamped._kf.shape == (30, 30)
-        assert not np.shares_memory(clamped._kf.data, clamped.stiffness.data)
+        kf = fem._pencil(clamped)[0]
+        assert kf.shape == (30, 30)
+        assert not np.shares_memory(kf.data, clamped.stiffness.data)
 
 
 class TestDiskMesh:
@@ -1752,9 +1795,10 @@ def _stored_equal(a, b):
 
 
 def _assert_same_system(sys_a, sys_b):
-    """Two systems bitwise equal: K, M, free blocks and dof tables."""
-    for name in ("stiffness", "mass", "_kf", "_mf"):
-        assert _stored_equal(getattr(sys_a, name), getattr(sys_b, name))
+    """Two systems bitwise equal: K, M, free-dof pencils and dof tables."""
+    for a, b in zip((sys_a.stiffness, sys_a.mass, *fem._pencil(sys_a)),
+                    (sys_b.stiffness, sys_b.mass, *fem._pencil(sys_b))):
+        assert _stored_equal(a, b)
     assert sys_a.dof_map == sys_b.dof_map and sys_a.constraints == sys_b.constraints
     for name in ("free", "tdofs", "tnode_dofs"):
         a, b = getattr(sys_a._layout, name), getattr(sys_b._layout, name)
@@ -2086,13 +2130,13 @@ class TestMassCertificate:
     @pytest.mark.parametrize("clamped", [True, False])
     @pytest.mark.parametrize("n", [2, 3, 16, 151, 512])
     def test_unit_beam_mass_above_the_template(self, n, clamped):
-        mf = fem._beam_reference(n, clamped).system._mf.toarray()
+        mf = fem._pencil(fem._beam_reference(n, clamped).system)[1].toarray()
         assert _scaled_least_eigenvalue(mf) >= _scaled_least_eigenvalue(fem._ME0) - 1e-12
 
     @pytest.mark.parametrize("divisor", [4.5, 6, 8, 12])
     def test_reference_disk_mass_above_the_template(self, silicon, divisor):
         ref = fem._disk_reference(max(4, round(divisor)), silicon.poisson_ratio)
-        assert (_scaled_least_eigenvalue(ref.system._mf.toarray())
+        assert (_scaled_least_eigenvalue(fem._pencil(ref.system)[1].toarray())
                 >= _scaled_least_eigenvalue(fem._ME_TRI) - 1e-12)
 
     def test_node_in_no_element_refused(self, ref_disk, silicon):
@@ -2286,7 +2330,7 @@ def _own_masses(sys_, modes):
         rim = float(np.max(np.abs(u_rad)))
         if rim > 0:
             scaled = vec[free] / rim
-            masses.append(float(scaled @ (sys_._mf @ scaled)))
+            masses.append(float(scaled @ (fem._pencil(sys_)[1] @ scaled)))
     return masses
 
 

@@ -320,6 +320,22 @@ class TestSpectrum:
         with pytest.raises(SpectrumError):
             transmission_spectrum(ref_circuit, points=2)
 
+    @pytest.mark.parametrize("band", [
+        lambda f0: {"f_hi": math.inf},
+        lambda f0: {"f_lo": 1e-300},
+        lambda f0: {"f_lo": 5e-324},
+        lambda f0: {"f_hi": 1e308},
+        lambda f0: {"f_lo": f0 * (1 - 1e-15), "f_hi": f0 * (1 + 1e-15)},
+    ], ids=["f_hi-inf", "f_lo-1e-300", "f_lo-subnormal", "f_hi-1e308", "narrow"])
+    def test_unsampleable_band_refused(self, ref_circuit, band):
+        # an end that is infinite or so far out that the response
+        # overflows, or a band too narrow for distinct points: a domain
+        # error, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumError, match="cannot be sampled"):
+                transmission_spectrum(ref_circuit, **band(ref_circuit.f0))
+
     @pytest.mark.parametrize("points,message", [
         (2, "from 3 to 100000, got 2"),
         (transduction._MAX_POINTS + 1, "from 3 to 100000, got 100001"),
